@@ -56,7 +56,6 @@ impl Point {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn measure(
     rt: &pdgf_gen::SchemaRuntime,
     table: u32,
@@ -65,15 +64,11 @@ fn measure(
     package_rows: u64,
     repeats: usize,
     telemetry: Option<&Telemetry>,
-    columnar: bool,
 ) -> Point {
     let mut best: Option<Point> = None;
     for _ in 0..repeats {
         let mut sink = NullSink::new();
-        let cfg = RunConfig::new()
-            .workers(workers)
-            .package_rows(package_rows)
-            .columnar(columnar);
+        let cfg = RunConfig::new().workers(workers).package_rows(package_rows);
         let t = timed(|| {
             generate_table_range(
                 rt,
@@ -200,12 +195,12 @@ fn main() {
     println!("lineitem rows: {size} (SF {sf}), package_rows {package_rows}, best of {repeats}, host cores {cores}\n");
 
     // Warm-up pass (touches dictionaries, markov models, seed caches).
-    let _ = measure(rt, table, size.min(10_000), 1, package_rows, 1, None, true);
+    let _ = measure(rt, table, size.min(10_000), 1, package_rows, 1, None);
 
     println!("{:>8} {:>14} {:>12}", "workers", "rows/s", "MB/s");
     let mut series = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let p = measure(rt, table, size, workers, package_rows, repeats, None, true);
+        let p = measure(rt, table, size, workers, package_rows, repeats, None);
         println!(
             "{:>8} {:>14.0} {:>12.2}",
             p.workers,
@@ -214,29 +209,6 @@ fn main() {
         );
         series.push(p);
     }
-
-    // Columnar vs row path A/B at a fixed width: same schema, formatter,
-    // sink, and worker count — the only variable is the generation path.
-    // Repeats are interleaved so host drift cancels out of the ratio.
-    let ab_workers = 4usize;
-    let mut row_path = measure(rt, table, size, ab_workers, package_rows, 1, None, false);
-    let mut col_path = measure(rt, table, size, ab_workers, package_rows, 1, None, true);
-    for _ in 1..repeats {
-        let r = measure(rt, table, size, ab_workers, package_rows, 1, None, false);
-        if r.seconds < row_path.seconds {
-            row_path = r;
-        }
-        let c = measure(rt, table, size, ab_workers, package_rows, 1, None, true);
-        if c.seconds < col_path.seconds {
-            col_path = c;
-        }
-    }
-    let columnar_speedup = col_path.rows_per_s() / row_path.rows_per_s();
-    println!(
-        "\ncolumnar @{ab_workers}w: {:.0} rows/s vs row path {:.0} rows/s ({columnar_speedup:.2}x)",
-        col_path.rows_per_s(),
-        row_path.rows_per_s()
-    );
 
     // Telemetry overhead: the 8-worker point again with the full
     // observability stack attached — event bus with a live subscriber,
@@ -252,14 +224,14 @@ fn main() {
         }
         lines
     });
-    let mut plain = measure(rt, table, size, 8, package_rows, 1, None, true);
-    let mut observed = measure(rt, table, size, 8, package_rows, 1, Some(&telemetry), true);
+    let mut plain = measure(rt, table, size, 8, package_rows, 1, None);
+    let mut observed = measure(rt, table, size, 8, package_rows, 1, Some(&telemetry));
     for _ in 1..repeats {
-        let p = measure(rt, table, size, 8, package_rows, 1, None, true);
+        let p = measure(rt, table, size, 8, package_rows, 1, None);
         if p.seconds < plain.seconds {
             plain = p;
         }
-        let o = measure(rt, table, size, 8, package_rows, 1, Some(&telemetry), true);
+        let o = measure(rt, table, size, 8, package_rows, 1, Some(&telemetry));
         if o.seconds < observed.seconds {
             observed = o;
         }
@@ -313,12 +285,6 @@ fn main() {
         json.push_str(if i + 1 < series.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
-    json.push_str("  \"columnar\": {\n");
-    json.push_str(&format!("    \"workers\": {ab_workers},\n"));
-    json.push_str(&format!("    \"row\": {},\n", row_path.to_json()));
-    json.push_str(&format!("    \"columnar\": {},\n", col_path.to_json()));
-    json.push_str(&format!("    \"speedup\": {columnar_speedup:.4}\n"));
-    json.push_str("  },\n");
     json.push_str("  \"telemetry\": {\n");
     json.push_str(&format!("    \"overhead_pct\": {:.3},\n", overhead * 100.0));
     json.push_str(&format!("    \"events\": {},\n", events.len()));
@@ -389,20 +355,6 @@ fn main() {
         &format!(
             "{actual} B written vs {predicted} B proven ({:.1}% of bound)",
             accuracy * 100.0
-        ),
-    );
-
-    // The tentpole gate: the columnar batch engine must beat the row
-    // path by at least 1.3x rows/s on the same configuration. This is a
-    // same-host, same-run ratio, so it is judged on any core count.
-    check(
-        "columnar-speedup",
-        columnar_speedup >= 1.3,
-        &format!(
-            "{:.0} rows/s columnar vs {:.0} rows/s row path @{ab_workers}w \
-             ({columnar_speedup:.2}x, need >= 1.30x)",
-            col_path.rows_per_s(),
-            row_path.rows_per_s()
         ),
     );
 

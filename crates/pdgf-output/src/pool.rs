@@ -12,6 +12,13 @@
 use crate::sync::Mutex;
 use std::sync::{MutexGuard, PoisonError};
 
+#[derive(Debug)]
+struct Shelf {
+    idle: Vec<Vec<u8>>,
+    /// Takes minus puts: a statistic, never consulted for recycling.
+    outstanding: i64,
+}
+
 /// A bounded stack of recycled byte buffers, shared across threads.
 ///
 /// `take` pops a cleared buffer (or creates an empty one when the pool
@@ -20,7 +27,7 @@ use std::sync::{MutexGuard, PoisonError};
 /// cannot pin memory forever.
 #[derive(Debug)]
 pub struct BufferPool {
-    bufs: Mutex<Vec<Vec<u8>>>,
+    bufs: Mutex<Shelf>,
     max: usize,
 }
 
@@ -28,7 +35,10 @@ impl BufferPool {
     /// Pool retaining at most `max` idle buffers.
     pub fn new(max: usize) -> Self {
         Self {
-            bufs: Mutex::new(Vec::with_capacity(max)),
+            bufs: Mutex::new(Shelf {
+                idle: Vec::with_capacity(max),
+                outstanding: 0,
+            }),
             max,
         }
     }
@@ -36,13 +46,15 @@ impl BufferPool {
     /// A poisoned pool lock is harmless — the protected state is a stack
     /// of empty buffers, which is valid after any panic — so recover the
     /// guard instead of propagating the poison.
-    fn bufs(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+    fn bufs(&self) -> MutexGuard<'_, Shelf> {
         self.bufs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Pop a cleared buffer, or a fresh empty one if none is idle.
     pub fn take(&self) -> Vec<u8> {
-        self.bufs().pop().unwrap_or_default()
+        let mut shelf = self.bufs();
+        shelf.outstanding += 1;
+        shelf.idle.pop().unwrap_or_default()
     }
 
     /// [`take`](Self::take) with at least `capacity` bytes reserved.
@@ -63,15 +75,23 @@ impl BufferPool {
     /// when `max` buffers are already idle.
     pub fn put(&self, mut buf: Vec<u8>) {
         buf.clear();
-        let mut bufs = self.bufs();
-        if bufs.len() < self.max {
-            bufs.push(buf);
+        let mut shelf = self.bufs();
+        shelf.outstanding -= 1;
+        if shelf.idle.len() < self.max {
+            shelf.idle.push(buf);
         }
     }
 
     /// Number of idle buffers currently parked.
     pub fn idle(&self) -> usize {
-        self.bufs().len()
+        self.bufs().idle.len()
+    }
+
+    /// Buffers taken and not put back. A pipeline that recycles every
+    /// buffer reads zero once it is quiet; one whose readers keep their
+    /// buffers (the row service) only ever counts up.
+    pub fn outstanding(&self) -> i64 {
+        self.bufs().outstanding
     }
 }
 
@@ -98,6 +118,9 @@ mod tests {
         assert!(reused.is_empty(), "returned buffers are cleared");
         assert!(reused.capacity() >= 4096, "capacity is retained");
         assert_eq!(pool.idle(), 0);
+        assert_eq!(pool.outstanding(), 0, "one donated put, one take");
+        pool.put(reused);
+        assert_eq!(pool.outstanding(), -1);
     }
 
     #[test]

@@ -93,6 +93,13 @@ impl<T> ReorderBuffer<T> {
         }
     }
 
+    /// Remove every parked payload, in sequence order, abandoning the
+    /// gaps before them — how a cancelled stream recovers its buffers.
+    pub fn drain_parked(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.parked = 0;
+        self.ring.drain(..).flatten()
+    }
+
     /// Number of packages parked waiting for their predecessors.
     pub fn pending(&self) -> usize {
         self.parked
@@ -174,6 +181,17 @@ mod tests {
         assert_eq!(push_all(&mut b, 1, 1), vec![1, 2, 3]);
         assert_eq!(b.next_expected(), 4);
         assert!(b.is_drained());
+    }
+
+    #[test]
+    fn drain_parked_returns_everything_held_in_order() {
+        let mut b = ReorderBuffer::new();
+        assert_eq!(b.push(0, 0), Some(0));
+        assert!(b.push(4, 4).is_none());
+        assert!(b.push(2, 2).is_none());
+        assert_eq!(b.drain_parked().collect::<Vec<_>>(), vec![2, 4]);
+        assert!(b.is_drained());
+        assert_eq!(b.drain_parked().count(), 0);
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //! is generated, it is sent to the output system, where it can be
 //! formatted and sorted."
 //!
-//! * [`package`] — work packages and row-range partitioning,
-//! * [`scheduler`] — the single-node worker pool with sorted output,
+//! * [`package`] — table jobs and the framing a row range owns,
+//! * `engine` — the one execution core: ticket queue, worker loop,
+//!   render (generate column-wise, format), ordered package streams with
+//!   reader-driven windows; model-checkable under `--cfg loom`,
+//! * [`scheduler`] — batch generation: a project's jobs as clients of
+//!   the core, drained into sinks in sorted order,
 //! * [`meta`] — the meta-scheduler: sharding a project across nodes,
 //! * [`update`] — the update black box: deterministic insert/update/
 //!   delete batches per abstract time unit,
@@ -22,40 +26,74 @@
 //!   queue-depth sampling,
 //! * [`telemetry`] — the handle tying events + metrics + the stall
 //!   watchdog to a run ([`Observability`] attaches them),
-//! * [`serve`] — the on-the-fly row service: one persistent pool
-//!   answering row-range and point-lookup requests on demand, byte-
-//!   identical to batch output,
-//! * [`driver`] — whole-project generation runs and reports,
-//! * [`handoff`] — the worker/output-stage handoff primitives (ticket
-//!   counter and bounded channel), model-checkable under `--cfg loom`.
+//! * [`serve`] — the on-the-fly row service: admission, model table
+//!   and statistics over a long-lived instance of the core, answering
+//!   row-range and point-lookup requests byte-identical to batch output,
+//! * [`driver`] — whole-project generation runs and reports.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod driver;
+mod engine;
 pub mod events;
-pub mod handoff;
 pub mod meta;
 pub mod metrics;
 pub mod monitor;
+/// The row oracle the byte-identity unit tests compare the engine with.
+#[cfg(test)]
+#[path = "../../../tests/zoo/oracle.rs"]
+mod oracle;
 pub mod package;
 pub mod scheduler;
 pub mod serve;
 mod sync;
 pub mod telemetry;
+/// Fixtures shared by this crate's unit tests.
+#[cfg(test)]
+mod testkit {
+    use pdgf_gen::{MapResolver, SchemaRuntime};
+    use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
+
+    /// A schema of `(name, rows)` tables, each an `id` key plus a random
+    /// integer `v`.
+    pub(crate) fn runtime_of(tables: &[(&str, u64)]) -> SchemaRuntime {
+        let mut schema = Schema::new("testkit", 23);
+        for (name, rows) in tables {
+            schema = schema.table(
+                Table::new(name, &rows.to_string())
+                    .field(
+                        Field::new("id", SqlType::BigInt, GeneratorSpec::Id { permute: false })
+                            .primary(),
+                    )
+                    .field(Field::new(
+                        "v",
+                        SqlType::Integer,
+                        GeneratorSpec::Long {
+                            min: Expr::parse("0").unwrap(),
+                            max: Expr::parse("999999").unwrap(),
+                        },
+                    )),
+            );
+        }
+        SchemaRuntime::build(&schema, &MapResolver::new()).unwrap()
+    }
+
+    /// One table `t` of `rows` rows.
+    pub(crate) fn runtime(rows: u64) -> SchemaRuntime {
+        runtime_of(&[("t", rows)])
+    }
+}
 pub mod update;
 
 pub use driver::{GenerationRun, RunReport, TableReport};
 pub use events::{EventBus, EventSubscriber, RunEvent, StampedEvent};
-pub use handoff::TicketCounter;
 pub use meta::{MetaScheduler, NodeReport, NodeSinkFactory};
 pub use metrics::{
     Histogram, HistogramSnapshot, MetricsSnapshot, PackageTimings, PhaseStats, QueueDepthStats,
 };
 pub use monitor::{Monitor, Snapshot, TableHandle, TableSnapshot};
-pub use package::{
-    packages_for, packages_for_jobs, Framing, ProjectPackage, TableJob, WorkPackage,
-};
+pub use package::{Framing, TableJob};
 pub use scheduler::{
     available_workers, generate_table_range, run_project, table_meta, RunConfig, TableRunStats,
 };

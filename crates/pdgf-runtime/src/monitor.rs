@@ -32,7 +32,7 @@ struct MonitorInner {
     rows: AtomicU64,
     bytes: AtomicU64,
     packages: AtomicU64,
-    /// Set when the first package (or framing bytes) is recorded; the
+    /// Set when the first package is recorded; the
     /// throughput clock measures from here, not from `Monitor::new()`.
     started: OnceLock<Instant>,
     /// Per-table counter cells, in first-registered order. The lock only
@@ -85,18 +85,6 @@ impl TableHandle {
         self.cell.rows.fetch_add(rows, Ordering::Relaxed);
         self.cell.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.cell.packages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record framing bytes (headers, document closers): bytes that reach
-    /// the sink outside any work package.
-    #[inline]
-    pub fn record_framing(&self, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        self.inner.start_clock();
-        self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.cell.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
@@ -196,12 +184,6 @@ impl Monitor {
     /// on every call — hot loops should hold a [`TableHandle`] instead.
     pub fn record_table_package(&self, table: &str, rows: u64, bytes: u64) {
         self.register_table(table).record_package(rows, bytes);
-    }
-
-    /// Record framing bytes (headers, document closers) of `table`: bytes
-    /// that reach the sink outside any work package.
-    pub fn record_table_framing(&self, table: &str, bytes: u64) {
-        self.register_table(table).record_framing(bytes);
     }
 
     /// Current aggregate totals and derived throughput.
@@ -320,12 +302,10 @@ mod tests {
         m.record_table_package("a", 10, 100);
         m.record_table_package("b", 20, 200);
         m.record_table_package("a", 5, 50);
-        m.record_table_framing("a", 7);
-        m.record_table_framing("b", 0); // no-op
 
         let a = m.table_snapshot("a").expect("table a recorded");
         assert_eq!(a.rows, 15);
-        assert_eq!(a.bytes, 157);
+        assert_eq!(a.bytes, 150);
         assert_eq!(a.packages, 2);
         let b = m.table_snapshot("b").expect("table b recorded");
         assert_eq!(b.rows, 20);
@@ -333,10 +313,10 @@ mod tests {
         assert_eq!(b.packages, 1);
         assert!(m.table_snapshot("c").is_none());
 
-        // Aggregate view includes framing bytes and both tables.
+        // Aggregate view includes both tables.
         let s = m.snapshot();
         assert_eq!(s.rows, 35);
-        assert_eq!(s.bytes, 357);
+        assert_eq!(s.bytes, 350);
         assert_eq!(s.packages, 3);
 
         let all = m.table_snapshots();
@@ -368,17 +348,16 @@ mod tests {
                 for _ in 0..100 {
                     b.record_package(1, 1);
                 }
-                b.record_framing(9);
             });
         });
         let sa = m.table_snapshot("a").expect("a");
         assert_eq!(sa.rows, 2000, "both handles hit the same cell");
         assert_eq!(sa.packages, 1000);
         let sb = m.table_snapshot("b").expect("b");
-        assert_eq!(sb.bytes, 109);
+        assert_eq!(sb.bytes, 100);
         let total = m.snapshot();
         assert_eq!(total.rows, 2100);
-        assert_eq!(total.bytes, 10_109);
+        assert_eq!(total.bytes, 10_100);
     }
 
     #[test]

@@ -1,40 +1,14 @@
-//! Work packages: the scheduler's unit of work.
+//! Table jobs: what a batch run asks the execution core to generate.
 //!
 //! "A work package is a set of rows of a table that need to be generated."
-//! Packages are contiguous row ranges; their sequence number doubles as
-//! the sort key for ordered output. Since the scheduler went project-wide
-//! the queue spans every table (and update epoch) of a run: a [`TableJob`]
-//! describes one table shard with its framing obligations, and
-//! [`packages_for_jobs`] flattens a whole project into one global package
-//! list whose entries are keyed by `(job, seq)` — `job` routes a finished
-//! package to its sink, `seq` sorts it within that sink's stream.
+//! Packages are contiguous row ranges whose sequence number doubles as
+//! the sort key for ordered output; which rows package `seq` of a range
+//! covers is arithmetic (the `engine` module), so no package list is ever
+//! built. A [`TableJob`] describes one table shard — rows, update epoch —
+//! with its [`Framing`] obligations; each job has its own sink and its
+//! own ordered package stream.
 
 use std::ops::Range;
-
-/// A contiguous run of rows of one table at one update epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkPackage {
-    /// Sequence number within the job (sort key for output).
-    pub seq: u64,
-    /// Table index.
-    pub table: u32,
-    /// Update epoch.
-    pub update: u32,
-    /// Row range (global row numbers).
-    pub rows: Range<u64>,
-}
-
-impl WorkPackage {
-    /// Number of rows in the package.
-    pub fn len(&self) -> u64 {
-        self.rows.end - self.rows.start
-    }
-
-    /// True when the package covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
 
 /// Which of the formatter's `begin`/`end` bytes a table shard owns.
 ///
@@ -79,9 +53,8 @@ impl Framing {
 }
 
 /// One table shard in a project run: the rows to generate plus the
-/// framing bytes this shard is responsible for. The project scheduler
-/// drains the packages of every job through one worker pool; each job has
-/// its own sink and its own reorder stream.
+/// framing bytes this shard is responsible for. A project run drains the
+/// packages of every job through one worker pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableJob {
     /// Table index.
@@ -105,126 +78,11 @@ impl TableJob {
             framing: Framing::full(),
         }
     }
-
-    /// Job for a sub-range of a `table_size`-row table, framed by
-    /// position ([`Framing::for_range`]).
-    pub fn shard(table: u32, update: u32, rows: Range<u64>, table_size: u64) -> Self {
-        let framing = Framing::for_range(&rows, table_size);
-        Self {
-            table,
-            update,
-            rows,
-            framing,
-        }
-    }
-}
-
-/// A work package within a project run: the job index routes the output,
-/// the embedded package's `seq` orders it within the job's stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProjectPackage {
-    /// Index into the run's job list.
-    pub job: u32,
-    /// The row range and per-job sequence number.
-    pub pkg: WorkPackage,
-}
-
-/// Split `rows` of `table` into packages of at most `package_rows` rows,
-/// numbered from 0.
-pub fn packages_for(
-    table: u32,
-    update: u32,
-    rows: Range<u64>,
-    package_rows: u64,
-) -> Vec<WorkPackage> {
-    assert!(package_rows > 0, "package size must be positive");
-    let mut out = Vec::new();
-    let mut start = rows.start;
-    let mut seq = 0;
-    while start < rows.end {
-        let end = rows.end.min(start + package_rows);
-        out.push(WorkPackage {
-            seq,
-            table,
-            update,
-            rows: start..end,
-        });
-        start = end;
-        seq += 1;
-    }
-    out
-}
-
-/// Flatten every job of a project into one global package list, job-major
-/// (all of job 0's packages, then job 1's, …) with per-job sequence
-/// numbers from 0. Workers claim entries in list order, so a run tends to
-/// finish tables in schema order while later tables absorb idle workers
-/// during each table's tail.
-pub fn packages_for_jobs(jobs: &[TableJob], package_rows: u64) -> Vec<ProjectPackage> {
-    assert!(
-        jobs.len() <= u32::MAX as usize,
-        "job index limited to u32::MAX"
-    );
-    let mut out = Vec::new();
-    for (idx, job) in jobs.iter().enumerate() {
-        for pkg in packages_for(job.table, job.update, job.rows.clone(), package_rows) {
-            out.push(ProjectPackage {
-                job: idx as u32,
-                pkg,
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exact_division() {
-        let p = packages_for(0, 0, 0..100, 25);
-        assert_eq!(p.len(), 4);
-        assert!(p.iter().all(|w| w.len() == 25));
-        assert_eq!(p[3].rows, 75..100);
-        assert_eq!(p[3].seq, 3);
-    }
-
-    #[test]
-    fn remainder_package_is_short() {
-        let p = packages_for(1, 2, 0..10, 4);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p[2].rows, 8..10);
-        assert_eq!(p[2].len(), 2);
-        assert_eq!(p[0].table, 1);
-        assert_eq!(p[0].update, 2);
-    }
-
-    #[test]
-    fn offset_ranges_are_respected() {
-        let p = packages_for(0, 0, 50..60, 100);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p[0].rows, 50..60);
-        assert!(!p[0].is_empty());
-    }
-
-    #[test]
-    fn empty_range_yields_no_packages() {
-        assert!(packages_for(0, 0, 5..5, 10).is_empty());
-    }
-
-    #[test]
-    fn packages_cover_range_exactly_once() {
-        let p = packages_for(0, 0, 0..1013, 64);
-        let mut covered = 0u64;
-        let mut expected_start = 0;
-        for w in &p {
-            assert_eq!(w.rows.start, expected_start, "gap or overlap");
-            covered += w.len();
-            expected_start = w.rows.end;
-        }
-        assert_eq!(covered, 1013);
-    }
 
     #[test]
     fn framing_from_range_position() {
@@ -236,29 +94,5 @@ mod tests {
         assert_eq!(Framing::for_range(&(25..75), 100), Framing::none());
         // Empty table: the full range is 0..0, a complete document.
         assert_eq!(Framing::for_range(&(0..0), 0), Framing::full());
-    }
-
-    #[test]
-    fn project_packages_are_job_major_with_per_job_sequences() {
-        let jobs = [
-            TableJob::full_table(0, 10),
-            TableJob::full_table(3, 0),
-            TableJob::shard(1, 2, 4..12, 20),
-        ];
-        let p = packages_for_jobs(&jobs, 4);
-        // Job 0: 10 rows → 3 packages; job 1: empty → none; job 2: 8 rows
-        // → 2 packages.
-        assert_eq!(p.len(), 5);
-        assert_eq!(
-            p.iter().map(|x| x.job).collect::<Vec<_>>(),
-            vec![0, 0, 0, 2, 2]
-        );
-        assert_eq!(p[0].pkg.seq, 0);
-        assert_eq!(p[2].pkg.seq, 2);
-        assert_eq!(p[3].pkg.seq, 0, "sequences restart per job");
-        assert_eq!(p[3].pkg.table, 1);
-        assert_eq!(p[3].pkg.update, 2);
-        assert_eq!(p[3].pkg.rows, 4..8);
-        assert_eq!(p[4].pkg.rows, 8..12);
     }
 }

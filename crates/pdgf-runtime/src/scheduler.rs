@@ -1,21 +1,21 @@
-//! The project-wide scheduler: one worker pool generating the work
-//! packages of *every* table with sorted, per-table output streams.
+//! Batch generation: a project's table jobs as clients of the execution
+//! core.
 //!
-//! The pipeline is the paper's data flow: scheduler → workers (seed +
-//! generate + format) → output system (reorder + sink). Where earlier
-//! revisions spawned a fresh pool per table and ran tables strictly
-//! sequentially — paying the spawn cost for every small table and idling
-//! workers during each table's tail — [`run_project`] creates one pool
-//! per run and drains a single global queue of packages spanning all
-//! tables (and update epochs). Workers claim packages from a shared
-//! ticket counter (packages are uniform, so a ticket counter beats work
-//! stealing), format rows into recycled byte buffers, and hand completed
-//! buffers to the output stage through a bounded channel for
-//! backpressure. The output stage routes each package to its job's
-//! [`ReorderBuffer`] and sink, so every table's stream stays byte-
-//! identical to a sequential run even while tables overlap in time, and
-//! written buffers return to a [`BufferPool`] shared with the workers —
-//! after warm-up the steady state allocates nothing per package.
+//! [`run_project`] is the batch face of the `engine` module: it submits
+//! each [`TableJob`] as one range request carrying the job's [`Framing`]
+//! and drains the resulting package streams, in job order, into the
+//! jobs' sinks on the calling thread. Workers are scoped threads running
+//! the core's one worker loop over the borrowed schema and formatter;
+//! `workers == 0` renders on the calling thread with no threads at all.
+//! Written buffers go back to the core's pool, so after warm-up the
+//! steady state allocates nothing per package.
+//!
+//! Memory stays bounded however many jobs a project has: the run keeps
+//! at most `workers * 4` tickets in flight across all live streams, and
+//! admits job *k+1* only once job *k* has issued its last ticket — which
+//! is also what lets the next table absorb idle workers during each
+//! table's tail. Every stream is byte-identical to a sequential run of
+//! its job alone.
 //!
 //! Framing ([`Framing`]) makes node sharding exact for framed formats: a
 //! shard emits the formatter's `begin`/`end` bytes only when it owns the
@@ -23,25 +23,24 @@
 //! single-node byte stream for CSV-with-header, XML, and SQL alike.
 //!
 //! Observability rides along without touching the bytes: a run accepts an
-//! [`Observability`] bundle (progress [`Monitor`] and/or [`Telemetry`]).
-//! With telemetry attached, workers time a sampled subset of rows into
-//! per-worker histograms and the output stage publishes run/job/package
+//! [`Observability`] bundle (progress [`Monitor`](crate::Monitor) and/or
+//! [`Telemetry`](crate::Telemetry)). Phase timings travel with each
+//! delivered package and the output stage publishes run/job/package
 //! events — all copies of counters flowing outward, nothing flowing back
 //! into generation, so output stays a pure function of (schema, seed,
 //! format) with or without observers.
 
+use std::collections::VecDeque;
 use std::io;
-use std::sync::Arc;
 use std::time::Instant;
 
-use pdgf_gen::{GenScratch, SchemaRuntime};
-use pdgf_output::{BufferPool, Formatter, ReorderBuffer, Sink, TableMeta};
-use pdgf_schema::{ColumnBatch, Value};
+use pdgf_gen::SchemaRuntime;
+use pdgf_output::{Formatter, Sink, TableMeta};
 
-use crate::handoff::{channel, TicketCounter};
-use crate::metrics::{now_ns, PackageTimings, WorkerPhases, ROW_SAMPLE_EVERY};
+use crate::engine::{Engine, Held, Package, StopOnDrop, Stream, WorkerState};
+use crate::metrics::now_ns;
 use crate::monitor::TableHandle;
-use crate::package::{packages_for_jobs, Framing, ProjectPackage, TableJob};
+use crate::package::{Framing, TableJob};
 use crate::telemetry::{JobInfo, Observability, RunScope};
 
 /// Scheduler configuration, built fluently and validated at set time:
@@ -55,14 +54,10 @@ use crate::telemetry::{JobInfo, Observability, RunScope};
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Worker threads. `0` runs inline on the calling thread (no thread
-    /// or channel overhead — the configuration for latency microbenches).
+    /// or queue overhead — the configuration for latency microbenches).
     pub(crate) workers: usize,
     /// Rows per work package; always ≥ 1.
     pub(crate) package_rows: u64,
-    /// Generate packages through the columnar batch path (default). The
-    /// row path stays available (`columnar(false)`) for A/B comparison;
-    /// both paths produce byte-identical output.
-    pub(crate) columnar: bool,
 }
 
 impl Default for RunConfig {
@@ -70,7 +65,6 @@ impl Default for RunConfig {
         Self {
             workers: available_workers(),
             package_rows: 10_000,
-            columnar: true,
         }
     }
 }
@@ -102,22 +96,9 @@ impl RunConfig {
         self
     }
 
-    /// Choose between the columnar batch path (`true`, the default) and
-    /// the per-row path (`false`). Output bytes are identical either way;
-    /// the switch exists for A/B benchmarking and as an escape hatch.
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
-        self
-    }
-
     /// Configured worker thread count (`0` = inline).
     pub fn worker_threads(&self) -> usize {
         self.workers
-    }
-
-    /// Whether the columnar batch path is enabled.
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar
     }
 
     /// Configured rows per work package.
@@ -206,48 +187,14 @@ pub fn generate_table_range<'a>(
         .ok_or_else(|| io::Error::other("run_project returned no stats for its single job"))
 }
 
-/// Per-job bookkeeping of the output stage.
-struct JobOutput {
-    /// Packages of this job not yet written to the sink.
-    remaining: u64,
-    reorder: ReorderBuffer<(u64, u64, Vec<u8>, PackageTimings)>,
-    stats: TableRunStats,
+/// Tickets a batch run keeps in flight across all its live streams: deep
+/// enough that workers never idle behind one slow write, shallow enough
+/// that rendered-but-unwritten packages stay O(workers).
+pub(crate) fn window(workers: usize) -> u64 {
+    workers as u64 * 4
 }
 
-/// Read-only context shared by the output-stage helpers: the run's static
-/// shape plus its (optional) observers.
-struct RunCtx<'a> {
-    formatter: &'a dyn Formatter,
-    jobs: &'a [TableJob],
-    metas: &'a [TableMeta],
-    /// Per-job proven upper bound on formatted bytes per row, from the
-    /// abstract interpreter's column profiles. `None` when no finite
-    /// bound exists; package buffers are then sized by growth as before.
-    row_bounds: &'a [Option<u64>],
-    /// Per-job monitor handles, pre-registered at run start so the
-    /// per-package path indexes directly instead of scanning by name.
-    handles: Option<&'a [TableHandle]>,
-    scope: Option<&'a RunScope>,
-    started: Instant,
-    /// Whether packages run through the columnar batch path.
-    columnar: bool,
-}
-
-/// Cap on statically sized package buffers: a proven-but-huge bound (wide
-/// rows × large packages) must not balloon a single allocation; past this
-/// size ordinary growth takes over.
-const MAX_PREALLOC_BYTES: u64 = 64 << 20;
-
-/// Up-front capacity for one package buffer: the proven per-row bound
-/// times the package's rows, capped at [`MAX_PREALLOC_BYTES`]. Zero (no
-/// reservation) when the bound is unknown.
-pub(crate) fn package_capacity_hint(row_bound: Option<u64>, rows: u64) -> usize {
-    row_bound
-        .and_then(|b| b.checked_mul(rows))
-        .map_or(0, |b| b.min(MAX_PREALLOC_BYTES) as usize)
-}
-
-/// Generate every job of a project through one persistent worker pool.
+/// Generate every job of a project through one worker pool.
 ///
 /// `jobs[i]` writes to `sinks[i]`; each sink receives its job's bytes in
 /// row order (byte-identical to a sequential run of that job alone),
@@ -255,10 +202,10 @@ pub(crate) fn package_capacity_hint(row_bound: Option<u64>, rows: u64) -> usize 
 /// *not* [`finish`](Sink::finish)ed — that stays with the caller, which
 /// may reuse a sink across runs.
 ///
-/// On the first sink error the run aborts: the error is returned, and the
-/// channel hang-up stops every worker regardless of which job it was
-/// generating — an error on one table cannot deadlock workers that have
-/// moved on to the next.
+/// On the first sink error the run aborts: the live streams are dropped,
+/// which cancels their unrendered packages, the error is returned, and
+/// no worker outlives the call — an error on one table cannot deadlock
+/// workers that have moved on to the next.
 ///
 /// `obs` attaches observers: `None`, `&Monitor`, `&Telemetry`, or a full
 /// [`Observability`]. Observers see lifecycle events and counters; they
@@ -275,590 +222,263 @@ pub fn run_project<'a>(
     let obs = obs.into();
     // audit:allow(wall-clock) run statistics only; never influences generated bytes
     let started = Instant::now();
-    let metas: Vec<TableMeta> = jobs.iter().map(|j| table_meta(rt, j.table)).collect();
+    let names = jobs
+        .iter()
+        .map(|j| rt.tables()[j.table as usize].name.as_str());
 
     // Pre-register every job's table with the monitor so per-package
     // recording is a direct handle bump, not a name scan under a lock.
     // Registration order = job order, keeping first-seen order stable.
-    let handles: Option<Vec<TableHandle>> = obs.monitor.map(|m| {
-        metas
-            .iter()
-            .map(|meta| m.register_table(&meta.name))
-            .collect()
-    });
+    let handles: Option<Vec<TableHandle>> = obs
+        .monitor
+        .map(|m| names.clone().map(|n| m.register_table(n)).collect());
     let scope: Option<RunScope> = obs.telemetry.map(|t| {
         t.begin_run(
             jobs.iter()
-                .zip(&metas)
-                .map(|(j, m)| JobInfo::new(m.name.clone(), j.rows.end.saturating_sub(j.rows.start)))
+                .zip(names)
+                .map(|(j, n)| JobInfo::new(n.to_string(), j.rows.end.saturating_sub(j.rows.start)))
                 .collect(),
             cfg.workers,
         )
     });
 
-    let mut outputs: Vec<JobOutput> = jobs
-        .iter()
-        .map(|_| JobOutput {
-            remaining: 0,
-            reorder: ReorderBuffer::new(),
-            stats: TableRunStats::default(),
-        })
-        .collect();
-
-    // Proven per-row byte bounds from the abstract interpreter, used to
-    // pre-size package buffers to their final capacity. Purely an
-    // allocation hint: output bytes are identical with or without it.
-    let profiles = rt.profiles();
-    let row_bounds: Vec<Option<u64>> = jobs
-        .iter()
-        .zip(&metas)
-        .map(|(j, m)| formatter.max_row_bytes(m, &profiles[j.table as usize]))
-        .collect();
-
-    let ctx = RunCtx {
-        formatter,
+    // Written buffers return to the engine's pool and workers take them
+    // back out; sized past the window so a full pipeline keeps recycling.
+    let idle_buffers = window(cfg.workers) as usize + cfg.workers + 1;
+    let mut engine = Engine::new(cfg.package_rows, idle_buffers, scope);
+    let (result, stats) = run_jobs(
+        &engine,
+        rt,
         jobs,
-        metas: &metas,
-        row_bounds: &row_bounds,
-        handles: handles.as_deref(),
-        scope: scope.as_ref(),
+        formatter,
+        sinks,
+        cfg.workers,
+        handles,
         started,
-        columnar: cfg.columnar,
-    };
-    let result = run_phases(rt, &ctx, sinks, &mut outputs, cfg);
+    );
 
-    if let Some(scope) = scope {
+    if let Some(scope) = engine.scope.take() {
         // Success or failure, the scope closes with a terminal
         // `RunFinished` carrying whatever was actually written — so a
         // subscriber draining to JSONL always sees a terminated stream
         // (on errors: the `SinkError` from the output stage, then this).
-        let rows = outputs.iter().map(|o| o.stats.rows).sum();
-        let bytes = outputs.iter().map(|o| o.stats.bytes).sum();
+        let rows = stats.iter().map(|s| s.rows).sum();
+        let bytes = stats.iter().map(|s| s.bytes).sum();
         scope.finish(rows, bytes, started.elapsed().as_secs_f64());
     }
     result?;
-    Ok(outputs.into_iter().map(|o| o.stats).collect())
+    Ok(stats)
 }
 
-/// The run body: framing, then inline or pooled package execution.
-fn run_phases(
-    rt: &SchemaRuntime,
-    ctx: &RunCtx<'_>,
+/// Run `jobs` on `engine` with `workers` scoped worker threads (0 =
+/// render on this thread). Returns the per-job statistics of whatever
+/// was written next to the run's outcome.
+#[allow(clippy::too_many_arguments)] // run_project's arguments plus the engine
+fn run_jobs<'a>(
+    engine: &Engine<'a>,
+    rt: &'a SchemaRuntime,
+    jobs: &[TableJob],
+    formatter: &'a dyn Formatter,
     sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-    cfg: &RunConfig,
-) -> io::Result<()> {
-    let packages = packages_for_jobs(ctx.jobs, cfg.package_rows);
-    for p in &packages {
-        outputs[p.job as usize].remaining += 1;
-    }
-
-    // Begin framing is written up front: jobs have disjoint sinks, so
-    // cross-job write order never affects per-sink byte identity. Jobs
-    // with no packages (empty shards that still own framing — e.g. an
-    // empty table with a CSV header) complete right here.
-    let mut frame_buf = Vec::new();
-    for (idx, job) in ctx.jobs.iter().enumerate() {
-        if job.framing.begin {
-            frame_buf.clear();
-            ctx.formatter.begin(&mut frame_buf, &ctx.metas[idx]);
-            write_framing(ctx, &frame_buf, idx, sinks, outputs)?;
-        }
-        if outputs[idx].remaining == 0 {
-            finish_job(ctx, idx, sinks, outputs)?;
-        }
-    }
-
-    if packages.is_empty() {
-        return Ok(());
-    }
-    if cfg.workers == 0 {
-        run_inline(rt, ctx, &packages, sinks, outputs)
+    workers: usize,
+    handles: Option<Vec<TableHandle>>,
+    started: Instant,
+) -> (io::Result<()>, Vec<TableRunStats>) {
+    let mut out = Output {
+        sinks,
+        stats: vec![TableRunStats::default(); jobs.len()],
+        handles,
+        scope: engine.scope.as_ref(),
+        started,
+    };
+    let open =
+        |job: &TableJob| engine.open(Held::Borrowed(rt), Held::Borrowed(formatter), job.clone());
+    let result = if workers == 0 {
+        render_inline(engine, jobs, open, &mut out)
     } else {
-        run_pool(rt, ctx, &packages, sinks, outputs, cfg)
-    }
+        std::thread::scope(|threads| {
+            // The engine stops however this closure exits, so the scope
+            // can always join its workers; a worker that unwinds stops
+            // it too, so the drain below ends instead of waiting forever.
+            let _stop = StopOnDrop(engine);
+            for worker in 0..workers {
+                threads.spawn(move || {
+                    let _stop = StopOnDrop(engine);
+                    engine.worker_loop(worker)
+                });
+            }
+            drain_streams(engine, jobs, open, window(workers), &mut out)
+        })
+    };
+    (result, out.stats)
 }
 
-/// Append `bytes` framing output to job `idx`'s sink and counters.
-fn write_framing(
-    ctx: &RunCtx<'_>,
-    bytes: &[u8],
-    idx: usize,
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-) -> io::Result<()> {
-    if bytes.is_empty() {
-        return Ok(());
-    }
-    if let Some(scope) = ctx.scope {
-        scope.job_started(idx);
-        scope.begin_write(idx);
-    }
-    let write_result = sinks[idx].write_chunk(bytes);
-    if let Some(scope) = ctx.scope {
-        scope.end_write();
-        if let Err(e) = &write_result {
-            scope.sink_error(idx, e);
-        }
-    }
-    write_result?;
-    outputs[idx].stats.bytes += bytes.len() as u64;
-    if let Some(handles) = ctx.handles {
-        handles[idx].record_framing(bytes.len() as u64);
-    }
-    Ok(())
-}
-
-/// Write job `idx`'s end framing (if owned) and stamp its completion
-/// time. Called exactly once per job, when its last package is written —
-/// or immediately for jobs with no packages.
-fn finish_job(
-    ctx: &RunCtx<'_>,
-    idx: usize,
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-) -> io::Result<()> {
-    if ctx.jobs[idx].framing.end {
-        let mut tail = Vec::new();
-        ctx.formatter.end(&mut tail, &ctx.metas[idx]);
-        write_framing(ctx, &tail, idx, sinks, outputs)?;
-    }
-    outputs[idx].stats.seconds = ctx.started.elapsed().as_secs_f64();
-    if let Some(scope) = ctx.scope {
-        // Jobs whose framing produced no bytes may not have announced
-        // themselves yet; `job_started` is idempotent.
-        scope.job_started(idx);
-        scope.job_finished(idx, &outputs[idx].stats);
-    }
-    Ok(())
-}
-
-/// Write one completed package of job `idx` and, when it was the job's
-/// last, finish the job.
-#[allow(clippy::too_many_arguments)]
-fn write_package(
-    ctx: &RunCtx<'_>,
-    seq: u64,
-    rows: u64,
-    buf: &[u8],
-    mut timings: PackageTimings,
-    idx: usize,
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-) -> io::Result<()> {
-    if let Some(scope) = ctx.scope {
-        scope.job_started(idx);
-        scope.begin_write(idx);
-    }
-    let write_started = ctx.scope.map(|_| now_ns());
-    let write_result = sinks[idx].write_chunk(buf);
-    if let Some(scope) = ctx.scope {
-        scope.end_write();
-        if let Err(e) = &write_result {
-            scope.sink_error(idx, e);
-        }
-    }
-    write_result?;
-    let out = &mut outputs[idx];
-    out.stats.rows += rows;
-    out.stats.bytes += buf.len() as u64;
-    out.remaining -= 1;
-    if let Some(handles) = ctx.handles {
-        handles[idx].record_package(rows, buf.len() as u64);
-    }
-    if let Some(scope) = ctx.scope {
-        if let Some(w0) = write_started {
-            timings.write_ns = now_ns().saturating_sub(w0);
-        }
-        scope.package_completed(idx, seq, rows, buf.len() as u64, timings);
-    }
-    if out.remaining == 0 {
-        finish_job(ctx, idx, sinks, outputs)?;
-    }
-    Ok(())
-}
-
-/// Reusable per-worker buffers: the row path's row buffer, the columnar
-/// path's batch, and the generator scratch shared by both. One lives on
-/// the inline thread and one in each pool worker (and in each serve
-/// worker — see [`crate::serve`]); after warm-up neither path allocates
-/// per package.
-#[derive(Default)]
-pub(crate) struct WorkerState {
-    pub(crate) row_buf: Vec<Value>,
-    pub(crate) batch: ColumnBatch,
-    pub(crate) scratch: GenScratch,
-}
-
-/// Run one package through the configured path (columnar or row), timed
-/// when telemetry is attached, appending formatted bytes to `out`.
-fn execute_package(
-    rt: &SchemaRuntime,
-    ctx: &RunCtx<'_>,
-    pkg: &ProjectPackage,
-    state: &mut WorkerState,
-    out: &mut Vec<u8>,
-    phases: Option<&Arc<WorkerPhases>>,
-) -> PackageTimings {
-    let meta = &ctx.metas[pkg.job as usize];
-    match (ctx.columnar, phases) {
-        (true, Some(phases)) => format_package_columnar_timed(
-            rt,
-            pkg,
-            ctx.formatter,
-            meta,
-            &mut state.batch,
-            &mut state.scratch,
-            out,
-            phases,
-        ),
-        (true, None) => {
-            format_package_columnar(
-                rt,
-                pkg,
-                ctx.formatter,
-                meta,
-                &mut state.batch,
-                &mut state.scratch,
-                out,
-            );
-            PackageTimings::default()
-        }
-        (false, Some(phases)) => format_package_timed(
-            rt,
-            pkg,
-            ctx.formatter,
-            meta,
-            &mut state.row_buf,
-            &mut state.scratch,
-            out,
-            phases,
-        ),
-        (false, None) => {
-            format_package(
-                rt,
-                pkg,
-                ctx.formatter,
-                meta,
-                &mut state.row_buf,
-                &mut state.scratch,
-                out,
-            );
-            PackageTimings::default()
-        }
-    }
-}
-
-/// The columnar package body: generate the whole package column by
-/// column into a typed [`ColumnBatch`], then transpose it through the
-/// formatter's [`rows_columnar`](Formatter::rows_columnar). Byte-
-/// identical to [`format_package`] by the kernel and formatter contracts.
-pub(crate) fn format_package_columnar(
-    rt: &SchemaRuntime,
-    pkg: &ProjectPackage,
-    formatter: &dyn Formatter,
-    meta: &TableMeta,
-    batch: &mut ColumnBatch,
-    scratch: &mut GenScratch,
-    out: &mut Vec<u8>,
-) {
-    rt.fill_batch(
-        pkg.pkg.table,
-        pkg.pkg.update,
-        pkg.pkg.rows.clone(),
-        batch,
-        scratch,
-    );
-    formatter.rows_columnar(out, meta, batch);
-}
-
-/// [`format_package_columnar`] with phase instrumentation. The columnar
-/// path has natural package-level phase boundaries (fill, then
-/// transpose), so instead of sampling rows it times the two stages once
-/// and feeds the per-row averages to the worker histograms — every row
-/// is "sampled" at the cost of three clock reads per package.
-#[allow(clippy::too_many_arguments)]
-fn format_package_columnar_timed(
-    rt: &SchemaRuntime,
-    pkg: &ProjectPackage,
-    formatter: &dyn Formatter,
-    meta: &TableMeta,
-    batch: &mut ColumnBatch,
-    scratch: &mut GenScratch,
-    out: &mut Vec<u8>,
-    phases: &WorkerPhases,
-) -> PackageTimings {
-    let started = now_ns();
-    let mut t = PackageTimings::default();
-    rt.fill_batch(
-        pkg.pkg.table,
-        pkg.pkg.update,
-        pkg.pkg.rows.clone(),
-        batch,
-        scratch,
-    );
-    let g1 = now_ns();
-    formatter.rows_columnar(out, meta, batch);
-    let f1 = now_ns();
-    t.generate_ns = g1.saturating_sub(started);
-    t.format_ns = f1.saturating_sub(g1);
-    let rows = batch.rows() as u64;
-    if let (Some(g), Some(f)) = (
-        t.generate_ns.checked_div(rows),
-        t.format_ns.checked_div(rows),
-    ) {
-        phases.generate.record(g);
-        phases.format.record(f);
-        t.sampled_rows = rows;
-    }
-    t.total_ns = now_ns().saturating_sub(started);
-    phases.add_busy_ns(t.total_ns);
-    t
-}
-
-pub(crate) fn format_package(
-    rt: &SchemaRuntime,
-    pkg: &ProjectPackage,
-    formatter: &dyn Formatter,
-    meta: &TableMeta,
-    row_buf: &mut Vec<Value>,
-    scratch: &mut GenScratch,
-    out: &mut Vec<u8>,
-) {
-    for row in pkg.pkg.rows.clone() {
-        rt.row_into_with_scratch(pkg.pkg.table, pkg.pkg.update, row, row_buf, scratch);
-        formatter.row(out, meta, row_buf);
-    }
-}
-
-/// [`format_package`] with phase instrumentation: one row in
-/// [`ROW_SAMPLE_EVERY`] is timed around generate and format separately,
-/// feeding the worker's private histograms; the whole package gets two
-/// clock reads for busy time. Only used when telemetry is attached —
-/// the uninstrumented path has zero added clock reads.
-#[allow(clippy::too_many_arguments)]
-fn format_package_timed(
-    rt: &SchemaRuntime,
-    pkg: &ProjectPackage,
-    formatter: &dyn Formatter,
-    meta: &TableMeta,
-    row_buf: &mut Vec<Value>,
-    scratch: &mut GenScratch,
-    out: &mut Vec<u8>,
-    phases: &WorkerPhases,
-) -> PackageTimings {
-    debug_assert!(ROW_SAMPLE_EVERY.is_power_of_two());
-    let started = now_ns();
-    let mut t = PackageTimings::default();
-    for (i, row) in pkg.pkg.rows.clone().enumerate() {
-        if (i as u64) & (ROW_SAMPLE_EVERY - 1) == 0 {
-            let g0 = now_ns();
-            rt.row_into_with_scratch(pkg.pkg.table, pkg.pkg.update, row, row_buf, scratch);
-            let g1 = now_ns();
-            formatter.row(out, meta, row_buf);
-            let f1 = now_ns();
-            phases.generate.record(g1.saturating_sub(g0));
-            phases.format.record(f1.saturating_sub(g1));
-            t.generate_ns += g1.saturating_sub(g0);
-            t.format_ns += f1.saturating_sub(g1);
-            t.sampled_rows += 1;
-        } else {
-            rt.row_into_with_scratch(pkg.pkg.table, pkg.pkg.update, row, row_buf, scratch);
-            formatter.row(out, meta, row_buf);
-        }
-    }
-    t.total_ns = now_ns().saturating_sub(started);
-    phases.add_busy_ns(t.total_ns);
-    t
-}
-
-/// Inline execution on the calling thread: packages run in global queue
-/// order, which is already per-job row order.
-fn run_inline(
-    rt: &SchemaRuntime,
-    ctx: &RunCtx<'_>,
-    packages: &[ProjectPackage],
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
+/// Inline execution: render each job's packages in order on this thread.
+fn render_inline<'a>(
+    engine: &Engine<'a>,
+    jobs: &[TableJob],
+    open: impl Fn(&TableJob) -> Stream<'a>,
+    out: &mut Output<'_, '_>,
 ) -> io::Result<()> {
     let mut state = WorkerState::default();
-    let mut out = Vec::new();
-    let phases: Option<Arc<WorkerPhases>> = ctx.scope.map(|s| s.slot(0));
-    let total = packages.len() as u64;
-    // Seed the watchdog's pending gauge up front: an inline run that
-    // wedges inside its first package is outstanding work, not idle.
-    if let Some(scope) = ctx.scope {
-        scope.set_queue_depth(total);
-    }
-    for (done, p) in packages.iter().enumerate() {
-        out.clear();
-        let idx = p.job as usize;
-        let want = package_capacity_hint(ctx.row_bounds[idx], p.pkg.len());
-        if out.capacity() < want {
-            out.reserve(want);
+    let phases = out.scope.map(|s| s.slot(0));
+    for (idx, job) in jobs.iter().enumerate() {
+        let stream = open(job);
+        let req = stream.request();
+        // Seed the watchdog's pending gauge up front: an inline run that
+        // wedges inside a package is outstanding work, not idle.
+        if let Some(scope) = out.scope {
+            scope.work_queued(req.total_packages());
         }
-        let timings = execute_package(rt, ctx, p, &mut state, &mut out, phases.as_ref());
-        write_package(
-            ctx,
-            p.pkg.seq,
-            p.pkg.len(),
-            &out,
-            timings,
-            idx,
-            sinks,
-            outputs,
-        )?;
-        if let Some(scope) = ctx.scope {
-            scope.set_queue_depth(total - (done as u64 + 1));
+        for seq in 0..req.total_packages() {
+            let pkg = engine.render(req, seq, &mut state, phases.as_deref());
+            let written = out.write(idx, seq, &pkg);
+            engine.buffers.put(pkg.bytes);
+            written?;
+            if let Some(scope) = out.scope {
+                scope.work_done();
+            }
         }
+        out.finish_job(idx);
     }
     Ok(())
 }
 
-/// Pooled execution: one scope of workers drains the global package
-/// queue; the output stage on the calling thread reorders per job.
-fn run_pool(
-    rt: &SchemaRuntime,
-    ctx: &RunCtx<'_>,
-    packages: &[ProjectPackage],
-    sinks: &mut [&mut dyn Sink],
-    outputs: &mut [JobOutput],
-    cfg: &RunConfig,
+/// Pooled execution: open each job's stream in job order, keep `window`
+/// tickets in flight across the live ones, and write the front stream's
+/// packages as they become ready.
+fn drain_streams<'a>(
+    engine: &Engine<'a>,
+    jobs: &[TableJob],
+    open: impl Fn(&TableJob) -> Stream<'a>,
+    window: u64,
+    out: &mut Output<'_, '_>,
 ) -> io::Result<()> {
-    let n_packages = packages.len() as u64;
-    let tickets = TicketCounter::new(n_packages);
-    // Bounded channel: workers stall rather than buffering the whole
-    // project when a sink is slow.
-    let channel_depth = cfg.workers * 4;
-    let (tx, rx) = channel::<(u32, u64, u64, Vec<u8>, PackageTimings)>(channel_depth);
-    // Written buffers return here and workers take them back out; sized
-    // past the channel depth so even a full pipeline keeps recycling.
-    let pool = BufferPool::new(channel_depth + cfg.workers + 1);
-    if let Some(scope) = ctx.scope {
-        scope.set_queue_depth(n_packages);
-    }
-
-    let mut result: io::Result<()> = Ok(());
-    let mut written_packages = 0u64;
-    std::thread::scope(|thread_scope| {
-        for worker in 0..cfg.workers {
-            let tx = tx.clone();
-            let tickets = &tickets;
-            let pool = &pool;
-            let phases: Option<Arc<WorkerPhases>> = ctx.scope.map(|s| s.slot(worker));
-            thread_scope.spawn(move || {
-                let mut state = WorkerState::default();
-                while let Some(idx) = tickets.claim() {
-                    let p = &packages[idx as usize];
-                    let mut out = pool.take_with_capacity(package_capacity_hint(
-                        ctx.row_bounds[p.job as usize],
-                        p.pkg.len(),
-                    ));
-                    let timings =
-                        execute_package(rt, ctx, p, &mut state, &mut out, phases.as_ref());
-                    if tx
-                        .send((p.job, p.pkg.seq, p.pkg.len(), out, timings))
-                        .is_err()
-                    {
-                        // Output stage failed and hung up; stop quietly,
-                        // the error is reported from the output side.
-                        return;
-                    }
+    let mut live: VecDeque<(usize, Stream<'a>)> = VecDeque::new();
+    let mut admitted = 0;
+    loop {
+        // Top up: every live stream but the newest is fully issued, so
+        // the spare budget goes to the newest, and the next job is
+        // admitted once that one has issued its last ticket.
+        let mut budget = window - live.iter().map(|(_, s)| s.in_flight()).sum::<u64>();
+        loop {
+            if let Some((_, newest)) = live.back_mut() {
+                budget -= newest.issue(engine, budget);
+                if !newest.is_fully_issued() {
+                    break;
                 }
-            });
+            }
+            if budget == 0 || admitted == jobs.len() {
+                break;
+            }
+            live.push_back((admitted, open(&jobs[admitted])));
+            admitted += 1;
         }
-        drop(tx);
 
-        // Output stage on the calling thread: route each package to its
-        // job's reorder buffer and sink, recycle written buffers.
-        for (job, seq, rows, buf, timings) in rx {
-            let idx = job as usize;
-            let mut ready = outputs[idx].reorder.push(seq, (seq, rows, buf, timings));
-            while let Some((ready_seq, ready_rows, ready_buf, ready_timings)) = ready {
-                if let Err(e) = write_package(
-                    ctx,
-                    ready_seq,
-                    ready_rows,
-                    &ready_buf,
-                    ready_timings,
-                    idx,
-                    sinks,
-                    outputs,
-                ) {
-                    result = Err(e);
-                    return; // drops `rx`; workers see the hangup and stop
-                }
-                pool.put(ready_buf);
-                written_packages += 1;
-                if let Some(scope) = ctx.scope {
-                    scope.set_queue_depth(n_packages - written_packages);
-                }
-                ready = outputs[idx].reorder.pop_ready();
+        let Some((idx, stream)) = live.front_mut() else {
+            return Ok(());
+        };
+        match stream.next(engine) {
+            Some(pkg) => {
+                let written = out.write(*idx, stream.delivered() - 1, &pkg);
+                engine.buffers.put(pkg.bytes);
+                written?;
+            }
+            None if stream.is_exhausted() => {
+                out.finish_job(*idx);
+                live.pop_front();
+            }
+            None => {
+                return Err(io::Error::other(
+                    "worker pool stopped before the run completed",
+                ))
             }
         }
-        // Every sender completed, so a shortfall here means packages were
-        // dropped between the workers and the sink — corrupt output, not
-        // a debug-only concern.
-        if written_packages != n_packages {
-            let parked: usize = outputs.iter().map(|o| o.reorder.pending()).sum();
-            result = Err(io::Error::other(format!(
-                "output stage lost packages: wrote {written_packages} of \
-                 {n_packages} ({parked} parked out of order)"
-            )));
+    }
+}
+
+/// The output stage: the run's sinks and statistics plus its (optional)
+/// observers. Every hook runs on the calling thread, so the order of
+/// published events matches the order sinks observe writes.
+struct Output<'r, 's> {
+    sinks: &'r mut [&'s mut dyn Sink],
+    stats: Vec<TableRunStats>,
+    /// Per-job monitor handles, pre-registered at run start so the
+    /// per-package path indexes directly instead of scanning by name.
+    handles: Option<Vec<TableHandle>>,
+    scope: Option<&'r RunScope>,
+    started: Instant,
+}
+
+impl Output<'_, '_> {
+    /// Write package `seq` of job `idx` to its sink. A package without
+    /// bytes (an empty shard whose format has no framing) is not a write.
+    fn write(&mut self, idx: usize, seq: u64, pkg: &Package) -> io::Result<()> {
+        if pkg.bytes.is_empty() {
+            return Ok(());
         }
-    });
-    result
+        if let Some(scope) = self.scope {
+            scope.job_started(idx);
+            scope.begin_write(idx);
+        }
+        let write_started = self.scope.map(|_| now_ns());
+        let write_result = self.sinks[idx].write_chunk(&pkg.bytes);
+        if let Some(scope) = self.scope {
+            scope.end_write();
+            if let Err(e) = &write_result {
+                scope.sink_error(idx, e);
+            }
+        }
+        write_result?;
+        let bytes = pkg.bytes.len() as u64;
+        self.stats[idx].rows += pkg.rows;
+        self.stats[idx].bytes += bytes;
+        if let Some(handles) = &self.handles {
+            handles[idx].record_package(pkg.rows, bytes);
+        }
+        if let (Some(scope), Some(w0)) = (self.scope, write_started) {
+            let mut timings = pkg.timings;
+            timings.write_ns = now_ns().saturating_sub(w0);
+            scope.package_completed(idx, seq, pkg.rows, bytes, timings);
+        }
+        Ok(())
+    }
+
+    /// Stamp job `idx`'s completion time. Called exactly once per job,
+    /// when its last package is written — or immediately for jobs with no
+    /// packages.
+    fn finish_job(&mut self, idx: usize) {
+        self.stats[idx].seconds = self.started.elapsed().as_secs_f64();
+        if let Some(scope) = self.scope {
+            // Jobs that wrote no bytes have not announced themselves yet;
+            // `job_started` is idempotent.
+            scope.job_started(idx);
+            scope.job_finished(idx, &self.stats[idx]);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdgf_gen::MapResolver;
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+    use std::sync::Arc;
+
     use pdgf_output::{CsvFormatter, JsonFormatter, MemorySink, SqlFormatter, XmlFormatter};
-    use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
     use crate::monitor::Monitor;
+    use crate::oracle::oracle_bytes;
+    use crate::testkit::{runtime, runtime_of};
 
-    fn runtime(rows: u64) -> SchemaRuntime {
-        let schema = Schema::new("sched", 11).table(
-            Table::new("t", &format!("{rows}"))
-                .field(
-                    Field::new("id", SqlType::BigInt, GeneratorSpec::Id { permute: false })
-                        .primary(),
-                )
-                .field(Field::new(
-                    "v",
-                    SqlType::Integer,
-                    GeneratorSpec::Long {
-                        min: Expr::parse("0").unwrap(),
-                        max: Expr::parse("999999").unwrap(),
-                    },
-                )),
-        );
-        SchemaRuntime::build(&schema, &MapResolver::new()).unwrap()
-    }
-
-    /// Runtime with several tables of mixed sizes for project runs.
+    /// Runtime with several tables `t0`, `t1`, … of the given sizes.
     fn multi_runtime(sizes: &[u64]) -> SchemaRuntime {
-        let mut schema = Schema::new("multi", 23);
-        for (i, rows) in sizes.iter().enumerate() {
-            schema = schema.table(
-                Table::new(&format!("t{i}"), &format!("{rows}"))
-                    .field(
-                        Field::new("id", SqlType::BigInt, GeneratorSpec::Id { permute: false })
-                            .primary(),
-                    )
-                    .field(Field::new(
-                        "v",
-                        SqlType::Integer,
-                        GeneratorSpec::Long {
-                            min: Expr::parse("0").unwrap(),
-                            max: Expr::parse("999999").unwrap(),
-                        },
-                    )),
-            );
-        }
-        SchemaRuntime::build(&schema, &MapResolver::new()).unwrap()
+        let names: Vec<String> = (0..sizes.len()).map(|i| format!("t{i}")).collect();
+        let tables: Vec<(&str, u64)> = names
+            .iter()
+            .map(String::as_str)
+            .zip(sizes.iter().copied())
+            .collect();
+        runtime_of(&tables)
     }
 
     fn run_fmt(
@@ -894,11 +514,9 @@ mod tests {
         let d = RunConfig::default();
         assert_eq!(d.worker_threads(), available_workers());
         assert_eq!(d.rows_per_package(), 10_000);
-        assert!(d.columnar_enabled(), "columnar path is the default");
-        let cfg = RunConfig::new().workers(0).package_rows(1).columnar(false);
+        let cfg = RunConfig::new().workers(0).package_rows(1);
         assert_eq!(cfg.worker_threads(), 0, "0 workers = inline is legal");
         assert_eq!(cfg.rows_per_package(), 1);
-        assert!(!cfg.columnar_enabled());
     }
 
     #[test]
@@ -954,9 +572,8 @@ mod tests {
         }
     }
 
-    /// The columnar path (default) and the row path (`columnar(false)`)
-    /// produce the same bytes for every format, worker count, and package
-    /// size — including ragged tails.
+    /// The engine produces the row oracle's bytes for every format,
+    /// worker count, and package size — including ragged tails.
     #[test]
     fn columnar_path_matches_row_path_bytes() {
         let rt = runtime(1_500);
@@ -967,30 +584,12 @@ mod tests {
             &SqlFormatter::new(),
         ];
         for formatter in formatters {
+            let oracle = oracle_bytes(&rt, 0, 0, 0..rt.tables()[0].size, formatter);
             for workers in [0usize, 2] {
                 for pkg in [7u64, 256, 100_000] {
-                    let run_with = |columnar: bool| {
-                        let mut sink = MemorySink::new();
-                        let cfg = RunConfig::new()
-                            .workers(workers)
-                            .package_rows(pkg)
-                            .columnar(columnar);
-                        generate_table_range(
-                            &rt,
-                            0,
-                            0,
-                            0..rt.tables()[0].size,
-                            formatter,
-                            &mut sink,
-                            &cfg,
-                            None,
-                        )
-                        .unwrap();
-                        sink.as_str().to_string()
-                    };
                     assert_eq!(
-                        run_with(true),
-                        run_with(false),
+                        run_fmt(&rt, formatter, workers, pkg).as_bytes(),
+                        oracle,
                         "format={} workers={workers} pkg={pkg}",
                         formatter.name()
                     );
@@ -1025,12 +624,7 @@ mod tests {
                 })
                 .collect();
             for workers in [0usize, 1, 2, 4, 8] {
-                let jobs: Vec<TableJob> = rt
-                    .tables()
-                    .iter()
-                    .enumerate()
-                    .map(|(t, table)| TableJob::full_table(t as u32, table.size))
-                    .collect();
+                let jobs = full_table_jobs(&rt);
                 let mut sinks: Vec<MemorySink> =
                     (0..jobs.len()).map(|_| MemorySink::new()).collect();
                 {
@@ -1299,12 +893,7 @@ mod tests {
     #[test]
     fn failing_sink_on_one_table_does_not_deadlock_the_project_pool() {
         let rt = multi_runtime(&[20_000, 20_000, 20_000]);
-        let jobs: Vec<TableJob> = rt
-            .tables()
-            .iter()
-            .enumerate()
-            .map(|(t, table)| TableJob::full_table(t as u32, table.size))
-            .collect();
+        let jobs = full_table_jobs(&rt);
         let mut ok0 = MemorySink::new();
         let mut bad = FailingSink {
             wrote: 0,
@@ -1322,5 +911,161 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.to_string(), "disk full");
+    }
+
+    fn full_table_jobs(rt: &SchemaRuntime) -> Vec<TableJob> {
+        rt.tables()
+            .iter()
+            .enumerate()
+            .map(|(t, table)| TableJob::full_table(t as u32, table.size))
+            .collect()
+    }
+
+    /// Sink that tracks how many package buffers are out of the pool at
+    /// each write. The run's first write waits until the pool has taken
+    /// every buffer the window allows, then a little longer so a pool
+    /// that over-issues shows itself; a correct pool is parked by then.
+    struct GaugingSink {
+        buffers: Arc<pdgf_output::BufferPool>,
+        window: i64,
+        gate_passed: Arc<AtomicBool>,
+        peak: Arc<AtomicI64>,
+    }
+
+    impl Sink for GaugingSink {
+        fn write_chunk(&mut self, _bytes: &[u8]) -> io::Result<()> {
+            if !self.gate_passed.swap(true, Ordering::SeqCst) {
+                let deadline = Instant::now() + std::time::Duration::from_secs(30);
+                while self.buffers.outstanding() < self.window {
+                    assert!(Instant::now() < deadline, "pool never filled its window");
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+            self.peak
+                .fetch_max(self.buffers.outstanding(), Ordering::SeqCst);
+            Ok(())
+        }
+        fn finish(&mut self) -> io::Result<u64> {
+            Ok(0)
+        }
+        fn bytes_written(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Bounded memory across jobs: however many jobs a project has, the
+    /// buffers out of the pool — being rendered, waiting for their turn,
+    /// or in the writer's hand — never exceed the window plus that one.
+    #[test]
+    fn rendered_packages_outstanding_stay_proportional_to_workers() {
+        let workers = 2;
+        let rt = multi_runtime(&[600; 8]);
+        let jobs = full_table_jobs(&rt);
+        let formatter = CsvFormatter::new();
+        let engine = Engine::new(50, 64, None);
+        let gate_passed = Arc::new(AtomicBool::new(false));
+        let peak = Arc::new(AtomicI64::new(0));
+        let mut sinks: Vec<GaugingSink> = (0..jobs.len())
+            .map(|_| GaugingSink {
+                buffers: Arc::clone(&engine.buffers),
+                window: window(workers) as i64,
+                gate_passed: Arc::clone(&gate_passed),
+                peak: Arc::clone(&peak),
+            })
+            .collect();
+        let mut refs: Vec<&mut dyn Sink> = sinks.iter_mut().map(|s| s as &mut dyn Sink).collect();
+        let (result, stats) = run_jobs(
+            &engine,
+            &rt,
+            &jobs,
+            &formatter,
+            &mut refs,
+            workers,
+            None,
+            Instant::now(),
+        );
+        result.unwrap();
+        assert!(
+            stats.iter().all(|s| s.rows == 600),
+            "all 96 packages written"
+        );
+        let peak = peak.load(Ordering::SeqCst);
+        let bound = window(workers) as i64 + 1;
+        assert!(
+            (bound - 1..=bound).contains(&peak),
+            "peak {peak} buffers out of the pool, window bound {bound}"
+        );
+        assert_eq!(engine.buffers.outstanding(), 0, "every buffer came back");
+    }
+
+    /// CSV formatting that counts the packages rendered for one table.
+    struct WatchingFormatter {
+        inner: CsvFormatter,
+        watch: &'static str,
+        rendered: AtomicU64,
+    }
+
+    impl Formatter for WatchingFormatter {
+        fn row(&self, out: &mut Vec<u8>, meta: &TableMeta, values: &[pdgf_schema::Value]) {
+            self.inner.row(out, meta, values);
+        }
+        fn rows_columnar(
+            &self,
+            out: &mut Vec<u8>,
+            meta: &TableMeta,
+            batch: &pdgf_schema::ColumnBatch,
+        ) {
+            if meta.name == self.watch {
+                self.rendered.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.rows_columnar(out, meta, batch);
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    /// Prompt failure: a sink failing on job 1 of 3 ends the run with
+    /// that error before job 2 is ever admitted — its first ticket is
+    /// issued only once job 1 has issued its last, and job 1 (200
+    /// packages against a window of 8) fails on its first write. Every
+    /// buffer the cancelled streams held is back in the pool.
+    #[test]
+    fn failing_sink_renders_nothing_of_later_jobs_and_strands_no_buffer() {
+        let rt = multi_runtime(&[20_000, 20_000, 20_000]);
+        let jobs = full_table_jobs(&rt);
+        let mut ok0 = MemorySink::new();
+        let mut bad = FailingSink {
+            wrote: 0,
+            budget: 0,
+        };
+        let mut ok2 = MemorySink::new();
+        let mut refs: Vec<&mut dyn Sink> = vec![&mut ok0, &mut bad, &mut ok2];
+        let formatter = WatchingFormatter {
+            inner: CsvFormatter::new(),
+            watch: "t2",
+            rendered: AtomicU64::new(0),
+        };
+        let engine = Engine::new(100, 16, None);
+        let (result, stats) = run_jobs(
+            &engine,
+            &rt,
+            &jobs,
+            &formatter,
+            &mut refs,
+            2,
+            None,
+            Instant::now(),
+        );
+        assert_eq!(result.unwrap_err().to_string(), "disk full");
+        assert_eq!(stats[0].rows, 20_000, "job 0 completed before the failure");
+        assert_eq!((stats[1].rows, stats[2].rows), (0, 0));
+        assert_eq!(
+            formatter.rendered.load(Ordering::SeqCst),
+            0,
+            "no package of job 2 was rendered"
+        );
+        assert_eq!(engine.buffers.outstanding(), 0, "take/put balance");
     }
 }

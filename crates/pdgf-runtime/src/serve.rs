@@ -3,17 +3,18 @@
 //! The paper's seeding hierarchy makes any cell recomputable in O(1), so
 //! a table never has to be materialized to be read — the "On The Fly"
 //! posture: keep one worker pool alive and let clients ask for row
-//! ranges and point lookups on demand. [`RowService`] is that pool. A
-//! [`RowRequest`] names `(model, table, update, row range)`; the service
-//! splits it into the same work packages a batch run would use, renders
-//! them through the same columnar batch engine (or the row path) and the
-//! same formatters, and streams the finished byte buffers back in row
-//! order through a [`ResponseStream`].
+//! ranges and point lookups on demand. [`RowService`] is the serving
+//! face of the execution core (the `engine` module): it owns what is
+//! serve-specific — admission (validation, clamping), the model table,
+//! [`ServeStats`], and long-lived worker threads over `Arc`-held schemas
+//! — and leaves queueing, rendering, ordering and cancellation to the
+//! same core a batch run uses. A [`RowRequest`] names `(model, table,
+//! update, row range)`; its packages stream back in row order through a
+//! [`ResponseStream`].
 //!
 //! One service can host **several models** ([`RowService::with_models`]):
-//! every registered schema shares the single worker pool and ticket
-//! queue, so a deployment serves many workloads without multiplying
-//! threads. Requests name their model by index; per-model counters are
+//! every registered schema shares the single engine, so a deployment
+//! serves many workloads without multiplying threads. Requests name their model by index; per-model counters are
 //! kept alongside the service-wide ones ([`RowService::stats_of`]).
 //!
 //! Ranges wider than `max_request_rows` are either rejected
@@ -32,12 +33,10 @@
 //! exactly why answers cannot drift.
 //!
 //! Backpressure is reader-driven: a request may have at most `window`
-//! packages in flight. The service only *issues* the next package ticket
-//! when the reader consumes one, so a slow (or stopped) reader starves
-//! itself and nobody else — workers never block on a full response
-//! queue, they simply run other requests' tickets. Requests multiplex
-//! onto the one global FIFO ticket queue; a dropped [`ResponseStream`]
-//! cancels its unrendered packages.
+//! packages in flight. The next package ticket is issued only when the
+//! reader consumes one, so a slow (or stopped) reader starves itself and
+//! nobody else. Requests multiplex onto the engine's one FIFO ticket
+//! queue; a dropped [`ResponseStream`] cancels its unrendered packages.
 //!
 //! With a [`Telemetry`] attached the service keeps a long-lived run scope
 //! (so the stall watchdog supervises it — see the idle-vs-wedged
@@ -45,22 +44,18 @@
 //! (`RequestStarted`/`RequestFinished`/`RequestFailed`), and feeds a
 //! lock-free latency histogram surfaced through [`RowService::stats`].
 
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use pdgf_gen::SchemaRuntime;
-use pdgf_output::{Formatter, ReorderBuffer, TableMeta};
+use pdgf_output::Formatter;
 
+use crate::engine::{Engine, Held, Stream};
 use crate::events::RunEvent;
 use crate::metrics::{now_ns, Histogram, PhaseStats};
-use crate::package::{Framing, ProjectPackage, WorkPackage};
-use crate::scheduler::{
-    format_package, format_package_columnar, package_capacity_hint, table_meta, WorkerState,
-};
-use crate::telemetry::{JobInfo, RunScope, Telemetry};
+use crate::package::{Framing, TableJob};
+use crate::telemetry::{JobInfo, Telemetry};
 
 /// Tuning knobs for a [`RowService`], built fluently like
 /// [`RunConfig`](crate::RunConfig):
@@ -78,8 +73,6 @@ pub struct ServeConfig {
     pub(crate) package_rows: u64,
     /// Max in-flight packages per request (backpressure window).
     pub(crate) window: usize,
-    /// Render through the columnar batch path (default) or the row path.
-    pub(crate) columnar: bool,
     /// Reject requests spanning more than this many rows (0 = unlimited).
     pub(crate) max_request_rows: u64,
 }
@@ -90,7 +83,6 @@ impl Default for ServeConfig {
             workers: crate::scheduler::available_workers(),
             package_rows: 4_096,
             window: 4,
-            columnar: true,
             max_request_rows: 0,
         }
     }
@@ -98,7 +90,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Start from the defaults: one worker per core, 4096-row packages,
-    /// a 4-package window, columnar rendering, no request-size cap.
+    /// a 4-package window, no request-size cap.
     pub fn new() -> Self {
         Self::default()
     }
@@ -124,13 +116,6 @@ impl ServeConfig {
     /// Set the per-request in-flight package window (clamped to ≥ 1).
     pub fn window(mut self, window: usize) -> Self {
         self.window = window.max(1);
-        self
-    }
-
-    /// Choose the columnar batch path (`true`, default) or the row path.
-    /// Response bytes are identical either way.
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
         self
     }
 
@@ -316,84 +301,28 @@ struct ModelSlot {
     stats: StatsInner,
 }
 
-/// Reorder-and-ready state of one in-flight request.
-struct RequestState {
-    reorder: ReorderBuffer<Vec<u8>>,
-    ready: VecDeque<Vec<u8>>,
-}
-
-/// Everything a worker needs to render one request's packages, shared
-/// between the submitting reader and the pool.
-struct RequestShared {
-    id: u64,
-    /// The model's compiled runtime (render path never touches the slot
-    /// table, so a request outlives nothing).
-    rt: Arc<SchemaRuntime>,
-    /// Model slot index, for per-model completion counters.
-    model: u32,
-    table: u32,
-    update: u32,
-    rows: Range<u64>,
-    framing: Framing,
-    total_packages: u64,
-    formatter: Arc<dyn Formatter>,
-    meta: TableMeta,
-    /// Proven per-row byte bound for buffer pre-sizing (allocation hint
-    /// only — bytes are identical without it).
-    row_bound: Option<u64>,
-    /// Set when the reader goes away; unrendered packages are skipped.
-    cancelled: AtomicBool,
-    state: Mutex<RequestState>,
-    ready: Condvar,
-}
-
-/// One package ticket on the global queue.
-struct Task {
-    req: Arc<RequestShared>,
-    seq: u64,
-}
-
 struct ServiceShared {
+    engine: Engine<'static>,
     models: Vec<ModelSlot>,
-    queue: Mutex<VecDeque<Task>>,
-    work: Condvar,
-    shutdown: AtomicBool,
-    columnar: bool,
-    package_rows: u64,
     window: u64,
     max_request_rows: u64,
     stats: StatsInner,
     started_ns: u64,
-    /// Long-lived telemetry scope: its watchdog supervises the pool
-    /// (idle is healthy; queued-but-stuck tickets are a stall).
-    scope: Option<RunScope>,
     telemetry: Option<Telemetry>,
     next_request: AtomicU64,
 }
 
 impl ServiceShared {
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Task>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn push_task(&self, task: Task) {
-        let depth = {
-            let mut q = self.lock_queue();
-            // locks:allow(W034) depth is bounded externally: admission
-            // keeps at most `window` tickets in flight per live request
-            q.push_back(task);
-            q.len() as u64
-        };
-        if let Some(scope) = &self.scope {
-            scope.set_queue_depth(depth);
-        }
-        self.work.notify_one();
-    }
-
     fn publish(&self, event: RunEvent) {
         if let Some(t) = &self.telemetry {
             t.publish(event);
         }
+    }
+
+    /// The service-wide counters followed by model slot `model`'s.
+    fn stats_for(&self, model: u32) -> impl Iterator<Item = &StatsInner> {
+        let slot = self.models.get(model as usize).map(|m| &m.stats);
+        std::iter::once(&self.stats).chain(slot)
     }
 }
 
@@ -447,17 +376,14 @@ impl RowService {
             })
             .collect();
         let shared = Arc::new(ServiceShared {
+            // Readers keep the buffers they are handed, so the engine's
+            // pool retains none.
+            engine: Engine::new(cfg.package_rows, 0, scope),
             models,
-            queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            columnar: cfg.columnar,
-            package_rows: cfg.package_rows,
             window: cfg.window.max(1) as u64,
             max_request_rows: cfg.max_request_rows,
             stats: StatsInner::default(),
             started_ns: now_ns(),
-            scope,
             telemetry: telemetry.cloned(),
             next_request: AtomicU64::new(1),
         });
@@ -466,7 +392,7 @@ impl RowService {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pdgf-serve-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || shared.engine.worker_loop(i))
                     .unwrap_or_else(|e| panic!("failed to spawn serve worker {i}: {e}"))
             })
             .collect();
@@ -565,9 +491,8 @@ impl RowService {
     ) -> Result<Admitted, SubmitError> {
         let shared = &self.shared;
         let reject = |err: SubmitError, shared: &ServiceShared| {
-            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(slot) = shared.models.get(request.model as usize) {
-                slot.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            for stats in shared.stats_for(request.model) {
+                stats.rejected.fetch_add(1, Ordering::Relaxed);
             }
             shared.publish(RunEvent::RequestFailed {
                 request: 0,
@@ -575,14 +500,13 @@ impl RowService {
             });
             err
         };
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.engine.is_stopped() {
             return Err(reject(SubmitError::ShuttingDown, shared));
         }
         let Some(slot) = shared.models.get(request.model as usize) else {
             return Err(reject(SubmitError::UnknownModel(request.model), shared));
         };
-        let tables = slot.rt.tables();
-        let Some(table) = tables.get(request.table as usize) else {
+        let Some(table) = slot.rt.tables().get(request.table as usize) else {
             return Err(reject(SubmitError::UnknownTable(request.table), shared));
         };
         let size = table.size;
@@ -616,54 +540,37 @@ impl RowService {
         let framing = request
             .framing
             .unwrap_or_else(|| Framing::for_range(&request.rows, size));
-        // Package count mirrors the batch scheduler's split; a rowless
-        // request that still owns framing gets one synthetic empty
-        // package so `begin`/`end` bytes have a carrier.
-        let mut total_packages = span.div_ceil(shared.package_rows);
-        if total_packages == 0 && (framing.begin || framing.end) {
-            total_packages = 1;
-        }
-        let meta = table_meta(&slot.rt, request.table);
-        let row_bound = formatter.max_row_bytes(&meta, &slot.rt.profiles()[request.table as usize]);
+        let mut stream = shared.engine.open(
+            Held::Counted(Arc::clone(&slot.rt)),
+            Held::Counted(formatter),
+            TableJob {
+                table: request.table,
+                update: request.update,
+                rows: request.rows,
+                framing,
+            },
+        );
         let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
-        let req = Arc::new(RequestShared {
-            id,
-            rt: Arc::clone(&slot.rt),
-            model: request.model,
-            table: request.table,
-            update: request.update,
-            rows: request.rows,
-            framing,
-            total_packages,
-            formatter,
-            meta,
-            row_bound,
-            cancelled: AtomicBool::new(false),
-            state: Mutex::new(RequestState {
-                reorder: ReorderBuffer::new(),
-                ready: VecDeque::new(),
-            }),
-            ready: Condvar::new(),
-        });
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        slot.stats.requests.fetch_add(1, Ordering::Relaxed);
+        for stats in shared.stats_for(request.model) {
+            stats.requests.fetch_add(1, Ordering::Relaxed);
+        }
         shared.publish(RunEvent::RequestStarted {
             request: id,
-            table: req.meta.name.clone(),
+            table: table.name.clone(),
             rows: span,
         });
-        let mut stream = ResponseStream {
+        stream.issue(&shared.engine, shared.window);
+        let finished = stream.is_exhausted();
+        let stream = ResponseStream {
             shared: Arc::clone(shared),
-            req,
-            window: shared.window,
-            issued: 0,
-            delivered: 0,
+            stream,
+            id,
+            model: request.model,
             rows: 0,
             bytes: 0,
             started_ns: now_ns(),
-            finished: total_packages == 0,
+            finished,
         };
-        stream.issue_up_to_window();
         Ok(Admitted { stream, resume_at })
     }
 
@@ -746,10 +653,10 @@ impl RowService {
     /// Stop accepting work and join the pool. Pending tickets of live
     /// streams are drained first; called automatically on drop.
     pub fn shutdown(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
+        if self.workers.is_empty() {
             return;
         }
-        self.shared.work.notify_all();
+        self.shared.engine.stop();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -790,10 +697,9 @@ pub struct Admitted {
 /// stream early cancels the request's remaining work.
 pub struct ResponseStream {
     shared: Arc<ServiceShared>,
-    req: Arc<RequestShared>,
-    window: u64,
-    issued: u64,
-    delivered: u64,
+    stream: Stream<'static>,
+    id: u64,
+    model: u32,
     rows: u64,
     bytes: u64,
     started_ns: u64,
@@ -803,24 +709,7 @@ pub struct ResponseStream {
 impl ResponseStream {
     /// Total packages this response will deliver.
     pub fn total_packages(&self) -> u64 {
-        self.req.total_packages
-    }
-
-    /// The service-assigned request id (matches the request events).
-    pub fn request_id(&self) -> u64 {
-        self.req.id
-    }
-
-    fn issue_up_to_window(&mut self) {
-        while self.issued < self.req.total_packages
-            && self.issued.saturating_sub(self.delivered) < self.window
-        {
-            self.shared.push_task(Task {
-                req: Arc::clone(&self.req),
-                seq: self.issued,
-            });
-            self.issued += 1;
-        }
+        self.stream.request().total_packages()
     }
 
     /// Blocking: the next formatted package, in row order, or `None`
@@ -829,67 +718,45 @@ impl ResponseStream {
         if self.finished {
             return None;
         }
-        let buf = loop {
-            let mut st = self
-                .req
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(b) = st.ready.pop_front() {
-                break b;
-            }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                // The pool is gone; this request can never complete.
-                // Release the state guard before the bookkeeping below:
-                // publishing a telemetry event takes the bus lock, and
-                // holding two guards here would put a serve->events edge
-                // in the lock-order graph for no benefit.
-                drop(st);
-                self.finished = true;
-                self.req.cancelled.store(true, Ordering::Relaxed);
-                self.shared.stats.aborted.fetch_add(1, Ordering::Relaxed);
-                if let Some(slot) = self.shared.models.get(self.req.model as usize) {
-                    slot.stats.aborted.fetch_add(1, Ordering::Relaxed);
-                }
-                self.shared.publish(RunEvent::RequestFailed {
-                    request: self.req.id,
-                    message: "service shut down mid-request".to_string(),
-                });
-                return None;
-            }
-            // Timed wait so a shutdown while parked is noticed.
-            let (_st, _timeout) = self
-                .req
-                .ready
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner);
+        let engine = &self.shared.engine;
+        let Some(pkg) = self.stream.next(engine) else {
+            // The pool is gone; this request can never complete.
+            self.abort("service shut down mid-request");
+            return None;
         };
-        self.delivered += 1;
-        self.rows += package_row_count(&self.req, self.shared.package_rows, self.delivered - 1);
-        self.bytes += buf.len() as u64;
-        self.issue_up_to_window();
-        if self.delivered == self.req.total_packages {
+        self.stream
+            .issue(engine, self.shared.window - self.stream.in_flight());
+        self.rows += pkg.rows;
+        self.bytes += pkg.bytes.len() as u64;
+        if self.stream.is_exhausted() {
             self.finished = true;
             let latency_ns = now_ns().saturating_sub(self.started_ns);
-            let s = &self.shared.stats;
-            s.completed.fetch_add(1, Ordering::Relaxed);
-            s.rows.fetch_add(self.rows, Ordering::Relaxed);
-            s.bytes.fetch_add(self.bytes, Ordering::Relaxed);
-            s.latency.record(latency_ns);
-            if let Some(slot) = self.shared.models.get(self.req.model as usize) {
-                slot.stats.completed.fetch_add(1, Ordering::Relaxed);
-                slot.stats.rows.fetch_add(self.rows, Ordering::Relaxed);
-                slot.stats.bytes.fetch_add(self.bytes, Ordering::Relaxed);
-                slot.stats.latency.record(latency_ns);
+            for stats in self.shared.stats_for(self.model) {
+                stats.completed.fetch_add(1, Ordering::Relaxed);
+                stats.rows.fetch_add(self.rows, Ordering::Relaxed);
+                stats.bytes.fetch_add(self.bytes, Ordering::Relaxed);
+                stats.latency.record(latency_ns);
             }
             self.shared.publish(RunEvent::RequestFinished {
-                request: self.req.id,
+                request: self.id,
                 rows: self.rows,
                 bytes: self.bytes,
                 micros: latency_ns / 1_000,
             });
         }
-        Some(buf)
+        Some(pkg.bytes)
+    }
+
+    /// Book an unfinished request as aborted.
+    fn abort(&mut self, message: &str) {
+        self.finished = true;
+        for stats in self.shared.stats_for(self.model) {
+            stats.aborted.fetch_add(1, Ordering::Relaxed);
+        }
+        self.shared.publish(RunEvent::RequestFailed {
+            request: self.id,
+            message: message.to_string(),
+        });
     }
 }
 
@@ -904,159 +771,22 @@ impl Iterator for ResponseStream {
 impl Drop for ResponseStream {
     fn drop(&mut self) {
         if !self.finished {
-            self.req.cancelled.store(true, Ordering::Relaxed);
-            self.shared.stats.aborted.fetch_add(1, Ordering::Relaxed);
-            if let Some(slot) = self.shared.models.get(self.req.model as usize) {
-                slot.stats.aborted.fetch_add(1, Ordering::Relaxed);
-            }
-            self.shared.publish(RunEvent::RequestFailed {
-                request: self.req.id,
-                message: "response stream dropped before completion".to_string(),
-            });
+            self.abort("response stream dropped before completion");
         }
     }
-}
-
-/// Rows package `seq` of `req` covers (the tail package may be short;
-/// a synthetic framing-only package covers zero).
-fn package_row_count(req: &RequestShared, package_rows: u64, seq: u64) -> u64 {
-    let span = req.rows.end - req.rows.start;
-    let start = seq.saturating_mul(package_rows).min(span);
-    let end = seq.saturating_add(1).saturating_mul(package_rows).min(span);
-    end - start
-}
-
-fn worker_loop(shared: &ServiceShared) {
-    let mut state = WorkerState::default();
-    loop {
-        // The depth reading rides the pop's critical section instead of
-        // re-locking the queue afterwards (`cargo xtask locks` flags the
-        // re-lock as a busy-wait hazard, W032).
-        let (task, depth) = {
-            let mut q = shared.lock_queue();
-            loop {
-                if let Some(t) = q.pop_front() {
-                    break (t, q.len() as u64);
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let (guard, _timeout) = shared
-                    .work
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
-            }
-        };
-        if let Some(scope) = &shared.scope {
-            scope.set_queue_depth(depth);
-        }
-        if task.req.cancelled.load(Ordering::Relaxed) {
-            continue;
-        }
-        let buf = render_package(shared, &task, &mut state);
-        deliver(&task.req, task.seq, buf);
-        if let Some(scope) = &shared.scope {
-            scope.progress();
-        }
-    }
-}
-
-/// Hand one rendered package to its request: slot it into the reorder
-/// buffer, promote whatever became contiguous, and wake the reader only
-/// after the state guard is released.
-fn deliver(req: &RequestShared, seq: u64, buf: Vec<u8>) {
-    let mut st = req.state.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut ready = st.reorder.push(seq, buf);
-    while let Some(b) = ready {
-        st.ready.push_back(b);
-        ready = st.reorder.pop_ready();
-    }
-    drop(st);
-    req.ready.notify_all();
-}
-
-/// Render one package of one request: the request's slice of the same
-/// package grid a batch run would use, framed positionally, through the
-/// configured engine. Byte-identity with batch output follows from the
-/// formatter contract: `begin` + per-row appends + `end`, independent of
-/// package boundaries.
-fn render_package(shared: &ServiceShared, task: &Task, state: &mut WorkerState) -> Vec<u8> {
-    let req = &task.req;
-    let start = req.rows.start + task.seq * shared.package_rows;
-    let end = (start + shared.package_rows).min(req.rows.end);
-    let start = start.min(end);
-    let first = task.seq == 0;
-    let last = task.seq + 1 == req.total_packages;
-    let mut out =
-        Vec::with_capacity(package_capacity_hint(req.row_bound, end - start).min(1 << 22));
-    if first && req.framing.begin {
-        req.formatter.begin(&mut out, &req.meta);
-    }
-    if end > start {
-        let pkg = ProjectPackage {
-            job: 0,
-            pkg: WorkPackage {
-                seq: task.seq,
-                table: req.table,
-                update: req.update,
-                rows: start..end,
-            },
-        };
-        if shared.columnar {
-            format_package_columnar(
-                &req.rt,
-                &pkg,
-                req.formatter.as_ref(),
-                &req.meta,
-                &mut state.batch,
-                &mut state.scratch,
-                &mut out,
-            );
-        } else {
-            format_package(
-                &req.rt,
-                &pkg,
-                req.formatter.as_ref(),
-                &req.meta,
-                &mut state.row_buf,
-                &mut state.scratch,
-                &mut out,
-            );
-        }
-    }
-    if last && req.framing.end {
-        req.formatter.end(&mut out, &req.meta);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::oracle_bytes;
     use crate::scheduler::{generate_table_range, RunConfig};
     use crate::telemetry::TelemetryConfig;
-    use pdgf_gen::MapResolver;
     use pdgf_output::{CsvFormatter, JsonFormatter, MemorySink, SqlFormatter, XmlFormatter};
-    use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
+    use std::time::Duration;
 
     fn runtime(rows: u64) -> Arc<SchemaRuntime> {
-        let schema = Schema::new("serve", 77).table(
-            Table::new("t", &format!("{rows}"))
-                .field(
-                    Field::new("id", SqlType::BigInt, GeneratorSpec::Id { permute: false })
-                        .primary(),
-                )
-                .field(Field::new(
-                    "v",
-                    SqlType::Integer,
-                    GeneratorSpec::Long {
-                        min: Expr::parse("0").unwrap(),
-                        max: Expr::parse("999999").unwrap(),
-                    },
-                )),
-        );
-        Arc::new(SchemaRuntime::build(&schema, &MapResolver::new()).unwrap())
+        Arc::new(crate::testkit::runtime(rows))
     }
 
     fn batch_bytes(rt: &SchemaRuntime, formatter: &dyn Formatter) -> Vec<u8> {
@@ -1151,32 +881,17 @@ mod tests {
     fn row_path_matches_columnar_path() {
         let rt = runtime(300);
         let csv: Arc<dyn Formatter> = Arc::new(CsvFormatter::new());
-        let columnar = RowService::new(
+        let service = RowService::new(
             Arc::clone(&rt),
-            ServeConfig::new()
-                .workers(2)
-                .package_rows(16)
-                .columnar(true),
+            ServeConfig::new().workers(2).package_rows(16),
             None,
         );
-        let row = RowService::new(
-            Arc::clone(&rt),
-            ServeConfig::new()
-                .workers(2)
-                .package_rows(16)
-                .columnar(false),
-            None,
-        );
-        let a = drain(
-            columnar
+        let served = drain(
+            service
                 .submit(RowRequest::range(0, 0, 10..290), Arc::clone(&csv))
                 .unwrap(),
         );
-        let b = drain(
-            row.submit(RowRequest::range(0, 0, 10..290), Arc::clone(&csv))
-                .unwrap(),
-        );
-        assert_eq!(a, b);
+        assert_eq!(served, oracle_bytes(&rt, 0, 0, 10..290, csv.as_ref()));
     }
 
     #[test]

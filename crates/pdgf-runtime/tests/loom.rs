@@ -1,127 +1,22 @@
-//! Loom model of the scheduler's full worker/output-stage handoff:
-//! ticket queue → format into pooled buffer → bounded channel → reorder →
-//! "sink" → recycle. Checks the three properties the pipeline's
-//! correctness rests on: no lost package, no double-write, and in-order
-//! output — plus clean shutdown when the output stage dies early. Build
-//! with `RUSTFLAGS="--cfg loom" cargo test -p pdgf-runtime --test loom`
+//! Loom models of the execution core as its clients drive it: ticket
+//! queue → render into a pooled buffer → reorder → ready → reader, plus
+//! admission and shutdown. The core imports its primitives through the
+//! `cfg(loom)` facade, so the real service runs under the model harness
+//! unmodified. Checks the properties the pipeline's correctness rests
+//! on: no lost package, in-order delivery under contention, exact cursor
+//! tiling, and no lost wake-up at shutdown. Build with
+//! `RUSTFLAGS="--cfg loom" cargo test -p pdgf-runtime --test loom`
 //! (see `scripts/concurrency.sh`).
 #![cfg(loom)]
 
-use loom::sync::Arc;
-use pdgf_output::{BufferPool, ReorderBuffer};
-use pdgf_runtime::handoff::{channel, TicketCounter};
-
-/// The scheduler's run_pool dataflow in miniature: workers claim tickets,
-/// stamp the ticket into a pooled buffer, and send it; the output stage
-/// reorders, verifies, and recycles. Every ticket must come out exactly
-/// once, in order, with intact payload bytes.
-#[test]
-fn handoff_delivers_every_package_once_in_order() {
-    const WORKERS: u64 = 3;
-    const PACKAGES: u64 = 9;
-    loom::model(|| {
-        let tickets = Arc::new(TicketCounter::new(PACKAGES));
-        let pool = Arc::new(BufferPool::new(4));
-        let (tx, rx) = channel::<(u64, Vec<u8>)>(4);
-
-        let workers: Vec<_> = (0..WORKERS)
-            .map(|_| {
-                let tickets = tickets.clone();
-                let pool = pool.clone();
-                let tx = tx.clone();
-                loom::thread::spawn(move || {
-                    while let Some(seq) = tickets.claim() {
-                        let mut buf = pool.take();
-                        assert!(buf.is_empty(), "recycled buffer was not cleared");
-                        buf.extend_from_slice(&seq.to_le_bytes());
-                        if tx.send((seq, buf)).is_err() {
-                            return; // output stage hung up
-                        }
-                    }
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // Output stage on this thread, exactly like the scheduler's.
-        let mut reorder = ReorderBuffer::<(u64, Vec<u8>)>::new();
-        let mut written = Vec::new();
-        for (seq, buf) in rx {
-            let mut ready = reorder.push(seq, (seq, buf));
-            while let Some((ready_seq, ready_buf)) = ready {
-                assert_eq!(
-                    ready_buf,
-                    ready_seq.to_le_bytes().to_vec(),
-                    "payload corrupted in flight"
-                );
-                written.push(ready_seq);
-                pool.put(ready_buf);
-                ready = reorder.pop_ready();
-            }
-        }
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(
-            written,
-            (0..PACKAGES).collect::<Vec<_>>(),
-            "packages lost, duplicated, or reordered"
-        );
-        assert!(reorder.is_drained());
-        assert!(pool.idle() <= 4, "double-put grew the pool past its bound");
-    });
-}
-
-/// When the output stage drops the receiver mid-run (sink error), every
-/// worker must observe the hang-up and stop — no deadlock, no panic —
-/// exactly how one table's failure stops the whole pool.
-#[test]
-fn receiver_drop_stops_all_workers() {
-    loom::model(|| {
-        let tickets = Arc::new(TicketCounter::new(6));
-        let (tx, rx) = channel::<u64>(1);
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let tickets = tickets.clone();
-                let tx = tx.clone();
-                loom::thread::spawn(move || {
-                    let mut sent = 0u64;
-                    while let Some(seq) = tickets.claim() {
-                        if tx.send(seq).is_err() {
-                            return sent;
-                        }
-                        sent += 1;
-                    }
-                    sent
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // Accept one value, then fail like a full sink.
-        let first = rx.recv();
-        assert!(first.is_some());
-        drop(rx);
-
-        let delivered: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert!(
-            delivered >= 1,
-            "the received package was counted by its sender"
-        );
-    });
-}
-
 mod serve_models {
-    //! Models of the serve layer added since the handoff models above:
-    //! the [`RowService`] ticket-queue/`Condvar` delivery path and the
-    //! `submit_clamped` cursor admission path. The service uses std
-    //! primitives internally, which the loom facade delegates to, so the
-    //! real service runs under the model harness unmodified.
+    //! The [`RowService`] ticket-queue/`Condvar` delivery path, the
+    //! `submit_clamped` cursor admission path, and shutdown.
     use std::sync::Arc;
 
     use pdgf_gen::{MapResolver, SchemaRuntime};
     use pdgf_output::{CsvFormatter, Formatter};
-    use pdgf_runtime::serve::{RowRequest, RowService, ServeConfig};
+    use pdgf_runtime::serve::{RowRequest, RowService, ServeConfig, SubmitError};
     use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
     fn runtime(rows: u64) -> Arc<SchemaRuntime> {
@@ -288,6 +183,42 @@ mod serve_models {
                 c.join().unwrap();
             }
             assert_eq!(service.stats().aborted, 0);
+        });
+    }
+
+    /// Shutdown must wake every worker, parked or about to park. The
+    /// stop flag is set under the queue lock and workers wait without a
+    /// timeout, so a lost wake-up would hang this model (and the join
+    /// inside `shutdown`) rather than cost a timeout. One service stops
+    /// while its workers are still racing into their first wait, the
+    /// other after serving a request.
+    #[test]
+    fn shutdown_wakes_parked_workers() {
+        let rt = runtime(16);
+        loom::model(move || {
+            let mut fresh = RowService::new(
+                Arc::clone(&rt),
+                ServeConfig::new().workers(3).package_rows(8),
+                None,
+            );
+            fresh.shutdown();
+
+            let mut used = RowService::new(
+                Arc::clone(&rt),
+                ServeConfig::new().workers(3).package_rows(8),
+                None,
+            );
+            let served = used
+                .submit(RowRequest::range(0, 0, 0..16), formatter())
+                .unwrap()
+                .count();
+            assert_eq!(served, 2, "two 8-row packages");
+            used.shutdown();
+            assert_eq!(
+                used.submit(RowRequest::range(0, 0, 0..16), formatter())
+                    .err(),
+                Some(SubmitError::ShuttingDown)
+            );
         });
     }
 }

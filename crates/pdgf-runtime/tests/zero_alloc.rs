@@ -9,6 +9,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_output::{CsvFormatter, NullSink};
@@ -43,6 +44,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// The counter is process-wide, so the tests below must not overlap:
+/// each holds this lock from its warm-up to its last measurement.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -119,6 +124,7 @@ fn generate(rt: &SchemaRuntime, workers: usize, package_rows: u64) -> u64 {
 
 #[test]
 fn csv_inline_path_does_not_allocate_per_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let small = runtime(8_000);
     let large = runtime(40_000);
     // Warm-up pass absorbs one-time lazy initialization (TLS, stdio).
@@ -140,6 +146,7 @@ fn csv_inline_path_does_not_allocate_per_row() {
 
 #[test]
 fn csv_parallel_path_does_not_allocate_per_package() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let small = runtime(8_000);
     let large = runtime(40_000);
     generate(&small, 2, 500);

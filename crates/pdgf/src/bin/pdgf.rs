@@ -62,7 +62,6 @@ struct Args {
     progress: bool,
     metrics_out: Option<String>,
     scale: Option<String>,
-    row_path: bool,
     addr: Option<String>,
     start: Option<u64>,
     end: Option<u64>,
@@ -87,7 +86,6 @@ fn usage() -> ExitCode {
          \u{20}                 --node I --nodes N   (write only node I's shard of N)\n\
          \u{20}                 --progress           (status line with ETA on stderr)\n\
          \u{20}                 --metrics-out <file> (telemetry event stream as JSONL)\n\
-         \u{20}                 --row-path           (per-row generation instead of columnar)\n\
          preview options:  --table <name> --rows N\n\
          explain options:  --scale N (override the SF property) --format json\n\
          prove options:    --scale N (override the SF property) --format json\n\
@@ -123,7 +121,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
         progress: false,
         metrics_out: None,
         scale: None,
-        row_path: false,
         addr: None,
         start: None,
         end: None,
@@ -176,7 +173,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--nodes" => args.nodes = value("--nodes")?.parse().map_err(|_| "bad --nodes")?,
             "--rows" => args.rows = value("--rows")?.parse().map_err(|_| "bad --rows")?,
             "--progress" => args.progress = true,
-            "--row-path" => args.row_path = true,
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
             "--scale" => args.scale = Some(value("--scale")?),
             "--addr" => args.addr = Some(value("--addr")?),
@@ -245,9 +241,6 @@ fn make_builder(args: &Args) -> Result<Pdgf, PdgfError> {
     }
     if let Some(rows) = args.package_rows {
         builder = builder.package_rows(rows);
-    }
-    if args.row_path {
-        builder = builder.columnar(false);
     }
     Ok(builder)
 }
@@ -741,9 +734,6 @@ fn cmd_serve(args: &Args) -> Result<(), PdgfError> {
     }
     if let Some(max) = args.max_request_rows {
         config = config.max_request_rows(max);
-    }
-    if args.row_path {
-        config = config.columnar(false);
     }
     let mut builder = ServerOptions::builder().config(config);
     if let Some(max) = args.max_connections {

@@ -41,6 +41,10 @@ pub use pdgf_runtime as runtime;
 pub use pdgf_schema as schema;
 
 pub mod explain;
+/// The row oracle the byte-identity unit tests compare the engine with.
+#[cfg(test)]
+#[path = "../../../tests/zoo/oracle.rs"]
+mod oracle;
 pub mod project;
 pub mod prove;
 pub mod serve;

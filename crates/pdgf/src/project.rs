@@ -164,14 +164,6 @@ impl Pdgf {
         self
     }
 
-    /// Choose the generation path: columnar batches (`true`, the
-    /// default) or per-row (`false`). Output bytes are identical either
-    /// way; the switch exists for A/B benchmarking.
-    pub fn columnar(mut self, columnar: bool) -> Self {
-        self.config = self.config.columnar(columnar);
-        self
-    }
-
     /// Override a model property from "the command line interface"
     /// (e.g. `("SF", "100")`).
     pub fn set_property(mut self, name: &str, value: &str) -> Self {
@@ -692,24 +684,20 @@ mod tests {
     }
 
     #[test]
-    fn row_path_escape_hatch_matches_columnar_output() {
-        let columnar = Pdgf::from_schema(schema()).workers(0).build().unwrap();
-        let row = Pdgf::from_schema(schema())
-            .workers(0)
-            .columnar(false)
-            .build()
-            .unwrap();
-        assert!(columnar.config().columnar_enabled());
-        assert!(!row.config().columnar_enabled());
-        for format in [
-            OutputFormat::Csv,
-            OutputFormat::Json,
-            OutputFormat::Xml,
-            OutputFormat::Sql,
-        ] {
+    fn table_output_matches_the_row_oracle() {
+        let project = Pdgf::from_schema(schema()).workers(0).build().unwrap();
+        let (table, t) = project.runtime().table_by_name("t").unwrap();
+        for format in OutputFormat::all() {
+            let oracle = crate::oracle::oracle_bytes(
+                project.runtime(),
+                table,
+                0,
+                0..t.size,
+                format.formatter().as_ref(),
+            );
             assert_eq!(
-                columnar.table_to_string("t", format).unwrap(),
-                row.table_to_string("t", format).unwrap()
+                project.table_to_string("t", format).unwrap().into_bytes(),
+                oracle
             );
         }
     }

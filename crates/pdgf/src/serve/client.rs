@@ -201,54 +201,6 @@ impl ServeClient {
     pub fn close(self) {
         self.transport.close();
     }
-
-    /// Deprecated positional range fetch.
-    #[deprecated(since = "0.5.0", note = "use `fetch(FetchRequest::range(..))`")]
-    pub fn range(
-        &mut self,
-        table: &str,
-        update: u32,
-        start: u64,
-        end: u64,
-        format: OutputFormat,
-    ) -> Result<Vec<u8>, ServeError> {
-        self.fetch(
-            FetchRequest::range(table, start, end.saturating_sub(start))
-                .update(update)
-                .format(format),
-        )
-    }
-
-    /// Deprecated positional streaming range fetch.
-    #[deprecated(since = "0.5.0", note = "use `fetch_with(FetchRequest::range(..))`")]
-    pub fn range_with(
-        &mut self,
-        table: &str,
-        update: u32,
-        start: u64,
-        end: u64,
-        format: OutputFormat,
-        each: impl FnMut(&[u8]),
-    ) -> Result<u64, ServeError> {
-        self.fetch_with(
-            FetchRequest::range(table, start, end.saturating_sub(start))
-                .update(update)
-                .format(format),
-            each,
-        )
-    }
-
-    /// Deprecated positional point lookup.
-    #[deprecated(since = "0.5.0", note = "use `fetch(FetchRequest::row(..))`")]
-    pub fn row(
-        &mut self,
-        table: &str,
-        update: u32,
-        row: u64,
-        format: OutputFormat,
-    ) -> Result<Vec<u8>, ServeError> {
-        self.fetch(FetchRequest::row(table, row).update(update).format(format))
-    }
 }
 
 // ---------------------------------------------------------------- TCP

@@ -22,7 +22,7 @@ cargo test --workspace -q
 echo "== telemetry contract suite (byte identity, drop accounting, watchdog)"
 cargo test -q -p pdgf-runtime --test telemetry
 
-echo "== columnar byte-identity suite (columnar vs row path, all formats)"
+echo "== columnar byte-identity suite (engine vs row oracle, all formats)"
 cargo test -q -p dbsynth-suite --test columnar_identity
 
 echo "== model corpus: shipped models validate clean, bad models report codes"

@@ -5,10 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Loom models of the scheduler handoff (ticket queue, bounded channel,
-# BufferPool/ReorderBuffer). The in-tree loom shim explores interleavings
-# by reseeding a deterministic yield schedule per iteration; raise
-# LOOM_MAX_ITERS for a deeper search.
+# Loom models of the execution core (ticket queue, worker loop, reorder →
+# ready delivery, shutdown wake-up) and of BufferPool/ReorderBuffer. The
+# in-tree loom shim explores interleavings by reseeding a deterministic
+# yield schedule per iteration; raise LOOM_MAX_ITERS for a deeper search.
 echo "== loom models (LOOM_MAX_ITERS=${LOOM_MAX_ITERS:-64})"
 RUSTFLAGS="--cfg loom" cargo test -p pdgf-output -p pdgf-runtime --test loom
 
@@ -22,13 +22,13 @@ cargo xtask locks
 # schedule exploration cannot. It needs a nightly toolchain, which offline
 # build environments may not have — skip gracefully rather than fail.
 if cargo +nightly miri --version >/dev/null 2>&1; then
-    echo "== cargo miri (pdgf-prng, pdgf-output, pdgf-runtime handoff/events)"
+    echo "== cargo miri (pdgf-prng, pdgf-output, pdgf-runtime engine/events)"
     cargo +nightly miri test -p pdgf-prng
     cargo +nightly miri test -p pdgf-output --lib
     # The runtime's hand-rolled blocking primitives are exactly where
     # Miri's data-race detector earns its keep; scope to those modules so
     # the run stays minutes, not hours.
-    cargo +nightly miri test -p pdgf-runtime --lib handoff
+    cargo +nightly miri test -p pdgf-runtime --lib engine
     cargo +nightly miri test -p pdgf-runtime --lib events
 else
     echo "== cargo miri: nightly toolchain with miri not installed; skipping"

@@ -1,11 +1,13 @@
-//! Byte-identity of the columnar batch engine against the row path.
+//! Byte-identity of the columnar batch engine against the row oracle.
 //!
-//! The columnar path replays exactly the row path's per-cell RNG draw
-//! sequence, so for every shipped generator kind, every output format,
-//! every worker count, and ragged package sizes, the two paths must
-//! produce the same bytes. These tests are the enforcement of that
-//! contract across the full generator zoo (the per-kernel unit tests in
-//! `pdgf-gen` check the same thing generator by generator).
+//! The engine replays exactly the per-cell RNG draw sequence of a
+//! row-at-a-time point read, so for every shipped generator kind, every
+//! output format, every worker count, and ragged package sizes, it must
+//! produce the bytes of `zoo::oracle_bytes` (one row at a time through
+//! `row_into_with_scratch` + `Formatter::row` on one thread). These
+//! tests are the enforcement of that contract across the full generator
+//! zoo (the per-kernel unit tests in `pdgf-gen` check the same thing
+//! generator by generator).
 
 mod zoo;
 
@@ -16,36 +18,40 @@ use pdgf_schema::model::DateFormat;
 use pdgf_schema::value::Date;
 use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 use proptest::prelude::*;
-use zoo::{generator_zoo, inline_dict};
+use zoo::{generator_zoo, inline_dict, oracle_bytes};
 
 fn expr(s: &str) -> Expr {
     Expr::parse(s).expect("literal expression")
 }
 
+/// The whole table through the engine at update epoch `update`.
 fn render(
     rt: &SchemaRuntime,
     table: u32,
+    update: u32,
     formatter: &dyn Formatter,
     workers: usize,
     package_rows: u64,
-    columnar: bool,
-) -> String {
+) -> Vec<u8> {
     let mut sink = MemorySink::new();
     generate_table_range(
         rt,
         table,
-        0,
+        update,
         0..rt.tables()[table as usize].size,
         formatter,
         &mut sink,
-        &RunConfig::new()
-            .workers(workers)
-            .package_rows(package_rows)
-            .columnar(columnar),
+        &RunConfig::new().workers(workers).package_rows(package_rows),
         None,
     )
     .expect("generate");
-    sink.as_str().to_string()
+    sink.into_inner()
+}
+
+/// The whole table through the row oracle.
+fn oracle(rt: &SchemaRuntime, table: u32, update: u32, formatter: &dyn Formatter) -> Vec<u8> {
+    let rows = 0..rt.tables()[table as usize].size;
+    oracle_bytes(rt, table, update, rows, formatter)
 }
 
 /// The full matrix: every generator kind (via the zoo schema) × all four
@@ -63,13 +69,11 @@ fn columnar_matches_row_path_across_generators_formats_and_workers() {
     ];
     for table in 0..rt.tables().len() as u32 {
         for formatter in formatters {
-            // Row-path reference rendered once, inline, with a package
-            // size that does not divide the table evenly.
-            let reference = render(&rt, table, formatter, 0, 61, false);
+            let reference = oracle(&rt, table, 0, formatter);
             for workers in [0usize, 1, 2, 4] {
                 for pkg in [7u64, 61, 100_000] {
                     assert_eq!(
-                        render(&rt, table, formatter, workers, pkg, true),
+                        render(&rt, table, 0, formatter, workers, pkg),
                         reference,
                         "table={table} format={} workers={workers} pkg={pkg}",
                         formatter.name()
@@ -86,27 +90,13 @@ fn columnar_matches_row_path_across_generators_formats_and_workers() {
 fn columnar_matches_row_path_on_update_epochs() {
     let schema = generator_zoo();
     let rt = SchemaRuntime::build(&schema, &MapResolver::new()).expect("zoo builds");
-    let size = rt.tables()[1].size;
+    let csv = CsvFormatter::new();
     for update in [1u32, 5] {
-        let run = |columnar: bool| {
-            let mut sink = MemorySink::new();
-            generate_table_range(
-                &rt,
-                1,
-                update,
-                0..size,
-                &CsvFormatter::new(),
-                &mut sink,
-                &RunConfig::new()
-                    .workers(2)
-                    .package_rows(31)
-                    .columnar(columnar),
-                None,
-            )
-            .expect("generate");
-            sink.as_str().to_string()
-        };
-        assert_eq!(run(true), run(false), "update={update}");
+        assert_eq!(
+            render(&rt, 1, update, &csv, 2, 31),
+            oracle(&rt, 1, update, &csv),
+            "update={update}"
+        );
     }
 }
 
@@ -182,7 +172,7 @@ fn sql_type_for(spec: &GeneratorSpec) -> SqlType {
 
 proptest! {
     /// Random mini-schemas: any combination of pooled generators, rows,
-    /// seed, workers, and package size is byte-identical across paths.
+    /// seed, workers, and package size is byte-identical to the oracle.
     #[test]
     fn random_mini_schemas_are_byte_identical_across_paths(
         cols in prop::collection::vec(0usize..40, 1..6),
@@ -206,9 +196,9 @@ proptest! {
             &SqlFormatter::new(),
         ];
         for formatter in formatters {
-            let row_path = render(&rt, 0, formatter, workers, package_rows, false);
-            let columnar = render(&rt, 0, formatter, workers, package_rows, true);
-            prop_assert_eq!(&columnar, &row_path, "format={}", formatter.name());
+            let engine = render(&rt, 0, 0, formatter, workers, package_rows);
+            let reference = oracle(&rt, 0, 0, formatter);
+            prop_assert_eq!(&engine, &reference, "format={}", formatter.name());
         }
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! The serve path never reads files: every answer is recomputed from the
 //! seeding hierarchy. These tests pin the contract for *every shipped
-//! generator kind* (via the shared generator zoo), all four output
-//! formats, and both engines (columnar batch and row path):
+//! generator kind* (via the shared generator zoo) and all four output
+//! formats:
 //!
 //! * tiling a table with point lookups, plus the format's `begin`/`end`
-//!   framing, is byte-equal to a full `pdgf generate`-style batch file;
+//!   framing, is byte-equal to a full `pdgf generate`-style batch file,
+//!   which in turn is byte-equal to the row oracle's;
 //! * the public `PdgfProject::row` values, rendered through the same
 //!   formatter, are byte-equal to the service's point-lookup response;
 //! * both hold off update epoch 0.
@@ -19,75 +20,70 @@ use pdgf::{OutputFormat, Pdgf};
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_output::{Formatter, MemorySink};
 use pdgf_runtime::{generate_table_range, table_meta, RowService, RunConfig, ServeConfig};
-use zoo::generator_zoo;
+use zoo::{generator_zoo, oracle_bytes};
 
 fn runtime() -> Arc<SchemaRuntime> {
     Arc::new(SchemaRuntime::build(&generator_zoo(), &MapResolver::new()).expect("zoo builds"))
 }
 
-/// Batch-engine reference bytes: the whole table as one generated file.
-fn whole_file(
-    rt: &SchemaRuntime,
-    table: u32,
-    update: u32,
-    formatter: &dyn Formatter,
-    columnar: bool,
-) -> Vec<u8> {
+/// Reference bytes: the whole table as one generated file, checked
+/// against the row oracle before anything is compared with it.
+fn whole_file(rt: &SchemaRuntime, table: u32, update: u32, formatter: &dyn Formatter) -> Vec<u8> {
+    let rows = 0..rt.tables()[table as usize].size;
     let mut sink = MemorySink::new();
     generate_table_range(
         rt,
         table,
         update,
-        0..rt.tables()[table as usize].size,
+        rows.clone(),
         formatter,
         &mut sink,
-        &RunConfig::new()
-            .workers(0)
-            .package_rows(61)
-            .columnar(columnar),
+        &RunConfig::new().workers(0).package_rows(61),
         None,
     )
     .expect("batch generation");
-    sink.into_inner()
+    let whole = sink.into_inner();
+    assert_eq!(
+        whole,
+        oracle_bytes(rt, table, update, rows, formatter),
+        "table={table} update={update} format={}: batch file != row oracle",
+        formatter.name()
+    );
+    whole
 }
 
-/// Every generator kind × all four formats × both engines: point lookups
-/// tile the exact batch file (body rows are unframed fragments; the
-/// format's `begin`/`end` bytes are added once around them).
+/// Every generator kind × all four formats: point lookups tile the exact
+/// batch file (body rows are unframed fragments; the format's
+/// `begin`/`end` bytes are added once around them).
 #[test]
 fn point_lookups_tile_whole_files_for_every_generator_kind() {
     let rt = runtime();
-    for columnar in [true, false] {
-        let service = RowService::new(
-            Arc::clone(&rt),
-            ServeConfig::new()
-                .workers(2)
-                .package_rows(19)
-                .columnar(columnar),
-            None,
-        );
-        for format in OutputFormat::all() {
-            let formatter: Arc<dyn Formatter> = Arc::from(format.formatter());
-            for table in 0..rt.tables().len() as u32 {
-                let meta = table_meta(&rt, table);
-                let whole = whole_file(&rt, table, 0, formatter.as_ref(), columnar);
-                let mut tiled = Vec::new();
-                formatter.begin(&mut tiled, &meta);
-                for row in 0..rt.tables()[table as usize].size {
-                    tiled.extend_from_slice(
-                        &service
-                            .row_bytes(table, 0, row, Arc::clone(&formatter))
-                            .expect("point lookup"),
-                    );
-                }
-                formatter.end(&mut tiled, &meta);
-                assert_eq!(
-                    tiled,
-                    whole,
-                    "table={table} format={} columnar={columnar}: tiled lookups != batch file",
-                    formatter.name()
+    let service = RowService::new(
+        Arc::clone(&rt),
+        ServeConfig::new().workers(2).package_rows(19),
+        None,
+    );
+    for format in OutputFormat::all() {
+        let formatter: Arc<dyn Formatter> = Arc::from(format.formatter());
+        for table in 0..rt.tables().len() as u32 {
+            let meta = table_meta(&rt, table);
+            let whole = whole_file(&rt, table, 0, formatter.as_ref());
+            let mut tiled = Vec::new();
+            formatter.begin(&mut tiled, &meta);
+            for row in 0..rt.tables()[table as usize].size {
+                tiled.extend_from_slice(
+                    &service
+                        .row_bytes(table, 0, row, Arc::clone(&formatter))
+                        .expect("point lookup"),
                 );
             }
+            formatter.end(&mut tiled, &meta);
+            assert_eq!(
+                tiled,
+                whole,
+                "table={table} format={}: tiled lookups != batch file",
+                formatter.name()
+            );
         }
     }
 }
@@ -134,26 +130,21 @@ fn api_row_values_agree_with_serve_bytes() {
 fn update_epoch_lookups_tile_that_epochs_file() {
     let rt = runtime();
     let csv: Arc<dyn Formatter> = Arc::from(OutputFormat::Csv.formatter());
-    for columnar in [true, false] {
-        let service = RowService::new(
-            Arc::clone(&rt),
-            ServeConfig::new()
-                .workers(2)
-                .package_rows(19)
-                .columnar(columnar),
-            None,
-        );
-        for update in [1u32, 3] {
-            let whole = whole_file(&rt, 1, update, csv.as_ref(), columnar);
-            let mut tiled = Vec::new();
-            for row in 0..rt.tables()[1].size {
-                tiled.extend_from_slice(
-                    &service
-                        .row_bytes(1, update, row, Arc::clone(&csv))
-                        .expect("point lookup"),
-                );
-            }
-            assert_eq!(tiled, whole, "update={update} columnar={columnar}");
+    let service = RowService::new(
+        Arc::clone(&rt),
+        ServeConfig::new().workers(2).package_rows(19),
+        None,
+    );
+    for update in [1u32, 3] {
+        let whole = whole_file(&rt, 1, update, csv.as_ref());
+        let mut tiled = Vec::new();
+        for row in 0..rt.tables()[1].size {
+            tiled.extend_from_slice(
+                &service
+                    .row_bytes(1, update, row, Arc::clone(&csv))
+                    .expect("point lookup"),
+            );
         }
+        assert_eq!(tiled, whole, "update={update}");
     }
 }

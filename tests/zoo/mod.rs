@@ -1,9 +1,14 @@
-//! The generator zoo: one schema exercising every shipped generator
-//! kind, shared by the cross-path byte-identity matrix
-//! (`columnar_identity.rs`) and the serve determinism matrix
-//! (`serve_matrix.rs`).
+//! The generator zoo and the row oracle: one schema exercising every
+//! shipped generator kind, and (`oracle.rs`) the one-row-at-a-time
+//! reference every byte-identity suite compares the engine against.
+//! Shared by the cross-path matrix (`columnar_identity.rs`) and the serve
+//! matrices (`serve_matrix.rs`, `http_data_plane.rs`).
 
-#![allow(dead_code)] // each test binary uses a subset of these helpers
+#![allow(dead_code, unused_imports)] // each test binary uses a subset of these helpers
+
+mod oracle;
+
+pub use oracle::oracle_bytes;
 
 use pdgf_schema::model::{DateFormat, DictSource, HistogramOutput, MarkovSource, RefDistribution};
 use pdgf_schema::value::Date;
