@@ -8,9 +8,9 @@
 //! distribution DBSynth or a skewed benchmark (e.g. the Star Schema
 //! Benchmark skew variants) asks for.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use bench::{banner, ns_row};
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_schema::model::RefDistribution;
 use pdgf_schema::{Field, GeneratorSpec, Schema, SqlType, Table};
@@ -43,49 +43,30 @@ fn runtime_with(dist: Option<RefDistribution>) -> SchemaRuntime {
     SchemaRuntime::build(&schema, &MapResolver::new()).expect("bench model builds")
 }
 
-fn bench_strategy(c: &mut Criterion, name: &str, rt: &SchemaRuntime) {
+fn bench_strategy(name: &str, rt: &SchemaRuntime) {
     let mut row = 0u64;
-    c.bench_function(name, |b| {
-        b.iter(|| {
-            row = row.wrapping_add(1);
-            black_box(rt.value(1, 0, 0, black_box(row)))
-        })
+    ns_row(name, || {
+        row = row.wrapping_add(1);
+        black_box(rt.value(1, 0, 0, black_box(row)));
     });
 }
 
-fn strategies(c: &mut Criterion) {
-    bench_strategy(
-        c,
-        "ablation_ref/baseline_id_no_reference",
-        &runtime_with(None),
+fn main() {
+    banner(
+        "Ablation A3: cost of the reference-selection strategies (ns/value)",
+        "references are recomputed, not tracked, so every strategy stays cheap",
     );
+    bench_strategy("ablation_ref/baseline_id_no_reference", &runtime_with(None));
     bench_strategy(
-        c,
         "ablation_ref/uniform",
         &runtime_with(Some(RefDistribution::Uniform)),
     );
     bench_strategy(
-        c,
         "ablation_ref/permutation",
         &runtime_with(Some(RefDistribution::Permutation)),
     );
     bench_strategy(
-        c,
         "ablation_ref/zipf_0_8",
         &runtime_with(Some(RefDistribution::Zipf { theta: 0.8 })),
     );
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(50)
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = strategies
-}
-criterion_main!(benches);

@@ -8,44 +8,40 @@
 //! recomputing the whole chain from the project seed, and the end-to-end
 //! effect on a TPC-H lineitem row.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use bench::{banner, ns_row};
 use pdgf_prng::{FieldCoord, SeedTree};
 use workloads::tpch;
 
-fn seed_paths(c: &mut Criterion) {
+fn seed_paths() {
     let tree = SeedTree::new(12_456_789, &[16, 8, 4, 4, 9, 5, 9, 16]);
     let mut row = 0u64;
-    c.bench_function("ablation_seed_cache/cached_tree", |b| {
-        b.iter(|| {
-            row = row.wrapping_add(1);
-            black_box(tree.field_seed(FieldCoord {
-                table: 7,
-                column: (row % 16) as u32,
-                update: 0,
-                row,
-            }))
-        })
+    ns_row("ablation_seed_cache/cached_tree", || {
+        row = row.wrapping_add(1);
+        black_box(tree.field_seed(FieldCoord {
+            table: 7,
+            column: (row % 16) as u32,
+            update: 0,
+            row,
+        }));
     });
     let mut row2 = 0u64;
-    c.bench_function("ablation_seed_cache/uncached_full_chain", |b| {
-        b.iter(|| {
-            row2 = row2.wrapping_add(1);
-            black_box(SeedTree::field_seed_uncached(
-                12_456_789,
-                FieldCoord {
-                    table: 7,
-                    column: (row2 % 16) as u32,
-                    update: 0,
-                    row: row2,
-                },
-            ))
-        })
+    ns_row("ablation_seed_cache/uncached_full_chain", || {
+        row2 = row2.wrapping_add(1);
+        black_box(SeedTree::field_seed_uncached(
+            12_456_789,
+            FieldCoord {
+                table: 7,
+                column: (row2 % 16) as u32,
+                update: 0,
+                row: row2,
+            },
+        ));
     });
 }
 
-fn row_generation(c: &mut Criterion) {
+fn row_generation() {
     let project = tpch::project(0.001)
         .workers(0)
         .build()
@@ -55,25 +51,18 @@ fn row_generation(c: &mut Criterion) {
     let size = li.size;
     let mut row = 0u64;
     let mut buf = Vec::new();
-    c.bench_function("ablation_seed_cache/lineitem_full_row", |b| {
-        b.iter(|| {
-            row = (row + 1) % size;
-            rt.row_into(li_idx, 0, black_box(row), &mut buf);
-            black_box(buf.len())
-        })
+    ns_row("ablation_seed_cache/lineitem_full_row", || {
+        row = (row + 1) % size;
+        rt.row_into(li_idx, 0, black_box(row), &mut buf);
+        black_box(buf.len());
     });
 }
 
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(50)
+fn main() {
+    banner(
+        "Ablation A2: cached seed tree vs recomputing the seed chain (ns/value)",
+        "most of the seeds can be cached and the cost for generating single values is very low",
+    );
+    seed_paths();
+    row_generation();
 }
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = seed_paths, row_generation
-}
-criterion_main!(benches);

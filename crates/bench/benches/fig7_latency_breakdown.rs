@@ -13,9 +13,9 @@
 //! Expected shape: latency(Static) < latency(Null 100%) < latency(Null 0%),
 //! each step adding a small constant.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use bench::{banner, ns_row};
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_schema::{Field, GeneratorSpec, Schema, SqlType, Table, Value};
 
@@ -26,28 +26,28 @@ fn runtime_with(generator: GeneratorSpec) -> SchemaRuntime {
     SchemaRuntime::build(&schema, &MapResolver::new()).expect("bench model builds")
 }
 
-fn bench_value(c: &mut Criterion, name: &str, rt: &SchemaRuntime) {
+fn bench_value(name: &str, rt: &SchemaRuntime) {
     let mut row = 0u64;
-    c.bench_function(name, |b| {
-        b.iter(|| {
-            row = row.wrapping_add(1);
-            black_box(rt.value(0, 0, 0, black_box(row)))
-        })
+    ns_row(name, || {
+        row = row.wrapping_add(1);
+        black_box(rt.value(0, 0, 0, black_box(row)));
     });
 }
 
-fn fig7(c: &mut Criterion) {
+fn main() {
+    banner(
+        "Figure 7: generation latency of independent values, by subpart (ns/value)",
+        "static ~50 ns; NULL wrapper adds ~50 ns; NULL(0%) runs the inner generator too, ~200 ns in all",
+    );
     let static_value = GeneratorSpec::Static {
         value: Value::text("fixed"),
     };
 
     bench_value(
-        c,
         "fig7/static_value_no_cache",
         &runtime_with(static_value.clone()),
     );
     bench_value(
-        c,
         "fig7/null_generator_100pct_null",
         &runtime_with(GeneratorSpec::Null {
             probability: 1.0,
@@ -55,7 +55,6 @@ fn fig7(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig7/null_generator_0pct_null",
         &runtime_with(GeneratorSpec::Null {
             probability: 0.0,
@@ -63,17 +62,3 @@ fn fig7(c: &mut Criterion) {
         }),
     );
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(50)
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = fig7
-}
-criterion_main!(benches);

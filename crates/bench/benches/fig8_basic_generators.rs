@@ -4,9 +4,9 @@
 //! and generating random strings are all in the range of 100 ns - 500 ns"
 //! for unformatted simple values (DictList, Long, Double, Date, String).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use bench::{banner, ns_row};
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_schema::model::{DateFormat, DictSource};
 use pdgf_schema::value::Date;
@@ -19,19 +19,20 @@ fn runtime_with(generator: GeneratorSpec) -> SchemaRuntime {
     SchemaRuntime::build(&schema, &MapResolver::new()).expect("bench model builds")
 }
 
-fn bench_value(c: &mut Criterion, name: &str, rt: &SchemaRuntime) {
+fn bench_value(name: &str, rt: &SchemaRuntime) {
     let mut row = 0u64;
-    c.bench_function(name, |b| {
-        b.iter(|| {
-            row = row.wrapping_add(1);
-            black_box(rt.value(0, 0, 0, black_box(row)))
-        })
+    ns_row(name, || {
+        row = row.wrapping_add(1);
+        black_box(rt.value(0, 0, 0, black_box(row)));
     });
 }
 
-fn fig8(c: &mut Criterion) {
+fn main() {
+    banner(
+        "Figure 8: basic generator latency (ns/value)",
+        "dictionary picks, random numbers and random strings all within 100-500 ns",
+    );
     bench_value(
-        c,
         "fig8/dictlist",
         &runtime_with(GeneratorSpec::Dict {
             source: DictSource::Inline {
@@ -41,7 +42,6 @@ fn fig8(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig8/long",
         &runtime_with(GeneratorSpec::Long {
             min: Expr::parse("0").expect("literal"),
@@ -49,7 +49,6 @@ fn fig8(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig8/double",
         &runtime_with(GeneratorSpec::Double {
             min: Expr::parse("0").expect("literal"),
@@ -58,7 +57,6 @@ fn fig8(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig8/date",
         &runtime_with(GeneratorSpec::DateRange {
             min: Date::from_ymd(1992, 1, 1),
@@ -67,7 +65,6 @@ fn fig8(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig8/string",
         &runtime_with(GeneratorSpec::RandomString {
             min_len: 10,
@@ -75,17 +72,3 @@ fn fig8(c: &mut Criterion) {
         }),
     );
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(50)
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = fig8
-}
-criterion_main!(benches);

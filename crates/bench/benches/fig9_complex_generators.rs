@@ -12,9 +12,9 @@
 //! formatted date and the sequential concatenation dominate, the NULL
 //! wrapper costs a small constant.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use bench::{banner, ns_row};
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_schema::model::{DateFormat, DictSource};
 use pdgf_schema::value::Date;
@@ -27,13 +27,11 @@ fn runtime_with(generator: GeneratorSpec) -> SchemaRuntime {
     SchemaRuntime::build(&schema, &MapResolver::new()).expect("bench model builds")
 }
 
-fn bench_value(c: &mut Criterion, name: &str, rt: &SchemaRuntime) {
+fn bench_value(name: &str, rt: &SchemaRuntime) {
     let mut row = 0u64;
-    c.bench_function(name, |b| {
-        b.iter(|| {
-            row = row.wrapping_add(1);
-            black_box(rt.value(0, 0, 0, black_box(row)))
-        })
+    ns_row(name, || {
+        row = row.wrapping_add(1);
+        black_box(rt.value(0, 0, 0, black_box(row)));
     });
 }
 
@@ -45,9 +43,12 @@ fn double_gen() -> GeneratorSpec {
     }
 }
 
-fn fig9(c: &mut Criterion) {
+fn main() {
+    banner(
+        "Figure 9: complex generator latency (ns/value)",
+        "formatted date ~1200 ns, like a 2-double + long concatenation; a sub-generator adds ~100 ns",
+    );
     bench_value(
-        c,
         "fig9/dictlist",
         &runtime_with(GeneratorSpec::Dict {
             source: DictSource::Inline {
@@ -60,7 +61,6 @@ fn fig9(c: &mut Criterion) {
         value: pdgf_schema::Value::text("v"),
     };
     bench_value(
-        c,
         "fig9/null_100pct",
         &runtime_with(GeneratorSpec::Null {
             probability: 1.0,
@@ -68,7 +68,6 @@ fn fig9(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig9/null_0pct",
         &runtime_with(GeneratorSpec::Null {
             probability: 0.0,
@@ -76,7 +75,6 @@ fn fig9(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig9/date_formatted",
         &runtime_with(GeneratorSpec::DateRange {
             min: Date::from_ymd(1992, 1, 1),
@@ -85,7 +83,6 @@ fn fig9(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig9/sequential_2double_plus_long",
         &runtime_with(GeneratorSpec::Sequential {
             parts: vec![
@@ -100,7 +97,6 @@ fn fig9(c: &mut Criterion) {
         }),
     );
     bench_value(
-        c,
         "fig9/double_4_places",
         &runtime_with(GeneratorSpec::Double {
             min: Expr::parse("0").expect("literal"),
@@ -109,17 +105,3 @@ fn fig9(c: &mut Criterion) {
         }),
     );
 }
-
-fn config() -> Criterion {
-    Criterion::default()
-        .warm_up_time(std::time::Duration::from_millis(500))
-        .measurement_time(std::time::Duration::from_secs(2))
-        .sample_size(50)
-}
-
-criterion_group! {
-    name = benches;
-    config = config();
-    targets = fig9
-}
-criterion_main!(benches);

@@ -15,16 +15,24 @@
 //!    lookup, with an optional simulated seek penalty representing the
 //!    paper's 10 ms spinning-disk random read).
 //!
-//! Knobs: `ABL1_LOOKUPS` (default 20000), `ABL1_SEEK_US` simulated extra
-//! seek latency in microseconds (default 0 = measure the real filesystem;
-//! set 10000 for the paper's 10 ms disk).
+//! Each strategy resolves the lookups in [`BATCHES`] timed batches; the
+//! table gives the median and quartiles of their ns/reference.
+//!
+//! Knobs: `ABL1_LOOKUPS` per strategy (default 20000), `ABL1_SEEK_US`
+//! simulated extra seek latency in microseconds (default 0 = measure the
+//! real filesystem; set 10000 for the paper's 10 ms disk).
 
 use std::io::{Read, Seek, SeekFrom};
+use std::time::Duration;
 
-use bench::{banner, check, env_f64, env_usize, timed};
+use bench::{banner, cell, check, knob};
+use benchmark::time_per_call;
 use pdgf::{OutputFormat, Pdgf};
 use pdgf_prng::{PdgfDefaultRandom, PdgfRng};
 use workloads::tpch;
+
+/// Timed batches the lookups of one strategy are split into.
+const BATCHES: usize = 5;
 
 fn main() {
     banner(
@@ -32,8 +40,8 @@ fn main() {
         "computing values is ~5000x faster than random reads of generated \
          data (2 us computed vs 10 ms disk read)",
     );
-    let lookups = env_usize("ABL1_LOOKUPS", 20_000);
-    let seek_us = env_f64("ABL1_SEEK_US", 0.0);
+    let lookups: usize = knob("ABL1_LOOKUPS", 20_000);
+    let seek_us: f64 = knob("ABL1_SEEK_US", 0.0);
 
     let project = Pdgf::from_schema(tpch::schema(12_456_789))
         .resolver(tpch::resolver())
@@ -67,56 +75,62 @@ fn main() {
         .map(|_| rng.next_bounded(parent_rows))
         .collect();
 
+    // Both closures resolve the targets in order, one per call, and sum
+    // the keys they find: `lookups` calls in all, as `BATCHES` batches.
+    let per_batch = (lookups / BATCHES).max(1);
+    let mut next = targets.iter().cycle();
+
     // 1. Recomputation.
-    let recompute = timed(|| {
-        let mut acc = 0i64;
-        for &row in &targets {
-            acc = acc.wrapping_add(rt.value(orders_idx, 0, 0, row).as_i64().expect("order key"));
-        }
-        acc
+    let mut recomputed = 0i64;
+    let recompute = time_per_call(Duration::ZERO, per_batch as u64, || {
+        let row = *next.next().expect("targets cycle");
+        recomputed =
+            recomputed.wrapping_add(rt.value(orders_idx, 0, 0, row).as_i64().expect("order key"));
     });
-    let ns_per_recompute = recompute.seconds * 1e9 / lookups as f64;
 
     // 2. Re-read from the generated file.
     let mut file = std::fs::File::open(&path).expect("open parent file");
     let mut buf = [0u8; 32];
-    let reread = timed(|| {
-        let mut acc = 0i64;
-        for &row in &targets {
-            file.seek(SeekFrom::Start(offsets[row as usize]))
-                .expect("seek");
-            let n = file.read(&mut buf).expect("read");
-            let line = std::str::from_utf8(&buf[..n]).unwrap_or("");
-            let key: i64 = line
-                .split(',')
-                .next()
-                .and_then(|f| f.parse().ok())
-                .unwrap_or(0);
-            acc = acc.wrapping_add(key);
-            if seek_us > 0.0 {
-                std::thread::sleep(std::time::Duration::from_nanos((seek_us * 1e3) as u64));
-            }
+    let mut next = targets.iter().cycle();
+    let mut reread_sum = 0i64;
+    let reread = time_per_call(Duration::ZERO, per_batch as u64, || {
+        let row = *next.next().expect("targets cycle");
+        file.seek(SeekFrom::Start(offsets[row as usize]))
+            .expect("seek");
+        let n = file.read(&mut buf).expect("read");
+        let line = std::str::from_utf8(&buf[..n]).unwrap_or("");
+        let key: i64 = line
+            .split(',')
+            .next()
+            .and_then(|f| f.parse().ok())
+            .unwrap_or(0);
+        reread_sum = reread_sum.wrapping_add(key);
+        if seek_us > 0.0 {
+            std::thread::sleep(Duration::from_nanos((seek_us * 1e3) as u64));
         }
-        acc
     });
-    let ns_per_reread = reread.seconds * 1e9 / lookups as f64;
     std::fs::remove_dir_all(&dir).ok();
+    let (ns_per_recompute, ns_per_reread) = (recompute.median, reread.median);
 
     check(
         "results-agree",
-        recompute.value == reread.value,
+        recomputed == reread_sum,
         "both strategies resolve identical keys",
     );
-    println!("\n{:<32} {:>14}", "strategy", "ns/reference");
-    println!("{:<32} {:>14.0}", "recompute (PDGF)", ns_per_recompute);
+    println!("\n{:<32} {:>28}", "strategy", "ns/reference [q1–q3]");
     println!(
-        "{:<32} {:>14.0}",
+        "{:<32} {:>28}",
+        "recompute (PDGF)",
+        cell(&recompute, 1.0, 0)
+    );
+    println!(
+        "{:<32} {:>28}",
         if seek_us > 0.0 {
             "re-read (simulated disk)"
         } else {
             "re-read (page cache)"
         },
-        ns_per_reread
+        cell(&reread, 1.0, 0)
     );
     let speedup = ns_per_reread / ns_per_recompute;
     println!("speedup: {speedup:.0}x (paper: ~5000x vs 10 ms spinning disk)");

@@ -12,28 +12,34 @@
 //! throughputs (shared-nothing machines run concurrently and
 //! independently), and cluster duration is the slowest node's duration.
 //!
-//! Knobs: `FIG4_SF` (default 2 — BigBench-style model scale),
+//! Each node count is run [`REPEATS`] times; the table and the shape
+//! checks read the medians.
+//!
+//! Knobs: `FIG4_SF` (default 8 — BigBench-style model scale),
 //! `FIG4_NODES` (comma list, default "1,2,4,8,12,16,20,24"),
-//! `FIG4_WORKERS` (per node, default 2).
+//! `FIG4_WORKERS` (per node, default 0: inline).
 
 use std::io;
 
-use bench::{banner, check, env_f64, env_usize, linear_fit};
+use bench::{banner, cell, check, knob, linear_fit};
+use benchmark::Summary;
 use pdgf_output::{CsvFormatter, NullSink, Sink};
 use pdgf_runtime::{MetaScheduler, RunConfig};
 use workloads::bigbench;
+
+/// Cluster runs per node count.
+const REPEATS: usize = 5;
 
 fn main() {
     banner(
         "Figure 4: PDGF BigBench scale-out (aggregate MB/s and duration vs nodes)",
         "linear throughput scaling in the number of nodes; duration ~ 1/nodes",
     );
-    let sf = env_f64("FIG4_SF", 8.0);
+    let sf: f64 = knob("FIG4_SF", 8.0);
     // Inline generation per node: the experiment varies *nodes*, and on a
     // small host extra worker threads only add scheduling noise.
-    let workers = env_usize("FIG4_WORKERS", 0);
-    let nodes_list: Vec<usize> = std::env::var("FIG4_NODES")
-        .unwrap_or_else(|_| "1,2,4,8,12,16,20,24".to_string())
+    let workers: usize = knob("FIG4_WORKERS", 0);
+    let nodes_list: Vec<usize> = knob("FIG4_NODES", "1,2,4,8,12,16,20,24".to_string())
         .split(',')
         .filter_map(|s| s.trim().parse().ok())
         .collect();
@@ -56,8 +62,8 @@ fn main() {
     println!("model: BigBench-style, SF={sf}, {total_rows} rows total, {workers} workers/node\n");
 
     println!(
-        "{:>6} {:>16} {:>16} {:>14}",
-        "nodes", "agg MB/s", "duration s", "rows"
+        "{:>6} {:>30} {:>30} {:>10}",
+        "nodes", "agg MB/s [q1–q3]", "duration s [q1–q3]", "rows"
     );
     let mut tput_series = Vec::new();
     let mut duration_series = Vec::new();
@@ -66,18 +72,30 @@ fn main() {
             MetaScheduler::new(nodes, RunConfig::new().workers(workers).package_rows(5_000));
         let mut make =
             |_: &str, _: usize| -> io::Result<Box<dyn Sink>> { Ok(Box::new(NullSink::new())) };
-        let reports = sched
-            .run_cluster(rt, &CsvFormatter::new(), &mut make)
-            .expect("cluster run succeeds");
-        // Shared-nothing aggregate: nodes run concurrently in a real
-        // cluster, so aggregate throughput is the per-node sum and the
-        // cluster finishes with its slowest node.
-        let agg_mb_s: f64 = reports.iter().map(|r| r.throughput_mb_s()).sum();
-        let duration = reports.iter().map(|r| r.seconds).fold(0.0f64, f64::max);
-        let rows: u64 = reports.iter().map(|r| r.rows).sum();
-        println!("{nodes:>6} {agg_mb_s:>16.1} {duration:>16.3} {rows:>14}");
-        tput_series.push((nodes as f64, agg_mb_s));
-        duration_series.push((nodes as f64, duration));
+        let mut rows = 0;
+        let (agg_mb_s, duration): (Vec<f64>, Vec<f64>) = (0..REPEATS)
+            .map(|_| {
+                let reports = sched
+                    .run_cluster(rt, &CsvFormatter::new(), &mut make)
+                    .expect("cluster run succeeds");
+                rows = reports.iter().map(|r| r.rows).sum::<u64>();
+                // Shared-nothing aggregate: nodes run concurrently in a
+                // real cluster, so aggregate throughput is the per-node
+                // sum and the cluster finishes with its slowest node.
+                (
+                    reports.iter().map(|r| r.throughput_mb_s()).sum::<f64>(),
+                    reports.iter().map(|r| r.seconds).fold(0.0f64, f64::max),
+                )
+            })
+            .unzip();
+        let (agg_mb_s, duration) = (Summary::of(&agg_mb_s), Summary::of(&duration));
+        println!(
+            "{nodes:>6} {:>30} {:>30} {rows:>10}",
+            cell(&agg_mb_s, 1.0, 1),
+            cell(&duration, 1.0, 3)
+        );
+        tput_series.push((nodes as f64, agg_mb_s.median));
+        duration_series.push((nodes as f64, duration.median));
     }
 
     let (slope, intercept, r2) = linear_fit(&tput_series);

@@ -24,10 +24,17 @@
 //!   "not optimal" observation — our output stage really does occupy a
 //!   thread; the penalty models it competing for a full core).
 //!
+//! Every measured point is at least five whole runs (one second of them
+//! when they are short); the table gives median and quartiles, and the
+//! projection is calibrated with the single-worker median.
+//!
 //! Knobs: `FIG5_SF` (default 0.02), `FIG5_MAX_THREADS` (default 48,
 //! matching the paper's x-axis).
 
-use bench::{banner, check, env_f64, env_usize, linear_fit, timed};
+use std::time::Duration;
+
+use bench::{banner, cell, check, knob, linear_fit, mb_per_s};
+use benchmark::{time_per_call, Summary};
 use pdgf::Pdgf;
 use workloads::tpch;
 
@@ -40,7 +47,7 @@ const SMT_EFFICIENCY: f64 = 0.25;
 /// scheduler and output threads displacing a worker.
 const EXACT_FIT_PENALTY: f64 = 0.04;
 
-fn measured_throughput(workers: usize, sf: f64) -> f64 {
+fn measured_throughput(workers: usize, sf: f64) -> Summary {
     let project: pdgf::PdgfProject = Pdgf::from_schema(tpch::schema(12_456_789))
         .resolver(tpch::resolver())
         .set_property("SF", &format!("{sf}"))
@@ -48,8 +55,12 @@ fn measured_throughput(workers: usize, sf: f64) -> f64 {
         .package_rows(5_000)
         .build()
         .expect("tpch model builds");
-    let t = timed(|| project.generate_to_null(None).expect("generation succeeds"));
-    t.value.total_bytes() as f64 / 1e6 / t.seconds
+    let mut bytes = 0;
+    let ns = time_per_call(Duration::from_secs(1), 1, || {
+        let report = project.generate_to_null(None).expect("generation succeeds");
+        bytes = report.total_bytes();
+    });
+    mb_per_s(bytes, &ns)
 }
 
 /// Calibrated projection onto the paper's 16-core/32-thread machine.
@@ -78,11 +89,9 @@ fn main() {
         "linear scaling to #cores (16), smaller gains to #hardware-threads (32), \
          dip when workers == cores exactly",
     );
-    let sf = env_f64("FIG5_SF", 0.02);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let max_threads = env_usize("FIG5_MAX_THREADS", 48);
+    let sf: f64 = knob("FIG5_SF", 0.02);
+    let cores = benchmark::host::nproc();
+    let max_threads: usize = knob("FIG5_MAX_THREADS", 48);
     println!("host machine: {cores} core(s); simulated testbed: {PAPER_CORES} cores / {PAPER_HW_THREADS} hardware threads\n");
 
     let sweep: Vec<usize> = [1usize, 2, 4, 8, 12, 15, 16, 17, 24, 31, 32, 33, 40, 48]
@@ -92,11 +101,11 @@ fn main() {
 
     // Warm up, then calibrate the model with single-worker throughput.
     let _ = measured_throughput(1, sf / 4.0);
-    let t1 = measured_throughput(1, sf);
+    let t1 = measured_throughput(1, sf).median;
 
     println!(
-        "{:>8} {:>16} {:>22}",
-        "threads", "measured MB/s", "simulated-16c32t MB/s"
+        "{:>8} {:>30} {:>24}",
+        "threads", "measured MB/s [q1–q3]", "simulated-16c32t MB/s"
     );
     let mut measured = Vec::new();
     let mut simulated = Vec::new();
@@ -104,8 +113,8 @@ fn main() {
         // Real run (exercises scheduler/channel/reorder at this width).
         let m = measured_throughput(workers, sf);
         let s = simulated_throughput(workers, t1);
-        println!("{workers:>8} {m:>16.1} {s:>22.1}");
-        measured.push((workers as f64, m));
+        println!("{workers:>8} {:>30} {s:>24.1}", cell(&m, 1.0, 1));
+        measured.push((workers as f64, m.median));
         simulated.push((workers as f64, s));
     }
 

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use textsynth::{Dictionary, MarkovModel};
 
@@ -99,8 +99,14 @@ impl pdgf_schema::absint::ResourceOracle for ResolverOracle<'_> {
 /// referenced by many fields is loaded once.
 pub struct FsResolver {
     base: PathBuf,
-    dict_cache: parking_lot::Mutex<BTreeMap<String, Arc<Dictionary>>>,
-    markov_cache: parking_lot::Mutex<BTreeMap<String, Arc<MarkovModel>>>,
+    dict_cache: Mutex<BTreeMap<String, Arc<Dictionary>>>,
+    markov_cache: Mutex<BTreeMap<String, Arc<MarkovModel>>>,
+}
+
+/// A cache holds only whole entries, so one left behind by a panicking
+/// holder is still good.
+fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl FsResolver {
@@ -108,15 +114,15 @@ impl FsResolver {
     pub fn new(base: impl Into<PathBuf>) -> Self {
         Self {
             base: base.into(),
-            dict_cache: parking_lot::Mutex::new(BTreeMap::new()),
-            markov_cache: parking_lot::Mutex::new(BTreeMap::new()),
+            dict_cache: Mutex::new(BTreeMap::new()),
+            markov_cache: Mutex::new(BTreeMap::new()),
         }
     }
 }
 
 impl ResourceResolver for FsResolver {
     fn dictionary(&self, path: &str) -> Result<Arc<Dictionary>, ResolveError> {
-        if let Some(d) = self.dict_cache.lock().get(path) {
+        if let Some(d) = lock(&self.dict_cache).get(path) {
             return Ok(d.clone());
         }
         let full = self.base.join(path);
@@ -126,14 +132,12 @@ impl ResourceResolver for FsResolver {
             Dictionary::from_file_format(&data)
                 .map_err(|e| ResolveError(format!("{}: {e}", full.display())))?,
         );
-        self.dict_cache
-            .lock()
-            .insert(path.to_string(), dict.clone());
+        lock(&self.dict_cache).insert(path.to_string(), dict.clone());
         Ok(dict)
     }
 
     fn markov(&self, path: &str) -> Result<Arc<MarkovModel>, ResolveError> {
-        if let Some(m) = self.markov_cache.lock().get(path) {
+        if let Some(m) = lock(&self.markov_cache).get(path) {
             return Ok(m.clone());
         }
         let full = self.base.join(path);
@@ -143,9 +147,7 @@ impl ResourceResolver for FsResolver {
             MarkovModel::from_bytes(&data)
                 .map_err(|e| ResolveError(format!("{}: {e}", full.display())))?,
         );
-        self.markov_cache
-            .lock()
-            .insert(path.to_string(), model.clone());
+        lock(&self.markov_cache).insert(path.to_string(), model.clone());
         Ok(model)
     }
 }

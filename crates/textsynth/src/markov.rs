@@ -9,7 +9,6 @@
 //! an alias-sampled start distribution, and per-word alias-sampled
 //! successor distributions, so generating each word is O(1).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pdgf_prng::Alias;
 use std::collections::HashMap;
 use std::fmt;
@@ -278,80 +277,74 @@ impl MarkovModel {
     /// (`u32` len, bytes), `u32` start count, starts as (`u32` id,
     /// `f64` weight), then per word `u32` successor count and successors
     /// as (`u32` id, `f64` weight).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"PMKV");
-        buf.put_u16_le(1);
-        buf.put_u32_le(self.words.len() as u32);
-        for w in &self.words {
-            buf.put_u32_le(w.len() as u32);
-            buf.put_slice(w.as_bytes());
-        }
-        buf.put_u32_le(self.start.ids.len() as u32);
-        for (id, w) in self.start.ids.iter().zip(&self.start.weights) {
-            buf.put_u32_le(*id);
-            buf.put_f64_le(*w);
-        }
-        for s in &self.successors {
-            buf.put_u32_le(s.ids.len() as u32);
-            for (id, w) in s.ids.iter().zip(&s.weights) {
-                buf.put_u32_le(*id);
-                buf.put_f64_le(*w);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        fn put_pairs(buf: &mut Vec<u8>, ids: &[u32], weights: &[f64]) {
+            buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+            for (id, w) in ids.iter().zip(weights) {
+                buf.extend_from_slice(&id.to_le_bytes());
+                buf.extend_from_slice(&w.to_le_bytes());
             }
         }
-        buf.freeze()
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"PMKV");
+        buf.extend_from_slice(&1u16.to_le_bytes());
+        buf.extend_from_slice(&(self.words.len() as u32).to_le_bytes());
+        for w in &self.words {
+            buf.extend_from_slice(&(w.len() as u32).to_le_bytes());
+            buf.extend_from_slice(w.as_bytes());
+        }
+        put_pairs(&mut buf, &self.start.ids, &self.start.weights);
+        for s in &self.successors {
+            put_pairs(&mut buf, &s.ids, &s.weights);
+        }
+        buf
     }
 
     /// Deserialize the binary model format.
     pub fn from_bytes(mut data: &[u8]) -> Result<Self, MarkovError> {
-        fn need(data: &[u8], n: usize) -> Result<(), MarkovError> {
-            if data.remaining() < n {
-                Err(MarkovError("truncated model".into()))
-            } else {
-                Ok(())
-            }
+        fn truncated() -> MarkovError {
+            MarkovError("truncated model".into())
         }
-        need(data, 6)?;
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if &magic != b"PMKV" {
+        /// Split the next `N` bytes off the front of `data`.
+        fn take<const N: usize>(data: &mut &[u8]) -> Result<[u8; N], MarkovError> {
+            let (head, rest) = data.split_first_chunk::<N>().ok_or_else(truncated)?;
+            *data = rest;
+            Ok(*head)
+        }
+        fn take_u32(data: &mut &[u8]) -> Result<u32, MarkovError> {
+            take(data).map(u32::from_le_bytes)
+        }
+        fn take_pairs(data: &mut &[u8]) -> Result<Vec<(u32, f64)>, MarkovError> {
+            let n = take_u32(data)? as usize;
+            let mut list = Vec::with_capacity(n);
+            for _ in 0..n {
+                list.push((take_u32(data)?, f64::from_le_bytes(take(data)?)));
+            }
+            Ok(list)
+        }
+        let header: [u8; 6] = take(&mut data)?;
+        if header[..4] != *b"PMKV" {
             return Err(MarkovError("bad magic".into()));
         }
-        let version = data.get_u16_le();
+        let version = u16::from_le_bytes([header[4], header[5]]);
         if version != 1 {
             return Err(MarkovError(format!("unsupported version {version}")));
         }
-        need(data, 4)?;
-        let word_count = data.get_u32_le() as usize;
+        let word_count = take_u32(&mut data)? as usize;
         let mut words = Vec::with_capacity(word_count);
         for _ in 0..word_count {
-            need(data, 4)?;
-            let len = data.get_u32_le() as usize;
-            need(data, len)?;
-            let mut bytes = vec![0u8; len];
-            data.copy_to_slice(&mut bytes);
-            let s = String::from_utf8(bytes).map_err(|_| MarkovError("non-UTF8 word".into()))?;
-            words.push(Arc::from(s.as_str()));
+            let len = take_u32(&mut data)? as usize;
+            let (word, rest) = data.split_at_checked(len).ok_or_else(truncated)?;
+            data = rest;
+            let s = std::str::from_utf8(word).map_err(|_| MarkovError("non-UTF8 word".into()))?;
+            words.push(Arc::from(s));
         }
-        need(data, 4)?;
-        let start_count = data.get_u32_le() as usize;
-        let mut start = Vec::with_capacity(start_count);
-        for _ in 0..start_count {
-            need(data, 12)?;
-            start.push((data.get_u32_le(), data.get_f64_le()));
-        }
+        let start = take_pairs(&mut data)?;
         let mut successor_lists = Vec::with_capacity(word_count);
         for _ in 0..word_count {
-            need(data, 4)?;
-            let n = data.get_u32_le() as usize;
-            let mut list = Vec::with_capacity(n);
-            for _ in 0..n {
-                need(data, 12)?;
-                list.push((data.get_u32_le(), data.get_f64_le()));
-            }
-            successor_lists.push(list);
+            successor_lists.push(take_pairs(&mut data)?);
         }
-        if data.has_remaining() {
+        if !data.is_empty() {
             return Err(MarkovError("trailing bytes after model".into()));
         }
         Self::from_parts(words, start, successor_lists)
@@ -572,6 +565,54 @@ mod tests {
         let mut wrong_version = bytes.to_vec();
         wrong_version[4] = 99;
         assert!(MarkovModel::from_bytes(&wrong_version).is_err());
+
+        // One cut per length check that the cases above do not reach, at
+        // offsets read off the layout `binary_layout_is_pinned` spells out.
+        let golden = three_word_model().to_bytes();
+        for (cut, inside) in [
+            (8, "the word count"),
+            (12, "a word's length"),
+            (20, "a word's bytes"),
+            (29, "the start count"),
+            (37, "a start entry"),
+            (45, "a successor count"),
+            (53, "a successor entry"),
+        ] {
+            let err = MarkovModel::from_bytes(&golden[..cut]).unwrap_err();
+            assert_eq!(err.0, "truncated model", "cut inside {inside}");
+        }
+        let mut not_utf8 = golden.to_vec();
+        not_utf8[14] = 0xFF;
+        let err = MarkovModel::from_bytes(&not_utf8).unwrap_err();
+        assert_eq!(err.0, "non-UTF8 word");
+    }
+
+    fn three_word_model() -> MarkovModel {
+        let mut b = MarkovBuilder::new();
+        b.feed("a bb ccc");
+        b.feed("a ccc");
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn binary_layout_is_pinned() {
+        let one = 1f64.to_le_bytes();
+        let mut expected = Vec::new();
+        expected.extend_from_slice(b"PMKV\x01\x00"); // magic, u16 version
+        expected.extend_from_slice(b"\x03\0\0\0"); // 3 words: (u32 len, bytes)
+        expected.extend_from_slice(b"\x01\0\0\0a\x02\0\0\0bb\x03\0\0\0ccc");
+        expected.extend_from_slice(b"\x01\0\0\0"); // 1 start: "a" seen twice
+        expected.extend_from_slice(b"\0\0\0\0\0\0\0\0\0\0\0\x40");
+        expected.extend_from_slice(b"\x02\0\0\0"); // "a" -> "bb", "ccc"
+        expected.extend_from_slice(b"\x01\0\0\0");
+        expected.extend_from_slice(&one);
+        expected.extend_from_slice(b"\x02\0\0\0");
+        expected.extend_from_slice(&one);
+        expected.extend_from_slice(b"\x01\0\0\0\x02\0\0\0"); // "bb" -> "ccc"
+        expected.extend_from_slice(&one);
+        expected.extend_from_slice(b"\0\0\0\0"); // "ccc" ends every sample
+        assert_eq!(&three_word_model().to_bytes()[..], &expected[..]);
+        assert_eq!(1f64.to_le_bytes(), *b"\0\0\0\0\0\0\xF0\x3F");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! | rule | bans | where |
 //! |------|------|-------|
 //! | `hash-collections` | `HashMap`, `HashSet` | deterministic crates (prng/gen/output/runtime) |
-//! | `wall-clock` | `Instant::now`, `SystemTime`, `thread_rng` | everywhere except monitor, telemetry clock (metrics/events), dbsynth extract/workflow, bench |
+//! | `wall-clock` | `Instant::now`, `SystemTime`, `thread_rng` | everywhere except monitor, telemetry clock (metrics/events), dbsynth extract/workflow |
 //! | `std-fmt` | `format!`, `.to_string(`, `write!` | pdgf-output hot-path modules (formatter, fmtfast) |
 //! | `unwrap` | `.unwrap()`, `.expect(` | pdgf-runtime and pdgf-output library code |
 //! | `columnar-cell-alloc` | `String::`, `format!`, `.to_vec()` | columnar kernel modules (pdgf-gen/column, pdgf-schema/column) |
@@ -41,15 +41,16 @@ fn deterministic_crate(path: &str) -> bool {
 
 /// Wall-clock reads are confined to explicitly observational code: the
 /// progress monitor, the telemetry clock (`metrics::now_ns` and the event
-/// timestamps built on it), the dbsynth extraction/workflow timers, and
-/// the bench harness. Everywhere else they threaten byte-reproducibility.
+/// timestamps built on it) and the dbsynth extraction/workflow timers.
+/// Everywhere else they threaten byte-reproducibility — the figure targets
+/// of `crates/bench` included, which take every timing from the
+/// `benchmark` package (outside the audited workspace).
 fn wall_clock_scope(path: &str) -> bool {
     !(path.ends_with("/monitor.rs")
         || path == "crates/pdgf-runtime/src/metrics.rs"
         || path == "crates/pdgf-runtime/src/events.rs"
         || path == "crates/dbsynth/src/extract.rs"
-        || path == "crates/dbsynth/src/workflow.rs"
-        || path.starts_with("crates/bench/"))
+        || path == "crates/dbsynth/src/workflow.rs")
 }
 
 /// The zero-allocation formatting hot path: every row of every table runs
@@ -163,7 +164,8 @@ mod tests {
         assert!(wall_clock_scope("crates/pdgf/src/serve/http.rs"));
         assert!(wall_clock_scope("crates/pdgf/src/serve/cursor.rs"));
         assert!(!wall_clock_scope("crates/dbsynth/src/workflow.rs"));
-        assert!(!wall_clock_scope("crates/bench/src/lib.rs"));
+        assert!(wall_clock_scope("crates/bench/src/lib.rs"));
+        assert!(wall_clock_scope("crates/bench/src/bin/fig5_scaleup.rs"));
         assert!(hot_fmt_module("crates/pdgf-output/src/fmtfast.rs"));
         assert!(!hot_fmt_module("crates/pdgf-output/src/sink.rs"));
         assert!(panic_free_scope("crates/pdgf-output/src/sink.rs"));

@@ -19,6 +19,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+echo "== benchmark package: declared-metric and statistics tests"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== telemetry contract suite (byte identity, drop accounting, watchdog)"
 cargo test -q -p pdgf-runtime --test telemetry
 

@@ -42,7 +42,7 @@ fn node_sharding_is_transparent() {
     type TableBytes = std::collections::BTreeMap<String, Vec<u8>>;
     let collect = |nodes: usize| -> TableBytes {
         let sched = MetaScheduler::new(nodes, RunConfig::new().workers(2).package_rows(97));
-        let shared = std::sync::Arc::new(parking_lot::Mutex::new(TableBytes::new()));
+        let shared = std::sync::Arc::new(std::sync::Mutex::new(TableBytes::new()));
         let mut make = {
             let shared = shared.clone();
             move |table: &str, _: usize| -> std::io::Result<Box<dyn Sink>> {
@@ -56,7 +56,7 @@ fn node_sharding_is_transparent() {
         sched
             .run_cluster(rt, &CsvFormatter::new(), &mut make)
             .expect("cluster run");
-        let result = shared.lock().clone();
+        let result = shared.lock().expect("no sink panicked").clone();
         result
     };
 
@@ -68,7 +68,7 @@ fn node_sharding_is_transparent() {
 
 struct TableSink {
     table: String,
-    dest: std::sync::Arc<parking_lot::Mutex<std::collections::BTreeMap<String, Vec<u8>>>>,
+    dest: std::sync::Arc<std::sync::Mutex<std::collections::BTreeMap<String, Vec<u8>>>>,
     count: u64,
 }
 
@@ -76,6 +76,7 @@ impl Sink for TableSink {
     fn write_chunk(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         self.dest
             .lock()
+            .expect("no sink panicked")
             .entry(self.table.clone())
             .or_default()
             .extend_from_slice(bytes);
