@@ -9,16 +9,13 @@
 //! latencies.
 
 use std::io;
-use std::time::Instant;
 
 use pdgf_gen::SchemaRuntime;
 use pdgf_output::{Formatter, Sink, SinkFactory};
 
-use crate::metrics::MetricsSnapshot;
-use crate::monitor::Monitor;
 use crate::package::TableJob;
 use crate::scheduler::{run_project, RunConfig};
-use crate::telemetry::{Observability, Telemetry};
+use crate::telemetry::{mb_per_s, now_ns, seconds_since, MetricsSnapshot, Telemetry};
 
 /// Statistics for one generated table.
 #[derive(Debug, Clone)]
@@ -60,11 +57,7 @@ impl RunReport {
 
     /// Aggregate throughput in MB/s.
     pub fn throughput_mb_s(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.total_bytes() as f64 / 1e6 / self.seconds
-        } else {
-            0.0
-        }
+        mb_per_s(self.total_bytes(), self.seconds)
     }
 }
 
@@ -73,7 +66,6 @@ impl RunReport {
 pub struct GenerationRun<'rt> {
     rt: &'rt SchemaRuntime,
     config: RunConfig,
-    monitor: Option<Monitor>,
     telemetry: Option<Telemetry>,
 }
 
@@ -83,21 +75,14 @@ impl<'rt> GenerationRun<'rt> {
         Self {
             rt,
             config,
-            monitor: None,
             telemetry: None,
         }
     }
 
-    /// Attach a progress monitor.
-    pub fn with_monitor(mut self, monitor: Monitor) -> Self {
-        self.monitor = Some(monitor);
-        self
-    }
-
-    /// Attach a telemetry handle: the run publishes lifecycle/package
-    /// events to its bus, feeds its phase histograms, and is covered by
-    /// its stall watchdog. The resulting [`RunReport::metrics`] is
-    /// populated from it.
+    /// Attach a telemetry handle: the run bumps its progress counters,
+    /// publishes lifecycle/package events to its bus, feeds its phase
+    /// histograms, and is covered by its stall watchdog. The resulting
+    /// [`RunReport::metrics`] is populated from it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -117,8 +102,7 @@ impl<'rt> GenerationRun<'rt> {
         formatter: &dyn Formatter,
         mut factory: S,
     ) -> io::Result<RunReport> {
-        // audit:allow(wall-clock) run statistics only; never influences generated bytes
-        let started = Instant::now();
+        let started = now_ns();
         let tables = self.rt.tables();
         // Jobs enter the global package queue in the analyzer-derived
         // generation order (parents before children), so referenced
@@ -158,7 +142,7 @@ impl<'rt> GenerationRun<'rt> {
                 formatter,
                 &mut refs,
                 &self.config,
-                Observability::new(self.monitor.as_ref(), self.telemetry.as_ref()),
+                self.telemetry.as_ref(),
             )?
         };
         for sink in &mut sinks {
@@ -181,7 +165,7 @@ impl<'rt> GenerationRun<'rt> {
             .collect();
         Ok(RunReport {
             tables,
-            seconds: started.elapsed().as_secs_f64(),
+            seconds: seconds_since(started),
             metrics: self.telemetry.as_ref().map(|t| t.metrics()),
         })
     }
@@ -229,15 +213,16 @@ mod tests {
     #[test]
     fn monitor_tracks_whole_run() {
         let rt = runtime();
-        let monitor = Monitor::new();
+        let telemetry = Telemetry::new();
         let run = GenerationRun::new(&rt, RunConfig::new().workers(1).package_rows(64))
-            .with_monitor(monitor.clone());
+            .with_telemetry(telemetry.clone());
         let report = run.run(&CsvFormatter::new(), NullSinkFactory).unwrap();
-        assert_eq!(monitor.snapshot().rows, report.total_rows());
-        assert_eq!(monitor.snapshot().bytes, report.total_bytes());
-        // The monitor resolves progress per table as well.
-        assert_eq!(monitor.table_snapshot("a").unwrap().rows, 100);
-        assert_eq!(monitor.table_snapshot("b").unwrap().rows, 200);
+        assert_eq!(telemetry.progress().rows, report.total_rows());
+        assert_eq!(telemetry.progress().bytes, report.total_bytes());
+        // Progress resolves per table as well, in job order.
+        let tables = telemetry.table_progress();
+        assert_eq!((tables[0].table.as_str(), tables[0].rows), ("a", 100));
+        assert_eq!((tables[1].table.as_str(), tables[1].rows), ("b", 200));
     }
 
     #[test]

@@ -42,11 +42,10 @@ use pdgf_gen::{GenScratch, SchemaRuntime};
 use pdgf_output::{BufferPool, Formatter, ReorderBuffer, TableMeta};
 use pdgf_schema::ColumnBatch;
 
-use crate::metrics::{now_ns, PackageTimings, WorkerPhases};
 use crate::package::TableJob;
 use crate::scheduler::table_meta;
 use crate::sync::{AtomicBool, Condvar, Mutex, Ordering};
-use crate::telemetry::RunScope;
+use crate::telemetry::{now_ns, PackageTimings, RunScope, WorkerPhases};
 
 /// A shared value the core holds either way: borrowed for the span of a
 /// batch run, or reference-counted for a service whose threads outlive
@@ -273,7 +272,7 @@ impl<'a> Engine<'a> {
                 }
             };
             if !task.req.cancelled.load(Ordering::Relaxed) {
-                let pkg = self.render(&task.req, task.seq, &mut state, phases.as_deref());
+                let pkg = self.render(&task.req, task.seq, &mut state, phases);
                 self.deliver(&task.req, task.seq, pkg);
             }
             if let Some(scope) = &self.scope {

@@ -18,14 +18,12 @@
 //! * [`meta`] — the meta-scheduler: sharding a project across nodes,
 //! * [`update`] — the update black box: deterministic insert/update/
 //!   delete batches per abstract time unit,
-//! * [`monitor`] — live progress counters (the demo's Mission Control
-//!   substitute),
-//! * [`events`] — the structured run-event stream (bounded, never
-//!   blocking; a slow subscriber drops events, it cannot stall the run),
-//! * [`metrics`] — per-worker phase-latency histograms, utilization and
-//!   queue-depth sampling,
-//! * [`telemetry`] — the handle tying events + metrics + the stall
-//!   watchdog to a run ([`Observability`] attaches them),
+//! * [`telemetry`] — the one observer a run takes (the demo's Mission
+//!   Control substitute): progress counters, phase-latency histograms,
+//!   utilization, the stall watchdog, and the one clock they all read,
+//! * [`events`] — the structured run-event stream behind it (bounded,
+//!   never blocking; a slow subscriber drops events, it cannot stall the
+//!   run) and the JSON wire shapes,
 //! * [`serve`] — the on-the-fly row service: admission, model table
 //!   and statistics over a long-lived instance of the core, answering
 //!   row-range and point-lookup requests byte-identical to batch output,
@@ -38,8 +36,6 @@ pub mod driver;
 mod engine;
 pub mod events;
 pub mod meta;
-pub mod metrics;
-pub mod monitor;
 /// The row oracle the byte-identity unit tests compare the engine with.
 #[cfg(test)]
 #[path = "../../../tests/zoo/oracle.rs"]
@@ -87,12 +83,8 @@ mod testkit {
 pub mod update;
 
 pub use driver::{GenerationRun, RunReport, TableReport};
-pub use events::{EventBus, EventSubscriber, RunEvent, StampedEvent};
+pub use events::{EventSubscriber, RunEvent, StampedEvent};
 pub use meta::{MetaScheduler, NodeReport, NodeSinkFactory};
-pub use metrics::{
-    Histogram, HistogramSnapshot, MetricsSnapshot, PackageTimings, PhaseStats, QueueDepthStats,
-};
-pub use monitor::{Monitor, Snapshot, TableHandle, TableSnapshot};
 pub use package::{Framing, TableJob};
 pub use scheduler::{
     available_workers, generate_table_range, run_project, table_meta, RunConfig, TableRunStats,
@@ -100,5 +92,8 @@ pub use scheduler::{
 pub use serve::{
     Admitted, ResponseStream, RowRequest, RowService, ServeConfig, ServeStats, SubmitError,
 };
-pub use telemetry::{Observability, Telemetry, TelemetryConfig};
+pub use telemetry::{
+    MetricsSnapshot, PackageTimings, PhaseStats, QueueDepthStats, Snapshot, TableSnapshot,
+    Telemetry,
+};
 pub use update::{UpdateBatch, UpdateBlackBox, UpdateConfig, UpdateOp};

@@ -22,26 +22,22 @@
 //! start/end of the table, so concatenated shard outputs equal the
 //! single-node byte stream for CSV-with-header, XML, and SQL alike.
 //!
-//! Observability rides along without touching the bytes: a run accepts an
-//! [`Observability`] bundle (progress [`Monitor`](crate::Monitor) and/or
-//! [`Telemetry`](crate::Telemetry)). Phase timings travel with each
-//! delivered package and the output stage publishes run/job/package
-//! events — all copies of counters flowing outward, nothing flowing back
-//! into generation, so output stays a pure function of (schema, seed,
-//! format) with or without observers.
+//! Telemetry rides along without touching the bytes: a run accepts one
+//! optional [`Telemetry`]. Phase timings travel with each delivered
+//! package and the output stage bumps progress counters and publishes
+//! run/job/package events — all copies of counters flowing outward,
+//! nothing flowing back into generation, so output stays a pure function
+//! of (schema, seed, format) with or without an observer.
 
 use std::collections::VecDeque;
 use std::io;
-use std::time::Instant;
 
 use pdgf_gen::SchemaRuntime;
 use pdgf_output::{Formatter, Sink, TableMeta};
 
 use crate::engine::{Engine, Held, Package, StopOnDrop, Stream, WorkerState};
-use crate::metrics::now_ns;
-use crate::monitor::TableHandle;
 use crate::package::{Framing, TableJob};
-use crate::telemetry::{JobInfo, Observability, RunScope};
+use crate::telemetry::{mb_per_s, now_ns, seconds_since, RunScope, Telemetry};
 
 /// Scheduler configuration, built fluently and validated at set time:
 ///
@@ -133,11 +129,7 @@ pub struct TableRunStats {
 impl TableRunStats {
     /// Megabytes per second.
     pub fn throughput_mb_s(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.bytes as f64 / 1e6 / self.seconds
-        } else {
-            0.0
-        }
+        mb_per_s(self.bytes, self.seconds)
     }
 }
 
@@ -160,8 +152,7 @@ pub fn table_meta(rt: &SchemaRuntime, table: u32) -> TableMeta {
 /// exactly the single-node byte stream. Build a [`TableJob`] and call
 /// [`run_project`] for explicit control over framing.
 ///
-/// `obs` attaches observers: `None`, `&Monitor`, `&Telemetry`, or a full
-/// [`Observability`].
+/// `telemetry` attaches the run's observer: `None` or `&telemetry`.
 #[allow(clippy::too_many_arguments)] // the full coordinate set is the API
 pub fn generate_table_range<'a>(
     rt: &SchemaRuntime,
@@ -171,7 +162,7 @@ pub fn generate_table_range<'a>(
     formatter: &dyn Formatter,
     sink: &mut dyn Sink,
     cfg: &RunConfig,
-    obs: impl Into<Observability<'a>>,
+    telemetry: impl Into<Option<&'a Telemetry>>,
 ) -> io::Result<TableRunStats> {
     let size = rt.tables()[table as usize].size;
     let job = TableJob {
@@ -180,7 +171,7 @@ pub fn generate_table_range<'a>(
         framing: Framing::for_range(&rows, size),
         rows,
     };
-    let stats = run_project(rt, &[job], formatter, &mut [sink], cfg, obs)?;
+    let stats = run_project(rt, &[job], formatter, &mut [sink], cfg, telemetry)?;
     stats
         .into_iter()
         .next()
@@ -207,55 +198,32 @@ pub(crate) fn window(workers: usize) -> u64 {
 /// no worker outlives the call — an error on one table cannot deadlock
 /// workers that have moved on to the next.
 ///
-/// `obs` attaches observers: `None`, `&Monitor`, `&Telemetry`, or a full
-/// [`Observability`]. Observers see lifecycle events and counters; they
-/// cannot affect generated bytes.
+/// `telemetry` attaches the run's observer: `None` or `&telemetry`. It
+/// sees lifecycle events, counters and timings; it cannot affect
+/// generated bytes.
 pub fn run_project<'a>(
     rt: &SchemaRuntime,
     jobs: &[TableJob],
     formatter: &dyn Formatter,
     sinks: &mut [&mut dyn Sink],
     cfg: &RunConfig,
-    obs: impl Into<Observability<'a>>,
+    telemetry: impl Into<Option<&'a Telemetry>>,
 ) -> io::Result<Vec<TableRunStats>> {
     assert_eq!(jobs.len(), sinks.len(), "one sink per job");
-    let obs = obs.into();
-    // audit:allow(wall-clock) run statistics only; never influences generated bytes
-    let started = Instant::now();
-    let names = jobs
-        .iter()
-        .map(|j| rt.tables()[j.table as usize].name.as_str());
-
-    // Pre-register every job's table with the monitor so per-package
-    // recording is a direct handle bump, not a name scan under a lock.
-    // Registration order = job order, keeping first-seen order stable.
-    let handles: Option<Vec<TableHandle>> = obs
-        .monitor
-        .map(|m| names.clone().map(|n| m.register_table(n)).collect());
-    let scope: Option<RunScope> = obs.telemetry.map(|t| {
-        t.begin_run(
-            jobs.iter()
-                .zip(names)
-                .map(|(j, n)| JobInfo::new(n.to_string(), j.rows.end.saturating_sub(j.rows.start)))
-                .collect(),
-            cfg.workers,
-        )
+    let started = now_ns();
+    let scope: Option<RunScope> = telemetry.into().map(|t| {
+        let jobs = jobs.iter().map(|j| {
+            let table = rt.tables()[j.table as usize].name.as_str();
+            (table, j.rows.end.saturating_sub(j.rows.start))
+        });
+        t.begin_run(jobs, cfg.workers)
     });
 
     // Written buffers return to the engine's pool and workers take them
     // back out; sized past the window so a full pipeline keeps recycling.
     let idle_buffers = window(cfg.workers) as usize + cfg.workers + 1;
     let mut engine = Engine::new(cfg.package_rows, idle_buffers, scope);
-    let (result, stats) = run_jobs(
-        &engine,
-        rt,
-        jobs,
-        formatter,
-        sinks,
-        cfg.workers,
-        handles,
-        started,
-    );
+    let (result, stats) = run_jobs(&engine, rt, jobs, formatter, sinks, cfg.workers, started);
 
     if let Some(scope) = engine.scope.take() {
         // Success or failure, the scope closes with a terminal
@@ -264,7 +232,7 @@ pub fn run_project<'a>(
         // (on errors: the `SinkError` from the output stage, then this).
         let rows = stats.iter().map(|s| s.rows).sum();
         let bytes = stats.iter().map(|s| s.bytes).sum();
-        scope.finish(rows, bytes, started.elapsed().as_secs_f64());
+        scope.finish(rows, bytes, seconds_since(started));
     }
     result?;
     Ok(stats)
@@ -273,7 +241,6 @@ pub fn run_project<'a>(
 /// Run `jobs` on `engine` with `workers` scoped worker threads (0 =
 /// render on this thread). Returns the per-job statistics of whatever
 /// was written next to the run's outcome.
-#[allow(clippy::too_many_arguments)] // run_project's arguments plus the engine
 fn run_jobs<'a>(
     engine: &Engine<'a>,
     rt: &'a SchemaRuntime,
@@ -281,13 +248,11 @@ fn run_jobs<'a>(
     formatter: &'a dyn Formatter,
     sinks: &mut [&mut dyn Sink],
     workers: usize,
-    handles: Option<Vec<TableHandle>>,
-    started: Instant,
+    started: u64,
 ) -> (io::Result<()>, Vec<TableRunStats>) {
     let mut out = Output {
         sinks,
         stats: vec![TableRunStats::default(); jobs.len()],
-        handles,
         scope: engine.scope.as_ref(),
         started,
     };
@@ -331,7 +296,7 @@ fn render_inline<'a>(
             scope.work_queued(req.total_packages());
         }
         for seq in 0..req.total_packages() {
-            let pkg = engine.render(req, seq, &mut state, phases.as_deref());
+            let pkg = engine.render(req, seq, &mut state, phases);
             let written = out.write(idx, seq, &pkg);
             engine.buffers.put(pkg.bytes);
             written?;
@@ -398,16 +363,14 @@ fn drain_streams<'a>(
 }
 
 /// The output stage: the run's sinks and statistics plus its (optional)
-/// observers. Every hook runs on the calling thread, so the order of
-/// published events matches the order sinks observe writes.
+/// telemetry scope. Every hook runs on the calling thread, so the order
+/// of published events matches the order sinks observe writes.
 struct Output<'r, 's> {
     sinks: &'r mut [&'s mut dyn Sink],
     stats: Vec<TableRunStats>,
-    /// Per-job monitor handles, pre-registered at run start so the
-    /// per-package path indexes directly instead of scanning by name.
-    handles: Option<Vec<TableHandle>>,
     scope: Option<&'r RunScope>,
-    started: Instant,
+    /// [`now_ns`] at run start.
+    started: u64,
 }
 
 impl Output<'_, '_> {
@@ -433,9 +396,6 @@ impl Output<'_, '_> {
         let bytes = pkg.bytes.len() as u64;
         self.stats[idx].rows += pkg.rows;
         self.stats[idx].bytes += bytes;
-        if let Some(handles) = &self.handles {
-            handles[idx].record_package(pkg.rows, bytes);
-        }
         if let (Some(scope), Some(w0)) = (self.scope, write_started) {
             let mut timings = pkg.timings;
             timings.write_ns = now_ns().saturating_sub(w0);
@@ -448,7 +408,7 @@ impl Output<'_, '_> {
     /// when its last package is written — or immediately for jobs with no
     /// packages.
     fn finish_job(&mut self, idx: usize) {
-        self.stats[idx].seconds = self.started.elapsed().as_secs_f64();
+        self.stats[idx].seconds = seconds_since(self.started);
         if let Some(scope) = self.scope {
             // Jobs that wrote no bytes have not announced themselves yet;
             // `job_started` is idempotent.
@@ -466,7 +426,6 @@ mod tests {
 
     use pdgf_output::{CsvFormatter, JsonFormatter, MemorySink, SqlFormatter, XmlFormatter};
 
-    use crate::monitor::Monitor;
     use crate::oracle::oracle_bytes;
     use crate::testkit::{runtime, runtime_of};
 
@@ -713,7 +672,7 @@ mod tests {
     #[test]
     fn monitor_sees_all_rows_and_bytes() {
         let rt = runtime(1000);
-        let monitor = Monitor::new();
+        let telemetry = Telemetry::new();
         let mut sink = MemorySink::new();
         generate_table_range(
             &rt,
@@ -723,23 +682,25 @@ mod tests {
             &CsvFormatter::new(),
             &mut sink,
             &RunConfig::new().workers(3).package_rows(64),
-            Some(&monitor),
+            &telemetry,
         )
         .unwrap();
-        let snap = monitor.snapshot();
+        let snap = telemetry.progress();
         assert_eq!(snap.rows, 1000);
         assert_eq!(snap.bytes, sink.bytes_written());
         assert!(snap.packages >= 1000 / 64);
         // Per-table counters agree with the aggregate for a one-table run.
-        let t = monitor.table_snapshot("t").expect("table t recorded");
-        assert_eq!(t.rows, 1000);
-        assert_eq!(t.bytes, snap.bytes);
+        let tables = telemetry.table_progress();
+        assert_eq!(tables.len(), 1);
+        assert_eq!(tables[0].table, "t");
+        assert_eq!(tables[0].rows, 1000);
+        assert_eq!(tables[0].bytes, snap.bytes);
     }
 
     #[test]
     fn monitor_tracks_headers_and_tables_separately() {
         let rt = multi_runtime(&[100, 300]);
-        let monitor = Monitor::new();
+        let telemetry = Telemetry::new();
         let jobs = [TableJob::full_table(0, 100), TableJob::full_table(1, 300)];
         let mut s0 = MemorySink::new();
         let mut s1 = MemorySink::new();
@@ -751,17 +712,18 @@ mod tests {
                 &CsvFormatter::new().with_header(),
                 &mut refs,
                 &RunConfig::new().workers(2).package_rows(32),
-                Some(&monitor),
+                &telemetry,
             )
             .unwrap();
         }
-        let t0 = monitor.table_snapshot("t0").expect("t0 recorded");
-        let t1 = monitor.table_snapshot("t1").expect("t1 recorded");
+        let tables = telemetry.table_progress();
+        let (t0, t1) = (&tables[0], &tables[1]);
+        assert_eq!((t0.table.as_str(), t1.table.as_str()), ("t0", "t1"));
         assert_eq!(t0.rows, 100);
         assert_eq!(t1.rows, 300);
         assert_eq!(t0.bytes, s0.bytes_written(), "header bytes included");
         assert_eq!(t1.bytes, s1.bytes_written());
-        let snap = monitor.snapshot();
+        let snap = telemetry.progress();
         assert_eq!(snap.rows, 400);
         assert_eq!(snap.bytes, s0.bytes_written() + s1.bytes_written());
     }
@@ -935,9 +897,9 @@ mod tests {
     impl Sink for GaugingSink {
         fn write_chunk(&mut self, _bytes: &[u8]) -> io::Result<()> {
             if !self.gate_passed.swap(true, Ordering::SeqCst) {
-                let deadline = Instant::now() + std::time::Duration::from_secs(30);
+                let deadline = now_ns() + 30_000_000_000;
                 while self.buffers.outstanding() < self.window {
-                    assert!(Instant::now() < deadline, "pool never filled its window");
+                    assert!(now_ns() < deadline, "pool never filled its window");
                     std::thread::yield_now();
                 }
                 std::thread::sleep(std::time::Duration::from_millis(30));
@@ -982,8 +944,7 @@ mod tests {
             &formatter,
             &mut refs,
             workers,
-            None,
-            Instant::now(),
+            now_ns(),
         );
         result.unwrap();
         assert!(
@@ -1048,16 +1009,7 @@ mod tests {
             rendered: AtomicU64::new(0),
         };
         let engine = Engine::new(100, 16, None);
-        let (result, stats) = run_jobs(
-            &engine,
-            &rt,
-            &jobs,
-            &formatter,
-            &mut refs,
-            2,
-            None,
-            Instant::now(),
-        );
+        let (result, stats) = run_jobs(&engine, &rt, &jobs, &formatter, &mut refs, 2, now_ns());
         assert_eq!(result.unwrap_err().to_string(), "disk full");
         assert_eq!(stats[0].rows, 20_000, "job 0 completed before the failure");
         assert_eq!((stats[1].rows, stats[2].rows), (0, 0));

@@ -53,9 +53,8 @@ use pdgf_output::Formatter;
 
 use crate::engine::{Engine, Held, Stream};
 use crate::events::RunEvent;
-use crate::metrics::{now_ns, Histogram, PhaseStats};
 use crate::package::{Framing, TableJob};
-use crate::telemetry::{JobInfo, Telemetry};
+use crate::telemetry::{now_ns, seconds_since, Histogram, PhaseStats, Telemetry};
 
 /// Tuning knobs for a [`RowService`], built fluently like
 /// [`RunConfig`](crate::RunConfig):
@@ -274,7 +273,7 @@ struct StatsInner {
 impl StatsInner {
     fn snapshot(&self, started_ns: u64) -> ServeStats {
         let completed = self.completed.load(Ordering::Relaxed);
-        let uptime_seconds = now_ns().saturating_sub(started_ns) as f64 / 1e9;
+        let uptime_seconds = seconds_since(started_ns);
         ServeStats {
             requests: self.requests.load(Ordering::Relaxed),
             completed,
@@ -313,7 +312,7 @@ struct ServiceShared {
 }
 
 impl ServiceShared {
-    fn publish(&self, event: RunEvent) {
+    fn publish(&self, event: impl FnOnce() -> RunEvent) {
         if let Some(t) = &self.telemetry {
             t.publish(event);
         }
@@ -361,12 +360,7 @@ impl RowService {
             !models.is_empty(),
             "RowService::with_models needs at least one model"
         );
-        let scope = telemetry.map(|t| {
-            t.begin_run(
-                vec![JobInfo::new("<serve>".to_string(), 0)],
-                cfg.workers.max(1),
-            )
-        });
+        let scope = telemetry.map(|t| t.begin_run([("<serve>", 0)], cfg.workers));
         let models = models
             .into_iter()
             .map(|(name, rt)| ModelSlot {
@@ -494,7 +488,7 @@ impl RowService {
             for stats in shared.stats_for(request.model) {
                 stats.rejected.fetch_add(1, Ordering::Relaxed);
             }
-            shared.publish(RunEvent::RequestFailed {
+            shared.publish(|| RunEvent::RequestFailed {
                 request: 0,
                 message: err.to_string(),
             });
@@ -554,11 +548,14 @@ impl RowService {
         for stats in shared.stats_for(request.model) {
             stats.requests.fetch_add(1, Ordering::Relaxed);
         }
-        shared.publish(RunEvent::RequestStarted {
+        shared.publish(|| RunEvent::RequestStarted {
             request: id,
             table: table.name.clone(),
             rows: span,
         });
+        // Stamped before the first ticket goes out: a worker woken by
+        // `issue` can finish a small request before this thread runs again.
+        let started_ns = now_ns();
         stream.issue(&shared.engine, shared.window);
         let finished = stream.is_exhausted();
         let stream = ResponseStream {
@@ -568,7 +565,7 @@ impl RowService {
             model: request.model,
             rows: 0,
             bytes: 0,
-            started_ns: now_ns(),
+            started_ns,
             finished,
         };
         Ok(Admitted { stream, resume_at })
@@ -660,14 +657,14 @@ impl RowService {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if self.shared.telemetry.is_some() {
+        self.shared.publish(|| {
             let s = self.stats();
-            self.shared.publish(RunEvent::RunFinished {
+            RunEvent::RunFinished {
                 rows: s.rows,
                 bytes: s.bytes,
                 seconds: s.uptime_seconds,
-            });
-        }
+            }
+        });
     }
 }
 
@@ -737,7 +734,7 @@ impl ResponseStream {
                 stats.bytes.fetch_add(self.bytes, Ordering::Relaxed);
                 stats.latency.record(latency_ns);
             }
-            self.shared.publish(RunEvent::RequestFinished {
+            self.shared.publish(|| RunEvent::RequestFinished {
                 request: self.id,
                 rows: self.rows,
                 bytes: self.bytes,
@@ -753,7 +750,7 @@ impl ResponseStream {
         for stats in self.shared.stats_for(self.model) {
             stats.aborted.fetch_add(1, Ordering::Relaxed);
         }
-        self.shared.publish(RunEvent::RequestFailed {
+        self.shared.publish(|| RunEvent::RequestFailed {
             request: self.id,
             message: message.to_string(),
         });
@@ -781,9 +778,7 @@ mod tests {
     use super::*;
     use crate::oracle::oracle_bytes;
     use crate::scheduler::{generate_table_range, RunConfig};
-    use crate::telemetry::TelemetryConfig;
     use pdgf_output::{CsvFormatter, JsonFormatter, MemorySink, SqlFormatter, XmlFormatter};
-    use std::time::Duration;
 
     fn runtime(rows: u64) -> Arc<SchemaRuntime> {
         Arc::new(crate::testkit::runtime(rows))
@@ -978,10 +973,7 @@ mod tests {
     #[test]
     fn request_events_and_stats_flow_through_telemetry() {
         let rt = runtime(200);
-        let telemetry = Telemetry::with_config(TelemetryConfig {
-            stall_timeout: Duration::from_secs(10),
-            bus_capacity: 256,
-        });
+        let telemetry = Telemetry::new();
         let sub = telemetry.subscribe();
         let mut service = RowService::new(
             Arc::clone(&rt),

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_output::{CsvFormatter, MemorySinkFactory, NullSink, Sink};
-use pdgf_runtime::{GenerationRun, RunConfig, RunEvent, Telemetry, TelemetryConfig};
+use pdgf_runtime::{GenerationRun, RunConfig, RunEvent, Telemetry};
 use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
 fn runtime() -> SchemaRuntime {
@@ -90,21 +90,22 @@ fn bytes_identical_with_and_without_subscriber() {
 #[test]
 fn slow_subscriber_drops_exactly_the_shortfall() {
     let rt = runtime();
-    let capacity = 4usize;
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        bus_capacity: capacity,
-        // Effectively disable the watchdog so StallDetected can't add
-        // nondeterministic publishes.
-        stall_timeout: Duration::from_secs(3600),
-    });
+    let capacity = Telemetry::BUS_CAPACITY;
+    // Effectively disable the watchdog so StallDetected can't add
+    // nondeterministic publishes.
+    let telemetry = Telemetry::with_stall_timeout(Duration::from_secs(3600));
     let subscriber = telemetry.subscribe();
 
-    let package_rows = 64u64;
-    let factory = MemorySinkFactory::new();
-    GenerationRun::new(&rt, RunConfig::new().workers(2).package_rows(package_rows))
-        .with_telemetry(telemetry.clone())
-        .run(&CsvFormatter::new(), factory)
-        .unwrap();
+    // One-row packages, three runs on the one handle: 1,668 events
+    // against the bus's 1,024 slots.
+    let package_rows = 1u64;
+    let runs = 3u64;
+    for _ in 0..runs {
+        GenerationRun::new(&rt, RunConfig::new().workers(2).package_rows(package_rows))
+            .with_telemetry(telemetry.clone())
+            .run(&CsvFormatter::new(), MemorySinkFactory::new())
+            .unwrap();
+    }
     telemetry.close();
 
     let mut received = 0u64;
@@ -113,14 +114,15 @@ fn slow_subscriber_drops_exactly_the_shortfall() {
     }
     assert_eq!(received as usize, capacity, "bus held exactly its capacity");
 
-    // RunStarted + per-job Started/Finished + one PackageCompleted per
-    // package + RunFinished.
+    // Per run: RunStarted + per-job Started/Finished + one
+    // PackageCompleted per package + RunFinished.
     let packages: u64 = rt
         .tables()
         .iter()
         .map(|t| t.size.div_ceil(package_rows))
         .sum();
-    let expected = 1 + 2 * rt.tables().len() as u64 + packages + 1;
+    let expected = runs * (1 + 2 * rt.tables().len() as u64 + packages + 1);
+    assert!(expected > capacity as u64, "the bus must overflow");
     assert_eq!(subscriber.published(), expected);
     assert_eq!(
         received + subscriber.dropped(),
@@ -159,10 +161,7 @@ impl Sink for WedgedSink {
 /// the run completes normally.
 #[test]
 fn watchdog_names_the_wedged_table() {
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        bus_capacity: 1024,
-        stall_timeout: Duration::from_millis(50),
-    });
+    let telemetry = Telemetry::with_stall_timeout(Duration::from_millis(50));
     let subscriber = telemetry.subscribe();
     let (release_tx, release_rx) = mpsc::channel::<()>();
 
@@ -248,10 +247,7 @@ impl Sink for FailingSink {
 #[test]
 fn failed_run_still_publishes_terminal_run_finished() {
     let rt = runtime();
-    let telemetry = Telemetry::with_config(TelemetryConfig {
-        bus_capacity: 1024,
-        stall_timeout: Duration::from_secs(3600),
-    });
+    let telemetry = Telemetry::with_stall_timeout(Duration::from_secs(3600));
     let subscriber = telemetry.subscribe();
     let factory = |table: &str| -> io::Result<Box<dyn Sink>> {
         if table == "b" {

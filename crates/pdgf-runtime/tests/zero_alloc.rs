@@ -13,7 +13,7 @@ use std::sync::{Mutex, PoisonError};
 
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_output::{CsvFormatter, NullSink};
-use pdgf_runtime::{generate_table_range, RunConfig};
+use pdgf_runtime::{generate_table_range, RunConfig, Telemetry};
 use pdgf_schema::model::DateFormat;
 use pdgf_schema::{Date, Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
@@ -107,6 +107,15 @@ fn runtime(rows: u64) -> SchemaRuntime {
 }
 
 fn generate(rt: &SchemaRuntime, workers: usize, package_rows: u64) -> u64 {
+    generate_with(rt, workers, package_rows, None)
+}
+
+fn generate_with(
+    rt: &SchemaRuntime,
+    workers: usize,
+    package_rows: u64,
+    telemetry: Option<&Telemetry>,
+) -> u64 {
     let mut sink = NullSink::new();
     let stats = generate_table_range(
         rt,
@@ -116,7 +125,7 @@ fn generate(rt: &SchemaRuntime, workers: usize, package_rows: u64) -> u64 {
         &CsvFormatter::new(),
         &mut sink,
         &RunConfig::new().workers(workers).package_rows(package_rows),
-        None,
+        telemetry,
     )
     .unwrap();
     stats.rows
@@ -164,4 +173,31 @@ fn csv_parallel_path_does_not_allocate_per_package() {
         "parallel CSV path allocates per package: {base} allocs for 16 packages, \
          {grown} for 80 (delta {delta})"
     );
+}
+
+/// `--progress` rides on a `Telemetry` nobody subscribes to: progress
+/// counters, histograms and the watchdog stamp are atomics, and an event
+/// is not built without a subscriber, so attaching the handle to a
+/// 400-package run may only add the scope's set-up (registry, worker
+/// slots, the watchdog thread) — never an allocation per package (it
+/// used to: one table-name `String` per `PackageCompleted`).
+#[test]
+fn unsubscribed_telemetry_does_not_allocate_per_package() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let rt = runtime(40_000);
+    let telemetry = Telemetry::new();
+    generate_with(&rt, 0, 100, Some(&telemetry));
+
+    let bare = allocations_during(|| assert_eq!(generate(&rt, 0, 100), 40_000));
+    let observed =
+        allocations_during(|| assert_eq!(generate_with(&rt, 0, 100, Some(&telemetry)), 40_000));
+
+    let delta = observed.saturating_sub(bare);
+    assert!(
+        delta < 64,
+        "unsubscribed telemetry allocates per package: {bare} allocs for 400 packages \
+         without it, {observed} with it (delta {delta})"
+    );
+    assert_eq!(telemetry.progress().rows, 2 * 40_000);
+    assert_eq!(telemetry.dropped_events(), 0, "nothing was published");
 }

@@ -41,7 +41,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pdgf::runtime::{Monitor, PhaseStats, ServeConfig, Telemetry};
+use pdgf::runtime::meta::node_shard;
+use pdgf::runtime::{ServeConfig, Telemetry};
 use pdgf::{
     FetchRequest, ModelRegistry, OutputFormat, Pdgf, PdgfError, ServeClient, Server, ServerOptions,
 };
@@ -283,16 +284,16 @@ fn main() -> ExitCode {
 
 /// Spawn the `--progress` ticker: a single `\r`-refreshing status line on
 /// stderr with percent done, rows, throughput and an ETA extrapolated
-/// from the monitor's elapsed time and row fraction.
+/// from the telemetry's elapsed time and row fraction.
 fn spawn_progress_ticker(
-    monitor: Monitor,
+    telemetry: Telemetry,
     total_rows: u64,
     stop: Arc<AtomicBool>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         while !stop.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_millis(200));
-            let s = monitor.snapshot();
+            let s = telemetry.progress();
             let pct = if total_rows > 0 {
                 100.0 * s.rows as f64 / total_rows as f64
             } else {
@@ -312,47 +313,34 @@ fn spawn_progress_ticker(
     })
 }
 
-fn phase_json(p: &PhaseStats) -> String {
-    format!(
-        "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-        p.count, p.mean_ns, p.p50_ns, p.p95_ns, p.p99_ns
-    )
-}
-
+/// `generate`: the whole project, or — with `--node i --nodes N` — this
+/// node's shard of it. Either run takes the one telemetry handle that
+/// `--progress` and `--metrics-out` read.
 fn cmd_generate(args: &Args) -> Result<(), PdgfError> {
     let project = build_project(args)?;
     let out = args
         .out
         .as_ref()
         .ok_or_else(|| PdgfError::Config("--out is required for generate".into()))?;
-    if args.nodes > 1 || args.node > 0 {
-        if args.progress || args.metrics_out.is_some() {
-            eprintln!(
-                "note: --progress and --metrics-out apply to whole-project runs; \
-                 ignored in shard mode"
-            );
-        }
-        let report = project.generate_shard_to_dir(out, args.format, args.node, args.nodes)?;
-        println!(
-            "node {}/{}: {} rows, {:.2} MB in {:.2} s ({:.1} MB/s)",
-            report.node,
-            args.nodes,
-            report.rows,
-            report.bytes as f64 / 1e6,
-            report.seconds,
-            report.throughput_mb_s()
-        );
-        return Ok(());
-    }
+    // The rows this node generates: every table's shard (the whole table
+    // for `--node 0 --nodes 1`; an out-of-range pair is rejected below).
+    let shard_rows = |size: u64| {
+        let shard = node_shard(size, args.node, args.nodes);
+        shard.end - shard.start
+    };
+    let total_rows: u64 = if args.node < args.nodes {
+        let tables = project.runtime().tables();
+        tables.iter().map(|t| shard_rows(t.size)).sum()
+    } else {
+        0
+    };
 
-    let total_rows: u64 = project.runtime().tables().iter().map(|t| t.size).sum();
-    let monitor = args.progress.then(Monitor::new);
+    let telemetry = (args.progress || args.metrics_out.is_some()).then(Telemetry::new);
     let stop = Arc::new(AtomicBool::new(false));
-    let ticker = monitor
+    let ticker = telemetry
         .clone()
-        .map(|m| spawn_progress_ticker(m, total_rows, Arc::clone(&stop)));
-
-    let telemetry = args.metrics_out.as_ref().map(|_| Telemetry::new());
+        .filter(|_| args.progress)
+        .map(|t| spawn_progress_ticker(t, total_rows, Arc::clone(&stop)));
     let writer = telemetry.as_ref().and_then(|t| {
         let path = args.metrics_out.clone()?;
         let subscriber = t.subscribe();
@@ -367,7 +355,44 @@ fn cmd_generate(args: &Args) -> Result<(), PdgfError> {
         ))
     });
 
-    let result = project.generate_to_dir_observed(out, args.format, monitor, telemetry.clone());
+    let summary = if args.nodes > 1 || args.node > 0 {
+        project
+            .generate_shard_to_dir(out, args.format, args.node, args.nodes, telemetry.as_ref())
+            .map(|report| {
+                format!(
+                    "node {}/{}: {} rows, {:.2} MB in {:.2} s ({:.1} MB/s)\n",
+                    report.node,
+                    args.nodes,
+                    report.rows,
+                    report.bytes as f64 / 1e6,
+                    report.seconds,
+                    report.throughput_mb_s()
+                )
+            })
+    } else {
+        project
+            .generate_to_dir(out, args.format, telemetry.as_ref())
+            .map(|report| {
+                let mut text = String::new();
+                for t in &report.tables {
+                    text.push_str(&format!(
+                        "{:<16} {:>12} rows {:>14.2} MB {:>10.2} s\n",
+                        t.table,
+                        t.rows,
+                        t.bytes as f64 / 1e6,
+                        t.seconds
+                    ));
+                }
+                text.push_str(&format!(
+                    "total: {} rows, {:.2} MB in {:.2} s ({:.1} MB/s)\n",
+                    report.total_rows(),
+                    report.total_bytes() as f64 / 1e6,
+                    report.seconds,
+                    report.throughput_mb_s()
+                ));
+                text
+            })
+    };
 
     stop.store(true, Ordering::Relaxed);
     if let Some(t) = ticker {
@@ -376,47 +401,16 @@ fn cmd_generate(args: &Args) -> Result<(), PdgfError> {
     }
     if let Some(t) = &telemetry {
         t.close();
-    }
-    if let Some(w) = writer {
-        let mut file = w
-            .join()
-            .map_err(|_| PdgfError::Config("metrics writer thread panicked".into()))??;
-        // One trailing summary record so the file is self-contained.
-        let t = telemetry.as_ref().expect("writer implies telemetry");
-        let m = t.metrics();
-        writeln!(
-            file,
-            "{{\"event\":\"metrics_snapshot\",\"utilization\":{:.4},\
-             \"dropped_events\":{},\"generate\":{},\"format\":{},\"write\":{},\
-             \"queue_depth\":{{\"samples\":{},\"max\":{},\"mean\":{}}}}}",
-            m.utilization,
-            m.dropped_events,
-            phase_json(&m.generate),
-            phase_json(&m.format),
-            phase_json(&m.write),
-            m.queue_depth.samples,
-            m.queue_depth.max,
-            m.queue_depth.mean,
-        )?;
+        if let Some(w) = writer {
+            let mut file = w
+                .join()
+                .map_err(|_| PdgfError::Config("metrics writer thread panicked".into()))??;
+            // One trailing summary record so the file is self-contained.
+            writeln!(file, "{}", t.metrics().to_json())?;
+        }
     }
 
-    let report = result?;
-    for t in &report.tables {
-        println!(
-            "{:<16} {:>12} rows {:>14.2} MB {:>10.2} s",
-            t.table,
-            t.rows,
-            t.bytes as f64 / 1e6,
-            t.seconds
-        );
-    }
-    println!(
-        "total: {} rows, {:.2} MB in {:.2} s ({:.1} MB/s)",
-        report.total_rows(),
-        report.total_bytes() as f64 / 1e6,
-        report.seconds,
-        report.throughput_mb_s()
-    );
+    print!("{}", summary?);
     Ok(())
 }
 

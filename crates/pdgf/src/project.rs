@@ -10,9 +10,7 @@ use pdgf_output::{
     CsvFormatter, DirSinkFactory, FileSink, Formatter, JsonFormatter, MemorySink, NullSinkFactory,
     Sink, SqlFormatter, XmlFormatter,
 };
-use pdgf_runtime::{
-    GenerationRun, MetaScheduler, Monitor, NodeReport, RunConfig, RunReport, Telemetry,
-};
+use pdgf_runtime::{GenerationRun, MetaScheduler, NodeReport, RunConfig, RunReport, Telemetry};
 use pdgf_schema::config as xmlconfig;
 use pdgf_schema::{absint, lineage, Schema, Value};
 
@@ -460,36 +458,28 @@ impl PdgfProject {
         &self.config
     }
 
-    /// Generate every table into `dir` as `<table>.<ext>` files.
+    /// A whole-project run, observed by `telemetry` when given.
+    fn run(&self, telemetry: Option<&Telemetry>) -> GenerationRun<'_> {
+        let run = GenerationRun::new(&self.runtime, self.config.clone());
+        match telemetry {
+            Some(t) => run.with_telemetry(t.clone()),
+            None => run,
+        }
+    }
+
+    /// Generate every table into `dir` as `<table>.<ext>` files. An
+    /// attached [`Telemetry`] sees live progress, the event stream and
+    /// phase-latency metrics (populating [`RunReport::metrics`]), and its
+    /// stall watchdog covers the run.
     pub fn generate_to_dir(
         &self,
         dir: impl AsRef<Path>,
         format: OutputFormat,
-    ) -> Result<RunReport, PdgfError> {
-        self.generate_to_dir_observed(dir, format, None, None)
-    }
-
-    /// [`generate_to_dir`](Self::generate_to_dir) with optional observers
-    /// attached: a [`Monitor`] for live progress counters and/or a
-    /// [`Telemetry`] for the event stream, phase-latency metrics and the
-    /// stall watchdog (populating [`RunReport::metrics`]).
-    pub fn generate_to_dir_observed(
-        &self,
-        dir: impl AsRef<Path>,
-        format: OutputFormat,
-        monitor: Option<Monitor>,
-        telemetry: Option<Telemetry>,
+        telemetry: Option<&Telemetry>,
     ) -> Result<RunReport, PdgfError> {
         let formatter = format.formatter();
         let factory = DirSinkFactory::new(dir.as_ref(), format.extension());
-        let mut run = GenerationRun::new(&self.runtime, self.config.clone());
-        if let Some(m) = monitor {
-            run = run.with_monitor(m);
-        }
-        if let Some(t) = telemetry {
-            run = run.with_telemetry(t);
-        }
-        Ok(run.run(formatter.as_ref(), factory)?)
+        Ok(self.run(telemetry).run(formatter.as_ref(), factory)?)
     }
 
     /// Generate this node's shard of every table into `dir` — the
@@ -497,13 +487,15 @@ impl PdgfProject {
     /// model with a `(node, nodes)` pair and no communication. Shards are
     /// written as `<table>.part<node>.<ext>`; concatenating the part
     /// files in node order reproduces the single-node files byte for
-    /// byte, framing (CSV headers, XML document tags) included.
+    /// byte, framing (CSV headers, XML document tags) included. A shard
+    /// run takes a [`Telemetry`] like any other.
     pub fn generate_shard_to_dir(
         &self,
         dir: impl AsRef<Path>,
         format: OutputFormat,
         node: usize,
         nodes: usize,
+        telemetry: Option<&Telemetry>,
     ) -> Result<NodeReport, PdgfError> {
         if nodes == 0 {
             return Err(PdgfError::Config("need at least one node".into()));
@@ -523,31 +515,21 @@ impl PdgfProject {
             Ok(Box::new(FileSink::create(path)?))
         };
         let sched = MetaScheduler::new(nodes, self.config.clone());
-        Ok(sched.run_node(&self.runtime, node, formatter.as_ref(), &mut make)?)
+        Ok(sched.run_node(
+            &self.runtime,
+            node,
+            formatter.as_ref(),
+            &mut make,
+            telemetry,
+        )?)
     }
 
     /// Generate every table into counting null sinks — the CPU-bound
     /// configuration of the paper's experiments.
-    pub fn generate_to_null(&self, monitor: Option<Monitor>) -> Result<RunReport, PdgfError> {
-        self.generate_to_null_observed(monitor, None)
-    }
-
-    /// [`generate_to_null`](Self::generate_to_null) with an optional
-    /// [`Telemetry`] attached as well.
-    pub fn generate_to_null_observed(
-        &self,
-        monitor: Option<Monitor>,
-        telemetry: Option<Telemetry>,
-    ) -> Result<RunReport, PdgfError> {
-        let formatter = CsvFormatter::new();
-        let mut run = GenerationRun::new(&self.runtime, self.config.clone());
-        if let Some(m) = monitor {
-            run = run.with_monitor(m);
-        }
-        if let Some(t) = telemetry {
-            run = run.with_telemetry(t);
-        }
-        Ok(run.run(&formatter, NullSinkFactory)?)
+    pub fn generate_to_null(&self, telemetry: Option<&Telemetry>) -> Result<RunReport, PdgfError> {
+        Ok(self
+            .run(telemetry)
+            .run(&CsvFormatter::new(), NullSinkFactory)?)
     }
 
     /// Render one table to a string (testing and previews).
@@ -743,7 +725,9 @@ mod tests {
     fn generate_to_dir_writes_files() {
         let dir = std::env::temp_dir().join(format!("pdgf-facade-{}", std::process::id()));
         let project = Pdgf::from_schema(schema()).workers(2).build().unwrap();
-        let report = project.generate_to_dir(&dir, OutputFormat::Csv).unwrap();
+        let report = project
+            .generate_to_dir(&dir, OutputFormat::Csv, None)
+            .unwrap();
         assert_eq!(report.total_rows(), 50);
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(content.lines().count(), 50);
@@ -757,7 +741,9 @@ mod tests {
         let project = Pdgf::from_schema(schema()).workers(2).build().unwrap();
 
         let whole = base.join("whole");
-        project.generate_to_dir(&whole, OutputFormat::Csv).unwrap();
+        project
+            .generate_to_dir(&whole, OutputFormat::Csv, None)
+            .unwrap();
         let reference = std::fs::read(whole.join("t.csv")).unwrap();
 
         let shards = base.join("shards");
@@ -765,7 +751,7 @@ mod tests {
         let mut rows = 0;
         for node in 0..3 {
             let report = project
-                .generate_shard_to_dir(&shards, OutputFormat::Csv, node, 3)
+                .generate_shard_to_dir(&shards, OutputFormat::Csv, node, 3, None)
                 .unwrap();
             rows += report.rows;
             concat.extend(std::fs::read(shards.join(format!("t.part{node}.csv"))).unwrap());
@@ -774,7 +760,7 @@ mod tests {
         assert_eq!(concat, reference);
 
         assert!(project
-            .generate_shard_to_dir(&shards, OutputFormat::Csv, 3, 3)
+            .generate_shard_to_dir(&shards, OutputFormat::Csv, 3, 3, None)
             .is_err());
         std::fs::remove_dir_all(&base).ok();
     }
@@ -782,10 +768,10 @@ mod tests {
     #[test]
     fn generate_to_null_reports_bytes() {
         let project = Pdgf::from_schema(schema()).workers(2).build().unwrap();
-        let monitor = Monitor::new();
-        let report = project.generate_to_null(Some(monitor.clone())).unwrap();
+        let telemetry = Telemetry::new();
+        let report = project.generate_to_null(Some(&telemetry)).unwrap();
         assert_eq!(report.total_rows(), 50);
-        assert_eq!(monitor.snapshot().bytes, report.total_bytes());
+        assert_eq!(telemetry.progress().bytes, report.total_bytes());
     }
 
     #[test]

@@ -498,8 +498,7 @@ pub(crate) fn info_json(rt: &SchemaRuntime) -> String {
 pub(crate) fn stats_json(s: &ServeStats) -> String {
     format!(
         "{{\"requests\":{},\"completed\":{},\"aborted\":{},\"rejected\":{},\
-         \"rows\":{},\"bytes\":{},\"uptime_seconds\":{:.3},\"qps\":{:.3},\
-         \"latency\":{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}}}",
+         \"rows\":{},\"bytes\":{},\"uptime_seconds\":{:.3},\"qps\":{:.3},\"latency\":{}}}",
         s.requests,
         s.completed,
         s.aborted,
@@ -508,10 +507,43 @@ pub(crate) fn stats_json(s: &ServeStats) -> String {
         s.bytes,
         s.uptime_seconds,
         s.qps,
-        s.latency.count,
-        s.latency.mean_ns,
-        s.latency.p50_ns,
-        s.latency.p95_ns,
-        s.latency.p99_ns,
+        s.latency.to_json(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdgf_runtime::PhaseStats;
+
+    /// The TCP `STATS` line (and every `"stats"` object of `/metrics`) on
+    /// fixed values: the expected string is the parent commit's output.
+    #[test]
+    fn stats_line_is_pinned() {
+        let stats = ServeStats {
+            requests: 10,
+            completed: 8,
+            aborted: 1,
+            rejected: 2,
+            rows: 4096,
+            bytes: 65536,
+            uptime_seconds: 2.5,
+            qps: 3.2,
+            latency: PhaseStats {
+                count: 8,
+                mean_ns: 1500,
+                p50_ns: 1024,
+                p95_ns: 2048,
+                p99_ns: 4096,
+            },
+        };
+        assert_eq!(
+            stats_json(&stats),
+            concat!(
+                r#"{"requests":10,"completed":8,"aborted":1,"rejected":2,"#,
+                r#""rows":4096,"bytes":65536,"uptime_seconds":2.500,"qps":3.200,"#,
+                r#""latency":{"count":8,"mean_ns":1500,"p50_ns":1024,"p95_ns":2048,"p99_ns":4096}}"#
+            )
+        );
+    }
 }

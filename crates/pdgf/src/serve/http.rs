@@ -35,7 +35,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use pdgf_runtime::{RowRequest, SubmitError};
+use pdgf_runtime::{MetricsSnapshot, RowRequest, SubmitError};
 
 use super::cursor::Cursor;
 use super::{info_json, json_escape, stats_json, ServerShared};
@@ -548,28 +548,66 @@ fn metrics_json(shared: &ServerShared) -> String {
         ));
     }
     s.push_str("],\"telemetry\":");
-    match shared.telemetry.as_ref().map(|t| t.metrics()) {
-        Some(m) => {
-            let phase = |p: &pdgf_runtime::PhaseStats| {
-                format!(
-                    "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-                    p.count, p.mean_ns, p.p50_ns, p.p95_ns, p.p99_ns
-                )
-            };
-            s.push_str(&format!(
-                "{{\"generate\":{},\"format\":{},\"write\":{},\"utilization\":{:.4},\
-                 \"queue_depth\":{{\"max\":{},\"mean\":{}}},\"dropped_events\":{}}}",
-                phase(&m.generate),
-                phase(&m.format),
-                phase(&m.write),
-                m.utilization,
-                m.queue_depth.max,
-                m.queue_depth.mean,
-                m.dropped_events
-            ));
-        }
+    match &shared.telemetry {
+        Some(t) => s.push_str(&telemetry_json(&t.metrics())),
         None => s.push_str("null"),
     }
     s.push('}');
     s
+}
+
+/// The `"telemetry"` object of the `/metrics` body (its field order is
+/// this endpoint's own; the phase objects are the shared renderer's).
+fn telemetry_json(m: &MetricsSnapshot) -> String {
+    format!(
+        "{{\"generate\":{},\"format\":{},\"write\":{},\"utilization\":{:.4},\
+         \"queue_depth\":{{\"max\":{},\"mean\":{}}},\"dropped_events\":{}}}",
+        m.generate.to_json(),
+        m.format.to_json(),
+        m.write.to_json(),
+        m.utilization,
+        m.queue_depth.max,
+        m.queue_depth.mean,
+        m.dropped_events
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdgf_runtime::{PhaseStats, QueueDepthStats};
+
+    /// The `/metrics` `"telemetry"` object on fixed values: the expected
+    /// string is the parent commit's hand-rendered output.
+    #[test]
+    fn metrics_telemetry_object_is_pinned() {
+        let phase = |count| PhaseStats {
+            count,
+            mean_ns: 1500,
+            p50_ns: 1024,
+            p95_ns: 2048,
+            p99_ns: 4096,
+        };
+        let m = MetricsSnapshot {
+            generate: phase(3),
+            format: phase(4),
+            write: phase(5),
+            utilization: 0.8125,
+            queue_depth: QueueDepthStats {
+                samples: 6,
+                max: 9,
+                mean: 4,
+            },
+            dropped_events: 7,
+        };
+        assert_eq!(
+            telemetry_json(&m),
+            concat!(
+                r#"{"generate":{"count":3,"mean_ns":1500,"p50_ns":1024,"p95_ns":2048,"p99_ns":4096},"#,
+                r#""format":{"count":4,"mean_ns":1500,"p50_ns":1024,"p95_ns":2048,"p99_ns":4096},"#,
+                r#""write":{"count":5,"mean_ns":1500,"p50_ns":1024,"p95_ns":2048,"p99_ns":4096},"#,
+                r#""utilization":0.8125,"queue_depth":{"max":9,"mean":4},"dropped_events":7}"#
+            )
+        );
+    }
 }

@@ -283,6 +283,50 @@ fn metrics_out_flushes_snapshot_when_the_run_fails() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Shard mode takes the same observers as a whole-project run: a shard
+/// with `--metrics-out` (and `--progress`) writes a terminated event
+/// stream plus the summary record, prints no "ignored" note, and its data
+/// file is byte-equal to the same shard generated without the flags.
+#[test]
+fn shard_run_takes_metrics_out_like_any_other_run() {
+    let dir = workdir("shard-metrics");
+    let model = model_file(&dir);
+    let metrics = dir.join("shard.jsonl");
+    let shard = |out: &str, observed: bool| {
+        let out = dir.join(out);
+        let mut cmd = bin();
+        cmd.args(["generate", "--model", model.to_str().expect("utf8 path")])
+            .args(["--out", out.to_str().expect("utf8 path")])
+            .args(["--workers", "2", "--node", "1", "--nodes", "3"]);
+        if observed {
+            cmd.args(["--progress", "--metrics-out"]).arg(&metrics);
+        }
+        let output = cmd.output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "{stderr}");
+        assert!(!stderr.contains("ignored"), "{stderr}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("node 1/3: 7 rows"), "{stdout}");
+        std::fs::read(out.join("t.part1.csv")).expect("shard exists")
+    };
+    assert_eq!(shard("plain", false), shard("observed", true));
+
+    let jsonl = std::fs::read_to_string(&metrics).expect("metrics file written");
+    let lines: Vec<&str> = jsonl.lines().collect();
+    assert!(lines[0].contains("\"event\":\"run_started\""), "{jsonl}");
+    assert!(
+        lines[0].contains("\"total_rows\":7"),
+        "the shard's rows: {jsonl}"
+    );
+    assert!(
+        lines[lines.len() - 2].contains("\"event\":\"run_finished\""),
+        "{jsonl}"
+    );
+    let last = lines.last().expect("nonempty");
+    assert!(last.contains("\"event\":\"metrics_snapshot\""), "{jsonl}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// End-to-end over real processes: `pdgf serve` + `pdgf fetch`. The
 /// concatenated fetched shards must be byte-equal to `pdgf generate`'s
 /// file, and the JSON endpoints must answer.
@@ -452,7 +496,7 @@ fn progress_flag_reports_to_stderr_without_changing_output() {
         "--progress does not change the bytes"
     );
 
-    // Shard mode ignores the observability flags with a note.
+    // Shard mode reports progress too, against the shard's own rows.
     let shards = dir.join("shards");
     let output = bin()
         .args([
@@ -470,11 +514,9 @@ fn progress_flag_reports_to_stderr_without_changing_output() {
         .output()
         .expect("binary runs");
     assert!(output.status.success());
-    assert!(
-        String::from_utf8_lossy(&output.stderr).contains("ignored in shard mode"),
-        "{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("/10 rows"), "{stderr}");
+    assert!(!stderr.contains("ignored"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

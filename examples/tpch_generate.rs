@@ -9,9 +9,9 @@
 //!
 //! Defaults to SF 0.01 (≈10 MB) so the example finishes in seconds; pass
 //! a larger scale factor for real runs. Writes CSV and XML side by side
-//! and prints per-table statistics plus live monitor snapshots.
+//! and prints per-table statistics plus live progress snapshots.
 
-use dbsynth_suite::pdgf::runtime::Monitor;
+use dbsynth_suite::pdgf::runtime::Telemetry;
 use dbsynth_suite::pdgf::OutputFormat;
 use dbsynth_suite::workloads::tpch;
 
@@ -32,20 +32,20 @@ fn main() {
         .build()
         .expect("TPC-H model validates");
 
-    // CSV pass with the monitor attached (the demo's Mission Control
+    // CSV pass with telemetry attached (the demo's Mission Control
     // substitute).
-    let monitor = Monitor::new();
+    let telemetry = Telemetry::new();
     let report = {
-        let m = monitor.clone();
+        let t = telemetry.clone();
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let stop2 = stop.clone();
         let ticker = std::thread::spawn(move || {
             while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(400));
-                let s = m.snapshot();
+                let s = t.progress();
                 if s.rows > 0 {
                     println!(
-                        "  [monitor] {} rows, {:.1} MB, {:.1} MB/s",
+                        "  [progress] {} rows, {:.1} MB, {:.1} MB/s",
                         s.rows,
                         s.bytes as f64 / 1e6,
                         s.throughput_mb_s
@@ -54,7 +54,7 @@ fn main() {
             }
         });
         let report = project
-            .generate_to_null(Some(monitor.clone()))
+            .generate_to_null(Some(&telemetry))
             .expect("generation succeeds");
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         ticker.join().expect("ticker joins");
@@ -73,7 +73,7 @@ fn main() {
     for format in [OutputFormat::Csv, OutputFormat::Xml] {
         let dir = std::path::Path::new(&out_dir).join(format.extension());
         let report = project
-            .generate_to_dir(&dir, format)
+            .generate_to_dir(&dir, format, None)
             .expect("file generation succeeds");
         println!(
             "\n{} files in {}:",

@@ -22,12 +22,6 @@ cargo test --workspace -q
 echo "== benchmark package: declared-metric and statistics tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "== telemetry contract suite (byte identity, drop accounting, watchdog)"
-cargo test -q -p pdgf-runtime --test telemetry
-
-echo "== columnar byte-identity suite (engine vs row oracle, all formats)"
-cargo test -q -p dbsynth-suite --test columnar_identity
-
 echo "== model corpus: shipped models validate clean, bad models report codes"
 cargo build -q -p pdgf --bins
 PDGF=target/debug/pdgf
