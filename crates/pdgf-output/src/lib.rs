@@ -65,4 +65,4 @@ pub use formatter::{
 };
 pub use pool::BufferPool;
 pub use reorder::ReorderBuffer;
-pub use sink::{FileSink, MemorySink, NullSink, PartitionedDirSink, Sink, StreamSink};
+pub use sink::{FileSink, MemorySink, NullSink, PartitionedDirSink, Sink};

@@ -205,53 +205,6 @@ impl Sink for PartitionedDirSink {
     }
 }
 
-/// Streams chunks to any [`Write`]r — a TCP socket, stdout, a pipe —
-/// counting bytes as it goes. This is the serving path's sink-to-socket
-/// adapter: `pdgf serve` wraps a connection's writer in a `StreamSink`
-/// so formatted packages flow straight to the client without touching
-/// disk. `finish` flushes; the writer itself stays owned by the sink
-/// (use [`into_inner`](Self::into_inner) to get it back).
-pub struct StreamSink<W: Write + Send> {
-    writer: W,
-    bytes: u64,
-}
-
-impl<W: Write + Send> StreamSink<W> {
-    /// Wrap `writer`.
-    pub fn new(writer: W) -> Self {
-        Self { writer, bytes: 0 }
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-
-    /// The wrapped writer (e.g. to shut down a socket on error).
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.writer
-    }
-}
-
-impl<W: Write + Send> Sink for StreamSink<W> {
-    #[inline]
-    fn write_chunk(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.writer.write_all(bytes)?;
-        self.bytes += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<u64> {
-        self.writer.flush()?;
-        Ok(self.bytes)
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,16 +269,6 @@ mod tests {
             "ab"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stream_sink_writes_through_and_counts() {
-        let mut s = StreamSink::new(Vec::<u8>::new());
-        s.write_chunk(b"alpha,").unwrap();
-        s.write_chunk(b"beta").unwrap();
-        assert_eq!(s.bytes_written(), 10);
-        assert_eq!(s.finish().unwrap(), 10);
-        assert_eq!(s.into_inner().unwrap(), b"alpha,beta");
     }
 
     #[test]

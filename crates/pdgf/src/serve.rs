@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdgf_gen::SchemaRuntime;
-use pdgf_runtime::{RowService, ServeConfig, ServeStats, Telemetry};
+use pdgf_runtime::{ResponseStream, RowService, ServeConfig, ServeStats, Telemetry};
 
 pub mod client;
 pub mod cursor;
@@ -223,11 +223,39 @@ impl ServerShared {
         self.active.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Apply the configured socket timeouts to one connection.
-    pub(crate) fn apply_timeouts(&self, stream: &TcpStream) {
+    /// The one per-connection socket setup, applied by the accept loop
+    /// before either protocol sees the stream: the configured timeouts
+    /// plus `TCP_NODELAY`. Without it Nagle holds a reply's small
+    /// terminator behind unacknowledged data until the client's delayed
+    /// ACK (40 ms on Linux) — and a package of 64 KiB or more bypasses
+    /// the `BufWriter`, so the terminator is a separate write even under
+    /// [`write_packages`]'s one-write rule.
+    pub(crate) fn setup_connection(&self, stream: &TcpStream) {
         let _ = stream.set_read_timeout(self.read_timeout);
         let _ = stream.set_write_timeout(self.write_timeout);
+        let _ = stream.set_nodelay(true);
     }
+}
+
+/// Write a response's packages through the protocol's `frame` closure (a
+/// TCP `D` frame, an HTTP chunk, or the bytes as they are), flushing
+/// *between* packages so a slow reader holds back only its own request
+/// window — and not after the last one. The caller then writes its
+/// terminator and flushes once, so the last package and the terminator
+/// leave in one write (a single-package tile in exactly one).
+pub(crate) fn write_packages<W: Write>(
+    writer: &mut W,
+    stream: ResponseStream,
+    mut frame: impl FnMut(&mut W, &[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let total = stream.total_packages();
+    for (seq, package) in (1..).zip(stream) {
+        frame(writer, &package)?;
+        if seq < total {
+            writer.flush()?;
+        }
+    }
+    Ok(())
 }
 
 /// The serving front: one TCP listener (always), one HTTP listener
@@ -379,6 +407,7 @@ fn accept_loop(
             refuse(stream);
             continue;
         }
+        shared.setup_connection(&stream);
         let conn_shared = Arc::clone(shared);
         let spawned = std::thread::Builder::new()
             .name("pdgf-serve-conn".to_string())
@@ -515,6 +544,127 @@ pub(crate) fn stats_json(s: &ServeStats) -> String {
 mod tests {
     use super::*;
     use pdgf_runtime::PhaseStats;
+
+    /// What reaches the socket: each `flush` cuts one segment — one
+    /// write, when a `BufWriter` holds the segment — and a flush with
+    /// nothing pending sends nothing.
+    #[derive(Default)]
+    struct Segments {
+        sent: Vec<Vec<u8>>,
+        pending: Vec<u8>,
+    }
+
+    impl Write for Segments {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.pending.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            if !self.pending.is_empty() {
+                self.sent.push(std::mem::take(&mut self.pending));
+            }
+            Ok(())
+        }
+    }
+
+    /// A 1,000-row model served in 37-row packages, capped at 300 rows
+    /// per request.
+    fn shared() -> ServerShared {
+        let project = crate::Pdgf::from_xml_str(
+            r#"<schema name="w"><seed>7</seed><rng name="PdgfDefaultRandom"/>
+               <table name="t"><size>1000</size>
+                 <field name="id" type="BIGINT" primary="true"><gen_IdGenerator/></field>
+               </table></schema>"#,
+        )
+        .unwrap()
+        .build()
+        .unwrap();
+        let registry = ModelRegistry::new().register("default", project).unwrap();
+        let config = ServeConfig::new()
+            .workers(1)
+            .package_rows(37)
+            .window(2)
+            .max_request_rows(300);
+        ServerShared {
+            service: RowService::with_models(registry.into_models(), config, None),
+            active: AtomicUsize::new(0),
+            max_connections: 1,
+            stopping: AtomicBool::new(false),
+            read_timeout: None,
+            write_timeout: None,
+            telemetry: None,
+        }
+    }
+
+    /// One TCP command as `tcp::handle_connection` answers it.
+    fn tcp_segments(shared: &ServerShared, command: &str) -> Vec<Vec<u8>> {
+        let mut out = Segments::default();
+        assert!(tcp::answer(shared, command, &mut out).is_ok());
+        out.flush().unwrap();
+        out.sent
+    }
+
+    /// One HTTP request as `http::handle_connection` answers it.
+    fn http_segments(shared: &ServerShared, request: &str) -> Vec<Vec<u8>> {
+        let mut out = Segments::default();
+        let Ok(Some(req)) = http::read_request(&mut request.as_bytes()) else {
+            panic!("unparsable request {request:?}");
+        };
+        http::route(shared, &req, &mut out).unwrap();
+        out.sent
+    }
+
+    /// The tags of the frames in one TCP segment.
+    fn tags(mut segment: &[u8]) -> Vec<u8> {
+        let mut tags = Vec::new();
+        while !segment.is_empty() {
+            let (len, tag) = (&segment[..4], segment[4]);
+            let len = u32::from_be_bytes(len.try_into().unwrap()) as usize;
+            tags.push(tag);
+            segment = &segment[5 + len..];
+        }
+        tags
+    }
+
+    /// `write_packages` flushes between packages, never after the last:
+    /// an n-package reply is n writes, and every terminator shares the
+    /// last package's write.
+    #[test]
+    fn terminators_ride_with_the_last_package() {
+        let shared = shared();
+        // 111 rows = 3 packages; 20 rows = 1.
+        let tile = tcp_segments(&shared, "RANGE t 0 0 111 csv");
+        assert_eq!(tile.len(), 3);
+        assert!(tile[..2].iter().all(|s| tags(s) == [TAG_DATA]));
+        assert_eq!(tags(&tile[2]), [TAG_DATA, TAG_END]);
+        let single = tcp_segments(&shared, "RANGE t 0 0 20 csv");
+        assert_eq!(single.len(), 1);
+        assert_eq!(tags(&single[0]), [TAG_DATA, TAG_END]);
+        // Clamped to 300 rows = 9 packages, then the cursor.
+        let clamped = tcp_segments(&shared, "RANGE t 0 0 1000 csv");
+        assert_eq!(clamped.len(), 9);
+        assert_eq!(tags(&clamped[8]), [TAG_DATA, TAG_CURSOR, TAG_END]);
+
+        let get = |query: &str, version: &str| {
+            http_segments(
+                &shared,
+                &format!("GET /v1/default/t/rows?{query} {version}\r\nHost: x\r\n\r\n"),
+            )
+        };
+        let chunked = get("start=0&count=111", "HTTP/1.1");
+        assert_eq!(chunked.len(), 3);
+        assert!(chunked[0].starts_with(b"HTTP/1.1 200 OK\r\n"));
+        let last = &chunked[2];
+        assert!(last.ends_with(b"\r\n0\r\n\r\n") && last.len() > 7);
+        let single = get("start=0&count=20", "HTTP/1.1");
+        assert_eq!(single.len(), 1);
+        assert!(single[0].ends_with(b"\r\n0\r\n\r\n"));
+        // HTTP/1.0: the same writes, unframed, with no terminator.
+        let unframed = get("start=0&count=111", "HTTP/1.0");
+        assert_eq!(unframed.len(), 3);
+        assert!(!unframed[2].ends_with(b"0\r\n\r\n"));
+    }
 
     /// The TCP `STATS` line (and every `"stats"` object of `/metrics`) on
     /// fixed values: the expected string is the parent commit's output.

@@ -14,9 +14,14 @@
 //! ```
 //!
 //! Range responses stream with `Transfer-Encoding: chunked`, one chunk
-//! per work package, flushed per package — the reader's consumption
-//! rate drives the per-request window exactly as on the TCP protocol,
-//! so a slow HTTP client stalls only its own request. When the range
+//! per work package, flushed between packages — the reader's
+//! consumption rate drives the per-request window exactly as on the TCP
+//! protocol, so a slow HTTP client stalls only its own request — while
+//! the last chunk and the `0\r\n\r\n` terminator leave in one write
+//! ([`write_packages`](super::write_packages)). An HTTP/1.0 request gets
+//! the same body unframed, `Connection: close`, and the close ends it
+//! (RFC 9112 §6.1 forbids `Transfer-Encoding` towards 1.0); 1.0
+//! connections serve one request each. When the range
 //! was clamped to `max_request_rows` the response carries the
 //! remainder's cursor in both a `Link: <...>; rel="next"` header and
 //! `X-Pdgf-Next` (the bare token); chaining the links concatenates
@@ -38,7 +43,7 @@ use std::sync::Arc;
 use pdgf_runtime::{MetricsSnapshot, RowRequest, SubmitError};
 
 use super::cursor::Cursor;
-use super::{info_json, json_escape, stats_json, ServerShared};
+use super::{info_json, json_escape, stats_json, write_packages, ServerShared};
 use crate::project::OutputFormat;
 
 /// Longest accepted request line or header line, in bytes.
@@ -67,10 +72,14 @@ pub(crate) fn refuse(stream: TcpStream) {
 }
 
 /// One parsed request. Only what the router needs survives parsing.
-struct Request {
+pub(super) struct Request {
     method: String,
     path: String,
     query: Vec<(String, String)>,
+    /// `HTTP/1.1` rather than `HTTP/1.0`: whether a range body may be
+    /// chunked.
+    http11: bool,
+    /// Always `false` for HTTP/1.0, whose connections serve one request.
     keep_alive: bool,
 }
 
@@ -84,7 +93,7 @@ impl Request {
 }
 
 /// Why parsing failed (or legitimately ended).
-enum ParseEnd {
+pub(super) enum ParseEnd {
     /// Clean EOF or idle timeout before a request line: close quietly.
     Closed,
     /// Malformed request: answer `400` and close.
@@ -106,7 +115,7 @@ impl From<std::io::Error> for ParseEnd {
 }
 
 /// Read one CRLF-terminated line, bounded by [`MAX_LINE`].
-fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, ParseEnd> {
+fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, ParseEnd> {
     let mut buf = Vec::new();
     let n = reader.by_ref().take(MAX_LINE).read_until(b'\n', &mut buf)?;
     if n == 0 {
@@ -131,7 +140,7 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<Option<String>, ParseE
 
 /// Parse one request (request line + headers). `Ok(None)` is a clean
 /// end of the connection.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, ParseEnd> {
+pub(super) fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, ParseEnd> {
     let Some(line) = read_line(reader)? else {
         return Ok(None);
     };
@@ -148,6 +157,9 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, Pa
         "HTTP/1.0" => false,
         _ => return Err(ParseEnd::Bad("unsupported HTTP version")),
     };
+    // HTTP/1.0 connections are not persistent here (RFC 9112 §9.3 makes
+    // honouring a 1.0 `keep-alive` optional): an unchunked range body
+    // ends by closing the connection.
     let mut keep_alive = http11;
     let mut headers = 0usize;
     loop {
@@ -171,13 +183,9 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, Pa
         let value = value.trim();
         match name.as_str() {
             "connection" => {
-                for token in value.split(',') {
-                    match token.trim().to_ascii_lowercase().as_str() {
-                        "close" => keep_alive = false,
-                        "keep-alive" => keep_alive = true,
-                        _ => {}
-                    }
-                }
+                keep_alive &= !value
+                    .split(',')
+                    .any(|token| token.trim().eq_ignore_ascii_case("close"));
             }
             // The data plane is GET-only; any body signals confusion.
             "transfer-encoding" => return Err(ParseEnd::Bad("request bodies not supported")),
@@ -203,13 +211,14 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, Pa
         method: method.to_string(),
         path: path.to_string(),
         query,
+        http11,
         keep_alive,
     }))
 }
 
 /// Write a complete non-streamed response.
 fn respond(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
     status: u16,
     reason: &str,
     keep_alive: bool,
@@ -232,7 +241,7 @@ fn respond(
 }
 
 fn error_response(
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
     status: u16,
     reason: &str,
     keep_alive: bool,
@@ -254,8 +263,6 @@ fn error_response(
 /// One connection: parse requests and answer until close, timeout, or a
 /// malformed request.
 pub(crate) fn handle_connection(shared: &ServerShared, stream: TcpStream) -> std::io::Result<()> {
-    shared.apply_timeouts(&stream);
-    stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::with_capacity(1 << 16, stream);
     loop {
@@ -279,10 +286,10 @@ pub(crate) fn handle_connection(shared: &ServerShared, stream: TcpStream) -> std
 }
 
 /// Dispatch one well-formed request.
-fn route(
+pub(super) fn route(
     shared: &ServerShared,
     req: &Request,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
 ) -> std::io::Result<()> {
     let keep = req.keep_alive;
     if req.method != "GET" {
@@ -339,7 +346,7 @@ fn route(
 /// Resolve `{model}/{table}` path segments, answering 404 on a miss.
 fn resolve(
     shared: &ServerShared,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
     keep: bool,
     model: &str,
     table: &str,
@@ -359,7 +366,7 @@ fn resolve(
 fn rows(
     shared: &ServerShared,
     req: &Request,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
     model: &str,
     table: &str,
 ) -> std::io::Result<()> {
@@ -439,34 +446,45 @@ fn rows(
     }
     write!(
         writer,
-        "HTTP/1.1 200 OK\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\n",
+        "HTTP/1.1 200 OK\r\nContent-Type: {}\r\n",
         content_type(format)
     )?;
+    if req.http11 {
+        writer.write_all(b"Transfer-Encoding: chunked\r\n")?;
+    }
     for (name, value) in &extra {
         write!(writer, "{name}: {value}\r\n")?;
     }
     let conn = if keep { "keep-alive" } else { "close" };
     write!(writer, "Connection: {conn}\r\n\r\n")?;
-    for package in admitted.stream {
-        if package.is_empty() {
-            // A zero-length chunk would terminate the body early.
-            continue;
-        }
-        write!(writer, "{:x}\r\n", package.len())?;
-        writer.write_all(&package)?;
-        writer.write_all(b"\r\n")?;
-        // Flush per package: reader-driven backpressure, as on TCP.
-        writer.flush()?;
+    if req.http11 {
+        write_packages(writer, admitted.stream, write_chunk)?;
+        writer.write_all(b"0\r\n\r\n")?;
+    } else {
+        // RFC 9112 §6.1: no `Transfer-Encoding` in a reply to HTTP/1.0.
+        // The body goes unframed and ends when the connection closes
+        // (`keep` is false for every 1.0 request).
+        write_packages(writer, admitted.stream, |w, package| w.write_all(package))?;
     }
-    writer.write_all(b"0\r\n\r\n")?;
     writer.flush()
+}
+
+/// One package as one HTTP chunk.
+fn write_chunk(writer: &mut impl Write, package: &[u8]) -> std::io::Result<()> {
+    if package.is_empty() {
+        // A zero-length chunk would terminate the body early.
+        return Ok(());
+    }
+    write!(writer, "{:x}\r\n", package.len())?;
+    writer.write_all(package)?;
+    writer.write_all(b"\r\n")
 }
 
 /// `GET /v1/{model}/{table}/row/{n}` — the point-lookup endpoint.
 fn point(
     shared: &ServerShared,
     req: &Request,
-    writer: &mut BufWriter<TcpStream>,
+    writer: &mut impl Write,
     model: &str,
     table: &str,
     row: &str,
@@ -505,11 +523,7 @@ fn point(
 }
 
 /// Map a [`SubmitError`] to its HTTP status (the DESIGN.md error map).
-fn submit_error(
-    writer: &mut BufWriter<TcpStream>,
-    keep: bool,
-    e: &SubmitError,
-) -> std::io::Result<()> {
+fn submit_error(writer: &mut impl Write, keep: bool, e: &SubmitError) -> std::io::Result<()> {
     let (status, reason) = match e {
         SubmitError::UnknownModel(_) | SubmitError::UnknownTable(_) => (404, "Not Found"),
         SubmitError::RangeOutOfBounds { .. } => (416, "Range Not Satisfiable"),

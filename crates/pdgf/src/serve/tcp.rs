@@ -35,16 +35,21 @@
 //! sequence; framing the stream per package is what lets the server
 //! apply reader-driven backpressure (the `RowService` window) to slow
 //! clients without buffering whole tables.
+//!
+//! A range reply is flushed between packages, never after the last:
+//! the last `D` frame, the `C` frame if any and the `Z` leave in one
+//! write ([`write_packages`](super::write_packages)), on a socket the
+//! accept loop set to `TCP_NODELAY` — so no terminator waits on the
+//! client's delayed ACK.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use pdgf_output::StreamSink;
 use pdgf_runtime::{RowRequest, RowService};
 
 use super::cursor::Cursor;
-use super::{info_json, stats_json, ServerShared};
+use super::{info_json, stats_json, write_packages, ServerShared};
 use crate::project::OutputFormat;
 
 /// Frame tag: client request (ASCII command payload).
@@ -65,24 +70,13 @@ pub const TAG_END: u8 = b'Z';
 /// bigger is a confused or hostile client.
 pub const MAX_REQUEST_FRAME: u32 = 64 * 1024;
 
-/// Write one `[len][tag][payload]` frame through a counting
-/// [`StreamSink`] (the sink-to-socket adapter — response bytes flow
-/// through the same [`Sink`](pdgf_output::Sink) abstraction batch runs
-/// write files through).
-pub(crate) fn write_frame<W: Write + Send>(
-    sink: &mut StreamSink<W>,
-    tag: u8,
-    payload: &[u8],
-) -> std::io::Result<()> {
+/// Write one `[len][tag][payload]` frame.
+pub(crate) fn write_frame(writer: &mut impl Write, tag: u8, payload: &[u8]) -> std::io::Result<()> {
     let mut header = [0u8; 5];
     header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
     header[4] = tag;
-    use pdgf_output::Sink as _;
-    sink.write_chunk(&header)?;
-    if !payload.is_empty() {
-        sink.write_chunk(payload)?;
-    }
-    Ok(())
+    writer.write_all(&header)?;
+    writer.write_all(payload)
 }
 
 /// Read one frame; `max_len` bounds the payload length.
@@ -114,9 +108,8 @@ pub(crate) fn refuse(stream: TcpStream) {
 /// One connection: read `Q` frames, answer each, until EOF or error.
 /// A socket-timeout expiry (idle keep-alive client) closes quietly.
 pub(crate) fn handle_connection(shared: &ServerShared, stream: TcpStream) -> std::io::Result<()> {
-    shared.apply_timeouts(&stream);
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut sink = StreamSink::new(BufWriter::with_capacity(1 << 16, stream));
+    let mut writer = BufWriter::with_capacity(1 << 16, stream);
     loop {
         let (tag, payload) = match read_frame(&mut reader, MAX_REQUEST_FRAME) {
             Ok(frame) => frame,
@@ -131,35 +124,32 @@ pub(crate) fn handle_connection(shared: &ServerShared, stream: TcpStream) -> std
                 return Ok(());
             }
             Err(e) => {
-                let _ = write_frame(&mut sink, TAG_ERROR, e.to_string().as_bytes());
-                let _ = flush(&mut sink);
+                let _ = write_frame(&mut writer, TAG_ERROR, e.to_string().as_bytes());
+                let _ = writer.flush();
                 return Err(e);
             }
         };
         if tag != TAG_QUERY {
             write_frame(
-                &mut sink,
+                &mut writer,
                 TAG_ERROR,
                 format!("unexpected frame tag {:?}", tag as char).as_bytes(),
             )?;
-            flush(&mut sink)?;
+            writer.flush()?;
             continue;
         }
         let command = String::from_utf8_lossy(&payload).into_owned();
-        match answer(shared, command.trim(), &mut sink) {
+        match answer(shared, command.trim(), &mut writer) {
             Ok(()) => {}
             Err(AnswerError::Request(message)) => {
-                write_frame(&mut sink, TAG_ERROR, message.as_bytes())?;
+                write_frame(&mut writer, TAG_ERROR, message.as_bytes())?;
             }
             Err(AnswerError::Io(e)) => return Err(e),
         }
-        flush(&mut sink)?;
+        // The reply's last flush: its terminator rides with its last
+        // package (see `write_packages`).
+        writer.flush()?;
     }
-}
-
-fn flush<W: Write + Send>(sink: &mut StreamSink<W>) -> std::io::Result<()> {
-    use pdgf_output::Sink as _;
-    sink.finish().map(|_| ())
 }
 
 /// A request either fails cleanly (`E` frame, connection survives) or
@@ -176,11 +166,11 @@ impl From<std::io::Error> for AnswerError {
 }
 
 /// Parse and answer one command, writing the full response (data frames
-/// plus terminal `Z`) to `sink`.
-fn answer<W: Write + Send>(
+/// plus terminal `Z`) to `writer`; the caller flushes.
+pub(super) fn answer(
     shared: &ServerShared,
     command: &str,
-    sink: &mut StreamSink<W>,
+    writer: &mut impl Write,
 ) -> Result<(), AnswerError> {
     let words: Vec<&str> = command.split_whitespace().collect();
     let service = &shared.service;
@@ -191,7 +181,7 @@ fn answer<W: Write + Send>(
             let start = int(words[3], "start")?;
             let end = int(words[4], "end")?;
             let format = format_of(words[5])?;
-            stream_range(service, sink, model, table, update, start, end, format)
+            stream_range(service, writer, model, table, update, start, end, format)
         }
         Some("CURSOR") if words.len() == 2 => {
             let c = Cursor::decode(words[1]).map_err(|e| AnswerError::Request(e.to_string()))?;
@@ -202,7 +192,7 @@ fn answer<W: Write + Send>(
                 )));
             }
             stream_range(
-                service, sink, c.model, c.table, c.update, c.start, c.end, c.format,
+                service, writer, c.model, c.table, c.update, c.start, c.end, c.format,
             )
         }
         Some("ROW") if words.len() == 5 => {
@@ -213,8 +203,8 @@ fn answer<W: Write + Send>(
             let bytes = service
                 .row_bytes_in(model, table, update, row, Arc::from(format.formatter()))
                 .map_err(|e| AnswerError::Request(e.to_string()))?;
-            write_frame(sink, TAG_DATA, &bytes)?;
-            write_frame(sink, TAG_END, b"")?;
+            write_frame(writer, TAG_DATA, &bytes)?;
+            write_frame(writer, TAG_END, b"")?;
             Ok(())
         }
         Some("INFO") if words.len() <= 2 => {
@@ -229,8 +219,8 @@ fn answer<W: Write + Send>(
                 None => service.runtime_of(0).map(Arc::clone),
             };
             let rt = rt.ok_or_else(|| AnswerError::Request("no models registered".into()))?;
-            write_frame(sink, TAG_JSON, info_json(&rt).as_bytes())?;
-            write_frame(sink, TAG_END, b"")?;
+            write_frame(writer, TAG_JSON, info_json(&rt).as_bytes())?;
+            write_frame(writer, TAG_END, b"")?;
             Ok(())
         }
         Some("STATS") if words.len() <= 2 => {
@@ -245,13 +235,13 @@ fn answer<W: Write + Send>(
                 }
                 None => service.stats(),
             };
-            write_frame(sink, TAG_JSON, stats_json(&stats).as_bytes())?;
-            write_frame(sink, TAG_END, b"")?;
+            write_frame(writer, TAG_JSON, stats_json(&stats).as_bytes())?;
+            write_frame(writer, TAG_END, b"")?;
             Ok(())
         }
         Some("PING") if words.len() == 1 => {
-            write_frame(sink, TAG_JSON, b"{\"ok\":true}")?;
-            write_frame(sink, TAG_END, b"")?;
+            write_frame(writer, TAG_JSON, b"{\"ok\":true}")?;
+            write_frame(writer, TAG_END, b"")?;
             Ok(())
         }
         _ => Err(AnswerError::Request(format!(
@@ -264,9 +254,9 @@ fn answer<W: Write + Send>(
 /// the range exceeded the per-request cap — a `C` frame carrying the
 /// remainder's token, then `Z`.
 #[allow(clippy::too_many_arguments)]
-fn stream_range<W: Write + Send>(
+fn stream_range(
     service: &RowService,
-    sink: &mut StreamSink<W>,
+    writer: &mut impl Write,
     model: u32,
     table: u32,
     update: u32,
@@ -280,12 +270,9 @@ fn stream_range<W: Write + Send>(
             Arc::from(format.formatter()),
         )
         .map_err(|e| AnswerError::Request(e.to_string()))?;
-    for package in admitted.stream {
-        write_frame(sink, TAG_DATA, &package)?;
-        // Flush per package so slow readers exert backpressure on
-        // their own request window, not on a server-side buffer.
-        flush(sink)?;
-    }
+    write_packages(writer, admitted.stream, |w, package| {
+        write_frame(w, TAG_DATA, package)
+    })?;
     if let Some(resume_at) = admitted.resume_at {
         let token = Cursor {
             model,
@@ -296,9 +283,9 @@ fn stream_range<W: Write + Send>(
             format,
         }
         .encode();
-        write_frame(sink, TAG_CURSOR, token.as_bytes())?;
+        write_frame(writer, TAG_CURSOR, token.as_bytes())?;
     }
-    write_frame(sink, TAG_END, b"")?;
+    write_frame(writer, TAG_END, b"")?;
     Ok(())
 }
 

@@ -1,13 +1,14 @@
 //! HTTP/1.1 conformance tests for the hand-rolled front end: real
 //! sockets against an in-process [`Server`] with the HTTP listener
 //! attached. Pins the protocol behaviors DESIGN.md documents —
-//! keep-alive reuse, pipelining, the error map, chunked streaming, and
-//! resumable cursor chains that reassemble byte-equal to `pdgf
+//! keep-alive reuse, pipelining, the error map, chunked streaming (and
+//! unframed HTTP/1.0 bodies), and resumable cursor chains that reassemble byte-equal to `pdgf
 //! generate`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
 use pdgf::runtime::ServeConfig;
 use pdgf::{FetchRequest, OutputFormat, Pdgf, ServeClient, Server, ServerHandle, ServerOptions};
@@ -186,6 +187,44 @@ fn pipelined_requests_are_answered_in_order() {
     assert_eq!(second.status, 200);
     assert_eq!(first.body, line(5), "first response is row 5");
     assert_eq!(second.body, line(6), "second response is row 6");
+    server.stop();
+}
+
+/// RFC 9112 §6.1: a reply to HTTP/1.0 carries no `Transfer-Encoding`.
+/// The range body goes unframed and the server's close ends it — even
+/// when the client asked for keep-alive.
+#[test]
+fn http10_range_bodies_are_unframed_and_end_at_close() {
+    let (server, reference) = start(10_000);
+    let addr = server.http_addr().unwrap();
+    let csv = String::from_utf8(reference[0].1.clone()).unwrap();
+    let first_3: String = csv.lines().take(3).map(|l| format!("{l}\n")).collect();
+    let mut cases = vec![(
+        "/v1/default/t/rows?start=0&count=3".to_string(),
+        "Connection: keep-alive\r\n",
+        first_3.into_bytes(),
+    )];
+    for (format, whole) in &reference {
+        let target = format!("/v1/default/t/rows?format={}", format.extension());
+        cases.push((target, "", whole.clone()));
+    }
+    for (target, header, expected) in cases {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(stream, "GET {target} HTTP/1.0\r\n{header}\r\n").unwrap();
+        let mut raw = Vec::new();
+        stream
+            .read_to_end(&mut raw)
+            .expect("the server closes the connection to end the body");
+        let split = raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        let head = String::from_utf8_lossy(&raw[..split]).to_ascii_lowercase();
+        assert!(head.starts_with("http/1.1 200 ok\r\n"), "{target}: {head}");
+        assert!(!head.contains("transfer-encoding"), "{target}: {head}");
+        assert!(head.contains("\r\nconnection: close"), "{target}: {head}");
+        assert_eq!(&raw[split + 4..], expected, "{target}: body != generate");
+    }
     server.stop();
 }
 

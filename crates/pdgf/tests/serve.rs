@@ -5,6 +5,7 @@
 //! returns the same bytes.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pdgf::runtime::ServeConfig;
 use pdgf::{FetchRequest, OutputFormat, Pdgf, ServeClient, Server, ServerHandle, ServerOptions};
@@ -28,16 +29,17 @@ const MODEL: &str = r#"
 /// One server plus the reference bytes per format, computed from the
 /// same model through the ordinary batch path.
 fn start() -> (ServerHandle, Vec<(OutputFormat, Vec<u8>)>) {
+    start_with(ServeConfig::new().workers(2).package_rows(37).window(3))
+}
+
+fn start_with(config: ServeConfig) -> (ServerHandle, Vec<(OutputFormat, Vec<u8>)>) {
     let project = Pdgf::from_xml_str(MODEL).unwrap().build().unwrap();
     let reference: Vec<(OutputFormat, Vec<u8>)> = OutputFormat::all()
         .into_iter()
         .map(|f| (f, project.table_to_string("t", f).unwrap().into_bytes()))
         .collect();
     let runtime = Arc::new(project.into_runtime());
-    let options = ServerOptions::builder()
-        .config(ServeConfig::new().workers(2).package_rows(37).window(3))
-        .build()
-        .unwrap();
+    let options = ServerOptions::builder().config(config).build().unwrap();
     let server = Server::bind(runtime, "127.0.0.1:0", options, None).unwrap();
     (server.spawn().unwrap(), reference)
 }
@@ -148,5 +150,49 @@ fn request_errors_leave_the_connection_usable() {
     let ok = client.fetch(FetchRequest::range("t", 0, 3)).unwrap();
     assert!(!ok.is_empty());
     client.ping().unwrap();
+    server.stop();
+}
+
+/// A reply's terminator leaves with its last package on a `TCP_NODELAY`
+/// socket, so small tiles do not wait for the client's delayed ACK —
+/// which cost ~44 ms per single-package reply while the `Z` frame was a
+/// write of its own behind Nagle.
+#[test]
+fn single_package_replies_do_not_wait_for_a_delayed_ack() {
+    // A 37-row cap on 37-row packages: every tile and every cursor hop
+    // is one package.
+    let (server, reference) = start_with(
+        ServeConfig::new()
+            .workers(2)
+            .package_rows(37)
+            .window(3)
+            .max_request_rows(37),
+    );
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let mut replies: Vec<Duration> = (0..32u64)
+        .map(|i| {
+            let t = Instant::now();
+            let body = client.fetch(FetchRequest::range("t", i * 29, 37)).unwrap();
+            assert_eq!(body.iter().filter(|&&b| b == b'\n').count(), 37);
+            t.elapsed()
+        })
+        .collect();
+    replies.sort();
+    let median = replies[replies.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median single-package reply took {median:?}"
+    );
+
+    // The whole table is a chain of 28 one-package tiles on the same
+    // connection.
+    let t = Instant::now();
+    let whole = client.fetch(FetchRequest::range("t", 0, 1000)).unwrap();
+    let per_tile = t.elapsed() / 28;
+    assert_eq!(whole, reference[0].1, "cursor chain != generate output");
+    assert!(
+        per_tile < Duration::from_millis(10),
+        "cursor chain took {per_tile:?} per tile"
+    );
     server.stop();
 }

@@ -13,7 +13,8 @@
 #     all four formats, plus /metrics and per-model info;
 #   * a two-model registry (`--model NAME=PATH ...`) with a small
 #     --max-request-rows serves whole tables through chained resume
-#     cursors, byte-equal to generate, over both protocols.
+#     cursors, byte-equal to generate, over both protocols — and the
+#     9-tile TCP chain finishes within 150 ms (no delayed-ACK stall).
 # Run from the repository root: ./scripts/serve_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -144,8 +145,15 @@ done
     || { echo "FAIL: registry server never printed its addresses" >&2; exit 1; }
 echo "  registry at $ADDR (tcp), $HTTP_ADDR (http)"
 for fmt in csv json; do
+  T0="$(date +%s%N)"
   "$PDGF" fetch --addr "$ADDR" --model a --table t --start 0 --end "$SIZE" \
       --format "$fmt" --out "$WORK/chain_tcp.$fmt"
+  CHAIN_MS=$(( ($(date +%s%N) - T0) / 1000000 ))
+  echo "  tcp cursor chain $fmt: ${CHAIN_MS} ms (9 tiles)"
+  # A reply whose terminator waits on the client's delayed ACK costs
+  # ~44 ms per tile (~350 ms here); a few ms is the healthy figure.
+  (( CHAIN_MS <= 150 )) \
+      || { echo "FAIL: tcp cursor chain $fmt took ${CHAIN_MS} ms (> 150 ms)" >&2; exit 1; }
   cmp "$WORK/chain_tcp.$fmt" "$WORK/ref_$fmt/t.$fmt" \
       || { echo "FAIL: tcp cursor chain $fmt != generate output" >&2; exit 1; }
   "$PDGF" fetch --http --addr "$HTTP_ADDR" --model a --table t --start 0 --end "$SIZE" \
