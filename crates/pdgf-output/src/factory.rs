@@ -12,7 +12,9 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
+
+use pdgf_schema::sync::Lock;
 
 use crate::sink::{FileSink, MemorySink, NullSink, Sink};
 
@@ -100,7 +102,7 @@ impl SinkFactory for NullSinkFactory {
 pub struct MemorySinkFactory {
     // BTreeMap keeps table iteration deterministic (the determinism
     // audit bans randomized-order maps crate-wide).
-    outputs: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
+    outputs: Arc<Lock<BTreeMap<String, Vec<u8>>>>,
 }
 
 impl MemorySinkFactory {
@@ -109,14 +111,10 @@ impl MemorySinkFactory {
         Self::default()
     }
 
-    fn store(&self) -> MutexGuard<'_, BTreeMap<String, Vec<u8>>> {
-        // Captured bytes survive a panicking peer unchanged; recover.
-        self.outputs.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// All captured outputs, keyed by table, in name order.
     pub fn outputs(&self) -> Vec<(String, Vec<u8>)> {
-        self.store()
+        self.outputs
+            .lock()
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
@@ -124,7 +122,7 @@ impl MemorySinkFactory {
 
     /// One table's captured bytes, if finished.
     pub fn output(&self, table: &str) -> Option<Vec<u8>> {
-        self.store().get(table).cloned()
+        self.outputs.lock().get(table).cloned()
     }
 }
 
@@ -132,7 +130,7 @@ impl MemorySinkFactory {
 struct CapturingMemorySink {
     table: String,
     inner: MemorySink,
-    dest: Arc<Mutex<BTreeMap<String, Vec<u8>>>>,
+    dest: Arc<Lock<BTreeMap<String, Vec<u8>>>>,
 }
 
 impl Sink for CapturingMemorySink {
@@ -143,10 +141,7 @@ impl Sink for CapturingMemorySink {
     fn finish(&mut self) -> io::Result<u64> {
         let n = self.inner.finish()?;
         let bytes = std::mem::take(&mut self.inner).into_inner();
-        self.dest
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(self.table.clone(), bytes);
+        self.dest.lock().insert(self.table.clone(), bytes);
         Ok(n)
     }
 

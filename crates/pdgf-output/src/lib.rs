@@ -57,7 +57,6 @@ pub mod formatter;
 pub mod pool;
 pub mod reorder;
 pub mod sink;
-mod sync;
 
 pub use factory::{DirSinkFactory, MemorySinkFactory, NullSinkFactory, SinkFactory};
 pub use formatter::{

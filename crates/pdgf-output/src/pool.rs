@@ -9,8 +9,7 @@
 //! that is already at full capacity — the formatting hot path performs no
 //! heap allocation at all.
 
-use crate::sync::Mutex;
-use std::sync::{MutexGuard, PoisonError};
+use pdgf_schema::sync::Lock;
 
 #[derive(Debug)]
 struct Shelf {
@@ -27,7 +26,7 @@ struct Shelf {
 /// cannot pin memory forever.
 #[derive(Debug)]
 pub struct BufferPool {
-    bufs: Mutex<Shelf>,
+    bufs: Lock<Shelf>,
     max: usize,
 }
 
@@ -35,7 +34,7 @@ impl BufferPool {
     /// Pool retaining at most `max` idle buffers.
     pub fn new(max: usize) -> Self {
         Self {
-            bufs: Mutex::new(Shelf {
+            bufs: Lock::new(Shelf {
                 idle: Vec::with_capacity(max),
                 outstanding: 0,
             }),
@@ -43,16 +42,9 @@ impl BufferPool {
         }
     }
 
-    /// A poisoned pool lock is harmless — the protected state is a stack
-    /// of empty buffers, which is valid after any panic — so recover the
-    /// guard instead of propagating the poison.
-    fn bufs(&self) -> MutexGuard<'_, Shelf> {
-        self.bufs.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Pop a cleared buffer, or a fresh empty one if none is idle.
     pub fn take(&self) -> Vec<u8> {
-        let mut shelf = self.bufs();
+        let mut shelf = self.bufs.lock();
         shelf.outstanding += 1;
         shelf.idle.pop().unwrap_or_default()
     }
@@ -75,7 +67,7 @@ impl BufferPool {
     /// when `max` buffers are already idle.
     pub fn put(&self, mut buf: Vec<u8>) {
         buf.clear();
-        let mut shelf = self.bufs();
+        let mut shelf = self.bufs.lock();
         shelf.outstanding -= 1;
         if shelf.idle.len() < self.max {
             shelf.idle.push(buf);
@@ -84,14 +76,14 @@ impl BufferPool {
 
     /// Number of idle buffers currently parked.
     pub fn idle(&self) -> usize {
-        self.bufs().idle.len()
+        self.bufs.lock().idle.len()
     }
 
     /// Buffers taken and not put back. A pipeline that recycles every
     /// buffer reads zero once it is quiet; one whose readers keep their
     /// buffers (the row service) only ever counts up.
     pub fn outstanding(&self) -> i64 {
-        self.bufs().outstanding
+        self.bufs.lock().outstanding
     }
 }
 
@@ -146,19 +138,18 @@ mod tests {
 
     #[test]
     fn poisoned_pool_recovers_and_stays_bounded() {
-        // A worker dying mid-guard poisons the registry mutex; the
-        // recovery helper must keep serving the surviving workers —
-        // recycling, clearing, and the idle bound all intact.
+        // A worker dying mid-guard poisons the pool's lock; the pool
+        // must keep serving the surviving workers — recycling, clearing,
+        // and the idle bound all intact.
         let pool = BufferPool::new(2);
         pool.put(Vec::with_capacity(512));
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
-                let _guard = pool.bufs();
+                let _guard = pool.bufs.lock();
                 panic!("worker dies holding the pool lock");
             });
             assert!(handle.join().is_err(), "the panic must reach join");
         });
-        assert!(pool.bufs.lock().is_err(), "the lock really was poisoned");
         let buf = pool.take();
         assert!(buf.is_empty(), "recycled buffer still arrives cleared");
         assert!(

@@ -30,21 +30,22 @@
 //!
 //! The engine holds its schema and formatter through [`Held`], borrowed
 //! for a batch run's scoped threads or reference-counted for the
-//! service's long-lived ones. Synchronization comes from [`crate::sync`],
-//! so `tests/loom.rs` model-checks this code unmodified.
+//! service's long-lived ones. Synchronization comes from
+//! [`pdgf_schema::sync`], so every lock here is a leaf and
+//! `tests/loom.rs` model-checks this code unmodified.
 
 use std::collections::VecDeque;
 use std::ops::{Deref, Range};
-use std::sync::{Arc, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pdgf_gen::{GenScratch, SchemaRuntime};
 use pdgf_output::{BufferPool, Formatter, ReorderBuffer, TableMeta};
+use pdgf_schema::sync::{AtomicBool, Cond, Lock, Ordering};
 use pdgf_schema::ColumnBatch;
 
 use crate::package::TableJob;
 use crate::scheduler::table_meta;
-use crate::sync::{AtomicBool, Condvar, Mutex, Ordering};
 use crate::telemetry::{now_ns, PackageTimings, RunScope, WorkerPhases};
 
 /// A shared value the core holds either way: borrowed for the span of a
@@ -101,8 +102,8 @@ pub(crate) struct Request<'a> {
     total_packages: u64,
     /// Set when the reader goes away; unrendered packages are skipped.
     cancelled: AtomicBool,
-    delivery: Mutex<Delivery>,
-    ready: Condvar,
+    delivery: Lock<Delivery>,
+    ready: Cond,
 }
 
 impl<'a> Request<'a> {
@@ -127,11 +128,11 @@ impl<'a> Request<'a> {
             row_bound,
             total_packages,
             cancelled: AtomicBool::new(false),
-            delivery: Mutex::new(Delivery {
+            delivery: Lock::new(Delivery {
                 reorder: ReorderBuffer::new(),
                 ready: VecDeque::new(),
             }),
-            ready: Condvar::new(),
+            ready: Cond::new(),
         }
     }
 
@@ -149,10 +150,6 @@ impl<'a> Request<'a> {
             .saturating_add(seq.saturating_mul(package_rows))
             .min(rows.end);
         start..start.saturating_add(package_rows).min(rows.end)
-    }
-
-    fn lock_delivery(&self) -> MutexGuard<'_, Delivery> {
-        self.delivery.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -173,8 +170,8 @@ pub(crate) struct WorkerState {
 /// The shared half of the pipeline: ticket queue, buffer pool and (when
 /// telemetry is attached) the run scope whose watchdog supervises it.
 pub(crate) struct Engine<'a> {
-    queue: Mutex<VecDeque<Task<'a>>>,
-    work: Condvar,
+    queue: Lock<VecDeque<Task<'a>>>,
+    work: Cond,
     stopped: AtomicBool,
     package_rows: u64,
     /// Package buffers: `render` takes, the stream's consumer puts back.
@@ -197,8 +194,8 @@ impl<'a> Engine<'a> {
     /// `idle_buffers` recycled buffers.
     pub(crate) fn new(package_rows: u64, idle_buffers: usize, scope: Option<RunScope>) -> Self {
         Self {
-            queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
+            queue: Lock::new(VecDeque::new()),
+            work: Cond::new(),
             stopped: AtomicBool::new(false),
             package_rows,
             buffers: Arc::new(BufferPool::new(idle_buffers)),
@@ -222,17 +219,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Task<'a>>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
+    /// Queue one ticket. Depth is bounded by the readers: each keeps at
+    /// most its window of tickets in flight.
     fn push(&self, task: Task<'a>) {
-        {
-            let mut q = self.lock_queue();
-            // locks:allow(W034) depth is bounded externally: readers
-            // keep at most their window of tickets in flight
-            q.push_back(task);
-        }
+        self.queue.lock().push_back(task);
         if let Some(scope) = &self.scope {
             scope.work_queued(1);
         }
@@ -248,7 +238,7 @@ impl<'a> Engine<'a> {
     /// under the queue lock: a worker that found the queue empty holds
     /// that lock until it parks, so it cannot miss the wake-up.
     pub(crate) fn stop(&self) {
-        let q = self.lock_queue();
+        let q = self.queue.lock();
         self.stopped.store(true, Ordering::Release);
         drop(q);
         self.work.notify_all();
@@ -259,17 +249,12 @@ impl<'a> Engine<'a> {
         let phases = self.scope.as_ref().map(|s| s.slot(worker));
         let mut state = WorkerState::default();
         loop {
-            let task = {
-                let mut q = self.lock_queue();
-                loop {
-                    if let Some(t) = q.pop_front() {
-                        break t;
-                    }
-                    if self.is_stopped() {
-                        return;
-                    }
-                    q = self.work.wait(q).unwrap_or_else(PoisonError::into_inner);
-                }
+            let popped = self
+                .work
+                .wait_until(self.queue.lock(), |q| !q.is_empty() || self.is_stopped())
+                .pop_front();
+            let Some(task) = popped else {
+                return;
             };
             if !task.req.cancelled.load(Ordering::Relaxed) {
                 let pkg = self.render(&task.req, task.seq, &mut state, phases);
@@ -355,7 +340,7 @@ impl<'a> Engine<'a> {
     /// only after the guard is released. A package that lost the race
     /// with its reader's departure goes straight back to the pool.
     fn deliver(&self, req: &Request<'_>, seq: u64, pkg: Package) {
-        let mut d = req.lock_delivery();
+        let mut d = req.delivery.lock();
         if req.cancelled.load(Ordering::Relaxed) {
             drop(d);
             self.buffers.put(pkg.bytes);
@@ -429,7 +414,7 @@ impl<'a> Stream<'a> {
         if self.is_exhausted() {
             return None;
         }
-        let mut d = self.req.lock_delivery();
+        let mut d = self.req.delivery.lock();
         let pkg = loop {
             if let Some(p) = d.ready.pop_front() {
                 break p;
@@ -441,9 +426,7 @@ impl<'a> Stream<'a> {
             d = self
                 .req
                 .ready
-                .wait_timeout(d, Duration::from_millis(50))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+                .wait_timeout_until(d, Duration::from_millis(50), |d| !d.ready.is_empty());
         };
         drop(d);
         self.delivered += 1;
@@ -457,7 +440,7 @@ impl Drop for Stream<'_> {
         // delivered before this point (and is drained here) or sees the
         // flag in `deliver` and recycles its own buffer.
         let stranded: Vec<Package> = {
-            let mut d = self.req.lock_delivery();
+            let mut d = self.req.delivery.lock();
             self.req.cancelled.store(true, Ordering::Relaxed);
             let d = &mut *d;
             d.ready.drain(..).chain(d.reorder.drain_parked()).collect()
@@ -550,6 +533,28 @@ mod tests {
             drop(stream);
         });
         assert_eq!(engine.buffers.outstanding(), 0);
-        assert!(engine.lock_queue().is_empty(), "cancelled tickets drained");
+        assert!(engine.queue.lock().is_empty(), "cancelled tickets drained");
+    }
+
+    /// The race `dropping_a_stream_cancels_and_recycles` only sometimes
+    /// hits, forced: a package rendered before its reader left and
+    /// delivered after goes straight back to the pool.
+    #[test]
+    fn a_package_delivered_after_its_reader_left_is_recycled() {
+        let rt = runtime(100);
+        let csv = CsvFormatter::new();
+        let engine = Engine::new(10, 8, None);
+        let stream = engine.open(
+            Held::Borrowed(&rt),
+            Held::Borrowed(&csv),
+            TableJob::full_table(0, 100),
+        );
+        let req = Arc::clone(&stream.req);
+        let pkg = engine.render(&req, 0, &mut WorkerState::default(), None);
+        assert_eq!(engine.buffers.outstanding(), 1);
+        drop(stream);
+        engine.deliver(&req, 0, pkg);
+        assert_eq!(engine.buffers.outstanding(), 0);
+        assert!(req.delivery.lock().ready.is_empty());
     }
 }

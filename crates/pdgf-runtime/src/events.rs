@@ -24,8 +24,10 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
+
+use pdgf_schema::sync::{Cond, Lock};
 
 use crate::telemetry::{now_ns, MetricsSnapshot, PackageTimings, PhaseStats};
 
@@ -309,8 +311,8 @@ struct BusState {
 /// waiting. Subscribers block in [`recv`](EventSubscriber::recv) until an
 /// event arrives or the bus is closed and drained.
 pub(crate) struct EventBus {
-    state: Mutex<BusState>,
-    available: Condvar,
+    state: Lock<BusState>,
+    available: Cond,
     capacity: usize,
     /// Live [`EventSubscriber`]s; zero turns `publish` into a no-op.
     /// Relaxed: it gates whether an event is built, it publishes no data
@@ -334,20 +336,16 @@ impl EventBus {
     /// A bus holding at most `capacity` undelivered events (min 1).
     pub(crate) fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
-            state: Mutex::new(BusState {
+            state: Lock::new(BusState {
                 queue: VecDeque::with_capacity(capacity.clamp(1, 4096)),
                 closed: false,
             }),
-            available: Condvar::new(),
+            available: Cond::new(),
             capacity: capacity.max(1),
             subscribers: AtomicUsize::new(0),
             published: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BusState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publish the event `event` builds, stamped with the current time.
@@ -363,7 +361,7 @@ impl EventBus {
             at_ns: now_ns(),
             event: event(),
         };
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         if st.closed || st.queue.len() >= self.capacity {
             drop(st);
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -376,7 +374,7 @@ impl EventBus {
 
     /// Close the bus: subscribers drain what is queued, then see `None`.
     pub(crate) fn close(&self) {
-        self.lock().closed = true;
+        self.state.lock().closed = true;
         self.available.notify_all();
     }
 
@@ -394,7 +392,8 @@ impl EventBus {
     /// if `None`) for one to arrive; `None` on timeout or once the bus is
     /// closed and fully drained.
     fn recv_until(&self, deadline_ns: Option<u64>) -> Option<StampedEvent> {
-        let mut st = self.lock();
+        let arrived = |st: &mut BusState| !st.queue.is_empty() || st.closed;
+        let mut st = self.state.lock();
         loop {
             if let Some(e) = st.queue.pop_front() {
                 return Some(e);
@@ -403,19 +402,14 @@ impl EventBus {
                 return None;
             }
             st = match deadline_ns {
-                None => self
-                    .available
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner),
+                None => self.available.wait_until(st, arrived),
                 Some(deadline) => {
                     let now = now_ns();
                     if now >= deadline {
                         return None;
                     }
-                    self.available
-                        .wait_timeout(st, Duration::from_nanos(deadline - now))
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
+                    let left = Duration::from_nanos(deadline - now);
+                    self.available.wait_timeout_until(st, left, arrived)
                 }
             };
         }
@@ -443,7 +437,7 @@ impl EventSubscriber {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<StampedEvent> {
-        self.bus.lock().queue.pop_front()
+        self.bus.state.lock().queue.pop_front()
     }
 
     /// Receive with a timeout; `None` on timeout or closed-and-drained.
@@ -579,7 +573,7 @@ mod tests {
     fn recv_timeout_returns_none_on_quiet_bus() {
         let (bus, sub) = bus(4);
         assert!(sub.recv_timeout(Duration::from_millis(10)).is_none());
-        assert!(!bus.lock().closed);
+        assert!(!bus.state.lock().closed);
     }
 
     /// The `--metrics-out` trailer and the phase object on fixed values:

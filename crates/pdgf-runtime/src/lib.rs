@@ -43,7 +43,6 @@ mod oracle;
 pub mod package;
 pub mod scheduler;
 pub mod serve;
-mod sync;
 pub mod telemetry;
 /// Fixtures shared by this crate's unit tests.
 #[cfg(test)]

@@ -162,7 +162,8 @@ mod tests {
     use super::*;
     use crate::testkit::runtime;
     use pdgf_output::{CsvFormatter, MemorySink, NullSink, XmlFormatter};
-    use std::sync::{Arc, Mutex};
+    use pdgf_schema::sync::Lock;
+    use std::sync::Arc;
 
     #[test]
     fn shards_partition_the_row_space() {
@@ -201,7 +202,7 @@ mod tests {
         let run = RunConfig::new().workers(2).package_rows(50);
 
         // Single node reference.
-        let single: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let single: Arc<Lock<Vec<u8>>> = Arc::default();
         {
             let captured = single.clone();
             let mut make = move |_: &str, _: usize| -> io::Result<Box<dyn Sink>> {
@@ -216,7 +217,7 @@ mod tests {
         }
 
         // Four nodes, concatenated in node order.
-        let multi: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let multi: Arc<Lock<Vec<u8>>> = Arc::default();
         {
             let captured = multi.clone();
             let mut make = move |_: &str, _: usize| -> io::Result<Box<dyn Sink>> {
@@ -230,7 +231,8 @@ mod tests {
                 .unwrap();
         }
 
-        assert_eq!(*single.lock().unwrap(), *multi.lock().unwrap());
+        let single = single.lock().clone();
+        assert_eq!(single, *multi.lock());
     }
 
     /// The framing fix: for header/framed formats, concatenating the
@@ -244,7 +246,7 @@ mod tests {
                 [&CsvFormatter::new().with_header(), &XmlFormatter];
             for formatter in formatters {
                 let collect = |nodes: usize| -> Vec<u8> {
-                    let dest: Arc<Mutex<Vec<u8>>> = Arc::default();
+                    let dest: Arc<Lock<Vec<u8>>> = Arc::default();
                     let captured = dest.clone();
                     let mut make = move |_: &str, _: usize| -> io::Result<Box<dyn Sink>> {
                         Ok(Box::new(CapturingSink {
@@ -255,7 +257,7 @@ mod tests {
                     MetaScheduler::new(nodes, RunConfig::new().workers(2).package_rows(37))
                         .run_cluster(&rt, formatter, &mut make)
                         .unwrap();
-                    let result = dest.lock().unwrap().clone();
+                    let result = dest.lock().clone();
                     result
                 };
                 let single = collect(1);
@@ -277,7 +279,7 @@ mod tests {
     #[test]
     fn tiny_tables_shard_without_duplicate_headers() {
         let rt = runtime(3);
-        let dest: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let dest: Arc<Lock<Vec<u8>>> = Arc::default();
         let captured = dest.clone();
         let mut make = move |_: &str, _: usize| -> io::Result<Box<dyn Sink>> {
             Ok(Box::new(CapturingSink {
@@ -288,7 +290,7 @@ mod tests {
         MetaScheduler::new(8, RunConfig::new().workers(1).package_rows(10))
             .run_cluster(&rt, &CsvFormatter::new().with_header(), &mut make)
             .unwrap();
-        let out = String::from_utf8(dest.lock().unwrap().clone()).unwrap();
+        let out = String::from_utf8(dest.lock().clone()).unwrap();
         assert_eq!(out.matches("id,v").count(), 1, "{out}");
         assert_eq!(out.lines().count(), 4, "header + 3 rows: {out}");
     }
@@ -332,7 +334,7 @@ mod tests {
     /// deterministic order because nodes run sequentially.
     struct CapturingSink {
         buf: Vec<u8>,
-        dest: Arc<Mutex<Vec<u8>>>,
+        dest: Arc<Lock<Vec<u8>>>,
     }
 
     impl Sink for CapturingSink {
@@ -343,7 +345,7 @@ mod tests {
 
         fn finish(&mut self) -> io::Result<u64> {
             let n = self.buf.len() as u64;
-            self.dest.lock().unwrap().extend_from_slice(&self.buf);
+            self.dest.lock().extend_from_slice(&self.buf);
             self.buf.clear();
             Ok(n)
         }

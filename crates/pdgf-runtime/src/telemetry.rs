@@ -38,8 +38,10 @@
 //! the byte-identity test suite checks directly).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+use pdgf_schema::sync::{Cond, Lock};
 
 use crate::events::{EventBus, EventSubscriber, RunEvent};
 use crate::scheduler::TableRunStats;
@@ -356,29 +358,18 @@ struct Registry {
     queue_samples: AtomicU64,
     queue_sum: AtomicU64,
     queue_max: AtomicU64,
-    ledger: Mutex<Ledger>,
+    ledger: Lock<Ledger>,
     /// [`now_ns`] of the first recorded package: the throughput clock.
     first_package_ns: OnceLock<u64>,
     /// Per-table progress cells, in first-registered order. The lock only
     /// guards the vector; recording bumps the cells' atomics directly.
-    tables: Mutex<Vec<Arc<TableCell>>>,
+    tables: Lock<Vec<Arc<TableCell>>>,
 }
 
 impl Registry {
-    // A poisoned lock here only risks a slightly stale report — a run's
-    // correctness never depends on these — so recover the guard instead
-    // of propagating the panic.
-    fn ledger(&self) -> MutexGuard<'_, Ledger> {
-        self.ledger.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn tables(&self) -> MutexGuard<'_, Vec<Arc<TableCell>>> {
-        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The progress cell of `table`, registered on first sight.
     fn table_cell(&self, table: &str) -> Arc<TableCell> {
-        let mut tables = self.tables();
+        let mut tables = self.tables.lock();
         if let Some(cell) = tables.iter().find(|c| c.name == table) {
             return Arc::clone(cell);
         }
@@ -392,7 +383,7 @@ impl Registry {
 
     /// Fold a finished scope into the accumulated totals.
     fn retire(&self, scope: &Arc<ScopeShared>) {
-        let mut ledger = self.ledger();
+        let mut ledger = self.ledger.lock();
         if let Some(i) = ledger.live.iter().position(|s| Arc::ptr_eq(s, scope)) {
             ledger.live.swap_remove(i);
             ledger.finished.absorb(scope, now_ns());
@@ -441,9 +432,9 @@ impl Telemetry {
                 queue_samples: AtomicU64::new(0),
                 queue_sum: AtomicU64::new(0),
                 queue_max: AtomicU64::new(0),
-                ledger: Mutex::default(),
+                ledger: Lock::default(),
                 first_package_ns: OnceLock::new(),
-                tables: Mutex::default(),
+                tables: Lock::default(),
             }),
         }
     }
@@ -470,7 +461,7 @@ impl Telemetry {
     /// Aggregate progress across all runs this telemetry observed.
     pub fn progress(&self) -> Snapshot {
         let (mut rows, mut bytes, mut packages) = (0, 0, 0);
-        for cell in self.inner.tables().iter() {
+        for cell in self.inner.tables.lock().iter() {
             rows += cell.rows.load(Ordering::Relaxed);
             bytes += cell.bytes.load(Ordering::Relaxed);
             packages += cell.packages.load(Ordering::Relaxed);
@@ -494,7 +485,7 @@ impl Telemetry {
     pub fn table_progress(&self) -> Vec<TableSnapshot> {
         // Clone the cell list (cheap Arc bumps) so name clones never
         // happen under the lock `begin_run` registers through.
-        let cells: Vec<Arc<TableCell>> = self.inner.tables().clone();
+        let cells: Vec<Arc<TableCell>> = self.inner.tables.lock().clone();
         cells.iter().map(|c| c.snapshot()).collect()
     }
 
@@ -504,7 +495,7 @@ impl Telemetry {
         let reg = &*self.inner;
         let now = now_ns();
         let workers = {
-            let ledger = reg.ledger();
+            let ledger = reg.ledger.lock();
             let mut totals = ledger.finished;
             for scope in &ledger.live {
                 totals.absorb(scope, now);
@@ -572,10 +563,10 @@ impl Telemetry {
             last_progress_ns: AtomicU64::new(started_ns),
             current_write: AtomicUsize::new(usize::MAX),
             queue_depth: AtomicU64::new(0),
-            shutdown: Mutex::new(false),
-            tick: Condvar::new(),
+            shutdown: Lock::new(false),
+            tick: Cond::new(),
         });
-        reg.ledger().live.push(Arc::clone(&shared));
+        reg.ledger.lock().live.push(Arc::clone(&shared));
         let watchdog = spawn_watchdog(Arc::clone(reg), Arc::clone(&shared));
         RunScope {
             registry: Arc::clone(reg),
@@ -607,8 +598,8 @@ struct ScopeShared {
     current_write: AtomicUsize,
     /// Packages issued to the engine and not yet rendered.
     queue_depth: AtomicU64,
-    shutdown: Mutex<bool>,
-    tick: Condvar,
+    shutdown: Lock<bool>,
+    tick: Cond,
 }
 
 impl ScopeShared {
@@ -652,24 +643,12 @@ fn spawn_watchdog(
             // per stall episode, re-armed by any new progress.
             let mut fired_at = u64::MAX;
             loop {
-                {
-                    // The flag is checked before parking as well as after:
-                    // a run can finish before this thread first gets here,
-                    // and that notification is not coming again.
-                    let guard = shared
-                        .shutdown
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if *guard {
-                        return;
-                    }
-                    let (guard, _) = shared
-                        .tick
-                        .wait_timeout(guard, tick)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    if *guard {
-                        return;
-                    }
+                // The predicate wait checks the flag before parking: a run
+                // can finish before this thread first gets here, and that
+                // notification is not coming again.
+                let stopping = shared.shutdown.lock();
+                if *shared.tick.wait_timeout_until(stopping, tick, |stop| *stop) {
+                    return;
                 }
                 let depth = shared.queue_depth.load(Ordering::Relaxed);
                 registry.queue_samples.fetch_add(1, Ordering::Relaxed);
@@ -821,11 +800,7 @@ impl RunScope {
         let Some(handle) = self.watchdog.take() else {
             return;
         };
-        *self
-            .shared
-            .shutdown
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = true;
+        *self.shared.shutdown.lock() = true;
         self.shared.tick.notify_all();
         let _ = handle.join();
         self.registry.retire(&self.shared);
@@ -937,7 +912,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         scope.slot(0).add_busy_ns(1_000_000);
         scope.finish(0, 0, 0.0);
-        let capacity = telemetry.inner.ledger().finished.capacity_ns;
+        let capacity = telemetry.inner.ledger.lock().finished.capacity_ns;
         assert!(capacity >= 2 * 2_000_000, "2 workers x 2 ms: {capacity}");
         assert_eq!(
             telemetry.metrics().utilization,
@@ -974,8 +949,15 @@ mod tests {
     fn reused_handle_folds_finished_runs_into_one_total() {
         let telemetry = Telemetry::with_stall_timeout(Duration::from_secs(3600));
         let workers = 2;
-        let live_slots =
-            |t: &Telemetry| -> usize { t.inner.ledger().live.iter().map(|s| s.slots.len()).sum() };
+        let live_slots = |t: &Telemetry| -> usize {
+            t.inner
+                .ledger
+                .lock()
+                .live
+                .iter()
+                .map(|s| s.slots.len())
+                .sum()
+        };
         for run in 0..1_000u64 {
             let scope = telemetry.begin_run([("t", 1)], workers);
             assert!(live_slots(&telemetry) <= workers);
@@ -994,7 +976,7 @@ mod tests {
         let m = telemetry.metrics();
         assert_eq!(m.generate.count, 1_000 * workers as u64);
         assert_eq!(m.format.count, 1_000 * workers as u64);
-        let finished = telemetry.inner.ledger().finished;
+        let finished = telemetry.inner.ledger.lock().finished;
         assert_eq!(finished.busy_ns, 1_000 * workers as u64);
     }
 
@@ -1022,7 +1004,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         long.finish(0, 0, 0.0);
         let t3 = now_ns();
-        let finished = telemetry.inner.ledger().finished;
+        let finished = telemetry.inner.ledger.lock().finished;
         // 3 workers over the long scope's wall plus 1 over the short one's.
         let at_least = 3 * 30_000_000 + 10_000_000;
         let at_most = 3 * (t3 - t0) + (t2 - t1);
@@ -1161,12 +1143,11 @@ mod tests {
         {
             let telemetry = telemetry.clone();
             let handle = std::thread::spawn(move || {
-                let _guard = telemetry.inner.tables();
+                let _guard = telemetry.inner.tables.lock();
                 panic!("dies holding the registry lock");
             });
             assert!(handle.join().is_err(), "the panic must reach join");
         }
-        assert!(telemetry.inner.tables.lock().is_err(), "really poisoned");
         let later = scope_with_jobs(&telemetry, &[("orders", 5)]);
         record(&later, 0, 5, 50);
         record(&scope, 0, 10, 100);
@@ -1302,6 +1283,6 @@ mod tests {
         drop(scope); // must not leak the thread or hang
         let m = telemetry.metrics();
         assert_eq!(m.dropped_events, 0);
-        assert!(telemetry.inner.ledger().live.is_empty());
+        assert!(telemetry.inner.ledger.lock().live.is_empty());
     }
 }

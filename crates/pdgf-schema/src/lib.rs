@@ -25,7 +25,9 @@
 //! * [`lineage`] — the seed-lineage prover: per-generator draw contracts
 //!   folded into the seed-derivation graph (`pdgf prove`),
 //! * [`xml`] — a minimal XML reader/writer,
-//! * [`config`] — the mapping between schema model and its XML form.
+//! * [`config`] — the mapping between schema model and its XML form,
+//! * [`sync`] — the one lock facade of the workspace: poison-recovering
+//!   locks that are leaves by construction, predicate-only waits.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -39,6 +41,7 @@ pub mod expr;
 pub mod lineage;
 pub mod model;
 pub mod props;
+pub mod sync;
 pub mod types;
 pub mod value;
 pub mod xml;

@@ -267,61 +267,6 @@ fn mark_tests(lines: &mut [Line]) {
     }
 }
 
-/// Is `b` an identifier byte (`[A-Za-z0-9_]`)? Shared token utility for
-/// the analysis passes that scan blanked [`Line::code`] text.
-pub fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
-/// The identifier ending exactly at byte `end` of `code`, if any.
-/// Used to recover method-call receivers (`queue` in `queue.lock()`).
-pub fn ident_ending_at(code: &str, end: usize) -> Option<&str> {
-    let bytes = code.as_bytes();
-    if end == 0 || end > bytes.len() || !is_ident_byte(bytes[end - 1]) {
-        return None;
-    }
-    let mut start = end;
-    while start > 0 && is_ident_byte(bytes[start - 1]) {
-        start -= 1;
-    }
-    let id = &code[start..end];
-    if id.as_bytes()[0].is_ascii_digit() {
-        None
-    } else {
-        Some(id)
-    }
-}
-
-/// The identifier starting exactly at byte `start` of `code`, if any.
-pub fn ident_starting_at(code: &str, start: usize) -> Option<&str> {
-    let bytes = code.as_bytes();
-    if start >= bytes.len() || !is_ident_byte(bytes[start]) || bytes[start].is_ascii_digit() {
-        return None;
-    }
-    let mut end = start;
-    while end < bytes.len() && is_ident_byte(bytes[end]) {
-        end += 1;
-    }
-    Some(&code[start..end])
-}
-
-/// Does the word `kw` occur in `hay` on its own (not inside an ident)?
-pub fn has_keyword(hay: &str, kw: &str) -> bool {
-    let bytes = hay.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = hay[from..].find(kw) {
-        let at = from + rel;
-        let before_ok = at == 0 || !is_ident_byte(bytes[at - 1]);
-        let after = at + kw.len();
-        let after_ok = after >= bytes.len() || !is_ident_byte(bytes[after]);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = at + kw.len();
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,21 +333,5 @@ mod tests {
         let lines = lex("#[cfg(test)]\nmod tests;\nfn live() {}\n");
         assert!(lines[0].is_test && lines[1].is_test);
         assert!(!lines[2].is_test);
-    }
-
-    #[test]
-    fn ident_scanning_utilities() {
-        let code = "self.queue.lock()";
-        assert_eq!(
-            ident_ending_at(code, code.find(".lock").unwrap()),
-            Some("queue")
-        );
-        assert_eq!(ident_ending_at(code, 4), Some("self"));
-        assert_eq!(ident_ending_at("  .lock()", 2), None);
-        assert_eq!(ident_ending_at("a1b", 3), Some("a1b"));
-        assert_eq!(ident_starting_at("f(x9)", 2), Some("x9"));
-        assert_eq!(ident_starting_at("f(9x)", 2), None);
-        assert!(has_keyword("while let Some(t) = q.pop() {", "while"));
-        assert!(!has_keyword("meanwhile {", "while"));
     }
 }

@@ -17,13 +17,7 @@
 //! registry ([`registry`]): every `E`/`W` code the schema analyzer or the
 //! abstract interpreter emits must have a row in its module-doc registry
 //! table, and every row must match a live emission site.
-//!
-//! `cargo xtask locks` runs the concurrency prover ([`concurrency`]) over
-//! the same file set: lock/condvar/channel extraction, the cross-crate
-//! lock-order graph with an acyclicity proof, and blocking-section
-//! diagnostics E060–E066/W030–W034.
 
-mod concurrency;
 mod lexer;
 mod registry;
 mod rules;
@@ -82,7 +76,7 @@ fn audit_source(path: &str, src: &str, out: &mut Vec<Violation>) -> usize {
                     needle: format!("audit:allow({})", a.rule),
                     message: format!("`audit:allow({})` names an unknown rule", a.rule),
                     help: "known rules: hash-collections, wall-clock, std-fmt, unwrap, \
-                           columnar-cell-alloc, seed-discipline",
+                           columnar-cell-alloc, seed-discipline, sync-facade",
                 }),
                 (Some(_), true) => out.push(Violation {
                     path: path.to_string(),
@@ -237,9 +231,7 @@ fn print_human(violations: &[Violation], files_scanned: usize, allow_sites: usiz
 }
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: cargo xtask <audit [--format human|json] | locks [--format human|json] | bless>"
-    );
+    eprintln!("usage: cargo xtask <audit [--format human|json] | bless>");
     ExitCode::from(2)
 }
 
@@ -270,78 +262,10 @@ fn read_workspace(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(out)
 }
 
-/// `cargo xtask locks` — run the concurrency prover over the workspace.
-fn locks(root: &Path, json: bool) -> ExitCode {
-    let inputs = match read_workspace(root) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("locks: cannot read workspace sources: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = concurrency::analyze(&inputs);
-    if json {
-        println!("{}", concurrency::render_json(&report));
-    } else {
-        eprint!("{}", concurrency::render_human(&report));
-    }
-    if report.errors() == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Regenerate the byte-pinned concurrency-prover goldens: analyze each
-/// `fixtures/locks/*.rs` fixture in-process and pin its JSON report under
-/// `crates/xtask/tests/golden/locks/`.
-fn bless_locks(root: &Path) -> ExitCode {
-    let fixtures_dir = root.join("crates/xtask/fixtures/locks");
-    let golden_dir = root.join("crates/xtask/tests/golden/locks");
-    let mut names: Vec<String> = match std::fs::read_dir(&fixtures_dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().into_string().ok())
-            .filter(|n| n.ends_with(".rs"))
-            .collect(),
-        Err(e) => {
-            eprintln!("bless: cannot read {}: {e}", fixtures_dir.display());
-            return ExitCode::from(2);
-        }
-    };
-    names.sort();
-    if let Err(e) = std::fs::create_dir_all(&golden_dir) {
-        eprintln!("bless: cannot create {}: {e}", golden_dir.display());
-        return ExitCode::from(2);
-    }
-    for name in &names {
-        let src = match std::fs::read_to_string(fixtures_dir.join(name)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bless: cannot read fixture {name}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let rel = format!("fixtures/locks/{name}");
-        let report = concurrency::analyze(&[(rel, src)]);
-        let mut json = concurrency::render_json(&report);
-        json.push('\n');
-        let golden = golden_dir.join(name.replace(".rs", ".json"));
-        if let Err(e) = std::fs::write(&golden, json) {
-            eprintln!("bless: cannot write {}: {e}", golden.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("bless: wrote {}", golden.display());
-    }
-    eprintln!("bless: {} locks golden(s) regenerated", names.len());
-    ExitCode::SUCCESS
-}
-
 /// `cargo xtask bless` — regenerate the byte-pinned golden reports by
 /// running `pdgf validate --format json` over every golden fixture with
 /// the repo root as working directory (matching the integration tests'
-/// invocation exactly, so the echoed model path is machine-independent),
-/// then the concurrency-prover fixture goldens in-process.
+/// invocation exactly, so the echoed model path is machine-independent).
 fn bless(root: &Path) -> ExitCode {
     let bad = root.join("models/bad");
     let golden_dir = root.join("crates/pdgf/tests/golden");
@@ -392,26 +316,24 @@ fn bless(root: &Path) -> ExitCode {
         eprintln!("bless: wrote {}", golden.display());
     }
     eprintln!("bless: {} golden report(s) regenerated", fixtures.len());
-    bless_locks(root)
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str);
-    if !matches!(command, Some("audit") | Some("locks") | Some("bless")) {
+    if !matches!(command, Some("audit") | Some("bless")) {
         return usage();
     }
     let mut json = false;
     let mut rest = args[1..].iter();
     while let Some(a) = rest.next() {
         match a.as_str() {
-            "--format" if matches!(command, Some("audit") | Some("locks")) => {
-                match rest.next().map(String::as_str) {
-                    Some("json") => json = true,
-                    Some("human") => json = false,
-                    _ => return usage(),
-                }
-            }
+            "--format" if command == Some("audit") => match rest.next().map(String::as_str) {
+                Some("json") => json = true,
+                Some("human") => json = false,
+                _ => return usage(),
+            },
             _ => return usage(),
         }
     }
@@ -430,9 +352,6 @@ fn main() -> ExitCode {
 
     if command == Some("bless") {
         return bless(&root);
-    }
-    if command == Some("locks") {
-        return locks(&root, json);
     }
 
     let inputs = match read_workspace(&root) {
@@ -549,6 +468,13 @@ mod tests {
         let fmt = "fn f(s: &str) -> String { s.to_string() }\n";
         assert_eq!(audit_str("crates/pdgf-output/src/fmtfast.rs", fmt).len(), 1);
         assert!(audit_str("crates/pdgf-output/src/sink.rs", fmt).is_empty());
+        let unwrap = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        assert_eq!(audit_str("crates/pdgf/src/serve.rs", unwrap).len(), 1);
+        assert_eq!(audit_str("crates/pdgf/src/serve/http.rs", unwrap).len(), 1);
+        assert!(audit_str("crates/pdgf/src/project.rs", unwrap).is_empty());
+        let lock = "use std::sync::{Mutex, PoisonError};\n";
+        assert_eq!(audit_str("crates/pdgf-output/src/pool.rs", lock).len(), 2);
+        assert!(audit_str("crates/pdgf-schema/src/sync.rs", lock).is_empty());
     }
 
     #[test]

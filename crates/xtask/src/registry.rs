@@ -1,14 +1,13 @@
 //! Diagnostic-registry meta-lint: the analyzer, the abstract
-//! interpreter, the seed-lineage prover, and the concurrency prover
-//! each carry a doc-comment table listing every stable diagnostic code
-//! they emit. This pass cross-checks the two directions over all four
-//! files as one namespace: a code emitted from non-test code must have
-//! a registry row (`| `CODE` |` in a doc comment), and a registry row
-//! must correspond to a code that is actually emitted. Either mismatch
-//! is an audit violation, so the tables in `analyze.rs`/`absint.rs`/
-//! `lineage.rs`/`concurrency.rs` can never silently drift from the
-//! codes `pdgf validate`, `pdgf explain`, `pdgf prove`, and
-//! `cargo xtask locks` report.
+//! interpreter and the seed-lineage prover each carry a doc-comment
+//! table listing every stable diagnostic code they emit. This pass
+//! cross-checks the two directions over all three files as one
+//! namespace: a code emitted from non-test code must have a registry
+//! row (`| `CODE` |` in a doc comment), and a registry row must
+//! correspond to a code that is actually emitted. Either mismatch is an
+//! audit violation, so the tables in `analyze.rs`/`absint.rs`/
+//! `lineage.rs` can never silently drift from the codes
+//! `pdgf validate`, `pdgf explain` and `pdgf prove` report.
 
 use std::path::Path;
 
@@ -19,7 +18,6 @@ pub const DIAG_SOURCES: &[&str] = &[
     "crates/pdgf-schema/src/analyze.rs",
     "crates/pdgf-schema/src/absint.rs",
     "crates/pdgf-schema/src/lineage.rs",
-    "crates/xtask/src/concurrency.rs",
 ];
 
 /// A diagnostic code together with where it was seen.
@@ -111,8 +109,7 @@ fn audit_registry(sources: &[(&str, String)], out: &mut Vec<Violation>) {
             needle: e.code.clone(),
             message: format!("diagnostic `{}` is emitted but has no registry row", e.code),
             help: "add a `| `CODE` | summary |` row to the diagnostic registry table \
-                   in the module docs of analyze.rs, absint.rs, lineage.rs, or \
-                   concurrency.rs",
+                   in the module docs of analyze.rs, absint.rs, or lineage.rs",
         });
     }
     for d in &documented {

@@ -11,9 +11,10 @@
 //! | `hash-collections` | `HashMap`, `HashSet` | deterministic crates (prng/gen/output/runtime) |
 //! | `wall-clock` | `Instant::now`, `SystemTime`, `thread_rng` | everywhere except the telemetry clock (pdgf-runtime/telemetry) and dbsynth extract/workflow |
 //! | `std-fmt` | `format!`, `.to_string(`, `write!` | pdgf-output hot-path modules (formatter, fmtfast) |
-//! | `unwrap` | `.unwrap()`, `.expect(` | pdgf-runtime and pdgf-output library code |
+//! | `unwrap` | `.unwrap()`, `.expect(` | pdgf-runtime and pdgf-output library code, the pdgf serve front ends (`serve.rs`, `serve/*`) |
 //! | `columnar-cell-alloc` | `String::`, `format!`, `.to_vec()` | columnar kernel modules (pdgf-gen/column, pdgf-schema/column) |
 //! | `seed-discipline` | `.field_seed(`, `.update_seed(` | pdgf-gen generator kernels (every module but runtime) |
+//! | `sync-facade` | `Mutex`, `Condvar`, `RwLock`, `PoisonError` (so `MutexGuard` too) | everywhere except the lock facade (pdgf-schema/sync) |
 
 /// One audit rule: a named ban list with a path scope.
 pub struct Rule {
@@ -60,9 +61,14 @@ fn hot_fmt_module(path: &str) -> bool {
 }
 
 /// Library code that runs inside worker threads, where a panic tears down
-/// a generation run with a poisoned-lock mess instead of an io::Error.
+/// a generation run instead of returning an io::Error, and the serve
+/// front ends, where it kills a connection thread instead of answering
+/// with an error frame or status.
 fn panic_free_scope(path: &str) -> bool {
-    path.starts_with("crates/pdgf-runtime/src/") || path.starts_with("crates/pdgf-output/src/")
+    path.starts_with("crates/pdgf-runtime/src/")
+        || path.starts_with("crates/pdgf-output/src/")
+        || path == "crates/pdgf/src/serve.rs"
+        || path.starts_with("crates/pdgf/src/serve/")
 }
 
 /// The columnar batch kernels: per-cell allocation (fresh `String`s,
@@ -81,6 +87,13 @@ fn columnar_kernel_scope(path: &str) -> bool {
 /// derivation point and stays out of scope.
 fn seed_discipline_scope(path: &str) -> bool {
     path.starts_with("crates/pdgf-gen/src/") && path != "crates/pdgf-gen/src/runtime.rs"
+}
+
+/// Locks are taken only through `pdgf_schema::sync`, whose locks are
+/// leaves by construction (a nested acquisition panics in debug and loom
+/// builds) and recover from poison; a raw std lock would bypass both.
+fn sync_facade_scope(path: &str) -> bool {
+    path != "crates/pdgf-schema/src/sync.rs"
 }
 
 /// All audit rules, in reporting order.
@@ -136,6 +149,14 @@ pub const RULES: &[Rule] = &[
                `// audit:allow(seed-discipline) <reason>`",
         applies: seed_discipline_scope,
     },
+    Rule {
+        id: "sync-facade",
+        summary: "raw std lock outside the lock facade",
+        needles: &["Mutex", "Condvar", "RwLock", "PoisonError"],
+        help: "use `pdgf_schema::sync::{Lock, Cond}`: every lock a leaf, poison \
+               recovered, waits on a predicate",
+        applies: sync_facade_scope,
+    },
 ];
 
 /// Look up a rule by id (used to validate `audit:allow(...)` annotations).
@@ -179,6 +200,13 @@ mod tests {
         assert!(seed_discipline_scope("crates/pdgf-gen/src/column.rs"));
         assert!(!seed_discipline_scope("crates/pdgf-gen/src/runtime.rs"));
         assert!(!seed_discipline_scope("crates/pdgf-runtime/src/serve.rs"));
+        assert!(panic_free_scope("crates/pdgf/src/serve.rs"));
+        assert!(panic_free_scope("crates/pdgf/src/serve/tcp.rs"));
+        assert!(!panic_free_scope("crates/pdgf/src/project.rs"));
+        assert!(sync_facade_scope("crates/pdgf-runtime/src/engine.rs"));
+        assert!(sync_facade_scope("crates/pdgf-gen/src/resolver.rs"));
+        assert!(sync_facade_scope("src/lib.rs"));
+        assert!(!sync_facade_scope("crates/pdgf-schema/src/sync.rs"));
     }
 
     #[test]

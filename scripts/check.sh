@@ -10,9 +10,6 @@ cargo fmt --all -- --check
 echo "== cargo xtask audit"
 cargo xtask audit
 
-echo "== cargo xtask locks (lock-order acyclicity proof, E-clean gate)"
-cargo xtask locks
-
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -2,7 +2,8 @@
 //!
 //! The build environment has no registry access, so this shim vendors the
 //! narrow `loom` API the workspace's concurrency tests use: [`model`],
-//! `loom::thread`, and `loom::sync::{Arc, Mutex, Condvar, atomic}`. The
+//! `loom::thread`, and `loom::sync::{Arc, Mutex, MutexGuard, Condvar,
+//! atomic}`. The
 //! real loom exhaustively enumerates thread interleavings with DPOR; this
 //! stand-in is honest about being weaker — it *stress-tests* instead,
 //! running the model closure many times while injecting deterministic
@@ -98,10 +99,10 @@ pub mod thread {
 /// Synchronization primitives that inject preemption points around the
 /// std primitives they delegate to.
 pub mod sync {
-    pub use std::sync::Arc;
+    pub use std::sync::{Arc, MutexGuard};
 
     use std::fmt;
-    use std::sync::{LockResult, MutexGuard, WaitTimeoutResult};
+    use std::sync::{LockResult, WaitTimeoutResult};
 
     /// Mutex delegating to [`std::sync::Mutex`] with preemption points
     /// before and after acquisition.
