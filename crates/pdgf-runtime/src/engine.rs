@@ -24,6 +24,10 @@
 //!   order. Backpressure is reader-driven: only the reader issues
 //!   tickets, so workers never block on a full output queue — they run
 //!   whatever other tickets exist.
+//! * A reader with no worker to wait for renders itself:
+//!   [`Stream::render_next`] runs the same [`Engine::render`] on the
+//!   calling thread. The inline batch run and the service's one-package
+//!   replies take this path; nothing is queued and nobody is woken.
 //! * Dropping a stream cancels its unrendered tickets and returns every
 //!   rendered-but-unread buffer to the pool. [`Engine::stop`] ends the
 //!   workers once the queue is empty, and ends every unfinished stream.
@@ -405,6 +409,26 @@ impl<'a> Stream<'a> {
             self.issued += 1;
         }
         n
+    }
+
+    /// The reader renders: package `issued` on this thread, handed
+    /// straight back without touching the queue; `None` once every
+    /// package is issued. Only for a stream with nothing in flight — the
+    /// inline batch run and the service's one-package replies.
+    pub(crate) fn render_next(
+        &mut self,
+        engine: &Engine<'a>,
+        state: &mut WorkerState,
+        phases: Option<&WorkerPhases>,
+    ) -> Option<Package> {
+        debug_assert_eq!(self.in_flight(), 0, "tickets in flight");
+        if self.is_fully_issued() {
+            return None;
+        }
+        let pkg = engine.render(&self.req, self.issued, state, phases);
+        self.issued += 1;
+        self.delivered += 1;
+        Some(pkg)
     }
 
     /// Blocking: the next package in row order, or `None` after the last

@@ -278,7 +278,8 @@ fn run_jobs<'a>(
     (result, out.stats)
 }
 
-/// Inline execution: render each job's packages in order on this thread.
+/// Inline execution: the reader renders each job's packages in order on
+/// this thread.
 fn render_inline<'a>(
     engine: &Engine<'a>,
     jobs: &[TableJob],
@@ -288,16 +289,14 @@ fn render_inline<'a>(
     let mut state = WorkerState::default();
     let phases = out.scope.map(|s| s.slot(0));
     for (idx, job) in jobs.iter().enumerate() {
-        let stream = open(job);
-        let req = stream.request();
+        let mut stream = open(job);
         // Seed the watchdog's pending gauge up front: an inline run that
         // wedges inside a package is outstanding work, not idle.
         if let Some(scope) = out.scope {
-            scope.work_queued(req.total_packages());
+            scope.work_queued(stream.request().total_packages());
         }
-        for seq in 0..req.total_packages() {
-            let pkg = engine.render(req, seq, &mut state, phases);
-            let written = out.write(idx, seq, &pkg);
+        while let Some(pkg) = stream.render_next(engine, &mut state, phases) {
+            let written = out.write(idx, stream.delivered() - 1, &pkg);
             engine.buffers.put(pkg.bytes);
             written?;
             if let Some(scope) = out.scope {

@@ -37,6 +37,9 @@
 //! reader consumes one, so a slow (or stopped) reader starves itself and
 //! nobody else. Requests multiplex onto the engine's one FIFO ticket
 //! queue; a dropped [`ResponseStream`] cancels its unrendered packages.
+//! A reply of exactly one package — every point lookup, every tile of up
+//! to `package_rows` rows — never enters the queue: its reader renders
+//! it on the calling thread, so a lookup costs no thread hand-off.
 //!
 //! With a [`Telemetry`] attached the service keeps a long-lived run scope
 //! (so the stall watchdog supervises it — see the idle-vs-wedged
@@ -44,6 +47,8 @@
 //! (`RequestStarted`/`RequestFinished`/`RequestFailed`), and feeds a
 //! lock-free latency histogram surfaced through [`RowService::stats`].
 
+use std::cell::RefCell;
+use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,10 +56,17 @@ use std::sync::Arc;
 use pdgf_gen::SchemaRuntime;
 use pdgf_output::Formatter;
 
-use crate::engine::{Engine, Held, Stream};
+use crate::engine::{Engine, Held, Stream, WorkerState};
 use crate::events::RunEvent;
 use crate::package::{Framing, TableJob};
 use crate::telemetry::{now_ns, seconds_since, Histogram, PhaseStats, Telemetry};
+
+thread_local! {
+    /// The render buffers of a thread that renders its own one-package
+    /// replies; after warm-up a connection thread allocates none per
+    /// lookup.
+    static READER_STATE: RefCell<WorkerState> = RefCell::new(WorkerState::default());
+}
 
 /// Tuning knobs for a [`RowService`], built fluently like
 /// [`RunConfig`](crate::RunConfig):
@@ -338,28 +350,34 @@ impl RowService {
     /// spawns the worker pool immediately; workers sleep until requests
     /// arrive. `telemetry` attaches the event bus, metrics and the stall
     /// watchdog for the service's lifetime.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses a worker thread; a server that must
+    /// survive that calls [`with_models`](Self::with_models), which
+    /// returns the error.
     pub fn new(rt: Arc<SchemaRuntime>, cfg: ServeConfig, telemetry: Option<&Telemetry>) -> Self {
         Self::with_models(vec![("default".to_string(), rt)], cfg, telemetry)
+            .unwrap_or_else(|e| panic!("failed to start the row service: {e}"))
     }
 
     /// Start a multi-model service: every `(name, runtime)` pair becomes
     /// an addressable model slot, all sharing ONE worker pool and ticket
     /// queue. Slot order is registration order; model 0 is the default
-    /// the single-model entry points address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `models` is empty — a service with nothing to serve is a
-    /// configuration bug, caught at construction like a zero-row package.
+    /// the single-model entry points address. Fails on an empty `models`
+    /// (`InvalidInput`) and when a worker thread cannot be spawned; the
+    /// workers already started are stopped and joined first.
     pub fn with_models(
         models: Vec<(String, Arc<SchemaRuntime>)>,
         cfg: ServeConfig,
         telemetry: Option<&Telemetry>,
-    ) -> Self {
-        assert!(
-            !models.is_empty(),
-            "RowService::with_models needs at least one model"
-        );
+    ) -> io::Result<Self> {
+        if models.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "cannot serve an empty model registry",
+            ));
+        }
         let scope = telemetry.map(|t| t.begin_run([("<serve>", 0)], cfg.workers));
         let models = models
             .into_iter()
@@ -381,16 +399,19 @@ impl RowService {
             telemetry: telemetry.cloned(),
             next_request: AtomicU64::new(1),
         });
-        let workers = (0..cfg.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("pdgf-serve-{i}"))
-                    .spawn(move || shared.engine.worker_loop(i))
-                    .unwrap_or_else(|e| panic!("failed to spawn serve worker {i}: {e}"))
-            })
-            .collect();
-        Self { shared, workers }
+        let mut service = Self {
+            shared,
+            workers: Vec::new(),
+        };
+        for i in 0..cfg.workers.max(1) {
+            let shared = Arc::clone(&service.shared);
+            // On error `service` drops, which stops and joins the rest.
+            let worker = std::thread::Builder::new()
+                .name(format!("pdgf-serve-{i}"))
+                .spawn(move || shared.engine.worker_loop(i))?;
+            service.workers.push(worker);
+        }
+        Ok(service)
     }
 
     /// The schema runtime of model 0 (the only one for single-model
@@ -450,7 +471,8 @@ impl RowService {
 
     /// Submit a request. Validation is synchronous; rendering is not —
     /// the returned [`ResponseStream`] yields formatted packages in row
-    /// order as workers finish them. A range wider than
+    /// order as workers finish them (a one-package reply is rendered by
+    /// its reader, at the first read). A range wider than
     /// `max_request_rows` is rejected outright; see
     /// [`submit_clamped`](Self::submit_clamped) for the resumable
     /// alternative.
@@ -556,7 +578,10 @@ impl RowService {
         // Stamped before the first ticket goes out: a worker woken by
         // `issue` can finish a small request before this thread runs again.
         let started_ns = now_ns();
-        stream.issue(&shared.engine, shared.window);
+        // A one-package reply gets no ticket: its reader renders it.
+        if stream.request().total_packages() > 1 {
+            stream.issue(&shared.engine, shared.window);
+        }
         let finished = stream.is_exhausted();
         let stream = ResponseStream {
             shared: Arc::clone(shared),
@@ -593,15 +618,12 @@ impl RowService {
         row: u64,
         formatter: Arc<dyn Formatter>,
     ) -> Result<Vec<u8>, SubmitError> {
+        // One row is one package: the reply is that package's buffer.
         let mut stream = self.submit(
             RowRequest::point(table, update, row).on_model(model),
             formatter,
         )?;
-        let mut out = Vec::new();
-        while let Some(chunk) = stream.next_package() {
-            out.extend_from_slice(&chunk);
-        }
-        Ok(out)
+        Ok(stream.next_package().unwrap_or_default())
     }
 
     /// Lineage hook: the seed the *point-lookup* route derives for one
@@ -645,6 +667,14 @@ impl RowService {
             .models
             .get(model as usize)
             .map(|slot| slot.stats.snapshot(self.shared.started_ns))
+    }
+
+    /// Package buffers taken from the pool and not put back. Readers keep
+    /// the packages they are handed, so once every stream has ended this
+    /// equals the packages delivered; anything above that is stranded.
+    #[doc(hidden)]
+    pub fn buffers_outstanding(&self) -> i64 {
+        self.shared.engine.buffers.outstanding()
     }
 
     /// Stop accepting work and join the pool. Pending tickets of live
@@ -716,7 +746,13 @@ impl ResponseStream {
             return None;
         }
         let engine = &self.shared.engine;
-        let Some(pkg) = self.stream.next(engine) else {
+        let pkg = if self.stream.in_flight() > 0 || engine.is_stopped() {
+            self.stream.next(engine)
+        } else {
+            let phases = engine.scope.as_ref().map(|s| s.slot(0));
+            READER_STATE.with_borrow_mut(|state| self.stream.render_next(engine, state, phases))
+        };
+        let Some(pkg) = pkg else {
             // The pool is gone; this request can never complete.
             self.abort("service shut down mid-request");
             return None;
@@ -897,13 +933,75 @@ mod tests {
             ServeConfig::new().workers(2).package_rows(8),
             None,
         );
-        let csv: Arc<dyn Formatter> = Arc::new(CsvFormatter::new());
-        let whole = batch_bytes(&rt, &CsvFormatter::new());
-        let mut concat = Vec::new();
-        for row in 0..50 {
-            concat.extend_from_slice(&service.row_bytes(0, 0, row, Arc::clone(&csv)).unwrap());
+        let meta = crate::scheduler::table_meta(&rt, 0);
+        let formatters: [Arc<dyn Formatter>; 4] = [
+            Arc::new(CsvFormatter::new().with_header()),
+            Arc::new(JsonFormatter),
+            Arc::new(XmlFormatter),
+            Arc::new(SqlFormatter::new()),
+        ];
+        for formatter in &formatters {
+            for update in [0u32, 3] {
+                let mut tiled = Vec::new();
+                formatter.begin(&mut tiled, &meta);
+                for row in 0..50 {
+                    let bytes = service
+                        .row_bytes(0, update, row, Arc::clone(formatter))
+                        .unwrap();
+                    tiled.extend_from_slice(&bytes);
+                }
+                formatter.end(&mut tiled, &meta);
+                assert_eq!(
+                    tiled,
+                    oracle_bytes(&rt, 0, update, 0..50, formatter.as_ref()),
+                    "format={} update={update}: point lookups tile the body",
+                    formatter.name()
+                );
+            }
         }
-        assert_eq!(concat, whole, "point lookups tile the CSV body");
+    }
+
+    /// The one-package rule: a point lookup is rendered by its reader, so
+    /// 1,000 of them leave the pending-ticket gauge at zero while the
+    /// stats and latency histogram still see every request.
+    #[test]
+    fn point_lookups_never_queue_a_ticket() {
+        let rt = runtime(100);
+        let telemetry = Telemetry::with_stall_timeout(std::time::Duration::from_millis(20));
+        let service = RowService::new(
+            Arc::clone(&rt),
+            ServeConfig::new().workers(2),
+            Some(&telemetry),
+        );
+        let csv: Arc<dyn Formatter> = Arc::new(CsvFormatter::new());
+        for i in 0..1_000u64 {
+            let row = service.row_bytes(0, 0, i % 100, Arc::clone(&csv)).unwrap();
+            assert!(!row.is_empty());
+        }
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.aborted), (1_000, 0));
+        assert_eq!(stats.latency.count, 1_000);
+        assert_eq!(
+            telemetry.metrics().queue_depth.max,
+            0,
+            "a ticket was queued"
+        );
+    }
+
+    /// An unread one-package reply rendered nothing, so dropping it
+    /// books an abort and leaves no buffer out of the pool.
+    #[test]
+    fn dropping_an_unread_one_package_reply_aborts() {
+        let rt = runtime(100);
+        let service = RowService::new(Arc::clone(&rt), ServeConfig::new().workers(1), None);
+        let stream = service
+            .submit(RowRequest::point(0, 0, 7), Arc::new(CsvFormatter::new()))
+            .unwrap();
+        assert_eq!(stream.total_packages(), 1);
+        drop(stream);
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.aborted), (0, 1));
+        assert_eq!(service.buffers_outstanding(), 0);
     }
 
     /// The backpressure contract: with ONE worker, a reader that never

@@ -49,7 +49,9 @@ impl Sink for ChunkSink {
 }
 
 /// Including the framing-only package of an empty table, a one-row
-/// table, and a ragged tail; inline and pooled batch runs alike.
+/// table, and a ragged tail; inline and pooled batch runs alike. The
+/// first two are one-package replies, which the service's reader renders
+/// itself, as the inline batch run does.
 #[test]
 fn batch_and_serve_agree_on_bytes_and_package_boundaries() {
     let framed: [Arc<dyn Formatter>; 2] = [

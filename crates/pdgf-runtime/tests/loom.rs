@@ -186,6 +186,67 @@ mod serve_models {
         });
     }
 
+    /// A one-package reply, rendered by its own reader, races a
+    /// multi-package reply rendered by the worker and a `shutdown`. Each
+    /// reader gets all of its bytes or a clean prefix of them, every
+    /// request is booked as completed or aborted, and no buffer is
+    /// stranded: the pool is short exactly the packages readers hold.
+    #[test]
+    fn one_package_reply_races_a_worker_reply_and_shutdown() {
+        const ROWS: u64 = 24;
+        let rt = runtime(ROWS);
+        let reference = RowService::new(Arc::clone(&rt), ServeConfig::new().workers(1), None);
+        let expected = Arc::new([
+            reference.row_bytes(0, 0, 5, formatter()).unwrap(),
+            reference
+                .submit(RowRequest::range(0, 0, 0..ROWS), formatter())
+                .unwrap()
+                .flatten()
+                .collect(),
+        ]);
+        drop(reference);
+        loom::model(move || {
+            let mut service = RowService::new(
+                Arc::clone(&rt),
+                ServeConfig::new().workers(1).package_rows(8).window(2),
+                None,
+            );
+            let streams = [
+                service.submit(RowRequest::point(0, 0, 5), formatter()),
+                service.submit(RowRequest::range(0, 0, 0..ROWS), formatter()),
+            ];
+            let readers: Vec<_> = streams
+                .into_iter()
+                .enumerate()
+                .map(|(i, stream)| {
+                    let mut stream = stream.unwrap();
+                    let expected = Arc::clone(&expected);
+                    loom::thread::spawn(move || {
+                        let (mut out, mut packages) = (Vec::new(), 0i64);
+                        while let Some(pkg) = stream.next_package() {
+                            out.extend_from_slice(&pkg);
+                            packages += 1;
+                        }
+                        assert!(
+                            expected[i].starts_with(&out),
+                            "reply {i} is not a prefix of its uncontended bytes"
+                        );
+                        packages
+                    })
+                })
+                .collect();
+            service.shutdown();
+            let received: i64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+            let stats = service.stats();
+            assert_eq!(stats.completed + stats.aborted, 2);
+            assert_eq!(
+                service.buffers_outstanding(),
+                received,
+                "a buffer was stranded"
+            );
+        });
+    }
+
     /// Shutdown must wake every worker, parked or about to park. The
     /// stop flag is set under the queue lock and workers wait without a
     /// timeout, so a lost wake-up would hang this model (and the join

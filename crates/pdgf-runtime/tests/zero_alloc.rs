@@ -9,11 +9,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use pdgf_gen::{MapResolver, SchemaRuntime};
-use pdgf_output::{CsvFormatter, NullSink};
-use pdgf_runtime::{generate_table_range, RunConfig, Telemetry};
+use pdgf_output::{CsvFormatter, Formatter, NullSink};
+use pdgf_runtime::{generate_table_range, RowService, RunConfig, ServeConfig, Telemetry};
 use pdgf_schema::model::DateFormat;
 use pdgf_schema::{Date, Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
@@ -200,4 +200,50 @@ fn unsubscribed_telemetry_does_not_allocate_per_package() {
     );
     assert_eq!(telemetry.progress().rows, 2 * 40_000);
     assert_eq!(telemetry.dropped_events(), 0, "nothing was published");
+}
+
+/// A point lookup is rendered on the calling thread into that thread's
+/// reused column batch, so its cost is a fixed set of allocations — the
+/// request with its table metadata (name and one string per column) and
+/// the returned row — whatever the row number and however many lookups
+/// came before.
+#[test]
+fn point_lookups_allocate_a_constant_per_lookup() {
+    const PER_LOOKUP: u64 = 14;
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let service = RowService::new(
+        Arc::new(runtime(1 << 40)),
+        ServeConfig::new().workers(1),
+        None,
+    );
+    let csv: Arc<dyn Formatter> = Arc::new(CsvFormatter::new());
+    // The counter is process-wide and the test harness's own thread may
+    // allocate meanwhile, which can only add: the least of three runs is
+    // the lookups' own count.
+    let lookups = |n: u64| {
+        (0..3)
+            .map(|_| {
+                allocations_during(|| {
+                    for i in 0..n {
+                        let row = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24;
+                        let bytes = service.row_bytes(0, 0, row, Arc::clone(&csv)).unwrap();
+                        assert!(!bytes.is_empty());
+                    }
+                })
+            })
+            .min()
+            .unwrap()
+    };
+    lookups(10);
+
+    assert_eq!(
+        lookups(100),
+        100 * PER_LOOKUP,
+        "allocations for 100 lookups"
+    );
+    assert_eq!(
+        lookups(1_000),
+        1_000 * PER_LOOKUP,
+        "allocations for 1,000 lookups"
+    );
 }

@@ -41,7 +41,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdgf_gen::SchemaRuntime;
+use pdgf_output::Formatter;
 use pdgf_runtime::{ResponseStream, RowService, ServeConfig, ServeStats, Telemetry};
+
+use crate::OutputFormat;
 
 pub mod client;
 pub mod cursor;
@@ -202,9 +205,36 @@ pub(crate) struct ServerShared {
     pub(crate) read_timeout: Option<Duration>,
     pub(crate) write_timeout: Option<Duration>,
     pub(crate) telemetry: Option<Telemetry>,
+    /// One formatter per [`OutputFormat`], in [`OutputFormat::all`] order.
+    formatters: [Arc<dyn Formatter>; 4],
 }
 
 impl ServerShared {
+    /// Start the row service over `registry`; fails on an empty registry
+    /// or when a worker thread cannot be spawned.
+    pub(crate) fn new(
+        registry: ModelRegistry,
+        options: ServerOptions,
+        telemetry: Option<&Telemetry>,
+    ) -> std::io::Result<Self> {
+        Ok(Self {
+            service: RowService::with_models(registry.into_models(), options.config, telemetry)?,
+            active: AtomicUsize::new(0),
+            max_connections: options.max_connections,
+            stopping: AtomicBool::new(false),
+            read_timeout: options.read_timeout,
+            write_timeout: options.write_timeout,
+            telemetry: telemetry.cloned(),
+            formatters: OutputFormat::all().map(|f| Arc::from(f.formatter())),
+        })
+    }
+
+    /// The shared formatter of `format`: a request clones the handle
+    /// instead of building its own.
+    pub(crate) fn formatter(&self, format: OutputFormat) -> Arc<dyn Formatter> {
+        Arc::clone(&self.formatters[format as usize])
+    }
+
     /// Admit a connection against the shared cap; the caller must
     /// [`release`](Self::release) when the handler exits.
     pub(crate) fn admit(&self) -> bool {
@@ -298,26 +328,11 @@ impl Server {
         options: ServerOptions,
         telemetry: Option<&Telemetry>,
     ) -> std::io::Result<Self> {
-        if registry.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "cannot serve an empty model registry",
-            ));
-        }
-        let listener = TcpListener::bind(addr)?;
-        let service = RowService::with_models(registry.into_models(), options.config, telemetry);
+        let shared = ServerShared::new(registry, options, telemetry)?;
         Ok(Self {
-            listener,
+            listener: TcpListener::bind(addr)?,
             http: None,
-            shared: Arc::new(ServerShared {
-                service,
-                active: AtomicUsize::new(0),
-                max_connections: options.max_connections,
-                stopping: AtomicBool::new(false),
-                read_timeout: options.read_timeout,
-                write_timeout: options.write_timeout,
-                telemetry: telemetry.cloned(),
-            }),
+            shared: Arc::new(shared),
         })
     }
 
@@ -586,15 +601,13 @@ mod tests {
             .package_rows(37)
             .window(2)
             .max_request_rows(300);
-        ServerShared {
-            service: RowService::with_models(registry.into_models(), config, None),
-            active: AtomicUsize::new(0),
-            max_connections: 1,
-            stopping: AtomicBool::new(false),
-            read_timeout: None,
-            write_timeout: None,
-            telemetry: None,
-        }
+        let options = ServerOptions::builder()
+            .config(config)
+            .max_connections(1)
+            .no_timeouts()
+            .build()
+            .unwrap();
+        ServerShared::new(registry, options, None).unwrap()
     }
 
     /// One TCP command as `tcp::handle_connection` answers it.

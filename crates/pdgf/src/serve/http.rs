@@ -420,7 +420,7 @@ fn rows(
     };
     let admitted = match shared.service.submit_clamped(
         RowRequest::range(table_idx, update, start..end).on_model(model_idx),
-        Arc::from(format.formatter()),
+        shared.formatter(format),
     ) {
         Ok(a) => a,
         Err(e) => return submit_error(writer, keep, &e),
@@ -507,13 +507,10 @@ fn point(
             None => return error_response(writer, 400, "Bad Request", keep, "unknown format", &[]),
         },
     };
-    match shared.service.row_bytes_in(
-        model_idx,
-        table_idx,
-        update,
-        row,
-        Arc::from(format.formatter()),
-    ) {
+    match shared
+        .service
+        .row_bytes_in(model_idx, table_idx, update, row, shared.formatter(format))
+    {
         Ok(bytes) => respond(writer, 200, "OK", keep, content_type(format), &bytes, &[]),
         Err(SubmitError::RangeOutOfBounds { .. }) => {
             error_response(writer, 404, "Not Found", keep, "row beyond table end", &[])

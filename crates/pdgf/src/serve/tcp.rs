@@ -181,7 +181,7 @@ pub(super) fn answer(
             let start = int(words[3], "start")?;
             let end = int(words[4], "end")?;
             let format = format_of(words[5])?;
-            stream_range(service, writer, model, table, update, start, end, format)
+            stream_range(shared, writer, model, table, update, start, end, format)
         }
         Some("CURSOR") if words.len() == 2 => {
             let c = Cursor::decode(words[1]).map_err(|e| AnswerError::Request(e.to_string()))?;
@@ -192,7 +192,7 @@ pub(super) fn answer(
                 )));
             }
             stream_range(
-                service, writer, c.model, c.table, c.update, c.start, c.end, c.format,
+                shared, writer, c.model, c.table, c.update, c.start, c.end, c.format,
             )
         }
         Some("ROW") if words.len() == 5 => {
@@ -201,7 +201,7 @@ pub(super) fn answer(
             let row = int(words[3], "row")?;
             let format = format_of(words[4])?;
             let bytes = service
-                .row_bytes_in(model, table, update, row, Arc::from(format.formatter()))
+                .row_bytes_in(model, table, update, row, shared.formatter(format))
                 .map_err(|e| AnswerError::Request(e.to_string()))?;
             write_frame(writer, TAG_DATA, &bytes)?;
             write_frame(writer, TAG_END, b"")?;
@@ -255,7 +255,7 @@ pub(super) fn answer(
 /// remainder's token, then `Z`.
 #[allow(clippy::too_many_arguments)]
 fn stream_range(
-    service: &RowService,
+    shared: &ServerShared,
     writer: &mut impl Write,
     model: u32,
     table: u32,
@@ -264,10 +264,11 @@ fn stream_range(
     end: u64,
     format: OutputFormat,
 ) -> Result<(), AnswerError> {
-    let admitted = service
+    let admitted = shared
+        .service
         .submit_clamped(
             RowRequest::range(table, update, start..end).on_model(model),
-            Arc::from(format.formatter()),
+            shared.formatter(format),
         )
         .map_err(|e| AnswerError::Request(e.to_string()))?;
     write_packages(writer, admitted.stream, |w, package| {
