@@ -89,11 +89,73 @@ pub trait Formatter: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Append one `char` as UTF-8.
+/// Append one `char` as UTF-8: a CSV delimiter outside the byte paths.
 #[inline]
 fn push_char(out: &mut Vec<u8>, c: char) {
     let mut buf = [0u8; 4];
     out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+}
+
+/// The one escaping walk every text format shares: call `emit` with each
+/// clean run of `s`, unchanged, and with `escape_of(b)` in place of each
+/// byte it escapes. `escape_of` may only escape ASCII bytes; those never
+/// occur inside a multi-byte UTF-8 sequence, so the scan runs over raw
+/// bytes and every run is still a `&str`.
+#[inline]
+fn escape_runs(
+    s: &str,
+    escape_of: impl Fn(u8) -> Option<&'static str>,
+    mut emit: impl FnMut(&str),
+) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(esc) = escape_of(b) {
+            emit(&s[start..i]);
+            emit(esc);
+            start = i + 1;
+        }
+    }
+    emit(&s[start..]);
+}
+
+/// [`escape_runs`] into a byte buffer: one copy per clean run.
+#[inline]
+fn escape_into(out: &mut Vec<u8>, s: &str, escape_of: impl Fn(u8) -> Option<&'static str>) {
+    escape_runs(s, escape_of, |run| out.extend_from_slice(run.as_bytes()));
+}
+
+/// `\n`, `\r` and `\t` in their short forms; every other control byte as
+/// `\u00XX`.
+const JSON_CONTROL_ESCAPES: [&str; 32] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\u0008", "\\t", "\\n", "\\u000b", "\\u000c", "\\r", "\\u000e", "\\u000f", "\\u0010",
+    "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+    "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
+
+/// What JSON writes for byte `b` inside a string, if `b` must be escaped.
+#[inline]
+fn json_escape_of(b: u8) -> Option<&'static str> {
+    match b {
+        b'"' => Some("\\\""),
+        b'\\' => Some("\\\\"),
+        0..=0x1f => Some(JSON_CONTROL_ESCAPES[usize::from(b)]),
+        _ => None,
+    }
+}
+
+/// Append `s` escaped as the body of a JSON string (no surrounding
+/// quotes). Every byte JSON escapes is ASCII, so clean runs — multi-byte
+/// UTF-8 included — are copied unchanged.
+pub fn json_escape_into(out: &mut Vec<u8>, s: &str) {
+    escape_into(out, s, json_escape_of);
+}
+
+/// [`json_escape_into`] for control-plane text: the escaped body of `s`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_runs(s, json_escape_of, |run| out.push_str(run));
+    out
 }
 
 /// Every byte a non-text [`Value`] rendering can contain: digits, sign,
@@ -155,12 +217,7 @@ impl CsvFormatter {
         };
         if needs_quoting {
             out.push(b'"');
-            for c in text.chars() {
-                if c == '"' {
-                    out.push(b'"');
-                }
-                push_char(out, c);
-            }
+            escape_into(out, text, |b| (b == b'"').then_some("\"\""));
             out.push(b'"');
         } else {
             out.extend_from_slice(text.as_bytes());
@@ -239,25 +296,23 @@ impl Formatter for CsvFormatter {
         // quoting decision can be hoisted: one vectorizable scan over the
         // arena. A column whose arena contains no delimiter, quote, or
         // newline bytes takes `push_field`'s unquoted branch for every
-        // cell — splice those cells with a plain memcpy.
-        let clean: Vec<bool> = match delim {
-            Some(d) => batch
-                .columns()
-                .iter()
-                .map(|c| {
-                    c.as_text().is_some_and(|t| {
-                        // Four memchr passes (slice::contains specializes
-                        // to SIMD for u8) beat one scalar multi-needle scan.
-                        let b = t.arena().as_bytes();
-                        !(b.contains(&d)
-                            || b.contains(&b'"')
-                            || b.contains(&b'\n')
-                            || b.contains(&b'\r'))
-                    })
-                })
-                .collect(),
-            None => vec![false; batch.columns().len()],
-        };
+        // cell — splice those cells with a plain memcpy. Bit `i` marks
+        // column `i` clean; columns past 64 take the scanning path.
+        let mut clean = 0u64;
+        if let Some(d) = delim {
+            for (i, c) in batch.columns().iter().enumerate().take(64) {
+                let is_clean = c.as_text().is_some_and(|t| {
+                    // Four memchr passes (slice::contains specializes
+                    // to SIMD for u8) beat one scalar multi-needle scan.
+                    let b = t.arena().as_bytes();
+                    !(b.contains(&d)
+                        || b.contains(&b'"')
+                        || b.contains(&b'\n')
+                        || b.contains(&b'\r'))
+                });
+                clean |= u64::from(is_clean) << i;
+            }
+        }
         for r in 0..batch.rows() {
             for (i, col) in batch.columns().iter().enumerate() {
                 if i > 0 {
@@ -267,7 +322,9 @@ impl Formatter for CsvFormatter {
                     }
                 }
                 match col.value_ref(r) {
-                    ValueRef::Text(s) if clean[i] => out.extend_from_slice(s.as_bytes()),
+                    ValueRef::Text(s) if i < 64 && (clean >> i) & 1 == 1 => {
+                        out.extend_from_slice(s.as_bytes())
+                    }
                     v => self.cell(out, v),
                 }
             }
@@ -308,27 +365,21 @@ impl Formatter for CsvFormatter {
 /// Newline-delimited JSON: one object per row.
 pub struct JsonFormatter;
 
-fn json_escape_into(out: &mut Vec<u8>, s: &str) {
+/// `s` as a quoted JSON string.
+#[inline]
+fn json_string_into(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
-    for c in s.chars() {
-        match c {
-            '"' => out.extend_from_slice(b"\\\""),
-            '\\' => out.extend_from_slice(b"\\\\"),
-            '\n' => out.extend_from_slice(b"\\n"),
-            '\r' => out.extend_from_slice(b"\\r"),
-            '\t' => out.extend_from_slice(b"\\t"),
-            c if (c as u32) < 0x20 => {
-                // `\u00XX` — control characters only, so two hex digits.
-                const HEX: &[u8; 16] = b"0123456789abcdef";
-                let n = c as usize;
-                out.extend_from_slice(b"\\u00");
-                out.push(HEX[(n >> 4) & 0xF]);
-                out.push(HEX[n & 0xF]);
-            }
-            c => push_char(out, c),
-        }
-    }
+    json_escape_into(out, s);
     out.push(b'"');
+}
+
+/// The bytes [`json_string_into`] writes for `s`.
+fn json_string_len(s: &str) -> u64 {
+    let body: usize = s
+        .bytes()
+        .map(|b| json_escape_of(b).map_or(1, str::len))
+        .sum();
+    body as u64 + 2
 }
 
 /// One JSON cell value, shared by the row and columnar paths.
@@ -361,7 +412,7 @@ fn json_cell(out: &mut Vec<u8>, v: ValueRef<'_>) {
             fmtfast::write_timestamp(out, t);
             out.push(b'"');
         }
-        ValueRef::Text(s) => json_escape_into(out, s),
+        ValueRef::Text(s) => json_string_into(out, s),
     }
 }
 
@@ -372,7 +423,7 @@ impl Formatter for JsonFormatter {
             if i > 0 {
                 out.push(b',');
             }
-            json_escape_into(out, col);
+            json_string_into(out, col);
             out.push(b':');
             json_cell(out, ValueRef::from(v));
         }
@@ -380,14 +431,26 @@ impl Formatter for JsonFormatter {
     }
 
     fn rows_columnar(&self, out: &mut Vec<u8>, meta: &TableMeta, batch: &ColumnBatch) {
+        // Column names almost never need escaping; when none does, every
+        // key is `"` + name + `":`, written as plain copies.
+        let plain_keys = meta
+            .columns
+            .iter()
+            .all(|c| !c.bytes().any(|b| json_escape_of(b).is_some()));
         for r in 0..batch.rows() {
             out.push(b'{');
             for (i, (col, c)) in meta.columns.iter().zip(batch.columns()).enumerate() {
                 if i > 0 {
                     out.push(b',');
                 }
-                json_escape_into(out, col);
-                out.push(b':');
+                if plain_keys {
+                    out.push(b'"');
+                    out.extend_from_slice(col.as_bytes());
+                    out.extend_from_slice(b"\":");
+                } else {
+                    json_string_into(out, col);
+                    out.push(b':');
+                }
                 json_cell(out, c.value_ref(r));
             }
             out.extend_from_slice(b"}\n");
@@ -403,9 +466,7 @@ impl Formatter for JsonFormatter {
             if i > 0 {
                 total += 1; // comma
             }
-            let mut key = Vec::new();
-            json_escape_into(&mut key, col);
-            total += key.len() as u64 + 1; // escaped key plus colon
+            total += json_string_len(col) + 1; // escaped key plus colon
             let w = u64::from(p.width.bound()?);
             let k = p.kinds;
             let mut b = 0u64;
@@ -444,14 +505,12 @@ impl Formatter for JsonFormatter {
 pub struct XmlFormatter;
 
 fn xml_escape_into(out: &mut Vec<u8>, s: &str) {
-    for c in s.chars() {
-        match c {
-            '&' => out.extend_from_slice(b"&amp;"),
-            '<' => out.extend_from_slice(b"&lt;"),
-            '>' => out.extend_from_slice(b"&gt;"),
-            c => push_char(out, c),
-        }
-    }
+    escape_into(out, s, |b| match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        _ => None,
+    });
 }
 
 /// One XML `<col>…</col>` element, shared by the row and columnar paths.
@@ -537,42 +596,22 @@ impl Formatter for XmlFormatter {
 
 /// SQL `INSERT` statements, loadable through any SQL interface (the
 /// paper: "data can be loaded into the target database either using SQL
-/// statements generated by PDGF or a bulk load option").
-pub struct SqlFormatter {
-    /// Rows per multi-row `INSERT` statement.
-    batch: usize,
-}
+/// statements generated by PDGF or a bulk load option"). One `INSERT` per
+/// row.
+#[derive(Default)]
+pub struct SqlFormatter;
 
 impl SqlFormatter {
     /// One `INSERT` per row.
     pub fn new() -> Self {
-        Self { batch: 1 }
-    }
-
-    /// Multi-row inserts (`INSERT ... VALUES (...), (...), ...`) are not
-    /// batched across `row` calls; `batch` is kept for API completeness.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
+        Self
     }
 }
 
-impl Default for SqlFormatter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Append `s` single-quoted with embedded `'` doubled. Safe on raw bytes:
-/// `'` is ASCII and UTF-8 continuation bytes can never alias it.
+/// Append `s` single-quoted with embedded `'` doubled.
 fn sql_quote_into(out: &mut Vec<u8>, s: &str) {
     out.push(b'\'');
-    for &b in s.as_bytes() {
-        if b == b'\'' {
-            out.push(b'\'');
-        }
-        out.push(b);
-    }
+    escape_into(out, s, |b| (b == b'\'').then_some("''"));
     out.push(b'\'');
 }
 
@@ -983,6 +1022,189 @@ mod tests {
         let mut out = Vec::new();
         Plain.rows_columnar(&mut out, &m, &batch);
         assert_eq!(String::from_utf8_lossy(&out), "7;a;;\n8;b;true;\n");
+    }
+
+    /// JSON `rows_columnar` writes keys as plain copies when no column name
+    /// needs escaping and through the escaper otherwise; both must match
+    /// the `row` path byte for byte.
+    #[test]
+    fn json_columnar_keys_match_row_path_with_and_without_escaping() {
+        let mut batch = pdgf_schema::ColumnBatch::new();
+        batch.begin(3, 2);
+        batch.columns_mut()[0].longs_mut().extend([1, -2]);
+        {
+            let t = batch.columns_mut()[1].text_mut();
+            t.push_str("plain");
+            t.push_str("q\"b\\s\n\u{1}é中🙂");
+        }
+        batch.columns_mut()[2]
+            .cells_mut()
+            .extend([Value::Null, Value::text("\t")]);
+        let rows: Vec<Vec<Value>> = (0..2)
+            .map(|i| batch.columns().iter().map(|c| c.value(i)).collect())
+            .collect();
+        for m in [
+            TableMeta::new("t", &["id", "name", "note"]),
+            TableMeta::new("t", &["id", "na\"me", "no\\te\u{1f}"]),
+        ] {
+            let mut by_row = Vec::new();
+            for r in &rows {
+                JsonFormatter.row(&mut by_row, &m, r);
+            }
+            let mut by_col = Vec::new();
+            JsonFormatter.rows_columnar(&mut by_col, &m, &batch);
+            assert_eq!(
+                String::from_utf8_lossy(&by_row),
+                String::from_utf8_lossy(&by_col),
+                "keys {:?}",
+                m.columns
+            );
+        }
+    }
+
+    /// The char-by-char escapers the byte-run walk replaced, kept as
+    /// reference models.
+    mod char_models {
+        use super::super::push_char;
+
+        pub fn json(s: &str) -> Vec<u8> {
+            let mut out = Vec::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.extend_from_slice(b"\\\""),
+                    '\\' => out.extend_from_slice(b"\\\\"),
+                    '\n' => out.extend_from_slice(b"\\n"),
+                    '\r' => out.extend_from_slice(b"\\r"),
+                    '\t' => out.extend_from_slice(b"\\t"),
+                    c if (c as u32) < 0x20 => {
+                        const HEX: &[u8; 16] = b"0123456789abcdef";
+                        let n = c as usize;
+                        out.extend_from_slice(b"\\u00");
+                        out.push(HEX[(n >> 4) & 0xF]);
+                        out.push(HEX[n & 0xF]);
+                    }
+                    c => push_char(&mut out, c),
+                }
+            }
+            out
+        }
+
+        pub fn xml(s: &str) -> Vec<u8> {
+            let mut out = Vec::new();
+            for c in s.chars() {
+                match c {
+                    '&' => out.extend_from_slice(b"&amp;"),
+                    '<' => out.extend_from_slice(b"&lt;"),
+                    '>' => out.extend_from_slice(b"&gt;"),
+                    c => push_char(&mut out, c),
+                }
+            }
+            out
+        }
+
+        pub fn csv_field(delimiter: char, text: &str) -> Vec<u8> {
+            let mut out = Vec::new();
+            if text
+                .chars()
+                .any(|c| c == delimiter || c == '"' || c == '\n' || c == '\r')
+            {
+                out.push(b'"');
+                for c in text.chars() {
+                    if c == '"' {
+                        out.push(b'"');
+                    }
+                    push_char(&mut out, c);
+                }
+                out.push(b'"');
+            } else {
+                out.extend_from_slice(text.as_bytes());
+            }
+            out
+        }
+    }
+
+    fn assert_escapers_match_char_models(s: &str) {
+        let mut json = Vec::new();
+        json_escape_into(&mut json, s);
+        assert_eq!(json, char_models::json(s), "JSON {s:?}");
+        assert_eq!(json_escape(s).as_bytes(), json, "JSON String entry {s:?}");
+        assert_eq!(
+            json_string_len(s),
+            json.len() as u64 + 2,
+            "JSON length {s:?}"
+        );
+        let mut xml = Vec::new();
+        xml_escape_into(&mut xml, s);
+        assert_eq!(xml, char_models::xml(s), "XML {s:?}");
+        for d in [',', '|', '§'] {
+            let mut csv = Vec::new();
+            CsvFormatter::new()
+                .with_delimiter(d)
+                .push_field(&mut csv, s);
+            assert_eq!(csv, char_models::csv_field(d, s), "CSV {d:?} {s:?}");
+        }
+    }
+
+    /// Pieces random strings are mixed from: every byte some format
+    /// escapes, multi-byte UTF-8 of each width, and plain runs.
+    const PIECES: [&str; 20] = [
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{1f}",
+        "\u{7f}",
+        "&",
+        "<",
+        ">",
+        ",",
+        "|",
+        "'",
+        "é",
+        "§",
+        "中",
+        "🙂",
+        "a",
+        "plain text",
+    ];
+
+    #[test]
+    fn escapers_match_char_models_on_every_ascii_byte() {
+        for b in 0u8..0x80 {
+            let c = char::from(b);
+            assert_escapers_match_char_models(&c.to_string());
+            assert_escapers_match_char_models(&format!("é{c}中{c}🙂"));
+        }
+    }
+
+    #[test]
+    fn escapers_match_char_models_on_edge_strings() {
+        for s in [
+            "",
+            "\"",
+            "\"\\\n\r\t\u{1}\u{1f}",
+            "&<>&<>",
+            "\"\"\"\"",
+            "é\"",
+            "\\中",
+            "🙂\n🙂",
+            "\u{1}é\u{1f}",
+            "§,§",
+        ] {
+            assert_escapers_match_char_models(s);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn escapers_match_char_models_on_mixed_strings(
+            picks in proptest::collection::vec(0usize..PIECES.len(), 0..24)
+        ) {
+            let s: String = picks.iter().map(|&i| PIECES[i]).collect();
+            assert_escapers_match_char_models(&s);
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! * [`formatter`] — converting typed [`Value`](pdgf_schema::Value) rows
 //!   into bytes, once per emitted cell (*lazy formatting*): CSV, JSON,
 //!   XML, and SQL `INSERT` formats, matching the paper's "PDGF can write
-//!   data in various formats (e.g., CSV, JSON, XML, and SQL)";
+//!   data in various formats (e.g., CSV, JSON, XML, and SQL)" — plus the
+//!   workspace's one JSON string escaper, [`json_escape_into`] and its
+//!   `String` twin [`json_escape`];
 //! * [`fmtfast`] — the byte-oriented numeric/date/float kernels the
 //!   formatters are built on, each byte-identical to the `std::fmt`
 //!   rendering it replaces;
@@ -32,7 +34,8 @@
 //! Formatter implementations must uphold two invariants:
 //!
 //! 1. **UTF-8 output** — every formatter emits valid UTF-8 (all built-in
-//!    formats do; escaping operates on `char` boundaries).
+//!    formats do; escapers replace only ASCII bytes, which never occur
+//!    inside a multi-byte UTF-8 sequence).
 //! 2. **No row-path allocation** — `row` may only append to `out`;
 //!    scratch strings are forbidden. The built-in formatters render every
 //!    [`Value`](pdgf_schema::Value) variant directly into the buffer via
@@ -60,7 +63,8 @@ pub mod sink;
 
 pub use factory::{DirSinkFactory, MemorySinkFactory, NullSinkFactory, SinkFactory};
 pub use formatter::{
-    CsvFormatter, Formatter, JsonFormatter, SqlFormatter, TableMeta, XmlFormatter,
+    json_escape, json_escape_into, CsvFormatter, Formatter, JsonFormatter, SqlFormatter, TableMeta,
+    XmlFormatter,
 };
 pub use pool::BufferPool;
 pub use reorder::ReorderBuffer;

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pdgf_gen::{MapResolver, SchemaRuntime};
-use pdgf_output::{CsvFormatter, Formatter, NullSink};
+use pdgf_output::{CsvFormatter, Formatter, JsonFormatter, NullSink};
 use pdgf_runtime::{generate_table_range, RowService, RunConfig, ServeConfig, Telemetry};
 use pdgf_schema::model::DateFormat;
 use pdgf_schema::{Date, Expr, Field, GeneratorSpec, Schema, SqlType, Table};
@@ -107,13 +107,14 @@ fn runtime(rows: u64) -> SchemaRuntime {
 }
 
 fn generate(rt: &SchemaRuntime, workers: usize, package_rows: u64) -> u64 {
-    generate_with(rt, workers, package_rows, None)
+    generate_with(rt, workers, package_rows, &CsvFormatter::new(), None)
 }
 
 fn generate_with(
     rt: &SchemaRuntime,
     workers: usize,
     package_rows: u64,
+    formatter: &dyn Formatter,
     telemetry: Option<&Telemetry>,
 ) -> u64 {
     let mut sink = NullSink::new();
@@ -122,7 +123,7 @@ fn generate_with(
         0,
         0,
         0..rt.tables()[0].size,
-        &CsvFormatter::new(),
+        formatter,
         &mut sink,
         &RunConfig::new().workers(workers).package_rows(package_rows),
         telemetry,
@@ -175,6 +176,35 @@ fn csv_parallel_path_does_not_allocate_per_package() {
     );
 }
 
+/// The least of three counts: the counter is process-wide and the test
+/// harness's own thread may allocate meanwhile, which can only add.
+fn least_allocations_during(mut f: impl FnMut()) -> u64 {
+    (0..3).map(|_| allocations_during(&mut f)).min().unwrap()
+}
+
+/// Neither CSV nor JSON allocates per package: 80 and 400 inline packages
+/// of 100 rows cost exactly the same (the CSV formatter's per-package
+/// clean-column `Vec` once made that 107 vs 427).
+#[test]
+fn inline_packages_allocate_nothing_each() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let small = runtime(8_000);
+    let large = runtime(40_000);
+    let formats: [(&str, &dyn Formatter); 2] =
+        [("CSV", &CsvFormatter::new()), ("JSON", &JsonFormatter)];
+    for (name, f) in formats {
+        generate_with(&small, 0, 100, f, None);
+        let few =
+            least_allocations_during(|| assert_eq!(generate_with(&small, 0, 100, f, None), 8_000));
+        let many =
+            least_allocations_during(|| assert_eq!(generate_with(&large, 0, 100, f, None), 40_000));
+        assert_eq!(
+            few, many,
+            "{name}: 80 inline packages cost {few} allocations, 400 cost {many}"
+        );
+    }
+}
+
 /// `--progress` rides on a `Telemetry` nobody subscribes to: progress
 /// counters, histograms and the watchdog stamp are atomics, and an event
 /// is not built without a subscriber, so attaching the handle to a
@@ -186,11 +216,15 @@ fn unsubscribed_telemetry_does_not_allocate_per_package() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let rt = runtime(40_000);
     let telemetry = Telemetry::new();
-    generate_with(&rt, 0, 100, Some(&telemetry));
+    generate_with(&rt, 0, 100, &CsvFormatter::new(), Some(&telemetry));
 
     let bare = allocations_during(|| assert_eq!(generate(&rt, 0, 100), 40_000));
-    let observed =
-        allocations_during(|| assert_eq!(generate_with(&rt, 0, 100, Some(&telemetry)), 40_000));
+    let observed = allocations_during(|| {
+        assert_eq!(
+            generate_with(&rt, 0, 100, &CsvFormatter::new(), Some(&telemetry)),
+            40_000
+        )
+    });
 
     let delta = observed.saturating_sub(bare);
     assert!(
@@ -203,13 +237,14 @@ fn unsubscribed_telemetry_does_not_allocate_per_package() {
 }
 
 /// A point lookup is rendered on the calling thread into that thread's
-/// reused column batch, so its cost is a fixed set of allocations — the
-/// request with its table metadata (name and one string per column) and
-/// the returned row — whatever the row number and however many lookups
-/// came before.
+/// reused column batch, so its cost is a fixed set of allocations —
+/// whatever the row number and however many lookups came before. Of the
+/// 13, 8 are the request's table metadata (the name, the column list and
+/// one string per column of this six-column table) and 5 are the request
+/// itself, its stream and the returned row. The formatter adds none.
 #[test]
 fn point_lookups_allocate_a_constant_per_lookup() {
-    const PER_LOOKUP: u64 = 14;
+    const PER_LOOKUP: u64 = 13;
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let service = RowService::new(
         Arc::new(runtime(1 << 40)),
@@ -217,22 +252,14 @@ fn point_lookups_allocate_a_constant_per_lookup() {
         None,
     );
     let csv: Arc<dyn Formatter> = Arc::new(CsvFormatter::new());
-    // The counter is process-wide and the test harness's own thread may
-    // allocate meanwhile, which can only add: the least of three runs is
-    // the lookups' own count.
     let lookups = |n: u64| {
-        (0..3)
-            .map(|_| {
-                allocations_during(|| {
-                    for i in 0..n {
-                        let row = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24;
-                        let bytes = service.row_bytes(0, 0, row, Arc::clone(&csv)).unwrap();
-                        assert!(!bytes.is_empty());
-                    }
-                })
-            })
-            .min()
-            .unwrap()
+        least_allocations_during(|| {
+            for i in 0..n {
+                let row = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24;
+                let bytes = service.row_bytes(0, 0, row, Arc::clone(&csv)).unwrap();
+                assert!(!bytes.is_empty());
+            }
+        })
     };
     lookups(10);
 

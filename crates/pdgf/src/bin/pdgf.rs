@@ -41,6 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use pdgf::output::json_escape;
 use pdgf::runtime::meta::node_shard;
 use pdgf::runtime::{ServeConfig, Telemetry};
 use pdgf::{
@@ -452,20 +453,6 @@ fn cmd_info(args: &Args) -> Result<(), PdgfError> {
         );
     }
     Ok(())
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn json_opt(v: &Option<String>) -> String {

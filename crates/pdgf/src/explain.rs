@@ -13,6 +13,7 @@
 //! no clocks, no RNG draws — so rendering the same model twice yields
 //! byte-identical JSON.
 
+use pdgf_output::json_escape;
 use pdgf_schema::absint::{Cardinality, StaticProfile, Width};
 use pdgf_schema::Diagnostic;
 
@@ -133,7 +134,7 @@ impl ExplainReport {
         let mut s = String::new();
         s.push_str(&format!(
             "{{\"model\":\"{}\",\"ok\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            escape(model),
+            json_escape(model),
             self.ok,
             self.errors(),
             self.warnings(),
@@ -148,7 +149,7 @@ impl ExplainReport {
                 d.code,
                 opt_str(&d.table),
                 opt_str(&d.field),
-                escape(&d.message),
+                json_escape(&d.message),
             ));
         }
         s.push_str("],\"generation_order\":[");
@@ -156,7 +157,7 @@ impl ExplainReport {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("\"{}\"", escape(name)));
+            s.push_str(&format!("\"{}\"", json_escape(name)));
         }
         s.push_str(&format!(
             "],\"workers\":{},\"package_rows\":{},\"tables\":[",
@@ -168,7 +169,7 @@ impl ExplainReport {
             }
             s.push_str(&format!(
                 "{{\"name\":\"{}\",\"rows\":{},\"packages\":{},\"max_row_bytes\":{},\"max_total_bytes\":{},\"columns\":[",
-                escape(&t.name),
+                json_escape(&t.name),
                 t.rows,
                 t.packages,
                 per_format_json(&t.max_row_bytes),
@@ -180,7 +181,7 @@ impl ExplainReport {
                 }
                 s.push_str(&format!(
                     "{{\"name\":\"{}\",{}}}",
-                    escape(&c.name),
+                    json_escape(&c.name),
                     profile_json(&c.profile)
                 ));
             }
@@ -194,23 +195,9 @@ impl ExplainReport {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn opt_str(v: &Option<String>) -> String {
     match v {
-        Some(s) => format!("\"{}\"", escape(s)),
+        Some(s) => format!("\"{}\"", json_escape(s)),
         None => "null".to_string(),
     }
 }
@@ -283,10 +270,5 @@ mod tests {
         assert!(a.contains("\"kinds\":["));
         assert!(a.contains("\"width\":{\"at_most\":"));
         assert!(a.contains("\"cardinality\":{\"at_most\":10000}"));
-    }
-
-    #[test]
-    fn json_escaping_covers_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -15,6 +15,7 @@
 //! Like `explain`, the report renders to deterministic JSON: same model,
 //! same bytes.
 
+use pdgf_output::json_escape;
 use pdgf_schema::lineage::{DrawContract, LineageGraph};
 use pdgf_schema::{absint, Diagnostic};
 
@@ -97,7 +98,7 @@ impl ProveReport {
         let mut s = String::new();
         s.push_str(&format!(
             "{{\"model\":\"{}\",\"ok\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            escape(model),
+            json_escape(model),
             self.ok,
             self.errors(),
             self.warnings(),
@@ -112,12 +113,12 @@ impl ProveReport {
                 d.code,
                 opt_str(&d.table),
                 opt_str(&d.field),
-                escape(&d.message),
+                json_escape(&d.message),
             ));
         }
         s.push_str(&format!(
             "],\"root\":\"{}\",\"columns\":[",
-            escape(&self.graph.root)
+            json_escape(&self.graph.root)
         ));
         for (i, c) in self.graph.columns.iter().enumerate() {
             if i > 0 {
@@ -125,9 +126,9 @@ impl ProveReport {
             }
             s.push_str(&format!(
                 "{{\"table\":\"{}\",\"field\":\"{}\",\"path\":\"{}\",\"aux\":[{}],\"reads\":[{}],{}}}",
-                escape(&c.table),
-                escape(&c.field),
-                escape(&c.path),
+                json_escape(&c.table),
+                json_escape(&c.field),
+                json_escape(&c.path),
                 string_list(&c.aux),
                 string_list(&c.reads),
                 contract_json(&c.contract),
@@ -150,23 +151,9 @@ impl ProveReport {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn opt_str(v: &Option<String>) -> String {
     match v {
-        Some(s) => format!("\"{}\"", escape(s)),
+        Some(s) => format!("\"{}\"", json_escape(s)),
         None => "null".to_string(),
     }
 }
@@ -174,7 +161,7 @@ fn opt_str(v: &Option<String>) -> String {
 fn string_list(items: &[String]) -> String {
     items
         .iter()
-        .map(|s| format!("\"{}\"", escape(s)))
+        .map(|s| format!("\"{}\"", json_escape(s)))
         .collect::<Vec<_>>()
         .join(",")
 }
@@ -230,10 +217,5 @@ mod tests {
         let v = ProveVerdicts::default();
         assert!(!v.engines_equivalent());
         assert!(!v.serve_consistent());
-    }
-
-    #[test]
-    fn json_escaping_covers_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 }

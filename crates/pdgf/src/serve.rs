@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdgf_gen::SchemaRuntime;
-use pdgf_output::Formatter;
+use pdgf_output::{json_escape, Formatter};
 use pdgf_runtime::{ResponseStream, RowService, ServeConfig, ServeStats, Telemetry};
 
 use crate::OutputFormat;
@@ -500,20 +500,6 @@ pub(crate) fn write_refusal(mut stream: TcpStream, bytes: &[u8]) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = stream.write_all(bytes);
     let _ = stream.flush();
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The `INFO` payload: schema name, seed, and per-table name/rows/columns.

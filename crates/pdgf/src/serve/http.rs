@@ -40,10 +40,11 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use pdgf_output::json_escape;
 use pdgf_runtime::{MetricsSnapshot, RowRequest, SubmitError};
 
 use super::cursor::Cursor;
-use super::{info_json, json_escape, stats_json, write_packages, ServerShared};
+use super::{info_json, stats_json, write_packages, ServerShared};
 use crate::project::OutputFormat;
 
 /// Longest accepted request line or header line, in bytes.

@@ -166,6 +166,8 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// A local copy of `pdgf_output::json_escape`: xtask has no dependencies,
+/// so it cannot call the workspace's one escaper.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
