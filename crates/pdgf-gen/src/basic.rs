@@ -1,18 +1,19 @@
 //! Simple (leaf) value generators: IDs, numbers, dates, strings, booleans,
 //! and static values.
+//!
+//! Each generator is one `Kernel`: its `emit` states the per-cell draw
+//! sequence once, and `kernel_paths!` runs it on both the point path and
+//! the batch path.
 
-use pdgf_prng::{FeistelPermutation, PdgfRng};
+use pdgf_prng::{FeistelPermutation, PdgfDefaultRandom, PdgfRng};
 use pdgf_schema::absint::{self, Draws, StaticProfile};
-use pdgf_schema::lineage::DrawContract;
-use pdgf_schema::model::DateFormat;
+use pdgf_schema::model::{DateFormat, HistogramOutput};
 use pdgf_schema::value::{Date, Value};
-use std::sync::Arc;
 
-use std::ops::Range;
-
-use pdgf_schema::ColumnVec;
-
-use crate::generator::{ColumnCtx, GenContext, GenScratch, Generator, ProfileCtx};
+use crate::generator::{
+    kernel_paths, Bools, Dates, Decimals, Doubles, Emit, Generator, Kernel, Longs, ProfileCtx,
+    Timestamps,
+};
 
 /// Unique key generator: emits `row + 1`, optionally scrambled through a
 /// keyed permutation so keys are unique but unordered.
@@ -33,10 +34,10 @@ impl IdGenerator {
         }
     }
 
-    /// The key emitted for `row` — `generate` without the context
-    /// machinery (Id generators draw nothing from the RNG stream). The
-    /// reference kernel uses this to recompute parent keys as a pure
-    /// typed map, skipping per-cell contexts and `Value` cells entirely.
+    /// The key emitted for `row` — the whole kernel, since Id generators
+    /// draw nothing from the RNG stream. The reference kernel uses this
+    /// to recompute parent keys as a pure typed map, skipping per-cell
+    /// contexts and `Value` cells entirely.
     #[inline]
     pub fn key_for(&self, row: u64) -> i64 {
         match &self.permutation {
@@ -46,21 +47,15 @@ impl IdGenerator {
     }
 }
 
-impl Generator for IdGenerator {
+impl Kernel for IdGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        Value::Long(self.key_for(ctx.row))
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        out.typed(Longs, |_, row| self.key_for(row))
     }
+}
 
-    fn fill_column(
-        &self,
-        _ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_id(self.permutation.as_ref(), rows, out);
-    }
+impl Generator for IdGenerator {
+    kernel_paths!();
 
     fn as_id(&self) -> Option<&IdGenerator> {
         Some(self)
@@ -74,12 +69,6 @@ impl Generator for IdGenerator {
         // Sequential emits row+1 ≤ rows; permuted covers the same domain
         // (the runtime keys the permutation over the table size).
         absint::id_profile(ctx.rows)
-    }
-
-    fn contract(&self) -> DrawContract {
-        let mut c = DrawContract::exact(0);
-        c.permuted_ids = u64::from(self.permutation.is_some());
-        c
     }
 }
 
@@ -97,21 +86,15 @@ impl LongGenerator {
     }
 }
 
-impl Generator for LongGenerator {
+impl Kernel for LongGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        Value::Long(ctx.rng.next_i64_in(self.min, self.max))
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        out.typed(Longs, |rng, _| rng.next_i64_in(self.min, self.max))
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_long(self.min, self.max, ctx, rows, out);
-    }
+impl Generator for LongGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "LongGenerator"
@@ -119,10 +102,6 @@ impl Generator for LongGenerator {
 
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::long_profile(self.min, self.max)
-    }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::exact(1)
     }
 }
 
@@ -148,26 +127,21 @@ impl DoubleGenerator {
     }
 }
 
-impl Generator for DoubleGenerator {
+impl Kernel for DoubleGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let v = self.min + ctx.rng.next_f64() * self.span;
-        let v = match self.round_factor {
-            Some(f) => (v * f).round() / f,
-            None => v,
-        };
-        Value::Double(v)
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        out.typed(Doubles, |rng, _| {
+            let v = self.min + rng.next_f64() * self.span;
+            match self.round_factor {
+                Some(f) => (v * f).round() / f,
+                None => v,
+            }
+        })
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_double(self.min, self.span, self.round_factor, ctx, rows, out);
-    }
+impl Generator for DoubleGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "DoubleGenerator"
@@ -175,10 +149,6 @@ impl Generator for DoubleGenerator {
 
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::double_profile(self.min, self.min + self.span, self.decimals)
-    }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::exact(1)
     }
 }
 
@@ -198,24 +168,17 @@ impl DecimalGenerator {
     }
 }
 
-impl Generator for DecimalGenerator {
+impl Kernel for DecimalGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        Value::Decimal {
-            unscaled: ctx.rng.next_i64_in(self.min, self.max),
-            scale: self.scale,
-        }
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        out.typed(Decimals(self.scale), |rng, _| {
+            rng.next_i64_in(self.min, self.max)
+        })
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_decimal(self.min, self.max, self.scale, ctx, rows, out);
-    }
+impl Generator for DecimalGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "DecimalGenerator"
@@ -223,10 +186,6 @@ impl Generator for DecimalGenerator {
 
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::decimal_profile(self.min, self.max, self.scale)
-    }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::exact(1)
     }
 }
 
@@ -254,26 +213,20 @@ impl DateGenerator {
     }
 }
 
-impl Generator for DateGenerator {
+impl Kernel for DateGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let offset = ctx.rng.next_bounded(u64::from(self.span_days) + 1) as i32;
-        let date = Date(self.min_day + offset);
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        let span = u64::from(self.span_days) + 1;
+        let day = |rng: &mut PdgfDefaultRandom| self.min_day + rng.next_bounded(span) as i32;
         match self.format {
-            DateFormat::Iso => Value::Date(date),
-            other => Value::text(other.render(date)),
+            DateFormat::Iso => out.typed(Dates, |rng, _| day(rng)),
+            other => out.text(|rng, _, buf| other.render_into(Date(day(rng)), buf)),
         }
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_date(self.min_day, self.span_days, self.format, ctx, rows, out);
-    }
+impl Generator for DateGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "DateGenerator"
@@ -285,10 +238,6 @@ impl Generator for DateGenerator {
             self.min_day + self.span_days as i32,
             self.format,
         )
-    }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::exact(1)
     }
 }
 
@@ -306,21 +255,15 @@ impl TimestampGenerator {
     }
 }
 
-impl Generator for TimestampGenerator {
+impl Kernel for TimestampGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        Value::Timestamp(ctx.rng.next_i64_in(self.min, self.max))
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        out.typed(Timestamps, |rng, _| rng.next_i64_in(self.min, self.max))
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_timestamp(self.min, self.max, ctx, rows, out);
-    }
+impl Generator for TimestampGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "TimestampGenerator"
@@ -329,13 +272,9 @@ impl Generator for TimestampGenerator {
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::timestamp_profile(self.min, self.max)
     }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::exact(1)
-    }
 }
 
-pub(crate) const CHARSET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+const CHARSET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
 
 /// Random alphanumeric string with length uniform in `[min_len, max_len]`.
 pub struct RandomStringGenerator {
@@ -351,38 +290,27 @@ impl RandomStringGenerator {
     }
 }
 
-impl Generator for RandomStringGenerator {
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
+impl Kernel for RandomStringGenerator {
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
         let span = u64::from(self.max_len - self.min_len) + 1;
-        let len = self.min_len + ctx.rng.next_bounded(span) as u32;
-        let mut out = std::mem::take(&mut ctx.scratch.text);
-        out.clear();
-        out.reserve(len as usize);
-        // Pack ~10 charset draws (62^10 < 2^64) per u64 to cut RNG calls.
-        let mut remaining = len;
-        while remaining > 0 {
-            let mut word = ctx.rng.next_u64();
-            let batch = remaining.min(10);
-            for _ in 0..batch {
-                out.push(CHARSET[(word % 62) as usize] as char);
-                word /= 62;
+        out.text(|rng, _, buf| {
+            let mut remaining = self.min_len + rng.next_bounded(span) as u32;
+            // Pack ~10 charset draws (62^10 < 2^64) per u64 to cut RNG calls.
+            while remaining > 0 {
+                let mut word = rng.next_u64();
+                let batch = remaining.min(10);
+                for _ in 0..batch {
+                    buf.push(CHARSET[(word % 62) as usize] as char);
+                    word /= 62;
+                }
+                remaining -= batch;
             }
-            remaining -= batch;
-        }
-        let v = Value::text(out.as_str());
-        ctx.scratch.text = out;
-        v
+        })
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_random_string(self.min_len, self.max_len, ctx, rows, out);
-    }
+impl Generator for RandomStringGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "RandomStringGenerator"
@@ -390,14 +318,6 @@ impl Generator for RandomStringGenerator {
 
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::random_string_profile(self.min_len, self.max_len)
-    }
-
-    fn contract(&self) -> DrawContract {
-        // One length draw, then one u64 per 10 characters.
-        DrawContract::from_draws(Draws {
-            min: 1 + u64::from(self.min_len.div_ceil(10)),
-            max: 1 + u64::from(self.max_len.div_ceil(10)),
-        })
     }
 }
 
@@ -414,21 +334,15 @@ impl RandomBoolGenerator {
     }
 }
 
-impl Generator for RandomBoolGenerator {
+impl Kernel for RandomBoolGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        Value::Bool(ctx.rng.next_bool(self.true_prob))
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        out.typed(Bools, |rng, _| rng.next_bool(self.true_prob))
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_bool(self.true_prob, ctx, rows, out);
-    }
+impl Generator for RandomBoolGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "RandomBoolGenerator"
@@ -436,12 +350,6 @@ impl Generator for RandomBoolGenerator {
 
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::random_bool_profile(self.true_prob)
-    }
-
-    fn contract(&self) -> DrawContract {
-        // `next_bool` short-circuits degenerate probabilities without
-        // touching the stream.
-        DrawContract::exact(u64::from(self.true_prob > 0.0 && self.true_prob < 1.0))
     }
 }
 
@@ -459,21 +367,24 @@ impl StaticValueGenerator {
     }
 }
 
-impl Generator for StaticValueGenerator {
+impl Kernel for StaticValueGenerator {
     #[inline]
-    fn generate(&self, _ctx: &mut GenContext<'_>) -> Value {
-        self.value.clone()
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        match &self.value {
+            Value::Long(x) => out.typed(Longs, |_, _| *x),
+            Value::Double(x) => out.typed(Doubles, |_, _| *x),
+            Value::Decimal { unscaled, scale } => out.typed(Decimals(*scale), |_, _| *unscaled),
+            Value::Date(d) => out.typed(Dates, |_, _| d.0),
+            Value::Timestamp(t) => out.typed(Timestamps, |_, _| *t),
+            Value::Bool(b) => out.typed(Bools, |_, _| *b),
+            Value::Text(s) => out.shared(|_, _| s),
+            Value::Null => out.values(|_| Value::Null),
+        }
     }
+}
 
-    fn fill_column(
-        &self,
-        _ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_static(&self.value, rows, out);
-    }
+impl Generator for StaticValueGenerator {
+    kernel_paths!();
 
     fn static_value(&self) -> Option<&Value> {
         Some(&self.value)
@@ -486,10 +397,6 @@ impl Generator for StaticValueGenerator {
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::static_profile(&self.value)
     }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::exact(0)
-    }
 }
 
 /// Numeric values following an extracted equi-width (or arbitrary-bucket)
@@ -499,17 +406,13 @@ impl Generator for StaticValueGenerator {
 pub struct HistogramGenerator {
     bounds: Vec<f64>,
     alias: pdgf_prng::Alias,
-    output: pdgf_schema::model::HistogramOutput,
+    output: HistogramOutput,
 }
 
 impl HistogramGenerator {
     /// Histogram generator over `bounds` (len = buckets + 1, strictly
     /// increasing) with relative `weights` per bucket.
-    pub fn new(
-        bounds: Vec<f64>,
-        weights: &[f64],
-        output: pdgf_schema::model::HistogramOutput,
-    ) -> Self {
+    pub fn new(bounds: Vec<f64>, weights: &[f64], output: HistogramOutput) -> Self {
         assert_eq!(bounds.len(), weights.len() + 1, "bounds/buckets mismatch");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -523,45 +426,39 @@ impl HistogramGenerator {
     }
 }
 
-impl Generator for HistogramGenerator {
+impl Kernel for HistogramGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let bucket = self.alias.sample_index(&mut || ctx.rng.next_u64());
-        let (lo, hi) = (self.bounds[bucket], self.bounds[bucket + 1]);
-        let v = lo + ctx.rng.next_f64() * (hi - lo);
-        use pdgf_schema::model::HistogramOutput;
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        let sample = |rng: &mut PdgfDefaultRandom| {
+            let bucket = self.alias.sample_index(&mut || rng.next_u64());
+            let (lo, hi) = (self.bounds[bucket], self.bounds[bucket + 1]);
+            lo + rng.next_f64() * (hi - lo)
+        };
         match self.output {
-            HistogramOutput::Long => Value::Long(v.round() as i64),
-            HistogramOutput::Double => Value::Double(v),
-            HistogramOutput::Decimal(scale) => Value::Decimal {
-                unscaled: (v * 10f64.powi(i32::from(scale))).round() as i64,
-                scale,
-            },
+            HistogramOutput::Long => out.typed(Longs, |rng, _| sample(rng).round() as i64),
+            HistogramOutput::Double => out.typed(Doubles, |rng, _| sample(rng)),
+            HistogramOutput::Decimal(scale) => {
+                let pow = 10f64.powi(i32::from(scale));
+                out.typed(Decimals(scale), |rng, _| (sample(rng) * pow).round() as i64)
+            }
         }
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_histogram(&self.bounds, &self.alias, self.output, ctx, rows, out);
-    }
+impl Generator for HistogramGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "HistogramGenerator"
     }
 
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        use pdgf_schema::model::HistogramOutput;
         let (Some(&lo), Some(&hi)) = (self.bounds.first(), self.bounds.last()) else {
             return StaticProfile::unknown();
         };
         let mut p = match self.output {
             // Rounded values stay inside the rounded endpoints; casts
-            // saturate exactly like `generate`.
+            // saturate exactly like the kernel's.
             HistogramOutput::Long => absint::long_profile(lo.round() as i64, hi.round() as i64),
             HistogramOutput::Double => absint::double_profile(lo, hi, None),
             HistogramOutput::Decimal(scale) => {
@@ -573,19 +470,12 @@ impl Generator for HistogramGenerator {
         p.draws = Draws::exact(2);
         p
     }
-
-    fn contract(&self) -> DrawContract {
-        // One alias draw picks the bucket, one places the value inside it.
-        DrawContract::exact(2)
-    }
 }
-
-/// Arc-shared boxed generator list used by meta generators.
-pub type BoxedGenerator = Arc<dyn Generator>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::GenContext;
     use crate::runtime::SchemaRuntime;
 
     fn with_ctx<T>(seed: u64, row: u64, f: impl FnOnce(&mut GenContext<'_>) -> T) -> T {
@@ -719,7 +609,6 @@ mod tests {
 
     #[test]
     fn histogram_generator_follows_bucket_weights() {
-        use pdgf_schema::model::HistogramOutput;
         // Two buckets, 9:1 weighting.
         let g =
             HistogramGenerator::new(vec![0.0, 10.0, 20.0], &[9.0, 1.0], HistogramOutput::Double);
@@ -738,7 +627,6 @@ mod tests {
 
     #[test]
     fn histogram_generator_output_types() {
-        use pdgf_schema::model::HistogramOutput;
         let long = HistogramGenerator::new(vec![5.0, 6.0], &[1.0], HistogramOutput::Long);
         assert!(matches!(
             with_ctx(1, 0, |ctx| long.generate(ctx)),

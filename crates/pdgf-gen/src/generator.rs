@@ -1,12 +1,13 @@
-//! The [`Generator`] trait and per-field generation context.
+//! The [`Generator`] trait, the per-field generation contexts, and the
+//! lane adapters that run one kernel per generator kind on both paths.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use pdgf_prng::{mix64_pair, PdgfDefaultRandom, PdgfRng};
 use pdgf_schema::absint::StaticProfile;
-use pdgf_schema::lineage::DrawContract;
-use pdgf_schema::{ColumnVec, Value};
+use pdgf_schema::{ColumnVec, Date, Value};
 
 use crate::runtime::SchemaRuntime;
 
@@ -58,12 +59,6 @@ impl<'rt> GenContext<'rt> {
             runtime,
             scratch: GenScratch::default(),
         }
-    }
-
-    /// Draw the next raw u64 from this cell's stream.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.rng.next_u64()
     }
 }
 
@@ -159,17 +154,6 @@ pub trait Generator: Send + Sync {
         StaticProfile::unknown()
     }
 
-    /// Declared seed-lineage contract: per-cell draw bounds, auxiliary
-    /// permutation-key seed paths, and reference-closure reads. `pdgf
-    /// prove` cross-checks this declaration against the contract derived
-    /// from the schema description (`E054`) and the counting-PRNG tests
-    /// check it against actual stream consumption. The default claims
-    /// nothing ([`DrawContract::unbounded`]), which is always sound but
-    /// unprovable (`E053`).
-    fn contract(&self) -> DrawContract {
-        DrawContract::unbounded()
-    }
-
     /// This generator as an [`IdGenerator`](crate::basic::IdGenerator),
     /// when it is one. Id cells are a pure row→key map with no RNG
     /// draws, so the reference kernel recomputes parent keys through
@@ -182,7 +166,7 @@ pub trait Generator: Send + Sync {
 
     /// The single fixed [`Value`] this generator emits for every cell,
     /// when it is context-free (ignores the row and draws nothing).
-    /// Wrapper kernels use this to specialize: the probability kernel
+    /// Wrapper kernels use this to specialize: the probability generator
     /// collapses all-static text branches into one draw plus one arena
     /// append per cell. The default claims nothing, which is always sound.
     fn static_value(&self) -> Option<&Value> {
@@ -193,10 +177,10 @@ pub trait Generator: Send + Sync {
     ///
     /// The default implementation loops [`generate`](Self::generate) into
     /// the [`ColumnVec::Cells`] fallback — always correct, never faster
-    /// than the row path. Hot generators override this with a vectorized
-    /// kernel writing typed storage; every override must consume exactly
-    /// the same per-cell RNG stream as `generate` so the output stays
-    /// byte-identical.
+    /// than the row path; wrappers over arbitrary inner generators keep
+    /// it. Every generator with its own kernel overrides both methods
+    /// with the same `Kernel::emit`, so the per-cell RNG stream of the
+    /// two paths is the same by construction.
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
@@ -204,13 +188,242 @@ pub trait Generator: Send + Sync {
         out: &mut ColumnVec,
         scratch: &mut GenScratch,
     ) {
-        let cells = out.cells_mut();
-        cells.reserve(rows.end.saturating_sub(rows.start) as usize);
-        for row in rows {
-            let mut cell = ctx.cell(row);
-            std::mem::swap(&mut cell.scratch, scratch);
-            cells.push(self.generate(&mut cell));
-            std::mem::swap(&mut cell.scratch, scratch);
+        Fill {
+            ctx,
+            rows,
+            out,
+            scratch,
+        }
+        .values(|cell| self.generate(cell));
+    }
+}
+
+/// A generator written as one kernel. `emit` hands its whole per-cell
+/// draw sequence to exactly one [`Emit`] method; [`kernel_paths`] turns
+/// that into `generate` (on a [`GenContext`]) and `fill_column` (on a
+/// [`Fill`]), so there is no second body to keep in step.
+pub(crate) trait Kernel {
+    /// Run this generator's cell kernel into `out`.
+    fn emit<E: Emit>(&self, out: E) -> E::Out;
+}
+
+/// `generate` and `fill_column` of a [`Kernel`] generator: both are its
+/// `emit`, on one cell or on a column of rows.
+macro_rules! kernel_paths {
+    () => {
+        #[inline]
+        fn generate(&self, ctx: &mut $crate::generator::GenContext<'_>) -> pdgf_schema::Value {
+            $crate::generator::Kernel::emit(self, ctx)
+        }
+
+        fn fill_column(
+            &self,
+            ctx: &$crate::generator::ColumnCtx<'_>,
+            rows: std::ops::Range<u64>,
+            out: &mut pdgf_schema::ColumnVec,
+            scratch: &mut $crate::generator::GenScratch,
+        ) {
+            $crate::generator::Kernel::emit(
+                self,
+                $crate::generator::Fill {
+                    ctx,
+                    rows,
+                    out,
+                    scratch,
+                },
+            )
+        }
+    };
+}
+pub(crate) use kernel_paths;
+
+/// A typed lane of [`ColumnVec`]: the [`Value`] one cell becomes on the
+/// point path, and the storage a column of cells fills on the batch path.
+pub(crate) trait Lane {
+    /// The unboxed cell.
+    type Cell;
+    /// One cell as a `Value`.
+    fn value(self, cell: Self::Cell) -> Value;
+    /// The column re-typed to this lane, cleared.
+    fn storage(self, out: &mut ColumnVec) -> &mut Vec<Self::Cell>;
+}
+
+macro_rules! lane {
+    ($(#[$doc:meta])* $name:ident, $cell:ty, $value:expr, $storage:ident) => {
+        $(#[$doc])*
+        pub(crate) struct $name;
+
+        impl Lane for $name {
+            type Cell = $cell;
+            #[inline]
+            fn value(self, cell: $cell) -> Value {
+                $value(cell)
+            }
+            #[inline]
+            fn storage(self, out: &mut ColumnVec) -> &mut Vec<$cell> {
+                out.$storage()
+            }
+        }
+    };
+}
+
+lane!(/// `Value::Long` cells.
+    Longs, i64, Value::Long, longs_mut);
+lane!(/// `Value::Double` cells.
+    Doubles, f64, Value::Double, doubles_mut);
+lane!(/// `Value::Date` cells, as days since the epoch.
+    Dates, i32, |d| Value::Date(Date(d)), dates_mut);
+lane!(/// `Value::Timestamp` cells.
+    Timestamps, i64, Value::Timestamp, timestamps_mut);
+lane!(/// `Value::Bool` cells.
+    Bools, bool, Value::Bool, bools_mut);
+
+/// `Value::Decimal` cells at one scale, as unscaled integers.
+pub(crate) struct Decimals(pub u8);
+
+impl Lane for Decimals {
+    type Cell = i64;
+    #[inline]
+    fn value(self, unscaled: i64) -> Value {
+        Value::Decimal {
+            unscaled,
+            scale: self.0,
+        }
+    }
+    #[inline]
+    fn storage(self, out: &mut ColumnVec) -> &mut Vec<i64> {
+        out.decimals_mut(self.0)
+    }
+}
+
+/// Where a [`Kernel`]'s cells go. A kernel calls one method with a
+/// closure over `(cell RNG, row)` that is its whole draw sequence: the
+/// point path (`&mut GenContext`) runs it once into a [`Value`], the
+/// batch path ([`Fill`]) once per row into typed storage or the text
+/// arena.
+pub(crate) trait Emit {
+    /// What the path returns: a `Value`, or nothing for a filled column.
+    type Out;
+
+    /// Typed cells.
+    fn typed<L: Lane>(
+        self,
+        lane: L,
+        cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell,
+    ) -> Self::Out;
+
+    /// Text cells, each appended to `buf` (never cleared by the kernel).
+    fn text(self, cell: impl FnMut(&mut PdgfDefaultRandom, u64, &mut String)) -> Self::Out;
+
+    /// Text cells that are shared strings (dictionary entries, fixed
+    /// branches): the point path clones the `Arc`, the batch path copies
+    /// the bytes into the arena.
+    fn shared<'s>(self, cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>)
+        -> Self::Out;
+
+    /// Whole `Value`s from a full per-cell context: for generators that
+    /// delegate cells to arbitrary inner generators.
+    fn values(self, cell: impl FnMut(&mut GenContext<'_>) -> Value) -> Self::Out;
+}
+
+/// The point path: one cell of the context.
+impl Emit for &mut GenContext<'_> {
+    type Out = Value;
+
+    #[inline]
+    fn typed<L: Lane>(
+        self,
+        lane: L,
+        mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell,
+    ) -> Value {
+        lane.value(cell(&mut self.rng, self.row))
+    }
+
+    #[inline]
+    fn text(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64, &mut String)) -> Value {
+        let mut buf = std::mem::take(&mut self.scratch.text);
+        buf.clear();
+        cell(&mut self.rng, self.row, &mut buf);
+        let v = Value::text(buf.as_str());
+        self.scratch.text = buf;
+        v
+    }
+
+    #[inline]
+    fn shared<'s>(
+        self,
+        mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>,
+    ) -> Value {
+        Value::Text(Arc::clone(cell(&mut self.rng, self.row)))
+    }
+
+    #[inline]
+    fn values(self, mut cell: impl FnMut(&mut GenContext<'_>) -> Value) -> Value {
+        cell(self)
+    }
+}
+
+/// The batch path: `rows` of one column into `out`, each cell drawing
+/// from [`ColumnCtx::cell_rng`].
+pub(crate) struct Fill<'a, 'rt> {
+    /// The column's hoisted context.
+    pub ctx: &'a ColumnCtx<'rt>,
+    /// Rows to fill.
+    pub rows: Range<u64>,
+    /// The column's storage.
+    pub out: &'a mut ColumnVec,
+    /// The worker's string scratch.
+    pub scratch: &'a mut GenScratch,
+}
+
+impl Fill<'_, '_> {
+    fn count(&self) -> usize {
+        self.rows.end.saturating_sub(self.rows.start) as usize
+    }
+}
+
+impl Emit for Fill<'_, '_> {
+    type Out = ();
+
+    #[inline]
+    fn typed<L: Lane>(self, lane: L, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell) {
+        let count = self.count();
+        let ctx = self.ctx;
+        let v = lane.storage(self.out);
+        v.reserve(count);
+        v.extend(self.rows.map(|row| cell(&mut ctx.cell_rng(row), row)));
+    }
+
+    #[inline]
+    fn text(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64, &mut String)) {
+        let count = self.count();
+        let tc = self.out.text_mut();
+        tc.reserve(count, self.ctx.arena_hint(count));
+        for row in self.rows {
+            cell(&mut self.ctx.cell_rng(row), row, tc.buf());
+            tc.seal();
+        }
+    }
+
+    #[inline]
+    fn shared<'s>(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>) {
+        let count = self.count();
+        let tc = self.out.text_mut();
+        tc.reserve(count, self.ctx.arena_hint(count));
+        for row in self.rows {
+            tc.push_str(cell(&mut self.ctx.cell_rng(row), row));
+        }
+    }
+
+    fn values(self, mut cell: impl FnMut(&mut GenContext<'_>) -> Value) {
+        let count = self.count();
+        let cells = self.out.cells_mut();
+        cells.reserve(count);
+        for row in self.rows {
+            let mut ctx = self.ctx.cell(row);
+            std::mem::swap(&mut ctx.scratch, self.scratch);
+            cells.push(cell(&mut ctx));
+            std::mem::swap(&mut ctx.scratch, self.scratch);
         }
     }
 }

@@ -24,7 +24,6 @@
 #![deny(rust_2018_idioms)]
 
 pub mod basic;
-mod column;
 pub mod generator;
 pub mod meta;
 pub mod reference;

@@ -12,18 +12,17 @@
 
 use pdgf_prng::PdgfRng;
 use pdgf_schema::absint::{self, StaticProfile};
-use pdgf_schema::expr::Expr;
-use pdgf_schema::lineage::{self, DrawContract};
-use pdgf_schema::Value;
+use pdgf_schema::expr::{BinOp, Expr, Func};
+use pdgf_schema::{ColumnVec, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::Arc;
 
-use std::ops::Range;
-
-use pdgf_schema::ColumnVec;
-
-use crate::generator::{ColumnCtx, GenContext, GenScratch, Generator, ProfileCtx};
+use crate::generator::{
+    kernel_paths, ColumnCtx, Doubles, Emit, GenContext, GenScratch, Generator, Kernel, Longs,
+    ProfileCtx,
+};
 
 /// Emits NULL with a configured probability, otherwise delegates to the
 /// wrapped generator. Listing 1 wraps `l_comment`'s Markov generator in a
@@ -61,10 +60,6 @@ impl Generator for NullGenerator {
 
     fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::null_wrap(self.probability, self.inner.profile(ctx), ctx.rows)
-    }
-
-    fn contract(&self) -> DrawContract {
-        lineage::null_wrap_contract(self.probability, self.inner.contract())
     }
 }
 
@@ -112,13 +107,6 @@ impl Generator for SequentialGenerator {
         let sep_bytes = u32::try_from(self.separator.len()).unwrap_or(u32::MAX);
         absint::concat(&parts, sep_bytes, self.separator.is_ascii(), ctx.rows)
     }
-
-    fn contract(&self) -> DrawContract {
-        self.parts
-            .iter()
-            .map(|p| p.contract())
-            .fold(DrawContract::exact(0), DrawContract::plus)
-    }
 }
 
 /// Executes one of several generators chosen by probability ("execute
@@ -126,6 +114,10 @@ impl Generator for SequentialGenerator {
 pub struct ProbabilityGenerator {
     /// Cumulative upper bounds paired with branch generators.
     cumulative: Vec<(f64, Arc<dyn Generator>)>,
+    /// The same table as fixed strings, when every branch is a static
+    /// text value — the dbgen idiom of `l_returnflag` (R/A/N). A cell is
+    /// then one draw plus one shared string, with no branch dispatch.
+    texts: Option<Vec<(f64, Arc<str>)>>,
 }
 
 impl ProbabilityGenerator {
@@ -136,46 +128,51 @@ impl ProbabilityGenerator {
         let total: f64 = branches.iter().map(|(p, _)| *p).sum();
         assert!((total - 1.0).abs() < 1e-6, "probabilities sum to {total}");
         let mut acc = 0.0;
-        let cumulative = branches
+        let cumulative: Vec<_> = branches
             .into_iter()
             .map(|(p, g)| {
                 acc += p;
                 (acc, g)
             })
             .collect();
-        Self { cumulative }
+        let texts = cumulative
+            .iter()
+            .map(|(bound, g)| match g.static_value() {
+                Some(Value::Text(s)) => Some((*bound, Arc::clone(s))),
+                _ => None,
+            })
+            .collect();
+        Self { cumulative, texts }
+    }
+}
+
+/// The branch a selector draw lands in: the first whose cumulative bound
+/// exceeds the draw, with the last catching the residual mass
+/// floating-point rounding leaves below 1.
+#[inline]
+fn pick<T>(branches: &[(f64, T)], draw: f64) -> &T {
+    let i = branches
+        .iter()
+        .position(|(bound, _)| draw < *bound)
+        .unwrap_or(branches.len() - 1);
+    &branches[i].1
+}
+
+impl Kernel for ProbabilityGenerator {
+    #[inline]
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        match &self.texts {
+            Some(texts) => out.shared(|rng, _| pick(texts, rng.next_f64())),
+            None => out.values(|ctx| {
+                let draw = ctx.rng.next_f64();
+                pick(&self.cumulative, draw).generate(ctx)
+            }),
+        }
     }
 }
 
 impl Generator for ProbabilityGenerator {
-    #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let draw = ctx.rng.next_f64();
-        for (bound, g) in &self.cumulative {
-            if draw < *bound {
-                return g.generate(ctx);
-            }
-        }
-        // Floating point rounding can leave the last bound at 0.999...;
-        // the final branch catches the residual mass.
-        self.cumulative
-            .last()
-            .expect("at least one branch")
-            .1
-            .generate(ctx)
-    }
-
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        scratch: &mut GenScratch,
-    ) {
-        if !crate::column::fill_probability_static(&self.cumulative, ctx, rows.clone(), out) {
-            crate::column::fill_cells(self, ctx, rows, out, scratch);
-        }
-    }
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "ProbabilityGenerator"
@@ -195,16 +192,159 @@ impl Generator for ProbabilityGenerator {
             .collect();
         absint::choose(&branches, ctx.rows)
     }
+}
 
-    fn contract(&self) -> DrawContract {
-        // One draw selects the branch, then the branch draws.
-        let joined = self
-            .cumulative
-            .iter()
-            .map(|(_, g)| g.contract())
-            .reduce(DrawContract::join)
-            .unwrap_or_else(|| DrawContract::exact(0));
-        DrawContract::exact(1).plus(joined)
+/// One step of a compiled formula over a value stack.
+#[derive(Clone, Copy)]
+enum Op {
+    /// Push a literal or a property resolved at construction.
+    Const(f64),
+    /// Push the row number.
+    Row,
+    /// Negate the top of the stack.
+    Neg,
+    /// Apply a one-argument function to the top of the stack.
+    Call1(Func),
+    /// Pop two operands, push `x op y`; `swapped` when `y` was pushed
+    /// first.
+    Bin(BinOp, bool),
+    /// Pop two arguments, push `f(x, y)`; `swapped` as for `Bin`.
+    Call2(Func, bool),
+}
+
+/// A formula compiled once, at construction: postfix [`Op`]s with every
+/// `${NAME}` but `${ROW}` resolved. Of two operands the deeper is pushed
+/// first (Sethi–Ullman order), so the stack depth grows with the
+/// logarithm of the operand count and a fixed [`Tape::STACK`]-slot array
+/// holds any formula: evaluation never allocates.
+struct Tape(Vec<Op>);
+
+impl Tape {
+    /// Stack slots; a formula needing more has over 2^31 operands.
+    const STACK: usize = 32;
+
+    /// `None` when `expr` names an unknown property: `Expr::eval` then
+    /// fails for every row, so every cell is NaN.
+    fn compile(expr: &Expr, props: &BTreeMap<String, f64>) -> Option<Self> {
+        let mut ops = Vec::new();
+        let depth = Self::push(expr, props, &mut ops)?;
+        assert!(depth <= Self::STACK, "formula needs {depth} stack slots");
+        Some(Tape(ops))
+    }
+
+    /// Append `e`'s ops; returns the stack depth they need.
+    fn push(e: &Expr, props: &BTreeMap<String, f64>, ops: &mut Vec<Op>) -> Option<usize> {
+        let op = match e {
+            Expr::Num(v) => Op::Const(*v),
+            Expr::Prop(name) if name == "ROW" => Op::Row,
+            Expr::Prop(name) => Op::Const(*props.get(name)?),
+            Expr::Neg(a) => {
+                let depth = Self::push(a, props, ops)?;
+                ops.push(Op::Neg);
+                return Some(depth);
+            }
+            Expr::Bin(op, a, b) => return Self::pair(a, b, props, ops, |s| Op::Bin(*op, s)),
+            Expr::Call(f, args) => match args.as_slice() {
+                [a] => {
+                    let depth = Self::push(a, props, ops)?;
+                    ops.push(Op::Call1(*f));
+                    return Some(depth);
+                }
+                [a, b] => return Self::pair(a, b, props, ops, |s| Op::Call2(*f, s)),
+                // The parser rejects any other arity.
+                _ => return None,
+            },
+        };
+        ops.push(op);
+        Some(1)
+    }
+
+    /// Both operands of a two-operand step, the deeper one first.
+    fn pair(
+        a: &Expr,
+        b: &Expr,
+        props: &BTreeMap<String, f64>,
+        ops: &mut Vec<Op>,
+        op: impl FnOnce(bool) -> Op,
+    ) -> Option<usize> {
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        let da = Self::push(a, props, &mut first)?;
+        let db = Self::push(b, props, &mut second)?;
+        let swapped = db > da;
+        if swapped {
+            std::mem::swap(&mut first, &mut second);
+        }
+        ops.append(&mut first);
+        ops.append(&mut second);
+        ops.push(op(swapped));
+        Some(da.max(db) + usize::from(da == db))
+    }
+
+    /// The formula at `row`. The same f64 operations as `Expr::eval`, so
+    /// results are bit-equal; division or remainder by zero is NaN, as
+    /// `eval`'s error is.
+    #[inline]
+    fn eval(&self, row: u64, stack: &mut [f64; Self::STACK]) -> f64 {
+        let mut top = 0;
+        for op in &self.0 {
+            let v = match *op {
+                Op::Const(v) => v,
+                Op::Row => row as f64,
+                Op::Neg => {
+                    top -= 1;
+                    -stack[top]
+                }
+                Op::Call1(f) => {
+                    top -= 1;
+                    call(f, stack[top], f64::NAN)
+                }
+                Op::Bin(op, swapped) => {
+                    top -= 2;
+                    let (x, y) = operands(stack, top, swapped);
+                    match op {
+                        BinOp::Add => x + y,
+                        BinOp::Sub => x - y,
+                        BinOp::Mul => x * y,
+                        BinOp::Div | BinOp::Rem if y == 0.0 => return f64::NAN,
+                        BinOp::Div => x / y,
+                        BinOp::Rem => x % y,
+                    }
+                }
+                Op::Call2(f, swapped) => {
+                    top -= 2;
+                    let (x, y) = operands(stack, top, swapped);
+                    call(f, x, y)
+                }
+            };
+            stack[top] = v;
+            top += 1;
+        }
+        stack[0]
+    }
+}
+
+/// The two operands at `stack[top..top + 2]`, in source order.
+#[inline]
+fn operands(stack: &[f64], top: usize, swapped: bool) -> (f64, f64) {
+    if swapped {
+        (stack[top + 1], stack[top])
+    } else {
+        (stack[top], stack[top + 1])
+    }
+}
+
+/// `f(x, y)`; one-argument functions ignore `y`.
+#[inline]
+fn call(f: Func, x: f64, y: f64) -> f64 {
+    match f {
+        Func::Ceil => x.ceil(),
+        Func::Floor => x.floor(),
+        Func::Round => x.round(),
+        Func::Sqrt => x.sqrt(),
+        Func::Log => x.ln(),
+        Func::Pow => x.powf(y),
+        Func::Min => x.min(y),
+        Func::Max => x.max(y),
     }
 }
 
@@ -213,6 +353,7 @@ impl Generator for ProbabilityGenerator {
 pub struct FormulaGenerator {
     expr: Expr,
     props: BTreeMap<String, f64>,
+    tape: Option<Tape>,
     as_long: bool,
 }
 
@@ -220,6 +361,7 @@ impl FormulaGenerator {
     /// Formula generator over pre-resolved properties.
     pub fn new(expr: Expr, props: BTreeMap<String, f64>, as_long: bool) -> Self {
         Self {
+            tape: Tape::compile(&expr, &props),
             expr,
             props,
             as_long,
@@ -227,35 +369,24 @@ impl FormulaGenerator {
     }
 }
 
-impl Generator for FormulaGenerator {
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let row = ctx.row as f64;
-        let v = self
-            .expr
-            .eval(&|name| {
-                if name == "ROW" {
-                    Some(row)
-                } else {
-                    self.props.get(name).copied()
-                }
-            })
-            .unwrap_or(f64::NAN);
+impl Kernel for FormulaGenerator {
+    #[inline]
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        let mut stack = [0.0; Tape::STACK];
+        let mut eval = |row| match &self.tape {
+            Some(tape) => tape.eval(row, &mut stack),
+            None => f64::NAN,
+        };
         if self.as_long {
-            Value::Long(v.round() as i64)
+            out.typed(Longs, |_, row| eval(row).round() as i64)
         } else {
-            Value::Double(v)
+            out.typed(Doubles, |_, row| eval(row))
         }
     }
+}
 
-    fn fill_column(
-        &self,
-        _ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_formula(&self.expr, &self.props, self.as_long, rows, out);
-    }
+impl Generator for FormulaGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "FormulaGenerator"
@@ -263,10 +394,6 @@ impl Generator for FormulaGenerator {
 
     fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::formula_profile(&self.expr, &self.props, ctx.rows, self.as_long)
-    }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::exact(0)
     }
 }
 
@@ -285,6 +412,25 @@ impl TruncateGenerator {
         assert!(max_chars > 0, "zero-width text column");
         Self { inner, max_chars }
     }
+
+    /// Byte length of `s` to keep, or `None` when it fits. A cut landing
+    /// exactly on a word end keeps the whole head; otherwise the cut
+    /// retreats to the last word boundary, unless the first word alone
+    /// overflows (then it is a hard cut). Bytes bound chars, so a cell
+    /// whose bytes fit skips the char walk.
+    fn keep_len(&self, s: &str) -> Option<usize> {
+        if s.len() <= self.max_chars {
+            return None;
+        }
+        let (byte_idx, next_char) = s.char_indices().nth(self.max_chars)?;
+        if next_char == ' ' {
+            return Some(byte_idx);
+        }
+        match s[..byte_idx].rfind(' ') {
+            Some(pos) if pos > 0 => Some(pos),
+            _ => Some(byte_idx),
+        }
+    }
 }
 
 impl Generator for TruncateGenerator {
@@ -292,24 +438,17 @@ impl Generator for TruncateGenerator {
     fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
         let v = self.inner.generate(ctx);
         match &v {
-            Value::Text(s) if s.chars().count() > self.max_chars => {
-                let head: String = s.chars().take(self.max_chars).collect();
-                let next_char = s.chars().nth(self.max_chars);
-                if next_char == Some(' ') {
-                    // The cut falls exactly on a word end: keep the head.
-                    Value::text(head)
-                } else {
-                    // Prefer cutting at the last word boundary.
-                    match head.rfind(' ') {
-                        Some(pos) if pos > 0 => Value::text(head[..pos].to_string()),
-                        _ => Value::text(head),
-                    }
-                }
-            }
+            Value::Text(s) => match self.keep_len(s) {
+                Some(keep) => Value::text(&s[..keep]),
+                None => v,
+            },
             _ => v,
         }
     }
 
+    /// Runs the inner kernel, then shortens overflowing text cells in
+    /// place. Arena columns rebuild through the scratch buffer only when
+    /// something actually truncates; non-text columns pass through.
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
@@ -317,7 +456,18 @@ impl Generator for TruncateGenerator {
         out: &mut ColumnVec,
         scratch: &mut GenScratch,
     ) {
-        crate::column::fill_truncate(self.inner.as_ref(), self.max_chars, ctx, rows, out, scratch);
+        self.inner.fill_column(ctx, rows, out, scratch);
+        if let Some(tc) = out.as_text_mut() {
+            tc.truncate_cells(|s| self.keep_len(s), &mut scratch.concat);
+        } else if let Some(cells) = out.as_cells_mut() {
+            for cell in cells.iter_mut() {
+                if let Value::Text(s) = cell {
+                    if let Some(keep) = self.keep_len(s) {
+                        *cell = Value::text(&s[..keep]);
+                    }
+                }
+            }
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -328,18 +478,12 @@ impl Generator for TruncateGenerator {
         let max_chars = u32::try_from(self.max_chars).unwrap_or(u32::MAX);
         absint::truncate(self.inner.profile(ctx), max_chars)
     }
-
-    fn contract(&self) -> DrawContract {
-        // Truncation is a pure post-processing step over the inner stream.
-        self.inner.contract()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::basic::{LongGenerator, StaticValueGenerator};
-    use crate::generator::GenContext;
     use crate::runtime::SchemaRuntime;
 
     fn gen_with_seed(g: &dyn Generator, seed: u64, row: u64) -> Value {

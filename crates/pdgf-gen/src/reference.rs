@@ -10,12 +10,13 @@
 
 use std::ops::Range;
 
-use pdgf_prng::{FeistelPermutation, PdgfRng, Zipf};
+use pdgf_prng::{FeistelPermutation, PdgfDefaultRandom, PdgfRng, Zipf};
 use pdgf_schema::absint::{self, StaticProfile};
-use pdgf_schema::lineage::DrawContract;
 use pdgf_schema::{ColumnVec, Value};
 
-use crate::generator::{ColumnCtx, GenContext, GenScratch, Generator, ProfileCtx};
+use crate::generator::{
+    ColumnCtx, Emit, Fill, GenContext, GenScratch, Generator, Longs, ProfileCtx,
+};
 
 /// How the parent row is chosen.
 pub enum RefStrategy {
@@ -54,14 +55,15 @@ impl ReferenceGenerator {
         }
     }
 
-    /// The parent row this child cell references (exposed for tests and
-    /// integrity checks).
+    /// The parent row child `row` references, drawn from the child cell's
+    /// stream `rng` (permutations draw nothing) — the kernel both paths
+    /// share.
     #[inline]
-    pub fn parent_row(&self, ctx: &mut GenContext<'_>) -> u64 {
+    pub fn parent_row(&self, rng: &mut PdgfDefaultRandom, row: u64) -> u64 {
         match &self.strategy {
-            RefStrategy::Uniform => ctx.rng.next_bounded(self.parent_size),
-            RefStrategy::Zipf(z) => z.sample_rank(&mut || ctx.rng.next_u64()) - 1,
-            RefStrategy::Permutation(p) => p.permute(ctx.row % self.parent_size),
+            RefStrategy::Uniform => rng.next_bounded(self.parent_size),
+            RefStrategy::Zipf(z) => z.sample_rank(&mut || rng.next_u64()) - 1,
+            RefStrategy::Permutation(p) => p.permute(row % self.parent_size),
         }
     }
 }
@@ -69,13 +71,15 @@ impl ReferenceGenerator {
 impl Generator for ReferenceGenerator {
     #[inline]
     fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let row = self.parent_row(ctx);
+        let row = self.parent_row(&mut ctx.rng, ctx.row);
         // Recompute the referenced cell: a pure function of coordinates,
         // no reads of generated data, no cross-thread coordination.
         ctx.runtime
             .value(self.target_table, self.target_column, 0, row)
     }
 
+    /// The child column draws from bare cell RNGs (no [`GenContext`]),
+    /// and the parent column's seed prefix is hoisted once per column.
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
@@ -83,16 +87,45 @@ impl Generator for ReferenceGenerator {
         out: &mut ColumnVec,
         scratch: &mut GenScratch,
     ) {
-        crate::column::fill_reference(
-            self.target_table,
-            self.target_column,
-            self.parent_size,
-            &self.strategy,
-            ctx,
-            rows,
-            out,
-            scratch,
-        );
+        let parent = ctx.runtime.tables()[self.target_table as usize].columns
+            [self.target_column as usize]
+            .generator
+            .as_ref();
+        // Foreign keys into an Id column — the TPC-H shape — need no
+        // parent context at all: the parent's pure row→key map recomputes
+        // the key, and the column stays a typed Long vector end to end.
+        if let Some(id) = parent.as_id() {
+            let fill = Fill {
+                ctx,
+                rows,
+                out,
+                scratch,
+            };
+            return fill.typed(Longs, |rng, row| id.key_for(self.parent_row(rng, row)));
+        }
+        // References always target the parent's initial load (update 0),
+        // so each recomputed cell is bit-identical to the point path's
+        // `runtime.value(target_table, target_column, 0, parent_row)`.
+        let parent_ctx = ColumnCtx {
+            runtime: ctx.runtime,
+            // audit:allow(seed-discipline) declared reference closure: the
+            // lineage analyzer models this exact parent-column read
+            update_seed: ctx.runtime.seed_tree().update_seed(
+                self.target_table,
+                self.target_column,
+                0,
+            ),
+            update: 0,
+            width_hint: None,
+        };
+        let cells = out.cells_mut();
+        cells.reserve(rows.end.saturating_sub(rows.start) as usize);
+        for row in rows {
+            let mut cell = parent_ctx.cell(self.parent_row(&mut ctx.cell_rng(row), row));
+            std::mem::swap(&mut cell.scratch, scratch);
+            cells.push(parent.generate(&mut cell));
+            std::mem::swap(&mut cell.scratch, scratch);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -111,21 +144,6 @@ impl Generator for ReferenceGenerator {
             ctx.rows,
             matches!(self.strategy, RefStrategy::Permutation(_)),
         )
-    }
-
-    fn contract(&self) -> DrawContract {
-        // The closure read recomputes the parent cell in a fresh context
-        // at the parent's own lineage node — zero draws from this stream.
-        let target = (self.target_table, self.target_column);
-        let mut c = match self.strategy {
-            RefStrategy::Uniform | RefStrategy::Zipf(_) => DrawContract::exact(1),
-            RefStrategy::Permutation(_) => DrawContract::exact(0),
-        };
-        c.closure_reads.insert(target);
-        if matches!(self.strategy, RefStrategy::Permutation(_)) {
-            c.perm_refs.insert(target, 1);
-        }
-        c
     }
 }
 

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use pdgf_prng::{mix64_pair, FieldCoord, SeedTree, Zipf};
 use pdgf_schema::absint::StaticProfile;
-use pdgf_schema::lineage::DrawContract;
 use pdgf_schema::model::{DictSource, GeneratorSpec, MarkovSource, RefDistribution};
 use pdgf_schema::{ColumnBatch, Schema, SqlType, Value};
 use textsynth::{Dictionary, MarkovModel};
@@ -245,23 +244,6 @@ impl SchemaRuntime {
                         memo.remove(&(t as u32, c as u32))
                             .unwrap_or_else(StaticProfile::unknown)
                     })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Declared seed-lineage contracts of every column, per table in
-    /// declaration order. These are the *runtime's* declarations — `pdgf
-    /// prove` cross-checks them against the contracts derived from the
-    /// schema description and against actual PRNG consumption.
-    pub fn contracts(&self) -> Vec<Vec<DrawContract>> {
-        self.tables
-            .iter()
-            .map(|table| {
-                table
-                    .columns
-                    .iter()
-                    .map(|col| col.generator.contract())
                     .collect()
             })
             .collect()

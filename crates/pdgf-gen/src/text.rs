@@ -4,14 +4,9 @@
 use std::sync::Arc;
 use textsynth::{Dictionary, MarkovModel};
 
-use std::ops::Range;
-
-use pdgf_schema::ColumnVec;
-
-use crate::generator::{ColumnCtx, GenContext, GenScratch, Generator, ProfileCtx};
-use pdgf_schema::absint::{self, Draws, ResourceInfo, StaticProfile};
-use pdgf_schema::lineage::{markov_draw_count, DrawContract};
-use pdgf_schema::Value;
+use crate::generator::{kernel_paths, Emit, Generator, Kernel, ProfileCtx};
+use pdgf_prng::PdgfRng;
+use pdgf_schema::absint::{self, ResourceInfo, StaticProfile};
 
 /// Entry statistics of an already-resolved dictionary.
 fn dict_info(dict: &Dictionary) -> ResourceInfo {
@@ -33,27 +28,22 @@ impl DictListGenerator {
     }
 }
 
-impl Generator for DictListGenerator {
+impl Kernel for DictListGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let mut draw = || ctx.rng.next_u64();
-        let entry = if self.weighted {
-            self.dict.sample_weighted(&mut draw)
-        } else {
-            self.dict.sample_uniform(&mut draw)
-        };
-        Value::Text(entry.clone())
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        out.shared(|rng, _| {
+            let mut draw = || rng.next_u64();
+            if self.weighted {
+                self.dict.sample_weighted(&mut draw)
+            } else {
+                self.dict.sample_uniform(&mut draw)
+            }
+        })
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_dict(&self.dict, self.weighted, ctx, rows, out);
-    }
+impl Generator for DictListGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "DictListGenerator"
@@ -61,11 +51,6 @@ impl Generator for DictListGenerator {
 
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::dict_profile(Some(dict_info(&self.dict)))
-    }
-
-    fn contract(&self) -> DrawContract {
-        // Both uniform and alias-method weighted sampling cost one draw.
-        DrawContract::exact(1)
     }
 }
 
@@ -83,22 +68,16 @@ impl DictByRowGenerator {
     }
 }
 
-impl Generator for DictByRowGenerator {
+impl Kernel for DictByRowGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let idx = (ctx.row % self.dict.len() as u64) as usize;
-        Value::Text(self.dict.entry(idx).clone())
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        let len = self.dict.len() as u64;
+        out.shared(|_, row| self.dict.entry((row % len) as usize))
     }
+}
 
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_dict_by_row(&self.dict, ctx, rows, out);
-    }
+impl Generator for DictByRowGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "DictByRowGenerator"
@@ -107,13 +86,7 @@ impl Generator for DictByRowGenerator {
     fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
         absint::dict_by_row_profile(Some(dict_info(&self.dict)), ctx.rows)
     }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::exact(0)
-    }
 }
-
-use pdgf_prng::PdgfRng;
 
 /// Generates free text from a Markov chain model with a word count drawn
 /// uniformly from `[min_words, max_words]` — the generator DBSynth
@@ -134,34 +107,20 @@ impl MarkovChainGenerator {
             max_words,
         }
     }
+}
 
-    /// The underlying model (exposed for statistics reporting).
-    pub fn model(&self) -> &Arc<MarkovModel> {
-        &self.model
+impl Kernel for MarkovChainGenerator {
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
+        out.text(|rng, _, buf| {
+            let mut draw = || rng.next_u64();
+            self.model
+                .generate_range_into(&mut draw, self.min_words, self.max_words, buf);
+        })
     }
 }
 
 impl Generator for MarkovChainGenerator {
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let mut out = std::mem::take(&mut ctx.scratch.text);
-        out.clear();
-        let mut draw = || ctx.rng.next_u64();
-        self.model
-            .generate_range_into(&mut draw, self.min_words, self.max_words, &mut out);
-        let v = Value::text(out.as_str());
-        ctx.scratch.text = out;
-        v
-    }
-
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        _scratch: &mut GenScratch,
-    ) {
-        crate::column::fill_markov(&self.model, self.min_words, self.max_words, ctx, rows, out);
-    }
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "MarkovChainGenerator"
@@ -171,13 +130,6 @@ impl Generator for MarkovChainGenerator {
         let info = absint::entries_info(self.model.words());
         absint::markov_profile(Some(info), self.min_words, self.max_words)
     }
-
-    fn contract(&self) -> DrawContract {
-        DrawContract::from_draws(Draws {
-            min: markov_draw_count(self.min_words),
-            max: markov_draw_count(self.max_words),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -185,6 +137,7 @@ mod tests {
     use super::*;
     use crate::generator::GenContext;
     use crate::runtime::SchemaRuntime;
+    use pdgf_schema::Value;
     use textsynth::MarkovBuilder;
 
     fn dict() -> Arc<Dictionary> {

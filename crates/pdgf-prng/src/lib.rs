@@ -43,7 +43,5 @@ pub mod seed;
 pub use dist::{Alias, Distribution, Exponential, Normal, UniformF64, UniformI64, Zipf};
 pub use mix::{mix64, mix64_pair, stafford13};
 pub use permute::FeistelPermutation;
-pub use rng::{
-    CountingPrng, PdgfDefaultRandom, PdgfRng, RngKind, XorShift64Star, Xoroshiro128PlusPlus,
-};
+pub use rng::{PdgfDefaultRandom, PdgfRng, RngKind, XorShift64Star, Xoroshiro128PlusPlus};
 pub use seed::{FieldCoord, SeedTree};

@@ -136,8 +136,8 @@ impl PdgfDefaultRandom {
 
     /// Draws consumed since construction or the last
     /// [`reseed`](PdgfRng::reseed). Because the stream is counter-based,
-    /// the counter *is* the draw count — generators use this to verify
-    /// their declared draw contracts against actual consumption.
+    /// the counter *is* the draw count — `SchemaRuntime::value_counting`
+    /// measures per-cell consumption with it.
     #[inline]
     pub fn draws(&self) -> u64 {
         self.counter
@@ -161,59 +161,6 @@ impl PdgfRng for PdgfDefaultRandom {
         let v = mix64_pair(self.seed, self.counter);
         self.counter = self.counter.wrapping_add(1);
         v
-    }
-}
-
-/// Debug wrapper counting every draw an inner generator serves.
-///
-/// All of [`PdgfRng`]'s derived methods (`next_bounded`, `next_f64`,
-/// `next_i64_in`, and `next_bool` for non-degenerate probabilities) route
-/// through [`next_u64`](PdgfRng::next_u64), so wrapping that single method
-/// counts the whole surface. Used by contract tests to check a generator's
-/// declared [`DrawContract`](https://docs.rs/pdgf-schema) against actual
-/// stream consumption; zero-cost when not used (it is a plain struct, not
-/// a feature of the production path).
-#[derive(Debug, Clone)]
-pub struct CountingPrng<R: PdgfRng> {
-    inner: R,
-    draws: u64,
-}
-
-impl<R: PdgfRng> CountingPrng<R> {
-    /// Wrap an existing generator, starting the count at zero.
-    pub fn new(inner: R) -> Self {
-        Self { inner, draws: 0 }
-    }
-
-    /// Draws served since construction or the last
-    /// [`reseed`](PdgfRng::reseed).
-    #[inline]
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
-
-    /// Unwrap the inner generator.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: PdgfRng> PdgfRng for CountingPrng<R> {
-    #[inline]
-    fn seed_from(seed: u64) -> Self {
-        Self::new(R::seed_from(seed))
-    }
-
-    #[inline]
-    fn reseed(&mut self, seed: u64) {
-        self.inner.reseed(seed);
-        self.draws = 0;
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
     }
 }
 
@@ -407,27 +354,6 @@ mod tests {
         assert!((0.24..0.26).contains(&frac), "frac {frac}");
         assert!(!(0..100).any(|_| r.next_bool(0.0)));
         assert!((0..100).all(|_| r.next_bool(1.0)));
-    }
-
-    #[test]
-    fn counting_wrapper_counts_every_derived_method() {
-        let mut r = CountingPrng::<XorShift64Star>::seed_from(9);
-        r.next_u64();
-        r.next_bounded(10);
-        r.next_f64();
-        r.next_i64_in(-5, 5);
-        assert_eq!(r.draws(), 4, "every derived method is one draw");
-        // Degenerate probabilities short-circuit without touching the stream.
-        assert!(!r.next_bool(0.0));
-        assert!(r.next_bool(1.0));
-        assert_eq!(r.draws(), 4);
-        r.next_bool(0.5);
-        assert_eq!(r.draws(), 5);
-        r.reseed(9);
-        assert_eq!(r.draws(), 0, "reseed restarts the count");
-        // Counting must not perturb the stream itself.
-        let mut plain = XorShift64Star::seed_from(9);
-        assert_eq!(r.next_u64(), plain.next_u64());
     }
 
     #[test]

@@ -55,7 +55,8 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::SeqCst) - before
 }
 
-/// Every non-text value kind on one table: none of them may allocate.
+/// Every non-text value kind, plus a TPC-H-style line-number formula, on
+/// one table: none of them may allocate.
 fn runtime(rows: u64) -> SchemaRuntime {
     let schema = Schema::new("zeroalloc", 77).table(
         Table::new("t", &format!("{rows}"))
@@ -101,6 +102,14 @@ fn runtime(rows: u64) -> SchemaRuntime {
                 "flag",
                 SqlType::Boolean,
                 GeneratorSpec::RandomBool { true_prob: 0.5 },
+            ))
+            .field(Field::new(
+                "linenumber",
+                SqlType::Integer,
+                GeneratorSpec::Formula {
+                    expr: Expr::parse("${ROW} % 4 + 1").unwrap(),
+                    as_long: true,
+                },
             )),
     );
     SchemaRuntime::build(&schema, &MapResolver::new()).unwrap()
@@ -239,12 +248,13 @@ fn unsubscribed_telemetry_does_not_allocate_per_package() {
 /// A point lookup is rendered on the calling thread into that thread's
 /// reused column batch, so its cost is a fixed set of allocations —
 /// whatever the row number and however many lookups came before. Of the
-/// 13, 8 are the request's table metadata (the name, the column list and
-/// one string per column of this six-column table) and 5 are the request
-/// itself, its stream and the returned row. The formatter adds none.
+/// 14, 9 are the request's table metadata (the name, the column list and
+/// one string per column of this seven-column table) and 5 are the request
+/// itself, its stream and the returned row. The formatter and the
+/// formula's compiled tape add none.
 #[test]
 fn point_lookups_allocate_a_constant_per_lookup() {
-    const PER_LOOKUP: u64 = 13;
+    const PER_LOOKUP: u64 = 14;
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let service = RowService::new(
         Arc::new(runtime(1 << 40)),

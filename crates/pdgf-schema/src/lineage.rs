@@ -17,9 +17,9 @@
 //! ([`analyze_lineage`]) folds contracts over the schema in generation
 //! order, builds the project → table → column → update → cell derivation
 //! graph ([`LineageGraph`]), and proves the absence of seed-path
-//! collisions. `pdgf prove` adds the cross-layer verdicts on top: declared
-//! runtime contracts, abstract-interpreter draw profiles, and the serve
-//! point-lookup seed route must all agree with the spec-derived contract.
+//! collisions. `pdgf prove` adds the cross-layer verdicts on top: the
+//! abstract interpreter's draw profiles and the serve point-lookup seed
+//! route must agree with the spec-derived contract.
 //!
 //! # Diagnostic registry (lineage codes)
 //!
@@ -29,7 +29,6 @@
 //! | `E051` | two always-evaluated permutation references in one column tree target the same parent column, colliding on the reference permutation-key seed path |
 //! | `E052` | reference into a provably empty parent table (the closure read has no row to land on) |
 //! | `E053` | per-cell draw count has no finite bound, so draw-stream equivalence cannot be proven |
-//! | `E054` | a runtime generator's declared draw contract differs from the contract derived from its schema description |
 //! | `E055` | serve point-lookup seed route and the bulk (hoisted) seed route disagree on a sampled cell |
 //! | `E056` | lineage draw contract disagrees with the abstract interpreter's draw profile (cross-layer drift) |
 //! | `W020` | per-cell draw bound exceeds the draw budget (extremely deep seed-stream consumption) |
@@ -148,8 +147,6 @@ pub fn fmt_draws(d: Draws) -> String {
 
 /// Compose the NULL-wrapper contract: one coin draw always happens, the
 /// inner stream is consumed only when the coin picks the wrapped value.
-/// Shared by the spec fold here and the runtime `NullGenerator`'s declared
-/// contract so the two sides cannot drift.
 pub fn null_wrap_contract(p: f64, inner: DrawContract) -> DrawContract {
     let coin = DrawContract::exact(1);
     if p >= 1.0 {
@@ -178,10 +175,9 @@ pub fn markov_draw_count(words: u32) -> u64 {
 }
 
 /// Derive the draw contract of a generator description. This is the
-/// ground truth `pdgf prove` checks every other layer against: the
-/// declared runtime contracts (E054), the abstract interpreter's draw
-/// profile (E056), and the dynamic counting-PRNG tests all have to agree
-/// with this fold.
+/// ground truth `pdgf prove` checks the abstract interpreter's draw
+/// profile against (E056), and the per-cell draw counts measured by
+/// `SchemaRuntime::value_counting` must stay inside it.
 ///
 /// Unresolvable reference targets contribute no closure read — the
 /// structural analyzer has already rejected them (`E010`/`E011`).
@@ -489,7 +485,7 @@ pub fn analyze_lineage(schema: &Schema, analysis: &Analysis) -> LineageReport {
 }
 
 // ---------------------------------------------------------------------------
-// Prove-time diagnostic constructors (E053–E056)
+// Prove-time diagnostic constructors (E053, E055, E056)
 // ---------------------------------------------------------------------------
 
 /// [`E053`](self): a contract with no finite draw bound — equivalence of
@@ -503,28 +499,6 @@ pub fn unbounded_contract(table: &str, field: &str) -> Diagnostic {
         format!(
             "{table}.{field} has no finite per-cell draw bound; draw-stream \
              equivalence of the row and columnar engines cannot be proven"
-        ),
-    )
-}
-
-/// [`E054`](self): the runtime generator declares a different contract
-/// than the one derived from the schema description.
-pub fn contract_mismatch(
-    table: &str,
-    field: &str,
-    declared: &DrawContract,
-    derived: &DrawContract,
-) -> Diagnostic {
-    diag(
-        "E054",
-        Severity::Error,
-        table,
-        field,
-        format!(
-            "{table}.{field}: runtime generator declares {} draws per cell but the \
-             schema description derives {} — the declared contract has drifted",
-            fmt_draws(declared.draws),
-            fmt_draws(derived.draws)
         ),
     )
 }
@@ -826,11 +800,6 @@ mod tests {
     #[test]
     fn prove_time_constructors_carry_pinned_codes() {
         assert_eq!(unbounded_contract("t", "f").code, "E053");
-        let a = DrawContract::exact(1);
-        let b = DrawContract::exact(2);
-        let d = contract_mismatch("t", "f", &a, &b);
-        assert_eq!(d.code, "E054");
-        assert_eq!(d.severity, Severity::Error);
         assert_eq!(serve_divergence("t", "f", 1, 42).code, "E055");
         assert_eq!(
             absint_drift("t", "f", Draws::exact(1), Draws::exact(2)).code,

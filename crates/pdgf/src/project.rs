@@ -301,13 +301,13 @@ impl Pdgf {
         })
     }
 
-    /// Prove the model's seed lineage: run the static lineage pass, then
-    /// cross-check its spec-derived draw contracts against the compiled
-    /// runtime's declared contracts (E054), the abstract interpreter's
-    /// draw profiles (E056), and — by sampling cells — the three seed
-    /// derivation routes the engines use (E055). When the report is ok,
-    /// the row engine, the columnar kernels, and `pdgf serve` point
-    /// lookups provably consume identical draw streams for every cell.
+    /// Prove the model's seed lineage: run the static lineage pass (which
+    /// rejects a contract with no finite draw bound, E053), then check
+    /// its spec-derived draw contracts against the abstract interpreter's
+    /// draw profiles (E056) and — by sampling cells — the three seed
+    /// derivation routes the engines use (E055). When the report is ok, the row engine, the
+    /// columnar kernels, and `pdgf serve` point lookups provably consume
+    /// identical draw streams for every cell.
     pub fn prove(&self) -> Result<ProveReport, PdgfError> {
         let schema = self.resolved_schema()?;
         let mut analysis = schema.analyze();
@@ -327,10 +327,10 @@ impl Pdgf {
         let runtime = SchemaRuntime::build(&schema, self.resolver.as_ref())
             .map_err(|e| PdgfError::Build(e.to_string()))?;
         let mut diagnostics = analysis.diagnostics;
-        let declared = runtime.contracts();
         let mut verdicts = ProveVerdicts {
+            // The lineage pass reports an unbounded contract as E053, an
+            // error, so every column of a model that gets here is bounded.
             draws_bounded: true,
-            contracts_consistent: true,
             seed_routes_agree: true,
             absint_agrees: true,
             columns_checked: 0,
@@ -341,19 +341,6 @@ impl Pdgf {
             for (fi, f) in table.fields.iter().enumerate() {
                 verdicts.columns_checked += 1;
                 let derived = lineage::contract_of_spec(&f.generator, &schema);
-                let decl = &declared[ti][fi];
-                if !decl.is_bounded() {
-                    verdicts.draws_bounded = false;
-                    diagnostics.push(lineage::unbounded_contract(&table.name, &f.name));
-                } else if *decl != derived {
-                    verdicts.contracts_consistent = false;
-                    diagnostics.push(lineage::contract_mismatch(
-                        &table.name,
-                        &f.name,
-                        decl,
-                        &derived,
-                    ));
-                }
                 // The interpreter widens draws to unbounded only when it
                 // knows nothing; everywhere else the two static layers
                 // must agree exactly.

@@ -1,16 +1,15 @@
 //! The `prove` report: seed-lineage verdicts across every layer.
 //!
 //! [`Pdgf::prove`](crate::Pdgf::prove) runs the static lineage pass
-//! (`pdgf_schema::lineage`), then cross-checks its spec-derived
-//! [`DrawContract`]s against the other layers that independently encode
-//! the same facts: the contracts the compiled runtime generators declare
-//! (`E054`), the abstract interpreter's draw profiles (`E056`), and — by
-//! sampling cells — the three seed-derivation routes the engines use
-//! (`E055`): the cached tree walk of point lookups, the hoisted
-//! `update_seed` route of the columnar kernels, and the from-scratch
-//! derivation. When every check passes, the row engine, the columnar
-//! kernels, and `pdgf serve` provably consume identical draw streams for
-//! every cell of the model.
+//! (`pdgf_schema::lineage`, which rejects a contract with no finite draw
+//! bound as `E053`), then checks its spec-derived [`DrawContract`]s
+//! against the abstract interpreter's draw profiles (`E056`) and — by
+//! sampling cells — the three seed-derivation routes the engines use (`E055`):
+//! the cached tree walk of point lookups, the hoisted `update_seed` route
+//! of the columnar kernels, and the from-scratch derivation. Both engines
+//! run one kernel per generator kind, so equal seeds mean equal draw
+//! streams; when every check passes, the point path, the columnar path
+//! and `pdgf serve` provably agree for every cell of the model.
 //!
 //! Like `explain`, the report renders to deterministic JSON: same model,
 //! same bytes.
@@ -22,12 +21,9 @@ use pdgf_schema::{absint, Diagnostic};
 /// The cross-layer verdicts of one [`ProveReport`].
 #[derive(Debug, Clone, Default)]
 pub struct ProveVerdicts {
-    /// Every runtime generator declares a finite per-cell draw bound
-    /// (no `E053`).
+    /// Every column's spec-derived contract has a finite per-cell draw
+    /// bound (no `E053`).
     pub draws_bounded: bool,
-    /// Every declared runtime contract equals the spec-derived contract
-    /// (no `E054`).
-    pub contracts_consistent: bool,
     /// Every sampled cell derives the same seed through the point-lookup
     /// route, the hoisted bulk route, and the from-scratch derivation
     /// (no `E055`).
@@ -43,10 +39,9 @@ pub struct ProveVerdicts {
 
 impl ProveVerdicts {
     /// The row and columnar engines provably consume identical draw
-    /// streams: contracts are bounded, consistent across layers, and the
-    /// interpreter agrees.
+    /// streams: contracts are bounded and the interpreter agrees.
     pub fn engines_equivalent(&self) -> bool {
-        self.draws_bounded && self.contracts_consistent && self.absint_agrees
+        self.draws_bounded && self.absint_agrees
     }
 
     /// `pdgf serve` point lookups land on the same lineage nodes as bulk
@@ -64,7 +59,7 @@ pub struct ProveReport {
     /// and verdicts are then empty/false.
     pub ok: bool,
     /// Every diagnostic: structural, abstract interpretation, static
-    /// lineage, and the prove-time cross-checks (E053–E056).
+    /// lineage, and the prove-time cross-checks (E055, E056).
     pub diagnostics: Vec<Diagnostic>,
     /// The project → table → column → update → cell derivation graph.
     pub graph: LineageGraph,
@@ -136,12 +131,11 @@ impl ProveReport {
         }
         s.push_str(&format!(
             "],\"verdicts\":{{\"engines_equivalent\":{},\"serve_consistent\":{},\
-             \"draws_bounded\":{},\"contracts_consistent\":{},\"seed_routes_agree\":{},\
+             \"draws_bounded\":{},\"seed_routes_agree\":{},\
              \"absint_agrees\":{},\"columns_checked\":{},\"cells_sampled\":{}}}}}",
             self.verdicts.engines_equivalent(),
             self.verdicts.serve_consistent(),
             self.verdicts.draws_bounded,
-            self.verdicts.contracts_consistent,
             self.verdicts.seed_routes_agree,
             self.verdicts.absint_agrees,
             self.verdicts.columns_checked,

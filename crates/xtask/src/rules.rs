@@ -12,7 +12,7 @@
 //! | `wall-clock` | `Instant::now`, `SystemTime`, `thread_rng` | everywhere except the telemetry clock (pdgf-runtime/telemetry) and dbsynth extract/workflow |
 //! | `std-fmt` | `format!`, `.to_string(`, `write!` | pdgf-output hot-path modules (formatter, fmtfast) |
 //! | `unwrap` | `.unwrap()`, `.expect(` | pdgf-runtime and pdgf-output library code, the pdgf serve front ends (`serve.rs`, `serve/*`) |
-//! | `columnar-cell-alloc` | `String::`, `format!`, `.to_vec()` | columnar kernel modules (pdgf-gen/column, pdgf-schema/column) |
+//! | `columnar-cell-alloc` | `String::`, `format!`, `.to_vec()` | generator kernel modules (pdgf-gen except runtime and resolver) and pdgf-schema/column |
 //! | `seed-discipline` | `.field_seed(`, `.update_seed(` | pdgf-gen generator kernels (every module but runtime) |
 //! | `sync-facade` | `Mutex`, `Condvar`, `RwLock`, `PoisonError` (so `MutexGuard` too) | everywhere except the lock facade (pdgf-schema/sync) |
 
@@ -71,12 +71,17 @@ fn panic_free_scope(path: &str) -> bool {
         || path.starts_with("crates/pdgf/src/serve/")
 }
 
-/// The columnar batch kernels: per-cell allocation (fresh `String`s,
-/// `format!` temporaries, `Vec` clones) is exactly what the columnar path
-/// exists to eliminate, so these modules ban the constructors outright —
-/// text lands in the `TextColumn` arena, numbers in typed vectors.
+/// The generator kernels and the column storage they fill: per-cell
+/// allocation (fresh `String`s, `format!` temporaries, `Vec` clones) is
+/// exactly what the columnar path exists to eliminate, so these modules
+/// ban the constructors outright — text lands in the `TextColumn` arena,
+/// numbers in typed vectors. Every `pdgf-gen` module but the runtime
+/// builder and the resource resolver holds kernels.
 fn columnar_kernel_scope(path: &str) -> bool {
-    path == "crates/pdgf-gen/src/column.rs" || path == "crates/pdgf-schema/src/column.rs"
+    (path.starts_with("crates/pdgf-gen/src/")
+        && path != "crates/pdgf-gen/src/runtime.rs"
+        && path != "crates/pdgf-gen/src/resolver.rs")
+        || path == "crates/pdgf-schema/src/column.rs"
 }
 
 /// The generator kernels (`fill`/`fill_column` implementations): cell
@@ -132,7 +137,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "columnar-cell-alloc",
-        summary: "per-cell allocation in a columnar kernel module",
+        summary: "per-cell allocation in a generator kernel module",
         needles: &["String::", "format!", ".to_vec()"],
         help: "write text into the TextColumn arena and numbers into typed \
                vectors; for genuinely amortized setup annotate \
@@ -192,12 +197,17 @@ mod tests {
         assert!(panic_free_scope("crates/pdgf-output/src/sink.rs"));
         assert!(panic_free_scope("crates/pdgf-runtime/src/engine.rs"));
         assert!(!panic_free_scope("crates/pdgf-schema/src/model.rs"));
-        assert!(columnar_kernel_scope("crates/pdgf-gen/src/column.rs"));
+        for kernels in ["basic", "text", "meta", "reference", "generator"] {
+            assert!(columnar_kernel_scope(&format!(
+                "crates/pdgf-gen/src/{kernels}.rs"
+            )));
+        }
         assert!(columnar_kernel_scope("crates/pdgf-schema/src/column.rs"));
-        assert!(!columnar_kernel_scope("crates/pdgf-gen/src/basic.rs"));
+        assert!(!columnar_kernel_scope("crates/pdgf-gen/src/runtime.rs"));
+        assert!(!columnar_kernel_scope("crates/pdgf-gen/src/resolver.rs"));
         assert!(!columnar_kernel_scope("crates/pdgf-schema/src/model.rs"));
         assert!(seed_discipline_scope("crates/pdgf-gen/src/basic.rs"));
-        assert!(seed_discipline_scope("crates/pdgf-gen/src/column.rs"));
+        assert!(seed_discipline_scope("crates/pdgf-gen/src/reference.rs"));
         assert!(!seed_discipline_scope("crates/pdgf-gen/src/runtime.rs"));
         assert!(!seed_discipline_scope("crates/pdgf-runtime/src/serve.rs"));
         assert!(panic_free_scope("crates/pdgf/src/serve.rs"));

@@ -1,12 +1,12 @@
 //! Dynamic enforcement of the static draw contracts (`pdgf prove`'s
 //! ground truth) over the full generator zoo: every generator kind's
-//! actual PRNG consumption, measured by the counting RNG through
-//! [`SchemaRuntime::value_counting`], must land inside the contract its
-//! runtime generator declares — per cell, per update epoch. The
-//! columnar engine has no per-cell counter (it draws through hoisted
-//! vectorized kernels), so its side of the proof is value identity:
-//! every batch cell must equal the counted row-path cell, which pins
-//! both engines to the same lineage node.
+//! actual PRNG consumption, measured through
+//! [`SchemaRuntime::value_counting`], must land inside the contract
+//! `lineage::contract_of_spec` derives from its schema description — per
+//! cell, per update epoch. The columnar engine has no per-cell counter,
+//! so its side of the proof is value identity: every batch cell must
+//! equal the counted row-path cell, which pins both engines to the same
+//! lineage node.
 
 mod zoo;
 
@@ -15,42 +15,22 @@ use pdgf_schema::lineage::{contract_of_spec, fmt_draws};
 use pdgf_schema::ColumnBatch;
 use zoo::generator_zoo;
 
-/// Declared runtime contracts must be byte-for-byte the contracts
-/// derived from the schema description — the dynamic twin of `pdgf
-/// prove`'s E054 check, run over every shipped generator kind at once.
+/// Every cell of every zoo column, across update epochs: the measured
+/// draw count must fall inside the spec-derived contract. Exact
+/// contracts (min == max) therefore pin consumption exactly.
 #[test]
-fn declared_contracts_match_spec_derivation() {
+fn measured_draws_stay_inside_spec_derived_contracts() {
     let schema = generator_zoo();
     let rt = SchemaRuntime::build(&schema, &MapResolver::new()).expect("zoo builds");
-    let declared = rt.contracts();
-    for (ti, table) in schema.tables.iter().enumerate() {
-        for (fi, field) in table.fields.iter().enumerate() {
-            let derived = contract_of_spec(&field.generator, &schema);
-            assert_eq!(
-                declared[ti][fi], derived,
-                "{}.{}: runtime contract drifted from spec derivation",
-                table.name, field.name
-            );
+    for (ti, (table, spec)) in rt.tables().iter().zip(&schema.tables).enumerate() {
+        for (ci, field) in spec.fields.iter().enumerate() {
+            let contract = contract_of_spec(&field.generator, &schema);
             assert!(
-                declared[ti][fi].is_bounded(),
+                contract.is_bounded(),
                 "{}.{}: zoo generator has no finite draw bound",
                 table.name,
                 field.name
             );
-        }
-    }
-}
-
-/// Every cell of every zoo column, across update epochs: the counting
-/// RNG's measured draw count must fall inside the declared contract.
-/// Exact contracts (min == max) therefore pin consumption exactly.
-#[test]
-fn measured_draws_stay_inside_declared_contracts() {
-    let schema = generator_zoo();
-    let rt = SchemaRuntime::build(&schema, &MapResolver::new()).expect("zoo builds");
-    let declared = rt.contracts();
-    for (ti, table) in rt.tables().iter().enumerate() {
-        for (ci, contract) in declared[ti].iter().enumerate() {
             let draws = contract.draws;
             for update in [0u32, 1, 2] {
                 for row in 0..table.size {
