@@ -109,7 +109,7 @@ impl Generator for ReferenceGenerator {
         let parent_ctx = ColumnCtx {
             runtime: ctx.runtime,
             // audit:allow(seed-discipline) declared reference closure: the
-            // lineage analyzer models this exact parent-column read
+            // parent column's own seed, pinned by tests/fingerprints.rs
             update_seed: ctx.runtime.seed_tree().update_seed(
                 self.target_table,
                 self.target_column,

@@ -21,9 +21,8 @@
 //! * [`analyze`] — the multi-pass static analyzer behind
 //!   `Schema::validate` and `pdgf validate`,
 //! * [`absint`] — the abstract interpreter proving value domains, byte
-//!   widths, and key uniqueness at a concrete scale (`pdgf explain`),
-//! * [`lineage`] — the seed-lineage prover: per-generator draw contracts
-//!   folded into the seed-derivation graph (`pdgf prove`),
+//!   widths, key uniqueness and per-cell draws at a concrete scale
+//!   (`pdgf explain`),
 //! * [`xml`] — a minimal XML reader/writer,
 //! * [`config`] — the mapping between schema model and its XML form,
 //! * [`sync`] — the one lock facade of the workspace: poison-recovering
@@ -38,7 +37,6 @@ pub mod analyze;
 pub mod column;
 pub mod config;
 pub mod expr;
-pub mod lineage;
 pub mod model;
 pub mod props;
 pub mod sync;
@@ -49,7 +47,6 @@ pub mod xml;
 pub use analyze::{Analysis, Diagnostic, Severity};
 pub use column::{ColumnBatch, ColumnVec, TextColumn};
 pub use expr::Expr;
-pub use lineage::{DrawContract, LineageGraph, LineageReport};
 pub use model::{Field, GeneratorSpec, Schema, Table};
 pub use props::PropertyBag;
 pub use types::SqlType;

@@ -12,7 +12,6 @@
 //! pdgf info     --model tpch.xml [-p ...]
 //! pdgf validate --model tpch.xml [--format json] [-p NAME=EXPR]...
 //! pdgf explain  --model tpch.xml [--scale N] [--format json] [-p ...]
-//! pdgf prove    --model tpch.xml [--scale N] [--format json] [-p ...]
 //! pdgf serve    --model tpch.xml --addr 127.0.0.1:7411 [--workers N]
 //!               [--package-rows N] [--window N] [--max-request-rows N]
 //!               [--max-connections N] [--http-port N]
@@ -81,7 +80,7 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: pdgf <generate|preview|info|validate|explain|prove|serve|fetch> [options]\n\
+        "usage: pdgf <generate|preview|info|validate|explain|serve|fetch> [options]\n\
          \n\
          generate options: --out <dir> --format csv|json|xml|sql --workers N\n\
          \u{20}                 --package-rows N --seed N -p NAME=EXPR\n\
@@ -90,7 +89,6 @@ fn usage() -> ExitCode {
          \u{20}                 --metrics-out <file> (telemetry event stream as JSONL)\n\
          preview options:  --table <name> --rows N\n\
          explain options:  --scale N (override the SF property) --format json\n\
-         prove options:    --scale N (override the SF property) --format json\n\
          serve options:    --model <file.xml> --addr HOST:PORT --workers N\n\
          \u{20}                 --model NAME=PATH (repeatable: multi-model registry)\n\
          \u{20}                 --http-port N (HTTP/1.1 front end beside the TCP protocol)\n\
@@ -267,7 +265,6 @@ fn main() -> ExitCode {
         "info" => cmd_info(&args),
         "validate" => cmd_validate(&args),
         "explain" => cmd_explain(&args),
-        "prove" => cmd_prove(&args),
         "serve" => cmd_serve(&args),
         "fetch" => cmd_fetch(&args),
         _ => {
@@ -619,58 +616,6 @@ fn cmd_explain(args: &Args) -> Result<(), PdgfError> {
     Ok(())
 }
 
-/// Prove the model's seed lineage and the cross-layer draw-count
-/// contracts: print the project → table → column → update → cell seed
-/// derivation graph and the verdicts that the row engine, the columnar
-/// kernels, and `pdgf serve` point lookups consume identical draw
-/// streams. `--format json` prints one deterministic machine-readable
-/// object on stdout. Exits non-zero when any check fails.
-fn cmd_prove(args: &Args) -> Result<(), PdgfError> {
-    let builder = make_builder(args)?;
-    let report = builder.prove()?;
-
-    if args.format == OutputFormat::Json {
-        println!("{}", report.to_json(args.model.as_deref().unwrap_or("")));
-    } else {
-        for d in &report.diagnostics {
-            eprintln!("{d}");
-        }
-        if report.ok {
-            println!("root: {}", report.graph.root);
-            for c in &report.graph.columns {
-                println!("{}.{}", c.table, c.field);
-                println!("  seed  {}", c.path);
-                for aux in &c.aux {
-                    println!("  aux   {aux}");
-                }
-                for read in &c.reads {
-                    println!("  reads {read} (closure, fresh context)");
-                }
-                println!(
-                    "  draws {} per cell",
-                    pdgf::schema::lineage::fmt_draws(c.contract.draws)
-                );
-            }
-            let v = &report.verdicts;
-            println!(
-                "proven: engines equivalent = {}, serve consistent = {} \
-                 ({} columns checked, {} cells sampled)",
-                v.engines_equivalent(),
-                v.serve_consistent(),
-                v.columns_checked,
-                v.cells_sampled,
-            );
-        }
-    }
-    if !report.ok {
-        return Err(PdgfError::Config(format!(
-            "seed-lineage proof failed with {} error(s)",
-            report.errors()
-        )));
-    }
-    Ok(())
-}
-
 /// Start the on-the-fly row server: one persistent worker pool answering
 /// range and point-lookup requests over the loaded model(s), forever.
 /// Prints `listening on ADDR` once the socket is bound (the CI smoke job
@@ -686,7 +631,7 @@ fn cmd_serve(args: &Args) -> Result<(), PdgfError> {
     // One plain `--model PATH` keeps the original single-model flow
     // (CLI property/seed overrides apply) under the name "default";
     // `NAME=PATH` entries go through the registry's gated loader
-    // (analyze + prove before the pool starts).
+    // (analyze, then build, before the pool starts).
     let registry = if args.models.iter().any(|m| m.contains('=')) {
         let mut registry = ModelRegistry::new();
         for entry in &args.models {

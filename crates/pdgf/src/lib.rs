@@ -46,12 +46,10 @@ pub mod explain;
 #[path = "../../../tests/zoo/oracle.rs"]
 mod oracle;
 pub mod project;
-pub mod prove;
 pub mod serve;
 
 pub use explain::{ColumnExplain, ExplainReport, PerFormat, TableExplain};
 pub use project::{OutputFormat, Pdgf, PdgfError, PdgfProject};
-pub use prove::{ProveReport, ProveVerdicts};
 pub use serve::{
     FetchRequest, ModelRegistry, ServeClient, ServeError, Server, ServerHandle, ServerOptions,
     ServerOptionsBuilder,

@@ -12,10 +12,9 @@ use pdgf_output::{
 };
 use pdgf_runtime::{GenerationRun, MetaScheduler, NodeReport, RunConfig, RunReport, Telemetry};
 use pdgf_schema::config as xmlconfig;
-use pdgf_schema::{absint, lineage, Schema, Value};
+use pdgf_schema::{absint, Schema, Value};
 
 use crate::explain::{ColumnExplain, ExplainReport, PerFormat, TableExplain};
-use crate::prove::{ProveReport, ProveVerdicts};
 
 /// Supported output formats ("PDGF can write data in various formats
 /// (e.g., CSV, JSON, XML, and SQL)").
@@ -192,18 +191,15 @@ impl Pdgf {
     }
 
     /// Structural analysis followed by the abstract-interpretation pass
-    /// (E040+/W010+) and the seed-lineage pass (E050+/W020+), with both
-    /// passes' findings appended. The interpreter resolves dictionaries
-    /// and Markov models through the builder's resolver; unresolvable
-    /// resources soundly widen to "unknown" instead of erroring here (the
-    /// build reports them).
+    /// (E040+/W010+), its findings appended. The interpreter resolves
+    /// dictionaries and Markov models through the builder's resolver;
+    /// unresolvable resources soundly widen to "unknown" instead of
+    /// erroring here (the build reports them).
     fn full_analysis(&self, schema: &Schema) -> pdgf_schema::Analysis {
         let mut analysis = schema.analyze();
-        let lin = lineage::analyze_lineage(schema, &analysis);
         let oracle = ResolverOracle(self.resolver.as_ref());
         let interp = absint::interpret(schema, &analysis, &oracle);
         analysis.diagnostics.extend(interp.diagnostics);
-        analysis.diagnostics.extend(lin.diagnostics);
         analysis
     }
 
@@ -298,106 +294,6 @@ impl Pdgf {
             package_rows,
             tables,
             total_bytes,
-        })
-    }
-
-    /// Prove the model's seed lineage: run the static lineage pass (which
-    /// rejects a contract with no finite draw bound, E053), then check
-    /// its spec-derived draw contracts against the abstract interpreter's
-    /// draw profiles (E056) and — by sampling cells — the three seed
-    /// derivation routes the engines use (E055). When the report is ok, the row engine, the
-    /// columnar kernels, and `pdgf serve` point lookups provably consume
-    /// identical draw streams for every cell.
-    pub fn prove(&self) -> Result<ProveReport, PdgfError> {
-        let schema = self.resolved_schema()?;
-        let mut analysis = schema.analyze();
-        let lin = lineage::analyze_lineage(&schema, &analysis);
-        let oracle = ResolverOracle(self.resolver.as_ref());
-        let interp = absint::interpret(&schema, &analysis, &oracle);
-        analysis.diagnostics.extend(interp.diagnostics);
-        analysis.diagnostics.extend(lin.diagnostics);
-        if analysis.has_errors() {
-            return Ok(ProveReport {
-                ok: false,
-                diagnostics: analysis.diagnostics,
-                graph: pdgf_schema::LineageGraph::default(),
-                verdicts: ProveVerdicts::default(),
-            });
-        }
-        let runtime = SchemaRuntime::build(&schema, self.resolver.as_ref())
-            .map_err(|e| PdgfError::Build(e.to_string()))?;
-        let mut diagnostics = analysis.diagnostics;
-        let mut verdicts = ProveVerdicts {
-            // The lineage pass reports an unbounded contract as E053, an
-            // error, so every column of a model that gets here is bounded.
-            draws_bounded: true,
-            seed_routes_agree: true,
-            absint_agrees: true,
-            columns_checked: 0,
-            cells_sampled: 0,
-        };
-        for (ti, table) in schema.tables.iter().enumerate() {
-            let rows = runtime.tables()[ti].size;
-            for (fi, f) in table.fields.iter().enumerate() {
-                verdicts.columns_checked += 1;
-                let derived = lineage::contract_of_spec(&f.generator, &schema);
-                // The interpreter widens draws to unbounded only when it
-                // knows nothing; everywhere else the two static layers
-                // must agree exactly.
-                let profile = &interp.tables[ti].columns[fi].profile;
-                if profile.draws.max != u64::MAX && profile.draws != derived.draws {
-                    verdicts.absint_agrees = false;
-                    diagnostics.push(lineage::absint_drift(
-                        &table.name,
-                        &f.name,
-                        derived.draws,
-                        profile.draws,
-                    ));
-                }
-                // Seed-route sample: the point-lookup tree walk, the
-                // hoisted bulk route, and the from-scratch derivation must
-                // land on the same lineage node for every cell.
-                let mut sample_rows = vec![0, rows / 2, rows.saturating_sub(1)];
-                sample_rows.dedup();
-                for update in [0u32, 1, 3] {
-                    let hoisted_base = runtime
-                        .seed_tree()
-                        .update_seed(ti as u32, fi as u32, update);
-                    for &row in &sample_rows {
-                        if rows == 0 {
-                            continue;
-                        }
-                        let coord = pdgf_prng::FieldCoord {
-                            table: ti as u32,
-                            column: fi as u32,
-                            update,
-                            row,
-                        };
-                        let point = runtime.seed_tree().field_seed(coord);
-                        let hoisted = pdgf_prng::mix64_pair(hoisted_base, row);
-                        let scratch = pdgf_prng::SeedTree::field_seed_uncached(schema.seed, coord);
-                        verdicts.cells_sampled += 1;
-                        if point != hoisted || point != scratch {
-                            verdicts.seed_routes_agree = false;
-                            diagnostics.push(lineage::serve_divergence(
-                                &table.name,
-                                &f.name,
-                                update,
-                                row,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        let ok = !diagnostics
-            .iter()
-            .any(|d| d.severity == pdgf_schema::Severity::Error);
-        Ok(ProveReport {
-            ok,
-            diagnostics,
-            graph: lin.graph,
-            verdicts,
         })
     }
 

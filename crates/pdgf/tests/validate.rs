@@ -54,9 +54,7 @@ const CORPUS: &[(&str, &str, bool)] = &[
     ("models/bad/w010_unbounded_width.xml", "W010", false),
     ("models/bad/w011_fk_parent_not_unique.xml", "W011", false),
     ("models/bad/w012_mixed_branch_kinds.xml", "W012", false),
-    // Seed-lineage prover (E050+/W020+).
-    ("models/bad/e050_dup_permuted_id.xml", "E050", true),
-    ("models/bad/e051_dup_perm_ref.xml", "E051", true),
+    // Abstract interpreter, closure and draw checks (E052/W020+).
     ("models/bad/e052_ref_into_empty.xml", "E052", true),
     ("models/bad/w020_draw_budget.xml", "W020", false),
     ("models/bad/w021_deep_closure.xml", "W021", false),
@@ -85,7 +83,7 @@ fn bad_corpus_fails_with_stable_codes() {
 
 #[test]
 fn absint_corpus_matches_golden_reports() {
-    // The interpreter and lineage fixtures each pin the full
+    // The interpreter fixtures each pin the full
     // machine-readable report byte for byte — codes, locations, and
     // messages are all API. Regenerate with `cargo xtask bless` after an
     // intentional message change.
@@ -135,13 +133,13 @@ fn shipped_models_validate_clean() {
 }
 
 /// JSON mode is machine-facing: the exit code must still signal failure
-/// when the report carries error-level diagnostics, for validate,
-/// explain, and prove alike. A clean model must exit 0 in every mode.
+/// when the report carries error-level diagnostics, for validate and
+/// explain alike. A clean model must exit 0 in every mode.
 #[test]
 fn json_mode_exit_codes_track_error_diagnostics() {
-    for cmd in ["validate", "explain", "prove"] {
+    for cmd in ["validate", "explain"] {
         for (model, should_fail) in [
-            ("models/bad/e050_dup_permuted_id.xml", true),
+            ("models/bad/e052_ref_into_empty.xml", true),
             ("models/bad/w020_draw_budget.xml", false),
             ("models/tpch.xml", false),
         ] {

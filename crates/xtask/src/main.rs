@@ -239,8 +239,8 @@ fn usage() -> ExitCode {
 
 /// The `models/bad/` fixtures whose `pdgf validate --format json` reports
 /// are pinned byte for byte under `crates/pdgf/tests/golden/`: the
-/// abstract-interpreter corpus (`e04*`/`w01*`) and the seed-lineage
-/// corpus (`e05*`/`w02*`).
+/// abstract-interpreter corpus (`e04*`/`w01*`, and the closure and draw
+/// checks `e05*`/`w02*`).
 fn golden_fixture(name: &str) -> bool {
     ["e04", "w01", "e05", "w02"]
         .iter()

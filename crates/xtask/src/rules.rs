@@ -86,10 +86,10 @@ fn columnar_kernel_scope(path: &str) -> bool {
 
 /// The generator kernels (`fill`/`fill_column` implementations): cell
 /// seeds must come from the runtime-provided context (`GenContext` /
-/// `ColumnCtx`), never re-derived from the seed tree, or the proven
-/// lineage (see `pdgf-schema/src/lineage.rs`) silently stops describing
-/// what the kernel actually does. `runtime.rs` is the one sanctioned
-/// derivation point and stays out of scope.
+/// `ColumnCtx`), never re-derived from the seed tree, so every route to
+/// a cell walks the one seeding hierarchy that `tests/fingerprints.rs`
+/// pins. `runtime.rs` is the one sanctioned derivation point and stays
+/// out of scope.
 fn seed_discipline_scope(path: &str) -> bool {
     path.starts_with("crates/pdgf-gen/src/") && path != "crates/pdgf-gen/src/runtime.rs"
 }
@@ -148,10 +148,10 @@ pub const RULES: &[Rule] = &[
         id: "seed-discipline",
         summary: "direct seed-tree derivation inside a generator kernel",
         needles: &[".field_seed(", ".update_seed("],
-        help: "take the cell seed from the runtime-provided context so the \
-               static seed lineage stays true; for a derivation the lineage \
-               analyzer models (e.g. a declared reference closure) annotate \
-               `// audit:allow(seed-discipline) <reason>`",
+        help: "take the cell seed from the runtime-provided context so every \
+               route to a cell derives the seed the fingerprints pin; for a \
+               derivation of another column's seed (e.g. a declared reference \
+               closure) annotate `// audit:allow(seed-discipline) <reason>`",
         applies: seed_discipline_scope,
     },
     Rule {
