@@ -6,11 +6,12 @@
 //! panels: aggregate throughput (MB/s) vs nodes, and duration (min) vs
 //! nodes.
 //!
-//! Cluster simulation (see DESIGN.md): the meta-scheduler shards the row
-//! space; each "node" is an independent run over its shard, executed
-//! sequentially here. Aggregate cluster throughput is the sum of node
-//! throughputs (shared-nothing machines run concurrently and
-//! independently), and cluster duration is the slowest node's duration.
+//! Cluster projection (see DESIGN.md): each "node" is one
+//! `GenerationRun::shard(node, nodes)` — the same run a `pdgf generate
+//! --node i --nodes N` process makes — executed one after another here.
+//! Aggregate cluster throughput is the sum of node throughputs
+//! (shared-nothing machines run concurrently and independently), and
+//! cluster duration is the slowest node's duration.
 //!
 //! Each node count is run [`REPEATS`] times; the table and the shape
 //! checks read the medians.
@@ -19,16 +20,29 @@
 //! `FIG4_NODES` (comma list, default "1,2,4,8,12,16,20,24"),
 //! `FIG4_WORKERS` (per node, default 0: inline).
 
-use std::io;
-
 use bench::{banner, cell, check, knob, linear_fit};
 use benchmark::Summary;
-use pdgf_output::{CsvFormatter, NullSink, Sink};
-use pdgf_runtime::{MetaScheduler, RunConfig};
+use pdgf_gen::SchemaRuntime;
+use pdgf_output::{CsvFormatter, NullSinkFactory};
+use pdgf_runtime::{GenerationRun, RunConfig, RunReport};
 use workloads::bigbench;
 
 /// Cluster runs per node count.
 const REPEATS: usize = 5;
+
+/// Every node's shard of the project, run one after another into null
+/// sinks.
+fn run_shards(rt: &SchemaRuntime, workers: usize, nodes: usize) -> Vec<RunReport> {
+    let config = RunConfig::new().workers(workers).package_rows(5_000);
+    (0..nodes)
+        .map(|node| {
+            GenerationRun::new(rt, config.clone())
+                .shard(node, nodes)
+                .run(&CsvFormatter::new(), NullSinkFactory)
+                .expect("node run succeeds")
+        })
+        .collect()
+}
 
 fn main() {
     banner(
@@ -50,14 +64,7 @@ fn main() {
         .expect("bigbench model builds");
     let rt = project.runtime();
     // Warm up caches and the allocator before measuring.
-    {
-        let sched = MetaScheduler::new(1, RunConfig::new().workers(workers).package_rows(5_000));
-        let mut make =
-            |_: &str, _: usize| -> io::Result<Box<dyn Sink>> { Ok(Box::new(NullSink::new())) };
-        sched
-            .run_cluster(rt, &CsvFormatter::new(), &mut make)
-            .expect("warmup run");
-    }
+    run_shards(rt, workers, 1);
     let total_rows: u64 = rt.tables().iter().map(|t| t.size).sum();
     println!("model: BigBench-style, SF={sf}, {total_rows} rows total, {workers} workers/node\n");
 
@@ -68,17 +75,11 @@ fn main() {
     let mut tput_series = Vec::new();
     let mut duration_series = Vec::new();
     for &nodes in &nodes_list {
-        let sched =
-            MetaScheduler::new(nodes, RunConfig::new().workers(workers).package_rows(5_000));
-        let mut make =
-            |_: &str, _: usize| -> io::Result<Box<dyn Sink>> { Ok(Box::new(NullSink::new())) };
         let mut rows = 0;
         let (agg_mb_s, duration): (Vec<f64>, Vec<f64>) = (0..REPEATS)
             .map(|_| {
-                let reports = sched
-                    .run_cluster(rt, &CsvFormatter::new(), &mut make)
-                    .expect("cluster run succeeds");
-                rows = reports.iter().map(|r| r.rows).sum::<u64>();
+                let reports = run_shards(rt, workers, nodes);
+                rows = reports.iter().map(|r| r.total_rows()).sum::<u64>();
                 // Shared-nothing aggregate: nodes run concurrently in a
                 // real cluster, so aggregate throughput is the per-node
                 // sum and the cluster finishes with its slowest node.

@@ -64,7 +64,12 @@ fn pdgf_run(sf: f64, workers: usize, to_null: bool, dir: &Path) -> Summary {
             project.generate_to_null(None).expect("generation");
         } else {
             project
-                .generate_to_dir(dir.join(format!("pdgf-{sf}")), OutputFormat::Csv, None)
+                .generate_to_dir(
+                    dir.join(format!("pdgf-{sf}")),
+                    OutputFormat::Csv,
+                    None,
+                    None,
+                )
                 .expect("generation");
         }
     })

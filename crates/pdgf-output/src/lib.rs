@@ -68,4 +68,4 @@ pub use formatter::{
 };
 pub use pool::BufferPool;
 pub use reorder::ReorderBuffer;
-pub use sink::{FileSink, MemorySink, NullSink, PartitionedDirSink, Sink};
+pub use sink::{FileSink, MemorySink, NullSink, Sink};

@@ -132,79 +132,6 @@ impl Sink for MemorySink {
     }
 }
 
-/// HDFS-style partitioned directory sink: output rolls into numbered
-/// part files (`part-00000`, `part-00001`, …) once a part exceeds the
-/// configured size — the layout "modern big data storage systems" expect
-/// (the paper lists HDFS among PDGF's targets). Chunks are never split
-/// across parts, so each part holds whole rows/packages.
-pub struct PartitionedDirSink {
-    dir: std::path::PathBuf,
-    part_bytes: u64,
-    current: Option<BufWriter<File>>,
-    current_bytes: u64,
-    parts: u32,
-    total: u64,
-}
-
-impl PartitionedDirSink {
-    /// Create a sink writing parts of roughly `part_bytes` into `dir`
-    /// (created if missing).
-    pub fn create(dir: impl AsRef<Path>, part_bytes: u64) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir,
-            part_bytes: part_bytes.max(1),
-            current: None,
-            current_bytes: 0,
-            parts: 0,
-            total: 0,
-        })
-    }
-
-    /// Number of part files written so far.
-    pub fn part_count(&self) -> u32 {
-        self.parts
-    }
-
-    fn roll(&mut self) -> io::Result<&mut BufWriter<File>> {
-        if self.current.is_none() || self.current_bytes >= self.part_bytes {
-            if let Some(mut old) = self.current.take() {
-                old.flush()?;
-            }
-            let path = self.dir.join(format!("part-{:05}", self.parts));
-            self.current = Some(BufWriter::new(File::create(path)?));
-            self.parts += 1;
-            self.current_bytes = 0;
-        }
-        match &mut self.current {
-            Some(w) => Ok(w),
-            None => Err(io::Error::other("part file vanished after roll")),
-        }
-    }
-}
-
-impl Sink for PartitionedDirSink {
-    fn write_chunk(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let writer = self.roll()?;
-        writer.write_all(bytes)?;
-        self.current_bytes += bytes.len() as u64;
-        self.total += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<u64> {
-        if let Some(mut w) = self.current.take() {
-            w.flush()?;
-        }
-        Ok(self.total)
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,49 +153,6 @@ mod tests {
         assert_eq!(s.as_str(), "abcd");
         assert_eq!(s.finish().unwrap(), 4);
         assert_eq!(s.into_inner(), b"abcd");
-    }
-
-    #[test]
-    fn partitioned_sink_rolls_parts() {
-        let dir = std::env::temp_dir().join(format!("pdgf-parts-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        {
-            let mut s = PartitionedDirSink::create(&dir, 10).unwrap();
-            for i in 0..6 {
-                s.write_chunk(format!("chunk{i}\n").as_bytes()).unwrap();
-            }
-            assert_eq!(s.finish().unwrap(), 42);
-            // 7 bytes per chunk, 10-byte parts: rolls after every 2nd chunk.
-            assert_eq!(s.part_count(), 3);
-            assert_eq!(s.bytes_written(), 42);
-        }
-        // Concatenating parts in order reconstructs the stream.
-        let mut all = String::new();
-        for i in 0..3 {
-            all.push_str(&std::fs::read_to_string(dir.join(format!("part-{i:05}"))).unwrap());
-        }
-        assert_eq!(all, "chunk0\nchunk1\nchunk2\nchunk3\nchunk4\nchunk5\n");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn partitioned_sink_never_splits_a_chunk() {
-        let dir = std::env::temp_dir().join(format!("pdgf-parts2-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut s = PartitionedDirSink::create(&dir, 4).unwrap();
-        s.write_chunk(b"0123456789").unwrap(); // bigger than a part
-        s.write_chunk(b"ab").unwrap();
-        s.finish().unwrap();
-        assert_eq!(s.part_count(), 2);
-        assert_eq!(
-            std::fs::read_to_string(dir.join("part-00000")).unwrap(),
-            "0123456789"
-        );
-        assert_eq!(
-            std::fs::read_to_string(dir.join("part-00001")).unwrap(),
-            "ab"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

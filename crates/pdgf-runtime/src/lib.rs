@@ -9,13 +9,14 @@
 //! is generated, it is sent to the output system, where it can be
 //! formatted and sorted."
 //!
-//! * [`package`] — table jobs and the framing a row range owns,
+//! * [`package`] — table jobs, the framing a row range owns, and the
+//!   node shard of a table (the meta-scheduler's whole job: a shard is a
+//!   row range of every table),
 //! * `engine` — the one execution core: ticket queue, worker loop,
 //!   render (generate column-wise, format), ordered package streams with
 //!   reader-driven windows; model-checkable under `--cfg loom`,
 //! * [`scheduler`] — batch generation: a project's jobs as clients of
 //!   the core, drained into sinks in sorted order,
-//! * [`meta`] — the meta-scheduler: sharding a project across nodes,
 //! * [`update`] — the update black box: deterministic insert/update/
 //!   delete batches per abstract time unit,
 //! * [`telemetry`] — the one observer a run takes (the demo's Mission
@@ -27,7 +28,8 @@
 //! * [`serve`] — the on-the-fly row service: admission, model table
 //!   and statistics over a long-lived instance of the core, answering
 //!   row-range and point-lookup requests byte-identical to batch output,
-//! * [`driver`] — whole-project generation runs and reports.
+//! * [`driver`] — whole-project generation runs (or one node's shard of
+//!   one) and their reports.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -35,7 +37,6 @@
 pub mod driver;
 mod engine;
 pub mod events;
-pub mod meta;
 /// The row oracle the byte-identity unit tests compare the engine with.
 #[cfg(test)]
 #[path = "../../../tests/zoo/oracle.rs"]
@@ -83,7 +84,6 @@ pub mod update;
 
 pub use driver::{GenerationRun, RunReport, TableReport};
 pub use events::{EventSubscriber, RunEvent, StampedEvent};
-pub use meta::{MetaScheduler, NodeReport, NodeSinkFactory};
 pub use package::{Framing, TableJob};
 pub use scheduler::{
     available_workers, generate_table_range, run_project, table_meta, RunConfig, TableRunStats,

@@ -12,11 +12,11 @@ use std::ops::Range;
 
 /// Which of the formatter's `begin`/`end` bytes a table shard owns.
 ///
-/// A whole-table run owns both. A node shard of a framed format (CSV with
-/// header, XML document, SQL script) owns `begin` only when it starts at
-/// row 0 and `end` only when it finishes the table, so that concatenating
-/// shard outputs in node order reproduces the single-node byte stream
-/// exactly — headers appear once, documents close once.
+/// A whole-table run owns both. A shard of a framed format (CSV with
+/// header, XML document, SQL script) owns `begin` only as the first of
+/// its sequence and `end` only as the last, so that concatenating shard
+/// outputs in order reproduces the single-node byte stream exactly —
+/// headers appear once, documents close once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Framing {
     /// Emit the formatter's `begin` bytes before the first row.
@@ -50,6 +50,17 @@ impl Framing {
             end: rows.end >= table_size,
         }
     }
+}
+
+/// Shard of table rows assigned to node `node` of `node_count`:
+/// contiguous ranges in node order, balanced within one row of each other.
+pub fn node_shard(total_rows: u64, node: usize, node_count: usize) -> Range<u64> {
+    assert!(node_count > 0, "need at least one node");
+    assert!(node < node_count, "node index out of range");
+    let (node, node_count) = (node as u64, node_count as u64);
+    let start = total_rows * node / node_count;
+    let end = total_rows * (node + 1) / node_count;
+    start..end
 }
 
 /// One table shard in a project run: the rows to generate plus the
@@ -94,5 +105,35 @@ mod tests {
         assert_eq!(Framing::for_range(&(25..75), 100), Framing::none());
         // Empty table: the full range is 0..0, a complete document.
         assert_eq!(Framing::for_range(&(0..0), 0), Framing::full());
+    }
+
+    #[test]
+    fn shards_partition_the_row_space() {
+        for total in [0u64, 1, 7, 100, 1001] {
+            for nodes in [1usize, 2, 3, 8, 24] {
+                let mut next = 0;
+                for n in 0..nodes {
+                    let shard = node_shard(total, n, nodes);
+                    assert_eq!(shard.start, next, "gap at node {n}");
+                    next = shard.end;
+                }
+                assert_eq!(next, total, "total={total} nodes={nodes}");
+            }
+        }
+    }
+
+    #[test]
+    fn shards_are_balanced_within_one_row() {
+        for nodes in [2usize, 3, 7, 24] {
+            let sizes: Vec<u64> = (0..nodes)
+                .map(|n| {
+                    let s = node_shard(1000, n, nodes);
+                    s.end - s.start
+                })
+                .collect();
+            let min = sizes.iter().min().unwrap();
+            let max = sizes.iter().max().unwrap();
+            assert!(max - min <= 1, "{sizes:?}");
+        }
     }
 }

@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdgf::output::json_escape;
-use pdgf::runtime::meta::node_shard;
+use pdgf::runtime::package::node_shard;
 use pdgf::runtime::{ServeConfig, Telemetry};
 use pdgf::{
     FetchRequest, ModelRegistry, OutputFormat, Pdgf, PdgfError, ServeClient, Server, ServerOptions,
@@ -353,44 +353,33 @@ fn cmd_generate(args: &Args) -> Result<(), PdgfError> {
         ))
     });
 
-    let summary = if args.nodes > 1 || args.node > 0 {
-        project
-            .generate_shard_to_dir(out, args.format, args.node, args.nodes, telemetry.as_ref())
-            .map(|report| {
-                format!(
-                    "node {}/{}: {} rows, {:.2} MB in {:.2} s ({:.1} MB/s)\n",
-                    report.node,
-                    args.nodes,
-                    report.rows,
-                    report.bytes as f64 / 1e6,
-                    report.seconds,
-                    report.throughput_mb_s()
-                )
-            })
-    } else {
-        project
-            .generate_to_dir(out, args.format, telemetry.as_ref())
-            .map(|report| {
-                let mut text = String::new();
-                for t in &report.tables {
-                    text.push_str(&format!(
-                        "{:<16} {:>12} rows {:>14.2} MB {:>10.2} s\n",
-                        t.table,
-                        t.rows,
-                        t.bytes as f64 / 1e6,
-                        t.seconds
-                    ));
-                }
+    let shard = (args.nodes > 1 || args.node > 0).then_some((args.node, args.nodes));
+    let summary = project
+        .generate_to_dir(out, args.format, shard, telemetry.as_ref())
+        .map(|report| {
+            let total = format!(
+                "{} rows, {:.2} MB in {:.2} s ({:.1} MB/s)\n",
+                report.total_rows(),
+                report.total_bytes() as f64 / 1e6,
+                report.seconds,
+                report.throughput_mb_s()
+            );
+            if shard.is_some() {
+                return format!("node {}/{}: {total}", args.node, args.nodes);
+            }
+            let mut text = String::new();
+            for t in &report.tables {
                 text.push_str(&format!(
-                    "total: {} rows, {:.2} MB in {:.2} s ({:.1} MB/s)\n",
-                    report.total_rows(),
-                    report.total_bytes() as f64 / 1e6,
-                    report.seconds,
-                    report.throughput_mb_s()
+                    "{:<16} {:>12} rows {:>14.2} MB {:>10.2} s\n",
+                    t.table,
+                    t.rows,
+                    t.bytes as f64 / 1e6,
+                    t.seconds
                 ));
-                text
-            })
-    };
+            }
+            text.push_str(&format!("total: {total}"));
+            text
+        });
 
     stop.store(true, Ordering::Relaxed);
     if let Some(t) = ticker {

@@ -2,15 +2,15 @@
 
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use pdgf_gen::{FsResolver, MapResolver, ResolverOracle, ResourceResolver, SchemaRuntime};
 use pdgf_output::{
-    CsvFormatter, DirSinkFactory, FileSink, Formatter, JsonFormatter, MemorySink, NullSinkFactory,
-    Sink, SqlFormatter, XmlFormatter,
+    CsvFormatter, DirSinkFactory, Formatter, JsonFormatter, MemorySink, NullSinkFactory,
+    SqlFormatter, XmlFormatter,
 };
-use pdgf_runtime::{GenerationRun, MetaScheduler, NodeReport, RunConfig, RunReport, Telemetry};
+use pdgf_runtime::{GenerationRun, RunConfig, RunReport, Telemetry};
 use pdgf_schema::config as xmlconfig;
 use pdgf_schema::{absint, Schema, Value};
 
@@ -354,32 +354,23 @@ impl PdgfProject {
     /// attached [`Telemetry`] sees live progress, the event stream and
     /// phase-latency metrics (populating [`RunReport::metrics`]), and its
     /// stall watchdog covers the run.
+    ///
+    /// `shard: Some((node, nodes))` generates only that node's shard —
+    /// the shared-nothing deployment of the paper: every node runs the
+    /// same model with a `(node, nodes)` pair and no communication.
+    /// With more than one node the files are `<table>.part<node>.<ext>`,
+    /// one per table even when the shard owns no rows; concatenating the
+    /// part files in node order reproduces the single-node files byte
+    /// for byte, framing (CSV headers, XML document tags) included.
+    /// `None` is node 0 of 1, the whole project.
     pub fn generate_to_dir(
         &self,
         dir: impl AsRef<Path>,
         format: OutputFormat,
+        shard: Option<(usize, usize)>,
         telemetry: Option<&Telemetry>,
     ) -> Result<RunReport, PdgfError> {
-        let formatter = format.formatter();
-        let factory = DirSinkFactory::new(dir.as_ref(), format.extension());
-        Ok(self.run(telemetry).run(formatter.as_ref(), factory)?)
-    }
-
-    /// Generate this node's shard of every table into `dir` — the
-    /// shared-nothing deployment of the paper: every node runs the same
-    /// model with a `(node, nodes)` pair and no communication. Shards are
-    /// written as `<table>.part<node>.<ext>`; concatenating the part
-    /// files in node order reproduces the single-node files byte for
-    /// byte, framing (CSV headers, XML document tags) included. A shard
-    /// run takes a [`Telemetry`] like any other.
-    pub fn generate_shard_to_dir(
-        &self,
-        dir: impl AsRef<Path>,
-        format: OutputFormat,
-        node: usize,
-        nodes: usize,
-        telemetry: Option<&Telemetry>,
-    ) -> Result<NodeReport, PdgfError> {
+        let (node, nodes) = shard.unwrap_or((0, 1));
         if nodes == 0 {
             return Err(PdgfError::Config("need at least one node".into()));
         }
@@ -388,23 +379,14 @@ impl PdgfProject {
                 "node {node} out of range for {nodes} nodes"
             )));
         }
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let formatter = format.formatter();
         let ext = format.extension();
-        let mut make = |table: &str, node: usize| -> io::Result<Box<dyn Sink>> {
-            let mut path = PathBuf::from(&dir);
-            path.push(format!("{table}.part{node}.{ext}"));
-            Ok(Box::new(FileSink::create(path)?))
+        let factory = if nodes > 1 {
+            DirSinkFactory::new(dir.as_ref(), format!("part{node}.{ext}"))
+        } else {
+            DirSinkFactory::new(dir.as_ref(), ext)
         };
-        let sched = MetaScheduler::new(nodes, self.config.clone());
-        Ok(sched.run_node(
-            &self.runtime,
-            node,
-            formatter.as_ref(),
-            &mut make,
-            telemetry,
-        )?)
+        let run = self.run(telemetry).shard(node, nodes);
+        Ok(run.run(format.formatter().as_ref(), factory)?)
     }
 
     /// Generate every table into counting null sinks — the CPU-bound
@@ -609,7 +591,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pdgf-facade-{}", std::process::id()));
         let project = Pdgf::from_schema(schema()).workers(2).build().unwrap();
         let report = project
-            .generate_to_dir(&dir, OutputFormat::Csv, None)
+            .generate_to_dir(&dir, OutputFormat::Csv, None, None)
             .unwrap();
         assert_eq!(report.total_rows(), 50);
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
@@ -625,7 +607,7 @@ mod tests {
 
         let whole = base.join("whole");
         project
-            .generate_to_dir(&whole, OutputFormat::Csv, None)
+            .generate_to_dir(&whole, OutputFormat::Csv, None, None)
             .unwrap();
         let reference = std::fs::read(whole.join("t.csv")).unwrap();
 
@@ -634,16 +616,16 @@ mod tests {
         let mut rows = 0;
         for node in 0..3 {
             let report = project
-                .generate_shard_to_dir(&shards, OutputFormat::Csv, node, 3, None)
+                .generate_to_dir(&shards, OutputFormat::Csv, Some((node, 3)), None)
                 .unwrap();
-            rows += report.rows;
+            rows += report.total_rows();
             concat.extend(std::fs::read(shards.join(format!("t.part{node}.csv"))).unwrap());
         }
         assert_eq!(rows, 50);
         assert_eq!(concat, reference);
 
         assert!(project
-            .generate_shard_to_dir(&shards, OutputFormat::Csv, 3, 3, None)
+            .generate_to_dir(&shards, OutputFormat::Csv, Some((3, 3)), None)
             .is_err());
         std::fs::remove_dir_all(&base).ok();
     }

@@ -128,6 +128,48 @@ fn node_shards_concatenate_to_the_single_node_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// 32 nodes over 20 rows: most shards own no rows, yet every node writes
+/// its part file, so `cat t.part{0..31}.xml` is the whole document.
+#[test]
+fn every_node_writes_every_part_even_past_the_row_count() {
+    let dir = workdir("shard32");
+    let model = model_file(&dir);
+    let generate = |out: &PathBuf, shard: &[&str]| {
+        let output = bin()
+            .args([
+                "generate",
+                "--model",
+                model.to_str().expect("utf8 path"),
+                "--format",
+                "xml",
+                "--out",
+                out.to_str().expect("utf8 path"),
+            ])
+            .args(shard)
+            .output()
+            .expect("binary runs");
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    };
+    let whole = dir.join("whole");
+    generate(&whole, &[]);
+    let shards = dir.join("shards");
+    let mut concat = Vec::new();
+    for node in 0..32 {
+        generate(&shards, &["--node", &node.to_string(), "--nodes", "32"]);
+        let part = shards.join(format!("t.part{node}.xml"));
+        concat.extend(std::fs::read(&part).unwrap_or_else(|e| panic!("{part:?}: {e}")));
+    }
+    assert_eq!(
+        String::from_utf8_lossy(&concat),
+        std::fs::read_to_string(whole.join("t.xml")).expect("whole output")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn preview_prints_rows_and_headers() {
     let dir = workdir("preview");

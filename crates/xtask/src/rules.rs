@@ -182,8 +182,8 @@ mod tests {
         assert!(wall_clock_scope("crates/pdgf-runtime/src/events.rs"));
         assert!(wall_clock_scope("crates/pdgf-runtime/src/scheduler.rs"));
         assert!(wall_clock_scope("crates/pdgf-runtime/src/driver.rs"));
-        assert!(wall_clock_scope("crates/pdgf-runtime/src/meta.rs"));
-        assert!(wall_clock_scope("crates/pdgf/src/monitor.rs"));
+        assert!(wall_clock_scope("crates/pdgf-runtime/src/package.rs"));
+        assert!(wall_clock_scope("crates/pdgf/src/project.rs"));
         assert!(wall_clock_scope("crates/pdgf-runtime/src/engine.rs"));
         // The whole HTTP data plane is clock-free by design (no Date
         // header, Duration-only socket timeouts, clock-free cursors).

@@ -73,7 +73,7 @@ fn main() {
     for format in [OutputFormat::Csv, OutputFormat::Xml] {
         let dir = std::path::Path::new(&out_dir).join(format.extension());
         let report = project
-            .generate_to_dir(&dir, format, None)
+            .generate_to_dir(&dir, format, None, None)
             .expect("file generation succeeds");
         println!(
             "\n{} files in {}:",

@@ -2,10 +2,12 @@
 //! rests on: generated data is a pure function of the model and its seed,
 //! independent of any execution detail.
 
+use std::collections::BTreeMap;
+
 use dbsynth_suite::pdgf::{OutputFormat, Pdgf};
 use dbsynth_suite::workloads::tpch;
-use pdgf_output::{CsvFormatter, Sink};
-use pdgf_runtime::{MetaScheduler, RunConfig};
+use pdgf_output::{CsvFormatter, MemorySinkFactory};
+use pdgf_runtime::{GenerationRun, RunConfig};
 
 fn tpch_csv(workers: usize, package_rows: u64, table: &str) -> String {
     tpch::project(0.0005)
@@ -37,57 +39,25 @@ fn node_sharding_is_transparent() {
     let rt = project.runtime();
 
     // Per-table byte streams: node shards of each table concatenate in
-    // node order (node outputs of different tables interleave, so the
-    // comparison must be per table).
-    type TableBytes = std::collections::BTreeMap<String, Vec<u8>>;
-    let collect = |nodes: usize| -> TableBytes {
-        let sched = MetaScheduler::new(nodes, RunConfig::new().workers(2).package_rows(97));
-        let shared = std::sync::Arc::new(std::sync::Mutex::new(TableBytes::new()));
-        let mut make = {
-            let shared = shared.clone();
-            move |table: &str, _: usize| -> std::io::Result<Box<dyn Sink>> {
-                Ok(Box::new(TableSink {
-                    table: table.to_string(),
-                    dest: shared.clone(),
-                    count: 0,
-                }))
+    // node order.
+    let collect = |nodes: usize| -> BTreeMap<String, Vec<u8>> {
+        let mut tables = BTreeMap::<String, Vec<u8>>::new();
+        for node in 0..nodes {
+            let factory = MemorySinkFactory::new();
+            GenerationRun::new(rt, RunConfig::new().workers(2).package_rows(97))
+                .shard(node, nodes)
+                .run(&CsvFormatter::new(), factory.clone())
+                .expect("shard run");
+            for (table, bytes) in factory.outputs() {
+                tables.entry(table).or_default().extend(bytes);
             }
-        };
-        sched
-            .run_cluster(rt, &CsvFormatter::new(), &mut make)
-            .expect("cluster run");
-        let result = shared.lock().expect("no sink panicked").clone();
-        result
+        }
+        tables
     };
 
     let single = collect(1);
     for nodes in [2usize, 3, 5] {
         assert_eq!(collect(nodes), single, "nodes={nodes}");
-    }
-}
-
-struct TableSink {
-    table: String,
-    dest: std::sync::Arc<std::sync::Mutex<std::collections::BTreeMap<String, Vec<u8>>>>,
-    count: u64,
-}
-
-impl Sink for TableSink {
-    fn write_chunk(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.dest
-            .lock()
-            .expect("no sink panicked")
-            .entry(self.table.clone())
-            .or_default()
-            .extend_from_slice(bytes);
-        self.count += bytes.len() as u64;
-        Ok(())
-    }
-    fn finish(&mut self) -> std::io::Result<u64> {
-        Ok(self.count)
-    }
-    fn bytes_written(&self) -> u64 {
-        self.count
     }
 }
 
