@@ -11,13 +11,19 @@
 //! duration for each value is in the order of 200 ns."
 //!
 //! Expected shape: latency(Static) < latency(Null 100%) < latency(Null 0%),
-//! each step adding a small constant.
+//! each step adding a small constant. Each configuration is timed per
+//! value (`SchemaRuntime::value`) and on the batch path that `generate`
+//! runs (`fill_batch`, 4,096-row batches, reported per value).
 
 use std::hint::black_box;
+use std::time::Duration;
 
-use bench::{banner, ns_row};
-use pdgf_gen::{MapResolver, SchemaRuntime};
-use pdgf_schema::{Field, GeneratorSpec, Schema, SqlType, Table, Value};
+use bench::{banner, cell, ns_row};
+use pdgf_gen::{GenScratch, MapResolver, SchemaRuntime};
+use pdgf_schema::{ColumnBatch, Field, GeneratorSpec, Schema, SqlType, Table, Value};
+
+/// Rows per `fill_batch` call on the batch path.
+const BATCH_ROWS: u64 = 4_096;
 
 fn runtime_with(generator: GeneratorSpec) -> SchemaRuntime {
     let schema = Schema::new("fig7", 12_456_789).table(
@@ -34,6 +40,21 @@ fn bench_value(name: &str, rt: &SchemaRuntime) {
     });
 }
 
+/// Nanoseconds per value of the column filled `BATCH_ROWS` rows at a time,
+/// walking the table.
+fn bench_fill(name: &str, rt: &SchemaRuntime) {
+    let mut batch = ColumnBatch::new();
+    let mut scratch = GenScratch::default();
+    let mut start = 0u64;
+    let ns = benchmark::time_per_call(Duration::from_secs(2), 1, || {
+        let rows = black_box(start..start + BATCH_ROWS);
+        rt.fill_batch(0, 0, rows, &mut batch, &mut scratch);
+        black_box(&batch);
+        start += BATCH_ROWS;
+    });
+    println!("{name:<40} {:>34}", cell(&ns, 1.0 / BATCH_ROWS as f64, 1));
+}
+
 fn main() {
     banner(
         "Figure 7: generation latency of independent values, by subpart (ns/value)",
@@ -42,23 +63,31 @@ fn main() {
     let static_value = GeneratorSpec::Static {
         value: Value::text("fixed"),
     };
-
-    bench_value(
-        "fig7/static_value_no_cache",
-        &runtime_with(static_value.clone()),
-    );
-    bench_value(
-        "fig7/null_generator_100pct_null",
-        &runtime_with(GeneratorSpec::Null {
-            probability: 1.0,
-            inner: Box::new(static_value.clone()),
-        }),
-    );
-    bench_value(
-        "fig7/null_generator_0pct_null",
-        &runtime_with(GeneratorSpec::Null {
-            probability: 0.0,
-            inner: Box::new(static_value),
-        }),
-    );
+    let configurations = [
+        ("static_value_no_cache", static_value.clone()),
+        (
+            "null_generator_100pct_null",
+            GeneratorSpec::Null {
+                probability: 1.0,
+                inner: Box::new(static_value.clone()),
+            },
+        ),
+        (
+            "null_generator_0pct_null",
+            GeneratorSpec::Null {
+                probability: 0.0,
+                inner: Box::new(static_value),
+            },
+        ),
+    ];
+    let runtimes: Vec<_> = configurations
+        .into_iter()
+        .map(|(name, spec)| (name, runtime_with(spec)))
+        .collect();
+    for (name, rt) in &runtimes {
+        bench_value(&format!("fig7/{name}"), rt);
+    }
+    for (name, rt) in &runtimes {
+        bench_fill(&format!("fig7/batch/{name}"), rt);
+    }
 }

@@ -378,7 +378,7 @@ impl Kernel for StaticValueGenerator {
             Value::Timestamp(t) => out.typed(Timestamps, |_, _| *t),
             Value::Bool(b) => out.typed(Bools, |_, _| *b),
             Value::Text(s) => out.shared(|_, _| s),
-            Value::Null => out.values(|_| Value::Null),
+            Value::Null => out.null(),
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The [`Generator`] trait, the per-field generation contexts, and the
-//! lane adapters that run one kernel per generator kind on both paths.
+//! lane adapters that run one kernel per generator kind on every path.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -74,8 +75,6 @@ pub struct ColumnCtx<'rt> {
     pub runtime: &'rt SchemaRuntime,
     /// The hoisted `(table, column, update)` seed prefix.
     pub update_seed: u64,
-    /// Update epoch (0 = initial load).
-    pub update: u32,
     /// Proven per-cell rendered-width bound from the column's
     /// [`StaticProfile`], when finite — used by text kernels to pre-size
     /// the arena.
@@ -106,14 +105,6 @@ impl ColumnCtx<'_> {
     pub fn cell_rng(&self, row: u64) -> PdgfDefaultRandom {
         PdgfDefaultRandom::seed_from(self.cell_seed(row))
     }
-
-    /// A full row-path [`GenContext`] for `row` (used by the default
-    /// [`Generator::fill_column`] fallback and by wrappers that delegate
-    /// cells to arbitrary inner generators).
-    #[inline]
-    pub fn cell(&self, row: u64) -> GenContext<'_> {
-        GenContext::new(self.runtime, self.cell_seed(row), row, self.update)
-    }
 }
 
 /// Context for computing a compiled generator's [`StaticProfile`]:
@@ -132,6 +123,66 @@ impl ProfileCtx<'_> {
     pub fn column(&self, table: u32, column: u32) -> Option<&StaticProfile> {
         self.columns.get(&(table, column))
     }
+}
+
+/// Where one cell goes on the batch path.
+pub enum CellOut<'a> {
+    /// Appended to a column, which is never cleared.
+    Column(&'a mut ColumnVec),
+    /// Appended to a text buffer as the cell's `Display` text, a NULL as
+    /// nothing: one part of a concatenation.
+    Text(&'a mut String),
+}
+
+impl CellOut<'_> {
+    /// Append the text cell that `build` writes: into the column's arena,
+    /// or onto the buffer.
+    pub(crate) fn text(self, build: impl FnOnce(&mut String)) {
+        match self {
+            CellOut::Column(out) => match out.text_tail() {
+                Some(arena) => {
+                    build(arena.buf());
+                    arena.seal();
+                }
+                None => {
+                    // audit:allow(columnar-cell-alloc) a column whose cells
+                    // changed kind holds boxed cells already
+                    let mut text = String::new();
+                    build(&mut text);
+                    out.promote().push(Value::text(text));
+                }
+            },
+            CellOut::Text(buf) => build(buf),
+        }
+    }
+
+    /// Append `cell` of `lane`: to the column's lane, or onto the buffer as
+    /// its `Display` text.
+    fn typed<L: Lane>(self, lane: L, cell: L::Cell) {
+        match self {
+            CellOut::Column(out) => match lane.tail(out) {
+                Some(cells) => cells.push(cell),
+                None => out.promote().push(lane.value(cell)),
+            },
+            CellOut::Text(buf) => {
+                write!(buf, "{}", lane.value(cell)).expect("writing to a String cannot fail")
+            }
+        }
+    }
+}
+
+/// One cell on the batch path, handed to [`Generator::emit_cell`].
+pub struct Cell<'a, 'rt> {
+    /// The cell's RNG: seeded by the caller and advanced past the
+    /// caller's own draws (a wrapper's NULL or branch draw).
+    pub rng: &'a mut PdgfDefaultRandom,
+    /// Row number within the (table, update) pair.
+    pub row: u64,
+    /// The schema runtime, used by reference generators to recompute
+    /// other tables' cells.
+    pub runtime: &'rt SchemaRuntime,
+    /// Where the cell goes.
+    pub out: CellOut<'a>,
 }
 
 /// A field value generator.
@@ -158,7 +209,7 @@ pub trait Generator: Send + Sync {
     /// when it is one. Id cells are a pure row→key map with no RNG
     /// draws, so the reference kernel recomputes parent keys through
     /// [`key_for`](crate::basic::IdGenerator::key_for) into a typed Long
-    /// column instead of boxing per-cell `Value`s. The default (`None`)
+    /// column without seeding a parent RNG per cell. The default (`None`)
     /// keeps every other generator on the generic recompute path.
     fn as_id(&self) -> Option<&crate::basic::IdGenerator> {
         None
@@ -173,42 +224,40 @@ pub trait Generator: Send + Sync {
         None
     }
 
-    /// Produce the cells for `rows` of one column into `out`.
+    /// Produce the cells for `rows` of one column into `out`, replacing
+    /// what it held.
     ///
-    /// The default implementation loops [`generate`](Self::generate) into
-    /// the [`ColumnVec::Cells`] fallback — always correct, never faster
-    /// than the row path; wrappers over arbitrary inner generators keep
-    /// it. Every generator with its own kernel overrides both methods
-    /// with the same `Kernel::emit`, so the per-cell RNG stream of the
-    /// two paths is the same by construction.
+    /// There is no default: a generator without a batch path does not
+    /// compile. A generator written as a `Kernel` gets this,
+    /// [`generate`](Self::generate) and [`emit_cell`](Self::emit_cell)
+    /// from its one `Kernel::emit`, so the per-cell RNG stream of every
+    /// path is the same by construction.
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
         rows: Range<u64>,
         out: &mut ColumnVec,
         scratch: &mut GenScratch,
-    ) {
-        Fill {
-            ctx,
-            rows,
-            out,
-            scratch,
-        }
-        .values(|cell| self.generate(cell));
-    }
+    );
+
+    /// Emit exactly one cell of this generator from `cell.rng` onto
+    /// `cell.out`: how, on the batch path, a wrapper runs its inner
+    /// generator, a concatenation its parts and a reference its parent.
+    fn emit_cell(&self, cell: Cell<'_, '_>);
 }
 
 /// A generator written as one kernel. `emit` hands its whole per-cell
 /// draw sequence to exactly one [`Emit`] method; [`kernel_paths`] turns
-/// that into `generate` (on a [`GenContext`]) and `fill_column` (on a
-/// [`Fill`]), so there is no second body to keep in step.
+/// that into `generate` (on a [`GenContext`]), `fill_column` (on a
+/// [`Fill`]) and `emit_cell` (on a [`Cell`]), so there is no second body
+/// to keep in step.
 pub(crate) trait Kernel {
     /// Run this generator's cell kernel into `out`.
     fn emit<E: Emit>(&self, out: E) -> E::Out;
 }
 
-/// `generate` and `fill_column` of a [`Kernel`] generator: both are its
-/// `emit`, on one cell or on a column of rows.
+/// `generate`, `fill_column` and `emit_cell` of a [`Kernel`] generator:
+/// all three are its `emit`, on one value, a column of rows or one cell.
 macro_rules! kernel_paths {
     () => {
         #[inline]
@@ -221,17 +270,14 @@ macro_rules! kernel_paths {
             ctx: &$crate::generator::ColumnCtx<'_>,
             rows: std::ops::Range<u64>,
             out: &mut pdgf_schema::ColumnVec,
-            scratch: &mut $crate::generator::GenScratch,
+            _scratch: &mut $crate::generator::GenScratch,
         ) {
-            $crate::generator::Kernel::emit(
-                self,
-                $crate::generator::Fill {
-                    ctx,
-                    rows,
-                    out,
-                    scratch,
-                },
-            )
+            $crate::generator::Kernel::emit(self, $crate::generator::Fill { ctx, rows, out })
+        }
+
+        #[inline]
+        fn emit_cell(&self, cell: $crate::generator::Cell<'_, '_>) {
+            $crate::generator::Kernel::emit(self, cell)
         }
     };
 }
@@ -239,18 +285,22 @@ pub(crate) use kernel_paths;
 
 /// A typed lane of [`ColumnVec`]: the [`Value`] one cell becomes on the
 /// point path, and the storage a column of cells fills on the batch path.
-pub(crate) trait Lane {
+pub(crate) trait Lane: Copy {
     /// The unboxed cell.
     type Cell;
     /// One cell as a `Value`.
     fn value(self, cell: Self::Cell) -> Value;
     /// The column re-typed to this lane, cleared.
     fn storage(self, out: &mut ColumnVec) -> &mut Vec<Self::Cell>;
+    /// The column's storage in this lane to append one cell to, or `None`
+    /// when the column holds a cell of another kind.
+    fn tail(self, out: &mut ColumnVec) -> Option<&mut Vec<Self::Cell>>;
 }
 
 macro_rules! lane {
-    ($(#[$doc:meta])* $name:ident, $cell:ty, $value:expr, $storage:ident) => {
+    ($(#[$doc:meta])* $name:ident, $cell:ty, $value:expr, $storage:ident, $tail:ident) => {
         $(#[$doc])*
+        #[derive(Clone, Copy)]
         pub(crate) struct $name;
 
         impl Lane for $name {
@@ -263,22 +313,27 @@ macro_rules! lane {
             fn storage(self, out: &mut ColumnVec) -> &mut Vec<$cell> {
                 out.$storage()
             }
+            #[inline]
+            fn tail(self, out: &mut ColumnVec) -> Option<&mut Vec<$cell>> {
+                out.$tail()
+            }
         }
     };
 }
 
 lane!(/// `Value::Long` cells.
-    Longs, i64, Value::Long, longs_mut);
+    Longs, i64, Value::Long, longs_mut, longs_tail);
 lane!(/// `Value::Double` cells.
-    Doubles, f64, Value::Double, doubles_mut);
+    Doubles, f64, Value::Double, doubles_mut, doubles_tail);
 lane!(/// `Value::Date` cells, as days since the epoch.
-    Dates, i32, |d| Value::Date(Date(d)), dates_mut);
+    Dates, i32, |d| Value::Date(Date(d)), dates_mut, dates_tail);
 lane!(/// `Value::Timestamp` cells.
-    Timestamps, i64, Value::Timestamp, timestamps_mut);
+    Timestamps, i64, Value::Timestamp, timestamps_mut, timestamps_tail);
 lane!(/// `Value::Bool` cells.
-    Bools, bool, Value::Bool, bools_mut);
+    Bools, bool, Value::Bool, bools_mut, bools_tail);
 
 /// `Value::Decimal` cells at one scale, as unscaled integers.
+#[derive(Clone, Copy)]
 pub(crate) struct Decimals(pub u8);
 
 impl Lane for Decimals {
@@ -294,13 +349,17 @@ impl Lane for Decimals {
     fn storage(self, out: &mut ColumnVec) -> &mut Vec<i64> {
         out.decimals_mut(self.0)
     }
+    #[inline]
+    fn tail(self, out: &mut ColumnVec) -> Option<&mut Vec<i64>> {
+        out.decimals_tail(self.0)
+    }
 }
 
 /// Where a [`Kernel`]'s cells go. A kernel calls one method with a
 /// closure over `(cell RNG, row)` that is its whole draw sequence: the
 /// point path (`&mut GenContext`) runs it once into a [`Value`], the
 /// batch path ([`Fill`]) once per row into typed storage or the text
-/// arena.
+/// arena, and a [`Cell`] once onto a column or a concatenation.
 pub(crate) trait Emit {
     /// What the path returns: a `Value`, or nothing for a filled column.
     type Out;
@@ -321,9 +380,16 @@ pub(crate) trait Emit {
     fn shared<'s>(self, cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>)
         -> Self::Out;
 
-    /// Whole `Value`s from a full per-cell context: for generators that
-    /// delegate cells to arbitrary inner generators.
-    fn values(self, cell: impl FnMut(&mut GenContext<'_>) -> Value) -> Self::Out;
+    /// NULL cells: masked placeholders on the batch path.
+    fn null(self) -> Self::Out;
+
+    /// Cells of another generator: `pick` makes the wrapper's own draws
+    /// and names the generator whose cell the same RNG goes on to draw,
+    /// or `None` for a NULL.
+    fn delegate<'g>(
+        self,
+        pick: impl FnMut(&mut PdgfDefaultRandom, u64) -> Option<&'g dyn Generator>,
+    ) -> Self::Out;
 }
 
 /// The point path: one cell of the context.
@@ -358,8 +424,19 @@ impl Emit for &mut GenContext<'_> {
     }
 
     #[inline]
-    fn values(self, mut cell: impl FnMut(&mut GenContext<'_>) -> Value) -> Value {
-        cell(self)
+    fn null(self) -> Value {
+        Value::Null
+    }
+
+    #[inline]
+    fn delegate<'g>(
+        self,
+        mut pick: impl FnMut(&mut PdgfDefaultRandom, u64) -> Option<&'g dyn Generator>,
+    ) -> Value {
+        match pick(&mut self.rng, self.row) {
+            Some(g) => g.generate(self),
+            None => Value::Null,
+        }
     }
 }
 
@@ -372,8 +449,6 @@ pub(crate) struct Fill<'a, 'rt> {
     pub rows: Range<u64>,
     /// The column's storage.
     pub out: &'a mut ColumnVec,
-    /// The worker's string scratch.
-    pub scratch: &'a mut GenScratch,
 }
 
 impl Fill<'_, '_> {
@@ -415,15 +490,72 @@ impl Emit for Fill<'_, '_> {
         }
     }
 
-    fn values(self, mut cell: impl FnMut(&mut GenContext<'_>) -> Value) {
-        let count = self.count();
-        let cells = self.out.cells_mut();
-        cells.reserve(count);
-        for row in self.rows {
-            let mut ctx = self.ctx.cell(row);
-            std::mem::swap(&mut ctx.scratch, self.scratch);
-            cells.push(cell(&mut ctx));
-            std::mem::swap(&mut ctx.scratch, self.scratch);
+    fn null(self) {
+        self.out.clear();
+        for _ in self.rows {
+            self.out.push_null();
+        }
+    }
+
+    fn delegate<'g>(
+        self,
+        mut pick: impl FnMut(&mut PdgfDefaultRandom, u64) -> Option<&'g dyn Generator>,
+    ) {
+        let Fill { ctx, rows, out } = self;
+        out.clear();
+        for row in rows {
+            let rng = &mut ctx.cell_rng(row);
+            match pick(rng, row) {
+                Some(g) => g.emit_cell(Cell {
+                    rng,
+                    row,
+                    runtime: ctx.runtime,
+                    out: CellOut::Column(&mut *out),
+                }),
+                None => out.push_null(),
+            }
+        }
+    }
+}
+
+/// One cell onto a column or a concatenation, from an RNG the caller has
+/// already advanced.
+impl Emit for Cell<'_, '_> {
+    type Out = ();
+
+    #[inline]
+    fn typed<L: Lane>(self, lane: L, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell) {
+        let value = cell(self.rng, self.row);
+        self.out.typed(lane, value);
+    }
+
+    #[inline]
+    fn text(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64, &mut String)) {
+        let Cell { rng, row, out, .. } = self;
+        out.text(|buf| cell(rng, row, buf));
+    }
+
+    #[inline]
+    fn shared<'s>(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>) {
+        let text = cell(self.rng, self.row);
+        self.out.text(|buf| buf.push_str(text));
+    }
+
+    #[inline]
+    fn null(self) {
+        if let CellOut::Column(out) = self.out {
+            out.push_null();
+        }
+    }
+
+    #[inline]
+    fn delegate<'g>(
+        self,
+        mut pick: impl FnMut(&mut PdgfDefaultRandom, u64) -> Option<&'g dyn Generator>,
+    ) {
+        match pick(self.rng, self.row) {
+            Some(g) => g.emit_cell(self),
+            None => self.null(),
         }
     }
 }

@@ -10,7 +10,7 @@
 //! adds its own base cost, and executing the sub-generator adds the
 //! sub-generator's base cost plus its value computation.
 
-use pdgf_prng::PdgfRng;
+use pdgf_prng::{PdgfDefaultRandom, PdgfRng};
 use pdgf_schema::absint::{self, StaticProfile};
 use pdgf_schema::expr::{BinOp, Expr, Func};
 use pdgf_schema::{ColumnVec, Value};
@@ -20,9 +20,10 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::generator::{
-    kernel_paths, ColumnCtx, Doubles, Emit, GenContext, GenScratch, Generator, Kernel, Longs,
-    ProfileCtx,
+    kernel_paths, Cell, CellOut, ColumnCtx, Doubles, Emit, GenContext, GenScratch, Generator,
+    Kernel, Longs, ProfileCtx,
 };
+use crate::runtime::SchemaRuntime;
 
 /// Emits NULL with a configured probability, otherwise delegates to the
 /// wrapped generator. Listing 1 wraps `l_comment`'s Markov generator in a
@@ -40,19 +41,24 @@ impl NullGenerator {
     }
 }
 
-impl Generator for NullGenerator {
+impl Kernel for NullGenerator {
     #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
+    fn emit<E: Emit>(&self, out: E) -> E::Out {
         // One draw decides NULL-ness even at probability 0 or 1, keeping
         // the wrapped generator's stream position independent of the
         // configured probability.
-        let is_null = ctx.rng.next_f64() < self.probability;
-        if is_null {
-            Value::Null
-        } else {
-            self.inner.generate(ctx)
-        }
+        out.delegate(|rng, _| {
+            if rng.next_f64() < self.probability {
+                None
+            } else {
+                Some(self.inner.as_ref())
+            }
+        })
     }
+}
+
+impl Generator for NullGenerator {
+    kernel_paths!();
 
     fn name(&self) -> &'static str {
         "NullGenerator"
@@ -77,6 +83,28 @@ impl SequentialGenerator {
         assert!(!parts.is_empty(), "no parts");
         Self { parts, separator }
     }
+
+    /// One cell on the batch path, appended to `buf`: each part's cell as
+    /// its `Display` text, joined by the separator.
+    fn concat(
+        &self,
+        rng: &mut PdgfDefaultRandom,
+        row: u64,
+        runtime: &SchemaRuntime,
+        buf: &mut String,
+    ) {
+        for (i, part) in self.parts.iter().enumerate() {
+            if i > 0 {
+                buf.push_str(&self.separator);
+            }
+            part.emit_cell(Cell {
+                rng: &mut *rng,
+                row,
+                runtime,
+                out: CellOut::Text(&mut *buf),
+            });
+        }
+    }
 }
 
 impl Generator for SequentialGenerator {
@@ -96,6 +124,32 @@ impl Generator for SequentialGenerator {
         let v = Value::text(out.as_str());
         ctx.scratch.concat = out;
         v
+    }
+
+    fn fill_column(
+        &self,
+        ctx: &ColumnCtx<'_>,
+        rows: Range<u64>,
+        out: &mut ColumnVec,
+        _scratch: &mut GenScratch,
+    ) {
+        let count = rows.end.saturating_sub(rows.start) as usize;
+        let arena = out.text_mut();
+        arena.reserve(count, ctx.arena_hint(count));
+        for row in rows {
+            self.concat(&mut ctx.cell_rng(row), row, ctx.runtime, arena.buf());
+            arena.seal();
+        }
+    }
+
+    fn emit_cell(&self, cell: Cell<'_, '_>) {
+        let Cell {
+            rng,
+            row,
+            runtime,
+            out,
+        } = cell;
+        out.text(|buf| self.concat(rng, row, runtime, buf));
     }
 
     fn name(&self) -> &'static str {
@@ -163,10 +217,7 @@ impl Kernel for ProbabilityGenerator {
     fn emit<E: Emit>(&self, out: E) -> E::Out {
         match &self.texts {
             Some(texts) => out.shared(|rng, _| pick(texts, rng.next_f64())),
-            None => out.values(|ctx| {
-                let draw = ctx.rng.next_f64();
-                pick(&self.cumulative, draw).generate(ctx)
-            }),
+            None => out.delegate(|rng, _| Some(pick(&self.cumulative, rng.next_f64()).as_ref())),
         }
     }
 }
@@ -431,19 +482,23 @@ impl TruncateGenerator {
             _ => Some(byte_idx),
         }
     }
+
+    /// Cut `v` to the width when it is text; any other value stays.
+    fn cut(&self, v: &mut Value) {
+        if let Value::Text(s) = v {
+            if let Some(keep) = self.keep_len(s) {
+                *v = Value::text(&s[..keep]);
+            }
+        }
+    }
 }
 
 impl Generator for TruncateGenerator {
     #[inline]
     fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let v = self.inner.generate(ctx);
-        match &v {
-            Value::Text(s) => match self.keep_len(s) {
-                Some(keep) => Value::text(&s[..keep]),
-                None => v,
-            },
-            _ => v,
-        }
+        let mut v = self.inner.generate(ctx);
+        self.cut(&mut v);
+        v
     }
 
     /// Runs the inner kernel, then shortens overflowing text cells in
@@ -460,12 +515,46 @@ impl Generator for TruncateGenerator {
         if let Some(tc) = out.as_text_mut() {
             tc.truncate_cells(|s| self.keep_len(s), &mut scratch.concat);
         } else if let Some(cells) = out.as_cells_mut() {
-            for cell in cells.iter_mut() {
-                if let Value::Text(s) = cell {
-                    if let Some(keep) = self.keep_len(s) {
-                        *cell = Value::text(&s[..keep]);
+            cells.iter_mut().for_each(|cell| self.cut(cell));
+        }
+    }
+
+    /// The inner cell, cut as [`fill_column`](Generator::fill_column) cuts
+    /// it: only a text cell shortens.
+    fn emit_cell(&self, cell: Cell<'_, '_>) {
+        let Cell {
+            rng,
+            row,
+            runtime,
+            out,
+        } = cell;
+        match out {
+            CellOut::Column(out) => {
+                self.inner.emit_cell(Cell {
+                    rng,
+                    row,
+                    runtime,
+                    out: CellOut::Column(&mut *out),
+                });
+                if let Some(arena) = out.as_text_mut() {
+                    if let Some(keep) = self.keep_len(arena.get(arena.len() - 1)) {
+                        arena.truncate_last(keep);
                     }
+                } else if let Some(last) = out.as_cells_mut().and_then(|c| c.last_mut()) {
+                    self.cut(last);
                 }
+            }
+            // Text in a buffer no longer says whether its cell was text,
+            // so the cell takes a one-cell column first.
+            CellOut::Text(buf) => {
+                let mut one = ColumnVec::default();
+                self.emit_cell(Cell {
+                    rng,
+                    row,
+                    runtime,
+                    out: CellOut::Column(&mut one),
+                });
+                write!(buf, "{}", one.value(0)).expect("writing to a String cannot fail");
             }
         }
     }
@@ -483,8 +572,14 @@ impl Generator for TruncateGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::basic::{LongGenerator, StaticValueGenerator};
+    use crate::basic::{
+        DateGenerator, DecimalGenerator, DoubleGenerator, LongGenerator, RandomBoolGenerator,
+        StaticValueGenerator,
+    };
     use crate::runtime::SchemaRuntime;
+    use crate::text::MarkovChainGenerator;
+    use pdgf_schema::model::DateFormat;
+    use pdgf_schema::{Date, ValueRef};
 
     fn gen_with_seed(g: &dyn Generator, seed: u64, row: u64) -> Value {
         let rt = SchemaRuntime::empty_for_tests();
@@ -494,6 +589,140 @@ mod tests {
 
     fn static_text(s: &str) -> Arc<dyn Generator> {
         Arc::new(StaticValueGenerator::new(Value::text(s)))
+    }
+
+    fn long(min: i64, max: i64) -> Arc<dyn Generator> {
+        Arc::new(LongGenerator::new(min, max))
+    }
+
+    fn markov() -> Arc<dyn Generator> {
+        let mut b = textsynth::MarkovBuilder::new();
+        b.feed("carefully final deposits sleep quickly");
+        b.feed("furiously regular requests haggle blithely");
+        Arc::new(MarkovChainGenerator::new(
+            Arc::new(b.build().unwrap()),
+            1,
+            10,
+        ))
+    }
+
+    /// `g`'s column of 300 rows through `fill_column`, into a column left
+    /// over from another package, after asserting it equals `generate` row
+    /// by row.
+    fn batch_matches_point(g: &dyn Generator) -> ColumnVec {
+        let rt = SchemaRuntime::empty_for_tests();
+        let ctx = ColumnCtx {
+            runtime: &rt,
+            update_seed: 0x5EED,
+            width_hint: None,
+        };
+        let mut out = ColumnVec::default();
+        out.text_mut().push_str("stale");
+        let rows = 7..307u64;
+        g.fill_column(&ctx, rows.clone(), &mut out, &mut GenScratch::default());
+        assert_eq!(out.len(), 300);
+        for (i, row) in rows.enumerate() {
+            let mut cell = GenContext::new(&rt, ctx.cell_seed(row), row, 0);
+            assert_eq!(
+                out.value(i),
+                g.generate(&mut cell),
+                "{} row {row}",
+                g.name()
+            );
+        }
+        out
+    }
+
+    fn nulls(out: &ColumnVec) -> usize {
+        (0..out.len())
+            .filter(|&i| out.value_ref(i).is_null())
+            .count()
+    }
+
+    #[test]
+    fn null_over_text_fills_the_arena_at_every_probability() {
+        for (p, expect) in [(0.0, "none"), (0.3, "some"), (1.0, "all")] {
+            let mut out = batch_matches_point(&NullGenerator::new(p, markov()));
+            let n = nulls(&out);
+            let got = match n {
+                0 => "none",
+                300 => "all",
+                _ => "some",
+            };
+            assert_eq!(got, expect, "p={p}: {n} NULLs");
+            assert!(out.as_text().is_some(), "p={p} left the arena");
+            assert!(out.as_cells_mut().is_none());
+        }
+    }
+
+    #[test]
+    fn null_over_a_decimal_stays_in_its_lane() {
+        let g = NullGenerator::new(0.3, Arc::new(DecimalGenerator::new(-999, 999, 2)));
+        let mut out = batch_matches_point(&g);
+        assert!((1..300).contains(&nulls(&out)));
+        assert!(out.as_cells_mut().is_none());
+        assert!(out.decimals_tail(2).is_some(), "not a scale-2 decimal lane");
+    }
+
+    #[test]
+    fn sequential_renders_every_part_kind_as_display_on_both_paths() {
+        let nested: Arc<dyn Generator> = Arc::new(SequentialGenerator::new(
+            vec![long(0, 99), Arc::new(NullGenerator::new(0.5, long(1, 9)))],
+            "/".to_string(),
+        ));
+        let date = DateGenerator::new(
+            Date::from_ymd(1992, 1, 1),
+            Date::from_ymd(1998, 12, 31),
+            DateFormat::Iso,
+        );
+        let g = SequentialGenerator::new(
+            vec![
+                Arc::new(DoubleGenerator::new(-1.0, 1e6, None)),
+                Arc::new(DecimalGenerator::new(-99_999, 99_999, 2)),
+                Arc::new(date),
+                Arc::new(RandomBoolGenerator::new(0.5)),
+                nested,
+            ],
+            "|".to_string(),
+        );
+        assert!(batch_matches_point(&g).as_text().is_some());
+
+        let fixed = |v: Value| -> Arc<dyn Generator> { Arc::new(StaticValueGenerator::new(v)) };
+        let g = SequentialGenerator::new(
+            vec![
+                fixed(Value::Double(1.0)),
+                fixed(Value::decimal(-5, 2)),
+                fixed(Value::Date(Date::from_ymd(1995, 6, 17))),
+                fixed(Value::Bool(true)),
+                fixed(Value::Null),
+                fixed(Value::Long(-7)),
+            ],
+            "|".to_string(),
+        );
+        let out = batch_matches_point(&g);
+        assert_eq!(out.value(0), Value::text("1.0|-0.05|1995-06-17|true||-7"));
+    }
+
+    #[test]
+    fn same_kind_dynamic_branches_stay_in_their_lane() {
+        let g = ProbabilityGenerator::new(vec![(0.5, long(0, 9)), (0.5, long(100, 199))]);
+        let mut out = batch_matches_point(&g);
+        assert!(out.as_cells_mut().is_none());
+        assert!(out.longs_tail().is_some(), "not a long lane");
+    }
+
+    #[test]
+    fn mixed_kind_branches_promote_to_cells_mid_package() {
+        let nullable: Arc<dyn Generator> = Arc::new(NullGenerator::new(0.5, long(0, 9)));
+        for first in [long(0, 9), nullable] {
+            let g = ProbabilityGenerator::new(vec![(0.6, first), (0.4, markov())]);
+            let mut out = batch_matches_point(&g);
+            let texts = (0..out.len())
+                .filter(|&i| matches!(out.value_ref(i), ValueRef::Text(_)))
+                .count();
+            assert!((1..300).contains(&texts), "{texts} text cells");
+            assert!(out.as_cells_mut().is_some(), "mixed kinds did not promote");
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@ use pdgf_schema::absint::{self, StaticProfile};
 use pdgf_schema::{ColumnVec, Value};
 
 use crate::generator::{
-    ColumnCtx, Emit, Fill, GenContext, GenScratch, Generator, Longs, ProfileCtx,
+    Cell, CellOut, ColumnCtx, Emit, Fill, GenContext, GenScratch, Generator, Longs, ProfileCtx,
 };
+use crate::runtime::SchemaRuntime;
 
 /// How the parent row is chosen.
 pub enum RefStrategy {
@@ -66,6 +67,13 @@ impl ReferenceGenerator {
             RefStrategy::Permutation(p) => p.permute(row % self.parent_size),
         }
     }
+
+    /// The referenced column's generator.
+    fn parent<'rt>(&self, runtime: &'rt SchemaRuntime) -> &'rt dyn Generator {
+        runtime.tables()[self.target_table as usize].columns[self.target_column as usize]
+            .generator
+            .as_ref()
+    }
 }
 
 impl Generator for ReferenceGenerator {
@@ -78,54 +86,59 @@ impl Generator for ReferenceGenerator {
             .value(self.target_table, self.target_column, 0, row)
     }
 
-    /// The child column draws from bare cell RNGs (no [`GenContext`]),
-    /// and the parent column's seed prefix is hoisted once per column.
+    /// Foreign keys into an Id column — the TPC-H shape — need no parent
+    /// RNG at all: the parent's pure row→key map recomputes the key, and
+    /// the column stays a typed Long vector end to end. Any other parent
+    /// is recomputed cell by cell through [`emit_cell`](Self::emit_cell).
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
         rows: Range<u64>,
         out: &mut ColumnVec,
-        scratch: &mut GenScratch,
+        _scratch: &mut GenScratch,
     ) {
-        let parent = ctx.runtime.tables()[self.target_table as usize].columns
-            [self.target_column as usize]
-            .generator
-            .as_ref();
-        // Foreign keys into an Id column — the TPC-H shape — need no
-        // parent context at all: the parent's pure row→key map recomputes
-        // the key, and the column stays a typed Long vector end to end.
-        if let Some(id) = parent.as_id() {
-            let fill = Fill {
-                ctx,
-                rows,
-                out,
-                scratch,
-            };
+        if let Some(id) = self.parent(ctx.runtime).as_id() {
+            let fill = Fill { ctx, rows, out };
             return fill.typed(Longs, |rng, row| id.key_for(self.parent_row(rng, row)));
         }
-        // References always target the parent's initial load (update 0),
-        // so each recomputed cell is bit-identical to the point path's
-        // `runtime.value(target_table, target_column, 0, parent_row)`.
-        let parent_ctx = ColumnCtx {
-            runtime: ctx.runtime,
-            // audit:allow(seed-discipline) declared reference closure: the
-            // parent column's own seed, pinned by tests/fingerprints.rs
-            update_seed: ctx.runtime.seed_tree().update_seed(
-                self.target_table,
-                self.target_column,
-                0,
-            ),
-            update: 0,
+        out.clear();
+        for row in rows {
+            self.emit_cell(Cell {
+                rng: &mut ctx.cell_rng(row),
+                row,
+                runtime: ctx.runtime,
+                out: CellOut::Column(&mut *out),
+            });
+        }
+    }
+
+    /// The parent cell through the parent's own entry point, from the
+    /// parent column's cell RNG. References always target the parent's
+    /// initial load (update 0), so each cell is bit-identical to the point
+    /// path's `runtime.value(target_table, target_column, 0, parent_row)`.
+    fn emit_cell(&self, cell: Cell<'_, '_>) {
+        let Cell {
+            rng,
+            row,
+            runtime,
+            out,
+        } = cell;
+        let parent_row = self.parent_row(rng, row);
+        let tree = runtime.seed_tree();
+        // audit:allow(seed-discipline) declared reference closure: the
+        // parent column's own seed, pinned by tests/fingerprints.rs
+        let update_seed = tree.update_seed(self.target_table, self.target_column, 0);
+        let parent = ColumnCtx {
+            runtime,
+            update_seed,
             width_hint: None,
         };
-        let cells = out.cells_mut();
-        cells.reserve(rows.end.saturating_sub(rows.start) as usize);
-        for row in rows {
-            let mut cell = parent_ctx.cell(self.parent_row(&mut ctx.cell_rng(row), row));
-            std::mem::swap(&mut cell.scratch, scratch);
-            cells.push(parent.generate(&mut cell));
-            std::mem::swap(&mut cell.scratch, scratch);
-        }
+        self.parent(runtime).emit_cell(Cell {
+            rng: &mut parent.cell_rng(parent_row),
+            row: parent_row,
+            runtime,
+            out,
+        });
     }
 
     fn name(&self) -> &'static str {
@@ -149,8 +162,9 @@ impl Generator for ReferenceGenerator {
 
 #[cfg(test)]
 mod tests {
-    use pdgf_schema::{Field, GeneratorSpec, Schema, SqlType, Table};
+    use pdgf_schema::{ColumnBatch, Field, GeneratorSpec, Schema, SqlType, Table};
 
+    use crate::generator::GenScratch;
     use crate::resolver::MapResolver;
     use crate::runtime::SchemaRuntime;
 
@@ -244,5 +258,70 @@ mod tests {
         for row in 0..200u64 {
             assert_eq!(a.value(1, 0, 0, row), b.value(1, 0, 0, row));
         }
+    }
+
+    /// References to a text parent and, inside a concatenation, to a text
+    /// and a number column — both declared narrow, so both carry the
+    /// truncate wrapper, which cuts only the text — fill exactly what point
+    /// reads return, with the plain reference in a text arena.
+    #[test]
+    fn references_to_non_id_parents_fill_like_point_reads() {
+        let reference = |field: &str| GeneratorSpec::Reference {
+            table: "parent".into(),
+            field: field.into(),
+            distribution: pdgf_schema::model::RefDistribution::Uniform,
+        };
+        let schema = Schema::new("reftext", 7)
+            .table(
+                Table::new("parent", "40")
+                    .field(Field::new(
+                        "p_name",
+                        SqlType::Varchar(6),
+                        GeneratorSpec::RandomString {
+                            min_len: 1,
+                            max_len: 12,
+                        },
+                    ))
+                    .field(Field::new(
+                        "p_code",
+                        SqlType::Varchar(3),
+                        GeneratorSpec::Long {
+                            min: pdgf_schema::Expr::parse("10000").unwrap(),
+                            max: pdgf_schema::Expr::parse("99999").unwrap(),
+                        },
+                    )),
+            )
+            .table(
+                Table::new("child", "300")
+                    .field(Field::new(
+                        "c_name",
+                        SqlType::Varchar(6),
+                        reference("p_name"),
+                    ))
+                    .field(Field::new(
+                        "c_pair",
+                        SqlType::Varchar(40),
+                        GeneratorSpec::Sequential {
+                            parts: vec![reference("p_name"), reference("p_code")],
+                            separator: "-".into(),
+                        },
+                    )),
+            );
+        let rt = SchemaRuntime::build(&schema, &MapResolver::default()).unwrap();
+        let mut batch = ColumnBatch::new();
+        rt.fill_batch(1, 0, 0..300, &mut batch, &mut GenScratch::default());
+        for (c, column) in batch.columns().iter().enumerate() {
+            for row in 0..300u64 {
+                assert_eq!(
+                    column.value(row as usize),
+                    rt.value(1, c as u32, 0, row),
+                    "column {c} row {row}"
+                );
+            }
+        }
+        assert!(batch.columns()[0].as_text().is_some());
+        let pair = rt.value(1, 1, 0, 0).to_string();
+        let code = pair.rsplit('-').next().unwrap();
+        assert_eq!(code.len(), 5, "a number is never cut: {pair}");
     }
 }

@@ -381,7 +381,6 @@ impl SchemaRuntime {
             let ctx = ColumnCtx {
                 runtime: self,
                 update_seed: self.seed_tree.update_seed(table, c as u32, update),
-                update,
                 width_hint: hints.and_then(|h| h.get(c).copied().flatten()),
             };
             col.generator.fill_column(&ctx, rows.clone(), out, scratch);

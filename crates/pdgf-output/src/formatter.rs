@@ -738,6 +738,7 @@ impl Formatter for SqlFormatter {
 mod tests {
     use super::*;
     use pdgf_schema::value::Date;
+    use pdgf_schema::ColumnData;
 
     fn meta() -> TableMeta {
         TableMeta::new("t", &["a", "b", "c"])
@@ -935,10 +936,7 @@ mod tests {
         let mut batch = pdgf_schema::ColumnBatch::new();
         batch.begin(3, rows.len());
         for (c, col) in batch.columns_mut().iter_mut().enumerate() {
-            let cells = col.cells_mut();
-            for r in &rows {
-                cells.push(r[c].clone());
-            }
+            *col = ColumnData::Cells(rows.iter().map(|r| r[c].clone()).collect()).into();
         }
         for f in formatters() {
             let mut by_row = Vec::new();
@@ -990,6 +988,45 @@ mod tests {
         }
     }
 
+    /// A masked NULL in a typed lane or in a clean text arena (where CSV
+    /// copies cells straight from the arena) renders as the row path's NULL.
+    #[test]
+    fn columnar_masked_nulls_match_row_path() {
+        let m = meta();
+        let mut batch = pdgf_schema::ColumnBatch::new();
+        batch.begin(3, 3);
+        let [longs, texts, decimals] = batch.columns_mut() else {
+            unreachable!()
+        };
+        longs.longs_mut().push(1);
+        longs.push_null();
+        longs.longs_tail().unwrap().push(3);
+        texts.push_null();
+        texts.text_tail().unwrap().push_str("plain");
+        texts.push_null();
+        decimals.push_null();
+        decimals.push_null();
+        decimals.push_null();
+        let rows: Vec<Vec<Value>> = (0..3)
+            .map(|i| batch.columns().iter().map(|c| c.value(i)).collect())
+            .collect();
+        assert!(rows[0][1].is_null() && rows[1][0].is_null() && rows[2][2].is_null());
+        for f in formatters() {
+            let mut by_row = Vec::new();
+            for r in &rows {
+                f.row(&mut by_row, &m, r);
+            }
+            let mut by_col = Vec::new();
+            f.rows_columnar(&mut by_col, &m, &batch);
+            assert_eq!(
+                String::from_utf8_lossy(&by_row),
+                String::from_utf8_lossy(&by_col),
+                "{} masked NULLs diverged",
+                f.name()
+            );
+        }
+    }
+
     #[test]
     fn default_rows_columnar_materializes_rows() {
         // A formatter that only implements `row` gets a correct (if
@@ -1016,9 +1053,7 @@ mod tests {
             t.push_str("a");
             t.push_str("b");
         }
-        batch.columns_mut()[2]
-            .cells_mut()
-            .extend([Value::Null, Value::Bool(true)]);
+        batch.columns_mut()[2] = ColumnData::Cells(vec![Value::Null, Value::Bool(true)]).into();
         let mut out = Vec::new();
         Plain.rows_columnar(&mut out, &m, &batch);
         assert_eq!(String::from_utf8_lossy(&out), "7;a;;\n8;b;true;\n");
@@ -1037,9 +1072,7 @@ mod tests {
             t.push_str("plain");
             t.push_str("q\"b\\s\n\u{1}é中🙂");
         }
-        batch.columns_mut()[2]
-            .cells_mut()
-            .extend([Value::Null, Value::text("\t")]);
+        batch.columns_mut()[2] = ColumnData::Cells(vec![Value::Null, Value::text("\t")]).into();
         let rows: Vec<Vec<Value>> = (0..2)
             .map(|i| batch.columns().iter().map(|c| c.value(i)).collect())
             .collect();

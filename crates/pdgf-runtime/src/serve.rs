@@ -829,7 +829,6 @@ mod tests {
                 let ctx = pdgf_gen::ColumnCtx {
                     runtime: service.runtime(),
                     update_seed: tree.update_seed(0, column, update),
-                    update,
                     width_hint: None,
                 };
                 for row in [0u64, 1, 17, 99, 1 << 40] {

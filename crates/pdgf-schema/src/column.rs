@@ -6,13 +6,16 @@
 //! instead fills one [`ColumnVec`] per column for a whole work package:
 //! primitives land in flat `Vec<i64>`/`Vec<f64>`/… storage and text lands
 //! in a shared byte arena ([`TextColumn`]) with offsets, so the steady
-//! state allocates nothing per cell. Formatters then transpose
-//! columns→rows through [`ColumnVec::value_ref`], which hands out borrowed
-//! [`ValueRef`]s without touching reference counts.
+//! state allocates nothing per cell. A NULL of any kind is a bit in the
+//! column's NULL mask over a placeholder in its lane (an empty entry in a
+//! text arena). Formatters then transpose columns→rows through
+//! [`ColumnVec::value_ref`], which hands out borrowed [`ValueRef`]s without
+//! touching reference counts.
 //!
-//! The [`Cells`](ColumnVec::Cells) variant is the universal fallback: any
-//! generator without a vectorized kernel pushes plain [`Value`]s and the
-//! output bytes stay identical to the row path by construction.
+//! [`ColumnData::Cells`] holds boxed [`Value`]s for the one case no lane
+//! fits: a column whose cells change kind within a package (a choice
+//! between branches of different kinds). A column reaches it only through
+//! [`ColumnVec::promote`].
 
 use crate::value::{Date, Value, ValueRef};
 
@@ -98,6 +101,14 @@ impl TextColumn {
         &self.data[start..end]
     }
 
+    /// Shorten the last cell to its first `len` bytes (a char boundary).
+    pub fn truncate_last(&mut self, len: usize) {
+        let n = self.ends.len();
+        let start = if n < 2 { 0 } else { self.ends[n - 2] as usize };
+        self.data.truncate(start + len);
+        self.ends[n - 1] = self.data.len() as u32;
+    }
+
     /// Shorten cells in place: `keep(cell)` returns the byte length to
     /// keep, or `None` to keep the cell whole. Rebuilds through `scratch`
     /// (swapped in as the new arena) only when at least one cell shrinks,
@@ -125,15 +136,11 @@ impl TextColumn {
     }
 }
 
-/// One column of a generated batch, in typed storage.
-///
-/// Kernels pick the variant matching their output type via the `*_mut`
-/// accessors (which clear and re-type the column, keeping capacity when
-/// the variant already matches); everything else lands in
-/// [`Cells`](Self::Cells) through the row-path fallback.
+/// The storage of one [`ColumnVec`]: one lane per cell kind.
 #[derive(Debug, Clone)]
-pub enum ColumnVec {
-    /// Row-path fallback: one [`Value`] per cell, any mix of kinds.
+pub enum ColumnData {
+    /// One boxed [`Value`] per cell, any mix of kinds: only a column
+    /// [promoted](ColumnVec::promote) on a kind change.
     Cells(Vec<Value>),
     /// `Value::Long` cells.
     Long(Vec<i64>),
@@ -152,46 +159,86 @@ pub enum ColumnVec {
     Timestamp(Vec<i64>),
     /// `Value::Bool` cells.
     Bool(Vec<bool>),
-    /// Text cells in an arena (never NULL; NULL-able text falls back to
-    /// [`Cells`](Self::Cells)).
+    /// Text cells in an arena.
     Text(TextColumn),
 }
 
+/// One column of a generated batch: typed storage plus a NULL mask.
+///
+/// Kernels that fill a whole column pick their lane through the `*_mut`
+/// accessors (which clear the column and its mask, re-typing it and
+/// keeping capacity when the lane already matches). Wrappers append one
+/// cell at a time through the `*_tail` accessors and
+/// [`push_null`](Self::push_null): a column whose cells so far are all
+/// NULL takes the lane of its first other cell, and a cell of a different
+/// kind [promotes](Self::promote) the column to [`ColumnData::Cells`].
+#[derive(Debug, Clone)]
+pub struct ColumnVec {
+    data: ColumnData,
+    /// Bit `i` set: cell `i` is NULL, over a placeholder in its lane. Only
+    /// [`push_null`](Self::push_null) grows it, so a column without a NULL
+    /// never writes it.
+    nulls: Vec<u64>,
+    /// Set bits in `nulls`.
+    null_count: usize,
+}
+
 impl Default for ColumnVec {
+    /// An empty `Long` lane; any lane's first cell re-types it.
     fn default() -> Self {
-        ColumnVec::Cells(Vec::new())
+        ColumnData::Long(Vec::new()).into()
     }
 }
 
-/// Re-type `$self` to `$variant` (keeping capacity when it already
-/// matches), clear it, and return the inner storage mutably.
-macro_rules! retype {
-    ($self:ident, $variant:ident, $fresh:expr) => {{
-        if !matches!($self, ColumnVec::$variant(_)) {
-            *$self = ColumnVec::$variant($fresh);
+impl From<ColumnData> for ColumnVec {
+    fn from(data: ColumnData) -> Self {
+        Self {
+            data,
+            nulls: Vec::new(),
+            null_count: 0,
         }
-        match $self {
-            ColumnVec::$variant(v) => {
-                v.clear();
-                v
+    }
+}
+
+/// The typed lanes' accessors: `$mut_fn` re-types and clears, `$tail_fn`
+/// appends.
+macro_rules! lanes {
+    ($($variant:ident($cell:ty): $mut_fn:ident, $tail_fn:ident;)*) => {$(
+        #[doc = concat!("Re-type to [`", stringify!($variant), "`](ColumnData::",
+            stringify!($variant), ") and return the cleared storage.")]
+        pub fn $mut_fn(&mut self) -> &mut Vec<$cell> {
+            self.clear();
+            self.$tail_fn().expect("an empty column takes any lane")
+        }
+
+        #[doc = concat!("The [`", stringify!($variant), "`](ColumnData::",
+            stringify!($variant), ") storage to append one more cell to, or \
+            `None` when the column holds a non-NULL cell of another kind.")]
+        pub fn $tail_fn(&mut self) -> Option<&mut Vec<$cell>> {
+            if !matches!(self.data, ColumnData::$variant(_))
+                && !self.adopt(ColumnData::$variant(Vec::new()))
+            {
+                return None;
             }
-            _ => unreachable!(),
+            match &mut self.data {
+                ColumnData::$variant(v) => Some(v),
+                _ => unreachable!(),
+            }
         }
-    }};
+    )*};
 }
 
 impl ColumnVec {
     /// Number of cells.
     pub fn len(&self) -> usize {
-        match self {
-            ColumnVec::Cells(v) => v.len(),
-            ColumnVec::Long(v) => v.len(),
-            ColumnVec::Double(v) => v.len(),
-            ColumnVec::Decimal { unscaled, .. } => unscaled.len(),
-            ColumnVec::Date(v) => v.len(),
-            ColumnVec::Timestamp(v) => v.len(),
-            ColumnVec::Bool(v) => v.len(),
-            ColumnVec::Text(t) => t.len(),
+        match &self.data {
+            ColumnData::Cells(v) => v.len(),
+            ColumnData::Long(v) | ColumnData::Timestamp(v) => v.len(),
+            ColumnData::Double(v) => v.len(),
+            ColumnData::Decimal { unscaled, .. } => unscaled.len(),
+            ColumnData::Date(v) => v.len(),
+            ColumnData::Bool(v) => v.len(),
+            ColumnData::Text(t) => t.len(),
         }
     }
 
@@ -200,100 +247,174 @@ impl ColumnVec {
         self.len() == 0
     }
 
+    /// Is cell `i` NULL by the mask?
+    #[inline]
+    fn masked(&self, i: usize) -> bool {
+        self.nulls
+            .get(i / 64)
+            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+    }
+
     /// Borrowed view of cell `i`.
     #[inline]
     pub fn value_ref(&self, i: usize) -> ValueRef<'_> {
-        match self {
-            ColumnVec::Cells(v) => ValueRef::from(&v[i]),
-            ColumnVec::Long(v) => ValueRef::Long(v[i]),
-            ColumnVec::Double(v) => ValueRef::Double(v[i]),
-            ColumnVec::Decimal { unscaled, scale } => ValueRef::Decimal {
+        if self.masked(i) {
+            return ValueRef::Null;
+        }
+        match &self.data {
+            ColumnData::Cells(v) => ValueRef::from(&v[i]),
+            ColumnData::Long(v) => ValueRef::Long(v[i]),
+            ColumnData::Double(v) => ValueRef::Double(v[i]),
+            ColumnData::Decimal { unscaled, scale } => ValueRef::Decimal {
                 unscaled: unscaled[i],
                 scale: *scale,
             },
-            ColumnVec::Date(v) => ValueRef::Date(Date(v[i])),
-            ColumnVec::Timestamp(v) => ValueRef::Timestamp(v[i]),
-            ColumnVec::Bool(v) => ValueRef::Bool(v[i]),
-            ColumnVec::Text(t) => ValueRef::Text(t.get(i)),
+            ColumnData::Date(v) => ValueRef::Date(Date(v[i])),
+            ColumnData::Timestamp(v) => ValueRef::Timestamp(v[i]),
+            ColumnData::Bool(v) => ValueRef::Bool(v[i]),
+            ColumnData::Text(t) => ValueRef::Text(t.get(i)),
         }
     }
 
     /// Cell `i` as an owned [`Value`] (allocates for text).
     pub fn value(&self, i: usize) -> Value {
-        match self {
-            ColumnVec::Cells(v) => v[i].clone(),
-            other => other.value_ref(i).to_value(),
+        match &self.data {
+            ColumnData::Cells(v) => v[i].clone(),
+            _ => self.value_ref(i).to_value(),
         }
     }
 
-    /// Re-type to [`Cells`](Self::Cells) and return the cleared cell list.
-    pub fn cells_mut(&mut self) -> &mut Vec<Value> {
-        retype!(self, Cells, Vec::new())
-    }
-
-    /// Re-type to [`Long`](Self::Long) and return the cleared storage.
-    pub fn longs_mut(&mut self) -> &mut Vec<i64> {
-        retype!(self, Long, Vec::new())
-    }
-
-    /// Re-type to [`Double`](Self::Double) and return the cleared storage.
-    pub fn doubles_mut(&mut self) -> &mut Vec<f64> {
-        retype!(self, Double, Vec::new())
-    }
-
-    /// Re-type to [`Decimal`](Self::Decimal) at `scale` and return the
-    /// cleared unscaled storage.
-    pub fn decimals_mut(&mut self, new_scale: u8) -> &mut Vec<i64> {
-        if !matches!(self, ColumnVec::Decimal { .. }) {
-            *self = ColumnVec::Decimal {
-                unscaled: Vec::new(),
-                scale: new_scale,
-            };
+    /// Remove every cell and the mask, keeping the lane and its capacity.
+    pub fn clear(&mut self) {
+        match &mut self.data {
+            ColumnData::Cells(v) => v.clear(),
+            ColumnData::Long(v) | ColumnData::Timestamp(v) => v.clear(),
+            ColumnData::Double(v) => v.clear(),
+            ColumnData::Decimal { unscaled, .. } => unscaled.clear(),
+            ColumnData::Date(v) => v.clear(),
+            ColumnData::Bool(v) => v.clear(),
+            ColumnData::Text(t) => t.clear(),
         }
-        match self {
-            ColumnVec::Decimal { unscaled, scale } => {
-                *scale = new_scale;
-                unscaled.clear();
-                unscaled
+        self.nulls.clear();
+        self.null_count = 0;
+    }
+
+    /// Append one NULL: a placeholder in the current lane, masked.
+    pub fn push_null(&mut self) {
+        let i = self.len();
+        self.pad_to(i + 1);
+        let word = i / 64;
+        if self.nulls.len() <= word {
+            self.nulls.resize(word + 1, 0);
+        }
+        self.nulls[word] |= 1 << (i % 64);
+        self.null_count += 1;
+    }
+
+    /// Grow the lane to `len` cells with placeholders (the mask says which
+    /// of them are NULL).
+    fn pad_to(&mut self, len: usize) {
+        match &mut self.data {
+            ColumnData::Cells(v) => v.resize(len, Value::Null),
+            ColumnData::Long(v) | ColumnData::Timestamp(v) => v.resize(len, 0),
+            ColumnData::Double(v) => v.resize(len, 0.0),
+            ColumnData::Decimal { unscaled, .. } => unscaled.resize(len, 0),
+            ColumnData::Date(v) => v.resize(len, 0),
+            ColumnData::Bool(v) => v.resize(len, false),
+            ColumnData::Text(t) => {
+                while t.len() < len {
+                    t.seal();
+                }
             }
+        }
+    }
+
+    /// Re-type to `fresh`'s lane when every cell so far is NULL (so when
+    /// the column is empty), keeping those cells as masked placeholders.
+    /// `false` when a non-NULL cell pins the current lane.
+    fn adopt(&mut self, fresh: ColumnData) -> bool {
+        let len = self.len();
+        if self.null_count < len {
+            return false;
+        }
+        self.data = fresh;
+        self.pad_to(len);
+        true
+    }
+
+    lanes! {
+        Long(i64): longs_mut, longs_tail;
+        Double(f64): doubles_mut, doubles_tail;
+        Date(i32): dates_mut, dates_tail;
+        Timestamp(i64): timestamps_mut, timestamps_tail;
+        Bool(bool): bools_mut, bools_tail;
+    }
+
+    /// Re-type to [`Decimal`](ColumnData::Decimal) at `scale` and return
+    /// the cleared unscaled storage.
+    pub fn decimals_mut(&mut self, scale: u8) -> &mut Vec<i64> {
+        self.clear();
+        self.decimals_tail(scale)
+            .expect("an empty column takes any lane")
+    }
+
+    /// The [`Decimal`](ColumnData::Decimal) storage at `scale` to append
+    /// one more cell to, or `None` when the column holds a non-NULL cell of
+    /// another kind or scale.
+    pub fn decimals_tail(&mut self, scale: u8) -> Option<&mut Vec<i64>> {
+        let same = matches!(self.data, ColumnData::Decimal { scale: s, .. } if s == scale);
+        if !same
+            && !self.adopt(ColumnData::Decimal {
+                unscaled: Vec::new(),
+                scale,
+            })
+        {
+            return None;
+        }
+        match &mut self.data {
+            ColumnData::Decimal { unscaled, .. } => Some(unscaled),
             _ => unreachable!(),
         }
     }
 
-    /// Re-type to [`Date`](Self::Date) and return the cleared storage.
-    pub fn dates_mut(&mut self) -> &mut Vec<i32> {
-        retype!(self, Date, Vec::new())
-    }
-
-    /// Re-type to [`Timestamp`](Self::Timestamp) and return the cleared
-    /// storage.
-    pub fn timestamps_mut(&mut self) -> &mut Vec<i64> {
-        retype!(self, Timestamp, Vec::new())
-    }
-
-    /// Re-type to [`Bool`](Self::Bool) and return the cleared storage.
-    pub fn bools_mut(&mut self) -> &mut Vec<bool> {
-        retype!(self, Bool, Vec::new())
-    }
-
-    /// Re-type to [`Text`](Self::Text) and return the cleared arena.
+    /// Re-type to [`Text`](ColumnData::Text) and return the cleared arena.
     pub fn text_mut(&mut self) -> &mut TextColumn {
-        if !matches!(self, ColumnVec::Text(_)) {
-            *self = ColumnVec::Text(TextColumn::default());
+        self.clear();
+        self.text_tail().expect("an empty column takes any lane")
+    }
+
+    /// The text arena to append one more cell to, or `None` when the column
+    /// holds a non-NULL cell of another kind.
+    pub fn text_tail(&mut self) -> Option<&mut TextColumn> {
+        if !matches!(self.data, ColumnData::Text(_))
+            && !self.adopt(ColumnData::Text(TextColumn::default()))
+        {
+            return None;
         }
-        match self {
-            ColumnVec::Text(t) => {
-                t.clear();
-                t
-            }
+        match &mut self.data {
+            ColumnData::Text(t) => Some(t),
+            _ => unreachable!(),
+        }
+    }
+
+    /// Promote to [`Cells`](ColumnData::Cells), keeping every cell (a NULL
+    /// as `Value::Null`), and return the list, to append a cell whose kind
+    /// no lane of this column holds. The only way a column reaches `Cells`.
+    pub fn promote(&mut self) -> &mut Vec<Value> {
+        if !matches!(self.data, ColumnData::Cells(_)) {
+            let cells = (0..self.len()).map(|i| self.value(i)).collect();
+            self.data = ColumnData::Cells(cells);
+        }
+        match &mut self.data {
+            ColumnData::Cells(v) => v,
             _ => unreachable!(),
         }
     }
 
     /// The text arena, if this column currently holds one.
     pub fn as_text(&self) -> Option<&TextColumn> {
-        match self {
-            ColumnVec::Text(t) => Some(t),
+        match &self.data {
+            ColumnData::Text(t) => Some(t),
             _ => None,
         }
     }
@@ -301,42 +422,18 @@ impl ColumnVec {
     /// The text arena, if this column currently holds one (non-clearing —
     /// used by in-place post-passes such as truncation).
     pub fn as_text_mut(&mut self) -> Option<&mut TextColumn> {
-        match self {
-            ColumnVec::Text(t) => Some(t),
+        match &mut self.data {
+            ColumnData::Text(t) => Some(t),
             _ => None,
         }
     }
 
-    /// The fallback cell list, if this column currently holds one
+    /// The promoted cell list, if this column currently holds one
     /// (non-clearing).
     pub fn as_cells_mut(&mut self) -> Option<&mut Vec<Value>> {
-        match self {
-            ColumnVec::Cells(v) => Some(v),
+        match &mut self.data {
+            ColumnData::Cells(v) => Some(v),
             _ => None,
-        }
-    }
-
-    /// Reserve room for `rows` more cells in the current variant;
-    /// `width_hint` is a proven per-cell byte bound used to pre-size the
-    /// text arena (capped so a huge proven bound cannot balloon one
-    /// allocation).
-    pub fn reserve_rows(&mut self, rows: usize, width_hint: Option<u32>) {
-        /// Arena pre-size cap, mirroring the scheduler's package-buffer cap.
-        const MAX_ARENA_PREALLOC: usize = 16 << 20;
-        match self {
-            ColumnVec::Cells(v) => v.reserve(rows),
-            ColumnVec::Long(v) => v.reserve(rows),
-            ColumnVec::Double(v) => v.reserve(rows),
-            ColumnVec::Decimal { unscaled, .. } => unscaled.reserve(rows),
-            ColumnVec::Date(v) => v.reserve(rows),
-            ColumnVec::Timestamp(v) => v.reserve(rows),
-            ColumnVec::Bool(v) => v.reserve(rows),
-            ColumnVec::Text(t) => {
-                let bytes = width_hint
-                    .map_or(0, |w| (w as usize).saturating_mul(rows))
-                    .min(MAX_ARENA_PREALLOC);
-                t.reserve(rows, bytes);
-            }
         }
     }
 }
@@ -405,6 +502,9 @@ mod tests {
         assert_eq!(t.get(0), "alpha");
         assert_eq!(t.get(1), "");
         assert_eq!(t.get(2), "beta");
+        t.truncate_last(2);
+        assert_eq!(t.get(2), "be");
+        assert_eq!(t.arena(), "alphabe");
         t.clear();
         assert!(t.is_empty());
     }
@@ -450,9 +550,6 @@ mod tests {
         assert_eq!(c.value_ref(0), ValueRef::Text("hi"));
         assert_eq!(c.value(0), Value::text("hi"));
 
-        c.cells_mut().push(Value::Null);
-        assert_eq!(c.value_ref(0), ValueRef::Null);
-
         c.dates_mut().push(10_000);
         assert_eq!(c.value_ref(0), ValueRef::Date(Date(10_000)));
         c.bools_mut().push(true);
@@ -463,23 +560,105 @@ mod tests {
         assert_eq!(c.value_ref(0), ValueRef::Double(1.5));
     }
 
+    fn long_capacity(c: &ColumnVec) -> usize {
+        match &c.data {
+            ColumnData::Long(v) => v.capacity(),
+            _ => unreachable!(),
+        }
+    }
+
     #[test]
     fn retype_keeps_capacity_when_variant_matches() {
         let mut c = ColumnVec::default();
         c.longs_mut().extend(0..100i64);
-        let cap = match &c {
-            ColumnVec::Long(v) => v.capacity(),
-            _ => unreachable!(),
-        };
+        let cap = long_capacity(&c);
         let v = c.longs_mut();
         assert!(v.is_empty());
+        assert_eq!(long_capacity(&c), cap);
+    }
+
+    #[test]
+    fn masked_cells_read_null_in_every_lane() {
+        let mut c = ColumnVec::default();
+        c.text_mut().push_str("a");
+        c.push_null();
+        c.text_tail().unwrap().push_str("b");
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.value_ref(0), ValueRef::Text("a"));
+        assert_eq!(c.value_ref(1), ValueRef::Null);
+        assert_eq!(c.value(1), Value::Null);
+        assert_eq!(c.value_ref(2), ValueRef::Text("b"));
+        // A NULL is an empty arena entry, so the arena holds only text.
+        assert_eq!(c.as_text().unwrap().arena(), "ab");
+
+        c.decimals_mut(2).push(5);
+        for _ in 0..70 {
+            c.push_null();
+        }
+        c.decimals_tail(2).unwrap().push(7);
+        assert_eq!(c.len(), 72);
+        assert_eq!(c.value_ref(70), ValueRef::Null);
         assert_eq!(
-            match &c {
-                ColumnVec::Long(v) => v.capacity(),
-                _ => unreachable!(),
-            },
-            cap
+            c.value_ref(71),
+            ValueRef::Decimal {
+                unscaled: 7,
+                scale: 2
+            }
         );
+    }
+
+    #[test]
+    fn retyping_clears_the_mask_and_keeps_capacity() {
+        let mut c = ColumnVec::default();
+        c.longs_mut().extend(0..100i64);
+        for _ in 0..100 {
+            c.push_null();
+        }
+        let (cap, mask_cap) = (long_capacity(&c), c.nulls.capacity());
+        c.longs_mut().extend(0..200i64);
+        assert!((0..200).all(|i| c.value_ref(i) == ValueRef::Long(i as i64)));
+        assert_eq!(long_capacity(&c), cap);
+        assert_eq!(c.nulls.capacity(), mask_cap);
+        assert_eq!(c.null_count, 0);
+    }
+
+    #[test]
+    fn an_all_null_column_takes_the_lane_of_its_first_value() {
+        let mut c = ColumnVec::default();
+        c.push_null();
+        c.push_null();
+        c.text_tail().unwrap().push_str("x");
+        assert!(c.as_text().is_some());
+        assert_eq!(
+            (0..3).map(|i| c.value(i)).collect::<Vec<_>>(),
+            [Value::Null, Value::Null, Value::text("x")]
+        );
+    }
+
+    #[test]
+    fn a_cell_of_another_kind_promotes_to_cells() {
+        let mut c = ColumnVec::default();
+        c.longs_mut().push(4);
+        c.push_null();
+        assert!(c.text_tail().is_none());
+        c.promote().push(Value::text("t"));
+        assert!(c.longs_tail().is_none());
+        c.promote().push(Value::Long(5));
+        c.push_null();
+        assert_eq!(
+            (0..5).map(|i| c.value(i)).collect::<Vec<_>>(),
+            [
+                Value::Long(4),
+                Value::Null,
+                Value::text("t"),
+                Value::Long(5),
+                Value::Null
+            ]
+        );
+        // Cleared, the column takes a lane again.
+        c.clear();
+        c.longs_tail().unwrap().push(1);
+        assert!(c.as_cells_mut().is_none());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod value;
 pub mod xml;
 
 pub use analyze::{Analysis, Diagnostic, Severity};
-pub use column::{ColumnBatch, ColumnVec, TextColumn};
+pub use column::{ColumnBatch, ColumnData, ColumnVec, TextColumn};
 pub use expr::Expr;
 pub use model::{Field, GeneratorSpec, Schema, Table};
 pub use props::PropertyBag;
