@@ -7,6 +7,10 @@
 //! quantifying that consistent references stay cheap regardless of the
 //! distribution DBSynth or a skewed benchmark (e.g. the Star Schema
 //! Benchmark skew variants) asks for.
+//!
+//! The permutation strategy runs twice: into a 100k-row parent, whose
+//! Feistel rounds come from a precomputed table, and into a 2^25-row
+//! parent, past the table's cap, where every round runs the mix.
 
 use std::hint::black_box;
 
@@ -15,7 +19,7 @@ use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_schema::model::RefDistribution;
 use pdgf_schema::{Field, GeneratorSpec, Schema, SqlType, Table};
 
-fn runtime_with(dist: Option<RefDistribution>) -> SchemaRuntime {
+fn runtime_with(dist: Option<RefDistribution>, parent_rows: u64) -> SchemaRuntime {
     let child_gen = match dist {
         None => GeneratorSpec::Id { permute: false },
         Some(distribution) => GeneratorSpec::Reference {
@@ -26,7 +30,7 @@ fn runtime_with(dist: Option<RefDistribution>) -> SchemaRuntime {
     };
     let schema = Schema::new("refbench", 12_456_789)
         .table(
-            Table::new("parent", "100000").field(
+            Table::new("parent", &parent_rows.to_string()).field(
                 Field::new(
                     "p_id",
                     SqlType::BigInt,
@@ -56,17 +60,25 @@ fn main() {
         "Ablation A3: cost of the reference-selection strategies (ns/value)",
         "references are recomputed, not tracked, so every strategy stays cheap",
     );
-    bench_strategy("ablation_ref/baseline_id_no_reference", &runtime_with(None));
+    const PARENT: u64 = 100_000;
+    bench_strategy(
+        "ablation_ref/baseline_id_no_reference",
+        &runtime_with(None, PARENT),
+    );
     bench_strategy(
         "ablation_ref/uniform",
-        &runtime_with(Some(RefDistribution::Uniform)),
+        &runtime_with(Some(RefDistribution::Uniform), PARENT),
     );
     bench_strategy(
         "ablation_ref/permutation",
-        &runtime_with(Some(RefDistribution::Permutation)),
+        &runtime_with(Some(RefDistribution::Permutation), PARENT),
+    );
+    bench_strategy(
+        "ablation_ref/permutation_2pow25",
+        &runtime_with(Some(RefDistribution::Permutation), 1 << 25),
     );
     bench_strategy(
         "ablation_ref/zipf_0_8",
-        &runtime_with(Some(RefDistribution::Zipf { theta: 0.8 })),
+        &runtime_with(Some(RefDistribution::Zipf { theta: 0.8 }), PARENT),
     );
 }

@@ -358,7 +358,7 @@ impl Tape {
                         BinOp::Mul => x * y,
                         BinOp::Div | BinOp::Rem if y == 0.0 => return f64::NAN,
                         BinOp::Div => x / y,
-                        BinOp::Rem => x % y,
+                        BinOp::Rem => rem(x, y),
                     }
                 }
                 Op::Call2(f, swapped) => {
@@ -381,6 +381,26 @@ fn operands(stack: &[f64], top: usize, swapped: bool) -> (f64, f64) {
         (stack[top + 1], stack[top])
     } else {
         (stack[top], stack[top + 1])
+    }
+}
+
+/// `x % y`, bit for bit, without libm's `fmod` when both operands are
+/// integers no wider than 2^53 (so exact as `i64`, and `y != 0`). The
+/// integer remainder takes the dividend's sign as `fmod` does; only a zero
+/// needs that sign put back.
+#[inline]
+fn rem(x: f64, y: f64) -> f64 {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let exact = |v: f64| v.abs() <= EXACT && (v as i64) as f64 == v;
+    if y != 0.0 && exact(x) && exact(y) {
+        let r = ((x as i64) % (y as i64)) as f64;
+        if r == 0.0 {
+            0.0f64.copysign(x)
+        } else {
+            r
+        }
+    } else {
+        x % y
     }
 }
 
@@ -468,12 +488,18 @@ impl TruncateGenerator {
     /// exactly on a word end keeps the whole head; otherwise the cut
     /// retreats to the last word boundary, unless the first word alone
     /// overflows (then it is a hard cut). Bytes bound chars, so a cell
-    /// whose bytes fit skips the char walk.
+    /// whose bytes fit skips the char walk, and so does a cell whose first
+    /// `max_chars + 1` bytes are ASCII: there the cut is at byte
+    /// `max_chars`.
     fn keep_len(&self, s: &str) -> Option<usize> {
         if s.len() <= self.max_chars {
             return None;
         }
-        let (byte_idx, next_char) = s.char_indices().nth(self.max_chars)?;
+        let (byte_idx, next_char) = if s.as_bytes()[..=self.max_chars].is_ascii() {
+            (self.max_chars, char::from(s.as_bytes()[self.max_chars]))
+        } else {
+            s.char_indices().nth(self.max_chars)?
+        };
         if next_char == ' ' {
             return Some(byte_idx);
         }
@@ -822,5 +848,90 @@ mod tests {
         let g5 =
             TruncateGenerator::new(Arc::new(StaticValueGenerator::new(Value::Long(1234567))), 3);
         assert_eq!(gen_with_seed(&g5, 1, 0), Value::Long(1234567));
+    }
+
+    /// Integer pairs on both sides of zero up to ±2^53, signed zeros, and
+    /// operands the fast path must leave to `%`.
+    fn rem_operand(pick: u64, int: i64) -> f64 {
+        const EDGES: [f64; 10] = [
+            0.0,
+            -0.0,
+            9_007_199_254_740_992.0,
+            -9_007_199_254_740_992.0,
+            9_007_199_254_740_994.0,
+            0.5,
+            -7.25,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        match pick % 4 {
+            0 => EDGES[(pick / 4 % 10) as usize],
+            1 => (int % 64) as f64,
+            _ => (int >> 11) as f64,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rem_is_bit_equal_to_fmod(
+            px in proptest::any::<u64>(),
+            py in proptest::any::<u64>(),
+            ix in proptest::any::<i64>(),
+            iy in proptest::any::<i64>(),
+        ) {
+            let (x, y) = (rem_operand(px, ix), rem_operand(py, iy));
+            proptest::prop_assert_eq!(rem(x, y).to_bits(), (x % y).to_bits(), "{} % {}", x, y);
+        }
+    }
+
+    #[test]
+    fn rem_keeps_fmod_signs_at_the_edges() {
+        let big = 9_007_199_254_740_992.0;
+        for x in [0.0, -0.0, 4.0, -4.0, 7.0, -7.0, big, -big, big - 1.0] {
+            for y in [1.0, -1.0, 2.0, -2.0, 3.0, -3.0, big, -big, 0.0, -0.0] {
+                assert_eq!(rem(x, y).to_bits(), (x % y).to_bits(), "{x} % {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn keep_len_ascii_shortcut_matches_the_char_walk() {
+        let walk = |max_chars: usize, s: &str| -> Option<usize> {
+            if s.chars().count() <= max_chars {
+                return None;
+            }
+            let (byte_idx, next_char) = s.char_indices().nth(max_chars)?;
+            if next_char == ' ' {
+                return Some(byte_idx);
+            }
+            match s[..byte_idx].rfind(' ') {
+                Some(pos) if pos > 0 => Some(pos),
+                _ => Some(byte_idx),
+            }
+        };
+        let cells = [
+            "carefully final deposits sleep",
+            "exactly ten",
+            "exactlyten",
+            "eleven char",
+            "ten chars!x",
+            "ten chars! x",
+            "nospacesatallinthisword",
+            " leading space here",
+            "ünïcödé wörds gö hérë",
+            "ascii head then é",
+            "é at the start of it",
+            "ten chars é",
+            "日本語のテキストです",
+            "mixed 日本 words here",
+        ];
+        let inner = Arc::new(StaticValueGenerator::new(Value::Null));
+        for max_chars in [1, 5, 9, 10, 11, 12, 40] {
+            let g = TruncateGenerator::new(inner.clone(), max_chars);
+            for s in cells {
+                assert_eq!(g.keep_len(s), walk(max_chars, s), "{max_chars} {s:?}");
+            }
+        }
     }
 }

@@ -95,16 +95,21 @@ pub struct MarkovChainGenerator {
     model: Arc<MarkovModel>,
     min_words: u32,
     max_words: u32,
+    /// The vocabulary's statistics, read once: every request that sizes
+    /// its buffers from the profiles asks for them.
+    info: ResourceInfo,
 }
 
 impl MarkovChainGenerator {
     /// Markov text generator over the inclusive word-count range.
     pub fn new(model: Arc<MarkovModel>, min_words: u32, max_words: u32) -> Self {
         assert!(min_words <= max_words, "empty word-count range");
+        let info = absint::entries_info(model.words());
         Self {
             model,
             min_words,
             max_words,
+            info,
         }
     }
 }
@@ -112,9 +117,8 @@ impl MarkovChainGenerator {
 impl Kernel for MarkovChainGenerator {
     fn emit<E: Emit>(&self, out: E) -> E::Out {
         out.text(|rng, _, buf| {
-            let mut draw = || rng.next_u64();
             self.model
-                .generate_range_into(&mut draw, self.min_words, self.max_words, buf);
+                .generate_range_into(|| rng.next_u64(), self.min_words, self.max_words, buf);
         })
     }
 }
@@ -127,8 +131,7 @@ impl Generator for MarkovChainGenerator {
     }
 
     fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        let info = absint::entries_info(self.model.words());
-        absint::markov_profile(Some(info), self.min_words, self.max_words)
+        absint::markov_profile(Some(self.info), self.min_words, self.max_words)
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::fmtfast;
 use pdgf_schema::absint::{KindSet, StaticProfile};
-use pdgf_schema::{ColumnBatch, Value, ValueRef};
+use pdgf_schema::{ColumnBatch, ColumnData, ColumnVec, Date, TextColumn, Value, ValueRef};
 
 /// Static description of the table being formatted.
 #[derive(Debug, Clone)]
@@ -255,6 +255,85 @@ impl CsvFormatter {
             other => self.push_typed(out, other),
         }
     }
+
+    /// The delimiter; `delim` is [`ascii_delimiter`](Self::ascii_delimiter).
+    #[inline]
+    fn push_delimiter(&self, out: &mut Vec<u8>, delim: Option<u8>) {
+        match delim {
+            Some(d) => out.push(d),
+            None => push_char(out, self.delimiter),
+        }
+    }
+
+    /// How [`rows_columnar`](Formatter::rows_columnar) reads `col`. Cells
+    /// come straight from the lane when [`cell`](Self::cell) would write
+    /// each one without a decision: no NULL in the column, a typed lane
+    /// whose renderings cannot hold the delimiter (longs never can), or a
+    /// text arena with no byte that forces quoting.
+    fn lane<'a>(&self, col: &'a ColumnVec, delim: Option<u8>) -> CsvLane<'a> {
+        let Some(data) = col.unmasked() else {
+            return CsvLane::Generic(col);
+        };
+        match data {
+            ColumnData::Long(v) => CsvLane::Long(v),
+            // Four memchr passes over the arena (slice::contains
+            // specializes to SIMD for u8) beat one scalar multi-needle
+            // scan per cell.
+            ColumnData::Text(t) => match delim {
+                Some(d)
+                    if ![d, b'"', b'\n', b'\r']
+                        .iter()
+                        .any(|b| t.arena().as_bytes().contains(b)) =>
+                {
+                    CsvLane::Text(t)
+                }
+                _ => CsvLane::Generic(col),
+            },
+            _ if self.scan_typed => CsvLane::Generic(col),
+            ColumnData::Double(v) => CsvLane::Double(v),
+            ColumnData::Decimal { unscaled, scale } => CsvLane::Decimal(unscaled, *scale),
+            ColumnData::Date(v) => CsvLane::Date(v),
+            ColumnData::Timestamp(v) => CsvLane::Timestamp(v),
+            ColumnData::Bool(v) => CsvLane::Bool(v),
+            ColumnData::Cells(_) => CsvLane::Generic(col),
+        }
+    }
+
+    /// Cell `r` of `lane`: the bytes [`cell`](Self::cell) writes for it.
+    #[inline]
+    fn lane_cell(&self, out: &mut Vec<u8>, lane: CsvLane<'_>, r: usize) {
+        match lane {
+            CsvLane::Long(v) => fmtfast::write_i64(out, v[r]),
+            CsvLane::Double(v) => fmtfast::write_f64_display(out, v[r]),
+            CsvLane::Decimal(v, scale) => fmtfast::write_decimal(out, v[r], scale),
+            CsvLane::Date(v) => fmtfast::write_date(out, Date(v[r])),
+            CsvLane::Timestamp(v) => fmtfast::write_timestamp(out, v[r]),
+            CsvLane::Bool(v) => fmtfast::write_bool(out, v[r]),
+            CsvLane::Text(t) => out.extend_from_slice(t.get(r).as_bytes()),
+            CsvLane::Generic(col) => self.cell(out, col.value_ref(r)),
+        }
+    }
+}
+
+/// One column of a package as CSV reads it: a typed lane or clean text
+/// arena written cell by cell without a decision, or (`Generic`) a column
+/// read through [`ValueRef`] — one with NULLs, promoted cells, text that
+/// may need quoting, or typed cells that may hold the delimiter.
+#[derive(Clone, Copy)]
+enum CsvLane<'a> {
+    Long(&'a [i64]),
+    Double(&'a [f64]),
+    Decimal(&'a [i64], u8),
+    Date(&'a [i32]),
+    Timestamp(&'a [i64]),
+    Bool(&'a [bool]),
+    Text(&'a TextColumn),
+    Generic(&'a ColumnVec),
+}
+
+impl CsvLane<'_> {
+    /// Columns of a package that get a view; the rest go cell by cell.
+    const MAX: usize = 64;
 }
 
 impl Default for CsvFormatter {
@@ -280,53 +359,36 @@ impl Formatter for CsvFormatter {
         let delim = self.ascii_delimiter();
         for (i, v) in values.iter().enumerate() {
             if i > 0 {
-                match delim {
-                    Some(d) => out.push(d),
-                    None => push_char(out, self.delimiter),
-                }
+                self.push_delimiter(out, delim);
             }
             self.cell(out, ValueRef::from(v));
         }
         out.push(b'\n');
     }
 
+    /// Resolves each column once into a [`CsvLane`], then writes every
+    /// cell with one match on its lane. The views live on the stack, one
+    /// per column up to [`CsvLane::MAX`]; later columns go cell by cell.
     fn rows_columnar(&self, out: &mut Vec<u8>, _meta: &TableMeta, batch: &ColumnBatch) {
         let delim = self.ascii_delimiter();
-        // Columnar text lives in one contiguous arena per column, so the
-        // quoting decision can be hoisted: one vectorizable scan over the
-        // arena. A column whose arena contains no delimiter, quote, or
-        // newline bytes takes `push_field`'s unquoted branch for every
-        // cell — splice those cells with a plain memcpy. Bit `i` marks
-        // column `i` clean; columns past 64 take the scanning path.
-        let mut clean = 0u64;
-        if let Some(d) = delim {
-            for (i, c) in batch.columns().iter().enumerate().take(64) {
-                let is_clean = c.as_text().is_some_and(|t| {
-                    // Four memchr passes (slice::contains specializes
-                    // to SIMD for u8) beat one scalar multi-needle scan.
-                    let b = t.arena().as_bytes();
-                    !(b.contains(&d)
-                        || b.contains(&b'"')
-                        || b.contains(&b'\n')
-                        || b.contains(&b'\r'))
-                });
-                clean |= u64::from(is_clean) << i;
-            }
+        let (head, tail) = batch
+            .columns()
+            .split_at(batch.columns().len().min(CsvLane::MAX));
+        let mut lanes = [CsvLane::Long(&[]); CsvLane::MAX];
+        for (lane, col) in lanes.iter_mut().zip(head) {
+            *lane = self.lane(col, delim);
         }
+        let lanes = &lanes[..head.len()];
         for r in 0..batch.rows() {
-            for (i, col) in batch.columns().iter().enumerate() {
+            for (i, lane) in lanes.iter().enumerate() {
                 if i > 0 {
-                    match delim {
-                        Some(d) => out.push(d),
-                        None => push_char(out, self.delimiter),
-                    }
+                    self.push_delimiter(out, delim);
                 }
-                match col.value_ref(r) {
-                    ValueRef::Text(s) if i < 64 && (clean >> i) & 1 == 1 => {
-                        out.extend_from_slice(s.as_bytes())
-                    }
-                    v => self.cell(out, v),
-                }
+                self.lane_cell(out, *lane, r);
+            }
+            for col in tail {
+                self.push_delimiter(out, delim);
+                self.cell(out, col.value_ref(r));
             }
             out.push(b'\n');
         }
@@ -1025,6 +1087,90 @@ mod tests {
                 f.name()
             );
         }
+    }
+
+    /// `columns` columns × `rows` rows cycling through every lane kind:
+    /// typed lanes, clean and dirty text, a promoted column, and a NULL
+    /// mask on every fourth column (from column 1).
+    fn lane_batch(rows: usize, columns: usize) -> pdgf_schema::ColumnBatch {
+        const DIRTY: [&str; 7] = ["a,b", "q\"t", "d.e-f", "é¦→", "plain", "n\nl", "t\tab|p"];
+        let mut batch = pdgf_schema::ColumnBatch::new();
+        batch.begin(columns, rows);
+        for (c, col) in batch.columns_mut().iter_mut().enumerate() {
+            for r in 0..rows {
+                let i = (r * 7 + c * 13) as i64;
+                if c % 4 == 1 && (r + c) % 3 == 0 {
+                    col.push_null();
+                    continue;
+                }
+                match c % 9 {
+                    0 => col.longs_tail().unwrap().push(i - 50),
+                    1 => col.doubles_tail().unwrap().push(i as f64 / 4.0 - 3.0),
+                    2 => col.decimals_tail(2).unwrap().push(-i * 31),
+                    3 => col.dates_tail().unwrap().push(9_000 + i as i32),
+                    4 => col.timestamps_tail().unwrap().push(86_400 * i - 3_723),
+                    5 => col.bools_tail().unwrap().push(i % 2 == 0),
+                    6 => col.text_tail().unwrap().push_str(&format!("w{i} x")),
+                    7 => col.text_tail().unwrap().push_str(DIRTY[(r + c) % 7]),
+                    _ if r % 2 == 0 => match col.longs_tail() {
+                        Some(v) => v.push(i),
+                        None => col.promote().push(Value::Long(i)),
+                    },
+                    _ => col.promote().push(Value::text("c")),
+                }
+            }
+        }
+        batch
+    }
+
+    /// The lane views write exactly what a `row` loop writes: masked NULLs
+    /// in typed and text lanes, a promoted column, columns past the 64
+    /// views, an ASCII, a non-ASCII, and typed-colliding (`.`, `-`, `:`)
+    /// delimiter, and an empty batch.
+    #[test]
+    fn csv_lane_views_match_row_path() {
+        for (rows, columns) in [(12, 70), (3, 9), (0, 70)] {
+            let batch = lane_batch(rows, columns);
+            let names: Vec<String> = (0..columns).map(|c| format!("c{c}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let m = TableMeta::new("t", &names);
+            for delimiter in [',', '|', '\t', '.', '-', ':', '¦'] {
+                let f = CsvFormatter::new().with_delimiter(delimiter);
+                let mut by_row = Vec::new();
+                for r in 0..rows {
+                    let row: Vec<Value> = batch.columns().iter().map(|c| c.value(r)).collect();
+                    f.row(&mut by_row, &m, &row);
+                }
+                let mut by_col = Vec::new();
+                f.rows_columnar(&mut by_col, &m, &batch);
+                assert_eq!(
+                    String::from_utf8_lossy(&by_row),
+                    String::from_utf8_lossy(&by_col),
+                    "{rows}x{columns} with {delimiter:?}"
+                );
+            }
+        }
+        // The comma case reads every kind of view, so each arm ran above.
+        let batch = lane_batch(12, 10);
+        let f = CsvFormatter::new();
+        let kinds: Vec<&str> = batch
+            .columns()
+            .iter()
+            .map(|c| match f.lane(c, Some(b',')) {
+                CsvLane::Long(_) => "long",
+                CsvLane::Double(_) => "double",
+                CsvLane::Decimal(..) => "decimal",
+                CsvLane::Date(_) => "date",
+                CsvLane::Timestamp(_) => "timestamp",
+                CsvLane::Bool(_) => "bool",
+                CsvLane::Text(_) => "text",
+                CsvLane::Generic(_) => "generic",
+            })
+            .collect();
+        assert_eq!(
+            kinds.join(" "),
+            "long generic decimal date timestamp generic text generic generic generic"
+        );
     }
 
     #[test]

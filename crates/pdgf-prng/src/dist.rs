@@ -146,7 +146,8 @@ impl Distribution for Exponential {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
-    theta: f64,
+    /// CDF threshold (in `zetan` units) below which a draw is rank 2.
+    rank2: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -175,7 +176,7 @@ impl Zipf {
         };
         Self {
             n,
-            theta,
+            rank2: 1.0 + 0.5f64.powf(theta),
             alpha,
             zetan,
             eta,
@@ -209,7 +210,7 @@ impl Zipf {
         if uz < 1.0 {
             return 1;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) && self.n >= 2 {
+        if uz < self.rank2 && self.n >= 2 {
             return 2;
         }
         let rank = 1.0 + (self.n as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha);
@@ -319,6 +320,13 @@ impl Alias {
         } else {
             self.alias[i] as usize
         }
+    }
+
+    /// Slot `i` of the table: the probability of keeping bucket `i` and
+    /// the index drawn instead. [`sample_index`](Self::sample_index) reads
+    /// exactly these, so a caller may lay the slots out its own way.
+    pub fn slot(&self, i: usize) -> (f64, u32) {
+        (self.prob[i], self.alias[i])
     }
 
     /// Number of entries.

@@ -411,6 +411,12 @@ impl ColumnVec {
         }
     }
 
+    /// The lane itself when no cell is NULL, for readers that take a
+    /// whole column at a time; `None` when the mask marks any cell.
+    pub fn unmasked(&self) -> Option<&ColumnData> {
+        (self.null_count == 0).then_some(&self.data)
+    }
+
     /// The text arena, if this column currently holds one.
     pub fn as_text(&self) -> Option<&TextColumn> {
         match &self.data {

@@ -7,12 +7,14 @@
 //! paper reports ~1500 words and 95 starting states — small enough to keep
 //! in memory, which this representation is designed for: a word table,
 //! an alias-sampled start distribution, and per-word alias-sampled
-//! successor distributions, so generating each word is O(1).
+//! successor distributions, so generating each word is O(1). The words
+//! share one text arena and every alias slot one flat array (a TPC-H
+//! comment model is a few tens of KiB), so that O(1) is also a couple of
+//! cache-resident reads rather than a pointer chase per word.
 
 use pdgf_prng::Alias;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::tokenize::tokenize;
 
@@ -94,91 +96,129 @@ impl MarkovBuilder {
         for ((from, to), count) in transitions {
             successors[from as usize].push((to, count as f64));
         }
-        MarkovModel::from_parts(
-            self.words
-                .into_iter()
-                .map(|w| Arc::from(w.as_str()))
-                .collect(),
-            start,
-            successors,
-        )
+        MarkovModel::from_parts(&self.words, &start, &successors)
     }
 }
 
-#[derive(Debug, Clone)]
-struct StartDist {
-    ids: Vec<u32>,
-    weights: Vec<f64>,
-    alias: Alias,
+/// One alias-table slot: keep `word` when the draw's coin is below
+/// `prob`, otherwise take `alias` — [`Alias::sample_index`]'s slot with both
+/// indices already resolved to word ids.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    prob: f64,
+    word: u32,
+    alias: u32,
 }
 
-#[derive(Debug, Clone)]
-struct Successors {
-    ids: Vec<u32>,
-    weights: Vec<f64>,
-    alias: Option<Alias>,
+/// A run of [`Slot`]s (and of the matching `ids`/`weights` entries):
+/// one distribution.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    offset: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.offset as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// One vocabulary entry: its bytes in the text arena and the distribution
+/// its successor is drawn from. A dead end's is the start distribution,
+/// the only span at offset 0 (it is non-empty and laid out first).
+#[derive(Debug, Clone, Copy)]
+struct Word {
+    start: u32,
+    end: u32,
+    next: Span,
+}
+
+/// `n` as a `u32` arena or slot offset.
+fn offset(n: usize) -> Result<u32, MarkovError> {
+    u32::try_from(n).map_err(|_| MarkovError("model exceeds u32 offsets".into()))
 }
 
 /// A ready-to-sample order-1 word Markov chain.
+///
+/// Every word's text sits in one arena and every distribution — the start
+/// distribution first, then each word's successors — in one flat slot
+/// array, so a word costs one draw, one slot read and one copy out of the
+/// arena. `ids` and `weights` run parallel to the slots and are read only
+/// to serialize the model.
 #[derive(Debug, Clone)]
 pub struct MarkovModel {
-    words: Vec<Arc<str>>,
-    start: StartDist,
-    successors: Vec<Successors>,
+    text: String,
+    words: Vec<Word>,
+    start: Span,
+    slots: Vec<Slot>,
+    ids: Vec<u32>,
+    weights: Vec<f64>,
 }
 
 impl MarkovModel {
-    fn from_parts(
-        words: Vec<Arc<str>>,
-        start: Vec<(u32, f64)>,
-        successor_lists: Vec<Vec<(u32, f64)>>,
+    fn from_parts<S: AsRef<str>>(
+        words: &[S],
+        start: &[(u32, f64)],
+        successor_lists: &[Vec<(u32, f64)>],
     ) -> Result<Self, MarkovError> {
         if start.is_empty() {
             return Err(MarkovError("empty start distribution".into()));
         }
-        let check_id = |id: u32| -> Result<(), MarkovError> {
-            if (id as usize) < words.len() {
-                Ok(())
-            } else {
-                Err(MarkovError(format!("word id {id} out of range")))
-            }
-        };
-        for (id, _) in &start {
-            check_id(*id)?;
-        }
         if successor_lists.len() != words.len() {
             return Err(MarkovError("successor table size mismatch".into()));
         }
-        let (start_ids, start_weights): (Vec<u32>, Vec<f64>) = start.into_iter().unzip();
-        let start = StartDist {
-            alias: Alias::new(&start_weights),
-            ids: start_ids,
-            weights: start_weights,
+        let mut model = Self {
+            text: String::new(),
+            words: Vec::with_capacity(words.len()),
+            start: Span { offset: 0, len: 0 },
+            slots: Vec::new(),
+            ids: Vec::new(),
+            weights: Vec::new(),
         };
-        let successors = successor_lists
-            .into_iter()
-            .map(|list| {
-                for (id, _) in &list {
-                    check_id(*id)?;
+        model.start = model.push_dist(start, words.len())?;
+        for (word, list) in words.iter().zip(successor_lists) {
+            let begin = offset(model.text.len())?;
+            model.text.push_str(word.as_ref());
+            let next = match model.push_dist(list, words.len())? {
+                Span { len: 0, .. } => model.start,
+                next => next,
+            };
+            model.words.push(Word {
+                start: begin,
+                end: offset(model.text.len())?,
+                next,
+            });
+        }
+        Ok(model)
+    }
+
+    /// Append one distribution's ids, weights and slots; an empty list is
+    /// an empty span.
+    fn push_dist(&mut self, list: &[(u32, f64)], word_count: usize) -> Result<Span, MarkovError> {
+        if let Some(&(id, _)) = list.iter().find(|(id, _)| *id as usize >= word_count) {
+            return Err(MarkovError(format!("word id {id} out of range")));
+        }
+        let span = Span {
+            offset: offset(self.slots.len())?,
+            len: offset(list.len())?,
+        };
+        if !list.is_empty() {
+            self.ids.extend(list.iter().map(|&(id, _)| id));
+            self.weights.extend(list.iter().map(|&(_, w)| w));
+            let alias = Alias::new(&self.weights[span.range()]);
+            let ids = &self.ids[span.range()];
+            self.slots.extend((0..ids.len()).map(|i| {
+                let (prob, other) = alias.slot(i);
+                Slot {
+                    prob,
+                    word: ids[i],
+                    alias: ids[other as usize],
                 }
-                let (ids, weights): (Vec<u32>, Vec<f64>) = list.into_iter().unzip();
-                let alias = if ids.is_empty() {
-                    None
-                } else {
-                    Some(Alias::new(&weights))
-                };
-                Ok(Successors {
-                    ids,
-                    weights,
-                    alias,
-                })
-            })
-            .collect::<Result<Vec<_>, MarkovError>>()?;
-        Ok(Self {
-            words,
-            start,
-            successors,
-        })
+            }));
+        }
+        Ok(span)
     }
 
     /// Number of distinct words (the paper's "1500 words" statistic).
@@ -186,26 +226,33 @@ impl MarkovModel {
         self.words.len()
     }
 
+    /// Word `id`'s text.
+    #[inline]
+    fn word(&self, id: u32) -> &str {
+        let w = self.words[id as usize];
+        &self.text[w.start as usize..w.end as usize]
+    }
+
     /// The vocabulary, in word-id order (used by static analysis to bound
     /// the rendered width of generated text).
     pub fn words(&self) -> impl Iterator<Item = &str> {
-        self.words.iter().map(|w| w.as_ref())
+        (0..self.words.len() as u32).map(|id| self.word(id))
     }
 
     /// Number of starting states (the paper's "95 starting states").
     pub fn start_state_count(&self) -> usize {
-        self.start.ids.len()
+        self.start.len as usize
     }
 
     /// Total number of distinct word-pair transitions.
     pub fn transition_count(&self) -> usize {
-        self.successors.iter().map(|s| s.ids.len()).sum()
+        self.slots.len() - self.start.len as usize
     }
 
     /// Generate a text of exactly `target_words` words. Dead ends (words
     /// that never had a successor in the samples) restart from the start
     /// distribution, mimicking sentence boundaries.
-    pub fn generate(&self, rng: &mut dyn FnMut() -> u64, target_words: u32) -> String {
+    pub fn generate(&self, rng: impl FnMut() -> u64, target_words: u32) -> String {
         let mut out = String::new();
         self.generate_into(rng, target_words, &mut out);
         out
@@ -213,20 +260,19 @@ impl MarkovModel {
 
     /// [`generate`](Self::generate) appending into a caller-provided
     /// buffer — the allocation-free form used on the generation hot path.
-    pub fn generate_into(&self, rng: &mut dyn FnMut() -> u64, target_words: u32, out: &mut String) {
+    /// Every word, the last included, draws its successor, so a text of
+    /// `n` words takes `n + 1` draws.
+    pub fn generate_into(&self, mut rng: impl FnMut() -> u64, target_words: u32, out: &mut String) {
         if target_words == 0 {
             return;
         }
-        let mut current = self.sample_start(rng);
+        let mut current = self.sample(self.start, rng());
         for i in 0..target_words {
             if i > 0 {
                 out.push(' ');
             }
-            out.push_str(&self.words[current as usize]);
-            current = match self.sample_next(current, rng) {
-                Some(next) => next,
-                None => self.sample_start(rng),
-            };
+            out.push_str(self.word(current));
+            current = self.sample(self.words[current as usize].next, rng());
         }
     }
 
@@ -234,7 +280,7 @@ impl MarkovModel {
     /// `[min_words, max_words]`.
     pub fn generate_range(
         &self,
-        rng: &mut dyn FnMut() -> u64,
+        rng: impl FnMut() -> u64,
         min_words: u32,
         max_words: u32,
     ) -> String {
@@ -249,7 +295,7 @@ impl MarkovModel {
     /// identical for both entry points.
     pub fn generate_range_into(
         &self,
-        rng: &mut dyn FnMut() -> u64,
+        mut rng: impl FnMut() -> u64,
         min_words: u32,
         max_words: u32,
         out: &mut String,
@@ -260,14 +306,35 @@ impl MarkovModel {
         self.generate_into(rng, min_words + extra, out);
     }
 
-    fn sample_start(&self, rng: &mut dyn FnMut() -> u64) -> u32 {
-        self.start.ids[self.start.alias.sample_index(rng)]
+    /// The word `draw` picks from the distribution at `span`, split into
+    /// bucket and coin exactly as [`Alias::sample_index`] splits it.
+    #[inline]
+    fn sample(&self, span: Span, draw: u64) -> u32 {
+        let bucket = ((draw >> 32) * u64::from(span.len)) >> 32;
+        let coin = (draw & 0xFFFF_FFFF) as f64 * (1.0 / 4_294_967_296.0);
+        let slot = self.slots[span.offset as usize + bucket as usize];
+        if coin < slot.prob {
+            slot.word
+        } else {
+            slot.alias
+        }
     }
 
-    fn sample_next(&self, from: u32, rng: &mut dyn FnMut() -> u64) -> Option<u32> {
-        let s = &self.successors[from as usize];
-        let alias = s.alias.as_ref()?;
-        Some(s.ids[alias.sample_index(rng)])
+    /// Word `word`'s observed successors: none for a dead end.
+    fn successors(&self, word: Word) -> Span {
+        if word.next.offset == self.start.offset {
+            Span { offset: 0, len: 0 }
+        } else {
+            word.next
+        }
+    }
+
+    /// One distribution's `(id, weight)` pairs, in stored order.
+    fn pairs(&self, span: Span) -> impl ExactSizeIterator<Item = (u32, f64)> + '_ {
+        self.ids[span.range()]
+            .iter()
+            .copied()
+            .zip(self.weights[span.range()].iter().copied())
     }
 
     /// Serialize to the binary `*.bin` model format.
@@ -278,9 +345,9 @@ impl MarkovModel {
     /// `f64` weight), then per word `u32` successor count and successors
     /// as (`u32` id, `f64` weight).
     pub fn to_bytes(&self) -> Vec<u8> {
-        fn put_pairs(buf: &mut Vec<u8>, ids: &[u32], weights: &[f64]) {
-            buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-            for (id, w) in ids.iter().zip(weights) {
+        fn put_pairs(buf: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (u32, f64)>) {
+            buf.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+            for (id, w) in pairs {
                 buf.extend_from_slice(&id.to_le_bytes());
                 buf.extend_from_slice(&w.to_le_bytes());
             }
@@ -289,13 +356,13 @@ impl MarkovModel {
         buf.extend_from_slice(b"PMKV");
         buf.extend_from_slice(&1u16.to_le_bytes());
         buf.extend_from_slice(&(self.words.len() as u32).to_le_bytes());
-        for w in &self.words {
+        for w in self.words() {
             buf.extend_from_slice(&(w.len() as u32).to_le_bytes());
             buf.extend_from_slice(w.as_bytes());
         }
-        put_pairs(&mut buf, &self.start.ids, &self.start.weights);
-        for s in &self.successors {
-            put_pairs(&mut buf, &s.ids, &s.weights);
+        put_pairs(&mut buf, self.pairs(self.start));
+        for &w in &self.words {
+            put_pairs(&mut buf, self.pairs(self.successors(w)));
         }
         buf
     }
@@ -337,7 +404,7 @@ impl MarkovModel {
             let (word, rest) = data.split_at_checked(len).ok_or_else(truncated)?;
             data = rest;
             let s = std::str::from_utf8(word).map_err(|_| MarkovError("non-UTF8 word".into()))?;
-            words.push(Arc::from(s));
+            words.push(s);
         }
         let start = take_pairs(&mut data)?;
         let mut successor_lists = Vec::with_capacity(word_count);
@@ -347,7 +414,7 @@ impl MarkovModel {
         if !data.is_empty() {
             return Err(MarkovError("trailing bytes after model".into()));
         }
-        Self::from_parts(words, start, successor_lists)
+        Self::from_parts(&words, &start, &successor_lists)
     }
 
     /// Serialize to a line-oriented text format, safe to embed in XML
@@ -355,16 +422,16 @@ impl MarkovModel {
     /// order, `S` start lines, and `T` transition lines.
     pub fn to_text(&self) -> String {
         let mut out = String::from("markov-v1\n");
-        for w in &self.words {
+        for w in self.words() {
             out.push_str("W ");
             out.push_str(w);
             out.push('\n');
         }
-        for (id, w) in self.start.ids.iter().zip(&self.start.weights) {
+        for (id, w) in self.pairs(self.start) {
             out.push_str(&format!("S {id} {w}\n"));
         }
-        for (from, s) in self.successors.iter().enumerate() {
-            for (to, w) in s.ids.iter().zip(&s.weights) {
+        for (from, &word) in self.words.iter().enumerate() {
+            for (to, w) in self.pairs(self.successors(word)) {
                 out.push_str(&format!("T {from} {to} {w}\n"));
             }
         }
@@ -377,7 +444,7 @@ impl MarkovModel {
         if lines.next().map(str::trim) != Some("markov-v1") {
             return Err(MarkovError("missing markov-v1 header".into()));
         }
-        let mut words: Vec<Arc<str>> = Vec::new();
+        let mut words: Vec<&str> = Vec::new();
         let mut start: Vec<(u32, f64)> = Vec::new();
         let mut transitions: Vec<(u32, u32, f64)> = Vec::new();
         for (lineno, line) in lines.enumerate() {
@@ -387,7 +454,7 @@ impl MarkovModel {
             }
             let err = |msg: &str| MarkovError(format!("line {}: {msg}", lineno + 2));
             if let Some(word) = line.strip_prefix("W ") {
-                words.push(Arc::from(word));
+                words.push(word);
             } else if let Some(rest) = line.strip_prefix("S ") {
                 let mut it = rest.split_whitespace();
                 let id: u32 = it
@@ -425,7 +492,7 @@ impl MarkovModel {
             }
             successor_lists[from as usize].push((to, w));
         }
-        Self::from_parts(words, start, successor_lists)
+        Self::from_parts(&words, &start, &successor_lists)
     }
 }
 
@@ -634,6 +701,101 @@ mod tests {
         b.feed("   ");
         assert_eq!(b.samples_seen(), 0);
         assert!(b.build().is_err());
+    }
+
+    /// The sampler the flat slot array replaced: one [`Alias`] per
+    /// distribution over word ids, drawn through `&mut dyn FnMut`.
+    struct AliasReference {
+        words: Vec<String>,
+        start: (Vec<u32>, Alias),
+        successors: Vec<Option<(Vec<u32>, Alias)>>,
+    }
+
+    impl AliasReference {
+        fn new(words: &[String], start: &[(u32, f64)], lists: &[Vec<(u32, f64)>]) -> Self {
+            let dist = |list: &[(u32, f64)]| {
+                let (ids, weights): (Vec<u32>, Vec<f64>) = list.iter().copied().unzip();
+                (ids, Alias::new(&weights))
+            };
+            Self {
+                words: words.to_vec(),
+                start: dist(start),
+                successors: lists
+                    .iter()
+                    .map(|l| (!l.is_empty()).then(|| dist(l)))
+                    .collect(),
+            }
+        }
+
+        fn generate_range(&self, rng: &mut dyn FnMut() -> u64, min: u32, max: u32) -> String {
+            let span = u64::from(max - min) + 1;
+            let n = min + ((u128::from(rng()) * u128::from(span)) >> 64) as u32;
+            let mut out = String::new();
+            if n == 0 {
+                return out;
+            }
+            let start = |rng: &mut dyn FnMut() -> u64| self.start.0[self.start.1.sample_index(rng)];
+            let mut current = start(rng);
+            for i in 0..n {
+                if i > 0 {
+                    out.push(' ');
+                }
+                out.push_str(&self.words[current as usize]);
+                current = match &self.successors[current as usize] {
+                    Some((ids, alias)) => ids[alias.sample_index(rng)],
+                    None => start(rng),
+                };
+            }
+            out
+        }
+    }
+
+    /// Random models with dead ends, single-successor words, zero weights
+    /// and (every fourth) a single start state sample the same words, in
+    /// the same order, from the same draws as the alias reference.
+    #[test]
+    fn flat_slots_sample_like_the_alias_reference() {
+        let mut shape = PdgfDefaultRandom::seed_from(0x5107);
+        let mut below = |n: u64| shape.next_u64() % n;
+        for case in 0..64u64 {
+            let word_count = 1 + below(40) as usize;
+            let words: Vec<String> = (0..word_count).map(|i| format!("w{i}é{case}")).collect();
+            let weight = |r: u64| {
+                if r.is_multiple_of(5) {
+                    0.0
+                } else {
+                    (r % 97) as f64 + 0.5
+                }
+            };
+            let starts = if case % 4 == 0 {
+                1
+            } else {
+                1 + below(word_count as u64)
+            };
+            let start: Vec<(u32, f64)> = (0..starts)
+                .map(|_| (below(word_count as u64) as u32, weight(below(1000))))
+                .collect();
+            let lists: Vec<Vec<(u32, f64)>> = (0..word_count)
+                .map(|_| {
+                    let len = match below(4) {
+                        0 => 0,
+                        1 => 1,
+                        _ => below(word_count as u64 + 1),
+                    };
+                    (0..len)
+                        .map(|_| (below(word_count as u64) as u32, weight(below(1000))))
+                        .collect()
+                })
+                .collect();
+            let flat = MarkovModel::from_parts(&words, &start, &lists).unwrap();
+            let reference = AliasReference::new(&words, &start, &lists);
+            let (mut r1, mut r2) = (rng_fn(case), rng_fn(case));
+            for _ in 0..20 {
+                let got = flat.generate_range(&mut r1, 0, 30);
+                assert_eq!(got, reference.generate_range(&mut r2, 0, 30), "case {case}");
+            }
+            assert_eq!(r1(), r2(), "case {case}: draw counts diverged");
+        }
     }
 
     #[test]
