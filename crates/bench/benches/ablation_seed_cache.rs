@@ -11,6 +11,7 @@
 use std::hint::black_box;
 
 use bench::{banner, ns_row};
+use pdgf_gen::GenScratch;
 use pdgf_prng::{FieldCoord, SeedTree};
 use workloads::tpch;
 
@@ -51,9 +52,10 @@ fn row_generation() {
     let size = li.size;
     let mut row = 0u64;
     let mut buf = Vec::new();
+    let mut scratch = GenScratch::default();
     ns_row("ablation_seed_cache/lineitem_full_row", || {
         row = (row + 1) % size;
-        rt.row_into(li_idx, 0, black_box(row), &mut buf);
+        rt.row_into_with_scratch(li_idx, 0, black_box(row), &mut buf, &mut scratch);
         black_box(buf.len());
     });
 }

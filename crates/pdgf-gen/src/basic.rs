@@ -49,7 +49,7 @@ impl IdGenerator {
 
 impl Kernel for IdGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         out.typed(Longs, |_, row| self.key_for(row))
     }
 }
@@ -88,7 +88,7 @@ impl LongGenerator {
 
 impl Kernel for LongGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         out.typed(Longs, |rng, _| rng.next_i64_in(self.min, self.max))
     }
 }
@@ -129,7 +129,7 @@ impl DoubleGenerator {
 
 impl Kernel for DoubleGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         out.typed(Doubles, |rng, _| {
             let v = self.min + rng.next_f64() * self.span;
             match self.round_factor {
@@ -170,7 +170,7 @@ impl DecimalGenerator {
 
 impl Kernel for DecimalGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         out.typed(Decimals(self.scale), |rng, _| {
             rng.next_i64_in(self.min, self.max)
         })
@@ -215,7 +215,7 @@ impl DateGenerator {
 
 impl Kernel for DateGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         let span = u64::from(self.span_days) + 1;
         let day = |rng: &mut PdgfDefaultRandom| self.min_day + rng.next_bounded(span) as i32;
         match self.format {
@@ -257,7 +257,7 @@ impl TimestampGenerator {
 
 impl Kernel for TimestampGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         out.typed(Timestamps, |rng, _| rng.next_i64_in(self.min, self.max))
     }
 }
@@ -291,7 +291,7 @@ impl RandomStringGenerator {
 }
 
 impl Kernel for RandomStringGenerator {
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         let span = u64::from(self.max_len - self.min_len) + 1;
         out.text(|rng, _, buf| {
             let mut remaining = self.min_len + rng.next_bounded(span) as u32;
@@ -336,7 +336,7 @@ impl RandomBoolGenerator {
 
 impl Kernel for RandomBoolGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         out.typed(Bools, |rng, _| rng.next_bool(self.true_prob))
     }
 }
@@ -369,7 +369,7 @@ impl StaticValueGenerator {
 
 impl Kernel for StaticValueGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         match &self.value {
             Value::Long(x) => out.typed(Longs, |_, _| *x),
             Value::Double(x) => out.typed(Doubles, |_, _| *x),
@@ -377,7 +377,7 @@ impl Kernel for StaticValueGenerator {
             Value::Date(d) => out.typed(Dates, |_, _| d.0),
             Value::Timestamp(t) => out.typed(Timestamps, |_, _| *t),
             Value::Bool(b) => out.typed(Bools, |_, _| *b),
-            Value::Text(s) => out.shared(|_, _| s),
+            Value::Text(s) => out.text(|_, _, buf| buf.push_str(s)),
             Value::Null => out.null(),
         }
     }
@@ -428,7 +428,7 @@ impl HistogramGenerator {
 
 impl Kernel for HistogramGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         let sample = |rng: &mut PdgfDefaultRandom| {
             let bucket = self.alias.sample_index(&mut || rng.next_u64());
             let (lo, hi) = (self.bounds[bucket], self.bounds[bucket + 1]);
@@ -475,20 +475,13 @@ impl Generator for HistogramGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::GenContext;
-    use crate::runtime::SchemaRuntime;
-
-    fn with_ctx<T>(seed: u64, row: u64, f: impl FnOnce(&mut GenContext<'_>) -> T) -> T {
-        let rt = SchemaRuntime::empty_for_tests();
-        let mut ctx = GenContext::new(&rt, seed, row, 0);
-        f(&mut ctx)
-    }
+    use crate::generator::point_cell;
 
     #[test]
     fn id_generator_is_row_plus_one() {
         let g = IdGenerator::sequential();
         for row in [0u64, 1, 99, 1_000_000] {
-            let v = with_ctx(7, row, |ctx| g.generate(ctx));
+            let v = point_cell(&g, 7, row);
             assert_eq!(v, Value::Long(row as i64 + 1));
         }
     }
@@ -498,7 +491,7 @@ mod tests {
         let g = IdGenerator::permuted(1000, 42);
         let mut seen = std::collections::HashSet::new();
         for row in 0..1000u64 {
-            let v = with_ctx(7, row, |ctx| g.generate(ctx));
+            let v = point_cell(&g, 7, row);
             let id = v.as_i64().unwrap();
             assert!((1..=1000).contains(&id));
             assert!(seen.insert(id), "duplicate id {id}");
@@ -509,7 +502,7 @@ mod tests {
     fn long_generator_respects_bounds() {
         let g = LongGenerator::new(-5, 5);
         for seed in 0..500u64 {
-            let v = with_ctx(seed, 0, |ctx| g.generate(ctx));
+            let v = point_cell(&g, seed, 0);
             let x = v.as_i64().unwrap();
             assert!((-5..=5).contains(&x));
         }
@@ -519,7 +512,7 @@ mod tests {
     fn double_generator_rounds_to_places() {
         let g = DoubleGenerator::new(0.0, 100.0, Some(2));
         for seed in 0..200u64 {
-            let v = with_ctx(seed, 0, |ctx| g.generate(ctx));
+            let v = point_cell(&g, seed, 0);
             let Value::Double(x) = v else { panic!() };
             let scaled = x * 100.0;
             assert!(
@@ -533,7 +526,7 @@ mod tests {
     fn decimal_generator_bounds_and_scale() {
         let g = DecimalGenerator::new(100, 10_000, 2);
         for seed in 0..200u64 {
-            let v = with_ctx(seed, 0, |ctx| g.generate(ctx));
+            let v = point_cell(&g, seed, 0);
             let Value::Decimal { unscaled, scale } = v else {
                 panic!()
             };
@@ -550,7 +543,7 @@ mod tests {
         let mut hit_min = false;
         let mut hit_late = false;
         for seed in 0..3000u64 {
-            let v = with_ctx(seed, 0, |ctx| g.generate(ctx));
+            let v = point_cell(&g, seed, 0);
             let Value::Date(d) = v else {
                 panic!("expected typed date")
             };
@@ -568,7 +561,7 @@ mod tests {
             Date::from_ymd(2014, 11, 30),
             DateFormat::SlashMdy,
         );
-        let v = with_ctx(1, 0, |ctx| g.generate(ctx));
+        let v = point_cell(&g, 1, 0);
         assert_eq!(v.as_text(), Some("11/30/2014"));
     }
 
@@ -576,13 +569,13 @@ mod tests {
     fn random_string_length_and_charset() {
         let g = RandomStringGenerator::new(3, 17);
         for seed in 0..300u64 {
-            let v = with_ctx(seed, 0, |ctx| g.generate(ctx));
+            let v = point_cell(&g, seed, 0);
             let s = v.as_text().unwrap();
             assert!((3..=17).contains(&s.len()), "len {}", s.len());
             assert!(s.bytes().all(|b| b.is_ascii_alphanumeric()));
         }
         let fixed = RandomStringGenerator::new(25, 25);
-        let v = with_ctx(9, 0, |ctx| fixed.generate(ctx));
+        let v = point_cell(&fixed, 9, 0);
         assert_eq!(v.as_text().unwrap().len(), 25);
     }
 
@@ -590,7 +583,7 @@ mod tests {
     fn bool_generator_probability() {
         let g = RandomBoolGenerator::new(0.2);
         let trues = (0..10_000u64)
-            .filter(|&seed| with_ctx(seed, 0, |ctx| g.generate(ctx)) == Value::Bool(true))
+            .filter(|&seed| point_cell(&g, seed, 0) == Value::Bool(true))
             .count();
         let frac = trues as f64 / 10_000.0;
         assert!((0.18..0.22).contains(&frac), "frac {frac}");
@@ -600,10 +593,7 @@ mod tests {
     fn static_generator_is_constant() {
         let g = StaticValueGenerator::new(Value::text("fixed"));
         for seed in 0..10u64 {
-            assert_eq!(
-                with_ctx(seed, seed, |ctx| g.generate(ctx)),
-                Value::text("fixed")
-            );
+            assert_eq!(point_cell(&g, seed, seed), Value::text("fixed"));
         }
     }
 
@@ -614,7 +604,7 @@ mod tests {
             HistogramGenerator::new(vec![0.0, 10.0, 20.0], &[9.0, 1.0], HistogramOutput::Double);
         let mut low = 0;
         for seed in 0..10_000u64 {
-            let v = with_ctx(seed, 0, |ctx| g.generate(ctx));
+            let v = point_cell(&g, seed, 0);
             let Value::Double(x) = v else { panic!() };
             assert!((0.0..20.0).contains(&x));
             if x < 10.0 {
@@ -628,12 +618,9 @@ mod tests {
     #[test]
     fn histogram_generator_output_types() {
         let long = HistogramGenerator::new(vec![5.0, 6.0], &[1.0], HistogramOutput::Long);
-        assert!(matches!(
-            with_ctx(1, 0, |ctx| long.generate(ctx)),
-            Value::Long(5 | 6)
-        ));
+        assert!(matches!(point_cell(&long, 1, 0), Value::Long(5 | 6)));
         let dec = HistogramGenerator::new(vec![1.0, 2.0], &[1.0], HistogramOutput::Decimal(2));
-        let Value::Decimal { unscaled, scale } = with_ctx(1, 0, |ctx| dec.generate(ctx)) else {
+        let Value::Decimal { unscaled, scale } = point_cell(&dec, 1, 0) else {
             panic!()
         };
         assert_eq!(scale, 2);
@@ -643,10 +630,10 @@ mod tests {
     #[test]
     fn same_seed_same_value_across_generators() {
         let g = LongGenerator::new(0, 1_000_000);
-        let a = with_ctx(123, 0, |ctx| g.generate(ctx));
-        let b = with_ctx(123, 0, |ctx| g.generate(ctx));
+        let a = point_cell(&g, 123, 0);
+        let b = point_cell(&g, 123, 0);
         assert_eq!(a, b);
-        let c = with_ctx(124, 0, |ctx| g.generate(ctx));
+        let c = point_cell(&g, 124, 0);
         // Overwhelmingly likely to differ.
         assert_ne!(a, c);
     }

@@ -1,10 +1,10 @@
-//! The [`Generator`] trait, the per-field generation contexts, and the
-//! lane adapters that run one kernel per generator kind on every path.
+//! The [`Generator`] trait, the per-column and per-cell generation
+//! contexts, and the lane adapters that run one kernel per generator kind
+//! on both paths.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
-use std::sync::Arc;
 
 use pdgf_prng::{mix64_pair, PdgfDefaultRandom, PdgfRng};
 use pdgf_schema::absint::StaticProfile;
@@ -12,64 +12,27 @@ use pdgf_schema::{ColumnVec, Date, Value};
 
 use crate::runtime::SchemaRuntime;
 
-/// Reusable string buffers for text-building generators.
-///
-/// Generators that assemble strings (Markov text, concatenation, random
-/// strings) build into these buffers instead of allocating a fresh
-/// `String` per value; the scratch is threaded through consecutive cells
-/// by [`SchemaRuntime::row_into_with_scratch`], so after warm-up the
-/// builds reuse capacity. Two buffers exist because a concatenating meta
-/// generator holds `concat` while its sub-generators may use `text`.
+/// Buffers a caller threads through consecutive calls, so after warm-up
+/// they reuse capacity: one per worker on the batch path, one per reader
+/// of [`SchemaRuntime::row_into_with_scratch`].
 #[derive(Debug, Default)]
 pub struct GenScratch {
-    /// Scratch for leaf text generators (Markov, random strings).
-    pub text: String,
-    /// Scratch for concatenating meta generators.
-    pub concat: String,
-}
-
-/// Per-field generation state handed to every generator.
-///
-/// The context owns the field-seeded RNG stream; meta generators pass the
-/// same context down to sub-generators, so a wrapped pipeline consumes a
-/// single deterministic stream per cell (matching the paper's Figure 7
-/// breakdown: wrapper and sub-generator share the field seed).
-pub struct GenContext<'rt> {
-    /// The field's random number stream (already seeded for this cell).
-    pub rng: PdgfDefaultRandom,
-    /// Row number within the (table, update) pair.
-    pub row: u64,
-    /// Update epoch (0 = initial load).
-    pub update: u32,
-    /// The schema runtime, used by reference generators to recompute
-    /// other tables' cells.
-    pub runtime: &'rt SchemaRuntime,
-    /// Reusable string buffers. Fresh (empty, unallocated) by default;
-    /// the runtime's `*_with_scratch` entry points swap in a long-lived
-    /// scratch so capacity carries across cells.
-    pub scratch: GenScratch,
-}
-
-impl<'rt> GenContext<'rt> {
-    /// Context for one cell, seeding the RNG from the field seed.
-    pub fn new(runtime: &'rt SchemaRuntime, field_seed: u64, row: u64, update: u32) -> Self {
-        Self {
-            rng: PdgfDefaultRandom::seed_from(field_seed),
-            row,
-            update,
-            runtime,
-            scratch: GenScratch::default(),
-        }
-    }
+    /// Scratch for rebuilding a text arena whose cells a truncating
+    /// wrapper cuts.
+    pub(crate) text: String,
+    /// One column per column of the table last read by
+    /// `row_into_with_scratch`, each holding one cell: a column keeps its
+    /// lane and capacity from row to row.
+    pub(crate) cells: Vec<ColumnVec>,
 }
 
 /// Per-column generation context for the batch path.
 ///
-/// The row path re-derives the full seeding hierarchy per cell
+/// A point read re-derives the full seeding hierarchy per cell
 /// (`field_seed = mix(update_seed(table, column, update), row)`); the
 /// columnar path hoists the `(table, column, update)` prefix once per
 /// column so each cell pays exactly one [`mix64_pair`]. The seeds — and
-/// therefore every RNG draw — are bit-identical to the row path.
+/// therefore every RNG draw — are bit-identical to a point read's.
 pub struct ColumnCtx<'rt> {
     /// The schema runtime (reference generators recompute parents).
     pub runtime: &'rt SchemaRuntime,
@@ -92,7 +55,7 @@ impl ColumnCtx<'_> {
             .min(MAX_ARENA_PREALLOC)
     }
 
-    /// The field seed of `row` — identical to the row path's
+    /// The field seed of `row` — identical to
     /// `SeedTree::field_seed` for the same coordinate.
     #[inline]
     pub fn cell_seed(&self, row: u64) -> u64 {
@@ -125,7 +88,7 @@ impl ProfileCtx<'_> {
     }
 }
 
-/// Where one cell goes on the batch path.
+/// Where one cell goes.
 pub enum CellOut<'a> {
     /// Appended to a column, which is never cleared.
     Column(&'a mut ColumnVec),
@@ -171,7 +134,8 @@ impl CellOut<'_> {
     }
 }
 
-/// One cell on the batch path, handed to [`Generator::emit_cell`].
+/// One cell, handed to [`Generator::emit_cell`]: a point read, or a cell
+/// a wrapper, concatenation or reference emits on the batch path.
 pub struct Cell<'a, 'rt> {
     /// The cell's RNG: seeded by the caller and advanced past the
     /// caller's own draws (a wrapper's NULL or branch draw).
@@ -187,13 +151,11 @@ pub struct Cell<'a, 'rt> {
 
 /// A field value generator.
 ///
-/// Implementations must be pure given `(configuration, ctx.rng seed,
-/// ctx.row, ctx.update)` and are shared across worker threads, so `&self`
-/// methods plus `Send + Sync` are required.
+/// Implementations must be pure given their configuration, the cell's
+/// seed and its row (the update epoch reaches a generator only through
+/// the seed), and are shared across worker threads, so `&self` methods
+/// plus `Send + Sync` are required.
 pub trait Generator: Send + Sync {
-    /// Produce the value for the cell described by `ctx`.
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value;
-
     /// Human-readable name for diagnostics and latency reports.
     fn name(&self) -> &'static str;
 
@@ -228,10 +190,9 @@ pub trait Generator: Send + Sync {
     /// what it held.
     ///
     /// There is no default: a generator without a batch path does not
-    /// compile. A generator written as a `Kernel` gets this,
-    /// [`generate`](Self::generate) and [`emit_cell`](Self::emit_cell)
-    /// from its one `Kernel::emit`, so the per-cell RNG stream of every
-    /// path is the same by construction.
+    /// compile. A generator written as a `Kernel` gets this and
+    /// [`emit_cell`](Self::emit_cell) from its one `Kernel::emit`, so the
+    /// per-cell RNG stream of both paths is the same by construction.
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
@@ -241,30 +202,25 @@ pub trait Generator: Send + Sync {
     );
 
     /// Emit exactly one cell of this generator from `cell.rng` onto
-    /// `cell.out`: how, on the batch path, a wrapper runs its inner
-    /// generator, a concatenation its parts and a reference its parent.
+    /// `cell.out`: how a point read runs a column, and how, on the batch
+    /// path, a wrapper runs its inner generator, a concatenation its parts
+    /// and a reference its parent.
     fn emit_cell(&self, cell: Cell<'_, '_>);
 }
 
 /// A generator written as one kernel. `emit` hands its whole per-cell
 /// draw sequence to exactly one [`Emit`] method; [`kernel_paths`] turns
-/// that into `generate` (on a [`GenContext`]), `fill_column` (on a
-/// [`Fill`]) and `emit_cell` (on a [`Cell`]), so there is no second body
-/// to keep in step.
+/// that into `fill_column` (on a [`Fill`]) and `emit_cell` (on a
+/// [`Cell`]), so there is no second body to keep in step.
 pub(crate) trait Kernel {
     /// Run this generator's cell kernel into `out`.
-    fn emit<E: Emit>(&self, out: E) -> E::Out;
+    fn emit<E: Emit>(&self, out: E);
 }
 
-/// `generate`, `fill_column` and `emit_cell` of a [`Kernel`] generator:
-/// all three are its `emit`, on one value, a column of rows or one cell.
+/// `fill_column` and `emit_cell` of a [`Kernel`] generator: both are its
+/// `emit`, on a column of rows or on one cell.
 macro_rules! kernel_paths {
     () => {
-        #[inline]
-        fn generate(&self, ctx: &mut $crate::generator::GenContext<'_>) -> pdgf_schema::Value {
-            $crate::generator::Kernel::emit(self, ctx)
-        }
-
         fn fill_column(
             &self,
             ctx: &$crate::generator::ColumnCtx<'_>,
@@ -283,8 +239,9 @@ macro_rules! kernel_paths {
 }
 pub(crate) use kernel_paths;
 
-/// A typed lane of [`ColumnVec`]: the [`Value`] one cell becomes on the
-/// point path, and the storage a column of cells fills on the batch path.
+/// A typed lane of [`ColumnVec`]: the storage a column of cells fills,
+/// and the [`Value`] one cell becomes in a promoted column or as a part of
+/// a concatenation.
 pub(crate) trait Lane: Copy {
     /// The unboxed cell.
     type Cell;
@@ -357,31 +314,18 @@ impl Lane for Decimals {
 
 /// Where a [`Kernel`]'s cells go. A kernel calls one method with a
 /// closure over `(cell RNG, row)` that is its whole draw sequence: the
-/// point path (`&mut GenContext`) runs it once into a [`Value`], the
-/// batch path ([`Fill`]) once per row into typed storage or the text
-/// arena, and a [`Cell`] once onto a column or a concatenation.
+/// batch path ([`Fill`]) runs it once per row into typed storage or the
+/// text arena, and a [`Cell`] once onto a column or a concatenation.
 pub(crate) trait Emit {
-    /// What the path returns: a `Value`, or nothing for a filled column.
-    type Out;
-
     /// Typed cells.
-    fn typed<L: Lane>(
-        self,
-        lane: L,
-        cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell,
-    ) -> Self::Out;
+    fn typed<L: Lane>(self, lane: L, cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell);
 
     /// Text cells, each appended to `buf` (never cleared by the kernel).
-    fn text(self, cell: impl FnMut(&mut PdgfDefaultRandom, u64, &mut String)) -> Self::Out;
+    fn text(self, cell: impl FnMut(&mut PdgfDefaultRandom, u64, &mut String));
 
-    /// Text cells that are shared strings (dictionary entries, fixed
-    /// branches): the point path clones the `Arc`, the batch path copies
-    /// the bytes into the arena.
-    fn shared<'s>(self, cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>)
-        -> Self::Out;
-
-    /// NULL cells: masked placeholders on the batch path.
-    fn null(self) -> Self::Out;
+    /// NULL cells: masked placeholders in a column, nothing in a
+    /// concatenation.
+    fn null(self);
 
     /// Cells of another generator: `pick` makes the wrapper's own draws
     /// and names the generator whose cell the same RNG goes on to draw,
@@ -389,55 +333,7 @@ pub(crate) trait Emit {
     fn delegate<'g>(
         self,
         pick: impl FnMut(&mut PdgfDefaultRandom, u64) -> Option<&'g dyn Generator>,
-    ) -> Self::Out;
-}
-
-/// The point path: one cell of the context.
-impl Emit for &mut GenContext<'_> {
-    type Out = Value;
-
-    #[inline]
-    fn typed<L: Lane>(
-        self,
-        lane: L,
-        mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell,
-    ) -> Value {
-        lane.value(cell(&mut self.rng, self.row))
-    }
-
-    #[inline]
-    fn text(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64, &mut String)) -> Value {
-        let mut buf = std::mem::take(&mut self.scratch.text);
-        buf.clear();
-        cell(&mut self.rng, self.row, &mut buf);
-        let v = Value::text(buf.as_str());
-        self.scratch.text = buf;
-        v
-    }
-
-    #[inline]
-    fn shared<'s>(
-        self,
-        mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>,
-    ) -> Value {
-        Value::Text(Arc::clone(cell(&mut self.rng, self.row)))
-    }
-
-    #[inline]
-    fn null(self) -> Value {
-        Value::Null
-    }
-
-    #[inline]
-    fn delegate<'g>(
-        self,
-        mut pick: impl FnMut(&mut PdgfDefaultRandom, u64) -> Option<&'g dyn Generator>,
-    ) -> Value {
-        match pick(&mut self.rng, self.row) {
-            Some(g) => g.generate(self),
-            None => Value::Null,
-        }
-    }
+    );
 }
 
 /// The batch path: `rows` of one column into `out`, each cell drawing
@@ -458,8 +354,6 @@ impl Fill<'_, '_> {
 }
 
 impl Emit for Fill<'_, '_> {
-    type Out = ();
-
     #[inline]
     fn typed<L: Lane>(self, lane: L, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell) {
         let count = self.count();
@@ -477,16 +371,6 @@ impl Emit for Fill<'_, '_> {
         for row in self.rows {
             cell(&mut self.ctx.cell_rng(row), row, tc.buf());
             tc.seal();
-        }
-    }
-
-    #[inline]
-    fn shared<'s>(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>) {
-        let count = self.count();
-        let tc = self.out.text_mut();
-        tc.reserve(count, self.ctx.arena_hint(count));
-        for row in self.rows {
-            tc.push_str(cell(&mut self.ctx.cell_rng(row), row));
         }
     }
 
@@ -521,8 +405,6 @@ impl Emit for Fill<'_, '_> {
 /// One cell onto a column or a concatenation, from an RNG the caller has
 /// already advanced.
 impl Emit for Cell<'_, '_> {
-    type Out = ();
-
     #[inline]
     fn typed<L: Lane>(self, lane: L, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> L::Cell) {
         let value = cell(self.rng, self.row);
@@ -533,12 +415,6 @@ impl Emit for Cell<'_, '_> {
     fn text(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64, &mut String)) {
         let Cell { rng, row, out, .. } = self;
         out.text(|buf| cell(rng, row, buf));
-    }
-
-    #[inline]
-    fn shared<'s>(self, mut cell: impl FnMut(&mut PdgfDefaultRandom, u64) -> &'s Arc<str>) {
-        let text = cell(self.rng, self.row);
-        self.out.text(|buf| buf.push_str(text));
     }
 
     #[inline]
@@ -558,4 +434,20 @@ impl Emit for Cell<'_, '_> {
             None => self.null(),
         }
     }
+}
+
+/// One cell of `g` at `row`, from an RNG seeded with `seed`, through
+/// [`Generator::emit_cell`] into a one-cell column: a point read without
+/// a schema around it.
+#[cfg(test)]
+pub(crate) fn point_cell(g: &dyn Generator, seed: u64, row: u64) -> Value {
+    let runtime = SchemaRuntime::empty_for_tests();
+    let mut out = ColumnVec::default();
+    g.emit_cell(Cell {
+        rng: &mut PdgfDefaultRandom::seed_from(seed),
+        row,
+        runtime: &runtime,
+        out: CellOut::Column(&mut out),
+    });
+    out.value(0)
 }

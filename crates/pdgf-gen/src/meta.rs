@@ -20,8 +20,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::generator::{
-    kernel_paths, Cell, CellOut, ColumnCtx, Doubles, Emit, GenContext, GenScratch, Generator,
-    Kernel, Longs, ProfileCtx,
+    kernel_paths, Cell, CellOut, ColumnCtx, Doubles, Emit, GenScratch, Generator, Kernel, Longs,
+    ProfileCtx,
 };
 use crate::runtime::SchemaRuntime;
 
@@ -43,7 +43,7 @@ impl NullGenerator {
 
 impl Kernel for NullGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         // One draw decides NULL-ness even at probability 0 or 1, keeping
         // the wrapped generator's stream position independent of the
         // configured probability.
@@ -84,8 +84,8 @@ impl SequentialGenerator {
         Self { parts, separator }
     }
 
-    /// One cell on the batch path, appended to `buf`: each part's cell as
-    /// its `Display` text, joined by the separator.
+    /// One cell, appended to `buf`: each part's cell as its `Display`
+    /// text, joined by the separator.
     fn concat(
         &self,
         rng: &mut PdgfDefaultRandom,
@@ -108,24 +108,6 @@ impl SequentialGenerator {
 }
 
 impl Generator for SequentialGenerator {
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        // Taking `concat` leaves an empty (unallocated) String behind, so
-        // a nested SequentialGenerator part still works — it just builds
-        // into a fresh buffer for that cell.
-        let mut out = std::mem::take(&mut ctx.scratch.concat);
-        out.clear();
-        for (i, part) in self.parts.iter().enumerate() {
-            if i > 0 {
-                out.push_str(&self.separator);
-            }
-            let v = part.generate(ctx);
-            write!(out, "{v}").expect("writing to String cannot fail");
-        }
-        let v = Value::text(out.as_str());
-        ctx.scratch.concat = out;
-        v
-    }
-
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
@@ -170,7 +152,7 @@ pub struct ProbabilityGenerator {
     cumulative: Vec<(f64, Arc<dyn Generator>)>,
     /// The same table as fixed strings, when every branch is a static
     /// text value — the dbgen idiom of `l_returnflag` (R/A/N). A cell is
-    /// then one draw plus one shared string, with no branch dispatch.
+    /// then one draw plus one fixed string, with no branch dispatch.
     texts: Option<Vec<(f64, Arc<str>)>>,
 }
 
@@ -214,9 +196,11 @@ fn pick<T>(branches: &[(f64, T)], draw: f64) -> &T {
 
 impl Kernel for ProbabilityGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         match &self.texts {
-            Some(texts) => out.shared(|rng, _| pick(texts, rng.next_f64())),
+            Some(texts) => {
+                out.text(|rng, _, buf| buf.push_str(pick::<Arc<str>>(texts, rng.next_f64())))
+            }
             None => out.delegate(|rng, _| Some(pick(&self.cumulative, rng.next_f64()).as_ref())),
         }
     }
@@ -442,7 +426,7 @@ impl FormulaGenerator {
 
 impl Kernel for FormulaGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         let mut stack = [0.0; Tape::STACK];
         let mut eval = |row| match &self.tape {
             Some(tape) => tape.eval(row, &mut stack),
@@ -520,13 +504,6 @@ impl TruncateGenerator {
 }
 
 impl Generator for TruncateGenerator {
-    #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let mut v = self.inner.generate(ctx);
-        self.cut(&mut v);
-        v
-    }
-
     /// Runs the inner kernel, then shortens overflowing text cells in
     /// place. Arena columns rebuild through the scratch buffer only when
     /// something actually truncates; non-text columns pass through.
@@ -539,7 +516,7 @@ impl Generator for TruncateGenerator {
     ) {
         self.inner.fill_column(ctx, rows, out, scratch);
         if let Some(tc) = out.as_text_mut() {
-            tc.truncate_cells(|s| self.keep_len(s), &mut scratch.concat);
+            tc.truncate_cells(|s| self.keep_len(s), &mut scratch.text);
         } else if let Some(cells) = out.as_cells_mut() {
             cells.iter_mut().for_each(|cell| self.cut(cell));
         }
@@ -602,16 +579,11 @@ mod tests {
         DateGenerator, DecimalGenerator, DoubleGenerator, LongGenerator, RandomBoolGenerator,
         StaticValueGenerator,
     };
+    use crate::generator::point_cell;
     use crate::runtime::SchemaRuntime;
     use crate::text::MarkovChainGenerator;
     use pdgf_schema::model::DateFormat;
     use pdgf_schema::{Date, ValueRef};
-
-    fn gen_with_seed(g: &dyn Generator, seed: u64, row: u64) -> Value {
-        let rt = SchemaRuntime::empty_for_tests();
-        let mut ctx = GenContext::new(&rt, seed, row, 0);
-        g.generate(&mut ctx)
-    }
 
     fn static_text(s: &str) -> Arc<dyn Generator> {
         Arc::new(StaticValueGenerator::new(Value::text(s)))
@@ -633,8 +605,8 @@ mod tests {
     }
 
     /// `g`'s column of 300 rows through `fill_column`, into a column left
-    /// over from another package, after asserting it equals `generate` row
-    /// by row.
+    /// over from another package, after asserting it equals `emit_cell`
+    /// row by row.
     fn batch_matches_point(g: &dyn Generator) -> ColumnVec {
         let rt = SchemaRuntime::empty_for_tests();
         let ctx = ColumnCtx {
@@ -648,10 +620,9 @@ mod tests {
         g.fill_column(&ctx, rows.clone(), &mut out, &mut GenScratch::default());
         assert_eq!(out.len(), 300);
         for (i, row) in rows.enumerate() {
-            let mut cell = GenContext::new(&rt, ctx.cell_seed(row), row, 0);
             assert_eq!(
                 out.value(i),
-                g.generate(&mut cell),
+                point_cell(g, ctx.cell_seed(row), row),
                 "{} row {row}",
                 g.name()
             );
@@ -756,8 +727,8 @@ mod tests {
         let all_null = NullGenerator::new(1.0, static_text("x"));
         let never_null = NullGenerator::new(0.0, static_text("x"));
         for seed in 0..100u64 {
-            assert!(gen_with_seed(&all_null, seed, 0).is_null());
-            assert_eq!(gen_with_seed(&never_null, seed, 0), Value::text("x"));
+            assert!(point_cell(&all_null, seed, 0).is_null());
+            assert_eq!(point_cell(&never_null, seed, 0), Value::text("x"));
         }
     }
 
@@ -765,7 +736,7 @@ mod tests {
     fn null_generator_calibration() {
         let g = NullGenerator::new(0.25, static_text("x"));
         let nulls = (0..10_000u64)
-            .filter(|&s| gen_with_seed(&g, s, 0).is_null())
+            .filter(|&s| point_cell(&g, s, 0).is_null())
             .count();
         let frac = nulls as f64 / 10_000.0;
         assert!((0.23..0.27).contains(&frac), "frac {frac}");
@@ -780,9 +751,9 @@ mod tests {
         let p0 = NullGenerator::new(0.0, inner.clone());
         let p4 = NullGenerator::new(0.4, inner);
         for seed in 0..200u64 {
-            let v4 = gen_with_seed(&p4, seed, 0);
+            let v4 = point_cell(&p4, seed, 0);
             if !v4.is_null() {
-                assert_eq!(gen_with_seed(&p0, seed, 0), v4);
+                assert_eq!(point_cell(&p0, seed, 0), v4);
             }
         }
     }
@@ -793,7 +764,7 @@ mod tests {
             vec![static_text("a"), static_text("b"), static_text("c")],
             "-".to_string(),
         );
-        assert_eq!(gen_with_seed(&g, 1, 0), Value::text("a-b-c"));
+        assert_eq!(point_cell(&g, 1, 0), Value::text("a-b-c"));
     }
 
     #[test]
@@ -805,7 +776,7 @@ mod tests {
             ],
             " ".to_string(),
         );
-        assert_eq!(gen_with_seed(&g, 1, 0), Value::text("1.5 7"));
+        assert_eq!(point_cell(&g, 1, 0), Value::text("1.5 7"));
     }
 
     #[test]
@@ -813,7 +784,7 @@ mod tests {
         let g =
             ProbabilityGenerator::new(vec![(0.7, static_text("hot")), (0.3, static_text("cold"))]);
         let hots = (0..10_000u64)
-            .filter(|&s| gen_with_seed(&g, s, 0) == Value::text("hot"))
+            .filter(|&s| point_cell(&g, s, 0) == Value::text("hot"))
             .count();
         let frac = hots as f64 / 10_000.0;
         assert!((0.68..0.72).contains(&frac), "frac {frac}");
@@ -823,8 +794,8 @@ mod tests {
     fn formula_generator_uses_row_and_props() {
         let props: BTreeMap<String, f64> = [("BASE".to_string(), 100.0)].into();
         let g = FormulaGenerator::new(Expr::parse("${BASE} + ${ROW} % 7").unwrap(), props, true);
-        assert_eq!(gen_with_seed(&g, 1, 0), Value::Long(100));
-        assert_eq!(gen_with_seed(&g, 1, 13), Value::Long(106));
+        assert_eq!(point_cell(&g, 1, 0), Value::Long(100));
+        assert_eq!(point_cell(&g, 1, 13), Value::Long(106));
     }
 
     #[test]
@@ -836,18 +807,18 @@ mod tests {
     #[test]
     fn truncate_cuts_at_word_boundaries() {
         let g = TruncateGenerator::new(static_text("carefully final deposits"), 15);
-        assert_eq!(gen_with_seed(&g, 1, 0), Value::text("carefully final"));
+        assert_eq!(point_cell(&g, 1, 0), Value::text("carefully final"));
         let g2 = TruncateGenerator::new(static_text("carefully final deposits"), 12);
-        assert_eq!(gen_with_seed(&g2, 1, 0), Value::text("carefully"));
+        assert_eq!(point_cell(&g2, 1, 0), Value::text("carefully"));
         // First word longer than the cap: hard cut.
         let g3 = TruncateGenerator::new(static_text("incomprehensibilities"), 6);
-        assert_eq!(gen_with_seed(&g3, 1, 0), Value::text("incomp"));
+        assert_eq!(point_cell(&g3, 1, 0), Value::text("incomp"));
         // Short text and non-text pass through untouched.
         let g4 = TruncateGenerator::new(static_text("ok"), 10);
-        assert_eq!(gen_with_seed(&g4, 1, 0), Value::text("ok"));
+        assert_eq!(point_cell(&g4, 1, 0), Value::text("ok"));
         let g5 =
             TruncateGenerator::new(Arc::new(StaticValueGenerator::new(Value::Long(1234567))), 3);
-        assert_eq!(gen_with_seed(&g5, 1, 0), Value::Long(1234567));
+        assert_eq!(point_cell(&g5, 1, 0), Value::Long(1234567));
     }
 
     /// Integer pairs on both sides of zero up to ±2^53, signed zeros, and

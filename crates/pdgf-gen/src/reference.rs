@@ -12,10 +12,10 @@ use std::ops::Range;
 
 use pdgf_prng::{FeistelPermutation, PdgfDefaultRandom, PdgfRng, Zipf};
 use pdgf_schema::absint::{self, StaticProfile};
-use pdgf_schema::{ColumnVec, Value};
+use pdgf_schema::ColumnVec;
 
 use crate::generator::{
-    Cell, CellOut, ColumnCtx, Emit, Fill, GenContext, GenScratch, Generator, Longs, ProfileCtx,
+    Cell, CellOut, ColumnCtx, Emit, Fill, GenScratch, Generator, Longs, ProfileCtx,
 };
 use crate::runtime::SchemaRuntime;
 
@@ -77,15 +77,6 @@ impl ReferenceGenerator {
 }
 
 impl Generator for ReferenceGenerator {
-    #[inline]
-    fn generate(&self, ctx: &mut GenContext<'_>) -> Value {
-        let row = self.parent_row(&mut ctx.rng, ctx.row);
-        // Recompute the referenced cell: a pure function of coordinates,
-        // no reads of generated data, no cross-thread coordination.
-        ctx.runtime
-            .value(self.target_table, self.target_column, 0, row)
-    }
-
     /// Foreign keys into an Id column — the TPC-H shape — need no parent
     /// RNG at all: the parent's pure row→key map recomputes the key, and
     /// the column stays a typed Long vector end to end. Any other parent
@@ -112,10 +103,12 @@ impl Generator for ReferenceGenerator {
         }
     }
 
-    /// The parent cell through the parent's own entry point, from the
-    /// parent column's cell RNG. References always target the parent's
-    /// initial load (update 0), so each cell is bit-identical to the point
-    /// path's `runtime.value(target_table, target_column, 0, parent_row)`.
+    /// The parent cell recomputed through the parent's own entry point,
+    /// from the parent column's cell RNG: a pure function of coordinates,
+    /// with no reads of generated data and no cross-thread coordination.
+    /// References always target the parent's initial load (update 0), so
+    /// each cell is bit-identical to
+    /// `runtime.value(target_table, target_column, 0, parent_row)`.
     fn emit_cell(&self, cell: Cell<'_, '_>) {
         let Cell {
             rng,

@@ -10,17 +10,17 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use pdgf_prng::{mix64_pair, FieldCoord, SeedTree, Zipf};
+use pdgf_prng::{mix64_pair, FieldCoord, PdgfDefaultRandom, PdgfRng, SeedTree, Zipf};
 use pdgf_schema::absint::StaticProfile;
 use pdgf_schema::model::{DictSource, GeneratorSpec, MarkovSource, RefDistribution};
-use pdgf_schema::{ColumnBatch, Schema, SqlType, Value};
+use pdgf_schema::{ColumnBatch, ColumnVec, Schema, SqlType, Value};
 use textsynth::{Dictionary, MarkovModel};
 
 use crate::basic::{
     DateGenerator, DecimalGenerator, DoubleGenerator, IdGenerator, LongGenerator,
     RandomBoolGenerator, RandomStringGenerator, StaticValueGenerator, TimestampGenerator,
 };
-use crate::generator::{ColumnCtx, GenContext, GenScratch, Generator, ProfileCtx};
+use crate::generator::{Cell, CellOut, ColumnCtx, GenScratch, Generator, ProfileCtx};
 use crate::meta::{FormulaGenerator, NullGenerator, ProbabilityGenerator, SequentialGenerator};
 use crate::reference::{RefStrategy, ReferenceGenerator};
 use crate::resolver::ResourceResolver;
@@ -68,10 +68,10 @@ pub struct SchemaRuntime {
     tables: Vec<TableRuntime>,
     props: BTreeMap<String, f64>,
     generation_order: Vec<u32>,
-    /// Per-(table, column) proven rendered-width bounds from the abstract
-    /// interpreter, cached at build time so the columnar path can pre-size
-    /// text arenas without re-running the profiler per package.
-    width_hints: Vec<Vec<Option<u32>>>,
+    /// Every column's static profile, per table, computed once at build:
+    /// the columnar path pre-sizes text arenas from the width bounds, and
+    /// each request sizes its buffers from them.
+    profiles: Vec<Vec<StaticProfile>>,
 }
 
 impl fmt::Debug for SchemaRuntime {
@@ -162,25 +162,20 @@ impl SchemaRuntime {
             })
             .collect::<Result<Vec<_>, BuildError>>()?;
 
-        let mut rt = Self {
+        let profiles = profile_columns(&tables, &generation_order);
+        Ok(Self {
             name: schema.name.clone(),
             seed: schema.seed,
             seed_tree,
             tables,
             props,
             generation_order,
-            width_hints: Vec::new(),
-        };
-        rt.width_hints = rt
-            .profiles()
-            .iter()
-            .map(|cols| cols.iter().map(|p| p.width.bound()).collect())
-            .collect();
-        Ok(rt)
+            profiles,
+        })
     }
 
-    /// Testing hook: a runtime with no tables, usable as a [`GenContext`]
-    /// carrier for leaf-generator unit tests.
+    /// Testing hook: a runtime with no tables, for unit tests of generators
+    /// that never look a column up.
     pub fn empty_for_tests() -> Self {
         Self {
             name: "empty".to_string(),
@@ -189,7 +184,7 @@ impl SchemaRuntime {
             tables: Vec::new(),
             props: BTreeMap::new(),
             generation_order: Vec::new(),
-            width_hints: Vec::new(),
+            profiles: Vec::new(),
         }
     }
 
@@ -222,43 +217,34 @@ impl SchemaRuntime {
         &self.generation_order
     }
 
-    /// Static profiles of every column, per table in declaration order.
-    ///
-    /// Profiles are computed bottom-up along the generation order so a
-    /// reference generator can import its target column's already-computed
-    /// profile; every bound is proven over everything the compiled
-    /// generators can emit.
-    pub fn profiles(&self) -> Vec<Vec<StaticProfile>> {
-        let mut memo: BTreeMap<(u32, u32), StaticProfile> = BTreeMap::new();
-        for &t in &self.generation_order {
-            let table = &self.tables[t as usize];
-            for (c, col) in table.columns.iter().enumerate() {
-                let ctx = ProfileCtx {
-                    rows: table.size,
-                    columns: &memo,
-                };
-                let p = col.generator.profile(&ctx);
-                memo.insert((t, c as u32), p);
-            }
-        }
-        self.tables
-            .iter()
-            .enumerate()
-            .map(|(t, table)| {
-                (0..table.columns.len())
-                    .map(|c| {
-                        memo.remove(&(t as u32, c as u32))
-                            .unwrap_or_else(StaticProfile::unknown)
-                    })
-                    .collect()
-            })
-            .collect()
+    /// Static profiles of every column, per table in declaration order,
+    /// computed once at build. Every bound is proven over everything the
+    /// compiled generators can emit.
+    pub fn profiles(&self) -> &[Vec<StaticProfile>] {
+        &self.profiles
+    }
+
+    /// One cell through its generator's
+    /// [`emit_cell`](Generator::emit_cell) into `out` (cleared first), from
+    /// the RNG a batch fill seeds for the same coordinate; returns the
+    /// draws the cell made.
+    fn emit_point(&self, coord: FieldCoord, out: &mut ColumnVec) -> u64 {
+        let mut rng = PdgfDefaultRandom::seed_from(self.seed_tree.field_seed(coord));
+        out.clear();
+        let column = &self.tables[coord.table as usize].columns[coord.column as usize];
+        column.generator.emit_cell(Cell {
+            rng: &mut rng,
+            row: coord.row,
+            runtime: self,
+            out: CellOut::Column(out),
+        });
+        rng.draws()
     }
 
     /// The value of one cell together with the number of PRNG draws its
     /// generator consumed from the cell's seed stream, the measured side
     /// of [`StaticProfile::draws`]. Pure in `(self, table, column, update,
-    /// row)` and byte-identical to [`SchemaRuntime::value`].
+    /// row)`.
     pub fn value_counting(&self, table: u32, column: u32, update: u32, row: u64) -> (Value, u64) {
         let coord = FieldCoord {
             table,
@@ -266,11 +252,9 @@ impl SchemaRuntime {
             update,
             row,
         };
-        let seed = self.seed_tree.field_seed(coord);
-        let mut ctx = GenContext::new(self, seed, row, update);
-        let generator = &self.tables[table as usize].columns[column as usize].generator;
-        let value = generator.generate(&mut ctx);
-        (value, ctx.rng.draws())
+        let mut cell = ColumnVec::default();
+        let draws = self.emit_point(coord, &mut cell);
+        (cell.value(0), draws)
     }
 
     /// Compiled table by name.
@@ -283,52 +267,13 @@ impl SchemaRuntime {
 
     /// The fundamental operation: the value of one cell, computed from
     /// scratch. Pure in `(self, table, column, update, row)`.
-    #[inline]
     pub fn value(&self, table: u32, column: u32, update: u32, row: u64) -> Value {
-        let mut scratch = GenScratch::default();
-        self.value_with_scratch(table, column, update, row, &mut scratch)
+        self.value_counting(table, column, update, row).0
     }
 
-    /// [`value`](Self::value) with caller-provided string scratch, so
-    /// text-building generators reuse capacity across cells. The result
-    /// is identical to [`value`](Self::value) — the scratch only carries
-    /// buffer capacity, never data.
-    #[inline]
-    pub fn value_with_scratch(
-        &self,
-        table: u32,
-        column: u32,
-        update: u32,
-        row: u64,
-        scratch: &mut GenScratch,
-    ) -> Value {
-        let coord = FieldCoord {
-            table,
-            column,
-            update,
-            row,
-        };
-        let seed = self.seed_tree.field_seed(coord);
-        let mut ctx = GenContext::new(self, seed, row, update);
-        std::mem::swap(&mut ctx.scratch, scratch);
-        let v = self.tables[table as usize].columns[column as usize]
-            .generator
-            .generate(&mut ctx);
-        std::mem::swap(&mut ctx.scratch, scratch);
-        v
-    }
-
-    /// Generate a full row into `out` (cleared first). Reuses the caller's
-    /// buffer — this is the worker hot path.
-    #[inline]
-    pub fn row_into(&self, table: u32, update: u32, row: u64, out: &mut Vec<Value>) {
-        let mut scratch = GenScratch::default();
-        self.row_into_with_scratch(table, update, row, out, &mut scratch);
-    }
-
-    /// [`row_into`](Self::row_into) with caller-provided string scratch —
-    /// the form the scheduler's workers use, one scratch per worker.
-    #[inline]
+    /// A full row into `out` (cleared first), one [`value`](Self::value)
+    /// per column, with each cell emitted into its column's buffer in
+    /// `scratch` so the buffers keep their capacity from row to row.
     pub fn row_into_with_scratch(
         &self,
         table: u32,
@@ -338,16 +283,26 @@ impl SchemaRuntime {
         scratch: &mut GenScratch,
     ) {
         out.clear();
-        let t = &self.tables[table as usize];
-        for column in 0..t.columns.len() as u32 {
-            out.push(self.value_with_scratch(table, column, update, row, scratch));
+        let columns = self.tables[table as usize].columns.len();
+        if scratch.cells.len() < columns {
+            scratch.cells.resize_with(columns, ColumnVec::default);
+        }
+        for (column, cell) in scratch.cells[..columns].iter_mut().enumerate() {
+            let coord = FieldCoord {
+                table,
+                column: column as u32,
+                update,
+                row,
+            };
+            self.emit_point(coord, cell);
+            out.push(cell.value(0));
         }
     }
 
     /// Generate a full row, allocating.
     pub fn row(&self, table: u32, update: u32, row: u64) -> Vec<Value> {
         let mut out = Vec::new();
-        self.row_into(table, update, row, &mut out);
+        self.row_into_with_scratch(table, update, row, &mut out, &mut GenScratch::default());
         out
     }
 
@@ -357,8 +312,9 @@ impl SchemaRuntime {
     }
 
     /// Generate `rows` of `table` at `update` as a batch of columns — the
-    /// columnar twin of looping [`row_into_with_scratch`]
-    /// (Self::row_into_with_scratch) over the range.
+    /// columnar twin of looping
+    /// [`row_into_with_scratch`](Self::row_into_with_scratch) over the
+    /// range.
     ///
     /// The seeding prefix `(table, column, update)` is hoisted once per
     /// column into a [`ColumnCtx`], then each generator's
@@ -376,12 +332,12 @@ impl SchemaRuntime {
         let t = &self.tables[table as usize];
         let n_rows = rows.end.saturating_sub(rows.start) as usize;
         batch.begin(t.columns.len(), n_rows);
-        let hints = self.width_hints.get(table as usize);
+        let profiles = &self.profiles[table as usize];
         for (c, (col, out)) in t.columns.iter().zip(batch.columns_mut()).enumerate() {
             let ctx = ColumnCtx {
                 runtime: self,
                 update_seed: self.seed_tree.update_seed(table, c as u32, update),
-                width_hint: hints.and_then(|h| h.get(c).copied().flatten()),
+                width_hint: profiles[c].width.bound(),
             };
             col.generator.fill_column(&ctx, rows.clone(), out, scratch);
         }
@@ -390,6 +346,38 @@ impl SchemaRuntime {
             "fill_column produced a ragged batch for table {table}"
         );
     }
+}
+
+/// Static profiles of every column of `tables`, per table in declaration
+/// order. They are computed bottom-up along `generation_order` so a
+/// reference generator can import its target column's already-computed
+/// profile; every bound is proven over everything the compiled generators
+/// can emit.
+fn profile_columns(tables: &[TableRuntime], generation_order: &[u32]) -> Vec<Vec<StaticProfile>> {
+    let mut memo: BTreeMap<(u32, u32), StaticProfile> = BTreeMap::new();
+    for &t in generation_order {
+        let table = &tables[t as usize];
+        for (c, col) in table.columns.iter().enumerate() {
+            let ctx = ProfileCtx {
+                rows: table.size,
+                columns: &memo,
+            };
+            let p = col.generator.profile(&ctx);
+            memo.insert((t, c as u32), p);
+        }
+    }
+    tables
+        .iter()
+        .enumerate()
+        .map(|(t, table)| {
+            (0..table.columns.len())
+                .map(|c| {
+                    memo.remove(&(t as u32, c as u32))
+                        .unwrap_or_else(StaticProfile::unknown)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 struct GeneratorBuilder<'a> {
@@ -702,10 +690,11 @@ mod tests {
     fn row_into_reuses_buffer() {
         let rt = SchemaRuntime::build(&demo_schema(), &MapResolver::new()).unwrap();
         let mut buf = Vec::new();
-        rt.row_into(0, 0, 3, &mut buf);
+        let mut scratch = GenScratch::default();
+        rt.row_into_with_scratch(0, 0, 3, &mut buf, &mut scratch);
         assert_eq!(buf.len(), 2);
         let first = buf.clone();
-        rt.row_into(0, 0, 4, &mut buf);
+        rt.row_into_with_scratch(0, 0, 4, &mut buf, &mut scratch);
         assert_eq!(buf.len(), 2);
         assert_ne!(first[0], buf[0]);
     }

@@ -30,14 +30,14 @@ impl DictListGenerator {
 
 impl Kernel for DictListGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
-        out.shared(|rng, _| {
+    fn emit<E: Emit>(&self, out: E) {
+        out.text(|rng, _, buf| {
             let mut draw = || rng.next_u64();
-            if self.weighted {
+            buf.push_str(if self.weighted {
                 self.dict.sample_weighted(&mut draw)
             } else {
                 self.dict.sample_uniform(&mut draw)
-            }
+            })
         })
     }
 }
@@ -70,9 +70,9 @@ impl DictByRowGenerator {
 
 impl Kernel for DictByRowGenerator {
     #[inline]
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         let len = self.dict.len() as u64;
-        out.shared(|_, row| self.dict.entry((row % len) as usize))
+        out.text(|_, row, buf| buf.push_str(self.dict.entry((row % len) as usize)))
     }
 }
 
@@ -115,7 +115,7 @@ impl MarkovChainGenerator {
 }
 
 impl Kernel for MarkovChainGenerator {
-    fn emit<E: Emit>(&self, out: E) -> E::Out {
+    fn emit<E: Emit>(&self, out: E) {
         out.text(|rng, _, buf| {
             self.model
                 .generate_range_into(|| rng.next_u64(), self.min_words, self.max_words, buf);
@@ -138,9 +138,7 @@ impl Generator for MarkovChainGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::GenContext;
-    use crate::runtime::SchemaRuntime;
-    use pdgf_schema::Value;
+    use crate::generator::point_cell;
     use textsynth::MarkovBuilder;
 
     fn dict() -> Arc<Dictionary> {
@@ -161,17 +159,11 @@ mod tests {
         Arc::new(b.build().unwrap())
     }
 
-    fn gen_with_seed(g: &dyn Generator, seed: u64) -> Value {
-        let rt = SchemaRuntime::empty_for_tests();
-        let mut ctx = GenContext::new(&rt, seed, 0, 0);
-        g.generate(&mut ctx)
-    }
-
     #[test]
     fn dict_generator_draws_known_entries() {
         let g = DictListGenerator::new(dict(), false);
         for seed in 0..100u64 {
-            let v = gen_with_seed(&g, seed);
+            let v = point_cell(&g, seed, 0);
             assert!(matches!(v.as_text(), Some("alpha" | "beta" | "gamma")));
         }
     }
@@ -180,7 +172,7 @@ mod tests {
     fn weighted_dict_prefers_heavy_entries() {
         let g = DictListGenerator::new(dict(), true);
         let alphas = (0..5000u64)
-            .filter(|&s| gen_with_seed(&g, s).as_text() == Some("alpha"))
+            .filter(|&s| point_cell(&g, s, 0).as_text() == Some("alpha"))
             .count();
         let frac = alphas as f64 / 5000.0;
         assert!((0.75..0.85).contains(&frac), "frac {frac}");
@@ -190,7 +182,7 @@ mod tests {
     fn markov_generator_word_counts_in_range() {
         let g = MarkovChainGenerator::new(markov(), 2, 6);
         for seed in 0..200u64 {
-            let v = gen_with_seed(&g, seed);
+            let v = point_cell(&g, seed, 0);
             let n = v.as_text().unwrap().split_whitespace().count();
             assert!((2..=6).contains(&n), "{n} words");
         }
@@ -199,8 +191,8 @@ mod tests {
     #[test]
     fn text_generators_are_deterministic() {
         let g = MarkovChainGenerator::new(markov(), 1, 10);
-        assert_eq!(gen_with_seed(&g, 99), gen_with_seed(&g, 99));
+        assert_eq!(point_cell(&g, 99, 0), point_cell(&g, 99, 0));
         let d = DictListGenerator::new(dict(), true);
-        assert_eq!(gen_with_seed(&d, 7), gen_with_seed(&d, 7));
+        assert_eq!(point_cell(&d, 7, 0), point_cell(&d, 7, 0));
     }
 }

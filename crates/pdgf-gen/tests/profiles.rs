@@ -223,7 +223,7 @@ fn runtime_profiles_match_the_abstract_interpreter() {
     let rt_profiles = rt.profiles();
 
     assert_eq!(interp.tables.len(), rt_profiles.len());
-    for (table, columns) in interp.tables.iter().zip(&rt_profiles) {
+    for (table, columns) in interp.tables.iter().zip(rt_profiles) {
         assert_eq!(table.columns.len(), columns.len(), "table {}", table.name);
         for (col, rt_prof) in table.columns.iter().zip(columns) {
             assert_eq!(

@@ -115,7 +115,7 @@ fn runtime(rows: u64) -> SchemaRuntime {
     SchemaRuntime::build(&schema, &MapResolver::new()).unwrap()
 }
 
-fn generate(rt: &SchemaRuntime, workers: usize, package_rows: u64) -> u64 {
+fn generate_csv(rt: &SchemaRuntime, workers: usize, package_rows: u64) -> u64 {
     generate_with(rt, workers, package_rows, &CsvFormatter::new(), None)
 }
 
@@ -147,10 +147,10 @@ fn csv_inline_path_does_not_allocate_per_row() {
     let small = runtime(8_000);
     let large = runtime(40_000);
     // Warm-up pass absorbs one-time lazy initialization (TLS, stdio).
-    generate(&small, 0, 10_000);
+    generate_csv(&small, 0, 10_000);
 
-    let base = allocations_during(|| assert_eq!(generate(&small, 0, 10_000), 8_000));
-    let grown = allocations_during(|| assert_eq!(generate(&large, 0, 10_000), 40_000));
+    let base = allocations_during(|| assert_eq!(generate_csv(&small, 0, 10_000), 8_000));
+    let grown = allocations_during(|| assert_eq!(generate_csv(&large, 0, 10_000), 40_000));
 
     // 32,000 extra rows and 4 extra packages may only cost a handful of
     // extra allocations (output-buffer growth doublings). The pre-change
@@ -168,10 +168,10 @@ fn csv_parallel_path_does_not_allocate_per_package() {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let small = runtime(8_000);
     let large = runtime(40_000);
-    generate(&small, 2, 500);
+    generate_csv(&small, 2, 500);
 
-    let base = allocations_during(|| assert_eq!(generate(&small, 2, 500), 8_000));
-    let grown = allocations_during(|| assert_eq!(generate(&large, 2, 500), 40_000));
+    let base = allocations_during(|| assert_eq!(generate_csv(&small, 2, 500), 8_000));
+    let grown = allocations_during(|| assert_eq!(generate_csv(&large, 2, 500), 40_000));
 
     // 64 extra packages flow through the pool/channel/reorder pipeline;
     // with buffer recycling they must not cost an allocation each. The
@@ -227,7 +227,7 @@ fn unsubscribed_telemetry_does_not_allocate_per_package() {
     let telemetry = Telemetry::new();
     generate_with(&rt, 0, 100, &CsvFormatter::new(), Some(&telemetry));
 
-    let bare = allocations_during(|| assert_eq!(generate(&rt, 0, 100), 40_000));
+    let bare = allocations_during(|| assert_eq!(generate_csv(&rt, 0, 100), 40_000));
     let observed = allocations_during(|| {
         assert_eq!(
             generate_with(&rt, 0, 100, &CsvFormatter::new(), Some(&telemetry)),
@@ -248,13 +248,14 @@ fn unsubscribed_telemetry_does_not_allocate_per_package() {
 /// A point lookup is rendered on the calling thread into that thread's
 /// reused column batch, so its cost is a fixed set of allocations —
 /// whatever the row number and however many lookups came before. Of the
-/// 14, 9 are the request's table metadata (the name, the column list and
-/// one string per column of this seven-column table) and 5 are the request
-/// itself, its stream and the returned row. The formatter and the
-/// formula's compiled tape add none.
+/// 11, 9 are the request's table metadata (the name, the column list and
+/// one string per column of this seven-column table), 1 is the request
+/// itself and 1 the returned row's buffer. The stream, the formatter, the
+/// formula's compiled tape and the column profiles (computed once, when
+/// the runtime is built) add none.
 #[test]
 fn point_lookups_allocate_a_constant_per_lookup() {
-    const PER_LOOKUP: u64 = 14;
+    const PER_LOOKUP: u64 = 11;
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let service = RowService::new(
         Arc::new(runtime(1 << 40)),

@@ -18,7 +18,7 @@
 //!    dictionary/Markov resources they would have loaded.
 //!
 //! [`Schema::validate`] is a thin wrapper: the first error-severity
-//! diagnostic, if any, becomes the [`SchemaError`].
+//! diagnostic, if any, becomes the [`SchemaError`](crate::model::SchemaError).
 
 use crate::expr::Expr;
 use crate::model::{

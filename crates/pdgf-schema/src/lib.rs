@@ -9,7 +9,7 @@
 //!
 //! * [`value`] — the runtime [`Value`] cell type, its borrowed
 //!   [`ValueRef`] view, and calendar helpers,
-//! * [`column`] — typed columnar batch storage ([`ColumnVec`]) for the
+//! * [`column`](mod@column) — typed columnar batch storage ([`ColumnVec`]) for the
 //!   vectorized generation path,
 //! * [`types`] — the SQL-92 type system ([`SqlType`]),
 //! * [`expr`] — the `${NAME}`-style arithmetic expression language used

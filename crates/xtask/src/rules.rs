@@ -84,12 +84,12 @@ fn columnar_kernel_scope(path: &str) -> bool {
         || path == "crates/pdgf-schema/src/column.rs"
 }
 
-/// The generator kernels (`fill`/`fill_column` implementations): cell
-/// seeds must come from the runtime-provided context (`GenContext` /
-/// `ColumnCtx`), never re-derived from the seed tree, so every route to
-/// a cell walks the one seeding hierarchy that `tests/fingerprints.rs`
-/// pins. `runtime.rs` is the one sanctioned derivation point and stays
-/// out of scope.
+/// The generator kernels (`fill_column` and `emit_cell`
+/// implementations): cell seeds must come from the runtime-provided
+/// context (a `ColumnCtx`, or the RNG of a `Cell`), never re-derived from
+/// the seed tree, so every route to a cell walks the one seeding hierarchy
+/// that `tests/fingerprints.rs` pins. `runtime.rs` is the one sanctioned
+/// derivation point and stays out of scope.
 fn seed_discipline_scope(path: &str) -> bool {
     path.starts_with("crates/pdgf-gen/src/") && path != "crates/pdgf-gen/src/runtime.rs"
 }

@@ -4,10 +4,13 @@
 //! row-at-a-time point read, so for every shipped generator kind, every
 //! output format, every worker count, and ragged package sizes, it must
 //! produce the bytes of `zoo::oracle_bytes` (one row at a time through
-//! `row_into_with_scratch` + `Formatter::row` on one thread). These
-//! tests are the enforcement of that contract across the full generator
-//! zoo (the per-kernel unit tests in `pdgf-gen` check the same thing
-//! generator by generator).
+//! `row_into_with_scratch`, which runs `emit_cell` per cell, +
+//! `Formatter::row` on one thread). The two sides share each generator's
+//! kernel but not its loop: the oracle emits one cell at a time, the
+//! engine fills a column of a package at a time. These tests are the
+//! enforcement of that contract across the full generator zoo (the
+//! per-kernel unit tests in `pdgf-gen` check the same thing generator by
+//! generator).
 
 mod zoo;
 

@@ -8,10 +8,11 @@ use pdgf_output::{Formatter, TableMeta};
 
 /// The row oracle: `rows` of `table` at epoch `update`, one row at a
 /// time on this thread through the point-read path
-/// (`row_into_with_scratch`) and `Formatter::row`, framed by position —
-/// `begin` iff the range starts the table, `end` iff it finishes it.
-/// Shares nothing with the engine under test but the generators' cell
-/// functions and the formatter's per-row method.
+/// (`row_into_with_scratch`, which runs each column's `emit_cell` once
+/// per cell) and `Formatter::row`, framed by position — `begin` iff the
+/// range starts the table, `end` iff it finishes it. Shares nothing with
+/// the engine under test but the generators' kernels and the formatter's
+/// per-row method; the engine's `fill_column` loops over rows in packages.
 pub fn oracle_bytes(
     rt: &SchemaRuntime,
     table: u32,
