@@ -6,13 +6,11 @@
 //! the batch path.
 
 use pdgf_prng::{FeistelPermutation, PdgfDefaultRandom, PdgfRng};
-use pdgf_schema::absint::{self, Draws, StaticProfile};
 use pdgf_schema::model::{DateFormat, HistogramOutput};
 use pdgf_schema::value::{Date, Value};
 
 use crate::generator::{
-    kernel_paths, Bools, Dates, Decimals, Doubles, Emit, Generator, Kernel, Longs, ProfileCtx,
-    Timestamps,
+    kernel_paths, Bools, Dates, Decimals, Doubles, Emit, Generator, Kernel, Longs, Timestamps,
 };
 
 /// Unique key generator: emits `row + 1`, optionally scrambled through a
@@ -64,12 +62,6 @@ impl Generator for IdGenerator {
     fn name(&self) -> &'static str {
         "IdGenerator"
     }
-
-    fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
-        // Sequential emits row+1 ≤ rows; permuted covers the same domain
-        // (the runtime keys the permutation over the table size).
-        absint::id_profile(ctx.rows)
-    }
 }
 
 /// Uniform integer in `[min, max]`.
@@ -99,10 +91,6 @@ impl Generator for LongGenerator {
     fn name(&self) -> &'static str {
         "LongGenerator"
     }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::long_profile(self.min, self.max)
-    }
 }
 
 /// Uniform double in `[min, max)`, optionally rounded to a fixed number of
@@ -111,7 +99,6 @@ pub struct DoubleGenerator {
     min: f64,
     span: f64,
     round_factor: Option<f64>,
-    decimals: Option<u8>,
 }
 
 impl DoubleGenerator {
@@ -122,7 +109,6 @@ impl DoubleGenerator {
             min,
             span: max - min,
             round_factor: decimals.map(|d| 10f64.powi(i32::from(d))),
-            decimals,
         }
     }
 }
@@ -145,10 +131,6 @@ impl Generator for DoubleGenerator {
 
     fn name(&self) -> &'static str {
         "DoubleGenerator"
-    }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::double_profile(self.min, self.min + self.span, self.decimals)
     }
 }
 
@@ -182,10 +164,6 @@ impl Generator for DecimalGenerator {
 
     fn name(&self) -> &'static str {
         "DecimalGenerator"
-    }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::decimal_profile(self.min, self.max, self.scale)
     }
 }
 
@@ -231,14 +209,6 @@ impl Generator for DateGenerator {
     fn name(&self) -> &'static str {
         "DateGenerator"
     }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::date_profile(
-            self.min_day,
-            self.min_day + self.span_days as i32,
-            self.format,
-        )
-    }
 }
 
 /// Uniform timestamp in `[min, max]` seconds since the epoch.
@@ -267,10 +237,6 @@ impl Generator for TimestampGenerator {
 
     fn name(&self) -> &'static str {
         "TimestampGenerator"
-    }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::timestamp_profile(self.min, self.max)
     }
 }
 
@@ -315,10 +281,6 @@ impl Generator for RandomStringGenerator {
     fn name(&self) -> &'static str {
         "RandomStringGenerator"
     }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::random_string_profile(self.min_len, self.max_len)
-    }
 }
 
 /// Boolean that is `true` with a configured probability.
@@ -346,10 +308,6 @@ impl Generator for RandomBoolGenerator {
 
     fn name(&self) -> &'static str {
         "RandomBoolGenerator"
-    }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::random_bool_profile(self.true_prob)
     }
 }
 
@@ -392,10 +350,6 @@ impl Generator for StaticValueGenerator {
 
     fn name(&self) -> &'static str {
         "StaticValueGenerator"
-    }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::static_profile(&self.value)
     }
 }
 
@@ -450,25 +404,6 @@ impl Generator for HistogramGenerator {
 
     fn name(&self) -> &'static str {
         "HistogramGenerator"
-    }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        let (Some(&lo), Some(&hi)) = (self.bounds.first(), self.bounds.last()) else {
-            return StaticProfile::unknown();
-        };
-        let mut p = match self.output {
-            // Rounded values stay inside the rounded endpoints; casts
-            // saturate exactly like the kernel's.
-            HistogramOutput::Long => absint::long_profile(lo.round() as i64, hi.round() as i64),
-            HistogramOutput::Double => absint::double_profile(lo, hi, None),
-            HistogramOutput::Decimal(scale) => {
-                let pow = 10f64.powi(i32::from(scale));
-                absint::decimal_profile((lo * pow).round() as i64, (hi * pow).round() as i64, scale)
-            }
-        };
-        p.width = p.width.demote();
-        p.draws = Draws::exact(2);
-        p
     }
 }
 

@@ -2,12 +2,10 @@
 //! contexts, and the lane adapters that run one kernel per generator kind
 //! on both paths.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
 
 use pdgf_prng::{mix64_pair, PdgfDefaultRandom, PdgfRng};
-use pdgf_schema::absint::StaticProfile;
 use pdgf_schema::{ColumnVec, Date, Value};
 
 use crate::runtime::SchemaRuntime;
@@ -39,8 +37,8 @@ pub struct ColumnCtx<'rt> {
     /// The hoisted `(table, column, update)` seed prefix.
     pub update_seed: u64,
     /// Proven per-cell rendered-width bound from the column's
-    /// [`StaticProfile`], when finite — used by text kernels to pre-size
-    /// the arena.
+    /// [`StaticProfile`](pdgf_schema::absint::StaticProfile), when finite
+    /// — used by text kernels to pre-size the arena.
     pub width_hint: Option<u32>,
 }
 
@@ -67,24 +65,6 @@ impl ColumnCtx<'_> {
     #[inline]
     pub fn cell_rng(&self, row: u64) -> PdgfDefaultRandom {
         PdgfDefaultRandom::seed_from(self.cell_seed(row))
-    }
-}
-
-/// Context for computing a compiled generator's [`StaticProfile`]:
-/// the table's row count plus the profiles of every already-profiled
-/// column (reference generators import their target's profile).
-pub struct ProfileCtx<'a> {
-    /// Row count of the table the profiled column belongs to.
-    pub rows: u64,
-    /// Profiles of columns computed so far, keyed by `(table, column)`.
-    /// Generation order guarantees referenced parents are present.
-    pub columns: &'a BTreeMap<(u32, u32), StaticProfile>,
-}
-
-impl ProfileCtx<'_> {
-    /// Profile of an already-computed column, if present.
-    pub fn column(&self, table: u32, column: u32) -> Option<&StaticProfile> {
-        self.columns.get(&(table, column))
     }
 }
 
@@ -158,14 +138,6 @@ pub struct Cell<'a, 'rt> {
 pub trait Generator: Send + Sync {
     /// Human-readable name for diagnostics and latency reports.
     fn name(&self) -> &'static str;
-
-    /// Static profile of everything this generator can emit: kinds, value
-    /// interval, a *proven* rendered-width bound, null probability,
-    /// cardinality, and seed-stream consumption. The default claims
-    /// nothing ([`StaticProfile::unknown`]), which is always sound.
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        StaticProfile::unknown()
-    }
 
     /// This generator as an [`IdGenerator`](crate::basic::IdGenerator),
     /// when it is one. Id cells are a pure row→key map with no RNG

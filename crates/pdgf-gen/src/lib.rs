@@ -31,6 +31,6 @@ pub mod resolver;
 pub mod runtime;
 pub mod text;
 
-pub use generator::{ColumnCtx, GenScratch, Generator, ProfileCtx};
+pub use generator::{ColumnCtx, GenScratch, Generator};
 pub use resolver::{FsResolver, MapResolver, ResolveError, ResolverOracle, ResourceResolver};
 pub use runtime::{BuildError, SchemaRuntime};

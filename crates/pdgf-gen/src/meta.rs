@@ -11,7 +11,6 @@
 //! sub-generator's base cost plus its value computation.
 
 use pdgf_prng::{PdgfDefaultRandom, PdgfRng};
-use pdgf_schema::absint::{self, StaticProfile};
 use pdgf_schema::expr::{BinOp, Expr, Func};
 use pdgf_schema::{ColumnVec, Value};
 use std::collections::BTreeMap;
@@ -21,7 +20,6 @@ use std::sync::Arc;
 
 use crate::generator::{
     kernel_paths, Cell, CellOut, ColumnCtx, Doubles, Emit, GenScratch, Generator, Kernel, Longs,
-    ProfileCtx,
 };
 use crate::runtime::SchemaRuntime;
 
@@ -62,10 +60,6 @@ impl Generator for NullGenerator {
 
     fn name(&self) -> &'static str {
         "NullGenerator"
-    }
-
-    fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::null_wrap(self.probability, self.inner.profile(ctx), ctx.rows)
     }
 }
 
@@ -137,12 +131,6 @@ impl Generator for SequentialGenerator {
     fn name(&self) -> &'static str {
         "SequentialGenerator"
     }
-
-    fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
-        let parts: Vec<StaticProfile> = self.parts.iter().map(|p| p.profile(ctx)).collect();
-        let sep_bytes = u32::try_from(self.separator.len()).unwrap_or(u32::MAX);
-        absint::concat(&parts, sep_bytes, self.separator.is_ascii(), ctx.rows)
-    }
 }
 
 /// Executes one of several generators chosen by probability ("execute
@@ -211,21 +199,6 @@ impl Generator for ProbabilityGenerator {
 
     fn name(&self) -> &'static str {
         "ProbabilityGenerator"
-    }
-
-    fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
-        // Recover per-branch probabilities from the cumulative bounds.
-        let mut prev = 0.0f64;
-        let branches: Vec<(f64, StaticProfile)> = self
-            .cumulative
-            .iter()
-            .map(|(bound, g)| {
-                let p = (bound - prev).max(0.0);
-                prev = *bound;
-                (p, g.profile(ctx))
-            })
-            .collect();
-        absint::choose(&branches, ctx.rows)
     }
 }
 
@@ -406,19 +379,15 @@ fn call(f: Func, x: f64, y: f64) -> f64 {
 /// Evaluates an arithmetic formula over the project properties and the
 /// current row number (bound to `${ROW}`, zero-based).
 pub struct FormulaGenerator {
-    expr: Expr,
-    props: BTreeMap<String, f64>,
     tape: Option<Tape>,
     as_long: bool,
 }
 
 impl FormulaGenerator {
     /// Formula generator over pre-resolved properties.
-    pub fn new(expr: Expr, props: BTreeMap<String, f64>, as_long: bool) -> Self {
+    pub fn new(expr: &Expr, props: &BTreeMap<String, f64>, as_long: bool) -> Self {
         Self {
-            tape: Tape::compile(&expr, &props),
-            expr,
-            props,
+            tape: Tape::compile(expr, props),
             as_long,
         }
     }
@@ -445,10 +414,6 @@ impl Generator for FormulaGenerator {
 
     fn name(&self) -> &'static str {
         "FormulaGenerator"
-    }
-
-    fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::formula_profile(&self.expr, &self.props, ctx.rows, self.as_long)
     }
 }
 
@@ -564,11 +529,6 @@ impl Generator for TruncateGenerator {
 
     fn name(&self) -> &'static str {
         "TruncateGenerator"
-    }
-
-    fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
-        let max_chars = u32::try_from(self.max_chars).unwrap_or(u32::MAX);
-        absint::truncate(self.inner.profile(ctx), max_chars)
     }
 }
 
@@ -793,7 +753,7 @@ mod tests {
     #[test]
     fn formula_generator_uses_row_and_props() {
         let props: BTreeMap<String, f64> = [("BASE".to_string(), 100.0)].into();
-        let g = FormulaGenerator::new(Expr::parse("${BASE} + ${ROW} % 7").unwrap(), props, true);
+        let g = FormulaGenerator::new(&Expr::parse("${BASE} + ${ROW} % 7").unwrap(), &props, true);
         assert_eq!(point_cell(&g, 1, 0), Value::Long(100));
         assert_eq!(point_cell(&g, 1, 13), Value::Long(106));
     }

@@ -11,12 +11,9 @@
 use std::ops::Range;
 
 use pdgf_prng::{FeistelPermutation, PdgfDefaultRandom, PdgfRng, Zipf};
-use pdgf_schema::absint::{self, StaticProfile};
 use pdgf_schema::ColumnVec;
 
-use crate::generator::{
-    Cell, CellOut, ColumnCtx, Emit, Fill, GenScratch, Generator, Longs, ProfileCtx,
-};
+use crate::generator::{Cell, CellOut, ColumnCtx, Emit, Fill, GenScratch, Generator, Longs};
 use crate::runtime::SchemaRuntime;
 
 /// How the parent row is chosen.
@@ -136,20 +133,6 @@ impl Generator for ReferenceGenerator {
 
     fn name(&self) -> &'static str {
         "DefaultReferenceGenerator"
-    }
-
-    fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
-        // Generation order guarantees the parent column was profiled
-        // before any table referencing it.
-        let Some(parent) = ctx.column(self.target_table, self.target_column) else {
-            return StaticProfile::unknown();
-        };
-        absint::reference_profile(
-            parent,
-            self.parent_size,
-            ctx.rows,
-            matches!(self.strategy, RefStrategy::Permutation(_)),
-        )
     }
 }
 

@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pdgf_prng::{mix64_pair, FieldCoord, PdgfDefaultRandom, PdgfRng, SeedTree, Zipf};
-use pdgf_schema::absint::StaticProfile;
+use pdgf_schema::absint::{self, StaticProfile};
 use pdgf_schema::model::{DictSource, GeneratorSpec, MarkovSource, RefDistribution};
 use pdgf_schema::{ColumnBatch, ColumnVec, Schema, SqlType, Value};
 use textsynth::{Dictionary, MarkovModel};
@@ -20,10 +20,10 @@ use crate::basic::{
     DateGenerator, DecimalGenerator, DoubleGenerator, IdGenerator, LongGenerator,
     RandomBoolGenerator, RandomStringGenerator, StaticValueGenerator, TimestampGenerator,
 };
-use crate::generator::{Cell, CellOut, ColumnCtx, GenScratch, Generator, ProfileCtx};
+use crate::generator::{Cell, CellOut, ColumnCtx, GenScratch, Generator};
 use crate::meta::{FormulaGenerator, NullGenerator, ProbabilityGenerator, SequentialGenerator};
 use crate::reference::{RefStrategy, ReferenceGenerator};
-use crate::resolver::ResourceResolver;
+use crate::resolver::{ResolverOracle, ResourceResolver};
 use crate::text::{DictListGenerator, MarkovChainGenerator};
 
 /// Runtime construction failure.
@@ -68,9 +68,9 @@ pub struct SchemaRuntime {
     tables: Vec<TableRuntime>,
     props: BTreeMap<String, f64>,
     generation_order: Vec<u32>,
-    /// Every column's static profile, per table, computed once at build:
-    /// the columnar path pre-sizes text arenas from the width bounds, and
-    /// each request sizes its buffers from them.
+    /// Every column's static profile, per table, from the abstract
+    /// interpreter at build: the columnar path pre-sizes text arenas from
+    /// the width bounds, and each request sizes its buffers from them.
     profiles: Vec<Vec<StaticProfile>>,
 }
 
@@ -86,13 +86,13 @@ impl fmt::Debug for SchemaRuntime {
 
 impl SchemaRuntime {
     /// Compile `schema` (validated first) against `resolver` for external
-    /// dictionaries and Markov models.
+    /// dictionaries and Markov models, and store the abstract
+    /// interpreter's column profiles (see [`profiles`](Self::profiles)).
     pub fn build(schema: &Schema, resolver: &dyn ResourceResolver) -> Result<Self, BuildError> {
         let analysis = schema.analyze();
         if let Some(d) = analysis.first_error() {
             return Err(BuildError(format!("schema error: {}", d.message)));
         }
-        let generation_order = analysis.generation_order;
         let props = schema
             .properties
             .resolve_all()
@@ -102,7 +102,7 @@ impl SchemaRuntime {
         let sizes: Vec<u64> = schema
             .tables
             .iter()
-            .map(|t| schema.table_size(t).map_err(|e| BuildError(e.to_string())))
+            .map(|t| t.rows(&props).map_err(|e| BuildError(e.to_string())))
             .collect::<Result<_, _>>()?;
 
         let column_counts: Vec<u32> = schema
@@ -162,14 +162,25 @@ impl SchemaRuntime {
             })
             .collect::<Result<Vec<_>, BuildError>>()?;
 
-        let profiles = profile_columns(&tables, &generation_order);
+        // The interpreter returns every table or none.
+        let interp = absint::interpret(schema, &analysis, &ResolverOracle(resolver));
+        if interp.tables.len() != tables.len() {
+            return Err(BuildError(
+                "the abstract interpreter profiled no tables".into(),
+            ));
+        }
+        let profiles = interp
+            .tables
+            .into_iter()
+            .map(|t| t.columns.into_iter().map(|c| c.profile).collect())
+            .collect();
         Ok(Self {
             name: schema.name.clone(),
             seed: schema.seed,
             seed_tree,
             tables,
             props,
-            generation_order,
+            generation_order: analysis.generation_order,
             profiles,
         })
     }
@@ -217,9 +228,10 @@ impl SchemaRuntime {
         &self.generation_order
     }
 
-    /// Static profiles of every column, per table in declaration order,
-    /// computed once at build. Every bound is proven over everything the
-    /// compiled generators can emit.
+    /// Static profiles of every column, per table in declaration order:
+    /// the [`absint::interpret`] fold `validate` and `explain` read, run
+    /// once at build. Every bound is proven over everything the generators
+    /// compiled from the same specs can emit.
     pub fn profiles(&self) -> &[Vec<StaticProfile>] {
         &self.profiles
     }
@@ -346,38 +358,6 @@ impl SchemaRuntime {
             "fill_column produced a ragged batch for table {table}"
         );
     }
-}
-
-/// Static profiles of every column of `tables`, per table in declaration
-/// order. They are computed bottom-up along `generation_order` so a
-/// reference generator can import its target column's already-computed
-/// profile; every bound is proven over everything the compiled generators
-/// can emit.
-fn profile_columns(tables: &[TableRuntime], generation_order: &[u32]) -> Vec<Vec<StaticProfile>> {
-    let mut memo: BTreeMap<(u32, u32), StaticProfile> = BTreeMap::new();
-    for &t in generation_order {
-        let table = &tables[t as usize];
-        for (c, col) in table.columns.iter().enumerate() {
-            let ctx = ProfileCtx {
-                rows: table.size,
-                columns: &memo,
-            };
-            let p = col.generator.profile(&ctx);
-            memo.insert((t, c as u32), p);
-        }
-    }
-    tables
-        .iter()
-        .enumerate()
-        .map(|(t, table)| {
-            (0..table.columns.len())
-                .map(|c| {
-                    memo.remove(&(t as u32, c as u32))
-                        .unwrap_or_else(StaticProfile::unknown)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 struct GeneratorBuilder<'a> {
@@ -560,11 +540,9 @@ impl GeneratorBuilder<'_> {
                     .collect::<Result<Vec<_>, BuildError>>()?;
                 Arc::new(ProbabilityGenerator::new(branches))
             }
-            GeneratorSpec::Formula { expr, as_long } => Arc::new(FormulaGenerator::new(
-                expr.clone(),
-                self.props.clone(),
-                *as_long,
-            )),
+            GeneratorSpec::Formula { expr, as_long } => {
+                Arc::new(FormulaGenerator::new(expr, self.props, *as_long))
+            }
             GeneratorSpec::HistogramNumeric {
                 bounds,
                 weights,

@@ -4,14 +4,8 @@
 use std::sync::Arc;
 use textsynth::{Dictionary, MarkovModel};
 
-use crate::generator::{kernel_paths, Emit, Generator, Kernel, ProfileCtx};
+use crate::generator::{kernel_paths, Emit, Generator, Kernel};
 use pdgf_prng::PdgfRng;
-use pdgf_schema::absint::{self, ResourceInfo, StaticProfile};
-
-/// Entry statistics of an already-resolved dictionary.
-fn dict_info(dict: &Dictionary) -> ResourceInfo {
-    absint::entries_info(dict.iter().map(|(t, _)| t.as_ref()))
-}
 
 /// Draws entries from a dictionary ("DictList" in the paper's figures),
 /// uniformly or proportionally to extracted frequencies.
@@ -48,10 +42,6 @@ impl Generator for DictListGenerator {
     fn name(&self) -> &'static str {
         "DictListGenerator"
     }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::dict_profile(Some(dict_info(&self.dict)))
-    }
 }
 
 /// Deterministically maps row `r` to dictionary entry `r mod len` —
@@ -82,10 +72,6 @@ impl Generator for DictByRowGenerator {
     fn name(&self) -> &'static str {
         "DictByRowGenerator"
     }
-
-    fn profile(&self, ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::dict_by_row_profile(Some(dict_info(&self.dict)), ctx.rows)
-    }
 }
 
 /// Generates free text from a Markov chain model with a word count drawn
@@ -95,21 +81,16 @@ pub struct MarkovChainGenerator {
     model: Arc<MarkovModel>,
     min_words: u32,
     max_words: u32,
-    /// The vocabulary's statistics, read once: every request that sizes
-    /// its buffers from the profiles asks for them.
-    info: ResourceInfo,
 }
 
 impl MarkovChainGenerator {
     /// Markov text generator over the inclusive word-count range.
     pub fn new(model: Arc<MarkovModel>, min_words: u32, max_words: u32) -> Self {
         assert!(min_words <= max_words, "empty word-count range");
-        let info = absint::entries_info(model.words());
         Self {
             model,
             min_words,
             max_words,
-            info,
         }
     }
 }
@@ -128,10 +109,6 @@ impl Generator for MarkovChainGenerator {
 
     fn name(&self) -> &'static str {
         "MarkovChainGenerator"
-    }
-
-    fn profile(&self, _ctx: &ProfileCtx<'_>) -> StaticProfile {
-        absint::markov_profile(Some(self.info), self.min_words, self.max_words)
     }
 }
 

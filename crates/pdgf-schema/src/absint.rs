@@ -16,6 +16,9 @@
 //! the canonical [`Value`] rendering is no wider than the profile claims.
 //! The output layer feeds them into formatter-specific row bounds and
 //! buffer pre-sizing, so the analysis pays for itself in the hot path.
+//! [`interpret`] is the only profile fold: `validate` and `explain` read
+//! its diagnostics, and the compiled runtime stores its column profiles at
+//! build.
 //!
 //! Diagnostics continue the stable registry started in [`crate::analyze`]:
 //!
@@ -351,13 +354,13 @@ fn digits_u128(x: u128) -> u32 {
 }
 
 /// Rendered byte width of one i64 (digits plus sign).
-pub fn long_display_width(v: i64) -> u32 {
+fn long_display_width(v: i64) -> u32 {
     digits_u64(v.unsigned_abs()) + u32::from(v < 0)
 }
 
 /// Width bound for any i64 in `[lo, hi]`; exact when every member renders
 /// at the same width (same digit count and uniform sign).
-pub fn long_range_width(lo: i64, hi: i64) -> Width {
+fn long_range_width(lo: i64, hi: i64) -> Width {
     let (wl, wh) = (long_display_width(lo), long_display_width(hi));
     let w = wl.max(wh);
     if wl == wh && (lo >= 0 || hi < 0) {
@@ -370,7 +373,7 @@ pub fn long_range_width(lo: i64, hi: i64) -> Width {
 /// Digits needed for the integer part of any `|x| <= max_abs`. The
 /// verification loop guards against `log10` rounding *down* at powers of
 /// ten; overestimating is sound.
-pub fn int_digits_f64(max_abs: f64) -> u32 {
+fn int_digits_f64(max_abs: f64) -> u32 {
     if !max_abs.is_finite() {
         // f64::MAX has 309 integer digits; infinities render shorter.
         return 309;
@@ -397,7 +400,7 @@ const DOUBLE_FRAC_MAX: u32 = 340;
 /// Width bound for a double known to lie in `interval`, optionally rounded
 /// to `decimals` places at generation time. `None` interval means any
 /// finite double (or NaN, which renders shorter).
-pub fn double_range_width(interval: Option<Interval>, decimals: Option<u8>) -> Width {
+fn double_range_width(interval: Option<Interval>, decimals: Option<u8>) -> Width {
     let Some(iv) = interval else {
         return Width::AtMost(DOUBLE_WIDTH_MAX);
     };
@@ -422,7 +425,7 @@ pub fn double_range_width(interval: Option<Interval>, decimals: Option<u8>) -> W
 
 /// Width bound for a fixed-point decimal with unscaled value in
 /// `[lo, hi]` at `scale` digits.
-pub fn decimal_range_width(lo: i64, hi: i64, scale: u8) -> Width {
+fn decimal_range_width(lo: i64, hi: i64, scale: u8) -> Width {
     if scale == 0 {
         return long_range_width(lo, hi);
     }
@@ -473,7 +476,7 @@ fn year_span_width(y_lo: i32, y_hi: i32, base: u32) -> Width {
 
 /// Width bound for a date in `[min_day, max_day]` (days since epoch).
 /// All supported [`DateFormat`]s render year + 6 fixed bytes.
-pub fn date_range_width(min_day: i32, max_day: i32) -> Width {
+fn date_range_width(min_day: i32, max_day: i32) -> Width {
     let (y_lo, _, _) = Date(min_day).to_ymd();
     let (y_hi, _, _) = Date(max_day).to_ymd();
     year_span_width(y_lo, y_hi, 6)
@@ -481,7 +484,7 @@ pub fn date_range_width(min_day: i32, max_day: i32) -> Width {
 
 /// Width bound for a timestamp in `[min, max]` seconds since epoch:
 /// the date width plus 9 bytes of `" HH:MM:SS"`.
-pub fn timestamp_range_width(min: i64, max: i64) -> Width {
+fn timestamp_range_width(min: i64, max: i64) -> Width {
     let day = |t: i64| i32::try_from(t.div_euclid(86_400)).unwrap_or(i32::MAX);
     let (y_lo, _, _) = Date(day(min)).to_ymd();
     let (y_hi, _, _) = Date(day(max)).to_ymd();
@@ -489,7 +492,7 @@ pub fn timestamp_range_width(min: i64, max: i64) -> Width {
 }
 
 /// Width of a boolean with the given probability of `true`.
-pub fn bool_width(true_prob: f64) -> Width {
+fn bool_width(true_prob: f64) -> Width {
     if true_prob >= 1.0 {
         Width::Exact(4)
     } else if true_prob <= 0.0 {
@@ -511,7 +514,7 @@ fn mul_iv(x: Interval, y: Interval) -> Option<Interval> {
 /// bound to `row` (pass `None` outside a per-row context). Returns `None`
 /// when no finite fact is provable (unknown property, possible division
 /// by zero, domain error).
-pub fn expr_interval(
+fn expr_interval(
     expr: &Expr,
     props: &BTreeMap<String, f64>,
     row: Option<Interval>,
@@ -627,7 +630,7 @@ pub fn expr_interval(
 
 /// Recognize `expr` as the affine map `a * ROW + b` under resolved
 /// properties. The backbone of formula uniqueness proofs.
-pub fn affine(expr: &Expr, props: &BTreeMap<String, f64>) -> Option<(f64, f64)> {
+fn affine(expr: &Expr, props: &BTreeMap<String, f64>) -> Option<(f64, f64)> {
     match expr {
         Expr::Num(v) => Some((0.0, *v)),
         Expr::Prop(name) if name == "ROW" => Some((1.0, 0.0)),
@@ -672,7 +675,7 @@ pub fn affine(expr: &Expr, props: &BTreeMap<String, f64>) -> Option<(f64, f64)> 
 /// A slope of magnitude >= 1 separates consecutive values by at least one
 /// whole unit, so rounding preserves distinctness — provided every value
 /// stays well inside the exactly-representable integer range of f64.
-pub fn affine_unique(a: f64, b: f64, rows: u64) -> bool {
+fn affine_unique(a: f64, b: f64, rows: u64) -> bool {
     const SAFE: f64 = 4.5e15; // 2^52, with margin for evaluation rounding
     if rows < 2 {
         return a.is_finite() && b.is_finite();
@@ -736,7 +739,7 @@ pub fn entries_info<'a>(entries: impl IntoIterator<Item = &'a str>) -> ResourceI
 
 /// Facts about an inline Markov model, read straight off its `markov-v1`
 /// text serialization (`W <word>` lines) without building the model.
-pub fn inline_markov_info(text: &str) -> Option<ResourceInfo> {
+fn inline_markov_info(text: &str) -> Option<ResourceInfo> {
     let mut lines = text.lines();
     if lines.next().map(str::trim) != Some("markov-v1") {
         return None;
@@ -747,13 +750,13 @@ pub fn inline_markov_info(text: &str) -> Option<ResourceInfo> {
 }
 
 // ---------------------------------------------------------------------------
-// Transfer functions (shared by the schema pass and the runtime layer)
+// Transfer functions
 // ---------------------------------------------------------------------------
 
 /// Profile of an [`GeneratorSpec::Id`] generator over `rows` rows.
 /// Permutation does not change the value set — the Feistel network is a
 /// bijection — so sequential and permuted ids profile identically.
-pub fn id_profile(rows: u64) -> StaticProfile {
+fn id_profile(rows: u64) -> StaticProfile {
     let hi = rows.max(1).min(i64::MAX as u64) as i64;
     StaticProfile {
         kinds: KindSet::LONG,
@@ -780,7 +783,7 @@ pub fn long_profile(lo: i64, hi: i64) -> StaticProfile {
 }
 
 /// Profile of a uniform double in `[lo, hi]`, optionally rounded.
-pub fn double_profile(lo: f64, hi: f64, decimals: Option<u8>) -> StaticProfile {
+fn double_profile(lo: f64, hi: f64, decimals: Option<u8>) -> StaticProfile {
     let interval = Interval::from_candidates([lo, hi]);
     StaticProfile {
         kinds: KindSet::DOUBLE,
@@ -828,7 +831,7 @@ pub fn date_profile(min_day: i32, max_day: i32, format: DateFormat) -> StaticPro
 }
 
 /// Profile of a uniform timestamp in `[min, max]` seconds since epoch.
-pub fn timestamp_profile(min: i64, max: i64) -> StaticProfile {
+fn timestamp_profile(min: i64, max: i64) -> StaticProfile {
     StaticProfile {
         kinds: KindSet::TIMESTAMP,
         interval: Some(Interval::new(min as f64, max as f64)),
@@ -842,7 +845,7 @@ pub fn timestamp_profile(min: i64, max: i64) -> StaticProfile {
 
 /// Profile of a random alphanumeric string with length in
 /// `[min_len, max_len]`.
-pub fn random_string_profile(min_len: u32, max_len: u32) -> StaticProfile {
+fn random_string_profile(min_len: u32, max_len: u32) -> StaticProfile {
     StaticProfile {
         kinds: KindSet::TEXT,
         interval: None,
@@ -886,7 +889,7 @@ pub fn random_bool_profile(true_prob: f64) -> StaticProfile {
 
 /// Profile of a dictionary draw (uniform or weighted): the oracle's facts
 /// about the entry list, or the unbounded degradation when unresolved.
-pub fn dict_profile(info: Option<ResourceInfo>) -> StaticProfile {
+fn dict_profile(info: Option<ResourceInfo>) -> StaticProfile {
     match info {
         Some(i) => StaticProfile {
             kinds: KindSet::TEXT,
@@ -911,7 +914,7 @@ pub fn dict_profile(info: Option<ResourceInfo>) -> StaticProfile {
 
 /// Profile of a row-indexed dictionary lookup (`row mod entries`): unique
 /// exactly when the table fits inside the dictionary.
-pub fn dict_by_row_profile(info: Option<ResourceInfo>, rows: u64) -> StaticProfile {
+fn dict_by_row_profile(info: Option<ResourceInfo>, rows: u64) -> StaticProfile {
     let mut p = dict_profile(info);
     p.draws = Draws::exact(0);
     if let Some(i) = info {
@@ -938,7 +941,7 @@ fn markov_draws(words: u32) -> u64 {
 /// Profile of Markov chain text with `[min_words, max_words]` words:
 /// words joined by single spaces, so at most
 /// `max_words * longest_word + (max_words - 1)` bytes.
-pub fn markov_profile(info: Option<ResourceInfo>, min_words: u32, max_words: u32) -> StaticProfile {
+fn markov_profile(info: Option<ResourceInfo>, min_words: u32, max_words: u32) -> StaticProfile {
     let width = match info {
         Some(i) if max_words > 0 => Width::AtMost(
             max_words
@@ -965,7 +968,7 @@ pub fn markov_profile(info: Option<ResourceInfo>, min_words: u32, max_words: u32
 }
 
 /// Profile of a constant value.
-pub fn static_profile(value: &Value) -> StaticProfile {
+fn static_profile(value: &Value) -> StaticProfile {
     let kinds = match value {
         Value::Null => KindSet::NULL,
         Value::Bool(_) => KindSet::BOOL,
@@ -991,7 +994,7 @@ pub fn static_profile(value: &Value) -> StaticProfile {
 /// Profile of a formula `expr` over rows `0..rows` under resolved
 /// `props`, with `${ROW}` bound per row. `as_long` mirrors the runtime's
 /// round-and-saturate to i64.
-pub fn formula_profile(
+fn formula_profile(
     expr: &Expr,
     props: &BTreeMap<String, f64>,
     rows: u64,
@@ -1048,7 +1051,7 @@ pub fn formula_profile(
 /// Profile of a reference generator importing `parent`'s column profile:
 /// the child sees the parent's values, but only keeps uniqueness under a
 /// permutation assignment into a table no larger than its parent.
-pub fn reference_profile(
+fn reference_profile(
     parent: &StaticProfile,
     parent_rows: u64,
     child_rows: u64,
@@ -1110,12 +1113,7 @@ pub fn null_wrap(p: f64, inner: StaticProfile, rows: u64) -> StaticProfile {
 
 /// Fold a sequential concatenation: parts rendered left to right with
 /// `sep_bytes` of separator between them (NULL parts render empty).
-pub fn concat(
-    parts: &[StaticProfile],
-    sep_bytes: u32,
-    sep_ascii: bool,
-    rows: u64,
-) -> StaticProfile {
+fn concat(parts: &[StaticProfile], sep_bytes: u32, sep_ascii: bool, rows: u64) -> StaticProfile {
     let mut width = Width::Exact(0);
     let mut ascii = sep_ascii;
     let mut draws = Draws::exact(0);
@@ -1173,7 +1171,7 @@ pub fn concat(
 }
 
 /// Fold a probability choice over `(probability, profile)` branches.
-pub fn choose(branches: &[(f64, StaticProfile)], rows: u64) -> StaticProfile {
+fn choose(branches: &[(f64, StaticProfile)], rows: u64) -> StaticProfile {
     if branches.is_empty() {
         return StaticProfile::unknown();
     }
@@ -1224,7 +1222,7 @@ pub fn choose(branches: &[(f64, StaticProfile)], rows: u64) -> StaticProfile {
 
 /// Fold the implicit truncation the runtime applies to text fields with a
 /// declared size: values at most `max_chars` *characters* long.
-pub fn truncate(profile: StaticProfile, max_chars: u32) -> StaticProfile {
+fn truncate(profile: StaticProfile, max_chars: u32) -> StaticProfile {
     // A byte bound within the limit implies a char bound within the
     // limit, so truncation provably never fires.
     if profile.width.bound().is_some_and(|w| w <= max_chars) {
@@ -1343,7 +1341,7 @@ pub fn interpret(
     let sizes: Vec<u64> = schema
         .tables
         .iter()
-        .map(|t| schema.table_size(t).unwrap_or(0))
+        .map(|t| t.rows(&props).unwrap_or(0))
         .collect();
     let mut pass = Pass {
         schema,
@@ -1413,12 +1411,10 @@ impl Pass<'_> {
 
     fn run_table(&mut self, ti: usize) {
         self.table = ti;
-        let table = &self.schema.tables[ti];
-        for fi in 0..table.fields.len() {
+        let schema = self.schema;
+        for (fi, field) in schema.tables[ti].fields.iter().enumerate() {
             self.field = fi;
-            let field = &self.schema.tables[ti].fields[fi];
-            let spec = field.generator.clone();
-            let mut profile = self.fold_spec(&spec);
+            let mut profile = self.fold_spec(&field.generator);
             // The runtime auto-wraps text fields with a declared size in
             // a truncation fold; mirror it so widths match reality.
             if field.sql_type.is_text() && field.size > 0 {
@@ -1432,13 +1428,12 @@ impl Pass<'_> {
                     format!("no finite width bound for field {loc}"),
                 );
             }
-            let field = &self.schema.tables[ti].fields[fi];
             if field.sql_type.is_numeric()
                 && !profile.kinds.without_null().is_empty()
                 && profile.kinds.without_null().is_subset(KindSet::TEXT)
             {
                 let loc = self.location();
-                let ty = self.schema.tables[ti].fields[fi].sql_type;
+                let ty = field.sql_type;
                 self.diag(
                     "E044",
                     Severity::Error,
@@ -1500,9 +1495,9 @@ impl Pass<'_> {
         for &(ti, fi) in &columns {
             self.table = ti;
             self.field = fi;
-            let loc = self.location();
             for &read in &reads[&(ti, fi)] {
                 if self.sizes[read.0] == 0 {
+                    let loc = name((ti, fi));
                     let pt = &schema.tables[read.0].name;
                     let target = name(read);
                     self.diag(
@@ -1517,6 +1512,7 @@ impl Pass<'_> {
             }
             let max = self.memo[&(ti, fi)].draws.max;
             if max > DRAW_BUDGET {
+                let loc = name((ti, fi));
                 self.diag(
                     "W020",
                     Severity::Warning,
@@ -1530,12 +1526,12 @@ impl Pass<'_> {
         for &(ti, fi) in &columns {
             self.table = ti;
             self.field = fi;
-            let loc = self.location();
             for &read in &reads[&(ti, fi)] {
                 let grand = &reads[&read];
                 if grand.is_empty() {
                     continue;
                 }
+                let loc = name((ti, fi));
                 let target = name(read);
                 let grand = grand
                     .iter()

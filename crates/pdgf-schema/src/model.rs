@@ -10,6 +10,7 @@ use crate::expr::Expr;
 use crate::props::PropertyBag;
 use crate::types::SqlType;
 use crate::value::{Date, Value};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// How a reference generator picks parent rows.
@@ -400,6 +401,21 @@ impl Table {
     pub fn field_index(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
     }
+
+    /// Row count under already-resolved properties.
+    pub fn rows(&self, props: &BTreeMap<String, f64>) -> Result<u64, SchemaError> {
+        let v = self
+            .size
+            .eval(&|n| props.get(n).copied())
+            .map_err(|e| SchemaError(format!("table {}: {e}", self.name)))?;
+        if !v.is_finite() || v < 0.0 {
+            return Err(SchemaError(format!(
+                "table {}: size {v} is not a row count",
+                self.name
+            )));
+        }
+        Ok(v.round() as u64)
+    }
 }
 
 /// A complete PDGF project model.
@@ -464,17 +480,7 @@ impl Schema {
             .properties
             .resolve_all()
             .map_err(|e| SchemaError(e.to_string()))?;
-        let v = table
-            .size
-            .eval(&|n| props.get(n).copied())
-            .map_err(|e| SchemaError(format!("table {}: {e}", table.name)))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(SchemaError(format!(
-                "table {}: size {v} is not a row count",
-                table.name
-            )));
-        }
-        Ok(v.round() as u64)
+        table.rows(&props)
     }
 
     /// Structural validation: unique names, resolvable sizes, references

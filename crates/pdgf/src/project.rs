@@ -245,7 +245,7 @@ impl Pdgf {
             });
         }
         let runtime = SchemaRuntime::build(&schema, self.resolver.as_ref())
-            .map_err(|e| PdgfError::Build(e.to_string()))?;
+            .map_err(|e| PdgfError::Build(e.0))?;
         let profiles = runtime.profiles();
         let formatters = PerFormat::build(OutputFormat::formatter);
         let mut tables = Vec::new();
@@ -309,7 +309,7 @@ impl Pdgf {
             self.schema.seed = seed;
         }
         let runtime = SchemaRuntime::build(&self.schema, self.resolver.as_ref())
-            .map_err(|e| PdgfError::Build(e.to_string()))?;
+            .map_err(|e| PdgfError::Build(e.0))?;
         Ok(PdgfProject {
             schema: self.schema,
             runtime,
