@@ -46,24 +46,29 @@ for model in models/bad/*.xml; do
 done
 
 echo "== shard smoke: 32 node processes concatenate to the whole run"
-# SF 0.0001 gives tables of 5 to 600 rows, so many shards own no rows;
-# every node must still write every part, framing (XML) owned by position.
+# SF 0.0001 gives tables of 5 to 600 rows, so many shards own no rows or
+# part of a package; every node must still write every part, framing
+# (XML) owned by position, and every format's lane writers must match
+# the whole run byte for byte.
 SHARDS="$(mktemp -d)"
 trap 'rm -rf "$SHARDS"' EXIT
-"$PDGF" generate --model models/tpch.xml -p SF=0.0001 --format xml --out "$SHARDS/whole" >/dev/null
-for node in $(seq 0 31); do
-  "$PDGF" generate --model models/tpch.xml -p SF=0.0001 --format xml \
-    --node "$node" --nodes 32 --out "$SHARDS/parts" >/dev/null
-done
-for whole in "$SHARDS"/whole/*.xml; do
-  table="$(basename "$whole" .xml)"
-  parts=()
-  for node in $(seq 0 31); do parts+=("$SHARDS/parts/$table.part$node.xml"); done
-  if ! cat "${parts[@]}" | cmp -s - "$whole"; then
-    echo "FAIL: $table part files do not concatenate to the whole table" >&2
-    exit 1
-  fi
-  echo "  ok   $table"
+for format in csv json xml sql; do
+  "$PDGF" generate --model models/tpch.xml -p SF=0.0001 --format "$format" \
+    --out "$SHARDS/$format/whole" >/dev/null
+  for node in $(seq 0 31); do
+    "$PDGF" generate --model models/tpch.xml -p SF=0.0001 --format "$format" \
+      --node "$node" --nodes 32 --out "$SHARDS/$format/parts" >/dev/null
+  done
+  for whole in "$SHARDS/$format"/whole/*."$format"; do
+    table="$(basename "$whole" ."$format")"
+    parts=()
+    for node in $(seq 0 31); do parts+=("$SHARDS/$format/parts/$table.part$node.$format"); done
+    if ! cat "${parts[@]}" | cmp -s - "$whole"; then
+      echo "FAIL: $format $table part files do not concatenate to the whole table" >&2
+      exit 1
+    fi
+    echo "  ok   $format $table"
+  done
 done
 
 echo "All checks passed."
