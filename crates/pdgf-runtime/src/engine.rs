@@ -24,10 +24,10 @@
 //!   order. Backpressure is reader-driven: only the reader issues
 //!   tickets, so workers never block on a full output queue — they run
 //!   whatever other tickets exist.
-//! * A reader with no worker to wait for renders itself:
-//!   [`Stream::render_next`] runs the same [`Engine::render`] on the
-//!   calling thread. The inline batch run and the service's one-package
-//!   replies take this path; nothing is queued and nobody is woken.
+//! * [`Stream::next`] is every reader's one call. With nothing of the
+//!   stream in flight it runs the same [`Engine::render`] on the calling
+//!   thread; nothing is queued and nobody is woken. An inline batch run
+//!   and the service's one-package replies get every package this way.
 //! * Dropping a stream cancels its unrendered tickets and returns every
 //!   rendered-but-unread buffer to the pool. [`Engine::stop`] ends the
 //!   workers once the queue is empty, and ends every unfinished stream.
@@ -163,8 +163,8 @@ struct Task<'a> {
     seq: u64,
 }
 
-/// Reusable per-worker buffers; after warm-up a worker allocates nothing
-/// per package.
+/// Reusable render buffers of one worker or rendering reader; after
+/// warm-up a renderer allocates nothing per package.
 #[derive(Default)]
 pub(crate) struct WorkerState {
     batch: ColumnBatch,
@@ -411,32 +411,24 @@ impl<'a> Stream<'a> {
         n
     }
 
-    /// The reader renders: package `issued` on this thread, handed
-    /// straight back without touching the queue; `None` once every
-    /// package is issued. Only for a stream with nothing in flight — the
-    /// inline batch run and the service's one-package replies.
-    pub(crate) fn render_next(
-        &mut self,
-        engine: &Engine<'a>,
-        state: &mut WorkerState,
-        phases: Option<&WorkerPhases>,
-    ) -> Option<Package> {
-        debug_assert_eq!(self.in_flight(), 0, "tickets in flight");
-        if self.is_fully_issued() {
-            return None;
-        }
-        let pkg = engine.render(&self.req, self.issued, state, phases);
-        self.issued += 1;
-        self.delivered += 1;
-        Some(pkg)
-    }
-
     /// Blocking: the next package in row order, or `None` after the last
     /// one — or when `engine` stops before this request completes, which
-    /// [`is_exhausted`](Self::is_exhausted) tells apart.
-    pub(crate) fn next(&mut self, engine: &Engine<'a>) -> Option<Package> {
+    /// [`is_exhausted`](Self::is_exhausted) tells apart. With nothing in
+    /// flight the reader renders the package itself, in `state`, with no
+    /// ticket and no wake-up; otherwise it waits for delivery.
+    pub(crate) fn next(&mut self, engine: &Engine<'a>, state: &mut WorkerState) -> Option<Package> {
         if self.is_exhausted() {
             return None;
+        }
+        if self.in_flight() == 0 {
+            if engine.is_stopped() {
+                return None;
+            }
+            let phases = engine.scope.as_ref().map(|s| s.slot(0));
+            let pkg = engine.render(&self.req, self.issued, state, phases);
+            self.issued += 1;
+            self.delivered += 1;
+            return Some(pkg);
         }
         let mut d = self.req.delivery.lock();
         let pkg = loop {
@@ -550,7 +542,9 @@ mod tests {
             let mut stream = engine.open(Held::Borrowed(&rt), Held::Borrowed(&csv), job);
             assert_eq!(stream.issue(&engine, 6), 6);
             assert_eq!(stream.in_flight(), 6);
-            let first = stream.next(&engine).expect("package 0");
+            let first = stream
+                .next(&engine, &mut WorkerState::default())
+                .expect("package 0");
             assert!(first.bytes.starts_with(b"id,v\n1,"), "header, then row 1");
             assert_eq!((first.rows, stream.in_flight()), (10, 5));
             engine.buffers.put(first.bytes);

@@ -5,8 +5,9 @@
 //! each [`TableJob`] as one range request carrying the job's [`Framing`]
 //! and drains the resulting package streams, in job order, into the
 //! jobs' sinks on the calling thread. Workers are scoped threads running
-//! the core's one worker loop over the borrowed schema and formatter;
-//! `workers == 0` renders on the calling thread with no threads at all.
+//! the core's one worker loop over the borrowed schema and formatter.
+//! `workers == 0` is the same drain with no workers and a window of 0:
+//! nothing is ever queued, so the reader renders every package itself.
 //! Written buffers go back to the core's pool, so after warm-up the
 //! steady state allocates nothing per package.
 //!
@@ -49,8 +50,8 @@ use crate::telemetry::{mb_per_s, now_ns, seconds_since, RunScope, Telemetry};
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunConfig {
-    /// Worker threads. `0` runs inline on the calling thread (no thread
-    /// or queue overhead — the configuration for latency microbenches).
+    /// Worker threads. `0` runs inline: the calling thread renders every
+    /// package itself, with no thread or queue overhead.
     pub(crate) workers: usize,
     /// Rows per work package; always ≥ 1.
     pub(crate) package_rows: u64,
@@ -238,9 +239,9 @@ pub fn run_project<'a>(
     Ok(stats)
 }
 
-/// Run `jobs` on `engine` with `workers` scoped worker threads (0 =
-/// render on this thread). Returns the per-job statistics of whatever
-/// was written next to the run's outcome.
+/// Run `jobs` on `engine` with `workers` scoped worker threads (0 = the
+/// reader renders every package). Returns the per-job statistics of
+/// whatever was written next to the run's outcome.
 fn run_jobs<'a>(
     engine: &Engine<'a>,
     rt: &'a SchemaRuntime,
@@ -258,59 +259,26 @@ fn run_jobs<'a>(
     };
     let open =
         |job: &TableJob| engine.open(Held::Borrowed(rt), Held::Borrowed(formatter), job.clone());
-    let result = if workers == 0 {
-        render_inline(engine, jobs, open, &mut out)
-    } else {
-        std::thread::scope(|threads| {
-            // The engine stops however this closure exits, so the scope
-            // can always join its workers; a worker that unwinds stops
-            // it too, so the drain below ends instead of waiting forever.
-            let _stop = StopOnDrop(engine);
-            for worker in 0..workers {
-                threads.spawn(move || {
-                    let _stop = StopOnDrop(engine);
-                    engine.worker_loop(worker)
-                });
-            }
-            drain_streams(engine, jobs, open, window(workers), &mut out)
-        })
-    };
+    let result = std::thread::scope(|threads| {
+        // The engine stops however this closure exits, so the scope can
+        // always join its workers; a worker that unwinds stops it too, so
+        // the drain below ends instead of waiting forever.
+        let _stop = StopOnDrop(engine);
+        for worker in 0..workers {
+            threads.spawn(move || {
+                let _stop = StopOnDrop(engine);
+                engine.worker_loop(worker)
+            });
+        }
+        drain_streams(engine, jobs, open, window(workers), &mut out)
+    });
     (result, out.stats)
 }
 
-/// Inline execution: the reader renders each job's packages in order on
-/// this thread.
-fn render_inline<'a>(
-    engine: &Engine<'a>,
-    jobs: &[TableJob],
-    open: impl Fn(&TableJob) -> Stream<'a>,
-    out: &mut Output<'_, '_>,
-) -> io::Result<()> {
-    let mut state = WorkerState::default();
-    let phases = out.scope.map(|s| s.slot(0));
-    for (idx, job) in jobs.iter().enumerate() {
-        let mut stream = open(job);
-        // Seed the watchdog's pending gauge up front: an inline run that
-        // wedges inside a package is outstanding work, not idle.
-        if let Some(scope) = out.scope {
-            scope.work_queued(stream.request().total_packages());
-        }
-        while let Some(pkg) = stream.render_next(engine, &mut state, phases) {
-            let written = out.write(idx, stream.delivered() - 1, &pkg);
-            engine.buffers.put(pkg.bytes);
-            written?;
-            if let Some(scope) = out.scope {
-                scope.work_done();
-            }
-        }
-        out.finish_job(idx);
-    }
-    Ok(())
-}
-
-/// Pooled execution: open each job's stream in job order, keep `window`
-/// tickets in flight across the live ones, and write the front stream's
-/// packages as they become ready.
+/// Open each job's stream in job order, keep `window` tickets in flight
+/// across the live ones, and write the front stream's packages in order.
+/// With a window of 0 nothing is ever issued, so the reader renders every
+/// package itself through [`Stream::next`]: the inline run.
 fn drain_streams<'a>(
     engine: &Engine<'a>,
     jobs: &[TableJob],
@@ -318,12 +286,14 @@ fn drain_streams<'a>(
     window: u64,
     out: &mut Output<'_, '_>,
 ) -> io::Result<()> {
+    let mut state = WorkerState::default();
     let mut live: VecDeque<(usize, Stream<'a>)> = VecDeque::new();
     let mut admitted = 0;
     loop {
         // Top up: every live stream but the newest is fully issued, so
         // the spare budget goes to the newest, and the next job is
-        // admitted once that one has issued its last ticket.
+        // admitted once that one has issued its last ticket — or at once
+        // when no stream is live.
         let mut budget = window - live.iter().map(|(_, s)| s.in_flight()).sum::<u64>();
         loop {
             if let Some((_, newest)) = live.back_mut() {
@@ -332,7 +302,7 @@ fn drain_streams<'a>(
                     break;
                 }
             }
-            if budget == 0 || admitted == jobs.len() {
+            if admitted == jobs.len() || (budget == 0 && !live.is_empty()) {
                 break;
             }
             live.push_back((admitted, open(&jobs[admitted])));
@@ -342,7 +312,7 @@ fn drain_streams<'a>(
         let Some((idx, stream)) = live.front_mut() else {
             return Ok(());
         };
-        match stream.next(engine) {
+        match stream.next(engine, &mut state) {
             Some(pkg) => {
                 let written = out.write(*idx, stream.delivered() - 1, &pkg);
                 engine.buffers.put(pkg.bytes);
@@ -694,6 +664,44 @@ mod tests {
         assert_eq!(tables[0].table, "t");
         assert_eq!(tables[0].rows, 1000);
         assert_eq!(tables[0].bytes, snap.bytes);
+    }
+
+    /// Sink that holds every write for a few milliseconds, so the
+    /// watchdog samples the pending-work gauge mid-run.
+    struct SlowSink(MemorySink);
+
+    impl Sink for SlowSink {
+        fn write_chunk(&mut self, bytes: &[u8]) -> io::Result<()> {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            self.0.write_chunk(bytes)
+        }
+        fn finish(&mut self) -> io::Result<u64> {
+            self.0.finish()
+        }
+        fn bytes_written(&self) -> u64 {
+            self.0.bytes_written()
+        }
+    }
+
+    /// An inline run's reader renders every package itself, so none is
+    /// ever issued to the engine and the pending-work gauge stays at zero
+    /// for the whole run.
+    #[test]
+    fn inline_packages_are_never_counted_as_queued() {
+        let rt = runtime(400);
+        // A 20 ms stall timeout makes the watchdog sample every 5 ms.
+        let telemetry = Telemetry::with_stall_timeout(std::time::Duration::from_millis(20));
+        let mut sink = SlowSink(MemorySink::new());
+        let csv = CsvFormatter::new();
+        let cfg = RunConfig::new().workers(0).package_rows(50);
+        generate_table_range(&rt, 0, 0, 0..400, &csv, &mut sink, &cfg, &telemetry).unwrap();
+        assert_eq!(
+            sink.0.as_str().as_bytes(),
+            oracle_bytes(&rt, 0, 0, 0..400, &csv)
+        );
+        let depth = telemetry.metrics().queue_depth;
+        assert!(depth.samples > 0, "the watchdog sampled the run");
+        assert_eq!(depth.max, 0, "an inline package was counted as queued");
     }
 
     #[test]

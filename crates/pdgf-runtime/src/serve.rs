@@ -392,7 +392,7 @@ impl RowService {
             // pool retains none.
             engine: Engine::new(cfg.package_rows, 0, scope),
             models,
-            window: cfg.window.max(1) as u64,
+            window: cfg.window as u64,
             max_request_rows: cfg.max_request_rows,
             stats: StatsInner::default(),
             started_ns: now_ns(),
@@ -718,12 +718,7 @@ impl ResponseStream {
             return None;
         }
         let engine = &self.shared.engine;
-        let pkg = if self.stream.in_flight() > 0 || engine.is_stopped() {
-            self.stream.next(engine)
-        } else {
-            let phases = engine.scope.as_ref().map(|s| s.slot(0));
-            READER_STATE.with_borrow_mut(|state| self.stream.render_next(engine, state, phases))
-        };
+        let pkg = READER_STATE.with_borrow_mut(|state| self.stream.next(engine, state));
         let Some(pkg) = pkg else {
             // The pool is gone; this request can never complete.
             self.abort("service shut down mid-request");

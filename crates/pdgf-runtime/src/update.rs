@@ -83,6 +83,8 @@ fn sql_literal(v: &Value) -> String {
     match v {
         Value::Null => "NULL".to_string(),
         Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+        // SQL has no literal for NaN or the infinities.
+        Value::Double(d) if !d.is_finite() => "NULL".to_string(),
         Value::Long(_) | Value::Double(_) | Value::Decimal { .. } => v.to_string(),
         other => {
             let text = other.to_string();
@@ -433,5 +435,9 @@ mod tests {
         assert_eq!(sql_literal(&Value::Long(-3)), "-3");
         assert_eq!(sql_literal(&Value::decimal(150, 2)), "1.50");
         assert_eq!(sql_literal(&Value::text("O'Brien")), "'O''Brien'");
+        assert_eq!(sql_literal(&Value::Double(0.5)), "0.5");
+        for d in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(sql_literal(&Value::Double(d)), "NULL", "{d}");
+        }
     }
 }

@@ -158,9 +158,16 @@ impl Sink for WedgedSink {
 
 /// Wedge table `b`'s sink mid-run: the watchdog must raise
 /// `StallDetected` naming `b` (not the healthy table), and after release
-/// the run completes normally.
+/// the run completes normally — inline, where the wedged write is the
+/// only outstanding work, as with a pool.
 #[test]
 fn watchdog_names_the_wedged_table() {
+    for workers in [0, 2] {
+        watchdog_names_the_wedged_table_at(workers);
+    }
+}
+
+fn watchdog_names_the_wedged_table_at(workers: usize) {
     let telemetry = Telemetry::with_stall_timeout(Duration::from_millis(50));
     let subscriber = telemetry.subscribe();
     let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -180,7 +187,7 @@ fn watchdog_names_the_wedged_table() {
                     Ok(Box::new(NullSink::new()))
                 }
             };
-            GenerationRun::new(&rt, RunConfig::new().workers(2).package_rows(25))
+            GenerationRun::new(&rt, RunConfig::new().workers(workers).package_rows(25))
                 .with_telemetry(telemetry)
                 .run(&CsvFormatter::new(), factory)
                 .map(|r| r.total_rows())
@@ -196,7 +203,7 @@ fn watchdog_names_the_wedged_table() {
                     break table.clone();
                 }
             }
-            None => panic!("no StallDetected within 30s"),
+            None => panic!("no StallDetected within 30s (workers={workers})"),
         }
     };
     assert_eq!(stalled_table, "b", "watchdog blames the wedged table");

@@ -122,7 +122,7 @@ pub struct ServerOptionsBuilder {
 
 impl ServerOptionsBuilder {
     /// Replace the row-service configuration (workers, package rows,
-    /// backpressure window, engine, request-size cap).
+    /// backpressure window, request-size cap).
     pub fn config(mut self, config: ServeConfig) -> Self {
         self.options.config = config;
         self
@@ -175,9 +175,6 @@ impl ServerOptionsBuilder {
             return Err(ServerOptionsError(
                 "write_timeout must be nonzero (use no_timeouts to disable)",
             ));
-        }
-        if o.config.request_window() == 0 {
-            return Err(ServerOptionsError("backpressure window must be at least 1"));
         }
         Ok(self.options)
     }

@@ -45,16 +45,19 @@ for model in models/bad/*.xml; do
   echo "  diag $model"
 done
 
-echo "== shard smoke: 32 node processes concatenate to the whole run"
+echo "== shard smoke: 32 node processes and an inline run equal the whole run"
 # SF 0.0001 gives tables of 5 to 600 rows, so many shards own no rows or
 # part of a package; every node must still write every part, framing
 # (XML) owned by position, and every format's lane writers must match
-# the whole run byte for byte.
+# the whole run byte for byte. The inline run (--workers 0, the reader
+# renders every package) must match the pooled whole as well.
 SHARDS="$(mktemp -d)"
 trap 'rm -rf "$SHARDS"' EXIT
 for format in csv json xml sql; do
   "$PDGF" generate --model models/tpch.xml -p SF=0.0001 --format "$format" \
     --out "$SHARDS/$format/whole" >/dev/null
+  "$PDGF" generate --model models/tpch.xml -p SF=0.0001 --format "$format" \
+    --workers 0 --out "$SHARDS/$format/inline" >/dev/null
   for node in $(seq 0 31); do
     "$PDGF" generate --model models/tpch.xml -p SF=0.0001 --format "$format" \
       --node "$node" --nodes 32 --out "$SHARDS/$format/parts" >/dev/null
@@ -65,6 +68,10 @@ for format in csv json xml sql; do
     for node in $(seq 0 31); do parts+=("$SHARDS/$format/parts/$table.part$node.$format"); done
     if ! cat "${parts[@]}" | cmp -s - "$whole"; then
       echo "FAIL: $format $table part files do not concatenate to the whole table" >&2
+      exit 1
+    fi
+    if ! cmp -s "$SHARDS/$format/inline/$table.$format" "$whole"; then
+      echo "FAIL: $format $table inline run differs from the pooled whole" >&2
       exit 1
     fi
     echo "  ok   $format $table"
