@@ -5,15 +5,16 @@
 //! same per-kind cell kernels, so comparing them cannot notice a kernel
 //! whose draws changed. These tests can: they pin the FNV-1a-64 hash of
 //! the full engine output of the generator zoo at three update epochs and
-//! of every shipped model, in all four formats. A changed hash means a
-//! changed byte; it is never re-pinned to make a refactor pass.
+//! of every shipped model, in all four formats, and of the CDC change
+//! files the update black box writes. A changed hash means a changed
+//! byte; it is never re-pinned to make a refactor pass.
 
 mod zoo;
 
-use dbsynth_suite::pdgf::{OutputFormat, Pdgf};
+use dbsynth_suite::pdgf::{OutputFormat, Pdgf, PdgfProject};
 use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_output::MemorySink;
-use pdgf_runtime::{generate_table_range, RunConfig};
+use pdgf_runtime::{generate_table_range, RunConfig, UpdateConfig};
 use zoo::generator_zoo;
 
 /// FNV-1a-64 over `bytes`, continuing from `hash`.
@@ -167,4 +168,100 @@ fn bigbench_bytes_are_pinned() {
             (Sql, 0xf75b_5874_3229_c30b),
         ],
     );
+}
+
+/// `(file, hash)` of every `<table>.u<epoch>.sql` change file that
+/// `generate_updates_to_dir` writes for `project` at epochs 1–3, in the
+/// order it writes them.
+fn cdc_fingerprints(project: &PdgfProject, label: &str) -> Vec<(String, u64)> {
+    let dir = std::env::temp_dir().join(format!("pdgf-cdc-pin-{label}-{}", std::process::id()));
+    let files = project
+        .generate_updates_to_dir(&dir, 3, UpdateConfig::default())
+        .expect("change files write");
+    let hashes = files
+        .iter()
+        .map(|(table, epoch, _)| {
+            let name = format!("{table}.u{epoch}.sql");
+            let bytes = std::fs::read(dir.join(&name)).expect("change file reads");
+            (name, fnv1a(FNV_OFFSET, &bytes))
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    hashes
+}
+
+/// A project's pinned change files: `(file name, FNV-1a hash)`.
+type CdcPins<'a> = &'a [(&'a str, u64)];
+
+/// The CDC bytes: one hash per (table, epoch) change file under the
+/// default `UpdateConfig`, for the zoo and for TPC-H SF 0.001. (A table
+/// whose epochs change nothing writes an empty file: TPC-H's 5-row
+/// `region` hashes to the FNV offset.)
+#[test]
+fn cdc_change_files_are_pinned() {
+    let zoo = Pdgf::from_schema(generator_zoo())
+        .build()
+        .expect("zoo builds");
+    let tpch = dbsynth_suite::workloads::tpch::project(0.001)
+        .build()
+        .expect("tpch builds");
+    let pinned: [(&str, &PdgfProject, CdcPins); 2] = [
+        (
+            "zoo",
+            &zoo,
+            &[
+                ("parent.u1.sql", 0x3487_38e5_7ae8_f590),
+                ("parent.u2.sql", 0xfecb_17f7_1b18_b4a9),
+                ("parent.u3.sql", 0x6658_de77_1d49_c781),
+                ("kitchen.u1.sql", 0x7f30_a5fa_861b_1fcf),
+                ("kitchen.u2.sql", 0x0edc_4781_6e65_9950),
+                ("kitchen.u3.sql", 0x4247_f382_9839_445b),
+            ],
+        ),
+        (
+            "tpch",
+            &tpch,
+            &[
+                ("region.u1.sql", FNV_OFFSET),
+                ("region.u2.sql", FNV_OFFSET),
+                ("region.u3.sql", FNV_OFFSET),
+                ("nation.u1.sql", 0x98b1_3efb_ef02_c96c),
+                ("nation.u2.sql", 0x70f3_e019_1d6f_338a),
+                ("nation.u3.sql", 0xa217_aff2_d333_9113),
+                ("supplier.u1.sql", 0x212e_4e40_d8b3_8959),
+                ("supplier.u2.sql", 0x3c93_4032_4e4d_f929),
+                ("supplier.u3.sql", 0x0ca3_11da_e887_20ed),
+                ("customer.u1.sql", 0x2314_2434_37e3_3659),
+                ("customer.u2.sql", 0xe83d_b559_e863_518c),
+                ("customer.u3.sql", 0x51b1_0bc2_c70c_f7b3),
+                ("part.u1.sql", 0xcfae_ef4c_1580_b643),
+                ("part.u2.sql", 0xd1c3_8a80_ccc3_0599),
+                ("part.u3.sql", 0xcb78_4dc5_3cb7_1cf5),
+                ("partsupp.u1.sql", 0x8a65_d43e_215a_c0c7),
+                ("partsupp.u2.sql", 0x7e2a_eacc_7498_94b9),
+                ("partsupp.u3.sql", 0x8d8f_9b7b_49d0_da4d),
+                ("orders.u1.sql", 0x929a_4eda_a6aa_32cd),
+                ("orders.u2.sql", 0x4096_16d3_277c_d150),
+                ("orders.u3.sql", 0xfbcc_6636_1974_93a5),
+                ("lineitem.u1.sql", 0x6bba_95b2_877e_2dbb),
+                ("lineitem.u2.sql", 0x00a8_0722_3284_ba17),
+                ("lineitem.u3.sql", 0xfa20_3209_8f33_668c),
+            ],
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (label, project, want) in pinned {
+        let got = cdc_fingerprints(project, label);
+        let names: Vec<&str> = got.iter().map(|(name, _)| name.as_str()).collect();
+        let want_names: Vec<&str> = want.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, want_names, "{label}: change files");
+        for ((name, hash), (_, pin)) in got.iter().zip(want) {
+            if hash != pin {
+                wrong.push(format!(
+                    "{label} {name}: got {hash:#018x}, pinned {pin:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
