@@ -57,20 +57,9 @@ fn load_source(sf: f64) -> Database {
         .workers(0)
         .build()
         .expect("tpch model builds");
-    let rt = project.runtime();
     let mut db = Database::new();
-    dbsynth::translate::create_target_tables(&mut db, project.schema()).expect("DDL applies");
-    for (t_idx, table) in rt.tables().iter().enumerate() {
-        let mut start = 0u64;
-        while start < table.size {
-            let end = table.size.min(start + 8_192);
-            let rows: Vec<Vec<pdgf_schema::Value>> =
-                (start..end).map(|r| rt.row(t_idx as u32, 0, r)).collect();
-            db.bulk_load(&table.name, rows)
-                .expect("generated rows satisfy DDL");
-            start = end;
-        }
-    }
+    dbsynth::load_generated(&mut db, project.schema(), project.runtime())
+        .expect("generated rows satisfy DDL");
     db
 }
 

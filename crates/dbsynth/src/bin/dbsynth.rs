@@ -8,15 +8,15 @@
 //! dbsynth seed-source --out <dir> [--movies N]    # create a demo source DB
 //! dbsynth extract  --source <dir> --out <modeldir>
 //!                  [--schema-only] [--sample FRACTION] [--seed N]
-//! dbsynth generate --model <modeldir> --target <dir> [--scale SF] [--workers N]
+//! dbsynth generate --model <modeldir> --target <dir> [--scale SF]
 //! dbsynth roundtrip --source <dir> [--scale SF] [--sample FRACTION]
 //! ```
 
 use std::process::ExitCode;
 
 use dbsynth::{
-    compare_databases, generate_into, load_database_dir, load_model_dir, save_database_dir,
-    save_model_dir, ExtractionOptions, Extractor, SamplingOptions,
+    compare_databases, generate_into, load_database_dir, load_generated, load_model_dir,
+    save_database_dir, save_model_dir, ExtractionOptions, Extractor, SamplingOptions,
 };
 use minidb::{Database, SampleStrategy};
 
@@ -30,7 +30,6 @@ struct Args {
     schema_only: bool,
     infer_fks: bool,
     seed: u64,
-    workers: usize,
     movies: u64,
 }
 
@@ -41,7 +40,7 @@ fn usage() -> ExitCode {
          seed-source: --out <dir> [--movies N]\n\
          extract:     --source <dir> --out <modeldir> [--schema-only]\n\
          \u{20}            [--sample FRACTION] [--infer-fks] [--seed N]\n\
-         generate:    --model <modeldir> --target <dir> [--scale SF] [--workers N]\n\
+         generate:    --model <modeldir> --target <dir> [--scale SF]\n\
          roundtrip:   --source <dir> [--scale SF] [--sample FRACTION]\n"
     );
     ExitCode::from(2)
@@ -59,7 +58,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
         schema_only: false,
         infer_fks: false,
         seed: 12_456_789,
-        workers: 2,
         movies: 2_000,
     };
     while let Some(flag) = argv.next() {
@@ -78,9 +76,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             "--schema-only" => args.schema_only = true,
             "--infer-fks" => args.infer_fks = true,
             "--seed" => args.seed = value("--seed")?.parse().map_err(|_| "bad --seed")?,
-            "--workers" => {
-                args.workers = value("--workers")?.parse().map_err(|_| "bad --workers")?
-            }
             "--movies" => args.movies = value("--movies")?.parse().map_err(|_| "bad --movies")?,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -153,21 +148,15 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             let project = load_model_dir(model_dir)
                 .map_err(|e| e.to_string())?
                 .set_property("SF", &format!("{}", args.scale))
-                .workers(args.workers)
                 .build()
                 .map_err(|e| e.to_string())?;
             // Generate into an in-memory target, then persist as a
             // database directory (schema.sql + CSVs).
             let mut db = Database::new();
-            dbsynth::translate::create_target_tables(&mut db, project.schema())
+            let loaded = load_generated(&mut db, project.schema(), project.runtime())
                 .map_err(|e| e.to_string())?;
-            let rt = project.runtime();
-            for (t_idx, table) in rt.tables().iter().enumerate() {
-                let rows: Vec<Vec<pdgf_schema::Value>> = (0..table.size)
-                    .map(|r| rt.row(t_idx as u32, 0, r))
-                    .collect();
-                db.bulk_load(&table.name, rows).map_err(|e| e.to_string())?;
-                println!("{:<20} {:>12} rows", table.name, table.size);
+            for (table, rows) in loaded {
+                println!("{table:<20} {rows:>12} rows");
             }
             save_database_dir(&db, target).map_err(|e| e.to_string())?;
             println!("wrote synthetic database to {target}");
@@ -180,8 +169,7 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
                 .extract("roundtrip")
                 .map_err(|e| e.to_string())?;
             let mut target = Database::new();
-            generate_into(&mut target, &model, args.scale, args.workers)
-                .map_err(|e| e.to_string())?;
+            generate_into(&mut target, &model, args.scale).map_err(|e| e.to_string())?;
             let report = compare_databases(&db, &target, args.scale).map_err(|e| e.to_string())?;
             println!("{}", report.to_summary_string());
             println!(

@@ -42,6 +42,6 @@ pub use rules::RuleEngine;
 pub use translate::schema_to_ddl;
 pub use validate::{compare_databases, FidelityReport};
 pub use workflow::{
-    generate_into, load_database_dir, load_model_dir, save_database_dir, save_model_dir,
-    SynthesisReport,
+    generate_into, load_database_dir, load_generated, load_model_dir, save_database_dir,
+    save_model_dir, SynthesisReport,
 };

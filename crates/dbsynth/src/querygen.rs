@@ -342,7 +342,7 @@ pub fn analytic_answer(schema: &Schema, rt: &SchemaRuntime, query: &GeneratedQue
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::translate::create_target_tables;
+    use crate::workflow::load_generated;
     use minidb::sql::query;
     use minidb::Database;
     use pdgf_gen::MapResolver;
@@ -419,13 +419,7 @@ mod tests {
         let schema = model();
         let rt = SchemaRuntime::build(&schema, &MapResolver::new()).unwrap();
         let mut db = Database::new();
-        create_target_tables(&mut db, &schema).unwrap();
-        for (t_idx, table) in rt.tables().iter().enumerate() {
-            let rows: Vec<Vec<pdgf_schema::Value>> = (0..table.size)
-                .map(|r| rt.row(t_idx as u32, 0, r))
-                .collect();
-            db.bulk_load(&table.name, rows).unwrap();
-        }
+        load_generated(&mut db, &schema, &rt).unwrap();
         (schema, rt, db)
     }
 

@@ -241,7 +241,7 @@ mod tests {
         .extract("m")
         .unwrap();
         let mut synthetic = Database::new();
-        generate_into(&mut synthetic, &model, 1.0, 0).unwrap();
+        generate_into(&mut synthetic, &model, 1.0).unwrap();
 
         let report = compare_databases(&original, &synthetic, 1.0).unwrap();
         assert_eq!(report.tables.len(), 1);
@@ -274,7 +274,7 @@ mod tests {
             .extract("m")
             .unwrap();
         let mut synthetic = Database::new();
-        generate_into(&mut synthetic, &model, 2.0, 0).unwrap();
+        generate_into(&mut synthetic, &model, 2.0).unwrap();
         let report = compare_databases(&original, &synthetic, 2.0).unwrap();
         assert!((report.tables[0].row_ratio - 2.0).abs() < 1e-9);
         assert!(report.max_null_delta() < 0.05);

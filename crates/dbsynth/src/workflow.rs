@@ -12,7 +12,8 @@ use std::time::{Duration, Instant};
 
 use minidb::{Database, DbError};
 use pdgf::{Pdgf, PdgfError};
-use pdgf_gen::MapResolver;
+use pdgf_gen::{MapResolver, SchemaRuntime};
+use pdgf_schema::Schema;
 
 use crate::extract::ExtractedModel;
 use crate::translate::create_target_tables;
@@ -78,6 +79,31 @@ pub fn pdgf_from_model(model: &ExtractedModel) -> Pdgf {
     Pdgf::from_schema(model.schema.clone()).resolver(resolver)
 }
 
+/// Rows per bulk load: each table is generated and loaded in ranges of
+/// this many rows, so a load holds one range of owned rows at a time.
+const LOAD_CHUNK: u64 = 8_192;
+
+/// Create `schema`'s tables in `target`, then bulk-load every table of
+/// `rt` (compiled from `schema`) at update 0, one [`SchemaRuntime::rows`]
+/// range of [`LOAD_CHUNK`] rows at a time. Returns the rows loaded per
+/// table, in model order.
+pub fn load_generated(
+    target: &mut Database,
+    schema: &Schema,
+    rt: &SchemaRuntime,
+) -> Result<Vec<(String, u64)>, DbError> {
+    create_target_tables(target, schema)?;
+    let mut loaded = Vec::with_capacity(rt.tables().len());
+    for (t_idx, table) in rt.tables().iter().enumerate() {
+        for start in (0..table.size).step_by(LOAD_CHUNK as usize) {
+            let end = table.size.min(start + LOAD_CHUNK);
+            target.bulk_load(&table.name, rt.rows(t_idx as u32, 0, start..end))?;
+        }
+        loaded.push((table.name.clone(), table.size));
+    }
+    Ok(loaded)
+}
+
 /// Generate the model's data at `scale` and load it into `target`:
 /// the full "schema translator → PDGF → JDBC → target database" path of
 /// Figure 3, using minidb's bulk-load interface.
@@ -85,32 +111,13 @@ pub fn generate_into(
     target: &mut Database,
     model: &ExtractedModel,
     scale: f64,
-    workers: usize,
 ) -> Result<SynthesisReport, DbError> {
     let started = Instant::now();
-    create_target_tables(target, &model.schema)?;
     let project = pdgf_from_model(model)
         .set_property("SF", &format!("{scale}"))
-        .workers(workers)
         .build()
         .map_err(|e| DbError::Sql(e.to_string()))?;
-    let rt = project.runtime();
-    let mut rows_loaded = Vec::new();
-    for (t_idx, table) in rt.tables().iter().enumerate() {
-        // Generate typed rows straight into the bulk loader in chunks.
-        const CHUNK: u64 = 8_192;
-        let mut loaded = 0u64;
-        let mut start = 0u64;
-        while start < table.size {
-            let end = table.size.min(start + CHUNK);
-            let rows: Vec<Vec<pdgf_schema::Value>> =
-                (start..end).map(|r| rt.row(t_idx as u32, 0, r)).collect();
-            target.bulk_load(&table.name, rows)?;
-            loaded += end - start;
-            start = end;
-        }
-        rows_loaded.push((table.name.clone(), loaded));
-    }
+    let rows_loaded = load_generated(target, &model.schema, project.runtime())?;
     Ok(SynthesisReport {
         rows_loaded,
         elapsed: started.elapsed(),
@@ -234,7 +241,7 @@ mod tests {
     fn generate_into_loads_scaled_rows() {
         let model = extracted();
         let mut target = Database::new();
-        let report = generate_into(&mut target, &model, 2.0, 2).unwrap();
+        let report = generate_into(&mut target, &model, 2.0).unwrap();
         assert_eq!(report.total_rows(), 100);
         let t = target.table("person").unwrap();
         assert_eq!(t.row_count(), 100);
@@ -303,8 +310,8 @@ mod tests {
     fn bulk_loaded_rows_respect_constraints() {
         let model = extracted();
         let mut target = Database::new();
-        generate_into(&mut target, &model, 1.0, 0).unwrap();
+        generate_into(&mut target, &model, 1.0).unwrap();
         // Re-running against the same target fails on duplicate tables.
-        assert!(generate_into(&mut target, &model, 1.0, 0).is_err());
+        assert!(generate_into(&mut target, &model, 1.0).is_err());
     }
 }

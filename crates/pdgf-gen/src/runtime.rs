@@ -318,6 +318,18 @@ impl SchemaRuntime {
         out
     }
 
+    /// The rows `range` of `table` at `update` as owned values, filled by
+    /// one [`fill_batch`](Self::fill_batch): equal to
+    /// `range.map(|r| self.row(table, update, r))`, rows past the table's
+    /// size included. The read for every caller that loads many rows.
+    pub fn rows(&self, table: u32, update: u32, range: std::ops::Range<u64>) -> Vec<Vec<Value>> {
+        let mut batch = ColumnBatch::new();
+        self.fill_batch(table, update, range, &mut batch, &mut GenScratch::default());
+        (0..batch.rows())
+            .map(|r| batch.columns().iter().map(|c| c.value(r)).collect())
+            .collect()
+    }
+
     /// The seed tree (exposed for the seed-cache ablation bench).
     pub fn seed_tree(&self) -> &SeedTree {
         &self.seed_tree

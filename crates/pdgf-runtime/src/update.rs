@@ -238,13 +238,12 @@ impl UpdateBlackBox {
 
         // Inserts: fresh rows above the high-water mark, generated at the
         // epoch's seed level so each epoch's inserts are distinct data.
-        for i in 0..n_inserts {
-            let row = high_water + i;
-            let values = (0..n_cols)
-                .map(|c| rt.value(self.table, c, epoch, row))
-                .collect();
-            ops.push(UpdateOp::Insert { row, values });
-        }
+        let inserted = rt.rows(self.table, epoch, high_water..high_water + n_inserts);
+        ops.extend(
+            (high_water..)
+                .zip(inserted)
+                .map(|(row, values)| UpdateOp::Insert { row, values }),
+        );
 
         UpdateBatch {
             epoch,

@@ -487,8 +487,7 @@ impl PdgfProject {
             .runtime
             .table_by_name(table)
             .ok_or_else(|| PdgfError::Config(format!("unknown table {table:?}")))?;
-        let n = rows.min(t.size);
-        Ok((0..n).map(|r| self.runtime.row(idx, 0, r)).collect())
+        Ok(self.runtime.rows(idx, 0, 0..rows.min(t.size)))
     }
 }
 

@@ -14,7 +14,7 @@
 //! ```
 
 use dbsynth_suite::dbsynth::{
-    analytic_answer, generate_queries, Answer, QueryGenConfig, QueryKind,
+    analytic_answer, generate_queries, load_generated, Answer, QueryGenConfig, QueryKind,
 };
 use dbsynth_suite::minidb::sql::query;
 use dbsynth_suite::minidb::Database;
@@ -55,13 +55,7 @@ fn main() {
 
     // 4. Generate, load, verify.
     let mut db = Database::new();
-    dbsynth_suite::dbsynth::translate::create_target_tables(&mut db, schema).expect("DDL applies");
-    for (t_idx, table) in rt.tables().iter().enumerate() {
-        let rows: Vec<Vec<dbsynth_suite::pdgf::schema::Value>> = (0..table.size)
-            .map(|r| rt.row(t_idx as u32, 0, r))
-            .collect();
-        db.bulk_load(&table.name, rows).expect("rows satisfy DDL");
-    }
+    load_generated(&mut db, schema, rt).expect("rows satisfy DDL");
     println!("\nloaded the data; verifying:");
     let (mut exact_ok, mut expected_ok, mut total_checked) = (0, 0, 0);
     for (q, a) in workload.iter().zip(&analytic) {

@@ -37,10 +37,8 @@ fn main() {
     let rt = SchemaRuntime::build(&schema, &MapResolver::new()).expect("model validates");
 
     // Initial load: epoch 0.
-    let mut live: std::collections::BTreeMap<u64, Vec<dbsynth_suite::pdgf::schema::Value>> = (0
-        ..rt.tables()[0].size)
-        .map(|r| (r, rt.row(0, 0, r)))
-        .collect();
+    let mut live: std::collections::BTreeMap<u64, Vec<dbsynth_suite::pdgf::schema::Value>> =
+        (0..).zip(rt.rows(0, 0, 0..rt.tables()[0].size)).collect();
     println!("initial load: {} accounts", live.len());
 
     // Stream five epochs of changes: 5% inserts, 5% updates, 1% deletes.

@@ -93,7 +93,7 @@ fn main() {
 
     // 5. Generate into the target at double scale.
     let mut target = Database::new();
-    let report = generate_into(&mut target, &model, 2.0, 2).expect("generate + load");
+    let report = generate_into(&mut target, &model, 2.0).expect("generate + load");
     println!(
         "\nloaded {} synthetic rows into the target database",
         report.total_rows()

@@ -35,7 +35,7 @@ fn full_roundtrip_preserves_statistics() {
         .extract("imdb")
         .expect("extraction");
     let mut synthetic = Database::new();
-    let report = generate_into(&mut synthetic, &model, 1.0, 2).expect("generate+load");
+    let report = generate_into(&mut synthetic, &model, 1.0).expect("generate+load");
     assert_eq!(
         report.total_rows() as usize,
         original
@@ -89,7 +89,7 @@ fn scaling_up_multiplies_rows_and_keeps_referential_integrity() {
         .extract("imdb")
         .expect("extraction");
     let mut synthetic = Database::new();
-    generate_into(&mut synthetic, &model, 3.0, 0).expect("generate+load");
+    generate_into(&mut synthetic, &model, 3.0).expect("generate+load");
     assert_eq!(
         synthetic.table("movies").expect("movies").row_count(),
         1_800
@@ -203,7 +203,7 @@ fn histogram_extraction_preserves_skew_that_uniform_bounds_lose() {
             .extract("skew")
             .expect("extract");
         let mut target = Database::new();
-        generate_into(&mut target, &model, 1.0, 0).expect("generate");
+        generate_into(&mut target, &model, 1.0).expect("generate");
         small_fraction(&target)
     };
 
@@ -235,7 +235,7 @@ fn schema_only_extraction_still_generates_plausible_data() {
         .extract("imdb")
         .expect("schema-only extraction");
     let mut synthetic = Database::new();
-    generate_into(&mut synthetic, &model, 1.0, 0).expect("generate+load");
+    generate_into(&mut synthetic, &model, 1.0).expect("generate+load");
     assert_eq!(synthetic.table("movies").expect("movies").row_count(), 600);
     // p_name matched the "name" keyword rule: two capitalized words.
     let t = synthetic.table("persons").expect("persons");

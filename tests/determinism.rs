@@ -2,10 +2,13 @@
 //! rests on: generated data is a pure function of the model and its seed,
 //! independent of any execution detail.
 
+mod zoo;
+
 use std::collections::BTreeMap;
 
 use dbsynth_suite::pdgf::{OutputFormat, Pdgf};
-use dbsynth_suite::workloads::tpch;
+use dbsynth_suite::workloads::{bigbench, tpch};
+use pdgf_gen::{MapResolver, SchemaRuntime};
 use pdgf_output::{CsvFormatter, MemorySinkFactory};
 use pdgf_runtime::{GenerationRun, RunConfig};
 
@@ -139,4 +142,34 @@ fn formats_carry_identical_data() {
         .next()
         .expect("has rows")
         .contains(&format!("VALUES ({key}")));
+}
+
+/// `SchemaRuntime::rows` is the per-cell read of a range: over the zoo,
+/// TPC-H and BigBench, at updates 0 and 2, for each table's first rows
+/// (at most 3,000), the 50 rows past its end (the rows CDC inserts read)
+/// and an empty range, it returns exactly `row` of every row.
+#[test]
+fn range_reads_equal_per_cell_rows() {
+    let zoo = SchemaRuntime::build(&zoo::generator_zoo(), &MapResolver::new()).expect("zoo builds");
+    let tpch = tpch::project(0.01).build().expect("tpch builds");
+    let bigbench = bigbench::project(0.1).build().expect("bigbench builds");
+    for (label, rt) in [
+        ("zoo", &zoo),
+        ("tpch SF=0.01", tpch.runtime()),
+        ("bigbench SF=0.1", bigbench.runtime()),
+    ] {
+        for (t, table) in rt.tables().iter().enumerate() {
+            let t = t as u32;
+            for update in [0, 2] {
+                for range in [0..table.size.min(3_000), table.size..table.size + 50, 7..7] {
+                    let per_cell: Vec<_> = range.clone().map(|r| rt.row(t, update, r)).collect();
+                    assert!(
+                        rt.rows(t, update, range.clone()) == per_cell,
+                        "{label} {} update={update} rows {range:?}",
+                        table.name
+                    );
+                }
+            }
+        }
+    }
 }

@@ -3,6 +3,7 @@
 //! "reference computation" strategy guarantees without ever reading
 //! generated data.
 
+use dbsynth_suite::dbsynth::load_generated;
 use dbsynth_suite::minidb::sql::{execute, query};
 use dbsynth_suite::minidb::Database;
 use dbsynth_suite::workloads::{bigbench, tpch};
@@ -11,15 +12,7 @@ use pdgf_schema::Value;
 /// Generate a project's tables straight into a fresh minidb.
 fn load_project(project: &dbsynth_suite::pdgf::PdgfProject) -> Database {
     let mut db = Database::new();
-    dbsynth_suite::dbsynth::translate::create_target_tables(&mut db, project.schema())
-        .expect("DDL applies");
-    let rt = project.runtime();
-    for (t_idx, table) in rt.tables().iter().enumerate() {
-        let rows: Vec<Vec<Value>> = (0..table.size)
-            .map(|r| rt.row(t_idx as u32, 0, r))
-            .collect();
-        db.bulk_load(&table.name, rows).expect("rows satisfy DDL");
-    }
+    load_generated(&mut db, project.schema(), project.runtime()).expect("rows satisfy DDL");
     db
 }
 
