@@ -948,6 +948,15 @@ impl SqlFormatter {
     pub fn new() -> Self {
         Self
     }
+
+    /// `v` as a SQL literal, byte for byte as an `INSERT` writes the cell:
+    /// numbers bare, text, dates and timestamps in single quotes with `'`
+    /// doubled, `TRUE`/`FALSE`, and `NULL` for NULL, NaN and the
+    /// infinities. The one SQL literal writer, which the CDC change files
+    /// share.
+    pub fn literal(&self, out: &mut Vec<u8>, v: ValueRef<'_>) {
+        self.cell(out, v);
+    }
 }
 
 /// What SQL writes for byte `b` inside a string literal, if `b` must be
@@ -1595,6 +1604,24 @@ mod tests {
             assert!(is_clean(&arena, json_dirty));
             arena[at] = b'"';
             assert!(!is_clean(&arena, json_dirty), "dirty byte at {at}");
+        }
+    }
+
+    #[test]
+    fn sql_formatter_literals_escape_text() {
+        let literal = |v: Value| {
+            let mut out = Vec::new();
+            SqlFormatter.literal(&mut out, ValueRef::from(&v));
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(literal(Value::Null), "NULL");
+        assert_eq!(literal(Value::Bool(true)), "TRUE");
+        assert_eq!(literal(Value::Long(-3)), "-3");
+        assert_eq!(literal(Value::decimal(150, 2)), "1.50");
+        assert_eq!(literal(Value::text("O'Brien")), "'O''Brien'");
+        assert_eq!(literal(Value::Double(0.5)), "0.5");
+        for d in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(literal(Value::Double(d)), "NULL", "{d}");
         }
     }
 

@@ -17,8 +17,9 @@
 //! agree.
 
 use pdgf_gen::SchemaRuntime;
+use pdgf_output::SqlFormatter;
 use pdgf_prng::{PdgfDefaultRandom, PdgfRng};
-use pdgf_schema::Value;
+use pdgf_schema::{Value, ValueRef};
 
 /// Fractions of the table's current logical size affected per epoch.
 #[derive(Debug, Clone, Copy)]
@@ -79,34 +80,13 @@ pub struct UpdateBatch {
     pub high_water: u64,
 }
 
-fn sql_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-        // SQL has no literal for NaN or the infinities.
-        Value::Double(d) if !d.is_finite() => "NULL".to_string(),
-        Value::Long(_) | Value::Double(_) | Value::Decimal { .. } => v.to_string(),
-        other => {
-            let text = other.to_string();
-            let mut out = String::with_capacity(text.len() + 2);
-            out.push('\'');
-            for c in text.chars() {
-                if c == '\'' {
-                    out.push('\'');
-                }
-                out.push(c);
-            }
-            out.push('\'');
-            out
-        }
-    }
-}
-
 impl UpdateBatch {
     /// Render the batch as executable SQL DML — the change-data-capture
     /// form an ETL benchmark (TPC-DI-style) feeds to the target system.
     /// `columns` are the table's column names; `key_column` indexes the
-    /// identity column used in UPDATE/DELETE predicates.
+    /// identity column used in UPDATE/DELETE predicates. Every literal is
+    /// written by [`SqlFormatter::literal`], as the SQL output format
+    /// writes it.
     ///
     /// Note: deletes/updates address rows by *key value*; because key
     /// columns keep their epoch-0 identity, the key of row `r` is
@@ -118,30 +98,35 @@ impl UpdateBatch {
         key_column: usize,
         key_of: &dyn Fn(u64) -> Value,
     ) -> Vec<String> {
+        let literal = |v: &Value| {
+            let mut out = Vec::new();
+            SqlFormatter.literal(&mut out, ValueRef::from(v));
+            String::from_utf8_lossy(&out).into_owned()
+        };
         let mut out = Vec::with_capacity(self.ops.len());
         for op in &self.ops {
             match op {
                 UpdateOp::Delete { row } => out.push(format!(
                     "DELETE FROM {table} WHERE {} = {}",
                     columns[key_column],
-                    sql_literal(&key_of(*row))
+                    literal(&key_of(*row))
                 )),
                 UpdateOp::Update { row, values } => {
                     let sets: Vec<String> = columns
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| *i != key_column)
-                        .map(|(i, c)| format!("{c} = {}", sql_literal(&values[i])))
+                        .map(|(i, c)| format!("{c} = {}", literal(&values[i])))
                         .collect();
                     out.push(format!(
                         "UPDATE {table} SET {} WHERE {} = {}",
                         sets.join(", "),
                         columns[key_column],
-                        sql_literal(&key_of(*row))
+                        literal(&key_of(*row))
                     ));
                 }
                 UpdateOp::Insert { values, .. } => {
-                    let vals: Vec<String> = values.iter().map(sql_literal).collect();
+                    let vals: Vec<String> = values.iter().map(literal).collect();
                     out.push(format!(
                         "INSERT INTO {table} ({}) VALUES ({})",
                         columns.join(", "),
@@ -425,18 +410,5 @@ mod tests {
             .iter()
             .filter(|s| s.starts_with("UPDATE"))
             .all(|s| !s.contains("SET id")));
-    }
-
-    #[test]
-    fn sql_literals_escape_text() {
-        assert_eq!(sql_literal(&Value::Null), "NULL");
-        assert_eq!(sql_literal(&Value::Bool(true)), "TRUE");
-        assert_eq!(sql_literal(&Value::Long(-3)), "-3");
-        assert_eq!(sql_literal(&Value::decimal(150, 2)), "1.50");
-        assert_eq!(sql_literal(&Value::text("O'Brien")), "'O''Brien'");
-        assert_eq!(sql_literal(&Value::Double(0.5)), "0.5");
-        for d in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(sql_literal(&Value::Double(d)), "NULL", "{d}");
-        }
     }
 }
