@@ -10,7 +10,7 @@ use pdgf_output::{
     CsvFormatter, DirSinkFactory, Formatter, JsonFormatter, MemorySink, NullSinkFactory,
     SqlFormatter, XmlFormatter,
 };
-use pdgf_runtime::{GenerationRun, RunConfig, RunReport, Telemetry};
+use pdgf_runtime::{GenerationRun, RunConfig, RunReport, Telemetry, UpdateOp};
 use pdgf_schema::config as xmlconfig;
 use pdgf_schema::{absint, Schema, Value};
 
@@ -422,6 +422,10 @@ impl PdgfProject {
     /// an executable SQL change file (`<table>.u<epoch>.sql`) into `dir` —
     /// the ETL/CDC output path (PDGF's update generation is what TPC-DI's
     /// data generator is built on). Returns per-file operation counts.
+    ///
+    /// UPDATE and DELETE address a row by its primary key. A table with no
+    /// primary-key column has no such address (any column may repeat), so
+    /// its change files hold its inserts only.
     pub fn generate_updates_to_dir(
         &self,
         dir: impl AsRef<Path>,
@@ -435,9 +439,13 @@ impl PdgfProject {
         for (t_idx, table) in rt.tables().iter().enumerate() {
             let bb = pdgf_runtime::UpdateBlackBox::new(t_idx as u32, config);
             let columns: Vec<String> = table.columns.iter().map(|c| c.name.clone()).collect();
-            let key_column = table.columns.iter().position(|c| c.primary).unwrap_or(0);
+            let primary = table.columns.iter().position(|c| c.primary);
+            let key_column = primary.unwrap_or(0);
             for epoch in 1..=epochs {
-                let batch = bb.batch(rt, epoch);
+                let mut batch = bb.batch(rt, epoch);
+                if primary.is_none() {
+                    batch.ops.retain(|op| matches!(op, UpdateOp::Insert { .. }));
+                }
                 let statements = batch.to_sql(&table.name, &columns, key_column, &|row| {
                     rt.value(t_idx as u32, key_column as u32, 0, row)
                 });

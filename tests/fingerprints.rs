@@ -237,15 +237,15 @@ fn cdc_change_files_are_pinned() {
                 ("part.u1.sql", 0xcfae_ef4c_1580_b643),
                 ("part.u2.sql", 0xd1c3_8a80_ccc3_0599),
                 ("part.u3.sql", 0xcb78_4dc5_3cb7_1cf5),
-                ("partsupp.u1.sql", 0x8a65_d43e_215a_c0c7),
-                ("partsupp.u2.sql", 0x7e2a_eacc_7498_94b9),
-                ("partsupp.u3.sql", 0x8d8f_9b7b_49d0_da4d),
+                ("partsupp.u1.sql", 0x2aea_dd30_6c6b_d94e),
+                ("partsupp.u2.sql", 0x9146_3a24_5f86_c9dc),
+                ("partsupp.u3.sql", 0xe256_dca0_5d95_250a),
                 ("orders.u1.sql", 0x929a_4eda_a6aa_32cd),
                 ("orders.u2.sql", 0x4096_16d3_277c_d150),
                 ("orders.u3.sql", 0xfbcc_6636_1974_93a5),
-                ("lineitem.u1.sql", 0x6bba_95b2_877e_2dbb),
-                ("lineitem.u2.sql", 0x00a8_0722_3284_ba17),
-                ("lineitem.u3.sql", 0xfa20_3209_8f33_668c),
+                ("lineitem.u1.sql", 0xf12a_7bed_b407_1565),
+                ("lineitem.u2.sql", 0x8992_8880_fbdd_b86a),
+                ("lineitem.u3.sql", 0x72da_7292_fccc_1d69),
             ],
         ),
     ];

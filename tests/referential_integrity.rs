@@ -6,6 +6,7 @@
 use dbsynth_suite::dbsynth::load_generated;
 use dbsynth_suite::minidb::sql::{execute, query};
 use dbsynth_suite::minidb::Database;
+use dbsynth_suite::pdgf::runtime::UpdateConfig;
 use dbsynth_suite::workloads::{bigbench, tpch};
 use pdgf_schema::Value;
 
@@ -152,4 +153,41 @@ fn generated_sql_format_loads_through_the_sql_engine() {
     let names = query(&db, "SELECT r_name FROM region ORDER BY r_regionkey").expect("names");
     assert_eq!(names.rows[0][0], Value::text("AFRICA"));
     assert_eq!(names.rows[4][0], Value::text("MIDDLE EAST"));
+}
+
+/// Every DELETE and UPDATE in a CDC change file addresses one row: loaded
+/// at epoch 0, each epoch-1 predicate of TPC-H matches at most one row. A
+/// table with no primary key (`lineitem`, `partsupp`) has no key to
+/// address a row by, so its change files hold inserts only.
+#[test]
+fn cdc_predicates_match_at_most_one_row() {
+    let project = tpch::project(0.001)
+        .workers(0)
+        .build()
+        .expect("tpch builds");
+    let db = load_project(&project);
+    let dir = std::env::temp_dir().join(format!("cdc-predicates-{}", std::process::id()));
+    let files = project
+        .generate_updates_to_dir(&dir, 1, UpdateConfig::default())
+        .expect("change files write");
+    let mut checked = 0;
+    for (table, epoch, _) in files {
+        let sql = std::fs::read_to_string(dir.join(format!("{table}.u{epoch}.sql")))
+            .expect("change file reads");
+        for stmt in sql.lines().filter(|s| !s.starts_with("INSERT")) {
+            let at = stmt
+                .rfind(" WHERE ")
+                .expect("DELETE/UPDATE has a predicate");
+            let predicate = stmt[at..].trim_end_matches(';');
+            let matched = query(&db, &format!("SELECT COUNT(*) FROM {table}{predicate}"))
+                .expect("predicate runs")
+                .rows[0][0]
+                .as_i64()
+                .expect("count");
+            assert!(matched <= 1, "{table}: {matched} rows match {stmt:?}");
+            checked += 1;
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(checked > 0, "no DELETE or UPDATE was checked");
 }
