@@ -19,6 +19,10 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+echo "== examples that assert: update stream and query workload"
+cargo run -q --example streaming_updates >/dev/null
+cargo run -q --example benchmark_workload >/dev/null
+
 echo "== benchmark package: declared-metric and statistics tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
