@@ -170,6 +170,47 @@ fn bigbench_bytes_are_pinned() {
     );
 }
 
+/// The Markov comment columns at scales where every cut to the declared
+/// width occurs: every TPC-H table at SF 0.002 as CSV (`ps_comment` cells
+/// cut at 199 chars, and cuts that land exactly on a word end), and
+/// BigBench's `product_reviews` at SF 1 as JSON (5,000 reviews of 5–60
+/// words in a 500-char column).
+#[test]
+fn markov_columns_are_pinned() {
+    let tpch = dbsynth_suite::workloads::tpch::project(0.002)
+        .build()
+        .expect("tpch builds");
+    check(
+        tpch.runtime(),
+        "tpch SF=0.002",
+        0,
+        &[(Csv, 0xda67_6361_301a_b256)],
+    );
+
+    let bigbench = dbsynth_suite::workloads::bigbench::project(1.0)
+        .build()
+        .expect("bigbench builds");
+    let rt = bigbench.runtime();
+    let (table, reviews) = rt.table_by_name("product_reviews").expect("reviews");
+    let mut sink = MemorySink::new();
+    generate_table_range(
+        rt,
+        table,
+        0,
+        0..reviews.size,
+        Json.formatter().as_ref(),
+        &mut sink,
+        &RunConfig::new().workers(0),
+        None,
+    )
+    .expect("generate");
+    let got = fnv1a(FNV_OFFSET, &sink.into_inner());
+    assert_eq!(
+        got, 0x9e86_ebc4_b4e9_0e11,
+        "bigbench SF=1 product_reviews json: got {got:#018x}"
+    );
+}
+
 /// `(file, hash)` of every `<table>.u<epoch>.sql` change file that
 /// `generate_updates_to_dir` writes for `project` at epochs 1–3, in the
 /// order it writes them.
