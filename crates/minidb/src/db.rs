@@ -3,7 +3,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
-use std::path::Path;
 
 use pdgf_schema::value::Date;
 use pdgf_schema::{SqlType, Value};
@@ -209,12 +208,6 @@ impl Database {
             rows.push(row);
         }
         self.bulk_load(table, rows)
-    }
-
-    /// Load `table` from a CSV file.
-    pub fn load_csv_file(&mut self, table: &str, path: impl AsRef<Path>) -> Result<usize, DbError> {
-        let csv = std::fs::read_to_string(path)?;
-        self.load_csv_str(table, &csv)
     }
 
     /// Export `table` to CSV text.

@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
+use textsynth::keep_len;
 
 use crate::generator::{
     kernel_paths, Cell, CellOut, ColumnCtx, Doubles, Emit, GenScratch, Generator, Kernel, Longs,
@@ -418,9 +419,10 @@ impl Generator for FormulaGenerator {
 }
 
 /// Truncates text values to a column's declared character width — the
-/// behaviour of dbgen-style generators writing into CHAR/VARCHAR columns.
-/// Applied automatically by the schema runtime to text-typed fields.
-/// Truncation never splits a word unless the first word alone overflows.
+/// behaviour of dbgen-style generators writing into CHAR/VARCHAR columns —
+/// with [`keep_len`]: a word is never split unless the first word alone
+/// overflows. The schema runtime wraps a text field in it where the
+/// abstract interpreter cannot prove every value fits.
 pub struct TruncateGenerator {
     inner: Arc<dyn Generator>,
     max_chars: usize,
@@ -433,35 +435,10 @@ impl TruncateGenerator {
         Self { inner, max_chars }
     }
 
-    /// Byte length of `s` to keep, or `None` when it fits. A cut landing
-    /// exactly on a word end keeps the whole head; otherwise the cut
-    /// retreats to the last word boundary, unless the first word alone
-    /// overflows (then it is a hard cut). Bytes bound chars, so a cell
-    /// whose bytes fit skips the char walk, and so does a cell whose first
-    /// `max_chars + 1` bytes are ASCII: there the cut is at byte
-    /// `max_chars`.
-    fn keep_len(&self, s: &str) -> Option<usize> {
-        if s.len() <= self.max_chars {
-            return None;
-        }
-        let (byte_idx, next_char) = if s.as_bytes()[..=self.max_chars].is_ascii() {
-            (self.max_chars, char::from(s.as_bytes()[self.max_chars]))
-        } else {
-            s.char_indices().nth(self.max_chars)?
-        };
-        if next_char == ' ' {
-            return Some(byte_idx);
-        }
-        match s[..byte_idx].rfind(' ') {
-            Some(pos) if pos > 0 => Some(pos),
-            _ => Some(byte_idx),
-        }
-    }
-
     /// Cut `v` to the width when it is text; any other value stays.
     fn cut(&self, v: &mut Value) {
         if let Value::Text(s) = v {
-            if let Some(keep) = self.keep_len(s) {
+            if let Some(keep) = keep_len(s, self.max_chars) {
                 *v = Value::text(&s[..keep]);
             }
         }
@@ -481,7 +458,7 @@ impl Generator for TruncateGenerator {
     ) {
         self.inner.fill_column(ctx, rows, out, scratch);
         if let Some(tc) = out.as_text_mut() {
-            tc.truncate_cells(|s| self.keep_len(s), &mut scratch.text);
+            tc.truncate_cells(|s| keep_len(s, self.max_chars), &mut scratch.text);
         } else if let Some(cells) = out.as_cells_mut() {
             cells.iter_mut().for_each(|cell| self.cut(cell));
         }
@@ -505,7 +482,7 @@ impl Generator for TruncateGenerator {
                     out: CellOut::Column(&mut *out),
                 });
                 if let Some(arena) = out.as_text_mut() {
-                    if let Some(keep) = self.keep_len(arena.get(arena.len() - 1)) {
+                    if let Some(keep) = keep_len(arena.get(arena.len() - 1), self.max_chars) {
                         arena.truncate_last(keep);
                     }
                 } else if let Some(last) = out.as_cells_mut().and_then(|c| c.last_mut()) {
@@ -857,11 +834,13 @@ mod tests {
             "日本語のテキストです",
             "mixed 日本 words here",
         ];
-        let inner = Arc::new(StaticValueGenerator::new(Value::Null));
         for max_chars in [1, 5, 9, 10, 11, 12, 40] {
-            let g = TruncateGenerator::new(inner.clone(), max_chars);
             for s in cells {
-                assert_eq!(g.keep_len(s), walk(max_chars, s), "{max_chars} {s:?}");
+                assert_eq!(
+                    keep_len(s, max_chars),
+                    walk(max_chars, s),
+                    "{max_chars} {s:?}"
+                );
             }
         }
     }

@@ -112,6 +112,14 @@ impl SchemaRuntime {
             .collect();
         let seed_tree = SeedTree::new(schema.seed, &column_counts);
 
+        // The interpreter returns every table or none.
+        let interp = absint::interpret(schema, &analysis, &ResolverOracle(resolver));
+        if interp.tables.len() != schema.tables.len() {
+            return Err(BuildError(
+                "the abstract interpreter profiled no tables".into(),
+            ));
+        }
+
         let builder = GeneratorBuilder {
             schema,
             sizes: &sizes,
@@ -129,18 +137,22 @@ impl SchemaRuntime {
                     .iter()
                     .enumerate()
                     .map(|(c_idx, f)| {
+                        // Text columns cut overflowing values to the
+                        // declared width, as dbgen-style generators do: a
+                        // Markov leaf as it writes, and a wrapper wherever
+                        // the interpreter cannot prove the cut never fires.
+                        let limit = (f.sql_type.is_text() && f.size > 0).then_some(f.size as usize);
                         let mut generator = builder
-                            .build_spec(
+                            .build_field(
                                 &f.generator,
+                                limit,
                                 t_idx as u32,
                                 c_idx as u32,
                                 sizes[t_idx],
                                 &mut Vec::new(),
                             )
                             .map_err(|e| BuildError(format!("{}.{}: {}", t.name, f.name, e.0)))?;
-                        // Text columns truncate overflowing values to the
-                        // declared width, as dbgen-style generators do.
-                        if f.sql_type.is_text() && f.size > 0 {
+                        if interp.tables[t_idx].columns[c_idx].truncates {
                             generator = Arc::new(crate::meta::TruncateGenerator::new(
                                 generator,
                                 f.size as usize,
@@ -162,13 +174,6 @@ impl SchemaRuntime {
             })
             .collect::<Result<Vec<_>, BuildError>>()?;
 
-        // The interpreter returns every table or none.
-        let interp = absint::interpret(schema, &analysis, &ResolverOracle(resolver));
-        if interp.tables.len() != tables.len() {
-            return Err(BuildError(
-                "the abstract interpreter profiled no tables".into(),
-            ));
-        }
         let profiles = interp
             .tables
             .into_iter()
@@ -413,6 +418,57 @@ impl GeneratorBuilder<'_> {
         }
     }
 
+    /// `spec` built for a column cut to `limit` chars: a Markov leaf
+    /// reached through `Null` wrappers only cuts as it writes (the
+    /// interpreter's `fold_field` mirrors this); any other generator is
+    /// built as it stands.
+    fn build_field(
+        &self,
+        spec: &GeneratorSpec,
+        limit: Option<usize>,
+        table: u32,
+        column: u32,
+        table_size: u64,
+        aux: &mut Vec<Option<(u32, u32)>>,
+    ) -> Result<Arc<dyn Generator>, BuildError> {
+        Ok(match (spec, limit) {
+            (
+                GeneratorSpec::Markov {
+                    source,
+                    min_words,
+                    max_words,
+                },
+                Some(max_chars),
+            ) => Arc::new(
+                self.markov(source, *min_words, *max_words)?
+                    .capped(max_chars),
+            ),
+            (GeneratorSpec::Null { probability, inner }, Some(_)) => {
+                let inner = self.build_field(inner, limit, table, column, table_size, aux)?;
+                Arc::new(NullGenerator::new(*probability, inner))
+            }
+            _ => self.build_spec(spec, table, column, table_size, aux)?,
+        })
+    }
+
+    fn markov(
+        &self,
+        source: &MarkovSource,
+        min_words: u32,
+        max_words: u32,
+    ) -> Result<MarkovChainGenerator, BuildError> {
+        let model: Arc<MarkovModel> = match source {
+            MarkovSource::Inline(text) => {
+                Arc::new(MarkovModel::from_text(text).map_err(|e| BuildError(e.to_string()))?)
+            }
+            MarkovSource::File(path) => self
+                .resolver
+                .markov(path)
+                .map_err(|e| BuildError(e.to_string()))?,
+        };
+        Ok(MarkovChainGenerator::new(model, min_words, max_words))
+    }
+
     fn build_spec(
         &self,
         spec: &GeneratorSpec,
@@ -483,18 +539,7 @@ impl GeneratorBuilder<'_> {
                 source,
                 min_words,
                 max_words,
-            } => {
-                let model: Arc<MarkovModel> = match source {
-                    MarkovSource::Inline(text) => Arc::new(
-                        MarkovModel::from_text(text).map_err(|e| BuildError(e.to_string()))?,
-                    ),
-                    MarkovSource::File(path) => self
-                        .resolver
-                        .markov(path)
-                        .map_err(|e| BuildError(e.to_string()))?,
-                };
-                Arc::new(MarkovChainGenerator::new(model, *min_words, *max_words))
-            }
+            } => Arc::new(self.markov(source, *min_words, *max_words)?),
             GeneratorSpec::Reference {
                 table: t_name,
                 field,

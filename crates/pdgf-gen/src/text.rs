@@ -77,10 +77,14 @@ impl Generator for DictByRowGenerator {
 /// Generates free text from a Markov chain model with a word count drawn
 /// uniformly from `[min_words, max_words]` — the generator DBSynth
 /// configures for sampled free-text columns (Listing 1's `l_comment`).
+/// [`capped`](Self::capped) cuts each cell to a column's width while it
+/// is written, as a [`TruncateGenerator`](crate::meta::TruncateGenerator)
+/// over the uncapped generator cuts it afterwards.
 pub struct MarkovChainGenerator {
     model: Arc<MarkovModel>,
     min_words: u32,
     max_words: u32,
+    max_chars: usize,
 }
 
 impl MarkovChainGenerator {
@@ -91,15 +95,27 @@ impl MarkovChainGenerator {
             model,
             min_words,
             max_words,
+            max_chars: usize::MAX,
         }
+    }
+
+    /// Cut every cell to `max_chars` chars.
+    pub fn capped(self, max_chars: usize) -> Self {
+        assert!(max_chars > 0, "zero-width text column");
+        Self { max_chars, ..self }
     }
 }
 
 impl Kernel for MarkovChainGenerator {
     fn emit<E: Emit>(&self, out: E) {
         out.text(|rng, _, buf| {
-            self.model
-                .generate_range_into(|| rng.next_u64(), self.min_words, self.max_words, buf);
+            self.model.generate_range_into(
+                || rng.next_u64(),
+                self.min_words,
+                self.max_words,
+                self.max_chars,
+                buf,
+            );
         })
     }
 }

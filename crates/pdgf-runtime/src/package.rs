@@ -54,13 +54,14 @@ impl Framing {
 
 /// Shard of table rows assigned to node `node` of `node_count`:
 /// contiguous ranges in node order, balanced within one row of each other.
+/// The products are taken in `u128`, so no row count or node count
+/// overflows them.
 pub fn node_shard(total_rows: u64, node: usize, node_count: usize) -> Range<u64> {
     assert!(node_count > 0, "need at least one node");
     assert!(node < node_count, "node index out of range");
-    let (node, node_count) = (node as u64, node_count as u64);
-    let start = total_rows * node / node_count;
-    let end = total_rows * (node + 1) / node_count;
-    start..end
+    let (total, node, node_count) = (total_rows as u128, node as u128, node_count as u128);
+    let bound = |node: u128| (total * node / node_count) as u64;
+    bound(node)..bound(node + 1)
 }
 
 /// One table shard in a project run: the rows to generate plus the
@@ -118,6 +119,43 @@ mod tests {
                     next = shard.end;
                 }
                 assert_eq!(next, total, "total={total} nodes={nodes}");
+            }
+        }
+    }
+
+    /// The last of 10^8 shards of TPC-H `lineitem` at SF 100000: the
+    /// product of rows and node index passes `u64::MAX`.
+    #[test]
+    fn shard_arithmetic_does_not_overflow_at_paper_scale() {
+        assert_eq!(
+            node_shard(600_000_000_000, 99_999_999, 100_000_000),
+            599_999_994_000..600_000_000_000
+        );
+    }
+
+    proptest::proptest! {
+        /// Any row count up to 2^63 over up to 2^32 nodes: sampled shards
+        /// meet their neighbours, the first starts at 0, the last ends at
+        /// the total, and every length is the floor or the ceiling of the
+        /// mean.
+        #[test]
+        fn shards_tile_any_row_count(
+            total in 0u64..=1 << 63,
+            nodes in 1u64..=1 << 32,
+            picks in proptest::collection::vec(proptest::any::<u64>(), 1..8),
+        ) {
+            let nodes = nodes as usize;
+            proptest::prop_assert_eq!(node_shard(total, 0, nodes).start, 0);
+            proptest::prop_assert_eq!(node_shard(total, nodes - 1, nodes).end, total);
+            let floor = total / nodes as u64;
+            for pick in picks {
+                let node = (pick % nodes as u64) as usize;
+                let shard = node_shard(total, node, nodes);
+                let len = shard.end - shard.start;
+                proptest::prop_assert!(len == floor || len == floor + 1, "node {} len {}", node, len);
+                if node + 1 < nodes {
+                    proptest::prop_assert_eq!(shard.end, node_shard(total, node + 1, nodes).start);
+                }
             }
         }
     }

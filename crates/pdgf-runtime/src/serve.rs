@@ -145,11 +145,6 @@ impl ServeConfig {
     pub fn rows_per_package(&self) -> u64 {
         self.package_rows
     }
-
-    /// Configured per-request window.
-    pub fn request_window(&self) -> usize {
-        self.window
-    }
 }
 
 /// One row-range request: which rows of which table of which model, and

@@ -1220,12 +1220,17 @@ fn choose(branches: &[(f64, StaticProfile)], rows: u64) -> StaticProfile {
     }
 }
 
+/// Is every value of `profile` provably at most `max_chars` chars, so a
+/// cut to that width never fires? A byte bound within the limit implies a
+/// char bound within it.
+fn fits(profile: &StaticProfile, max_chars: u32) -> bool {
+    profile.width.bound().is_some_and(|w| w <= max_chars)
+}
+
 /// Fold the implicit truncation the runtime applies to text fields with a
 /// declared size: values at most `max_chars` *characters* long.
 fn truncate(profile: StaticProfile, max_chars: u32) -> StaticProfile {
-    // A byte bound within the limit implies a char bound within the
-    // limit, so truncation provably never fires.
-    if profile.width.bound().is_some_and(|w| w <= max_chars) {
+    if fits(&profile, max_chars) {
         return profile;
     }
     let mut out = profile;
@@ -1243,6 +1248,20 @@ fn truncate(profile: StaticProfile, max_chars: u32) -> StaticProfile {
     if out.cardinality == Cardinality::Unique {
         out.cardinality = Cardinality::Unbounded;
     }
+    out
+}
+
+/// Fold the same cut made by a Markov leaf as it writes, which the
+/// runtime asks of the leaf of a text field with a declared size when only
+/// `Null` wrappers stand between them. Where the cut can fire, the word
+/// loop stops before the successor draw of the word that overflows, so a
+/// cell takes from 2 draws.
+fn markov_cut(profile: StaticProfile, max_chars: u32) -> StaticProfile {
+    if fits(&profile, max_chars) {
+        return profile;
+    }
+    let mut out = truncate(profile, max_chars);
+    out.draws.min = out.draws.min.min(2);
     out
 }
 
@@ -1281,6 +1300,9 @@ pub struct ColumnProfile {
     pub name: String,
     /// The field's final profile (after the implicit truncation fold).
     pub profile: StaticProfile,
+    /// Can the runtime's cut of a text field to its declared width shorten
+    /// a value of its generator? Where not, no truncating wrapper is built.
+    pub truncates: bool,
 }
 
 /// Per-table result of [`interpret`].
@@ -1317,6 +1339,7 @@ struct Pass<'a> {
     sizes: Vec<u64>,
     oracle: &'a dyn ResourceOracle,
     memo: BTreeMap<(usize, usize), StaticProfile>,
+    truncates: BTreeSet<(usize, usize)>,
     diagnostics: Vec<Diagnostic>,
     table: usize,
     field: usize,
@@ -1349,6 +1372,7 @@ pub fn interpret(
         sizes,
         oracle,
         memo: BTreeMap::new(),
+        truncates: BTreeSet::new(),
         diagnostics: Vec::new(),
         table: 0,
         field: 0,
@@ -1375,6 +1399,7 @@ pub fn interpret(
                         .get(&(ti, fi))
                         .cloned()
                         .unwrap_or_else(StaticProfile::unknown),
+                    truncates: pass.truncates.contains(&(ti, fi)),
                 })
                 .collect(),
         })
@@ -1414,11 +1439,15 @@ impl Pass<'_> {
         let schema = self.schema;
         for (fi, field) in schema.tables[ti].fields.iter().enumerate() {
             self.field = fi;
-            let mut profile = self.fold_spec(&field.generator);
-            // The runtime auto-wraps text fields with a declared size in
-            // a truncation fold; mirror it so widths match reality.
-            if field.sql_type.is_text() && field.size > 0 {
-                profile = truncate(profile, field.size);
+            // The runtime cuts text fields with a declared size to it;
+            // mirror it so widths match reality.
+            let limit = (field.sql_type.is_text() && field.size > 0).then_some(field.size);
+            let mut profile = self.fold_field(&field.generator, limit);
+            if let Some(limit) = limit {
+                if !fits(&profile, limit) {
+                    self.truncates.insert((ti, fi));
+                }
+                profile = truncate(profile, limit);
             }
             if profile.width == Width::Unbounded {
                 let loc = self.location();
@@ -1588,6 +1617,22 @@ impl Pass<'_> {
         let ti = self.schema.table_index(table)?;
         let fi = self.schema.tables[ti].field_index(field)?;
         self.memo.get(&(ti, fi))
+    }
+
+    /// `spec`'s profile as the runtime builds it for a field cut to
+    /// `limit` chars: a Markov leaf reached through `Null` wrappers only
+    /// cuts as it writes; any other generator folds as it stands.
+    fn fold_field(&mut self, spec: &GeneratorSpec, limit: Option<u32>) -> StaticProfile {
+        match (spec, limit) {
+            (GeneratorSpec::Markov { .. }, Some(max_chars)) => {
+                markov_cut(self.fold_spec(spec), max_chars)
+            }
+            (GeneratorSpec::Null { probability, inner }, Some(_)) => {
+                let inner = self.fold_field(inner, limit);
+                null_wrap(*probability, inner, self.rows())
+            }
+            _ => self.fold_spec(spec),
+        }
     }
 
     fn fold_spec(&mut self, spec: &GeneratorSpec) -> StaticProfile {

@@ -249,8 +249,8 @@ impl Analyzer<'_> {
                 }
             }
             if let Some(props) = props.as_ref() {
-                match eval_size(t, props) {
-                    Err(msg) => self.table_diag("E030", Severity::Error, t, msg),
+                match t.rows(props) {
+                    Err(e) => self.table_diag("E030", Severity::Error, t, e.0),
                     Ok(0) => self.table_diag(
                         "W001",
                         Severity::Warning,
@@ -569,19 +569,6 @@ impl Analyzer<'_> {
         }
         order
     }
-}
-
-/// Resolve a table's size expression to a row count, mirroring
-/// [`Schema::table_size`]'s error text.
-fn eval_size(t: &Table, props: &std::collections::BTreeMap<String, f64>) -> Result<u64, String> {
-    let v = t
-        .size
-        .eval(&|n| props.get(n).copied())
-        .map_err(|e| format!("table {}: {e}", t.name))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(format!("table {}: size {v} is not a row count", t.name));
-    }
-    Ok(v.round() as u64)
 }
 
 /// Walk one unplaced node's parent edges until a node repeats, producing

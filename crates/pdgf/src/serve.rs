@@ -95,11 +95,6 @@ impl ServerOptions {
         ServerOptionsBuilder::default()
     }
 
-    /// Configured concurrent-connection cap.
-    pub fn connection_cap(&self) -> usize {
-        self.max_connections
-    }
-
     /// Configured socket read timeout (`None` = wait forever).
     pub fn read_timeout(&self) -> Option<Duration> {
         self.read_timeout

@@ -154,11 +154,6 @@ impl ServeClient {
         })
     }
 
-    /// Wrap a custom [`Transport`].
-    pub fn from_transport(transport: Box<dyn Transport>) -> Self {
-        Self { transport }
-    }
-
     /// Execute `req`, buffering the body into one `Vec`.
     pub fn fetch(&mut self, req: FetchRequest) -> Result<Vec<u8>, ServeError> {
         let mut out = Vec::new();

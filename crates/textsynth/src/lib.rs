@@ -6,7 +6,8 @@
 //! and Markov chains for free text, the parameters for the Markov model
 //! are adjusted based on the original data."
 //!
-//! * [`tokenize`](mod@tokenize) — word segmentation shared by analysis and generation,
+//! * [`tokenize`](mod@tokenize) — word segmentation shared by analysis and
+//!   generation, and the cut of text to a column's width,
 //! * [`dict`] — weighted dictionaries with alias-method sampling and the
 //!   DBSynth on-disk dictionary format,
 //! * [`markov`] — order-1 word Markov chains: frequency analysis of word
@@ -23,4 +24,4 @@ pub mod tokenize;
 
 pub use dict::Dictionary;
 pub use markov::{MarkovBuilder, MarkovModel};
-pub use tokenize::tokenize;
+pub use tokenize::{keep_len, tokenize};

@@ -16,7 +16,12 @@ use pdgf_prng::Alias;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::tokenize::tokenize;
+use crate::tokenize::{keep_len, tokenize};
+
+/// Bytes of one word slot: a word shorter than this is appended as one
+/// copy of its slot, `' '` + word padded with spaces. Every word of the
+/// TPC-H comment model is shorter.
+const WORD_SLOT: usize = 16;
 
 /// Markov model (de)serialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,13 +130,15 @@ impl Span {
     }
 }
 
-/// One vocabulary entry: its bytes in the text arena and the distribution
-/// its successor is drawn from. A dead end's is the start distribution,
-/// the only span at offset 0 (it is non-empty and laid out first).
+/// One vocabulary entry: its bytes in the text arena, its length in
+/// chars and the distribution its successor is drawn from. A dead end's
+/// is the start distribution, the only span at offset 0 (it is non-empty
+/// and laid out first).
 #[derive(Debug, Clone, Copy)]
 struct Word {
     start: u32,
     end: u32,
+    chars: u32,
     next: Span,
 }
 
@@ -144,12 +151,15 @@ fn offset(n: usize) -> Result<u32, MarkovError> {
 ///
 /// Every word's text sits in one arena and every distribution — the start
 /// distribution first, then each word's successors — in one flat slot
-/// array, so a word costs one draw, one slot read and one copy out of the
-/// arena. `ids` and `weights` run parallel to the slots and are read only
-/// to serialize the model.
+/// array, so a word costs one draw, one slot read and one copy. Word `id`
+/// also sits at `WORD_SLOT * id` of `word_slots` as `' '` + word, padded
+/// with spaces (all spaces for a word too long for its slot), so the copy
+/// of a short word is one fixed-size slice. `ids` and `weights` run
+/// parallel to the slots and are read only to serialize the model.
 #[derive(Debug, Clone)]
 pub struct MarkovModel {
     text: String,
+    word_slots: String,
     words: Vec<Word>,
     start: Span,
     slots: Vec<Slot>,
@@ -171,6 +181,7 @@ impl MarkovModel {
         }
         let mut model = Self {
             text: String::new(),
+            word_slots: String::with_capacity(words.len() * WORD_SLOT),
             words: Vec::with_capacity(words.len()),
             start: Span { offset: 0, len: 0 },
             slots: Vec::new(),
@@ -179,8 +190,18 @@ impl MarkovModel {
         };
         model.start = model.push_dist(start, words.len())?;
         for (word, list) in words.iter().zip(successor_lists) {
+            let word = word.as_ref();
             let begin = offset(model.text.len())?;
-            model.text.push_str(word.as_ref());
+            model.text.push_str(word);
+            let slot = model.word_slots.len();
+            if word.len() < WORD_SLOT {
+                model.word_slots.push(' ');
+                model.word_slots.push_str(word);
+            }
+            model.word_slots.extend(std::iter::repeat_n(
+                ' ',
+                slot + WORD_SLOT - model.word_slots.len(),
+            ));
             let next = match model.push_dist(list, words.len())? {
                 Span { len: 0, .. } => model.start,
                 next => next,
@@ -188,6 +209,7 @@ impl MarkovModel {
             model.words.push(Word {
                 start: begin,
                 end: offset(model.text.len())?,
+                chars: offset(word.chars().count())?,
                 next,
             });
         }
@@ -262,18 +284,8 @@ impl MarkovModel {
     /// buffer — the allocation-free form used on the generation hot path.
     /// Every word, the last included, draws its successor, so a text of
     /// `n` words takes `n + 1` draws.
-    pub fn generate_into(&self, mut rng: impl FnMut() -> u64, target_words: u32, out: &mut String) {
-        if target_words == 0 {
-            return;
-        }
-        let mut current = self.sample(self.start, rng());
-        for i in 0..target_words {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(self.word(current));
-            current = self.sample(self.words[current as usize].next, rng());
-        }
+    pub fn generate_into(&self, rng: impl FnMut() -> u64, target_words: u32, out: &mut String) {
+        self.write(rng, target_words, usize::MAX, out);
     }
 
     /// Generate with a word count drawn uniformly from
@@ -285,25 +297,83 @@ impl MarkovModel {
         max_words: u32,
     ) -> String {
         let mut out = String::new();
-        self.generate_range_into(rng, min_words, max_words, &mut out);
+        self.generate_range_into(rng, min_words, max_words, usize::MAX, &mut out);
         out
     }
 
     /// [`generate_range`](Self::generate_range) appending into a
-    /// caller-provided buffer. Draws the word count *before* generating,
-    /// exactly as the owned form does, so the RNG stream position is
-    /// identical for both entry points.
+    /// caller-provided buffer, cut to `max_chars` chars by [`keep_len`]
+    /// (`usize::MAX` cuts nothing). Draws the word count *before*
+    /// generating, exactly as the owned form does, so the RNG stream
+    /// position is identical for both entry points.
     pub fn generate_range_into(
         &self,
         mut rng: impl FnMut() -> u64,
         min_words: u32,
         max_words: u32,
+        max_chars: usize,
         out: &mut String,
     ) {
         debug_assert!(min_words <= max_words);
         let span = u64::from(max_words - min_words) + 1;
         let extra = ((u128::from(rng()) * u128::from(span)) >> 64) as u32;
-        self.generate_into(rng, min_words + extra, out);
+        self.write(rng, min_words + extra, max_chars, out);
+    }
+
+    /// The word loop: append `target_words` words, each drawing its
+    /// successor, and stop early once the text holds more than
+    /// `max_chars` chars, before that word's successor draw. Then cut it
+    /// with [`keep_len`], which reads no further than those chars: the
+    /// result is the whole text cut, from fewer draws.
+    fn write(
+        &self,
+        mut rng: impl FnMut() -> u64,
+        target_words: u32,
+        max_chars: usize,
+        out: &mut String,
+    ) {
+        if target_words == 0 {
+            return;
+        }
+        let base = out.len();
+        let mut chars = 0;
+        let mut current = self.sample(self.start, rng());
+        for i in 0..target_words {
+            let word = self.words[current as usize];
+            chars += self.push_word(current, word, i > 0, out);
+            if chars > max_chars {
+                break;
+            }
+            current = self.sample(word.next, rng());
+        }
+        if let Some(keep) = keep_len(&out[base..], max_chars) {
+            out.truncate(base + keep);
+        }
+    }
+
+    /// Append word `id`, after a space when `spaced`; returns the chars
+    /// appended. A word shorter than its slot is one fixed-size copy of
+    /// the slot, then a cut back to the word's end; a longer one is pushed
+    /// from the arena.
+    #[inline]
+    fn push_word(&self, id: u32, word: Word, spaced: bool, out: &mut String) -> usize {
+        let len = (word.end - word.start) as usize;
+        if len < WORD_SLOT {
+            let end = out.len() + usize::from(spaced) + len;
+            let slot = &self.word_slots[id as usize * WORD_SLOT..][..WORD_SLOT];
+            if spaced {
+                out.push_str(slot);
+            } else {
+                out.push_str(&slot[1..]);
+            }
+            out.truncate(end);
+        } else {
+            if spaced {
+                out.push(' ');
+            }
+            out.push_str(&self.text[word.start as usize..word.end as usize]);
+        }
+        usize::from(spaced) + word.chars as usize
     }
 
     /// The word `draw` picks from the distribution at `span`, split into

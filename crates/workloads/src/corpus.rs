@@ -341,12 +341,6 @@ pub fn tpch_comment_model() -> MarkovModel {
     builder.build().expect("corpus is non-empty")
 }
 
-/// The serialized (text-format) comment model for inline embedding in
-/// PDGF configurations.
-pub fn tpch_comment_model_text() -> String {
-    tpch_comment_model().to_text()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,6 +19,9 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+echo "== the capped Markov kernel cuts like TruncateGenerator, at 2000 cases"
+PROPTEST_CASES=2000 cargo test -q --test proptests capped_markov_cuts_like_truncate
+
 echo "== examples that assert: update stream and query workload"
 cargo run -q --example streaming_updates >/dev/null
 cargo run -q --example benchmark_workload >/dev/null

@@ -2,9 +2,16 @@
 
 use proptest::prelude::*;
 
+use std::sync::{Arc, OnceLock};
+
+use pdgf_gen::generator::{Cell, CellOut};
+use pdgf_gen::meta::TruncateGenerator;
+use pdgf_gen::text::MarkovChainGenerator;
+use pdgf_gen::{ColumnCtx, GenScratch, Generator, SchemaRuntime};
 use pdgf_prng::{Alias, FeistelPermutation, PdgfDefaultRandom, PdgfRng, SeedTree};
 use pdgf_schema::value::{Date, Value};
-use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
+use pdgf_schema::{ColumnVec, Expr, Field, GeneratorSpec, Schema, SqlType, Table};
+use textsynth::{MarkovBuilder, MarkovModel};
 
 proptest! {
     /// A Feistel permutation is a bijection on any domain.
@@ -282,5 +289,155 @@ proptest! {
             model.generate(&mut || r1.next_u64(), 12),
             back.generate(&mut || r2.next_u64(), 12)
         );
+    }
+}
+
+/// A model no text corpus yields, written in the binary `*.bin` layout:
+/// an empty word, words holding spaces (inside, leading and trailing),
+/// a multi-byte one and a dead end (`plain`).
+fn odd_words_model() -> MarkovModel {
+    let words = ["", "two words", " lead", "tail ", "plain", "é b"];
+    let n = words.len() as u32;
+    let mut bytes = b"PMKV\x01\x00".to_vec();
+    let put = |bytes: &mut Vec<u8>, v: u32| bytes.extend_from_slice(&v.to_le_bytes());
+    put(&mut bytes, n);
+    for w in words {
+        put(&mut bytes, w.len() as u32);
+        bytes.extend_from_slice(w.as_bytes());
+    }
+    put(&mut bytes, n);
+    for id in 0..n {
+        put(&mut bytes, id);
+        bytes.extend_from_slice(&1f64.to_le_bytes());
+    }
+    for from in 0..n {
+        let next: Vec<u32> = (0..n).filter(|&to| from != 4 && to != from).collect();
+        put(&mut bytes, next.len() as u32);
+        for to in next {
+            put(&mut bytes, to);
+            bytes.extend_from_slice(&f64::from(1 + to).to_le_bytes());
+        }
+    }
+    MarkovModel::from_bytes(&bytes).expect("well-formed model")
+}
+
+/// The models the capped Markov property runs over: the TPC-H comment
+/// model; multi-byte words; words of 16 bytes or more, next to words of
+/// 15 and 16 bytes; a word longer than every limit; and
+/// [`odd_words_model`].
+fn cut_models() -> &'static [Arc<MarkovModel>] {
+    static MODELS: OnceLock<Vec<Arc<MarkovModel>>> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        let mut rng = PdgfDefaultRandom::seed_from(0xC0DE);
+        let mut fed = |vocab: Vec<String>| {
+            let mut b = MarkovBuilder::new();
+            for _ in 0..300 {
+                let len = 1 + rng.next_bounded(8);
+                let sentence: Vec<&str> = (0..len)
+                    .map(|_| vocab[rng.next_bounded(vocab.len() as u64) as usize].as_str())
+                    .collect();
+                b.feed(&sentence.join(" "));
+            }
+            Arc::new(b.build().expect("non-empty corpus"))
+        };
+        let words = |list: &[&str]| list.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        vec![
+            Arc::new(dbsynth_suite::workloads::corpus::tpch_comment_model()),
+            fed((0..40)
+                .map(|i| format!("w{i}é{}", i % 7))
+                .chain(words(&["日本語", "ü"]))
+                .collect()),
+            fed(words(&[
+                "abcdefghijklmno",
+                "abcdefghijklmnop",
+                "incomprehensibilities",
+                "counterrevolutionaries",
+                "of",
+                "a",
+                "quick",
+            ])),
+            fed(["x".repeat(520), "y".repeat(70)]
+                .into_iter()
+                .chain(words(&["ab", "c", "defg"]))
+                .collect()),
+            Arc::new(odd_words_model()),
+        ]
+    })
+}
+
+/// The draws of a capped cell whose uncapped twin made `uncapped` draws
+/// from `rng`: one for the word count, one for the start, then one
+/// successor per word, except that the loop stops before the successor
+/// of the first word that takes the text past `limit` chars.
+fn capped_draws(
+    model: &MarkovModel,
+    mut rng: PdgfDefaultRandom,
+    uncapped: u64,
+    limit: usize,
+) -> u64 {
+    let Some(words) = uncapped.checked_sub(2) else {
+        return uncapped;
+    };
+    rng.next_u64();
+    let chars = |j: &u64| {
+        let mut r = rng.clone();
+        let mut text = String::new();
+        model.generate_into(|| r.next_u64(), *j as u32, &mut text);
+        text.chars().count()
+    };
+    let fit = (1..=words)
+        .collect::<Vec<_>>()
+        .partition_point(|j| chars(j) <= limit) as u64;
+    if fit < words {
+        fit + 2
+    } else {
+        uncapped
+    }
+}
+
+proptest! {
+    /// A Markov column cut to its width while it is written equals the
+    /// uncapped column cut by `TruncateGenerator`, through `fill_column`
+    /// and `emit_cell`, at every limit of 1..=60, 79, 199 and 500; and a
+    /// capped cell stops drawing right after the word that overflows.
+    #[test]
+    fn capped_markov_cuts_like_truncate(
+        model in 0usize..5,
+        limit in 0usize..63,
+        min_words in 0u32..6,
+        extra_words in 0u32..80,
+        seed in any::<u64>(),
+        first_row in 0u64..1_000_000_000_000,
+    ) {
+        let limit = (1..=60).chain([79, 199, 500]).nth(limit).expect("63 limits");
+        let model = &cut_models()[model];
+        let max_words = min_words + extra_words;
+        let capped = MarkovChainGenerator::new(Arc::clone(model), min_words, max_words).capped(limit);
+        let uncapped: Arc<dyn Generator> =
+            Arc::new(MarkovChainGenerator::new(Arc::clone(model), min_words, max_words));
+        let cut = TruncateGenerator::new(Arc::clone(&uncapped), limit);
+        let runtime = SchemaRuntime::empty_for_tests();
+        let ctx = ColumnCtx { runtime: &runtime, update_seed: seed, width_hint: None };
+        let rows = first_row..first_row + 24;
+        let (mut got, mut want) = (ColumnVec::default(), ColumnVec::default());
+        capped.fill_column(&ctx, rows.clone(), &mut got, &mut GenScratch::default());
+        cut.fill_column(&ctx, rows.clone(), &mut want, &mut GenScratch::default());
+        let point = |g: &dyn Generator, row: u64| {
+            let mut rng = ctx.cell_rng(row);
+            let mut out = ColumnVec::default();
+            g.emit_cell(Cell { rng: &mut rng, row, runtime: &runtime, out: CellOut::Column(&mut out) });
+            (out.value(0), rng.draws())
+        };
+        for (i, row) in rows.enumerate() {
+            prop_assert_eq!(got.value(i), want.value(i), "row {} limit {}", row, limit);
+            let (cell, draws) = point(&capped, row);
+            prop_assert_eq!(cell, point(&cut, row).0, "row {} limit {}", row, limit);
+            let uncapped_draws = point(uncapped.as_ref(), row).1;
+            prop_assert_eq!(
+                draws,
+                capped_draws(model, ctx.cell_rng(row), uncapped_draws, limit),
+                "row {} limit {}", row, limit
+            );
+        }
     }
 }
