@@ -59,7 +59,7 @@ impl Framing {
 pub fn node_shard(total_rows: u64, node: usize, node_count: usize) -> Range<u64> {
     assert!(node_count > 0, "need at least one node");
     assert!(node < node_count, "node index out of range");
-    let (total, node, node_count) = (total_rows as u128, node as u128, node_count as u128);
+    let (total, node, node_count) = (u128::from(total_rows), node as u128, node_count as u128);
     let bound = |node: u128| (total * node / node_count) as u64;
     bound(node)..bound(node + 1)
 }
