@@ -150,6 +150,48 @@ fn shipped_ssb_bytes_are_pinned() {
     );
 }
 
+/// Hash of one table of `rt` at epoch 0 in `format`, whole.
+fn table_fingerprint(rt: &SchemaRuntime, name: &str, format: OutputFormat) -> u64 {
+    let (table, t) = rt.table_by_name(name).expect("table exists");
+    let mut sink = MemorySink::new();
+    generate_table_range(
+        rt,
+        table,
+        0,
+        0..t.size,
+        format.formatter().as_ref(),
+        &mut sink,
+        &RunConfig::new().workers(0),
+        None,
+    )
+    .expect("generate");
+    fnv1a(FNV_OFFSET, &sink.into_inner())
+}
+
+/// SSB as `workloads::ssb` projects it: all five tables of the uniform
+/// model at SF 0.01 as CSV, and the Zipf-skewed variant's `lineorder`
+/// (θ = 0.8), the one table the skew changes.
+#[test]
+fn ssb_tables_are_pinned() {
+    use dbsynth_suite::workloads::ssb;
+    let uniform = ssb::project(0.01).build().expect("ssb builds");
+    check(
+        uniform.runtime(),
+        "ssb SF=0.01",
+        0,
+        &[(Csv, 0x2fa0_9d00_2d92_59da)],
+    );
+
+    let skewed = ssb::project_skewed(0.01, 0.8)
+        .build()
+        .expect("skewed ssb builds");
+    let got = table_fingerprint(skewed.runtime(), "lineorder", Csv);
+    assert_eq!(
+        got, 0x0016_41ff_9b7e_8cf3,
+        "skewed ssb SF=0.01 lineorder csv: got {got:#018x}"
+    );
+}
+
 /// SF 0.1 is the smallest scale at which BigBench's `store` table
 /// (`10 * SF` rows) holds a whole row.
 #[test]
