@@ -1,7 +1,10 @@
+//! Writes `models/markov/l_comment_markovSamples.bin`, the comment Markov
+//! model that `models/tpch.xml` and `models/ssb.xml` reference, from
+//! `corpus::tpch_comment_model`. The XML files are the models themselves
+//! and are edited by hand. Run from the repository root:
+//! `cargo run -p workloads --bin dump-models`.
+
 fn main() {
-    let schema = workloads::tpch::schema(12_456_789);
-    let xml = pdgf_schema::config::to_xml_string(&schema);
-    std::fs::write("models/tpch.xml", &xml).unwrap();
     let markov = workloads::corpus::tpch_comment_model();
     std::fs::create_dir_all("models/markov").unwrap();
     std::fs::write(
@@ -9,12 +12,5 @@ fn main() {
         markov.to_bytes(),
     )
     .unwrap();
-    let ssb = workloads::ssb::schema(19_920_601);
-    std::fs::write("models/ssb.xml", pdgf_schema::config::to_xml_string(&ssb)).unwrap();
-    std::fs::write(
-        "models/markov/ssb_comment_markovSamples.bin",
-        markov.to_bytes(),
-    )
-    .unwrap();
-    println!("wrote models/");
+    println!("wrote models/markov/l_comment_markovSamples.bin");
 }

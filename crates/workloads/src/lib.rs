@@ -3,8 +3,8 @@
 //! The paper's experiments run on three data sets, all rebuilt here:
 //!
 //! * [`tpch`] — "our custom implementation of the TPC-H data set" as a
-//!   PDGF model (the paper's Listing 1 shows an excerpt of exactly this
-//!   configuration), used by the scale-up (Fig. 5), DBGen-comparison
+//!   PDGF model: `models/tpch.xml`, embedded and parsed (the paper's
+//!   Listing 1 shows an excerpt of exactly this configuration), used by the scale-up (Fig. 5), DBGen-comparison
 //!   (Fig. 6), and extraction (Tab. E1) experiments;
 //! * [`dbgen`] — a faithful architectural stand-in for TPC-H `dbgen`:
 //!   hard-coded, sequential, stateful-RNG, per-instance output files
@@ -15,9 +15,14 @@
 //! * [`imdb`] — an IMDb-style movie database synthesized into `minidb`,
 //!   the demo's "real use case" source for DBSynth extraction;
 //! * [`ssb`] — the Star Schema Benchmark (uniform and skewed variants),
-//!   which the paper lists among PDGF's implemented benchmarks;
+//!   which the paper lists among PDGF's implemented benchmarks, parsed
+//!   from the embedded `models/ssb.xml`;
 //! * [`corpus`] — shared word lists and the curated TPC-H comment Markov
 //!   model.
+//!
+//! The XML files in `models/` are the only definition of TPC-H and SSB.
+//! The `dump-models` binary writes only the comment Markov binary they
+//! both reference, `models/markov/l_comment_markovSamples.bin`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -5,319 +5,57 @@
 //! TPC-H, the Star Schema Benchmark, TPC-DI, and BigBench") and cites the
 //! authors' skewed-SSB work ("Variations of the Star Schema Benchmark to
 //! Test Data Skew in Database Management Systems", ICPE 2013). Both live
-//! here: [`schema`] builds the classic uniform SSB, and
-//! [`schema_skewed`] the skew variant where dimension references follow a
-//! Zipf distribution — the feature those variations exist to exercise.
+//! here: [`schema`] parses the classic uniform SSB from `models/ssb.xml`,
+//! its only definition, and [`schema_skewed`] derives the skew variant
+//! where dimension references follow a Zipf distribution — the feature
+//! those variations exist to exercise.
+//!
+//! Modelling choices the file encodes:
+//! - `date_dim` holds 7 years of days (2,556 rows) whatever the scale
+//!   factor, as in SSB.
+//! - Its row `k` is day `k` of that span: `d_year`, `d_month` and
+//!   `d_weekday` derive from the key by formula.
+//! - `lo_comment` draws from TPC-H's comment Markov model, the same
+//!   resource file as `l_comment`.
 
 use pdgf_gen::MapResolver;
-use pdgf_schema::model::{DateFormat, DictSource, GeneratorSpec, MarkovSource, RefDistribution};
-use pdgf_schema::value::Date;
-use pdgf_schema::{Expr, Field, Schema, SqlType, Table};
+use pdgf_schema::model::{GeneratorSpec, RefDistribution};
+use pdgf_schema::Schema;
 
-use crate::corpus;
-use crate::tpch::{MFGRS, NATIONS, REGIONS, SEGMENTS};
-
-/// Resource path of the comment Markov model.
-pub const COMMENT_MODEL_PATH: &str = "markov/ssb_comment_markovSamples.bin";
-
-fn expr(src: &str) -> Expr {
-    Expr::parse(src).expect("static expression")
-}
-
-fn dict(words: &[&str]) -> GeneratorSpec {
-    GeneratorSpec::Dict {
-        source: DictSource::Inline {
-            entries: words.iter().map(|w| (w.to_string(), 1.0)).collect(),
-        },
-        weighted: false,
-    }
-}
-
-fn reference(table: &str, field: &str, dist: RefDistribution) -> GeneratorSpec {
-    GeneratorSpec::Reference {
-        table: table.to_string(),
-        field: field.to_string(),
-        distribution: dist,
-    }
-}
-
-fn labeled_id(prefix: &str) -> GeneratorSpec {
-    GeneratorSpec::Sequential {
-        parts: vec![
-            GeneratorSpec::Static {
-                value: pdgf_schema::Value::text(prefix),
-            },
-            GeneratorSpec::Formula {
-                expr: expr("${ROW} + 1"),
-                as_long: true,
-            },
-        ],
-        separator: String::new(),
-    }
-}
-
-/// Build the SSB model with the given fact-to-dimension reference
-/// distribution (uniform for classic SSB).
-fn build(seed: u64, fact_dist: RefDistribution) -> Schema {
-    let mut s = Schema::new("ssb", seed);
-    s.properties.define("SF", "1").unwrap();
-    for (name, base) in [
-        ("customer_size", 30_000u64),
-        ("supplier_size", 2_000),
-        ("part_size", 200_000),
-        ("lineorder_size", 6_000_000),
-    ] {
-        s.properties
-            .define(name, &format!("{base} * ${{SF}}"))
-            .unwrap();
-    }
-    // SSB's date dimension: 7 years of days, independent of SF.
-    s.properties.define("date_size", "2556").unwrap();
-
-    s = s.table(
-        Table::new("date_dim", "${date_size}")
-            .field(
-                Field::new(
-                    "d_datekey",
-                    SqlType::BigInt,
-                    GeneratorSpec::Id { permute: false },
-                )
-                .primary(),
-            )
-            // d_date derives from the key: day k of the 7-year span.
-            .field(Field::new(
-                "d_year",
-                SqlType::Integer,
-                GeneratorSpec::Formula {
-                    expr: expr("1992 + floor(${ROW} / 365.25)"),
-                    as_long: true,
-                },
-            ))
-            .field(Field::new(
-                "d_month",
-                SqlType::Integer,
-                GeneratorSpec::Formula {
-                    expr: expr("floor(${ROW} / 30.44) % 12 + 1"),
-                    as_long: true,
-                },
-            ))
-            .field(Field::new(
-                "d_weekday",
-                SqlType::Integer,
-                GeneratorSpec::Formula {
-                    expr: expr("${ROW} % 7 + 1"),
-                    as_long: true,
-                },
-            )),
-    );
-
-    s = s.table(
-        Table::new("customer", "${customer_size}")
-            .field(
-                Field::new(
-                    "c_custkey",
-                    SqlType::BigInt,
-                    GeneratorSpec::Id { permute: false },
-                )
-                .primary(),
-            )
-            .field(Field::new(
-                "c_name",
-                SqlType::Varchar(25),
-                labeled_id("Customer#"),
-            ))
-            .field(Field::new(
-                "c_city",
-                SqlType::Char(10),
-                dict(&[
-                    "UNITED KI1",
-                    "UNITED KI5",
-                    "CHINA    4",
-                    "CHINA    9",
-                    "INDIA    6",
-                    "JAPAN    2",
-                    "RUSSIA   7",
-                    "GERMANY  3",
-                    "FRANCE   8",
-                    "PERU     0",
-                ]),
-            ))
-            .field(Field::new("c_nation", SqlType::Char(15), dict(NATIONS)))
-            .field(Field::new("c_region", SqlType::Char(12), dict(REGIONS)))
-            .field(Field::new(
-                "c_mktsegment",
-                SqlType::Char(10),
-                dict(SEGMENTS),
-            )),
-    );
-
-    s = s.table(
-        Table::new("supplier", "${supplier_size}")
-            .field(
-                Field::new(
-                    "s_suppkey",
-                    SqlType::BigInt,
-                    GeneratorSpec::Id { permute: false },
-                )
-                .primary(),
-            )
-            .field(Field::new(
-                "s_name",
-                SqlType::Char(25),
-                labeled_id("Supplier#"),
-            ))
-            .field(Field::new("s_nation", SqlType::Char(15), dict(NATIONS)))
-            .field(Field::new("s_region", SqlType::Char(12), dict(REGIONS))),
-    );
-
-    s = s.table(
-        Table::new("part", "${part_size}")
-            .field(
-                Field::new(
-                    "p_partkey",
-                    SqlType::BigInt,
-                    GeneratorSpec::Id { permute: false },
-                )
-                .primary(),
-            )
-            .field(Field::new(
-                "p_name",
-                SqlType::Varchar(22),
-                GeneratorSpec::Sequential {
-                    parts: vec![dict(corpus::COLORS), dict(corpus::COLORS)],
-                    separator: " ".to_string(),
-                },
-            ))
-            .field(Field::new("p_mfgr", SqlType::Char(25), dict(MFGRS)))
-            .field(Field::new(
-                "p_category",
-                SqlType::Char(7),
-                GeneratorSpec::Sequential {
-                    parts: vec![
-                        GeneratorSpec::Static {
-                            value: pdgf_schema::Value::text("MFGR#"),
-                        },
-                        GeneratorSpec::Long {
-                            min: expr("11"),
-                            max: expr("55"),
-                        },
-                    ],
-                    separator: String::new(),
-                },
-            ))
-            .field(Field::new(
-                "p_color",
-                SqlType::Varchar(11),
-                dict(corpus::COLORS),
-            )),
-    );
-
-    s = s.table(
-        Table::new("lineorder", "${lineorder_size}")
-            .field(
-                Field::new(
-                    "lo_orderkey",
-                    SqlType::BigInt,
-                    GeneratorSpec::Id { permute: false },
-                )
-                .primary(),
-            )
-            .field(Field::new(
-                "lo_custkey",
-                SqlType::BigInt,
-                reference("customer", "c_custkey", fact_dist.clone()),
-            ))
-            .field(Field::new(
-                "lo_partkey",
-                SqlType::BigInt,
-                reference("part", "p_partkey", fact_dist.clone()),
-            ))
-            .field(Field::new(
-                "lo_suppkey",
-                SqlType::BigInt,
-                reference("supplier", "s_suppkey", fact_dist),
-            ))
-            .field(Field::new(
-                "lo_orderdate",
-                SqlType::BigInt,
-                reference("date_dim", "d_datekey", RefDistribution::Uniform),
-            ))
-            .field(Field::new(
-                "lo_quantity",
-                SqlType::Integer,
-                GeneratorSpec::Long {
-                    min: expr("1"),
-                    max: expr("50"),
-                },
-            ))
-            .field(Field::new(
-                "lo_extendedprice",
-                SqlType::Decimal(12, 2),
-                GeneratorSpec::Decimal {
-                    min: expr("90000"),
-                    max: expr("10000000"),
-                    scale: 2,
-                },
-            ))
-            .field(Field::new(
-                "lo_discount",
-                SqlType::Integer,
-                GeneratorSpec::Long {
-                    min: expr("0"),
-                    max: expr("10"),
-                },
-            ))
-            .field(Field::new(
-                "lo_revenue",
-                SqlType::Decimal(14, 2),
-                GeneratorSpec::Decimal {
-                    min: expr("80000"),
-                    max: expr("9000000"),
-                    scale: 2,
-                },
-            ))
-            .field(Field::new(
-                "lo_shipmode",
-                SqlType::Char(10),
-                dict(crate::tpch::MODES),
-            ))
-            .field(Field::new(
-                "lo_commitdate",
-                SqlType::Date,
-                GeneratorSpec::DateRange {
-                    min: Date::from_ymd(1992, 1, 1),
-                    max: Date::from_ymd(1998, 12, 31),
-                    format: DateFormat::Iso,
-                },
-            ))
-            .field(Field::new(
-                "lo_comment",
-                SqlType::Varchar(44),
-                GeneratorSpec::Markov {
-                    source: MarkovSource::File(COMMENT_MODEL_PATH.to_string()),
-                    min_words: 1,
-                    max_words: 8,
-                },
-            )),
-    );
+/// The classic (uniform) Star Schema Benchmark of `models/ssb.xml` with
+/// its seed set to `seed`.
+pub fn schema(seed: u64) -> Schema {
+    let mut s = pdgf_schema::config::from_xml_string(include_str!("../../../models/ssb.xml"))
+        .expect("models/ssb.xml parses");
+    s.seed = seed;
     s
 }
 
-/// The classic (uniform) Star Schema Benchmark.
-pub fn schema(seed: u64) -> Schema {
-    build(seed, RefDistribution::Uniform)
-}
-
-/// The skewed SSB variant: fact-table foreign keys follow a Zipf
-/// distribution with exponent `theta`, concentrating sales on popular
-/// customers/parts/suppliers.
+/// The skewed SSB variant: `lineorder`'s references to `customer`, `part`
+/// and `supplier` follow a Zipf distribution with exponent `theta`,
+/// concentrating sales on popular customers/parts/suppliers. Order dates
+/// stay uniform over `date_dim`.
 pub fn schema_skewed(seed: u64, theta: f64) -> Schema {
-    build(seed, RefDistribution::Zipf { theta })
+    let mut s = schema(seed);
+    let lineorder = s.tables.iter_mut().find(|t| t.name == "lineorder");
+    for field in &mut lineorder.expect("ssb has lineorder").fields {
+        if let GeneratorSpec::Reference {
+            table,
+            distribution,
+            ..
+        } = &mut field.generator
+        {
+            if table != "date_dim" {
+                *distribution = RefDistribution::Zipf { theta };
+            }
+        }
+    }
+    s
 }
 
 /// Resolver carrying the comment model.
 pub fn resolver() -> MapResolver {
-    MapResolver::new().with_markov(COMMENT_MODEL_PATH, corpus::tpch_comment_model())
+    crate::tpch::resolver()
 }
 
 /// Ready-to-build uniform-SSB project at `sf`.
