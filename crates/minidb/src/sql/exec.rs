@@ -3,9 +3,10 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use pdgf_schema::Value;
+use pdgf_schema::{SqlType, Value};
 
 use crate::db::{Database, DbError};
+use crate::table::coerce_value;
 
 use super::ast::{AggFunc, BinOp, ColRef, Expr, OrderKey, SelectItem, SelectStmt, Stmt};
 
@@ -512,23 +513,14 @@ fn eval(expr: &Expr, scope: &Scope, row: &[Value]) -> Result<Value, DbError> {
 }
 
 /// SQL literal coercion for comparisons: a text literal compared against
-/// a DATE column is parsed as a date (`o_orderdate >= '1995-01-01'`).
+/// a DATE column is coerced as if assigned to it
+/// (`o_orderdate >= '1995-01-01'`).
 fn coerce_comparison(x: Value, y: Value) -> (Value, Value) {
-    use pdgf_schema::value::Date;
     match (&x, &y) {
-        (Value::Date(_), Value::Text(t)) => {
-            if let Some(d) = Date::parse_iso(t) {
-                return (x, Value::Date(d));
-            }
-        }
-        (Value::Text(t), Value::Date(_)) => {
-            if let Some(d) = Date::parse_iso(t) {
-                return (Value::Date(d), y);
-            }
-        }
-        _ => {}
+        (Value::Date(_), Value::Text(_)) => (x, coerce_value(y, SqlType::Date)),
+        (Value::Text(_), Value::Date(_)) => (coerce_value(x, SqlType::Date), y),
+        _ => (x, y),
     }
-    (x, y)
 }
 
 fn arith(op: BinOp, x: &Value, y: &Value) -> Result<Value, DbError> {

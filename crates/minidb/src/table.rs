@@ -1,5 +1,6 @@
 //! Row storage with constraint-checked inserts.
 
+use pdgf_schema::value::Date;
 use pdgf_schema::{SqlType, Value};
 
 use crate::catalog::TableDef;
@@ -49,7 +50,7 @@ pub fn value_fits(value: &Value, ty: SqlType) -> bool {
 }
 
 /// Coerce `value` toward the column type where SQL would (numeric literals
-/// into DECIMAL/REAL columns). Returns the value unchanged when no
+/// into DECIMAL/REAL columns, ISO `YYYY-MM-DD` text into DATE). Returns the value unchanged when no
 /// coercion applies; type errors surface later in [`value_fits`].
 pub fn coerce_value(value: Value, ty: SqlType) -> Value {
     match (&value, ty) {
@@ -85,6 +86,10 @@ pub fn coerce_value(value: Value, ty: SqlType) -> Value {
             }
         }
         (Value::Long(v), SqlType::Real | SqlType::Double) => Value::Double(*v as f64),
+        (Value::Text(t), SqlType::Date) => match Date::parse_iso(t) {
+            Some(d) => Value::Date(d),
+            None => value,
+        },
         _ => value,
     }
 }
@@ -309,6 +314,21 @@ mod tests {
         let mut row2 = ok_row();
         row2[3] = Value::Long(5);
         assert!(t.insert(row2).is_err());
+    }
+
+    #[test]
+    fn iso_text_is_assigned_to_date_columns() {
+        let mut t = table();
+        let mut row = ok_row();
+        row[3] = Value::text("1990-05-01");
+        t.insert(row).unwrap();
+        assert_eq!(t.rows()[0], ok_row());
+        let mut bad = ok_row();
+        bad[3] = Value::text("May 1st");
+        assert!(t.insert(bad).is_err());
+        t.update_rows(&[true], &[(3, Value::text("1999-12-31"))])
+            .unwrap();
+        assert_eq!(t.rows()[0][3], Value::Date(Date::from_ymd(1999, 12, 31)));
     }
 
     #[test]
