@@ -11,10 +11,18 @@ use std::sync::Arc;
 
 /// A calendar date, stored as days since 1970-01-01 (can be negative).
 ///
-/// Conversions use Howard Hinnant's branchless civil-calendar algorithms,
-/// valid over the full proleptic Gregorian calendar.
+/// [`to_ymd`](Self::to_ymd) is Neri & Schneider's civil-from-days
+/// ("Euclidean affine functions and their application to calendar
+/// algorithms"); [`from_ymd`](Self::from_ymd) is Howard Hinnant's
+/// days-from-civil. Both cover every `i32` day of the proleptic Gregorian
+/// calendar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date(pub i32);
+
+/// Whole 400-year eras [`Date::to_ymd`] shifts a day count by, so that
+/// every `i32` day lands on a non-negative count: 14,700 eras are
+/// 2,147,625,900 days, more than `-i32::MIN` minus the epoch offset.
+const SHIFT_ERAS: u64 = 14_700;
 
 impl Date {
     /// Build from a civil year/month/day triple. Panics on out-of-range
@@ -33,17 +41,30 @@ impl Date {
     }
 
     /// Decompose into (year, month, day).
+    ///
+    /// Neri–Schneider: shift the day count to March 1 of year
+    /// `-400 * SHIFT_ERAS`, split it into centuries and then years with
+    /// Euclidean affine maps (a multiply and a shift each), read month and
+    /// day off the day of the March-based year with one more, and map back
+    /// to January-based years.
+    #[inline]
     pub fn to_ymd(self) -> (i32, u32, u32) {
-        let z = i64::from(self.0) + 719_468;
-        let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-        let doe = (z - era * 146_097) as u64;
-        let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-        let y = yoe as i64 + era * 400;
-        let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-        let mp = (5 * doy + 2) / 153;
-        let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-        let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-        ((y + i64::from(m <= 2)) as i32, m, d)
+        let n = (i64::from(self.0) + 719_468 + 146_097 * SHIFT_ERAS as i64) as u64;
+        // Century and day of century.
+        let n1 = 4 * n + 3;
+        let century = n1 / 146_097;
+        let day_of_century = (n1 % 146_097 / 4) as u32;
+        // Year of century and day of (March-based) year.
+        let p2 = 2_939_745 * u64::from(4 * day_of_century + 3);
+        let year_of_century = p2 >> 32;
+        let day_of_year = (p2 as u32) / 2_939_745 / 4;
+        // Month (3..=14) and day of month.
+        let n3 = 2_141 * day_of_year + 197_913;
+        let (month, day) = (n3 >> 16, (n3 & 0xFFFF) / 2_141 + 1);
+        let january = day_of_year >= 306;
+        let year = 100 * century + year_of_century + u64::from(january);
+        let month = if january { month - 12 } else { month };
+        ((year as i64 - 400 * SHIFT_ERAS as i64) as i32, month, day)
     }
 
     /// Parse `YYYY-MM-DD`.
@@ -313,6 +334,47 @@ mod tests {
         ] {
             let date = Date::from_ymd(y, m, d);
             assert_eq!(date.to_ymd(), (y, m, d));
+        }
+    }
+
+    /// Hinnant's civil-from-days, the `to_ymd` Neri–Schneider replaced:
+    /// an independent reference, since `Date`'s `Display` (and every
+    /// formatter test pinned to it) calls `to_ymd` itself.
+    fn hinnant_to_ymd(days: i32) -> (i32, u32, u32) {
+        let z = i64::from(days) + 719_468;
+        let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
+        let doe = (z - era * 146_097) as u64;
+        let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
+        let y = yoe as i64 + era * 400;
+        let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
+        let mp = (5 * doy + 2) / 153;
+        let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
+        let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
+        ((y + i64::from(m <= 2)) as i32, m, d)
+    }
+
+    /// `to_ymd` equals the Hinnant reference, and `from_ymd` inverts it,
+    /// on every day within ±3,000,000 of the epoch (years −6244 to 10183),
+    /// at both ends of `i32`, and on 10,000 seeded days anywhere in `i32`.
+    #[test]
+    fn to_ymd_matches_hinnant_and_round_trips() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let far = std::iter::repeat_with(|| {
+            // SplitMix64, folded to an i32 day.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as i32
+        })
+        .take(10_000);
+        let days = (-3_000_000..=3_000_000)
+            .chain([i32::MIN, i32::MIN + 1, i32::MAX - 1, i32::MAX])
+            .chain(far);
+        for day in days {
+            let ymd = Date(day).to_ymd();
+            assert_eq!(ymd, hinnant_to_ymd(day), "day {day}");
+            assert_eq!(Date::from_ymd(ymd.0, ymd.1, ymd.2), Date(day), "day {day}");
         }
     }
 
