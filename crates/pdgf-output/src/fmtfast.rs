@@ -1,4 +1,4 @@
-//! Branch-light byte-oriented formatting kernels for the row hot path.
+//! Byte-oriented formatting kernels for the row hot path.
 //!
 //! Every function appends to a `Vec<u8>` and produces **exactly** the
 //! bytes `std::fmt` would — that is the whole contract. The scheduler's
@@ -9,10 +9,15 @@
 //!
 //! Why not `write!(out, ...)`? Every `write!` on the row path funnels
 //! through `core::fmt` — a `dyn`-dispatched state machine with padding
-//! and alignment logic that the output path never uses. Replacing it
-//! with direct digit emission (two-digit lookup table, fixed-point
-//! decimal splits, Hinnant civil-calendar dates) removes the dominant
-//! per-cell cost of CSV rendering.
+//! and alignment logic that the output path never uses. Here a cell is
+//! built in registers and stored once: up to eight digits come out of
+//! one SWAR word (a value below 10^8 split into 4+4, 2+2 and 1+1 digit
+//! lanes), a date is Neri–Schneider's `Date::to_ymd` plus one such word
+//! with its dashes (and quotes) put in place, and the whole rendering is
+//! appended as one fixed-width copy cut back to its length
+//! (`write_cut`). Short text spans take the same route as 32-byte
+//! windows (`write_span`). Buffers that hold the fixed-width overshoot
+//! never grow for it; the engine reserves that slack.
 //!
 //! Floating point uses a three-tier strategy:
 //! 1. exact integers below 2^53 print their integer digits directly,
@@ -27,13 +32,6 @@
 
 use pdgf_schema::{Date, Value, ValueRef};
 
-/// `b"00"`..`b"99"` as one flat table: two output digits per lookup.
-const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
-                                  2021222324252627282930313233343536373839\
-                                  4041424344454647484950515253545556575859\
-                                  6061626364656667686970717273747576777879\
-                                  8081828384858687888990919293949596979899";
-
 /// Powers of ten that fit in a `u64` (10^0 ..= 10^19).
 const POW10_U64: [u64; 20] = {
     let mut t = [1u64; 20];
@@ -45,28 +43,91 @@ const POW10_U64: [u64; 20] = {
     t
 };
 
+/// 10^8: the values one SWAR digit word holds.
+const E8: u64 = 100_000_000;
+
+/// `'0'` in every byte: or-ed onto a word of digit lanes (0..=9 each), it
+/// turns them into ASCII digits.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// Append the first `len` bytes of `bytes` as one `N`-byte copy cut back
+/// to `len`: a fixed-width store the compiler keeps in registers, where a
+/// `len`-byte copy would be a variable-length `memcpy`.
+#[inline]
+pub(crate) fn write_cut<const N: usize>(out: &mut Vec<u8>, bytes: &[u8; N], len: usize) {
+    debug_assert!(len <= N);
+    let end = out.len() + len;
+    out.extend_from_slice(bytes);
+    out.truncate(end);
+}
+
+/// Append `bytes[start..end]`: one 32-byte window cut back to the span
+/// when the span is at most 32 bytes and 32 bytes of `bytes` remain past
+/// `start`, a plain copy otherwise.
+#[inline]
+pub(crate) fn write_span(out: &mut Vec<u8>, bytes: &[u8], start: usize, end: usize) {
+    match bytes.get(start..).and_then(<[u8]>::first_chunk::<32>) {
+        Some(window) if end - start <= 32 => write_cut(out, window, end - start),
+        _ => out.extend_from_slice(&bytes[start..end]),
+    }
+}
+
+/// Four 16-bit lanes, each below 100, split into eight byte lanes of one
+/// digit each, tens before units: `x / 10` per lane is `x * 103 >> 10`,
+/// exact below 100, and no lane's product reaches the next lane.
+#[inline]
+fn split_pairs(x: u64) -> u64 {
+    let tens = ((x * 103) >> 10) & 0x000F_000F_000F_000F;
+    tens | ((x - tens * 10) << 8)
+}
+
+/// The eight digits of `v < 10^8`, zero-padded, as byte lanes with the
+/// first digit in the lowest byte, so the word's little-endian bytes
+/// print in order. Two 4-digit halves in 32-bit lanes split into 2-digit
+/// lanes (`x / 100` is `x * 10486 >> 20`, exact below 10^4), then into
+/// digits.
+#[inline]
+fn digits8(v: u32) -> u64 {
+    debug_assert!(u64::from(v) < E8);
+    let x = u64::from(v / 10_000) | (u64::from(v % 10_000) << 32);
+    let hundreds = ((x * 10_486) >> 20) & 0x0000_007F_0000_007F;
+    split_pairs(hundreds | ((x - hundreds * 100) << 16))
+}
+
+/// `v < 10^8` as its digit word in ASCII with the leading zeros shifted
+/// out (one digit stays for 0), zero bytes above it, and its length.
+#[inline]
+fn short_digits(v: u32) -> (u64, usize) {
+    let digits = digits8(v);
+    // The leading zero digits are the word's low zero bytes.
+    let zeros = (digits.trailing_zeros() / 8).min(7);
+    ((digits | ZEROS) >> (8 * zeros), 8 - zeros as usize)
+}
+
 /// Append the decimal digits of `v`.
 #[inline]
-pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
-    let mut buf = [0u8; 20];
-    let mut pos = buf.len();
-    while v >= 100 {
-        let pair = ((v % 100) as usize) * 2;
-        v /= 100;
-        pos -= 2;
-        buf[pos] = DIGIT_PAIRS[pair];
-        buf[pos + 1] = DIGIT_PAIRS[pair + 1];
-    }
-    if v >= 10 {
-        let pair = (v as usize) * 2;
-        pos -= 2;
-        buf[pos] = DIGIT_PAIRS[pair];
-        buf[pos + 1] = DIGIT_PAIRS[pair + 1];
+pub fn write_u64(out: &mut Vec<u8>, v: u64) {
+    if v < E8 {
+        let (word, len) = short_digits(v as u32);
+        write_cut(out, &word.to_le_bytes(), len);
     } else {
-        pos -= 1;
-        buf[pos] = b'0' + v as u8;
+        write_u64_long(out, v);
     }
-    out.extend_from_slice(&buf[pos..]);
+}
+
+/// [`write_u64`] of `v >= 10^8`: its leading digits, then one or two
+/// full 8-digit words.
+#[inline(never)]
+fn write_u64_long(out: &mut Vec<u8>, v: u64) {
+    let (high, low) = (v / E8, v % E8);
+    if high < E8 {
+        write_u64(out, high);
+    } else {
+        // u64::MAX / 10^16 is 1844: the leading digits are one short word.
+        write_u64(out, high / E8);
+        out.extend_from_slice(&(digits8((high % E8) as u32) | ZEROS).to_le_bytes());
+    }
+    out.extend_from_slice(&(digits8(low as u32) | ZEROS).to_le_bytes());
 }
 
 /// Append the decimal rendering of `v` (sign included), matching
@@ -108,14 +169,6 @@ pub fn write_bool(out: &mut Vec<u8>, b: bool) {
     out.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
-/// Append two digits `00`..`99` as one digit-pair lookup.
-#[inline]
-fn push_2digits(out: &mut Vec<u8>, v: u64) {
-    debug_assert!(v < 100);
-    let pair = (v as usize) * 2;
-    out.extend_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-}
-
 /// Append a fixed-point decimal, matching [`Value::Decimal`]'s `Display`:
 /// `unscaled / 10^scale` with exactly `scale` fractional digits.
 #[inline]
@@ -128,12 +181,16 @@ pub fn write_decimal(out: &mut Vec<u8>, unscaled: i64, scale: u8) {
         out.push(b'-');
     }
     let mag = unscaled.unsigned_abs();
-    // Scale 2 (money columns) skips the padded-write machinery: the
-    // fraction is exactly one digit-pair lookup.
-    if scale == 2 {
-        write_u64(out, mag / 100);
-        out.push(b'.');
-        push_2digits(out, mag % 100);
+    // Scale 2 (money columns) below 10^10: the integer part's digit word
+    // and `.dd` behind it, stored once.
+    if scale == 2 && mag < 100 * E8 {
+        let (int, len) = short_digits((mag / 100) as u32);
+        let cents = (mag % 100) as u32;
+        let point = u32::from(b'.')
+            | (cents / 10 + u32::from(b'0')) << 8
+            | (cents % 10 + u32::from(b'0')) << 16;
+        let word = u128::from(int) | u128::from(point) << (8 * len);
+        write_cut(out, &word.to_le_bytes(), len + 3);
         return;
     }
     let pow = 10i64.pow(u32::from(scale)).unsigned_abs();
@@ -142,31 +199,52 @@ pub fn write_decimal(out: &mut Vec<u8>, unscaled: i64, scale: u8) {
     write_u64_padded(out, mag % pow, usize::from(scale));
 }
 
+/// `YYYY-MM-DD` of a year in `0..=9999` as ASCII in the low ten bytes.
+#[inline]
+fn date_word(y: u32, m: u32, d: u32) -> u128 {
+    let lanes =
+        u64::from(y / 100) | u64::from(y % 100) << 16 | u64::from(m) << 32 | u64::from(d) << 48;
+    let digits = split_pairs(lanes) | ZEROS;
+    u128::from(digits & 0xFFFF_FFFF)
+        | u128::from(b'-') << 32
+        | u128::from((digits >> 32) & 0xFFFF) << 40
+        | u128::from(b'-') << 56
+        | u128::from(digits >> 48) << 64
+}
+
 /// Append `YYYY-MM-DD`, matching [`Date`]'s `Display` (`{y:04}-{m:02}-{d:02}`,
 /// where negative years keep std's sign-inside-the-padding rendering).
 #[inline]
 pub fn write_date(out: &mut Vec<u8>, date: Date) {
     let (y, m, d) = date.to_ymd();
-    // Fast path: a four-digit year renders the whole `YYYY-MM-DD` as one
-    // 10-byte store — two digit-pair lookups for the year, one each for
-    // month and day — instead of three padded-write calls.
-    if (1000..=9999).contains(&y) {
-        let (yh, yl) = (((y / 100) as usize) * 2, ((y % 100) as usize) * 2);
-        let (mp, dp) = ((m as usize) * 2, (d as usize) * 2);
-        out.extend_from_slice(&[
-            DIGIT_PAIRS[yh],
-            DIGIT_PAIRS[yh + 1],
-            DIGIT_PAIRS[yl],
-            DIGIT_PAIRS[yl + 1],
-            b'-',
-            DIGIT_PAIRS[mp],
-            DIGIT_PAIRS[mp + 1],
-            b'-',
-            DIGIT_PAIRS[dp],
-            DIGIT_PAIRS[dp + 1],
-        ]);
-        return;
+    match u32::try_from(y) {
+        Ok(y) if y <= 9999 => write_cut(out, &date_word(y, m, d).to_le_bytes(), 10),
+        _ => write_date_padded(out, y, m, d),
     }
+}
+
+/// [`write_date`] between two `quote` bytes, in the same store for the
+/// years it writes as one word.
+#[inline]
+pub fn write_quoted_date(out: &mut Vec<u8>, date: Date, quote: u8) {
+    let (y, m, d) = date.to_ymd();
+    match u32::try_from(y) {
+        Ok(y) if y <= 9999 => {
+            let word = u128::from(quote) | date_word(y, m, d) << 8 | u128::from(quote) << 88;
+            write_cut(out, &word.to_le_bytes(), 12);
+        }
+        _ => {
+            out.push(quote);
+            write_date_padded(out, y, m, d);
+            out.push(quote);
+        }
+    }
+}
+
+/// A date whose year is negative or past 9999, digit by digit.
+#[cold]
+#[inline(never)]
+fn write_date_padded(out: &mut Vec<u8>, y: i32, m: u32, d: u32) {
     if y < 0 {
         // `{:04}` counts the sign toward the width: -5 → "-005".
         out.push(b'-');
@@ -185,7 +263,7 @@ pub fn write_date(out: &mut Vec<u8>, date: Date) {
 #[inline]
 pub fn write_timestamp(out: &mut Vec<u8>, t: i64) {
     let days = t.div_euclid(86_400);
-    let secs = t.rem_euclid(86_400);
+    let secs = t.rem_euclid(86_400) as u32;
     // Saturate instead of panicking on day counts beyond the i32 calendar:
     // the schema analyzer rejects such TimestampRange bounds (E028), so
     // this clamp is unreachable through validated models.
@@ -193,12 +271,17 @@ pub fn write_timestamp(out: &mut Vec<u8>, t: i64) {
         out,
         Date(days.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32),
     );
-    out.push(b' ');
-    push_2digits(out, (secs / 3600) as u64);
-    out.push(b':');
-    push_2digits(out, ((secs % 3600) / 60) as u64);
-    out.push(b':');
-    push_2digits(out, (secs % 60) as u64);
+    // ` HH:MM:SS` from the digit word of hours, minutes and seconds.
+    let lanes =
+        u64::from(secs / 3600) | u64::from(secs % 3600 / 60) << 16 | u64::from(secs % 60) << 32;
+    let digits = split_pairs(lanes) | ZEROS;
+    let time = u64::from(b' ')
+        | (digits & 0xFFFF) << 8
+        | u64::from(b':') << 24
+        | (digits & 0xFFFF_0000) << 16
+        | u64::from(b':') << 48;
+    let word = u128::from(time) | u128::from((digits >> 32) & 0xFFFF) << 56;
+    write_cut(out, &word.to_le_bytes(), 9);
 }
 
 /// Append `v` exactly as `write!("{v}")` renders a raw `f64` — the
@@ -674,6 +757,116 @@ mod tests {
         ] {
             let v = Value::Decimal { unscaled, scale };
             assert_eq!(s(|o| write_decimal(o, unscaled, scale)), format!("{v}"));
+        }
+    }
+
+    /// Both sides of each digit word's edge: one digit, eight (the most
+    /// one word holds), and the 9-, 16- and 17-digit splits of longer
+    /// values, against `std::fmt`.
+    #[test]
+    fn digit_words_match_std_at_their_edges() {
+        let mut edges = vec![0u64, 9, 10, 99_999_999, 100_000_000, u64::MAX];
+        for &p in &POW10_U64[1..] {
+            edges.extend([p - 1, p, p + 1]);
+        }
+        for v in edges {
+            assert_eq!(s(|o| write_u64(o, v)), format!("{v}"));
+        }
+        for v in [
+            0i64,
+            9,
+            10,
+            99_999_999,
+            100_000_000,
+            -9,
+            -10,
+            -99_999_999,
+            -100_000_000,
+            i64::MIN,
+            i64::MAX,
+        ] {
+            assert_eq!(s(|o| write_i64(o, v)), format!("{v}"));
+        }
+    }
+
+    /// Scale-2 decimals on both sides of the one-store path's edge (an
+    /// integer part of eight digits, |unscaled| below 10^10), against
+    /// `std::fmt` of the integer and cents split.
+    #[test]
+    fn scale_2_decimals_match_std_at_the_word_edge() {
+        for mag in [
+            0i64,
+            5,
+            99,
+            100,
+            10_000_000_000 - 1,
+            10_000_000_000,
+            10_000_000_001,
+            i64::MAX,
+        ] {
+            for unscaled in [mag, -mag] {
+                let sign = if unscaled < 0 { "-" } else { "" };
+                let m = unscaled.unsigned_abs();
+                let want = format!("{sign}{}.{:02}", m / 100, m % 100);
+                assert_eq!(s(|o| write_decimal(o, unscaled, 2)), want);
+            }
+        }
+        let m = i64::MIN.unsigned_abs();
+        let want = format!("-{}.{:02}", m / 100, m % 100);
+        assert_eq!(s(|o| write_decimal(o, i64::MIN, 2)), want);
+    }
+
+    /// Dates on both sides of the one-word path's years (0 to 9999),
+    /// plain and quoted, against `std::fmt` of the civil triple.
+    #[test]
+    fn dates_match_std_at_the_word_edges() {
+        for (y, m, d) in [
+            (0, 1, 1),
+            (0, 3, 1),
+            (999, 12, 31),
+            (1000, 1, 1),
+            (1970, 1, 1),
+            (9999, 12, 31),
+            (10_000, 1, 1),
+            (123_456, 7, 8),
+            (-1, 12, 31),
+            (-5, 6, 7),
+            (-999, 1, 1),
+            (-1000, 1, 1),
+            (-10_000, 2, 29),
+        ] {
+            let date = Date::from_ymd(y, m, d);
+            let want = format!("{y:04}-{m:02}-{d:02}");
+            assert_eq!(s(|o| write_date(o, date)), want);
+            for q in [b'"', b'\''] {
+                let q = char::from(q);
+                assert_eq!(
+                    s(|o| write_quoted_date(o, date, q as u8)),
+                    format!("{q}{want}{q}")
+                );
+            }
+            for (h, mi, sec) in [(0, 0, 0), (9, 5, 7), (12, 34, 56), (23, 59, 59)] {
+                let t = i64::from(date.0) * 86_400 + h * 3600 + mi * 60 + sec;
+                assert_eq!(
+                    s(|o| write_timestamp(o, t)),
+                    format!("{want} {h:02}:{mi:02}:{sec:02}")
+                );
+            }
+        }
+    }
+
+    /// A span is its bytes whether a 32-byte window fits past its start
+    /// or not: every span of a 70-byte buffer, those at its end included.
+    #[test]
+    fn spans_copy_exactly_their_bytes() {
+        let bytes: Vec<u8> = (0..70u8).map(|b| b'!' + b).collect();
+        for start in 0..=bytes.len() {
+            for end in start..=bytes.len() {
+                let mut out = b"pre".to_vec();
+                write_span(&mut out, &bytes, start, end);
+                assert_eq!(out[..3], *b"pre");
+                assert_eq!(out[3..], bytes[start..end], "{start}..{end}");
+            }
         }
     }
 

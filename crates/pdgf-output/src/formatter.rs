@@ -6,10 +6,10 @@
 //! Figure 9) is paid only for cells that are actually emitted.
 //!
 //! Formatters append straight to a `Vec<u8>` package buffer through the
-//! [`fmtfast`](crate::fmtfast) kernels. No formatter allocates on the row
-//! path: numeric, date, and timestamp values are rendered digit-by-digit
-//! into the output buffer, and text values are copied (and escaped)
-//! directly from their backing storage.
+//! [`fmtfast`] kernels. No formatter allocates on the row path: numeric,
+//! date, and timestamp values are built in registers and stored once into
+//! the output buffer, and text values are copied (and escaped) directly
+//! from their backing storage.
 //!
 //! A package reaches every format the same way: one resolver turns each
 //! column, once per package, into a lane view — a typed slice, a text
@@ -129,6 +129,14 @@ fn quoted(out: &mut Vec<u8>, quote: u8, write: impl FnOnce(&mut Vec<u8>)) {
     out.push(quote);
 }
 
+/// Cell `r` of `t`, unchanged: a 32-byte window of the arena cut to the
+/// cell where one fits ([`fmtfast::write_span`]).
+#[inline]
+fn copy_cell(out: &mut Vec<u8>, t: &TextColumn, r: usize) {
+    let (start, end) = t.span(r);
+    fmtfast::write_span(out, t.arena().as_bytes(), start, end);
+}
+
 /// [`escape_runs`] into a byte buffer: one copy per clean run.
 #[inline]
 fn escape_into(out: &mut Vec<u8>, s: &str, escape_of: impl Fn(u8) -> Option<&'static str>) {
@@ -187,7 +195,7 @@ impl<'a> Lane<'a> {
             Self::Date(v) => w.date(out, Date(v[r])),
             Self::Timestamp(v) => w.timestamp(out, v[r]),
             Self::Bool(v) => w.bool(out, v[r]),
-            Self::Text(t) => w.clean_text(out, t.get(r)),
+            Self::Text(t) => w.clean_text(out, t, r),
             Self::Generic(col) => generic_cell(w, out, col, r),
         }
     }
@@ -259,9 +267,10 @@ trait CellWriter {
     fn bool(&self, out: &mut Vec<u8>, b: bool);
     /// Text, escaped as the format requires.
     fn text(&self, out: &mut Vec<u8>, s: &str);
-    /// [`text`](Self::text) of a cell from an arena the resolver found
-    /// clean: the escape walk is skipped.
-    fn clean_text(&self, out: &mut Vec<u8>, s: &str);
+    /// [`text`](Self::text) of cell `r` of a column whose arena the
+    /// resolver found clean: the escape walk is skipped, and the cell is
+    /// copied by [`copy_cell`].
+    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize);
 
     /// One cell, exactly as the format's [`Formatter::row`] writes it.
     #[inline]
@@ -476,8 +485,8 @@ impl CellWriter for CsvFormatter {
     }
 
     #[inline]
-    fn clean_text(&self, out: &mut Vec<u8>, s: &str) {
-        out.extend_from_slice(s.as_bytes());
+    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize) {
+        copy_cell(out, t, r);
     }
 }
 
@@ -610,7 +619,7 @@ impl CellWriter for JsonFormatter {
 
     #[inline]
     fn date(&self, out: &mut Vec<u8>, d: Date) {
-        quoted(out, b'"', |out| fmtfast::write_date(out, d));
+        fmtfast::write_quoted_date(out, d, b'"');
     }
 
     #[inline]
@@ -629,18 +638,19 @@ impl CellWriter for JsonFormatter {
     }
 
     #[inline]
-    fn clean_text(&self, out: &mut Vec<u8>, s: &str) {
-        quoted(out, b'"', |out| out.extend_from_slice(s.as_bytes()));
+    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize) {
+        quoted(out, b'"', |out| copy_cell(out, t, r));
     }
 }
 
 /// Each column's key exactly as JSON writes it before the value —
 /// `"name":` for the first column and `,"name":` after it, escaped — laid
-/// out once per package on the stack, so a cell's key is one copy. The
-/// keys of columns past [`Lane::MAX`], or past the buffer, are written
-/// cell by cell.
+/// out once per package on the stack, so a cell's key is one copy: a
+/// 32-byte window cut to the key, which the padding past the laid-out
+/// keys gives every key. The keys of columns past [`Lane::MAX`], or past
+/// [`CAP`](Self::CAP) bytes, are written cell by cell.
 struct JsonKeys {
-    bytes: [u8; Self::CAP],
+    bytes: [u8; Self::CAP + 32],
     ends: [u16; Lane::MAX],
     laid_out: usize,
 }
@@ -650,7 +660,7 @@ impl JsonKeys {
 
     fn new(names: &[String]) -> Self {
         let mut keys = Self {
-            bytes: [0; Self::CAP],
+            bytes: [0; Self::CAP + 32],
             ends: [0; Lane::MAX],
             laid_out: 0,
         };
@@ -658,7 +668,7 @@ impl JsonKeys {
         for (i, name) in names.iter().take(Lane::MAX).enumerate() {
             let start = end;
             end += usize::from(i > 0) + json_string_len(name) as usize + 1;
-            let Some(key) = keys.bytes.get_mut(start..end) else {
+            let Some(key) = keys.bytes[..Self::CAP].get_mut(start..end) else {
                 break;
             };
             let mut at = 0;
@@ -678,18 +688,19 @@ impl JsonKeys {
         keys
     }
 
-    /// Column `i`'s key, when it is laid out.
+    /// Append column `i`'s key; false when it is not laid out.
     #[inline]
-    fn get(&self, i: usize) -> Option<&[u8]> {
+    fn write(&self, out: &mut Vec<u8>, i: usize) -> bool {
         if i >= self.laid_out {
-            return None;
+            return false;
         }
         let start = if i == 0 {
             0
         } else {
             usize::from(self.ends[i - 1])
         };
-        Some(&self.bytes[start..usize::from(self.ends[i])])
+        fmtfast::write_span(out, &self.bytes, start, usize::from(self.ends[i]));
+        true
     }
 }
 
@@ -713,15 +724,12 @@ impl Formatter for JsonFormatter {
         for r in 0..batch.rows() {
             out.push(b'{');
             for (i, col) in meta.columns.iter().take(lanes.len()).enumerate() {
-                match keys.get(i) {
-                    Some(key) => out.extend_from_slice(key),
-                    None => {
-                        if i > 0 {
-                            out.push(b',');
-                        }
-                        json_string_into(out, col);
-                        out.push(b':');
+                if !keys.write(out, i) {
+                    if i > 0 {
+                        out.push(b',');
                     }
+                    json_string_into(out, col);
+                    out.push(b':');
                 }
                 lanes.get(i).write(self, out, r);
             }
@@ -862,8 +870,8 @@ impl CellWriter for XmlElement<'_> {
     }
 
     #[inline]
-    fn clean_text(&self, out: &mut Vec<u8>, s: &str) {
-        self.element(out, |out| out.extend_from_slice(s.as_bytes()));
+    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize) {
+        self.element(out, |out| copy_cell(out, t, r));
     }
 }
 
@@ -1001,7 +1009,7 @@ impl CellWriter for SqlFormatter {
 
     #[inline]
     fn date(&self, out: &mut Vec<u8>, d: Date) {
-        quoted(out, b'\'', |out| fmtfast::write_date(out, d));
+        fmtfast::write_quoted_date(out, d, b'\'');
     }
 
     #[inline]
@@ -1020,8 +1028,8 @@ impl CellWriter for SqlFormatter {
     }
 
     #[inline]
-    fn clean_text(&self, out: &mut Vec<u8>, s: &str) {
-        quoted(out, b'\'', |out| out.extend_from_slice(s.as_bytes()));
+    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize) {
+        quoted(out, b'\'', |out| copy_cell(out, t, r));
     }
 }
 
@@ -1685,6 +1693,56 @@ mod tests {
                 "keys {:?}",
                 m.columns
             );
+        }
+    }
+
+    /// Clean text cells copy as 32-byte windows where the arena has 32
+    /// bytes past a cell's start and plainly elsewhere: a one-row package,
+    /// whose cells all sit at their arenas' ends, and a five-row one, where
+    /// the early cells take windows, render as the row path does in every
+    /// format, with cells of 0, 1, 31, 32 and 33 bytes (multi-byte UTF-8
+    /// included) and a JSON key longer than one window.
+    #[test]
+    fn text_cells_with_and_without_a_window_match_row_path() {
+        let cells = [
+            String::new(),
+            "x".to_owned(),
+            "w".repeat(31),
+            "é".repeat(16),
+            "w".repeat(33),
+        ];
+        let m = TableMeta::new(
+            "t",
+            &["a", "a_key_name_past_one_32_byte_window", "c", "d", "e"],
+        );
+        for rows in [1, 5] {
+            let mut batch = pdgf_schema::ColumnBatch::new();
+            batch.begin(5, rows);
+            for (c, col) in batch.columns_mut().iter_mut().enumerate() {
+                let t = col.text_mut();
+                for r in 0..rows {
+                    t.push_str(&cells[(r + c) % cells.len()]);
+                }
+            }
+            assert!(matches!(
+                JsonFormatter.lane(&batch.columns()[4]),
+                Lane::Text(_)
+            ));
+            for f in lane_formatters() {
+                let mut by_row = Vec::new();
+                for r in 0..rows {
+                    let row: Vec<Value> = batch.columns().iter().map(|c| c.value(r)).collect();
+                    f.row(&mut by_row, &m, &row);
+                }
+                let mut by_col = Vec::new();
+                f.rows_columnar(&mut by_col, &m, &batch);
+                assert_eq!(
+                    String::from_utf8_lossy(&by_row),
+                    String::from_utf8_lossy(&by_col),
+                    "{} {rows} rows",
+                    f.name()
+                );
+            }
         }
     }
 

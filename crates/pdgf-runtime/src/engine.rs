@@ -76,6 +76,12 @@ impl<T: ?Sized> Deref for Held<'_, T> {
 /// size ordinary growth takes over.
 const MAX_PREALLOC_BYTES: u64 = 64 << 20;
 
+/// Bytes reserved past a package's proven bound: the formatters store a
+/// cell as one fixed-width copy (up to 32 bytes) and cut it back to its
+/// length, so a buffer holding exactly the bound could still grow for the
+/// store that writes its last cell.
+const STORE_SLACK: usize = 64;
+
 /// One rendered package as its reader receives it.
 pub(crate) struct Package {
     /// Formatted bytes, in a buffer taken from the engine's pool.
@@ -289,7 +295,7 @@ impl<'a> Engine<'a> {
         let hint = req
             .row_bound
             .and_then(|b| b.checked_mul(n))
-            .map_or(0, |b| b.min(MAX_PREALLOC_BYTES) as usize);
+            .map_or(0, |b| b.min(MAX_PREALLOC_BYTES) as usize + STORE_SLACK);
         let mut out = self.buffers.take_with_capacity(hint);
         let clock = || phases.map_or(0, |_| now_ns());
 

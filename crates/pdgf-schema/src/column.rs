@@ -96,9 +96,16 @@ impl TextColumn {
     /// Cell `i` as a string slice.
     #[inline]
     pub fn get(&self, i: usize) -> &str {
+        let (start, end) = self.span(i);
+        &self.data[start..end]
+    }
+
+    /// Cell `i`'s byte range in [`arena`](Self::arena), as `(start, end)`.
+    #[inline]
+    pub fn span(&self, i: usize) -> (usize, usize) {
         let end = self.ends[i] as usize;
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.data[start..end]
+        (start, end)
     }
 
     /// Shorten the last cell to its first `len` bytes (a char boundary).
