@@ -179,7 +179,7 @@ impl TableData {
         for (i, row) in rows.into_iter().enumerate() {
             let row = self.coerce_row(row);
             self.check_row(&row)
-                .map_err(|e| ConstraintError(format!("row {i}: {e}")))?;
+                .map_err(|e| ConstraintError(format!("row {i}: {}", e.0)))?;
             self.rows.push(row);
         }
         Ok(self.rows.len())
@@ -357,6 +357,16 @@ mod tests {
         bad[0] = Value::Null;
         let err = t.bulk_load(vec![ok_row(), bad, ok_row()]).unwrap_err();
         assert!(err.0.contains("row 1"), "{err}");
+        let shown = err.to_string();
+        assert_eq!(
+            shown.matches("constraint violation").count(),
+            1,
+            "the prefix appears once: {shown}"
+        );
+        assert!(
+            shown.starts_with("constraint violation: row 1: "),
+            "{shown}"
+        );
         // Successful prefix is kept (bulk load is not atomic, like COPY).
         assert_eq!(t.row_count(), 1);
     }
