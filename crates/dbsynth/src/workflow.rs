@@ -85,7 +85,7 @@ const LOAD_CHUNK: u64 = 8_192;
 
 /// Create `schema`'s tables in `target`, then bulk-load every table of
 /// `rt` (compiled from `schema`) at update 0, one [`SchemaRuntime::rows`]
-/// range of [`LOAD_CHUNK`] rows at a time. Returns the rows loaded per
+/// range of 8,192 rows (`LOAD_CHUNK`) at a time. Returns the rows loaded per
 /// table, in model order.
 pub fn load_generated(
     target: &mut Database,

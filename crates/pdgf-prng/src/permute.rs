@@ -13,7 +13,7 @@
 //! 4× the target domain.
 //!
 //! A round's output depends only on its key and one half of the block, so
-//! for half-widths up to [`TABLE_HALF_BITS`] the constructor evaluates the
+//! for half-widths up to 12 bits (`TABLE_HALF_BITS`) the constructor evaluates the
 //! round function once per (round, half) and every encryption reads a
 //! cache-resident table instead of running four dependent mixes.
 

@@ -21,14 +21,14 @@
 //!   for clients that want no SDK at all.
 //!
 //! Both share connection admission (`max_connections`), socket
-//! timeouts, and the [`ModelRegistry`](registry::ModelRegistry): every
+//! timeouts, and the [`ModelRegistry`]: every
 //! registered model is a named slot on the same [`RowService`], so
 //! `tpch` and `ssb` can be served from one deployment, as BDGS
 //! prescribes.
 //!
 //! Ranges wider than the service's `max_request_rows` cap are clamped,
 //! not refused: the response carries the first tile plus an opaque
-//! resumable [`Cursor`](cursor::Cursor) token (a `C` frame on TCP, a
+//! resumable [`Cursor`] token (a `C` frame on TCP, a
 //! `Link`/`X-Pdgf-Next` header on HTTP). Chained cursor fetches tile
 //! byte-identically to a single `pdgf generate` — positional framing
 //! makes the tiles compositional, so the token never carries state

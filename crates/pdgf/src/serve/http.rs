@@ -18,7 +18,7 @@
 //! consumption rate drives the per-request window exactly as on the TCP
 //! protocol, so a slow HTTP client stalls only its own request — while
 //! the last chunk and the `0\r\n\r\n` terminator leave in one write
-//! ([`write_packages`](super::write_packages)). An HTTP/1.0 request gets
+//! (`write_packages`). An HTTP/1.0 request gets
 //! the same body unframed, `Connection: close`, and the close ends it
 //! (RFC 9112 §6.1 forbids `Transfer-Encoding` towards 1.0); 1.0
 //! connections serve one request each. When the range

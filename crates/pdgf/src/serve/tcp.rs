@@ -38,7 +38,7 @@
 //!
 //! A range reply is flushed between packages, never after the last:
 //! the last `D` frame, the `C` frame if any and the `Z` leave in one
-//! write ([`write_packages`](super::write_packages)), on a socket the
+//! write (`write_packages`), on a socket the
 //! accept loop set to `TCP_NODELAY` — so no terminator waits on the
 //! client's delayed ACK.
 
