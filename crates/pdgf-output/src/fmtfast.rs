@@ -61,13 +61,16 @@ pub(crate) fn write_cut<const N: usize>(out: &mut Vec<u8>, bytes: &[u8; N], len:
     out.truncate(end);
 }
 
-/// Append `bytes[start..end]`: one 32-byte window cut back to the span
-/// when the span is at most 32 bytes and 32 bytes of `bytes` remain past
-/// `start`, a plain copy otherwise.
+/// Bytes [`write_span`] copies at once.
+pub(crate) const WINDOW: usize = 32;
+
+/// Append `bytes[start..end]`: one [`WINDOW`]-byte copy cut back to the
+/// span when the span is at most that long and that many bytes of `bytes`
+/// remain past `start`, a plain copy otherwise.
 #[inline]
 pub(crate) fn write_span(out: &mut Vec<u8>, bytes: &[u8], start: usize, end: usize) {
-    match bytes.get(start..).and_then(<[u8]>::first_chunk::<32>) {
-        Some(window) if end - start <= 32 => write_cut(out, window, end - start),
+    match bytes.get(start..).and_then(<[u8]>::first_chunk::<WINDOW>) {
+        Some(window) if end - start <= WINDOW => write_cut(out, window, end - start),
         _ => out.extend_from_slice(&bytes[start..end]),
     }
 }
@@ -692,25 +695,15 @@ mod tests {
         String::from_utf8(out).unwrap()
     }
 
+    /// Every power of ten and its neighbours: both sides of one digit
+    /// word's eight digits and of the 16-digit split of longer values.
     #[test]
     fn u64_matches_std_on_boundaries() {
-        for v in [
-            0u64,
-            1,
-            9,
-            10,
-            99,
-            100,
-            101,
-            999,
-            1000,
-            12_345,
-            99_999,
-            100_000,
-            u32::MAX as u64,
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
+        let mut edges = vec![0u64, 12_345, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        for &p in &POW10_U64[1..] {
+            edges.extend([p - 1, p, p + 1]);
+        }
+        for v in edges {
             assert_eq!(s(|o| write_u64(o, v)), format!("{v}"));
         }
     }
@@ -725,6 +718,10 @@ mod tests {
             -42,
             1_000_000,
             -1_000_000,
+            99_999_999,
+            -99_999_999,
+            100_000_000,
+            -100_000_000,
             i64::MAX,
             i64::MIN,
         ] {
@@ -754,66 +751,17 @@ mod tests {
             (99, 2),
             (-99, 2),
             (100, 2),
+            // Both sides of scale 2's one-store path (|unscaled| < 10^10).
+            (9_999_999_999, 2),
+            (-9_999_999_999, 2),
+            (10_000_000_000, 2),
+            (-10_000_000_000, 2),
+            (i64::MAX, 2),
+            (i64::MIN, 2),
         ] {
             let v = Value::Decimal { unscaled, scale };
             assert_eq!(s(|o| write_decimal(o, unscaled, scale)), format!("{v}"));
         }
-    }
-
-    /// Both sides of each digit word's edge: one digit, eight (the most
-    /// one word holds), and the 9-, 16- and 17-digit splits of longer
-    /// values, against `std::fmt`.
-    #[test]
-    fn digit_words_match_std_at_their_edges() {
-        let mut edges = vec![0u64, 9, 10, 99_999_999, 100_000_000, u64::MAX];
-        for &p in &POW10_U64[1..] {
-            edges.extend([p - 1, p, p + 1]);
-        }
-        for v in edges {
-            assert_eq!(s(|o| write_u64(o, v)), format!("{v}"));
-        }
-        for v in [
-            0i64,
-            9,
-            10,
-            99_999_999,
-            100_000_000,
-            -9,
-            -10,
-            -99_999_999,
-            -100_000_000,
-            i64::MIN,
-            i64::MAX,
-        ] {
-            assert_eq!(s(|o| write_i64(o, v)), format!("{v}"));
-        }
-    }
-
-    /// Scale-2 decimals on both sides of the one-store path's edge (an
-    /// integer part of eight digits, |unscaled| below 10^10), against
-    /// `std::fmt` of the integer and cents split.
-    #[test]
-    fn scale_2_decimals_match_std_at_the_word_edge() {
-        for mag in [
-            0i64,
-            5,
-            99,
-            100,
-            10_000_000_000 - 1,
-            10_000_000_000,
-            10_000_000_001,
-            i64::MAX,
-        ] {
-            for unscaled in [mag, -mag] {
-                let sign = if unscaled < 0 { "-" } else { "" };
-                let m = unscaled.unsigned_abs();
-                let want = format!("{sign}{}.{:02}", m / 100, m % 100);
-                assert_eq!(s(|o| write_decimal(o, unscaled, 2)), want);
-            }
-        }
-        let m = i64::MIN.unsigned_abs();
-        let want = format!("-{}.{:02}", m / 100, m % 100);
-        assert_eq!(s(|o| write_decimal(o, i64::MIN, 2)), want);
     }
 
     /// Dates on both sides of the one-word path's years (0 to 9999),

@@ -129,8 +129,8 @@ fn quoted(out: &mut Vec<u8>, quote: u8, write: impl FnOnce(&mut Vec<u8>)) {
     out.push(quote);
 }
 
-/// Cell `r` of `t`, unchanged: a 32-byte window of the arena cut to the
-/// cell where one fits ([`fmtfast::write_span`]).
+/// Cell `r` of `t`, unchanged: a window of the arena cut to the cell
+/// where one fits ([`fmtfast::write_span`]).
 #[inline]
 fn copy_cell(out: &mut Vec<u8>, t: &TextColumn, r: usize) {
     let (start, end) = t.span(r);
@@ -646,11 +646,11 @@ impl CellWriter for JsonFormatter {
 /// Each column's key exactly as JSON writes it before the value —
 /// `"name":` for the first column and `,"name":` after it, escaped — laid
 /// out once per package on the stack, so a cell's key is one copy: a
-/// 32-byte window cut to the key, which the padding past the laid-out
-/// keys gives every key. The keys of columns past [`Lane::MAX`], or past
+/// window cut to the key ([`fmtfast::write_span`]), which the padding
+/// past the laid-out keys gives every key. The keys of columns past [`Lane::MAX`], or past
 /// [`CAP`](Self::CAP) bytes, are written cell by cell.
 struct JsonKeys {
-    bytes: [u8; Self::CAP + 32],
+    bytes: [u8; Self::CAP + fmtfast::WINDOW],
     ends: [u16; Lane::MAX],
     laid_out: usize,
 }
@@ -660,7 +660,7 @@ impl JsonKeys {
 
     fn new(names: &[String]) -> Self {
         let mut keys = Self {
-            bytes: [0; Self::CAP + 32],
+            bytes: [0; Self::CAP + fmtfast::WINDOW],
             ends: [0; Lane::MAX],
             laid_out: 0,
         };

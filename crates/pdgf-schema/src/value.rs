@@ -57,6 +57,7 @@ impl Date {
         // Year of century and day of (March-based) year.
         let p2 = 2_939_745 * u64::from(4 * day_of_century + 3);
         let year_of_century = p2 >> 32;
+        // The low 32 bits of p2 carry the day of the year.
         let day_of_year = (p2 as u32) / 2_939_745 / 4;
         // Month (3..=14) and day of month.
         let n3 = 2_141 * day_of_year + 197_913;
