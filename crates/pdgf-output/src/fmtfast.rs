@@ -30,7 +30,7 @@
 //! Tier 3 is slower than tiers 1–2 but allocation-free and byte-exact;
 //! full-precision uniform doubles land there.
 
-use pdgf_schema::{Date, Value, ValueRef};
+use pdgf_schema::Date;
 
 /// Powers of ten that fit in a `u64` (10^0 ..= 10^19).
 const POW10_U64: [u64; 20] = {
@@ -172,8 +172,9 @@ pub fn write_bool(out: &mut Vec<u8>, b: bool) {
     out.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
-/// Append a fixed-point decimal, matching [`Value::Decimal`]'s `Display`:
-/// `unscaled / 10^scale` with exactly `scale` fractional digits.
+/// Append a fixed-point decimal, matching the `Display` of
+/// [`Value::Decimal`](pdgf_schema::Value::Decimal): `unscaled / 10^scale`
+/// with exactly `scale` fractional digits.
 #[inline]
 pub fn write_decimal(out: &mut Vec<u8>, unscaled: i64, scale: u8) {
     if scale == 0 {
@@ -261,8 +262,9 @@ fn write_date_padded(out: &mut Vec<u8>, y: i32, m: u32, d: u32) {
     write_u64_padded(out, u64::from(d), 2);
 }
 
-/// Append `YYYY-MM-DD HH:MM:SS`, matching [`Value::Timestamp`]'s `Display`
-/// (seconds since the epoch, Euclidean split so pre-1970 instants work).
+/// Append `YYYY-MM-DD HH:MM:SS`, matching the `Display` of
+/// [`Value::Timestamp`](pdgf_schema::Value::Timestamp) (seconds since the
+/// epoch, Euclidean split so pre-1970 instants work).
 #[inline]
 pub fn write_timestamp(out: &mut Vec<u8>, t: i64) {
     let days = t.div_euclid(86_400);
@@ -338,9 +340,10 @@ pub fn write_f64_shortest(out: &mut Vec<u8>, v: f64) {
     render_positional(out, &digits[..len], k);
 }
 
-/// Append `v` exactly as [`Value::Double`]'s `Display` renders it:
-/// integral magnitudes below 1e15 keep a trailing `.0` (`{v:.1}`),
-/// everything else uses the shortest round-trip form.
+/// Append `v` exactly as the `Display` of
+/// [`Value::Double`](pdgf_schema::Value::Double) renders it: integral
+/// magnitudes below 1e15 keep a trailing `.0` (`{v:.1}`), everything
+/// else uses the shortest round-trip form.
 pub fn write_f64_display(out: &mut Vec<u8>, v: f64) {
     // NaN/inf fail the fract()==0.0 test (NaN comparisons are false), so
     // they take the shortest-form branch exactly as Value's Display does.
@@ -380,28 +383,6 @@ fn render_positional(out: &mut Vec<u8>, digits: &[u8], k: i32) {
         out.extend_from_slice(&digits[..k as usize]);
         out.push(b'.');
         out.extend_from_slice(&digits[k as usize..]);
-    }
-}
-
-/// Append the exact `Display` rendering of any [`Value`].
-#[inline]
-pub fn write_value(out: &mut Vec<u8>, v: &Value) {
-    write_value_ref(out, ValueRef::from(v));
-}
-
-/// Append the exact `Display` rendering of a borrowed [`ValueRef`] — the
-/// shared per-cell kernel of the row and columnar formatting paths.
-#[inline]
-pub fn write_value_ref(out: &mut Vec<u8>, v: ValueRef<'_>) {
-    match v {
-        ValueRef::Null => {}
-        ValueRef::Bool(b) => write_bool(out, b),
-        ValueRef::Long(n) => write_i64(out, n),
-        ValueRef::Double(x) => write_f64_display(out, x),
-        ValueRef::Decimal { unscaled, scale } => write_decimal(out, unscaled, scale),
-        ValueRef::Date(d) => write_date(out, d),
-        ValueRef::Timestamp(t) => write_timestamp(out, t),
-        ValueRef::Text(s) => out.extend_from_slice(s.as_bytes()),
     }
 }
 
@@ -714,6 +695,7 @@ mod tests {
             0i64,
             1,
             -1,
+            -7,
             42,
             -42,
             1_000_000,
@@ -916,6 +898,7 @@ mod tests {
             f64::NEG_INFINITY,
             1.0 / 3.0,
             -123.75,
+            2.5,
         ] {
             let val = Value::Double(v);
             assert_eq!(
@@ -940,23 +923,9 @@ mod tests {
     }
 
     #[test]
-    fn value_writer_matches_display_for_every_variant() {
-        let values = [
-            Value::Null,
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Long(-7),
-            Value::Double(2.5),
-            Value::Decimal {
-                unscaled: -12345,
-                scale: 2,
-            },
-            Value::Date(Date(16_238)),
-            Value::Timestamp(86_400 + 3_723),
-            Value::text("héllo → world"),
-        ];
-        for v in &values {
-            assert_eq!(s(|o| write_value(o, v)), format!("{v}"), "{v:?}");
+    fn bool_matches_value_display() {
+        for b in [true, false] {
+            assert_eq!(s(|o| write_bool(o, b)), format!("{}", Value::Bool(b)));
         }
     }
 

@@ -14,8 +14,7 @@
 //! A package reaches every format the same way: one resolver turns each
 //! column, once per package, into a lane view — a typed slice, a text
 //! arena with no byte the format escapes, or a generic column read cell
-//! by cell. A format tells the resolver which bytes its text escapes and
-//! (CSV only) whether typed renderings can collide with its delimiter;
+//! by cell. A format tells the resolver which bytes its text escapes;
 //! beyond that it supplies only its row framing and its per-kind cell
 //! writers, which its one-row [`Formatter::row`] path shares.
 
@@ -57,7 +56,7 @@ impl TableMeta {
 /// [`row`](Self::row) is the one-row reference it must match byte for
 /// byte.
 pub trait Formatter: Send + Sync {
-    /// Emit anything that precedes the first row (headers, openers).
+    /// Emit anything that precedes the first row (openers).
     fn begin(&self, out: &mut Vec<u8>, meta: &TableMeta) {
         let _ = (out, meta);
     }
@@ -90,13 +89,6 @@ pub trait Formatter: Send + Sync {
 
     /// Format name for diagnostics.
     fn name(&self) -> &'static str;
-}
-
-/// Append one `char` as UTF-8: a CSV delimiter outside the byte paths.
-#[inline]
-fn push_char(out: &mut Vec<u8>, c: char) {
-    let mut buf = [0u8; 4];
-    out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
 }
 
 /// The one escaping walk every text format shares: call `emit` with each
@@ -146,8 +138,8 @@ fn escape_into(out: &mut Vec<u8>, s: &str, escape_of: impl Fn(u8) -> Option<&'st
 /// One column of a package as a formatter reads it, resolved once per
 /// package by [`Lane::of`]: a typed lane or a clean text arena, written
 /// cell by cell without a decision, or (`Generic`) a column read through
-/// [`ValueRef`] — one with NULLs, promoted cells, text the format may
-/// escape, or (CSV) typed cells that may hold the delimiter.
+/// [`ValueRef`] — one with NULLs, promoted cells, or text the format may
+/// escape.
 #[derive(Clone, Copy)]
 enum Lane<'a> {
     Long(&'a [i64]),
@@ -165,9 +157,8 @@ impl<'a> Lane<'a> {
     const MAX: usize = 64;
 
     /// `col`'s view for a format whose text escapes exactly the bytes
-    /// `dirty` marks, and whose typed renderings need a decision unless
-    /// `typed` (a long never does).
-    fn of(col: &'a ColumnVec, dirty: impl Fn(u8) -> bool, typed: bool) -> Self {
+    /// `dirty` marks.
+    fn of(col: &'a ColumnVec, dirty: impl Fn(u8) -> bool) -> Self {
         let Some(data) = col.unmasked() else {
             return Self::Generic(col);
         };
@@ -175,7 +166,6 @@ impl<'a> Lane<'a> {
             ColumnData::Long(v) => Self::Long(v),
             ColumnData::Text(t) if is_clean(t.arena().as_bytes(), dirty) => Self::Text(t),
             ColumnData::Text(_) | ColumnData::Cells(_) => Self::Generic(col),
-            _ if !typed => Self::Generic(col),
             ColumnData::Double(v) => Self::Double(v),
             ColumnData::Decimal { unscaled, scale } => Self::Decimal(unscaled, *scale),
             ColumnData::Date(v) => Self::Date(v),
@@ -329,126 +319,51 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Every byte a non-text [`Value`] rendering can contain: digits, sign,
-/// point, time separators, and the letters of `true`/`false`/`NaN`/`inf`.
-/// Used to decide whether typed CSV fields can ever need quoting.
-const TYPED_VALUE_CHARS: &str = "0123456789-.: truefalsNni";
-
-/// Delimiter-separated values. Fields containing the delimiter, quotes,
-/// or newlines are quoted with `"` and embedded quotes doubled (RFC 4180).
-pub struct CsvFormatter {
-    delimiter: char,
-    header: bool,
-    /// Whether a typed (non-text) rendering could contain the delimiter.
-    /// False for every sane delimiter (`,`, `|`, tab, `;`), letting typed
-    /// fields skip the quoting scan entirely.
-    scan_typed: bool,
-}
+/// Comma-separated values without a header row (DBGen-style). Fields
+/// containing a comma, quotes, or newlines are quoted with `"` and
+/// embedded quotes doubled (RFC 4180); typed renderings never contain
+/// any of them, so only text is ever quoted.
+#[derive(Default)]
+pub struct CsvFormatter;
 
 impl CsvFormatter {
-    /// Standard comma-separated output without a header row (DBGen-style).
+    /// The one CSV dialect: comma-separated, no header.
     pub fn new() -> Self {
-        Self {
-            delimiter: ',',
-            header: false,
-            scan_typed: false,
-        }
-    }
-
-    /// Customize the delimiter (e.g. `'|'` for TPC-H tbl files).
-    pub fn with_delimiter(mut self, delimiter: char) -> Self {
-        self.delimiter = delimiter;
-        self.scan_typed = TYPED_VALUE_CHARS.contains(delimiter);
-        self
-    }
-
-    /// Emit a header row with column names.
-    pub fn with_header(mut self) -> Self {
-        self.header = true;
-        self
-    }
-
-    /// The delimiter as a single byte, when it is ASCII (the overwhelming
-    /// common case). ASCII bytes never occur inside a multi-byte UTF-8
-    /// sequence, so quoting scans can run over raw bytes instead of
-    /// decoding chars.
-    #[inline]
-    fn ascii_delimiter(&self) -> Option<u8> {
-        self.delimiter.is_ascii().then_some(self.delimiter as u8)
+        Self
     }
 
     fn push_field(&self, out: &mut Vec<u8>, text: &str) {
-        let needs_quoting = match self.ascii_delimiter() {
-            Some(d) => text
-                .bytes()
-                .any(|b| b == d || b == b'"' || b == b'\n' || b == b'\r'),
-            None => text
-                .chars()
-                .any(|c| c == self.delimiter || c == '"' || c == '\n' || c == '\r'),
-        };
-        if needs_quoting {
-            out.push(b'"');
-            escape_into(out, text, |b| (b == b'"').then_some("\"\""));
-            out.push(b'"');
+        if text.bytes().any(|b| csv_dirty(b, b',')) {
+            quoted(out, b'"', |out| {
+                escape_into(out, text, |b| (b == b'"').then_some("\"\""))
+            });
         } else {
             out.extend_from_slice(text.as_bytes());
         }
     }
 
-    /// A typed (non-text) cell that `write` renders. Typed renderings can
-    /// never contain `"`, `\n`, or `\r`, so quoting is only needed when the
-    /// delimiter itself appears — and that in turn is only possible when
-    /// the delimiter is drawn from [`TYPED_VALUE_CHARS`].
-    #[inline]
-    fn typed(&self, out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
-        let start = out.len();
-        write(out);
-        if self.scan_typed {
-            self.quote_if_delimited(out, start);
-        }
-    }
-
-    /// Wrap `out[start..]` in quotes when it holds the delimiter. Typed
-    /// renderings contain no embedded quotes, so no doubling is needed.
-    #[cold]
-    #[inline(never)]
-    fn quote_if_delimited(&self, out: &mut Vec<u8>, start: usize) {
-        let mut delim = [0u8; 4];
-        let delim = self.delimiter.encode_utf8(&mut delim).as_bytes();
-        if out[start..].windows(delim.len()).any(|w| w == delim) {
-            out.insert(start, b'"');
-            out.push(b'"');
-        }
-    }
-
-    /// The delimiter; `delim` is [`ascii_delimiter`](Self::ascii_delimiter).
-    #[inline]
-    fn push_delimiter(&self, out: &mut Vec<u8>, delim: Option<u8>) {
-        match delim {
-            Some(d) => out.push(d),
-            None => push_char(out, self.delimiter),
-        }
-    }
-
-    /// `col`'s lane view. A text byte is dirty when it forces quoting:
-    /// a quote, CR, LF, the delimiter — or, for a non-ASCII delimiter,
-    /// any non-ASCII byte. Typed lanes other than longs are generic when
-    /// the delimiter can occur in a typed rendering.
+    /// `col`'s lane view: every typed lane, and text with no byte that
+    /// forces quoting.
     fn lane<'a>(&self, col: &'a ColumnVec) -> Lane<'a> {
-        let quotes = |b: u8| (b == b'"') | (b == b'\n') | (b == b'\r');
-        let typed = !self.scan_typed;
-        match self.ascii_delimiter() {
-            Some(d) => Lane::of(col, |b| quotes(b) | (b == d), typed),
-            None => Lane::of(col, |b| quotes(b) | !b.is_ascii(), typed),
-        }
+        // Four byte constants below 64 compile to a shift-and-mask bit
+        // test, which does not vectorize: the arena scan ran 15× slower.
+        // An opaque comma keeps it four vector compares.
+        let comma = std::hint::black_box(b',');
+        Lane::of(col, |b| csv_dirty(b, comma))
     }
+}
+
+/// Whether text byte `b` forces its CSV field to be quoted; `comma` is
+/// `b','`.
+#[inline]
+fn csv_dirty(b: u8, comma: u8) -> bool {
+    (b == comma) | (b == b'"') | (b == b'\n') | (b == b'\r')
 }
 
 impl CellWriter for CsvFormatter {
     #[inline]
     fn null(&self, _out: &mut Vec<u8>) {}
 
-    /// Longs are written bare, like NULL, whatever the delimiter.
     #[inline]
     fn long(&self, out: &mut Vec<u8>, x: i64) {
         fmtfast::write_i64(out, x);
@@ -456,27 +371,27 @@ impl CellWriter for CsvFormatter {
 
     #[inline]
     fn double(&self, out: &mut Vec<u8>, x: f64) {
-        self.typed(out, |out| fmtfast::write_f64_display(out, x));
+        fmtfast::write_f64_display(out, x);
     }
 
     #[inline]
     fn decimal(&self, out: &mut Vec<u8>, unscaled: i64, scale: u8) {
-        self.typed(out, |out| fmtfast::write_decimal(out, unscaled, scale));
+        fmtfast::write_decimal(out, unscaled, scale);
     }
 
     #[inline]
     fn date(&self, out: &mut Vec<u8>, d: Date) {
-        self.typed(out, |out| fmtfast::write_date(out, d));
+        fmtfast::write_date(out, d);
     }
 
     #[inline]
     fn timestamp(&self, out: &mut Vec<u8>, t: i64) {
-        self.typed(out, |out| fmtfast::write_timestamp(out, t));
+        fmtfast::write_timestamp(out, t);
     }
 
     #[inline]
     fn bool(&self, out: &mut Vec<u8>, b: bool) {
-        self.typed(out, |out| fmtfast::write_bool(out, b));
+        fmtfast::write_bool(out, b);
     }
 
     #[inline]
@@ -490,30 +405,11 @@ impl CellWriter for CsvFormatter {
     }
 }
 
-impl Default for CsvFormatter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Formatter for CsvFormatter {
-    fn begin(&self, out: &mut Vec<u8>, meta: &TableMeta) {
-        if self.header {
-            for (i, c) in meta.columns.iter().enumerate() {
-                if i > 0 {
-                    push_char(out, self.delimiter);
-                }
-                self.push_field(out, c);
-            }
-            out.push(b'\n');
-        }
-    }
-
     fn row(&self, out: &mut Vec<u8>, _meta: &TableMeta, values: &[Value]) {
-        let delim = self.ascii_delimiter();
         for (i, v) in values.iter().enumerate() {
             if i > 0 {
-                self.push_delimiter(out, delim);
+                out.push(b',');
             }
             self.cell(out, ValueRef::from(v));
         }
@@ -521,12 +417,11 @@ impl Formatter for CsvFormatter {
     }
 
     fn rows_columnar(&self, out: &mut Vec<u8>, _meta: &TableMeta, batch: &ColumnBatch) {
-        let delim = self.ascii_delimiter();
         let lanes = Lanes::new(batch, |col| self.lane(col));
         for r in 0..batch.rows() {
             for i in 0..lanes.len() {
                 if i > 0 {
-                    self.push_delimiter(out, delim);
+                    out.push(b',');
                 }
                 lanes.get(i).write(self, out, r);
             }
@@ -538,20 +433,15 @@ impl Formatter for CsvFormatter {
         if meta.columns.len() != profiles.len() {
             return None;
         }
-        let delim = self.delimiter.len_utf8() as u64;
         let mut total = 1; // trailing newline
         for (i, p) in profiles.iter().enumerate() {
             if i > 0 {
-                total += delim;
+                total += 1;
             }
             let w = u64::from(p.width.bound()?);
             total += if p.kinds.contains(KindSet::TEXT) {
                 // Quoted worst case: every byte doubled, plus the quotes.
                 2 * w + 2
-            } else if self.scan_typed && !p.kinds.without_null().is_subset(KindSet::LONG) {
-                // Typed renderings may collide with the delimiter and get
-                // wrapped in quotes; bare longs and NULLs never do.
-                w + 2
             } else {
                 w
             };
@@ -586,7 +476,7 @@ impl JsonFormatter {
     /// `col`'s lane view: every typed lane, and text with nothing to
     /// escape.
     fn lane<'a>(&self, col: &'a ColumnVec) -> Lane<'a> {
-        Lane::of(col, json_dirty, true)
+        Lane::of(col, json_dirty)
     }
 }
 
@@ -879,7 +769,7 @@ impl XmlFormatter {
     /// `col`'s lane view: every typed lane, and text with no markup
     /// character.
     fn lane<'a>(&self, col: &'a ColumnVec) -> Lane<'a> {
-        Lane::of(col, xml_dirty, true)
+        Lane::of(col, xml_dirty)
     }
 }
 
@@ -1036,7 +926,7 @@ impl CellWriter for SqlFormatter {
 impl SqlFormatter {
     /// `col`'s lane view: every typed lane, and text with no quote.
     fn lane<'a>(&self, col: &'a ColumnVec) -> Lane<'a> {
-        Lane::of(col, sql_dirty, true)
+        Lane::of(col, sql_dirty)
     }
 
     /// The exact `INSERT INTO name (cols, …) VALUES (` prefix.
@@ -1160,15 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_header_and_pipe_delimiter() {
-        let out = run(
-            &CsvFormatter::new().with_delimiter('|').with_header(),
-            &[sample_row()],
-        );
-        assert_eq!(out, "a|b|c\n7|hi|\n");
-    }
-
-    #[test]
     fn csv_quotes_special_fields() {
         let row = vec![
             Value::text("has,comma"),
@@ -1188,21 +1069,6 @@ mod tests {
         ];
         let out = run(&CsvFormatter::new(), &[row]);
         assert_eq!(out, "123.45,1995-06-17,2.5\n");
-    }
-
-    #[test]
-    fn csv_quotes_typed_values_containing_the_delimiter() {
-        // A '-' delimiter collides with date and sign renderings; the
-        // affected typed fields must be quoted like any other field.
-        // (Longs are emitted bare by contract, like Null — only fields
-        // that historically went through the quoting scan still do.)
-        let row = vec![
-            Value::Date(Date::from_ymd(1995, 6, 17)),
-            Value::decimal(-425, 1),
-            Value::Long(7),
-        ];
-        let out = run(&CsvFormatter::new().with_delimiter('-'), &[row]);
-        assert_eq!(out, "\"1995-06-17\"-\"-42.5\"-7\n");
     }
 
     #[test]
@@ -1300,7 +1166,6 @@ mod tests {
     fn formatters() -> Vec<Box<dyn Formatter>> {
         vec![
             Box::new(CsvFormatter::new()),
-            Box::new(CsvFormatter::new().with_delimiter('-')),
             Box::new(JsonFormatter),
             Box::new(XmlFormatter),
             Box::new(SqlFormatter::new()),
@@ -1466,17 +1331,14 @@ mod tests {
         batch
     }
 
-    /// Every format over `lane_batch`, CSV with an ASCII, a non-ASCII, and
-    /// a typed-colliding (`.`, `-`, `:`) delimiter.
+    /// Every format over `lane_batch`.
     fn lane_formatters() -> Vec<Box<dyn Formatter>> {
-        let mut all: Vec<Box<dyn Formatter>> = [',', '|', '\t', '.', '-', ':', '¦']
-            .into_iter()
-            .map(|d| Box::new(CsvFormatter::new().with_delimiter(d)) as Box<dyn Formatter>)
-            .collect();
-        all.push(Box::new(JsonFormatter));
-        all.push(Box::new(XmlFormatter));
-        all.push(Box::new(SqlFormatter::new()));
-        all
+        vec![
+            Box::new(CsvFormatter::new()),
+            Box::new(JsonFormatter),
+            Box::new(XmlFormatter),
+            Box::new(SqlFormatter::new()),
+        ]
     }
 
     /// The lane views write exactly what a `row` loop writes, for every
@@ -1543,30 +1405,17 @@ mod tests {
         let all = "long generic decimal date timestamp generic text generic generic \
                    generic double decimal date generic bool text generic generic long";
         let all: String = all.split_whitespace().collect::<Vec<_>>().join(" ");
-        let csv = CsvFormatter::new();
-        assert_eq!(kinds(&|c| csv.lane(c)), all, "CSV ,");
+        assert_eq!(kinds(&|c| CsvFormatter.lane(c)), all, "CSV");
         assert_eq!(kinds(&|c| JsonFormatter.lane(c)), all, "JSON");
         assert_eq!(kinds(&|c| XmlFormatter.lane(c)), all, "XML");
         assert_eq!(kinds(&|c| SqlFormatter.lane(c)), all, "SQL");
-        // A '-' delimiter can occur in every typed rendering but a bare long's.
-        let dash = CsvFormatter::new().with_delimiter('-');
-        assert_eq!(
-            kinds(&|c| dash.lane(c)),
-            "long generic generic generic generic generic text generic generic \
-             generic generic generic generic generic generic text generic generic long"
-                .split_whitespace()
-                .collect::<Vec<_>>()
-                .join(" "),
-            "CSV -"
-        );
     }
 
     /// Each format's clean-byte predicate marks exactly the bytes its
     /// escaper rewrites, over all 256 byte values, and each format's
     /// resolver finds a one-byte arena clean exactly when its escaper
     /// leaves that byte alone. Escapers rewrite only ASCII, so multi-byte
-    /// UTF-8 is clean — except for CSV with a non-ASCII delimiter, whose
-    /// resolver treats every non-ASCII byte as a possible delimiter.
+    /// UTF-8 is clean.
     #[test]
     fn clean_byte_predicates_match_escapers() {
         fn clean(lane: impl Fn(&ColumnVec) -> Lane<'_>, s: &str) -> bool {
@@ -1579,7 +1428,6 @@ mod tests {
             escape(&mut out, s);
             out != s.as_bytes()
         }
-        let csvs = [',', '|', '\t', '¦'].map(|d| CsvFormatter::new().with_delimiter(d));
         for b in 0..=255u8 {
             assert_eq!(json_dirty(b), json_escape_of(b).is_some(), "JSON {b:#x}");
             assert_eq!(xml_dirty(b), xml_escape_of(b).is_some(), "XML {b:#x}");
@@ -1594,17 +1442,14 @@ mod tests {
             assert_eq!(clean(|c| XmlFormatter.lane(c), &s), !xml, "XML {b:#x}");
             let sql = rewrites(|out, s| escape_into(out, s, sql_escape_of), &s);
             assert_eq!(clean(|c| SqlFormatter.lane(c), &s), !sql, "SQL {b:#x}");
-            for csv in &csvs {
-                let quoted = rewrites(|out, s| csv.push_field(out, s), &s);
-                assert_eq!(clean(|c| csv.lane(c), &s), !quoted, "CSV {b:#x}");
-            }
+            let csv = rewrites(|out, s| CsvFormatter.push_field(out, s), &s);
+            assert_eq!(clean(|c| CsvFormatter.lane(c), &s), !csv, "CSV {b:#x}");
         }
         for s in ["é", "§", "中", "🙂"] {
             assert!(clean(|c| JsonFormatter.lane(c), s), "{s}");
             assert!(clean(|c| XmlFormatter.lane(c), s), "{s}");
             assert!(clean(|c| SqlFormatter.lane(c), s), "{s}");
-            assert!(clean(|c| csvs[0].lane(c), s), "{s}");
-            assert!(!clean(|c| csvs[3].lane(c), s), "{s}");
+            assert!(clean(|c| CsvFormatter.lane(c), s), "{s}");
         }
         // The arena scan finds a dirty byte anywhere, across blocks too.
         for at in [0, 255, 256, 700] {
@@ -1749,7 +1594,10 @@ mod tests {
     /// The char-by-char escapers the byte-run walk replaced, kept as
     /// reference models.
     mod char_models {
-        use super::super::push_char;
+        fn push_char(out: &mut Vec<u8>, c: char) {
+            let mut buf = [0u8; 4];
+            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
+        }
 
         pub fn json(s: &str) -> Vec<u8> {
             let mut out = Vec::new();
@@ -1786,11 +1634,11 @@ mod tests {
             out
         }
 
-        pub fn csv_field(delimiter: char, text: &str) -> Vec<u8> {
+        pub fn csv_field(text: &str) -> Vec<u8> {
             let mut out = Vec::new();
             if text
                 .chars()
-                .any(|c| c == delimiter || c == '"' || c == '\n' || c == '\r')
+                .any(|c| c == ',' || c == '"' || c == '\n' || c == '\r')
             {
                 out.push(b'"');
                 for c in text.chars() {
@@ -1820,13 +1668,9 @@ mod tests {
         let mut xml = Vec::new();
         xml_escape_into(&mut xml, s);
         assert_eq!(xml, char_models::xml(s), "XML {s:?}");
-        for d in [',', '|', '§'] {
-            let mut csv = Vec::new();
-            CsvFormatter::new()
-                .with_delimiter(d)
-                .push_field(&mut csv, s);
-            assert_eq!(csv, char_models::csv_field(d, s), "CSV {d:?} {s:?}");
-        }
+        let mut csv = Vec::new();
+        CsvFormatter.push_field(&mut csv, s);
+        assert_eq!(csv, char_models::csv_field(s), "CSV {s:?}");
     }
 
     /// Pieces random strings are mixed from: every byte some format
@@ -1985,9 +1829,6 @@ mod tests {
         #[test]
         fn csv_bound_holds() {
             assert_bound_holds(&CsvFormatter::new());
-            assert_bound_holds(&CsvFormatter::new().with_delimiter('|'));
-            // '-' appears in typed renderings, forcing the quoting scan.
-            assert_bound_holds(&CsvFormatter::new().with_delimiter('-'));
         }
 
         #[test]

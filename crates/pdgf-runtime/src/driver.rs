@@ -94,8 +94,8 @@ impl<'rt> GenerationRun<'rt> {
     /// [`node_shard`] rows. Framing follows node position — node 0 owns
     /// every table's `begin` bytes, the last node every `end` — so the
     /// shard outputs of one table, concatenated in node order, are the
-    /// single-node bytes even for framed formats (CSV with header, XML,
-    /// SQL), and a shard that owns no rows still gets its (empty) sink.
+    /// single-node bytes even for a framed format (XML), and a shard
+    /// that owns no rows still gets its (empty) sink.
     ///
     /// # Panics
     ///
@@ -361,16 +361,15 @@ mod tests {
         assert_eq!(concat_shards(&rt, &formatter, &config, 4), single);
     }
 
-    /// For header/framed formats, concatenating the shard outputs
-    /// reproduces the single-node bytes exactly — one header, one
-    /// document close, never mid-stream.
+    /// For framed formats, concatenating the shard outputs reproduces the
+    /// single-node bytes exactly — one document open, one document close,
+    /// never mid-stream.
     #[test]
     fn framed_formats_concatenate_across_nodes() {
         for rows in [997u64, 5, 1, 0] {
             let rt = testkit::runtime(rows);
             let config = RunConfig::new().workers(2).package_rows(37);
-            let formatters: [&dyn Formatter; 2] =
-                [&CsvFormatter::new().with_header(), &XmlFormatter];
+            let formatters: [&dyn Formatter; 2] = [&CsvFormatter::new(), &XmlFormatter];
             for formatter in formatters {
                 let single = concat_shards(&rt, formatter, &config, 1);
                 for nodes in [2usize, 3, 8] {
@@ -386,15 +385,17 @@ mod tests {
     }
 
     /// More nodes than rows: middle nodes contribute nothing, the first
-    /// and last still own their framing, and headers appear exactly once.
+    /// and last still own their framing, and the XML opener and closer
+    /// appear exactly once.
     #[test]
     fn tiny_tables_shard_without_duplicate_headers() {
         let rt = testkit::runtime(3);
         let config = RunConfig::new().workers(1).package_rows(10);
-        let out = concat_shards(&rt, &CsvFormatter::new().with_header(), &config, 8);
+        let out = concat_shards(&rt, &XmlFormatter, &config, 8);
         let out = String::from_utf8(out["t"].clone()).unwrap();
-        assert_eq!(out.matches("id,v").count(), 1, "{out}");
-        assert_eq!(out.lines().count(), 4, "header + 3 rows: {out}");
+        assert_eq!(out.matches("<t>").count(), 1, "{out}");
+        assert_eq!(out.matches("</t>").count(), 1, "{out}");
+        assert_eq!(out.lines().count(), 5, "opener + 3 rows + closer: {out}");
     }
 
     #[test]

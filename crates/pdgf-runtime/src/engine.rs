@@ -478,7 +478,7 @@ mod tests {
     use super::*;
     use crate::package::Framing;
     use crate::testkit::runtime;
-    use pdgf_output::CsvFormatter;
+    use pdgf_output::{CsvFormatter, XmlFormatter};
 
     fn request<'a>(
         rt: &'a SchemaRuntime,
@@ -539,19 +539,22 @@ mod tests {
     #[test]
     fn dropping_a_stream_cancels_and_recycles() {
         let rt = runtime(1_000);
-        let csv = CsvFormatter::new().with_header();
+        let xml = XmlFormatter;
         let engine = Engine::new(10, 8, None);
         std::thread::scope(|threads| {
             let _stop = StopOnDrop(&engine);
             threads.spawn(|| engine.worker_loop(0));
             let job = TableJob::full_table(0, 1_000);
-            let mut stream = engine.open(Held::Borrowed(&rt), Held::Borrowed(&csv), job);
+            let mut stream = engine.open(Held::Borrowed(&rt), Held::Borrowed(&xml), job);
             assert_eq!(stream.issue(&engine, 6), 6);
             assert_eq!(stream.in_flight(), 6);
             let first = stream
                 .next(&engine, &mut WorkerState::default())
                 .expect("package 0");
-            assert!(first.bytes.starts_with(b"id,v\n1,"), "header, then row 1");
+            assert!(
+                first.bytes.starts_with(b"<t>\n  <row><id>1</id>"),
+                "opener, then row 1"
+            );
             assert_eq!((first.rows, stream.in_flight()), (10, 5));
             engine.buffers.put(first.bytes);
             drop(stream);

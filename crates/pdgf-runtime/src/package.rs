@@ -12,11 +12,11 @@ use std::ops::Range;
 
 /// Which of the formatter's `begin`/`end` bytes a table shard owns.
 ///
-/// A whole-table run owns both. A shard of a framed format (CSV with
-/// header, XML document, SQL script) owns `begin` only as the first of
-/// its sequence and `end` only as the last, so that concatenating shard
-/// outputs in order reproduces the single-node byte stream exactly —
-/// headers appear once, documents close once.
+/// A whole-table run owns both. A shard of a framed format (an XML
+/// document) owns `begin` only as the first of its sequence and `end`
+/// only as the last, so that concatenating shard outputs in order
+/// reproduces the single-node byte stream exactly — a document opens
+/// once and closes once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Framing {
     /// Emit the formatter's `begin` bytes before the first row.

@@ -21,7 +21,7 @@
 //! Framing ([`Framing`]) makes node sharding exact for framed formats: a
 //! shard emits the formatter's `begin`/`end` bytes only when it owns the
 //! start/end of the table, so concatenated shard outputs equal the
-//! single-node byte stream for CSV-with-header, XML, and SQL alike.
+//! single-node byte stream for XML as for the unframed formats.
 //!
 //! Telemetry rides along without touching the bytes: a run accepts one
 //! optional [`Telemetry`]. Phase timings travel with each delivered
@@ -532,7 +532,7 @@ mod tests {
     #[test]
     fn project_run_streams_match_sequential_per_table_runs() {
         let rt = multi_runtime(&[1, 700, 0, 2_500, 35, 1_200]);
-        let formatters: [&dyn Formatter; 2] = [&CsvFormatter::new().with_header(), &XmlFormatter];
+        let formatters: [&dyn Formatter; 2] = [&CsvFormatter::new(), &XmlFormatter];
         for formatter in formatters {
             let reference: Vec<String> = (0..rt.tables().len())
                 .map(|t| {
@@ -611,11 +611,8 @@ mod tests {
     #[test]
     fn shards_concatenate_to_whole_table_bytes_for_framed_formats() {
         let rt = runtime(100);
-        let formatters: [&dyn Formatter; 3] = [
-            &CsvFormatter::new().with_header(),
-            &XmlFormatter,
-            &SqlFormatter::new(),
-        ];
+        let formatters: [&dyn Formatter; 3] =
+            [&CsvFormatter::new(), &XmlFormatter, &SqlFormatter::new()];
         for formatter in formatters {
             let whole = run_fmt(&rt, formatter, 2, 13);
             let mut concat = String::new();
@@ -716,7 +713,7 @@ mod tests {
             run_project(
                 &rt,
                 &jobs,
-                &CsvFormatter::new().with_header(),
+                &XmlFormatter,
                 &mut refs,
                 &RunConfig::new().workers(2).package_rows(32),
                 &telemetry,
@@ -728,7 +725,7 @@ mod tests {
         assert_eq!((t0.table.as_str(), t1.table.as_str()), ("t0", "t1"));
         assert_eq!(t0.rows, 100);
         assert_eq!(t1.rows, 300);
-        assert_eq!(t0.bytes, s0.bytes_written(), "header bytes included");
+        assert_eq!(t0.bytes, s0.bytes_written(), "framing bytes included");
         assert_eq!(t1.bytes, s1.bytes_written());
         let snap = telemetry.progress();
         assert_eq!(snap.rows, 400);
@@ -744,10 +741,7 @@ mod tests {
     #[test]
     fn empty_table_still_owns_its_framing() {
         let rt = runtime(0);
-        // A header-CSV empty table is a header and nothing else; an XML
-        // empty table is an open+close pair.
-        let header = run_fmt(&rt, &CsvFormatter::new().with_header(), 2, 10);
-        assert_eq!(header, "id,v\n");
+        // An XML empty table is an open+close pair.
         let xml = run_fmt(&rt, &XmlFormatter, 2, 10);
         assert!(xml.starts_with("<t>"), "{xml}");
         assert!(xml.trim_end().ends_with("</t>"), "{xml}");
@@ -762,15 +756,15 @@ mod tests {
             0,
             0,
             0..10,
-            &CsvFormatter::new().with_header(),
+            &XmlFormatter,
             &mut sink,
             &RunConfig::new().workers(2).package_rows(3),
             None,
         )
         .unwrap();
         let out = sink.as_str();
-        assert!(out.starts_with("id,v\n"));
-        assert_eq!(out.matches("id,v").count(), 1);
+        assert!(out.starts_with("<t>\n"));
+        assert_eq!(out.matches("<t>").count(), 1);
     }
 
     /// `TableRunStats::bytes` reports this run's delta, not the sink's

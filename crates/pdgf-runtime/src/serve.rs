@@ -842,7 +842,7 @@ mod tests {
     fn range_responses_concatenate_to_batch_bytes() {
         let rt = runtime(1_000);
         let formatters: [Arc<dyn Formatter>; 4] = [
-            Arc::new(CsvFormatter::new().with_header()),
+            Arc::new(CsvFormatter::new()),
             Arc::new(JsonFormatter),
             Arc::new(XmlFormatter),
             Arc::new(SqlFormatter::new()),
@@ -909,7 +909,7 @@ mod tests {
         );
         let meta = crate::scheduler::table_meta(&rt, 0);
         let formatters: [Arc<dyn Formatter>; 4] = [
-            Arc::new(CsvFormatter::new().with_header()),
+            Arc::new(CsvFormatter::new()),
             Arc::new(JsonFormatter),
             Arc::new(XmlFormatter),
             Arc::new(SqlFormatter::new()),

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use oracle::oracle_bytes;
 use pdgf_gen::{MapResolver, SchemaRuntime};
-use pdgf_output::{CsvFormatter, Formatter, Sink, XmlFormatter};
+use pdgf_output::{Formatter, Sink, XmlFormatter};
 use pdgf_runtime::{generate_table_range, RowRequest, RowService, RunConfig, ServeConfig};
 use pdgf_schema::{Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 
@@ -54,10 +54,7 @@ impl Sink for ChunkSink {
 /// itself, as the inline batch run does.
 #[test]
 fn batch_and_serve_agree_on_bytes_and_package_boundaries() {
-    let framed: [Arc<dyn Formatter>; 2] = [
-        Arc::new(CsvFormatter::new().with_header()),
-        Arc::new(XmlFormatter),
-    ];
+    let xml: Arc<dyn Formatter> = Arc::new(XmlFormatter);
     for (rows, range) in [(0u64, 0..0u64), (1, 0..1), (150, 0..150), (150, 3..150)] {
         let rt = runtime(rows);
         let service = RowService::new(
@@ -66,38 +63,30 @@ fn batch_and_serve_agree_on_bytes_and_package_boundaries() {
             None,
         );
         for workers in [0usize, 2] {
-            for formatter in &framed {
-                let mut sink = ChunkSink::default();
-                generate_table_range(
-                    &rt,
-                    0,
-                    0,
-                    range.clone(),
-                    formatter.as_ref(),
-                    &mut sink,
-                    &RunConfig::new().workers(workers).package_rows(64),
-                    None,
-                )
-                .unwrap();
-                let served: Vec<Vec<u8>> = service
-                    .submit(
-                        RowRequest::range(0, 0, range.clone()),
-                        Arc::clone(formatter),
-                    )
-                    .unwrap()
-                    .collect();
-                let what = format!(
-                    "rows={rows} range={range:?} workers={workers} format={}",
-                    formatter.name()
-                );
-                assert_eq!(sink.0, served, "{what}");
-                assert_eq!(served.len() as u64, range.end.div_ceil(64).max(1), "{what}");
-                assert_eq!(
-                    served.concat(),
-                    oracle_bytes(&rt, 0, 0, range.clone(), formatter.as_ref()),
-                    "{what}"
-                );
-            }
+            let mut sink = ChunkSink::default();
+            generate_table_range(
+                &rt,
+                0,
+                0,
+                range.clone(),
+                xml.as_ref(),
+                &mut sink,
+                &RunConfig::new().workers(workers).package_rows(64),
+                None,
+            )
+            .unwrap();
+            let served: Vec<Vec<u8>> = service
+                .submit(RowRequest::range(0, 0, range.clone()), Arc::clone(&xml))
+                .unwrap()
+                .collect();
+            let what = format!("rows={rows} range={range:?} workers={workers}");
+            assert_eq!(sink.0, served, "{what}");
+            assert_eq!(served.len() as u64, range.end.div_ceil(64).max(1), "{what}");
+            assert_eq!(
+                served.concat(),
+                oracle_bytes(&rt, 0, 0, range.clone(), xml.as_ref()),
+                "{what}"
+            );
         }
     }
 }

@@ -57,8 +57,8 @@ struct Args {
     seed: Option<u64>,
     table: Option<String>,
     rows: u64,
-    node: usize,
-    nodes: usize,
+    node: Option<usize>,
+    nodes: Option<usize>,
     props: Vec<(String, String)>,
     progress: bool,
     metrics_out: Option<String>,
@@ -115,8 +115,8 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
         seed: None,
         table: None,
         rows: 10,
-        node: 0,
-        nodes: 1,
+        node: None,
+        nodes: None,
         props: Vec::new(),
         progress: false,
         metrics_out: None,
@@ -169,8 +169,8 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
             }
             "--seed" => args.seed = Some(value("--seed")?.parse().map_err(|_| "bad --seed")?),
             "--table" => args.table = Some(value("--table")?),
-            "--node" => args.node = value("--node")?.parse().map_err(|_| "bad --node")?,
-            "--nodes" => args.nodes = value("--nodes")?.parse().map_err(|_| "bad --nodes")?,
+            "--node" => args.node = Some(value("--node")?.parse().map_err(|_| "bad --node")?),
+            "--nodes" => args.nodes = Some(value("--nodes")?.parse().map_err(|_| "bad --nodes")?),
             "--rows" => args.rows = value("--rows")?.parse().map_err(|_| "bad --rows")?,
             "--progress" => args.progress = true,
             "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
@@ -259,6 +259,10 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    if args.package_rows == Some(0) {
+        eprintln!("error: --package-rows must be at least 1");
+        return ExitCode::FAILURE;
+    }
     let result = match command.as_str() {
         "generate" => cmd_generate(&args),
         "preview" => cmd_preview(&args),
@@ -320,13 +324,18 @@ fn cmd_generate(args: &Args) -> Result<(), PdgfError> {
         .out
         .as_ref()
         .ok_or_else(|| PdgfError::Config("--out is required for generate".into()))?;
+    // Any `--node`/`--nodes` makes a shard run, so a pair with no valid
+    // shard (zero nodes, a node out of range) is rejected below.
+    let shard = (args.node.is_some() || args.nodes.is_some())
+        .then(|| (args.node.unwrap_or(0), args.nodes.unwrap_or(1)));
+    let (node, nodes) = shard.unwrap_or((0, 1));
     // The rows this node generates: every table's shard (the whole table
-    // for `--node 0 --nodes 1`; an out-of-range pair is rejected below).
+    // for `--node 0 --nodes 1`).
     let shard_rows = |size: u64| {
-        let shard = node_shard(size, args.node, args.nodes);
+        let shard = node_shard(size, node, nodes);
         shard.end - shard.start
     };
-    let total_rows: u64 = if args.node < args.nodes {
+    let total_rows: u64 = if node < nodes {
         let tables = project.runtime().tables();
         tables.iter().map(|t| shard_rows(t.size)).sum()
     } else {
@@ -353,7 +362,6 @@ fn cmd_generate(args: &Args) -> Result<(), PdgfError> {
         ))
     });
 
-    let shard = (args.nodes > 1 || args.node > 0).then_some((args.node, args.nodes));
     let summary = project
         .generate_to_dir(out, args.format, shard, telemetry.as_ref())
         .map(|report| {
@@ -365,7 +373,7 @@ fn cmd_generate(args: &Args) -> Result<(), PdgfError> {
                 report.throughput_mb_s()
             );
             if shard.is_some() {
-                return format!("node {}/{}: {total}", args.node, args.nodes);
+                return format!("node {node}/{nodes}: {total}");
             }
             let mut text = String::new();
             for t in &report.tables {

@@ -361,7 +361,7 @@ impl PdgfProject {
     /// With more than one node the files are `<table>.part<node>.<ext>`,
     /// one per table even when the shard owns no rows; concatenating the
     /// part files in node order reproduces the single-node files byte
-    /// for byte, framing (CSV headers, XML document tags) included.
+    /// for byte, framing (XML document tags) included.
     /// `None` is node 0 of 1, the whole project.
     pub fn generate_to_dir(
         &self,

@@ -57,19 +57,22 @@ pub use cursor::{Cursor, CursorError};
 pub use registry::ModelRegistry;
 pub use tcp::{MAX_REQUEST_FRAME, TAG_CURSOR, TAG_DATA, TAG_END, TAG_ERROR, TAG_JSON, TAG_QUERY};
 
-/// Server tuning: the row-service knobs plus connection admission and
-/// socket timeouts. Private fields; construct the defaults with
-/// [`ServerOptions::new`] or validated custom values through
-/// [`ServerOptions::builder`] — the builder is the one that rejects
-/// nonsense (`0` connections, zero timeouts) with an error instead of
+/// The read and write timeout of every served socket. An idle
+/// keep-alive connection past it is closed, and so is a reader stalled
+/// past it (its request window stops the workers long before that).
+pub(crate) const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Server tuning: the row-service knobs plus connection admission; every
+/// socket gets 30-second read and write timeouts. Private fields;
+/// construct the defaults with [`ServerOptions::new`] or validated custom
+/// values through [`ServerOptions::builder`] — the builder is the one
+/// that rejects nonsense (`0` connections) with an error instead of
 /// silently clamping, the convention both run-entry APIs follow (see
 /// DESIGN.md, "Validated configuration builders").
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     pub(crate) config: ServeConfig,
     pub(crate) max_connections: usize,
-    pub(crate) read_timeout: Option<Duration>,
-    pub(crate) write_timeout: Option<Duration>,
 }
 
 impl Default for ServerOptions {
@@ -77,15 +80,12 @@ impl Default for ServerOptions {
         Self {
             config: ServeConfig::new(),
             max_connections: 64,
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
         }
     }
 }
 
 impl ServerOptions {
-    /// The defaults: [`ServeConfig::new`], 64 concurrent connections,
-    /// 30-second read/write socket timeouts.
+    /// The defaults: [`ServeConfig::new`], 64 concurrent connections.
     pub fn new() -> Self {
         Self::default()
     }
@@ -93,16 +93,6 @@ impl ServerOptions {
     /// Start a validated builder from the defaults.
     pub fn builder() -> ServerOptionsBuilder {
         ServerOptionsBuilder::default()
-    }
-
-    /// Configured socket read timeout (`None` = wait forever).
-    pub fn read_timeout(&self) -> Option<Duration> {
-        self.read_timeout
-    }
-
-    /// Configured socket write timeout (`None` = wait forever).
-    pub fn write_timeout(&self) -> Option<Duration> {
-        self.write_timeout
     }
 }
 
@@ -131,45 +121,10 @@ impl ServerOptionsBuilder {
         self
     }
 
-    /// Socket read timeout for both protocols. Zero is rejected at
-    /// [`build`](Self::build); an idle keep-alive connection past the
-    /// timeout is closed.
-    pub fn read_timeout(mut self, timeout: Duration) -> Self {
-        self.options.read_timeout = Some(timeout);
-        self
-    }
-
-    /// Socket write timeout for both protocols. Zero is rejected at
-    /// [`build`](Self::build); a reader stalled past it has its
-    /// connection closed (its request window stops the workers long
-    /// before that).
-    pub fn write_timeout(mut self, timeout: Duration) -> Self {
-        self.options.write_timeout = Some(timeout);
-        self
-    }
-
-    /// Disable both socket timeouts (connections may idle forever).
-    pub fn no_timeouts(mut self) -> Self {
-        self.options.read_timeout = None;
-        self.options.write_timeout = None;
-        self
-    }
-
     /// Validate and produce the options.
     pub fn build(self) -> Result<ServerOptions, ServerOptionsError> {
-        let o = &self.options;
-        if o.max_connections == 0 {
+        if self.options.max_connections == 0 {
             return Err(ServerOptionsError("max_connections must be at least 1"));
-        }
-        if o.read_timeout == Some(Duration::ZERO) {
-            return Err(ServerOptionsError(
-                "read_timeout must be nonzero (use no_timeouts to disable)",
-            ));
-        }
-        if o.write_timeout == Some(Duration::ZERO) {
-            return Err(ServerOptionsError(
-                "write_timeout must be nonzero (use no_timeouts to disable)",
-            ));
         }
         Ok(self.options)
     }
@@ -194,8 +149,6 @@ pub(crate) struct ServerShared {
     pub(crate) active: AtomicUsize,
     pub(crate) max_connections: usize,
     pub(crate) stopping: AtomicBool,
-    pub(crate) read_timeout: Option<Duration>,
-    pub(crate) write_timeout: Option<Duration>,
     pub(crate) telemetry: Option<Telemetry>,
     /// One formatter per [`OutputFormat`], in [`OutputFormat::all`] order.
     formatters: [Arc<dyn Formatter>; 4],
@@ -214,8 +167,6 @@ impl ServerShared {
             active: AtomicUsize::new(0),
             max_connections: options.max_connections,
             stopping: AtomicBool::new(false),
-            read_timeout: options.read_timeout,
-            write_timeout: options.write_timeout,
             telemetry: telemetry.cloned(),
             formatters: OutputFormat::all().map(|f| Arc::from(f.formatter())),
         })
@@ -246,15 +197,15 @@ impl ServerShared {
     }
 
     /// The one per-connection socket setup, applied by the accept loop
-    /// before either protocol sees the stream: the configured timeouts
-    /// plus `TCP_NODELAY`. Without it Nagle holds a reply's small
+    /// before either protocol sees the stream: [`SOCKET_TIMEOUT`] both
+    /// ways plus `TCP_NODELAY`. Without it Nagle holds a reply's small
     /// terminator behind unacknowledged data until the client's delayed
     /// ACK (40 ms on Linux) — and a package of 64 KiB or more bypasses
     /// the `BufWriter`, so the terminator is a separate write even under
     /// [`write_packages`]'s one-write rule.
     pub(crate) fn setup_connection(&self, stream: &TcpStream) {
-        let _ = stream.set_read_timeout(self.read_timeout);
-        let _ = stream.set_write_timeout(self.write_timeout);
+        let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
         let _ = stream.set_nodelay(true);
     }
 }
@@ -582,7 +533,6 @@ mod tests {
         let options = ServerOptions::builder()
             .config(config)
             .max_connections(1)
-            .no_timeouts()
             .build()
             .unwrap();
         ServerShared::new(registry, options, None).unwrap()

@@ -24,7 +24,9 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 
-use super::tcp::{read_frame, TAG_CURSOR, TAG_DATA, TAG_END, TAG_ERROR, TAG_JSON, TAG_QUERY};
+use super::tcp::{
+    read_frame, write_frame, TAG_CURSOR, TAG_DATA, TAG_END, TAG_ERROR, TAG_JSON, TAG_QUERY,
+};
 use crate::project::OutputFormat;
 
 /// What to fetch, independent of transport. Build with
@@ -217,12 +219,7 @@ impl TcpTransport {
     }
 
     fn send(&mut self, command: &str) -> std::io::Result<()> {
-        let payload = command.as_bytes();
-        let mut header = [0u8; 5];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-        header[4] = TAG_QUERY;
-        self.writer.write_all(&header)?;
-        self.writer.write_all(payload)?;
+        write_frame(&mut self.writer, TAG_QUERY, command.as_bytes())?;
         self.writer.flush()
     }
 

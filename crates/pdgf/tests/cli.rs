@@ -582,4 +582,33 @@ fn bad_invocations_fail_cleanly() {
         .output()
         .expect("runs");
     assert_eq!(output.status.code(), Some(1));
+
+    // Out-of-range values reach no run: a message, exit code 1, no panic.
+    let dir = workdir("bad");
+    let model = model_file(&dir);
+    let model = model.to_str().expect("utf8 path");
+    let out = dir.join("out");
+    let out = out.to_str().expect("utf8 path");
+    for (args, message) in [
+        (
+            ["serve", "--addr", "127.0.0.1:0", "--package-rows", "0"],
+            "--package-rows",
+        ),
+        (
+            ["generate", "--out", out, "--package-rows", "0"],
+            "--package-rows",
+        ),
+        (["generate", "--out", out, "--nodes", "0"], "node"),
+    ] {
+        let output = bin()
+            .args(args)
+            .args(["--model", model])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -63,9 +63,8 @@ fn oracle(rt: &SchemaRuntime, table: u32, update: u32, formatter: &dyn Formatter
 fn columnar_matches_row_path_across_generators_formats_and_workers() {
     let schema = generator_zoo();
     let rt = SchemaRuntime::build(&schema, &MapResolver::new()).expect("zoo builds");
-    let formatters: [&dyn Formatter; 5] = [
+    let formatters: [&dyn Formatter; 4] = [
         &CsvFormatter::new(),
-        &CsvFormatter::new().with_header(),
         &JsonFormatter,
         &XmlFormatter,
         &SqlFormatter::new(),
