@@ -6,6 +6,8 @@
 //! [`PdgfRng`], so the same distribution object can be shared across
 //! worker threads.
 
+use std::sync::OnceLock;
+
 use crate::rng::PdgfRng;
 
 /// A repeatable distribution over `f64` draws.
@@ -139,10 +141,14 @@ impl Distribution for Exponential {
 
 /// Zipf distribution over ranks `1..=n` with exponent `theta`.
 ///
-/// Uses the classic Gray et al. (SIGMOD '94, "Quickly Generating
+/// The rank is the classic Gray et al. (SIGMOD '94, "Quickly Generating
 /// Billion-Record Synthetic Databases") inverse-CDF approximation with a
 /// precomputed normalization constant, so sampling is O(1) and the object
-/// is shareable across threads.
+/// is shareable across threads. That formula is a non-decreasing step
+/// function of the draw's top 53 bits, so for domains up to 2^16 ranks
+/// the first draw tabulates where each rank begins; the formula then runs
+/// only for draws within 2^15 of a rank's first draw, and every draw gets
+/// the formula's rank.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
@@ -152,6 +158,93 @@ pub struct Zipf {
     zetan: f64,
     eta: f64,
     zeta2: f64,
+    /// Built on the first draw, so building a project pays nothing;
+    /// never built beyond [`TABLE_MAX_DOMAIN`].
+    table: OnceLock<Option<RankTable>>,
+}
+
+/// Largest domain [`Zipf`] tabulates: 2^16 ranks, a table of at most
+/// 768 KiB. Larger domains draw through the formula.
+const TABLE_MAX_DOMAIN: u64 = 1 << 16;
+
+/// Half the width of the guard band around each rank's first draw, in
+/// 53-bit draws. Where the formula's rank steps, rounding in `powf` and
+/// in the tabulated inverse moves the step by a few draws at most.
+const GUARD: u64 = 1 << 15;
+
+/// `2^53`: the number of distinct draws [`unit`] maps.
+const DRAWS: u64 = 1 << 53;
+
+/// Where each rank of a [`Zipf`] begins, with a guide that starts the
+/// search near the draw.
+#[derive(Debug, Clone)]
+struct RankTable {
+    /// `first[k]` is the draw where rank `k + 1` begins, to within the
+    /// guard band; `first[n]` is [`DRAWS`].
+    first: Vec<u64>,
+    /// `guide[g]` is the index `k` of the rank of draw `g << shift`.
+    guide: Vec<u16>,
+    shift: u32,
+}
+
+impl RankTable {
+    /// The table of `zipf`'s ranks, or `None` when a tabulated rank is
+    /// not the formula's at both ends of the draws that skip the formula.
+    fn build(zipf: &Zipf) -> Option<Self> {
+        let n = zipf.n as usize;
+        let scale = DRAWS as f64;
+        let mut first = Vec::with_capacity(n + 1);
+        first.push(0);
+        if n >= 2 {
+            // Rank 2 from `u · zetan >= 1`.
+            first.push((scale / zipf.zetan).ceil() as u64);
+        }
+        // Rank r >= 3 from `1 + n · (1 − eta · (1 − u))^alpha >= r`.
+        for r in 3..=zipf.n {
+            let head = ((r - 1) as f64 / zipf.n as f64).powf(1.0 / zipf.alpha);
+            let u = 1.0 - (1.0 - head) / zipf.eta;
+            first.push(((u * scale).ceil() as u64).min(DRAWS));
+        }
+        first.push(DRAWS);
+        if first.windows(2).any(|w| w[0] > w[1]) {
+            return None;
+        }
+        for (k, w) in first.windows(2).enumerate() {
+            let (lo, hi) = (w[0] + GUARD, w[1].saturating_sub(GUARD));
+            let rank = k as u64 + 1;
+            if lo < hi && (zipf.formula(lo) != rank || zipf.formula(hi - 1) != rank) {
+                return None;
+            }
+        }
+        // A power of two of guide entries, from 2 to 4 per rank.
+        let bits = 65 - (zipf.n - 1).leading_zeros().min(63);
+        let shift = 53 - bits;
+        let mut k = 0;
+        let guide = (0..1u64 << bits)
+            .map(|g| {
+                while first[k + 1] <= g << shift {
+                    k += 1;
+                }
+                k as u16
+            })
+            .collect();
+        Some(Self {
+            first,
+            guide,
+            shift,
+        })
+    }
+
+    /// The rank of 53-bit draw `m`, or `None` when `m` lies in a guard
+    /// band.
+    #[inline]
+    fn rank(&self, m: u64) -> Option<u64> {
+        let mut k = usize::from(self.guide[(m >> self.shift) as usize]);
+        while self.first[k + 1] <= m {
+            k += 1;
+        }
+        (m - self.first[k] >= GUARD && self.first[k + 1] - m > GUARD).then_some(k as u64 + 1)
+    }
 }
 
 impl Zipf {
@@ -181,6 +274,7 @@ impl Zipf {
             zetan,
             eta,
             zeta2,
+            table: OnceLock::new(),
         }
     }
 
@@ -205,7 +299,20 @@ impl Zipf {
     /// Sample a rank in `1..=n`. Rank 1 is the most frequent value.
     #[inline]
     pub fn sample_rank(&self, rng: &mut dyn FnMut() -> u64) -> u64 {
-        let u = unit(rng);
+        let m = rng() >> 11;
+        if self.n <= TABLE_MAX_DOMAIN {
+            let table = self.table.get_or_init(|| RankTable::build(self));
+            if let Some(rank) = table.as_ref().and_then(|t| t.rank(m)) {
+                return rank;
+            }
+        }
+        self.formula(m)
+    }
+
+    /// Gray et al.'s rank of 53-bit draw `m`, which is `u` of [`unit`].
+    #[inline]
+    fn formula(&self, m: u64) -> u64 {
+        let u = m as f64 * (1.0 / DRAWS as f64);
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 1;
@@ -463,6 +570,45 @@ mod tests {
                 "theta={theta}: wanted {expect}, got {got}"
             );
         }
+    }
+
+    /// The tabulated sampler returns the formula's rank for random draws
+    /// and for the draws at both edges of every guard band, and the table
+    /// is built for every domain up to the bound.
+    #[test]
+    fn zipf_table_equals_the_formula() {
+        let mut rng = PdgfDefaultRandom::seed_from(48);
+        for n in [1, 2, 3, 1_000, 15_000, TABLE_MAX_DOMAIN] {
+            for theta in [0.0, 0.5, 0.6, 0.7, 0.99] {
+                let z = Zipf::new(n, theta);
+                let check = |draw: u64| {
+                    let want = z.formula(draw >> 11);
+                    assert_eq!(
+                        z.sample_rank(&mut || draw),
+                        want,
+                        "n={n} θ={theta} {draw:#x}"
+                    );
+                };
+                for _ in 0..100_000 {
+                    check(rng.next_u64());
+                }
+                let table = z.table.get().and_then(Option::as_ref);
+                let table = table.unwrap_or_else(|| panic!("n={n} θ={theta}: no table"));
+                for &first in &table.first[1..table.first.len() - 1] {
+                    for m in [
+                        first - GUARD - 1,
+                        first - GUARD,
+                        first + GUARD - 1,
+                        first + GUARD,
+                    ] {
+                        check(m << 11 | rng.next_u64() >> 53);
+                    }
+                }
+            }
+        }
+        let beyond = Zipf::new(TABLE_MAX_DOMAIN + 1, 0.5);
+        beyond.sample_rank(&mut || rng.next_u64());
+        assert!(beyond.table.get().is_none());
     }
 
     #[test]

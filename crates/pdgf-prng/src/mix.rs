@@ -12,7 +12,7 @@
 /// inputs (e.g. consecutive row numbers) into statistically independent
 /// 64-bit values.
 #[inline(always)]
-pub fn mix64(mut z: u64) -> u64 {
+pub const fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -36,15 +36,35 @@ pub fn stafford13(mut z: u64) -> u64 {
 /// offset keeps the pair ordered.
 #[inline(always)]
 pub fn mix64_pair(parent: u64, index: u64) -> u64 {
-    stafford13(
-        parent
-            ^ mix64(
-                index
-                    .wrapping_add(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_mul(0xD1B5_4A32_D192_ED03),
-            ),
+    stafford13(parent ^ index_mix(index))
+}
+
+/// The half of [`mix64_pair`] that depends on the index alone.
+#[inline(always)]
+pub(crate) const fn index_mix(index: u64) -> u64 {
+    mix64(
+        index
+            .wrapping_add(0x9E37_79B9_7F4A_7C15)
+            .wrapping_mul(0xD1B5_4A32_D192_ED03),
     )
 }
+
+/// Indices whose [`index_mix`] is tabulated in [`INDEX_MIX`]: a cell's
+/// first draws, where nearly every cell stays.
+pub(crate) const INDEX_MIX_LEN: usize = 64;
+
+/// `INDEX_MIX[i]` is `index_mix(i)`, so the first [`INDEX_MIX_LEN`] draws
+/// of a counter stream cost one load and [`stafford13`]'s two multiplies
+/// instead of five.
+pub(crate) const INDEX_MIX: [u64; INDEX_MIX_LEN] = {
+    let mut table = [0; INDEX_MIX_LEN];
+    let mut i = 0;
+    while i < INDEX_MIX_LEN {
+        table[i] = index_mix(i as u64);
+        i += 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 //!    computed directly — the enabling trick for recomputing references
 //!    instead of re-reading generated data.
 
-use crate::mix::{mix64, mix64_pair};
+use crate::mix::{index_mix, mix64, stafford13, INDEX_MIX, INDEX_MIX_LEN};
 
 /// A deterministic, reseedable random number generator.
 ///
@@ -112,8 +112,9 @@ impl RngKind {
 
 /// PDGF's default generator: a counter-based ("hash-style") RNG.
 ///
-/// The i-th output for seed `s` is `mix64_pair(s, i)`. Reseeding is a
-/// two-word store, and the stream supports O(1) random access via
+/// The i-th output for seed `s` is [`mix64_pair(s, i)`](crate::mix64_pair),
+/// whose index half is a table load for the first 64 draws. Reseeding is
+/// a two-word store, and the stream supports O(1) random access via
 /// [`PdgfDefaultRandom::at`].
 #[derive(Debug, Clone)]
 pub struct PdgfDefaultRandom {
@@ -125,7 +126,12 @@ impl PdgfDefaultRandom {
     /// O(1) random access: the `i`-th draw of the stream for `seed`.
     #[inline]
     pub fn at(seed: u64, i: u64) -> u64 {
-        mix64_pair(seed, i)
+        let index = if i < INDEX_MIX_LEN as u64 {
+            INDEX_MIX[i as usize]
+        } else {
+            index_mix(i)
+        };
+        stafford13(seed ^ index)
     }
 
     /// The seed this generator currently draws from.
@@ -158,7 +164,7 @@ impl PdgfRng for PdgfDefaultRandom {
 
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        let v = mix64_pair(self.seed, self.counter);
+        let v = Self::at(self.seed, self.counter);
         self.counter = self.counter.wrapping_add(1);
         v
     }
@@ -275,6 +281,20 @@ mod tests {
         let seq: Vec<u64> = (0..16).map(|_| r.next_u64()).collect();
         for (i, v) in seq.iter().enumerate() {
             assert_eq!(PdgfDefaultRandom::at(99, i as u64), *v);
+        }
+    }
+
+    /// The tabulated first draws, and the computed ones past the table,
+    /// are `mix64_pair`'s.
+    #[test]
+    fn counter_table_draws_equal_mix64_pair() {
+        for seed in [0, 99, u64::MAX, 0x5EED_0000_0000_0001] {
+            let mut r = PdgfDefaultRandom::seed_from(seed);
+            for i in 0..200 {
+                let want = crate::mix64_pair(seed, i);
+                assert_eq!(PdgfDefaultRandom::at(seed, i), want, "seed {seed} draw {i}");
+                assert_eq!(r.next_u64(), want, "seed {seed} draw {i}");
+            }
         }
     }
 

@@ -259,9 +259,18 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    if args.package_rows == Some(0) {
-        eprintln!("error: --package-rows must be at least 1");
-        return ExitCode::FAILURE;
+    // `generate --workers 0` is the inline run (the reader renders every
+    // package); a server needs a worker.
+    let serve_workers = args.workers.filter(|_| command == "serve");
+    for (flag, value) in [
+        ("--package-rows", args.package_rows),
+        ("--window", args.window.map(|w| w as u64)),
+        ("--workers", serve_workers.map(|w| w as u64)),
+    ] {
+        if value == Some(0) {
+            eprintln!("error: {flag} must be at least 1");
+            return ExitCode::FAILURE;
+        }
     }
     let result = match command.as_str() {
         "generate" => cmd_generate(&args),

@@ -599,6 +599,16 @@ fn bad_invocations_fail_cleanly() {
             "--package-rows",
         ),
         (["generate", "--out", out, "--nodes", "0"], "node"),
+        // An address without a port, so a server the check misses exits
+        // with another message instead of serving.
+        (
+            ["serve", "--addr", "127.0.0.1", "--window", "0"],
+            "--window",
+        ),
+        (
+            ["serve", "--addr", "127.0.0.1", "--workers", "0"],
+            "--workers",
+        ),
     ] {
         let output = bin()
             .args(args)

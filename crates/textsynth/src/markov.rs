@@ -19,8 +19,8 @@ use std::fmt;
 use crate::tokenize::{keep_len, tokenize};
 
 /// Bytes of one word slot: a word shorter than this is appended as one
-/// copy of its slot, `' '` + word padded with spaces. Every word of the
-/// TPC-H comment model is shorter.
+/// copy of its slot, the word (after `' '` when spaced) padded with
+/// spaces. Every word of the TPC-H comment model is shorter.
 const WORD_SLOT: usize = 16;
 
 /// Markov model (de)serialization failure.
@@ -105,14 +105,34 @@ impl MarkovBuilder {
     }
 }
 
-/// One alias-table slot: keep `word` when the draw's coin is below
-/// `prob`, otherwise take `alias` — [`Alias::sample_index`]'s slot with both
-/// indices already resolved to word ids.
+/// One alias-table slot: keep pick 0 when the draw's low 32 bits are
+/// below `cut`, otherwise take pick 1 — [`Alias::sample_index`]'s slot
+/// with both indices resolved to the word, its successor distribution
+/// and its size. `Alias`'s coin `low32 · 2^-32 < prob` is exact in `f64`,
+/// so it is `low32 < ceil(prob · 2^32)`; a slot that always keeps, or
+/// never does, holds its one word in both picks. A short word's `bytes`
+/// and `chars` are its own; a long word's `bytes` is [`LONG`]. 32 bytes,
+/// aligned, so a slot is one cache line's read.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
 struct Slot {
-    prob: f64,
+    cut: u32,
+    word: [u32; 2],
+    next: [Span; 2],
+    bytes: [u8; 2],
+    chars: [u8; 2],
+}
+
+/// [`Slot::bytes`] of a word too long for its [`WORD_SLOT`].
+const LONG: u8 = u8::MAX;
+
+/// A sampled word: one pick of a [`Slot`].
+#[derive(Debug, Clone, Copy)]
+struct Step {
     word: u32,
-    alias: u32,
+    next: Span,
+    bytes: u8,
+    chars: u8,
 }
 
 /// A run of [`Slot`]s (and of the matching `ids`/`weights` entries):
@@ -151,15 +171,17 @@ fn offset(n: usize) -> Result<u32, MarkovError> {
 ///
 /// Every word's text sits in one arena and every distribution — the start
 /// distribution first, then each word's successors — in one flat slot
-/// array, so a word costs one draw, one slot read and one copy. Word `id`
-/// also sits at `WORD_SLOT * id` of `word_slots` as `' '` + word, padded
-/// with spaces (all spaces for a word too long for its slot), so the copy
-/// of a short word is one fixed-size slice. `ids` and `weights` run
-/// parallel to the slots and are read only to serialize the model.
+/// array. A slot names the word it picks, that word's size and its
+/// successor distribution, so the chain from one word to the next is one
+/// slot read. Word `id` also sits in `short` at `2 * WORD_SLOT * id` as
+/// the word, then as `' '` + word, each padded with spaces to
+/// `WORD_SLOT` bytes (all spaces for a long word), so appending a short
+/// word is one fixed-size copy. `ids` and `weights` run parallel to the
+/// slots and are read only to serialize the model.
 #[derive(Debug, Clone)]
 pub struct MarkovModel {
     text: String,
-    word_slots: String,
+    short: String,
     words: Vec<Word>,
     start: Span,
     slots: Vec<Slot>,
@@ -181,31 +203,40 @@ impl MarkovModel {
         }
         let mut model = Self {
             text: String::new(),
-            word_slots: String::with_capacity(words.len() * WORD_SLOT),
+            short: String::with_capacity(words.len() * 2 * WORD_SLOT),
             words: Vec::with_capacity(words.len()),
-            start: Span { offset: 0, len: 0 },
+            start: Span {
+                offset: 0,
+                len: offset(start.len())?,
+            },
             slots: Vec::new(),
             ids: Vec::new(),
             weights: Vec::new(),
         };
-        model.start = model.push_dist(start, words.len())?;
+        // Every span is laid out before any slot, which names the spans
+        // of its words.
+        let mut end = start.len();
         for (word, list) in words.iter().zip(successor_lists) {
             let word = word.as_ref();
+            let next = match list.len() {
+                0 => model.start,
+                len => Span {
+                    offset: offset(end)?,
+                    len: offset(len)?,
+                },
+            };
+            end += list.len();
             let begin = offset(model.text.len())?;
             model.text.push_str(word);
-            let slot = model.word_slots.len();
-            if word.len() < WORD_SLOT {
-                model.word_slots.push(' ');
-                model.word_slots.push_str(word);
+            for gap in ["", " "] {
+                let slot = model.short.len() + WORD_SLOT;
+                if word.len() < WORD_SLOT {
+                    model.short.push_str(gap);
+                    model.short.push_str(word);
+                }
+                let pad = slot - model.short.len();
+                model.short.extend(std::iter::repeat_n(' ', pad));
             }
-            model.word_slots.extend(std::iter::repeat_n(
-                ' ',
-                slot + WORD_SLOT - model.word_slots.len(),
-            ));
-            let next = match model.push_dist(list, words.len())? {
-                Span { len: 0, .. } => model.start,
-                next => next,
-            };
             model.words.push(Word {
                 start: begin,
                 end: offset(model.text.len())?,
@@ -213,34 +244,58 @@ impl MarkovModel {
                 next,
             });
         }
+        model.push_dist(start)?;
+        for list in successor_lists {
+            model.push_dist(list)?;
+        }
         Ok(model)
     }
 
-    /// Append one distribution's ids, weights and slots; an empty list is
-    /// an empty span.
-    fn push_dist(&mut self, list: &[(u32, f64)], word_count: usize) -> Result<Span, MarkovError> {
-        if let Some(&(id, _)) = list.iter().find(|(id, _)| *id as usize >= word_count) {
+    /// Append one distribution's ids, weights and slots.
+    fn push_dist(&mut self, list: &[(u32, f64)]) -> Result<(), MarkovError> {
+        if let Some(&(id, _)) = list.iter().find(|(id, _)| *id as usize >= self.words.len()) {
             return Err(MarkovError(format!("word id {id} out of range")));
+        }
+        if list.is_empty() {
+            return Ok(());
         }
         let span = Span {
             offset: offset(self.slots.len())?,
             len: offset(list.len())?,
         };
-        if !list.is_empty() {
-            self.ids.extend(list.iter().map(|&(id, _)| id));
-            self.weights.extend(list.iter().map(|&(_, w)| w));
-            let alias = Alias::new(&self.weights[span.range()]);
-            let ids = &self.ids[span.range()];
-            self.slots.extend((0..ids.len()).map(|i| {
-                let (prob, other) = alias.slot(i);
-                Slot {
-                    prob,
-                    word: ids[i],
-                    alias: ids[other as usize],
-                }
-            }));
-        }
-        Ok(span)
+        self.ids.extend(list.iter().map(|&(id, _)| id));
+        self.weights.extend(list.iter().map(|&(_, w)| w));
+        let alias = Alias::new(&self.weights[span.range()]);
+        let ids = &self.ids[span.range()];
+        let words = &self.words;
+        let step = |id: u32| {
+            let w = words[id as usize];
+            let bytes = (w.end - w.start) as usize;
+            Step {
+                word: id,
+                next: w.next,
+                bytes: if bytes < WORD_SLOT { bytes as u8 } else { LONG },
+                chars: if bytes < WORD_SLOT { w.chars as u8 } else { 0 },
+            }
+        };
+        self.slots.extend((0..ids.len()).map(|i| {
+            let (prob, other) = alias.slot(i);
+            let (keep, other) = (step(ids[i]), step(ids[other as usize]));
+            let coins = (1u64 << 32) as f64;
+            let (cut, pick) = match (prob * coins).ceil() {
+                cut if cut <= 0.0 => (0, [other; 2]),
+                cut if cut >= coins => (0, [keep; 2]),
+                cut => (cut as u32, [keep, other]),
+            };
+            Slot {
+                cut,
+                word: pick.map(|p| p.word),
+                next: pick.map(|p| p.next),
+                bytes: pick.map(|p| p.bytes),
+                chars: pick.map(|p| p.chars),
+            }
+        }));
+        Ok(())
     }
 
     /// Number of distinct words (the paper's "1500 words" statistic).
@@ -336,57 +391,65 @@ impl MarkovModel {
             return;
         }
         let base = out.len();
-        let mut chars = 0;
-        let mut current = self.sample(self.start, rng());
-        for i in 0..target_words {
-            let word = self.words[current as usize];
-            chars += self.push_word(current, word, i > 0, out);
+        let mut step = self.sample(self.start, rng());
+        let mut chars = self.push_word(step, 0, out);
+        for _ in 1..target_words {
             if chars > max_chars {
                 break;
             }
-            current = self.sample(word.next, rng());
+            step = self.sample(step.next, rng());
+            chars += self.push_word(step, 1, out);
+        }
+        if chars <= max_chars {
+            // The last word's successor: drawn, never read.
+            rng();
         }
         if let Some(keep) = keep_len(&out[base..], max_chars) {
             out.truncate(base + keep);
         }
     }
 
-    /// Append word `id`, after a space when `spaced`; returns the chars
-    /// appended. A word shorter than its slot is one fixed-size copy of
-    /// the slot, then a cut back to the word's end; a longer one is pushed
-    /// from the arena.
-    #[inline]
-    fn push_word(&self, id: u32, word: Word, spaced: bool, out: &mut String) -> usize {
-        let len = (word.end - word.start) as usize;
-        if len < WORD_SLOT {
-            let end = out.len() + usize::from(spaced) + len;
-            let slot = &self.word_slots[id as usize * WORD_SLOT..][..WORD_SLOT];
-            if spaced {
-                out.push_str(slot);
-            } else {
-                out.push_str(&slot[1..]);
-            }
+    /// Append `step`'s word after `gap` (0 or 1) spaces; returns the chars
+    /// appended. A short word is one fixed-size copy of its slot in
+    /// `short`, then a cut back to the word's end.
+    #[inline(always)]
+    fn push_word(&self, step: Step, gap: usize, out: &mut String) -> usize {
+        if step.bytes != LONG {
+            let end = out.len() + gap + usize::from(step.bytes);
+            let slot = (2 * step.word as usize + gap) * WORD_SLOT;
+            out.push_str(&self.short[slot..][..WORD_SLOT]);
             out.truncate(end);
+            gap + usize::from(step.chars)
         } else {
-            if spaced {
-                out.push(' ');
-            }
-            out.push_str(&self.text[word.start as usize..word.end as usize]);
+            self.push_long(step.word, gap, out)
         }
-        usize::from(spaced) + word.chars as usize
     }
 
-    /// The word `draw` picks from the distribution at `span`, split into
+    /// [`push_word`](Self::push_word) of a word too long for its slot,
+    /// from the arena; out of line, so the word loop keeps its registers.
+    #[cold]
+    #[inline(never)]
+    fn push_long(&self, id: u32, gap: usize, out: &mut String) -> usize {
+        let word = self.words[id as usize];
+        if gap == 1 {
+            out.push(' ');
+        }
+        out.push_str(&self.text[word.start as usize..word.end as usize]);
+        gap + word.chars as usize
+    }
+
+    /// The step `draw` picks from the distribution at `span`, split into
     /// bucket and coin exactly as [`Alias::sample_index`] splits it.
-    #[inline]
-    fn sample(&self, span: Span, draw: u64) -> u32 {
+    #[inline(always)]
+    fn sample(&self, span: Span, draw: u64) -> Step {
         let bucket = ((draw >> 32) * u64::from(span.len)) >> 32;
-        let coin = (draw & 0xFFFF_FFFF) as f64 * (1.0 / 4_294_967_296.0);
-        let slot = self.slots[span.offset as usize + bucket as usize];
-        if coin < slot.prob {
-            slot.word
-        } else {
-            slot.alias
+        let slot = &self.slots[span.offset as usize + bucket as usize];
+        let k = usize::from(draw as u32 >= slot.cut);
+        Step {
+            word: slot.word[k],
+            next: slot.next[k],
+            bytes: slot.bytes[k],
+            chars: slot.chars[k],
         }
     }
 
@@ -865,6 +928,63 @@ mod tests {
                 assert_eq!(got, reference.generate_range(&mut r2, 0, 30), "case {case}");
             }
             assert_eq!(r1(), r2(), "case {case}: draw counts diverged");
+        }
+    }
+
+    /// Words on both sides of the slot width (14 to 17 bytes, one of 31,
+    /// some with multi-byte chars), slots that always or never keep, and
+    /// caps at every width up to 80 chars: the same texts, cut the same,
+    /// as the alias reference.
+    #[test]
+    fn slot_edges_sample_like_the_alias_reference() {
+        let words: Vec<String> = [14, 15, 16, 17, 31, 1]
+            .iter()
+            .flat_map(|&len| ["x".repeat(len), format!("é{}", "y".repeat(len - 1))])
+            .collect();
+        let n = words.len() as u32;
+        let start: Vec<(u32, f64)> = vec![(0, 1.0), (5, 0.0), (8, 3.0), (11, 1.0)];
+        let lists: Vec<Vec<(u32, f64)>> = (0..n)
+            .map(|id| match id % 4 {
+                0 => vec![],
+                1 => vec![((id + 3) % n, 2.0)],
+                2 => vec![(id, 0.0), ((id + 1) % n, 5.0), ((id + 7) % n, 0.5)],
+                _ => (0..n).map(|to| (to, f64::from(to % 3))).collect(),
+            })
+            .collect();
+        let model = MarkovModel::from_parts(&words, &start, &lists).unwrap();
+        let reference = AliasReference::new(&words, &start, &lists);
+        for seed in 0..200 {
+            let (mut r1, mut r2) = (rng_fn(seed), rng_fn(seed));
+            let whole = reference.generate_range(&mut r2, 0, 12);
+            assert_eq!(model.generate_range(&mut r1, 0, 12), whole, "seed {seed}");
+            for cap in 1..=80 {
+                let mut capped = String::new();
+                model.generate_range_into(rng_fn(seed), 0, 12, cap, &mut capped);
+                let keep = keep_len(&whole, cap).unwrap_or(whole.len());
+                assert_eq!(capped, whole[..keep], "seed {seed} cap {cap}");
+            }
+        }
+    }
+
+    /// The integer coin keeps exactly where `Alias`'s `f64` coin keeps:
+    /// every bucket of every distribution, at low halves 0, `cut − 1`,
+    /// `cut` and `u32::MAX`, picks the word `Alias::sample_index` picks.
+    #[test]
+    fn integer_coin_matches_alias_at_every_cut() {
+        for m in [model(), three_word_model()] {
+            let spans = std::iter::once(m.start).chain(m.words.iter().map(|&w| m.successors(w)));
+            for span in spans.filter(|s| s.len > 0) {
+                let alias = Alias::new(&m.weights[span.range()]);
+                let ids = &m.ids[span.range()];
+                for (i, slot) in m.slots[span.range()].iter().enumerate() {
+                    let hi = ((i as u64) << 32).div_ceil(u64::from(span.len));
+                    for low in [0, slot.cut.saturating_sub(1), slot.cut, u32::MAX] {
+                        let draw = hi << 32 | u64::from(low);
+                        let want = ids[alias.sample_index(&mut || draw)];
+                        assert_eq!(m.sample(span, draw).word, want, "bucket {i} low {low}");
+                    }
+                }
+            }
         }
     }
 

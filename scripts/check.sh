@@ -22,6 +22,9 @@ cargo test --workspace -q
 echo "== the capped Markov kernel cuts like TruncateGenerator, at 2000 cases"
 PROPTEST_CASES=2000 cargo test -q --test proptests capped_markov_cuts_like_truncate
 
+echo "== the tabulated Zipf rank is Gray et al.'s formula, at 2000 cases"
+PROPTEST_CASES=2000 cargo test -q --test proptests zipf_rank_is_grays_formula
+
 echo "== examples that assert: update stream and query workload"
 cargo run -q --example streaming_updates >/dev/null
 cargo run -q --example benchmark_workload >/dev/null

@@ -8,7 +8,7 @@ use pdgf_gen::generator::{Cell, CellOut};
 use pdgf_gen::meta::TruncateGenerator;
 use pdgf_gen::text::MarkovChainGenerator;
 use pdgf_gen::{ColumnCtx, GenScratch, Generator, SchemaRuntime};
-use pdgf_prng::{Alias, FeistelPermutation, PdgfDefaultRandom, PdgfRng, SeedTree};
+use pdgf_prng::{mix64, Alias, FeistelPermutation, PdgfDefaultRandom, PdgfRng, SeedTree, Zipf};
 use pdgf_schema::value::{Date, Value};
 use pdgf_schema::{ColumnVec, Expr, Field, GeneratorSpec, Schema, SqlType, Table};
 use textsynth::{MarkovBuilder, MarkovModel};
@@ -437,6 +437,71 @@ proptest! {
                 draws,
                 capped_draws(model, ctx.cell_rng(row), uncapped_draws, limit),
                 "row {} limit {}", row, limit
+            );
+        }
+    }
+}
+
+/// Gray et al.'s Zipf rank of `draw`, recomputed from the sampler's public
+/// constants with the same `f64` operations, so it is the rank
+/// `Zipf::sample_rank` must return for every draw.
+fn gray_rank(zipf: &Zipf, theta: f64, draw: u64) -> u64 {
+    let n = zipf.domain();
+    let (zetan, zeta2) = (zipf.zetan(), zipf.zeta2());
+    let alpha = 1.0 / (1.0 - theta);
+    let eta = if n <= 2 {
+        0.0
+    } else {
+        (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan)
+    };
+    let u = (draw >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let uz = u * zetan;
+    if uz < 1.0 {
+        return 1;
+    }
+    if uz < 1.0 + 0.5f64.powf(theta) && n >= 2 {
+        return 2;
+    }
+    let rank = 1.0 + (n as f64) * (eta * u - eta + 1.0).powf(alpha);
+    (rank as u64).clamp(1, n)
+}
+
+proptest! {
+    /// `Zipf::sample_rank` is Gray et al.'s formula for any domain around
+    /// the rank table's bound, any skew, and draws uniform, within 2^17
+    /// draws of where a rank begins (where the table hands over to the
+    /// formula) and within 8 (where rounding moves the rank's step).
+    #[test]
+    fn zipf_rank_is_grays_formula(
+        n in 1u64..70_000,
+        theta in 0.0f64..0.995,
+        seed in any::<u64>(),
+    ) {
+        let zipf = Zipf::new(n, theta);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta))
+            / (1.0 - zipf.zeta2() / zipf.zetan());
+        for i in 0..32u64 {
+            let [a, b] = [mix64(seed ^ (2 * i)), mix64(seed ^ (2 * i + 1))];
+            let draw = if i % 4 == 0 || n < 2 {
+                a
+            } else {
+                // Where rank r begins: `u · zetan = 1` for rank 2, the
+                // formula's inverse beyond.
+                let r = 2 + a % (n - 1);
+                let u = if r == 2 {
+                    1.0 / zipf.zetan()
+                } else {
+                    1.0 - (1.0 - ((r - 1) as f64 / n as f64).powf(1.0 - theta)) / eta
+                };
+                let first = (u * (1u64 << 53) as f64) as u64;
+                let spread = if i % 2 == 0 { 1 << 17 } else { 8 };
+                let m = (first + (b >> 11) % (2 * spread)).saturating_sub(spread);
+                m.min((1 << 53) - 1) << 11 | (b & 0x7FF)
+            };
+            prop_assert_eq!(
+                zipf.sample_rank(&mut || draw),
+                gray_rank(&zipf, theta, draw),
+                "n {} θ {} draw {:#x}", n, theta, draw
             );
         }
     }
