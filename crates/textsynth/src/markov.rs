@@ -23,6 +23,10 @@ use crate::tokenize::{keep_len, tokenize};
 /// spaces. Every word of the TPC-H comment model is shorter.
 const WORD_SLOT: usize = 16;
 
+/// A word slot of spaces: the padding of a short word's slot.
+const PAD: &str = "                ";
+const _: () = assert!(PAD.len() == WORD_SLOT);
+
 /// Markov model (de)serialization failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarkovError(pub String);
@@ -235,7 +239,7 @@ impl MarkovModel {
                     model.short.push_str(word);
                 }
                 let pad = slot - model.short.len();
-                model.short.extend(std::iter::repeat_n(' ', pad));
+                model.short.push_str(&PAD[..pad]);
             }
             model.words.push(Word {
                 start: begin,
@@ -244,6 +248,9 @@ impl MarkovModel {
                 next,
             });
         }
+        model.slots.reserve_exact(end);
+        model.ids.reserve_exact(end);
+        model.weights.reserve_exact(end);
         model.push_dist(start)?;
         for list in successor_lists {
             model.push_dist(list)?;
