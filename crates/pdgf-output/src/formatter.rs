@@ -770,7 +770,7 @@ impl XmlFormatter {
     /// character.
     fn lane<'a>(&self, col: &'a ColumnVec) -> Lane<'a> {
         // Opaque for the reason `CsvFormatter::lane` gives: three literal
-        // bytes below 64 make the same bit test, a 12–19× slower scan.
+        // bytes below 64 make the same bit test, an 11–20× slower scan.
         let amp = std::hint::black_box(b'&');
         Lane::of(col, |b| xml_dirty(b, amp))
     }
