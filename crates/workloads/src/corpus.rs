@@ -1,14 +1,14 @@
 //! Shared vocabulary and curated text models.
 //!
 //! TPC-H's `dbgen` generates comment text from a fixed grammar over word
-//! lists (adverbs, adjectives, nouns, verbs, …). We reuse those word
-//! classes to deterministically synthesize a training corpus and fit the
-//! Markov model PDGF's TPC-H configuration references; the paper reports
-//! the resulting `l_comment` model at ~1500 words and 95 starting states,
-//! at a scale this corpus approximates.
+//! lists (adverbs, adjectives, nouns, verbs, …); `dbgen` and `bigbench`
+//! draw from these lists. The Markov model PDGF's TPC-H configuration
+//! references was fit on sentences of that grammar and ships as
+//! `models/markov/l_comment_markovSamples.bin`; the paper reports its
+//! `l_comment` model at ~1500 words and 95 starting states, at a scale
+//! the shipped model approximates.
 
-use pdgf_prng::{PdgfDefaultRandom, PdgfRng};
-use textsynth::{MarkovBuilder, MarkovModel};
+use textsynth::MarkovModel;
 
 /// TPC-H grammar adverbs.
 pub const ADVERBS: &[&str] = &[
@@ -158,56 +158,6 @@ pub const VERBS: &[&str] = &[
     "doubt",
 ];
 
-/// TPC-H grammar prepositions (abridged).
-pub const PREPOSITIONS: &[&str] = &[
-    "about",
-    "above",
-    "according to",
-    "across",
-    "after",
-    "against",
-    "along",
-    "among",
-    "around",
-    "at",
-    "atop",
-    "before",
-    "behind",
-    "beneath",
-    "beside",
-    "besides",
-    "between",
-    "beyond",
-    "by",
-    "despite",
-    "during",
-    "except",
-    "for",
-    "from",
-    "in",
-    "inside",
-    "instead of",
-    "into",
-    "near",
-    "of",
-    "on",
-    "outside",
-    "over",
-    "past",
-    "since",
-    "through",
-    "throughout",
-    "to",
-    "toward",
-    "under",
-    "until",
-    "up",
-    "upon",
-    "without",
-    "with",
-    "within",
-];
-
 /// TPC-H part color words (used by `p_name`).
 pub const COLORS: &[&str] = &[
     "almond",
@@ -305,45 +255,20 @@ pub const COLORS: &[&str] = &[
     "yellow",
 ];
 
-/// Deterministically synthesize a dbgen-style comment sentence.
-fn sentence(rng: &mut PdgfDefaultRandom) -> String {
-    let pick = |rng: &mut PdgfDefaultRandom, list: &[&'static str]| -> &'static str {
-        list[rng.next_bounded(list.len() as u64) as usize]
-    };
-    // dbgen's "noun phrase verb phrase" grammar, abridged.
-    let mut s = String::new();
-    s.push_str(pick(rng, ADVERBS));
-    s.push(' ');
-    s.push_str(pick(rng, ADJECTIVES));
-    s.push(' ');
-    s.push_str(pick(rng, NOUNS));
-    s.push(' ');
-    s.push_str(pick(rng, VERBS));
-    if rng.next_bool(0.6) {
-        s.push(' ');
-        s.push_str(pick(rng, PREPOSITIONS));
-        s.push_str(" the ");
-        s.push_str(pick(rng, ADJECTIVES));
-        s.push(' ');
-        s.push_str(pick(rng, NOUNS));
-    }
-    s
-}
-
-/// The curated TPC-H comment Markov model: fit on a deterministic corpus
-/// of dbgen-grammar sentences.
+/// The curated TPC-H comment Markov model that `models/tpch.xml` and
+/// `models/ssb.xml` reference, decoded from the embedded
+/// `models/markov/l_comment_markovSamples.bin`.
 pub fn tpch_comment_model() -> MarkovModel {
-    let mut rng = PdgfDefaultRandom::seed_from(0x79C4_2015);
-    let mut builder = MarkovBuilder::new();
-    for _ in 0..4000 {
-        builder.feed(&sentence(&mut rng));
-    }
-    builder.build().expect("corpus is non-empty")
+    MarkovModel::from_bytes(include_bytes!(
+        "../../../models/markov/l_comment_markovSamples.bin"
+    ))
+    .expect("the shipped comment model decodes")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdgf_prng::{PdgfDefaultRandom, PdgfRng};
 
     #[test]
     fn comment_model_statistics_match_paper_scale() {
@@ -361,13 +286,6 @@ mod tests {
             "start states {}",
             m.start_state_count()
         );
-    }
-
-    #[test]
-    fn comment_model_is_deterministic() {
-        let a = tpch_comment_model().to_bytes();
-        let b = tpch_comment_model().to_bytes();
-        assert_eq!(a, b);
     }
 
     #[test]

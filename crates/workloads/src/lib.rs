@@ -20,9 +20,9 @@
 //! * [`corpus`] — shared word lists and the curated TPC-H comment Markov
 //!   model.
 //!
-//! The XML files in `models/` are the only definition of TPC-H and SSB.
-//! The `dump-models` binary writes only the comment Markov binary they
-//! both reference, `models/markov/l_comment_markovSamples.bin`.
+//! The files in `models/` are the only definition of TPC-H and SSB: the
+//! two XML models and the comment Markov binary they both reference,
+//! `models/markov/l_comment_markovSamples.bin`, which [`corpus`] embeds.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -25,6 +25,9 @@ PROPTEST_CASES=2000 cargo test -q --test proptests capped_markov_cuts_like_trunc
 echo "== the tabulated Zipf rank is Gray et al.'s formula, at 2000 cases"
 PROPTEST_CASES=2000 cargo test -q --test proptests zipf_rank_is_grays_formula
 
+echo "== the f64 writer matches std formatting, at 2000 cases"
+PROPTEST_CASES=2000 cargo test -q -p pdgf-output --lib prop_f64_
+
 echo "== examples that assert: update stream and query workload"
 cargo run -q --example streaming_updates >/dev/null
 cargo run -q --example benchmark_workload >/dev/null

@@ -1,13 +1,12 @@
 //! The model files shipped in `models/`. `models/tpch.xml` and
 //! `models/ssb.xml` are the models' only definition (`workloads::tpch`
 //! and `workloads::ssb` embed them), so they must be in canonical form and
-//! directly usable: parse, build, generate. The comment Markov binary is
-//! an artifact of `workloads::corpus`, written by
-//! `cargo run -p workloads --bin dump-models`.
+//! directly usable: parse, build, generate. The comment Markov binary
+//! they reference is likewise the model itself: `workloads::corpus`
+//! embeds it, and `tests/fingerprints.rs` pins the text generated from it.
 
 use dbsynth_suite::pdgf::schema::config;
 use dbsynth_suite::pdgf::{OutputFormat, Pdgf};
-use dbsynth_suite::workloads::corpus;
 
 fn repo_path(rel: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
@@ -28,17 +27,6 @@ fn shipped_xml_roundtrips_byte_for_byte() {
             "{file} does not round-trip"
         );
     }
-}
-
-#[test]
-fn shipped_markov_binary_matches_the_corpus() {
-    let shipped = std::fs::read(repo_path("models/markov/l_comment_markovSamples.bin"))
-        .expect("markov binary is checked in");
-    assert_eq!(
-        shipped,
-        corpus::tpch_comment_model().to_bytes().to_vec(),
-        "markov binary is stale — run `cargo run -p workloads --bin dump-models`"
-    );
 }
 
 #[test]
