@@ -10,7 +10,8 @@ use pdgf_schema::model::{DateFormat, HistogramOutput};
 use pdgf_schema::value::{Date, Value};
 
 use crate::generator::{
-    kernel_paths, Bools, Dates, Decimals, Doubles, Emit, Generator, Kernel, Longs, Timestamps,
+    kernel_paths, Bools, Cell, ColumnCtx, Dates, Decimals, Doubles, Emit, Fill, GenScratch,
+    Generator, Kernel, Longs, Timestamps,
 };
 
 /// Unique key generator: emits `row + 1`, optionally scrambled through a
@@ -43,6 +44,17 @@ impl IdGenerator {
             None => row as i64 + 1,
         }
     }
+
+    /// [`key_for`](Self::key_for) of every row in `rows`, each below the
+    /// table's size, appended to `out`. Permuted keys take one batched
+    /// walk ([`FeistelPermutation::permute_batch`]) over `rows`, which it
+    /// leaves holding the permuted rows; `pending` is the walk's list.
+    pub(crate) fn keys_into(&self, rows: &mut [u64], pending: &mut Vec<u32>, out: &mut Vec<i64>) {
+        if let Some(p) = &self.permutation {
+            p.permute_batch(rows, pending);
+        }
+        out.extend(rows.iter().map(|&row| row as i64 + 1));
+    }
 }
 
 impl Kernel for IdGenerator {
@@ -53,7 +65,28 @@ impl Kernel for IdGenerator {
 }
 
 impl Generator for IdGenerator {
-    kernel_paths!();
+    /// Sequential keys are the kernel's; permuted keys take one batched
+    /// walk ([`FeistelPermutation::permute_batch`]).
+    fn fill_column(
+        &self,
+        ctx: &ColumnCtx<'_>,
+        rows: std::ops::Range<u64>,
+        out: &mut pdgf_schema::ColumnVec,
+        scratch: &mut GenScratch,
+    ) {
+        let Some(p) = &self.permutation else {
+            return Kernel::emit(self, Fill { ctx, rows, out });
+        };
+        let GenScratch { keys, pending, .. } = scratch;
+        p.permute_window(rows, keys, pending);
+        let longs = out.longs_mut();
+        longs.extend(keys.iter().map(|&key| key as i64 + 1));
+    }
+
+    #[inline]
+    fn emit_cell(&self, cell: Cell<'_, '_>) {
+        Kernel::emit(self, cell)
+    }
 
     fn as_id(&self) -> Option<&IdGenerator> {
         Some(self)

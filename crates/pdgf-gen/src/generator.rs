@@ -4,9 +4,10 @@
 
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::Arc;
 
-use pdgf_prng::{mix64_pair, PdgfDefaultRandom, PdgfRng};
-use pdgf_schema::{ColumnVec, Date, Value};
+use pdgf_prng::{mix64_pair, PdgfDefaultRandom};
+use pdgf_schema::{ColumnVec, Date, DictTable, Value};
 
 use crate::runtime::SchemaRuntime;
 
@@ -22,6 +23,11 @@ pub struct GenScratch {
     /// `row_into_with_scratch`, each holding one cell: a column keeps its
     /// lane and capacity from row to row.
     pub(crate) cells: Vec<ColumnVec>,
+    /// Row numbers of one package: a batched permutation walk's inputs
+    /// and outputs.
+    pub(crate) keys: Vec<u64>,
+    /// The walk's list of elements still outside the domain.
+    pub(crate) pending: Vec<u32>,
 }
 
 /// Per-column generation context for the batch path.
@@ -31,6 +37,7 @@ pub struct GenScratch {
 /// columnar path hoists the `(table, column, update)` prefix once per
 /// column so each cell pays exactly one [`mix64_pair`]. The seeds — and
 /// therefore every RNG draw — are bit-identical to a point read's.
+#[derive(Clone, Copy)]
 pub struct ColumnCtx<'rt> {
     /// The schema runtime (reference generators recompute parents).
     pub runtime: &'rt SchemaRuntime,
@@ -40,6 +47,9 @@ pub struct ColumnCtx<'rt> {
     /// [`StaticProfile`](pdgf_schema::absint::StaticProfile), when finite
     /// — used by text kernels to pre-size the arena.
     pub width_hint: Option<u32>,
+    /// The draw each cell's RNG starts at: 0 for a column, more where a
+    /// wrapper has made its own draws before its inner generator's.
+    pub first_draw: u64,
 }
 
 impl ColumnCtx<'_> {
@@ -60,11 +70,11 @@ impl ColumnCtx<'_> {
         mix64_pair(self.update_seed, row)
     }
 
-    /// A freshly seeded per-cell RNG, ready for the generator's draw
-    /// sequence.
+    /// A freshly seeded per-cell RNG at [`first_draw`](Self::first_draw),
+    /// ready for the generator's draw sequence.
     #[inline]
     pub fn cell_rng(&self, row: u64) -> PdgfDefaultRandom {
-        PdgfDefaultRandom::seed_from(self.cell_seed(row))
+        PdgfDefaultRandom::seed_at(self.cell_seed(row), self.first_draw)
     }
 }
 
@@ -82,7 +92,7 @@ impl CellOut<'_> {
     /// or onto the buffer.
     pub(crate) fn text(self, build: impl FnOnce(&mut String)) {
         match self {
-            CellOut::Column(out) => match out.text_tail() {
+            CellOut::Column(out) => match out.spill_dict().text_tail() {
                 Some(arena) => {
                     build(arena.buf());
                     arena.seal();
@@ -105,11 +115,9 @@ impl CellOut<'_> {
         match self {
             CellOut::Column(out) => match lane.tail(out) {
                 Some(cells) => cells.push(cell),
-                None => out.promote().push(lane.value(cell)),
+                None => lane.mixed(out, cell),
             },
-            CellOut::Text(buf) => {
-                write!(buf, "{}", lane.value(cell)).expect("writing to a String cannot fail")
-            }
+            CellOut::Text(buf) => lane.display(cell, buf),
         }
     }
 }
@@ -152,8 +160,9 @@ pub trait Generator: Send + Sync {
     /// The single fixed [`Value`] this generator emits for every cell,
     /// when it is context-free (ignores the row and draws nothing).
     /// Wrapper kernels use this to specialize: the probability generator
-    /// collapses all-static text branches into one draw plus one arena
-    /// append per cell. The default claims nothing, which is always sound.
+    /// collapses all-static text branches into one draw plus one
+    /// dictionary code per cell. The default claims nothing, which is
+    /// always sound.
     fn static_value(&self) -> Option<&Value> {
         None
     }
@@ -224,6 +233,14 @@ pub(crate) trait Lane: Copy {
     /// The column's storage in this lane to append one cell to, or `None`
     /// when the column holds a cell of another kind.
     fn tail(self, out: &mut ColumnVec) -> Option<&mut Vec<Self::Cell>>;
+    /// Append `cell` to a column whose [`tail`](Self::tail) is `None`.
+    fn mixed(self, out: &mut ColumnVec, cell: Self::Cell) {
+        out.promote().push(self.value(cell));
+    }
+    /// Append `cell`'s `Display` text to `buf`.
+    fn display(self, cell: Self::Cell, buf: &mut String) {
+        write!(buf, "{}", self.value(cell)).expect("writing to a String cannot fail");
+    }
 }
 
 macro_rules! lane {
@@ -281,6 +298,38 @@ impl Lane for Decimals {
     #[inline]
     fn tail(self, out: &mut ColumnVec) -> Option<&mut Vec<i64>> {
         out.decimals_tail(self.0)
+    }
+}
+
+/// Text cells drawn from a finite table of entries, as codes into it.
+#[derive(Clone, Copy)]
+pub(crate) struct Codes<'t>(pub &'t Arc<DictTable>);
+
+impl Lane for Codes<'_> {
+    type Cell = u32;
+    #[inline]
+    fn value(self, code: u32) -> Value {
+        Value::text(self.0.get(code))
+    }
+    #[inline]
+    fn storage(self, out: &mut ColumnVec) -> &mut Vec<u32> {
+        out.codes_mut(self.0)
+    }
+    #[inline]
+    fn tail(self, out: &mut ColumnVec) -> Option<&mut Vec<u32>> {
+        out.codes_tail(self.0)
+    }
+    /// Text cells of another source, or codes of another table, before
+    /// this cell: the column continues as a text arena.
+    fn mixed(self, out: &mut ColumnVec, code: u32) {
+        match out.spill_dict().text_tail() {
+            Some(arena) => arena.push_str(self.0.get(code)),
+            None => out.promote().push(self.value(code)),
+        }
+    }
+    #[inline]
+    fn display(self, code: u32, buf: &mut String) {
+        buf.push_str(self.0.get(code));
     }
 }
 
@@ -416,7 +465,7 @@ pub(crate) fn point_cell(g: &dyn Generator, seed: u64, row: u64) -> Value {
     let runtime = SchemaRuntime::empty_for_tests();
     let mut out = ColumnVec::default();
     g.emit_cell(Cell {
-        rng: &mut PdgfDefaultRandom::seed_from(seed),
+        rng: &mut PdgfDefaultRandom::seed_at(seed, 0),
         row,
         runtime: &runtime,
         out: CellOut::Column(&mut out),

@@ -12,7 +12,7 @@
 
 use pdgf_prng::{PdgfDefaultRandom, PdgfRng};
 use pdgf_schema::expr::{BinOp, Expr, Func};
-use pdgf_schema::{ColumnVec, Value};
+use pdgf_schema::{ColumnVec, DictColumn, DictTable, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -20,7 +20,8 @@ use std::sync::Arc;
 use textsynth::keep_len;
 
 use crate::generator::{
-    kernel_paths, Cell, CellOut, ColumnCtx, Doubles, Emit, GenScratch, Generator, Kernel, Longs,
+    kernel_paths, Cell, CellOut, Codes, ColumnCtx, Doubles, Emit, Fill, GenScratch, Generator,
+    Kernel, Longs,
 };
 use crate::runtime::SchemaRuntime;
 
@@ -57,7 +58,29 @@ impl Kernel for NullGenerator {
 }
 
 impl Generator for NullGenerator {
-    kernel_paths!();
+    /// At probability 0 no cell is NULL, so the inner generator fills the
+    /// column itself, each cell's RNG one draw in, past the wrapper's.
+    fn fill_column(
+        &self,
+        ctx: &ColumnCtx<'_>,
+        rows: Range<u64>,
+        out: &mut ColumnVec,
+        scratch: &mut GenScratch,
+    ) {
+        if self.probability == 0.0 {
+            let ctx = ColumnCtx {
+                first_draw: ctx.first_draw + 1,
+                ..*ctx
+            };
+            return self.inner.fill_column(&ctx, rows, out, scratch);
+        }
+        Kernel::emit(self, Fill { ctx, rows, out })
+    }
+
+    #[inline]
+    fn emit_cell(&self, cell: Cell<'_, '_>) {
+        Kernel::emit(self, cell)
+    }
 
     fn name(&self) -> &'static str {
         "NullGenerator"
@@ -137,12 +160,15 @@ impl Generator for SequentialGenerator {
 /// Executes one of several generators chosen by probability ("execute
 /// different generators based on certain conditions").
 pub struct ProbabilityGenerator {
-    /// Cumulative upper bounds paired with branch generators.
-    cumulative: Vec<(f64, Arc<dyn Generator>)>,
-    /// The same table as fixed strings, when every branch is a static
-    /// text value — the dbgen idiom of `l_returnflag` (R/A/N). A cell is
-    /// then one draw plus one fixed string, with no branch dispatch.
-    texts: Option<Vec<(f64, Arc<str>)>>,
+    /// Cumulative upper bound of each branch.
+    bounds: Vec<f64>,
+    /// The branch generators.
+    branches: Vec<Arc<dyn Generator>>,
+    /// The branches' texts as a cell table, branch `i` code `i`, when
+    /// every branch is a static text value — the dbgen idiom of
+    /// `l_returnflag` (R/A/N). A cell is then one draw and one code, with
+    /// no branch dispatch.
+    texts: Option<Arc<DictTable>>,
 }
 
 impl ProbabilityGenerator {
@@ -153,44 +179,57 @@ impl ProbabilityGenerator {
         let total: f64 = branches.iter().map(|(p, _)| *p).sum();
         assert!((total - 1.0).abs() < 1e-6, "probabilities sum to {total}");
         let mut acc = 0.0;
-        let cumulative: Vec<_> = branches
+        let (bounds, branches): (Vec<f64>, Vec<_>) = branches
             .into_iter()
             .map(|(p, g)| {
                 acc += p;
                 (acc, g)
             })
-            .collect();
-        let texts = cumulative
+            .unzip();
+        let texts: Option<Vec<&str>> = branches
             .iter()
-            .map(|(bound, g)| match g.static_value() {
-                Some(Value::Text(s)) => Some((*bound, Arc::clone(s))),
+            .map(|g| match g.static_value() {
+                Some(Value::Text(s)) => Some(&**s),
                 _ => None,
             })
             .collect();
-        Self { cumulative, texts }
+        let texts = texts.map(|t| Arc::new(DictTable::new(t)));
+        Self {
+            bounds,
+            branches,
+            texts,
+        }
     }
-}
 
-/// The branch a selector draw lands in: the first whose cumulative bound
-/// exceeds the draw, with the last catching the residual mass
-/// floating-point rounding leaves below 1.
-#[inline]
-fn pick<T>(branches: &[(f64, T)], draw: f64) -> &T {
-    let i = branches
-        .iter()
-        .position(|(bound, _)| draw < *bound)
-        .unwrap_or(branches.len() - 1);
-    &branches[i].1
+    /// Cut every static text branch to `max_chars` chars, when every
+    /// branch is one; any other generator is unchanged.
+    pub fn capped(self, max_chars: usize) -> Self {
+        let texts = self.texts.map(|t| crate::text::cut_table(&t, max_chars));
+        Self { texts, ..self }
+    }
+
+    /// The branch a selector draw lands in: the first whose cumulative
+    /// bound exceeds the draw, with the last catching the residual mass
+    /// floating-point rounding leaves below 1. Every bound is compared, from
+    /// the last, so the branch is a select rather than a jump.
+    #[inline]
+    fn pick(&self, draw: f64) -> usize {
+        let mut branch = self.bounds.len() - 1;
+        for (i, &bound) in self.bounds.iter().enumerate().rev() {
+            if draw < bound {
+                branch = i;
+            }
+        }
+        branch
+    }
 }
 
 impl Kernel for ProbabilityGenerator {
     #[inline]
     fn emit<E: Emit>(&self, out: E) {
         match &self.texts {
-            Some(texts) => {
-                out.text(|rng, _, buf| buf.push_str(pick::<Arc<str>>(texts, rng.next_f64())))
-            }
-            None => out.delegate(|rng, _| Some(pick(&self.cumulative, rng.next_f64()).as_ref())),
+            Some(texts) => out.typed(Codes(texts), |rng, _| self.pick(rng.next_f64()) as u32),
+            None => out.delegate(|rng, _| Some(self.branches[self.pick(rng.next_f64())].as_ref())),
         }
     }
 }
@@ -435,6 +474,15 @@ impl TruncateGenerator {
         Self { inner, max_chars }
     }
 
+    /// Whether some cell of `d`, from the `from`th on, is wider than the
+    /// width.
+    fn cuts_dict(&self, d: &DictColumn, from: usize) -> bool {
+        let table = d.table();
+        d.codes()[from..]
+            .iter()
+            .any(|&code| keep_len(table.get(code), self.max_chars).is_some())
+    }
+
     /// Cut `v` to the width when it is text; any other value stays.
     fn cut(&self, v: &mut Value) {
         if let Value::Text(s) = v {
@@ -448,7 +496,11 @@ impl TruncateGenerator {
 impl Generator for TruncateGenerator {
     /// Runs the inner kernel, then shortens overflowing text cells in
     /// place. Arena columns rebuild through the scratch buffer only when
-    /// something actually truncates; non-text columns pass through.
+    /// something actually truncates, and a dictionary column whose codes
+    /// name an entry wider than the column becomes an arena first (the
+    /// runtime cuts a column's own dictionary at build, so only a
+    /// dictionary inside another generator gets here); non-text columns
+    /// pass through.
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
@@ -457,6 +509,9 @@ impl Generator for TruncateGenerator {
         scratch: &mut GenScratch,
     ) {
         self.inner.fill_column(ctx, rows, out, scratch);
+        if out.as_dict().is_some_and(|d| self.cuts_dict(d, 0)) {
+            out.spill_dict();
+        }
         if let Some(tc) = out.as_text_mut() {
             tc.truncate_cells(|s| keep_len(s, self.max_chars), &mut scratch.text);
         } else if let Some(cells) = out.as_cells_mut() {
@@ -481,6 +536,10 @@ impl Generator for TruncateGenerator {
                     runtime,
                     out: CellOut::Column(&mut *out),
                 });
+                let last = out.len() - 1;
+                if out.as_dict().is_some_and(|d| self.cuts_dict(d, last)) {
+                    out.spill_dict();
+                }
                 if let Some(arena) = out.as_text_mut() {
                     if let Some(keep) = keep_len(arena.get(arena.len() - 1), self.max_chars) {
                         arena.truncate_last(keep);
@@ -550,6 +609,7 @@ mod tests {
             runtime: &rt,
             update_seed: 0x5EED,
             width_hint: None,
+            first_draw: 0,
         };
         let mut out = ColumnVec::default();
         out.text_mut().push_str("stale");
@@ -587,6 +647,90 @@ mod tests {
             assert!(out.as_text().is_some(), "p={p} left the arena");
             assert!(out.as_cells_mut().is_none());
         }
+    }
+
+    /// Entries wider than a column, some cut at a space and some hard.
+    const WIDE: [&str; 4] = ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKEBACKRETURN"];
+
+    fn wide_dict() -> Arc<textsynth::Dictionary> {
+        let entries = WIDE
+            .iter()
+            .zip(1..)
+            .map(|(e, w)| (e.to_string(), f64::from(w)));
+        Arc::new(textsynth::Dictionary::new(entries.collect()).unwrap())
+    }
+
+    fn wide_choice() -> ProbabilityGenerator {
+        ProbabilityGenerator::new(WIDE.iter().map(|e| (0.25, static_text(e))).collect())
+    }
+
+    /// Each dictionary kind cut at build fills a dictionary column equal,
+    /// on both paths, to the uncut generator under `TruncateGenerator`,
+    /// which spills the uncut dictionary to an arena to cut it.
+    #[test]
+    fn capped_dictionaries_cut_like_truncate() {
+        use crate::text::{DictByRowGenerator, DictListGenerator};
+        for width in [1, 4, 7, 9, 12, 40] {
+            let cases: [(Arc<dyn Generator>, Arc<dyn Generator>); 4] = [
+                (
+                    Arc::new(DictListGenerator::new(wide_dict(), false).capped(width)),
+                    Arc::new(DictListGenerator::new(wide_dict(), false)),
+                ),
+                (
+                    Arc::new(DictListGenerator::new(wide_dict(), true).capped(width)),
+                    Arc::new(DictListGenerator::new(wide_dict(), true)),
+                ),
+                (
+                    Arc::new(DictByRowGenerator::new(wide_dict()).capped(width)),
+                    Arc::new(DictByRowGenerator::new(wide_dict())),
+                ),
+                (
+                    Arc::new(wide_choice().capped(width)),
+                    Arc::new(wide_choice()),
+                ),
+            ];
+            for (capped, uncut) in cases {
+                let got = batch_matches_point(capped.as_ref());
+                let cut = TruncateGenerator::new(uncut, width);
+                let want = batch_matches_point(&cut);
+                for i in 0..got.len() {
+                    assert_eq!(
+                        got.value(i),
+                        want.value(i),
+                        "{} width {width}",
+                        capped.name()
+                    );
+                }
+                assert!(got.as_dict().is_some(), "{} left its codes", capped.name());
+                assert_eq!(want.as_dict().is_some(), width >= 17, "{}", capped.name());
+            }
+        }
+    }
+
+    /// A NULL wrapper that never draws NULL hands the column to its inner
+    /// generator, one draw in: a dictionary keeps its codes.
+    #[test]
+    fn null_at_zero_fills_through_the_inner_column() {
+        let inner: Arc<dyn Generator> =
+            Arc::new(crate::text::DictListGenerator::new(wide_dict(), true));
+        let out = batch_matches_point(&NullGenerator::new(0.0, inner));
+        assert!(out.as_dict().is_some());
+        assert_eq!(nulls(&out), 0);
+    }
+
+    /// A choice between a Long and a dictionary holds both kinds, so its
+    /// column is promoted to cells; between two dictionaries it continues
+    /// as an arena.
+    #[test]
+    fn dictionary_branches_of_other_kinds_leave_the_codes() {
+        let dict: Arc<dyn Generator> =
+            Arc::new(crate::text::DictListGenerator::new(wide_dict(), false));
+        let g = ProbabilityGenerator::new(vec![(0.5, long(0, 9)), (0.5, Arc::clone(&dict))]);
+        let mut out = batch_matches_point(&g);
+        assert!(out.as_cells_mut().is_some());
+        let other: Arc<dyn Generator> = Arc::new(crate::text::DictByRowGenerator::new(wide_dict()));
+        let g = ProbabilityGenerator::new(vec![(0.5, dict), (0.5, other)]);
+        assert!(batch_matches_point(&g).as_text().is_some());
     }
 
     #[test]

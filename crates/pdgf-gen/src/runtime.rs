@@ -24,7 +24,7 @@ use crate::generator::{Cell, CellOut, ColumnCtx, GenScratch, Generator};
 use crate::meta::{FormulaGenerator, NullGenerator, ProbabilityGenerator, SequentialGenerator};
 use crate::reference::{RefStrategy, ReferenceGenerator};
 use crate::resolver::{ResolverOracle, ResourceResolver};
-use crate::text::{DictListGenerator, MarkovChainGenerator};
+use crate::text::{DictByRowGenerator, DictListGenerator, MarkovChainGenerator};
 
 /// Runtime construction failure.
 #[derive(Debug, Clone)]
@@ -367,6 +367,7 @@ impl SchemaRuntime {
                 runtime: self,
                 update_seed: self.seed_tree.update_seed(table, c as u32, update),
                 width_hint: profiles[c].width.bound(),
+                first_draw: 0,
             };
             col.generator.fill_column(&ctx, rows.clone(), out, scratch);
         }
@@ -419,9 +420,10 @@ impl GeneratorBuilder<'_> {
     }
 
     /// `spec` built for a column cut to `limit` chars: a Markov leaf
-    /// reached through `Null` wrappers only cuts as it writes (the
-    /// interpreter's `fold_field` mirrors this); any other generator is
-    /// built as it stands.
+    /// reached through `Null` wrappers only cuts as it writes, and a
+    /// dictionary, row dictionary or choice of static texts there has its
+    /// entries cut once, here (the interpreter's `cuts_as_built` mirrors
+    /// this); any other generator is built as it stands.
     fn build_field(
         &self,
         spec: &GeneratorSpec,
@@ -443,12 +445,49 @@ impl GeneratorBuilder<'_> {
                 self.markov(source, *min_words, *max_words)?
                     .capped(max_chars),
             ),
+            (GeneratorSpec::Dict { source, weighted }, Some(max_chars)) => Arc::new(
+                DictListGenerator::new(self.dictionary(source)?, *weighted).capped(max_chars),
+            ),
+            (GeneratorSpec::DictByRow { source }, Some(max_chars)) => {
+                Arc::new(DictByRowGenerator::new(self.dictionary(source)?).capped(max_chars))
+            }
+            (GeneratorSpec::Probability { branches }, Some(max_chars)) => Arc::new(
+                self.probability(branches, table, column, table_size, aux)?
+                    .capped(max_chars),
+            ),
             (GeneratorSpec::Null { probability, inner }, Some(_)) => {
                 let inner = self.build_field(inner, limit, table, column, table_size, aux)?;
                 Arc::new(NullGenerator::new(*probability, inner))
             }
             _ => self.build_spec(spec, table, column, table_size, aux)?,
         })
+    }
+
+    fn dictionary(&self, source: &DictSource) -> Result<Arc<Dictionary>, BuildError> {
+        match source {
+            DictSource::Inline { entries } => Ok(Arc::new(
+                Dictionary::new(entries.clone()).map_err(|e| BuildError(e.to_string()))?,
+            )),
+            DictSource::File(path) => self
+                .resolver
+                .dictionary(path)
+                .map_err(|e| BuildError(e.to_string())),
+        }
+    }
+
+    fn probability(
+        &self,
+        branches: &[(f64, GeneratorSpec)],
+        table: u32,
+        column: u32,
+        table_size: u64,
+        aux: &mut Vec<Option<(u32, u32)>>,
+    ) -> Result<ProbabilityGenerator, BuildError> {
+        let branches = branches
+            .iter()
+            .map(|(p, g)| Ok((*p, self.build_spec(g, table, column, table_size, aux)?)))
+            .collect::<Result<Vec<_>, BuildError>>()?;
+        Ok(ProbabilityGenerator::new(branches))
     }
 
     fn markov(
@@ -512,28 +551,10 @@ impl GeneratorBuilder<'_> {
                 Arc::new(RandomBoolGenerator::new(*true_prob))
             }
             GeneratorSpec::Dict { source, weighted } => {
-                let dict: Arc<Dictionary> = match source {
-                    DictSource::Inline { entries } => Arc::new(
-                        Dictionary::new(entries.clone()).map_err(|e| BuildError(e.to_string()))?,
-                    ),
-                    DictSource::File(path) => self
-                        .resolver
-                        .dictionary(path)
-                        .map_err(|e| BuildError(e.to_string()))?,
-                };
-                Arc::new(DictListGenerator::new(dict, *weighted))
+                Arc::new(DictListGenerator::new(self.dictionary(source)?, *weighted))
             }
             GeneratorSpec::DictByRow { source } => {
-                let dict: Arc<Dictionary> = match source {
-                    DictSource::Inline { entries } => Arc::new(
-                        Dictionary::new(entries.clone()).map_err(|e| BuildError(e.to_string()))?,
-                    ),
-                    DictSource::File(path) => self
-                        .resolver
-                        .dictionary(path)
-                        .map_err(|e| BuildError(e.to_string()))?,
-                };
-                Arc::new(crate::text::DictByRowGenerator::new(dict))
+                Arc::new(DictByRowGenerator::new(self.dictionary(source)?))
             }
             GeneratorSpec::Markov {
                 source,
@@ -591,11 +612,7 @@ impl GeneratorBuilder<'_> {
                 Arc::new(SequentialGenerator::new(parts, separator.clone()))
             }
             GeneratorSpec::Probability { branches } => {
-                let branches = branches
-                    .iter()
-                    .map(|(p, g)| Ok((*p, self.build_spec(g, table, column, table_size, aux)?)))
-                    .collect::<Result<Vec<_>, BuildError>>()?;
-                Arc::new(ProbabilityGenerator::new(branches))
+                Arc::new(self.probability(branches, table, column, table_size, aux)?)
             }
             GeneratorSpec::Formula { expr, as_long } => {
                 Arc::new(FormulaGenerator::new(expr, self.props, *as_long))
@@ -847,6 +864,118 @@ mod tests {
             field: "p_id".into(),
             distribution: RefDistribution::Permutation,
         });
+    }
+
+    /// A narrow column of a dictionary, a row dictionary (also under a
+    /// NULL wrapper) or a choice of static texts has its entries cut at
+    /// build, so no truncating wrapper is built; a choice with another
+    /// branch keeps the wrapper. Batches equal point reads either way.
+    #[test]
+    fn narrow_dictionary_columns_are_cut_at_build() {
+        let entries = || DictSource::Inline {
+            entries: ["DELIVER IN PERSON", "COLLECT COD", "NONE"]
+                .map(|e| (e.to_string(), 1.0))
+                .to_vec(),
+        };
+        let text = |s: &str| GeneratorSpec::Static {
+            value: Value::text(s),
+        };
+        let fields = [
+            GeneratorSpec::Dict {
+                source: entries(),
+                weighted: true,
+            },
+            GeneratorSpec::Null {
+                probability: 0.2,
+                inner: Box::new(GeneratorSpec::DictByRow { source: entries() }),
+            },
+            GeneratorSpec::Probability {
+                branches: vec![(0.5, text("TAKE BACK RETURN")), (0.5, text("AIR"))],
+            },
+            GeneratorSpec::Probability {
+                branches: vec![
+                    (0.5, text("TAKE BACK RETURN")),
+                    (0.5, GeneratorSpec::DictByRow { source: entries() }),
+                ],
+            },
+        ];
+        let table = fields
+            .into_iter()
+            .enumerate()
+            .fold(Table::new("t", "64"), |t, (i, g)| {
+                t.field(Field::new(&format!("f{i}"), SqlType::Char(8), g))
+            });
+        let rt =
+            SchemaRuntime::build(&Schema::new("cut", 5).table(table), &MapResolver::new()).unwrap();
+        let names: Vec<&str> = rt.tables()[0]
+            .columns
+            .iter()
+            .map(|c| c.generator.name())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "DictListGenerator",
+                "NullGenerator",
+                "ProbabilityGenerator",
+                "TruncateGenerator"
+            ]
+        );
+        let mut batch = ColumnBatch::new();
+        rt.fill_batch(0, 0, 0..64, &mut batch, &mut GenScratch::default());
+        for (c, column) in batch.columns().iter().enumerate() {
+            assert_eq!(column.as_dict().is_some(), c < 3, "column {c}");
+            for row in 0..64 {
+                let v = rt.value(0, c as u32, 0, row);
+                assert_eq!(column.value(row as usize), v, "column {c} row {row}");
+                assert!(v.as_text().is_none_or(|s| s.len() <= 8), "{v}");
+            }
+        }
+    }
+
+    /// Permuted keys and permutation references fill, through the batched
+    /// walk, exactly what point reads return, into an Id parent and into
+    /// any other parent.
+    #[test]
+    fn batched_permutation_walks_equal_point_reads() {
+        let reference = |field: &str| GeneratorSpec::Reference {
+            table: "p".into(),
+            field: field.into(),
+            distribution: RefDistribution::Permutation,
+        };
+        let s = Schema::new("walk", 9)
+            .table(
+                Table::new("p", "1000")
+                    .field(Field::new(
+                        "p_id",
+                        SqlType::BigInt,
+                        GeneratorSpec::Id { permute: true },
+                    ))
+                    .field(Field::new(
+                        "p_v",
+                        SqlType::BigInt,
+                        GeneratorSpec::Long {
+                            min: Expr::parse("0").unwrap(),
+                            max: Expr::parse("999999").unwrap(),
+                        },
+                    )),
+            )
+            .table(
+                Table::new("c", "3000")
+                    .field(Field::new("c_id", SqlType::BigInt, reference("p_id")))
+                    .field(Field::new("c_v", SqlType::BigInt, reference("p_v"))),
+            );
+        let rt = SchemaRuntime::build(&s, &MapResolver::new()).unwrap();
+        let mut batch = ColumnBatch::new();
+        let mut scratch = GenScratch::default();
+        for (table, rows) in [(0u32, 0..1000u64), (1, 0..3000), (1, 1777..2100)] {
+            rt.fill_batch(table, 0, rows.clone(), &mut batch, &mut scratch);
+            for (c, column) in batch.columns().iter().enumerate() {
+                for (i, row) in rows.clone().enumerate() {
+                    assert_eq!(column.value(i), rt.value(table, c as u32, 0, row));
+                }
+            }
+        }
     }
 
     #[test]

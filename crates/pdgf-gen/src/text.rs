@@ -1,16 +1,36 @@
 //! Text generators backed by DBSynth-built models: dictionaries and
 //! Markov chains.
 
+use pdgf_schema::DictTable;
 use std::sync::Arc;
-use textsynth::{Dictionary, MarkovModel};
+use textsynth::{keep_len, Dictionary, MarkovModel};
 
-use crate::generator::{kernel_paths, Emit, Generator, Kernel};
+use crate::generator::{kernel_paths, Codes, Emit, Generator, Kernel};
 use pdgf_prng::PdgfRng;
 
+/// `table`'s entries, each cut to `max_chars` chars with [`keep_len`], as
+/// a [`TruncateGenerator`](crate::meta::TruncateGenerator) cuts a cell.
+pub(crate) fn cut_table(table: &DictTable, max_chars: usize) -> Arc<DictTable> {
+    assert!(max_chars > 0, "zero-width text column");
+    let entries = (0..table.len() as u32).map(|code| {
+        let entry = table.get(code);
+        &entry[..keep_len(entry, max_chars).unwrap_or(entry.len())]
+    });
+    Arc::new(DictTable::new(entries))
+}
+
+/// `dict`'s entries as a cell table, entry `i` code `i`.
+fn dict_table(dict: &Dictionary) -> Arc<DictTable> {
+    Arc::new(DictTable::new(dict.iter().map(|(e, _)| &**e)))
+}
+
 /// Draws entries from a dictionary ("DictList" in the paper's figures),
-/// uniformly or proportionally to extracted frequencies.
+/// uniformly or proportionally to extracted frequencies. A cell is the
+/// code of its entry in a [`DictTable`]; [`capped`](Self::capped) cuts
+/// the table's entries to a column's width once, at build.
 pub struct DictListGenerator {
     dict: Arc<Dictionary>,
+    table: Arc<DictTable>,
     weighted: bool,
 }
 
@@ -18,20 +38,31 @@ impl DictListGenerator {
     /// Dictionary generator; `weighted` selects alias-method frequency
     /// sampling over uniform draws.
     pub fn new(dict: Arc<Dictionary>, weighted: bool) -> Self {
-        Self { dict, weighted }
+        Self {
+            table: dict_table(&dict),
+            dict,
+            weighted,
+        }
+    }
+
+    /// Cut every entry to `max_chars` chars.
+    pub fn capped(self, max_chars: usize) -> Self {
+        let table = cut_table(&self.table, max_chars);
+        Self { table, ..self }
     }
 }
 
 impl Kernel for DictListGenerator {
     #[inline]
     fn emit<E: Emit>(&self, out: E) {
-        out.text(|rng, _, buf| {
+        out.typed(Codes(&self.table), |rng, _| {
             let mut draw = || rng.next_u64();
-            buf.push_str(if self.weighted {
-                self.dict.sample_weighted(&mut draw)
+            let i = if self.weighted {
+                self.dict.sample_weighted_index(&mut draw)
             } else {
-                self.dict.sample_uniform(&mut draw)
-            })
+                self.dict.sample_uniform_index(&mut draw)
+            };
+            i as u32
         })
     }
 }
@@ -48,21 +79,30 @@ impl Generator for DictListGenerator {
 /// enumeration tables (TPC-H region/nation) whose name is a pure function
 /// of the key.
 pub struct DictByRowGenerator {
-    dict: Arc<Dictionary>,
+    table: Arc<DictTable>,
 }
 
 impl DictByRowGenerator {
     /// Row-indexed dictionary generator.
     pub fn new(dict: Arc<Dictionary>) -> Self {
-        Self { dict }
+        Self {
+            table: dict_table(&dict),
+        }
+    }
+
+    /// Cut every entry to `max_chars` chars.
+    pub fn capped(self, max_chars: usize) -> Self {
+        Self {
+            table: cut_table(&self.table, max_chars),
+        }
     }
 }
 
 impl Kernel for DictByRowGenerator {
     #[inline]
     fn emit<E: Emit>(&self, out: E) {
-        let len = self.dict.len() as u64;
-        out.text(|_, row, buf| buf.push_str(self.dict.entry((row % len) as usize)))
+        let len = self.table.len() as u64;
+        out.typed(Codes(&self.table), |_, row| (row % len) as u32)
     }
 }
 

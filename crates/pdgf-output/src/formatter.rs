@@ -13,14 +13,17 @@
 //!
 //! A package reaches every format the same way: one resolver turns each
 //! column, once per package, into a lane view — a typed slice, a text
-//! arena with no byte the format escapes, or a generic column read cell
-//! by cell. A format tells the resolver which bytes its text escapes;
-//! beyond that it supplies only its row framing and its per-kind cell
-//! writers, which its one-row [`Formatter::row`] path shares.
+//! arena or dictionary table with no byte the format escapes, or a
+//! generic column read cell by cell. A format tells the resolver which
+//! bytes its text escapes; beyond that it supplies only its row framing
+//! and its per-kind cell writers, which its one-row [`Formatter::row`]
+//! path shares.
 
 use crate::fmtfast;
 use pdgf_schema::absint::{KindSet, StaticProfile};
-use pdgf_schema::{ColumnBatch, ColumnData, ColumnVec, Date, TextColumn, Value, ValueRef};
+use pdgf_schema::{
+    ColumnBatch, ColumnData, ColumnVec, Date, DictColumn, DictTable, TextColumn, Value, ValueRef,
+};
 
 /// Static description of the table being formatted.
 #[derive(Debug, Clone)]
@@ -121,13 +124,15 @@ fn quoted(out: &mut Vec<u8>, quote: u8, write: impl FnOnce(&mut Vec<u8>)) {
     out.push(quote);
 }
 
-/// Cell `r` of `t`, unchanged: a window of the arena cut to the cell
-/// where one fits ([`fmtfast::write_span`]).
+/// `bytes[start..end]`, unchanged: a window cut to the span where one
+/// fits ([`fmtfast::write_span`]).
 #[inline]
-fn copy_cell(out: &mut Vec<u8>, t: &TextColumn, r: usize) {
-    let (start, end) = t.span(r);
-    fmtfast::write_span(out, t.arena().as_bytes(), start, end);
+fn copy_span(out: &mut Vec<u8>, bytes: &[u8], (start, end): (usize, usize)) {
+    fmtfast::write_span(out, bytes, start, end);
 }
+
+// Every entry of a dictionary table has a whole window after its start.
+const _: () = assert!(fmtfast::WINDOW <= DictTable::PAD);
 
 /// [`escape_runs`] into a byte buffer: one copy per clean run.
 #[inline]
@@ -136,10 +141,10 @@ fn escape_into(out: &mut Vec<u8>, s: &str, escape_of: impl Fn(u8) -> Option<&'st
 }
 
 /// One column of a package as a formatter reads it, resolved once per
-/// package by [`Lane::of`]: a typed lane or a clean text arena, written
-/// cell by cell without a decision, or (`Generic`) a column read through
-/// [`ValueRef`] — one with NULLs, promoted cells, or text the format may
-/// escape.
+/// package by [`Lane::of`]: a typed lane, a clean text arena or a
+/// dictionary column whose table is clean, written cell by cell without a
+/// decision, or (`Generic`) a column read through [`ValueRef`] — one with
+/// NULLs, promoted cells, or text the format may escape.
 #[derive(Clone, Copy)]
 enum Lane<'a> {
     Long(&'a [i64]),
@@ -149,6 +154,7 @@ enum Lane<'a> {
     Timestamp(&'a [i64]),
     Bool(&'a [bool]),
     Text(&'a TextColumn),
+    Dict(&'a DictColumn),
     Generic(&'a ColumnVec),
 }
 
@@ -164,8 +170,9 @@ impl<'a> Lane<'a> {
         };
         match data {
             ColumnData::Long(v) => Self::Long(v),
-            ColumnData::Text(t) if is_clean(t.arena().as_bytes(), dirty) => Self::Text(t),
-            ColumnData::Text(_) | ColumnData::Cells(_) => Self::Generic(col),
+            ColumnData::Text(t) if is_clean(t.arena().as_bytes(), &dirty) => Self::Text(t),
+            ColumnData::Dict(d) if !d.table().holds_any(&dirty) => Self::Dict(d),
+            ColumnData::Text(_) | ColumnData::Dict(_) | ColumnData::Cells(_) => Self::Generic(col),
             ColumnData::Double(v) => Self::Double(v),
             ColumnData::Decimal { unscaled, scale } => Self::Decimal(unscaled, *scale),
             ColumnData::Date(v) => Self::Date(v),
@@ -185,7 +192,8 @@ impl<'a> Lane<'a> {
             Self::Date(v) => w.date(out, Date(v[r])),
             Self::Timestamp(v) => w.timestamp(out, v[r]),
             Self::Bool(v) => w.bool(out, v[r]),
-            Self::Text(t) => w.clean_text(out, t, r),
+            Self::Text(t) => w.clean_text(out, t.arena().as_bytes(), t.span(r)),
+            Self::Dict(d) => w.clean_text(out, d.table().padded(), d.span(r)),
             Self::Generic(col) => generic_cell(w, out, col, r),
         }
     }
@@ -257,10 +265,10 @@ trait CellWriter {
     fn bool(&self, out: &mut Vec<u8>, b: bool);
     /// Text, escaped as the format requires.
     fn text(&self, out: &mut Vec<u8>, s: &str);
-    /// [`text`](Self::text) of cell `r` of a column whose arena the
-    /// resolver found clean: the escape walk is skipped, and the cell is
-    /// copied by [`copy_cell`].
-    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize);
+    /// [`text`](Self::text) of the text at `span` of `bytes`, an arena or
+    /// dictionary table the resolver found clean: the escape walk is
+    /// skipped, and the text is copied by [`copy_span`].
+    fn clean_text(&self, out: &mut Vec<u8>, bytes: &[u8], span: (usize, usize));
 
     /// One cell, exactly as the format's [`Formatter::row`] writes it.
     #[inline]
@@ -400,8 +408,8 @@ impl CellWriter for CsvFormatter {
     }
 
     #[inline]
-    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize) {
-        copy_cell(out, t, r);
+    fn clean_text(&self, out: &mut Vec<u8>, bytes: &[u8], span: (usize, usize)) {
+        copy_span(out, bytes, span);
     }
 }
 
@@ -528,8 +536,8 @@ impl CellWriter for JsonFormatter {
     }
 
     #[inline]
-    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize) {
-        quoted(out, b'"', |out| copy_cell(out, t, r));
+    fn clean_text(&self, out: &mut Vec<u8>, bytes: &[u8], span: (usize, usize)) {
+        quoted(out, b'"', |out| copy_span(out, bytes, span));
     }
 }
 
@@ -760,8 +768,8 @@ impl CellWriter for XmlElement<'_> {
     }
 
     #[inline]
-    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize) {
-        self.element(out, |out| copy_cell(out, t, r));
+    fn clean_text(&self, out: &mut Vec<u8>, bytes: &[u8], span: (usize, usize)) {
+        self.element(out, |out| copy_span(out, bytes, span));
     }
 }
 
@@ -921,8 +929,8 @@ impl CellWriter for SqlFormatter {
     }
 
     #[inline]
-    fn clean_text(&self, out: &mut Vec<u8>, t: &TextColumn, r: usize) {
-        quoted(out, b'\'', |out| copy_cell(out, t, r));
+    fn clean_text(&self, out: &mut Vec<u8>, bytes: &[u8], span: (usize, usize)) {
+        quoted(out, b'\'', |out| copy_span(out, bytes, span));
     }
 }
 
@@ -1387,6 +1395,7 @@ mod tests {
             Lane::Timestamp(_) => "timestamp",
             Lane::Bool(_) => "bool",
             Lane::Text(_) => "text",
+            Lane::Dict(_) => "dict",
             Lane::Generic(_) => "generic",
         }
     }
@@ -1412,6 +1421,86 @@ mod tests {
         assert_eq!(kinds(&|c| JsonFormatter.lane(c)), all, "JSON");
         assert_eq!(kinds(&|c| XmlFormatter.lane(c)), all, "XML");
         assert_eq!(kinds(&|c| SqlFormatter.lane(c)), all, "SQL");
+    }
+
+    /// Dictionary columns, 40 rows each, and the view each format gives
+    /// them: a clean table; the test zoo's dirty entry; an entry holding
+    /// SQL's quote; a NULL-masked dictionary; a dictionary whose cells
+    /// meet a Long and are promoted to cells; and entries past one copy
+    /// window, the last of them ending the table.
+    fn dict_batch() -> (pdgf_schema::ColumnBatch, TableMeta) {
+        use std::sync::Arc;
+        const ROWS: usize = 40;
+        let long = "a".repeat(fmtfast::WINDOW) + " past the window";
+        let tables: [Vec<&str>; 6] = [
+            vec!["R", "A", "N"],
+            vec!["alpha", "gamma, \"quoted\" & <tagged>"],
+            vec!["O'K", "plain"],
+            vec!["MAIL", "SHIP"],
+            vec!["TRUCK", "RAIL"],
+            vec!["FOB", &long, "DELIVER IN PERSON", &long],
+        ];
+        let mut batch = pdgf_schema::ColumnBatch::new();
+        batch.begin(tables.len(), ROWS);
+        for (c, (col, entries)) in batch.columns_mut().iter_mut().zip(&tables).enumerate() {
+            let table = Arc::new(DictTable::new(entries.iter().copied()));
+            for r in 0..ROWS {
+                let code = ((r * 7 + c) % entries.len()) as u32;
+                match c {
+                    3 if r % 3 == 0 => col.push_null(),
+                    4 if r % 5 == 2 => match col.longs_tail() {
+                        Some(v) => v.push(r as i64),
+                        None => col.promote().push(Value::Long(r as i64)),
+                    },
+                    _ => match col.codes_tail(&table) {
+                        Some(codes) => codes.push(code),
+                        None => col.promote().push(Value::text(entries[code as usize])),
+                    },
+                }
+            }
+        }
+        let meta = TableMeta::new("t", &["clean", "zoo", "quote", "masked", "mixed", "wide"]);
+        (batch, meta)
+    }
+
+    /// A dictionary column writes what the row path writes, in every
+    /// format, through a dictionary view where its table is clean for the
+    /// format and cell by cell where it is not.
+    #[test]
+    fn dict_lanes_match_row_path() {
+        let (batch, m) = dict_batch();
+        for f in lane_formatters() {
+            let mut by_row = Vec::new();
+            for r in 0..batch.rows() {
+                let row: Vec<Value> = batch.columns().iter().map(|c| c.value(r)).collect();
+                f.row(&mut by_row, &m, &row);
+            }
+            let mut by_col = Vec::new();
+            f.rows_columnar(&mut by_col, &m, &batch);
+            assert_eq!(
+                String::from_utf8_lossy(&by_row),
+                String::from_utf8_lossy(&by_col),
+                "{}",
+                f.name()
+            );
+        }
+        let kinds = |resolve: &dyn Fn(&ColumnVec) -> Lane<'_>| -> Vec<&str> {
+            batch
+                .columns()
+                .iter()
+                .map(|c| lane_kind(resolve(c)))
+                .collect()
+        };
+        let markup = ["dict", "generic", "dict", "generic", "generic", "dict"];
+        assert_eq!(kinds(&|c| CsvFormatter.lane(c)), markup, "CSV");
+        assert_eq!(kinds(&|c| JsonFormatter.lane(c)), markup, "JSON");
+        assert_eq!(kinds(&|c| XmlFormatter.lane(c)), markup, "XML");
+        let sql = ["dict", "dict", "generic", "generic", "generic", "dict"];
+        assert_eq!(kinds(&|c| SqlFormatter.lane(c)), sql, "SQL");
+        assert!(
+            batch.columns()[4].as_dict().is_none(),
+            "mixed kinds promote"
+        );
     }
 
     /// Each format's clean-byte predicate marks exactly the bytes its

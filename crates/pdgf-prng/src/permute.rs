@@ -12,10 +12,19 @@
 //! Expected walk length is < 4 steps because the cover domain is at most
 //! 4× the target domain.
 //!
+//! [`permute_batch`](FeistelPermutation::permute_batch) walks a whole
+//! slice at once: one encryption of every element, in a loop whose
+//! iterations do not depend on each other, then passes over only the
+//! elements still outside `[0, n)`. Each element takes the same steps as
+//! [`permute`](FeistelPermutation::permute), which stays the one
+//! definition, but no element's walk length steers the others' branches.
+//!
 //! A round's output depends only on its key and one half of the block, so
 //! for half-widths up to 12 bits (`TABLE_HALF_BITS`) the constructor evaluates the
 //! round function once per (round, half) and every encryption reads a
 //! cache-resident table instead of running four dependent mixes.
+
+use std::ops::Range;
 
 use crate::mix::mix64_pair;
 
@@ -114,6 +123,50 @@ impl FeistelPermutation {
         y
     }
 
+    /// [`permute`](Self::permute) of every element of `xs`, in place, each
+    /// in `[0, n)`. Every element is encrypted once; `pending` (cleared
+    /// first, and kept by the caller for its capacity) then lists the
+    /// indices still outside the domain, and each pass re-encrypts only
+    /// those and compacts the list, without a branch per element.
+    pub fn permute_batch(&self, xs: &mut [u64], pending: &mut Vec<u32>) {
+        assert!(u32::try_from(xs.len()).is_ok(), "batch exceeds u32 indices");
+        pending.clear();
+        pending.resize(xs.len(), 0);
+        let mut left = 0;
+        for (i, x) in xs.iter_mut().enumerate() {
+            debug_assert!(*x < self.n, "input outside domain");
+            *x = self.encrypt_once(*x);
+            pending[left] = i as u32;
+            left += usize::from(*x >= self.n);
+        }
+        while left > 0 {
+            let mut kept = 0;
+            for k in 0..left {
+                let i = pending[k];
+                let y = self.encrypt_once(xs[i as usize]);
+                xs[i as usize] = y;
+                pending[kept] = i;
+                kept += usize::from(y >= self.n);
+            }
+            left = kept;
+        }
+        pending.clear();
+    }
+
+    /// `permute(x % n)` of every `x` in the window `xs`, into `out`
+    /// (cleared first): the window wraps at the domain without a division
+    /// per element, then takes one [`permute_batch`](Self::permute_batch).
+    pub fn permute_window(&self, xs: Range<u64>, out: &mut Vec<u64>, pending: &mut Vec<u32>) {
+        out.clear();
+        let mut x = xs.start % self.n;
+        out.extend(xs.map(|_| {
+            let at = x;
+            x = if x + 1 == self.n { 0 } else { x + 1 };
+            at
+        }));
+        self.permute_batch(out, pending);
+    }
+
     /// Invert the permutation: find `x` such that `permute(x) == y`.
     #[inline]
     pub fn invert(&self, y: u64) -> u64 {
@@ -155,6 +208,31 @@ mod tests {
                 assert!(seen.insert(y), "duplicate image for domain {n}");
             }
         }
+    }
+
+    #[test]
+    fn batch_walk_equals_permute() {
+        let mut pending = Vec::new();
+        for (n, seed) in [
+            (1u64, 5u64),
+            (2, 9),
+            (1000, 42),
+            (4097, 1),
+            ((1 << 24) + 1, 11),
+        ] {
+            let p = FeistelPermutation::new(n, seed);
+            let mut xs: Vec<u64> = (0..3000u64).map(|i| i * 7919 % n).collect();
+            let want: Vec<u64> = xs.iter().map(|&x| p.permute(x)).collect();
+            p.permute_batch(&mut xs, &mut pending);
+            assert_eq!(xs, want, "n {n} seed {seed}");
+            assert!(pending.is_empty());
+        }
+        let p = FeistelPermutation::new(10, 3);
+        p.permute_batch(&mut [], &mut pending);
+        let mut out = vec![99];
+        p.permute_window(7..31, &mut out, &mut pending);
+        let want: Vec<u64> = (7..31).map(|x| p.permute(x % 10)).collect();
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -134,6 +134,14 @@ impl PdgfDefaultRandom {
         stafford13(seed ^ index)
     }
 
+    /// A generator for `seed` whose next draw is draw `counter` of the
+    /// stream: the stream of [`seed_from`](PdgfRng::seed_from) after
+    /// `counter` draws, without making them.
+    #[inline]
+    pub fn seed_at(seed: u64, counter: u64) -> Self {
+        Self { seed, counter }
+    }
+
     /// The seed this generator currently draws from.
     #[inline]
     pub fn seed(&self) -> u64 {
@@ -281,6 +289,18 @@ mod tests {
         let seq: Vec<u64> = (0..16).map(|_| r.next_u64()).collect();
         for (i, v) in seq.iter().enumerate() {
             assert_eq!(PdgfDefaultRandom::at(99, i as u64), *v);
+        }
+    }
+
+    #[test]
+    fn seed_at_skips_draws() {
+        let mut from_start = PdgfDefaultRandom::seed_from(7);
+        from_start.next_u64();
+        from_start.next_u64();
+        let mut skipped = PdgfDefaultRandom::seed_at(7, 2);
+        assert_eq!(skipped.draws(), 2);
+        for _ in 0..70 {
+            assert_eq!(skipped.next_u64(), from_start.next_u64());
         }
     }
 

@@ -820,6 +820,7 @@ mod tests {
                     runtime: service.runtime(),
                     update_seed: tree.update_seed(0, column, update),
                     width_hint: None,
+                    first_draw: 0,
                 };
                 for row in [0u64, 1, 17, 99, 1 << 40] {
                     let coord = pdgf_prng::FieldCoord {

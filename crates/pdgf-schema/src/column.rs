@@ -12,10 +12,17 @@
 //! [`ColumnVec::value_ref`], which hands out borrowed [`ValueRef`]s without
 //! touching reference counts.
 //!
+//! A column drawn from a finite set of text entries (a dictionary, or a
+//! choice between fixed strings) is a [`ColumnData::Dict`] lane: one `u32`
+//! code per cell into the generator's [`DictTable`], laid out once, so a
+//! cell's text is copied only when it is written out.
+//!
 //! [`ColumnData::Cells`] holds boxed [`Value`]s for the one case no lane
 //! fits: a column whose cells change kind within a package (a choice
 //! between branches of different kinds). A column reaches it only through
 //! [`ColumnVec::promote`].
+
+use std::sync::Arc;
 
 use crate::value::{Date, Value, ValueRef};
 
@@ -143,6 +150,123 @@ impl TextColumn {
     }
 }
 
+/// A finite list of text entries laid out once in one arena, for the
+/// cells of [`ColumnData::Dict`] columns: entry `i` spans
+/// `bounds[i]..bounds[i + 1]`, and [`PAD`](Self::PAD) bytes follow the
+/// last entry, so a reader may copy a window of up to that many bytes
+/// starting at any entry.
+#[derive(Debug)]
+pub struct DictTable {
+    /// Every entry, then `PAD` spaces.
+    bytes: String,
+    /// 0, then each entry's end: a code's span takes no branch on the code.
+    bounds: Vec<u32>,
+    /// Bit `b` set: byte `b` occurs in some entry.
+    present: [u64; 4],
+}
+
+impl DictTable {
+    /// Bytes of padding past the last entry.
+    pub const PAD: usize = 32;
+
+    /// The table of `entries`, in order: entry `i` is code `i`.
+    pub fn new<'a>(entries: impl IntoIterator<Item = &'a str>) -> Self {
+        // audit:allow(columnar-cell-alloc) laid out once per generator
+        let mut bytes = String::new();
+        let mut bounds = vec![0];
+        for entry in entries {
+            bytes.push_str(entry);
+            bounds.push(u32::try_from(bytes.len()).expect("dictionary exceeds u32 offsets"));
+        }
+        assert!(
+            u32::try_from(bounds.len() - 1).is_ok(),
+            "dictionary exceeds u32 codes"
+        );
+        let mut present = [0u64; 4];
+        for b in bytes.bytes() {
+            present[usize::from(b >> 6)] |= 1 << (b & 63);
+        }
+        bytes.extend(std::iter::repeat_n(' ', Self::PAD));
+        Self {
+            bytes,
+            bounds,
+            present,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Is the table empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entry `code`'s byte range in [`padded`](Self::padded), as
+    /// `(start, end)`.
+    #[inline]
+    pub fn span(&self, code: u32) -> (usize, usize) {
+        let i = code as usize;
+        (self.bounds[i] as usize, self.bounds[i + 1] as usize)
+    }
+
+    /// Entry `code`.
+    #[inline]
+    pub fn get(&self, code: u32) -> &str {
+        let (start, end) = self.span(code);
+        &self.bytes[start..end]
+    }
+
+    /// Every entry, then [`PAD`](Self::PAD) bytes.
+    #[inline]
+    pub fn padded(&self) -> &[u8] {
+        self.bytes.as_bytes()
+    }
+
+    /// Whether some entry holds a byte `pred` marks: one test per distinct
+    /// byte of the table, however many entries it has.
+    pub fn holds_any(&self, pred: impl Fn(u8) -> bool) -> bool {
+        (0..=255u8).any(|b| (self.present[usize::from(b >> 6)] >> (b & 63)) & 1 == 1 && pred(b))
+    }
+}
+
+/// A text column of codes into a shared [`DictTable`]: cell `i` is entry
+/// `codes[i]`.
+#[derive(Debug, Clone)]
+pub struct DictColumn {
+    codes: Vec<u32>,
+    table: Arc<DictTable>,
+}
+
+impl DictColumn {
+    /// Each cell's code.
+    #[inline]
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// The entries the codes index.
+    #[inline]
+    pub fn table(&self) -> &DictTable {
+        &self.table
+    }
+
+    /// Cell `i` as a string slice.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        self.table.get(self.codes[i])
+    }
+
+    /// Cell `i`'s byte range in the table's
+    /// [`padded`](DictTable::padded) bytes, as `(start, end)`.
+    #[inline]
+    pub fn span(&self, i: usize) -> (usize, usize) {
+        self.table.span(self.codes[i])
+    }
+}
+
 /// The storage of one [`ColumnVec`]: one lane per cell kind.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
@@ -168,6 +292,8 @@ pub enum ColumnData {
     Bool(Vec<bool>),
     /// Text cells in an arena.
     Text(TextColumn),
+    /// Text cells as codes into a shared table of entries.
+    Dict(DictColumn),
 }
 
 /// One column of a generated batch: typed storage plus a NULL mask.
@@ -246,6 +372,7 @@ impl ColumnVec {
             ColumnData::Date(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Text(t) => t.len(),
+            ColumnData::Dict(d) => d.codes.len(),
         }
     }
 
@@ -280,6 +407,7 @@ impl ColumnVec {
             ColumnData::Timestamp(v) => ValueRef::Timestamp(v[i]),
             ColumnData::Bool(v) => ValueRef::Bool(v[i]),
             ColumnData::Text(t) => ValueRef::Text(t.get(i)),
+            ColumnData::Dict(d) => ValueRef::Text(d.get(i)),
         }
     }
 
@@ -301,6 +429,7 @@ impl ColumnVec {
             ColumnData::Date(v) => v.clear(),
             ColumnData::Bool(v) => v.clear(),
             ColumnData::Text(t) => t.clear(),
+            ColumnData::Dict(d) => d.codes.clear(),
         }
         self.nulls.clear();
         self.null_count = 0;
@@ -333,6 +462,7 @@ impl ColumnVec {
                     t.seal();
                 }
             }
+            ColumnData::Dict(d) => d.codes.resize(len, 0),
         }
     }
 
@@ -404,6 +534,48 @@ impl ColumnVec {
         }
     }
 
+    /// Re-type to [`Dict`](ColumnData::Dict) over `table` and return the
+    /// cleared codes.
+    pub fn codes_mut(&mut self, table: &Arc<DictTable>) -> &mut Vec<u32> {
+        self.clear();
+        self.codes_tail(table)
+            .expect("an empty column takes any lane")
+    }
+
+    /// The [`Dict`](ColumnData::Dict) codes over `table` to append one
+    /// more cell to, or `None` when the column holds a non-NULL cell of
+    /// another kind or of another table.
+    pub fn codes_tail(&mut self, table: &Arc<DictTable>) -> Option<&mut Vec<u32>> {
+        let same = matches!(&self.data, ColumnData::Dict(d) if Arc::ptr_eq(&d.table, table));
+        if !same
+            && !self.adopt(ColumnData::Dict(DictColumn {
+                codes: Vec::new(),
+                table: Arc::clone(table),
+            }))
+        {
+            return None;
+        }
+        match &mut self.data {
+            ColumnData::Dict(d) => Some(&mut d.codes),
+            _ => unreachable!(),
+        }
+    }
+
+    /// Re-type a [`Dict`](ColumnData::Dict) column to
+    /// [`Text`](ColumnData::Text), each cell its entry and a NULL an empty
+    /// one, keeping the mask: for a pass that edits cells in an arena. Any
+    /// other lane stays. Returns the column.
+    pub fn spill_dict(&mut self) -> &mut Self {
+        if let ColumnData::Dict(d) = &self.data {
+            let mut text = TextColumn::default();
+            for i in 0..d.codes.len() {
+                text.push_str(if self.masked(i) { "" } else { d.get(i) });
+            }
+            self.data = ColumnData::Text(text);
+        }
+        self
+    }
+
     /// Promote to [`Cells`](ColumnData::Cells), keeping every cell (a NULL
     /// as `Value::Null`), and return the list, to append a cell whose kind
     /// no lane of this column holds. The only way a column reaches `Cells`.
@@ -437,6 +609,14 @@ impl ColumnVec {
     pub fn as_text_mut(&mut self) -> Option<&mut TextColumn> {
         match &mut self.data {
             ColumnData::Text(t) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// The dictionary column, if this column currently holds one.
+    pub fn as_dict(&self) -> Option<&DictColumn> {
+        match &self.data {
+            ColumnData::Dict(d) => Some(d),
             _ => None,
         }
     }
@@ -672,6 +852,57 @@ mod tests {
         c.clear();
         c.longs_tail().unwrap().push(1);
         assert!(c.as_cells_mut().is_none());
+    }
+
+    #[test]
+    fn dict_table_lays_out_entries_with_padding() {
+        let t = DictTable::new(["R", "", "a\"b"]);
+        assert_eq!(t.len(), 3);
+        assert_eq!((t.get(0), t.get(1), t.get(2)), ("R", "", "a\"b"));
+        assert_eq!(t.span(2), (1, 4));
+        assert_eq!(t.padded().len(), 4 + DictTable::PAD);
+        assert!(t.holds_any(|b| b == b'"'));
+        assert!(!t.holds_any(|b| b == b','));
+        assert!(DictTable::new([]).is_empty());
+    }
+
+    #[test]
+    fn dict_column_keeps_its_table_and_reads_null_and_text() {
+        let table = Arc::new(DictTable::new(["x", "yy"]));
+        let mut c = ColumnVec::default();
+        c.codes_mut(&table).extend([1, 0]);
+        c.push_null();
+        c.codes_tail(&table).unwrap().push(1);
+        assert_eq!(c.len(), 4);
+        assert_eq!(
+            (0..4).map(|i| c.value(i)).collect::<Vec<_>>(),
+            [
+                Value::text("yy"),
+                Value::text("x"),
+                Value::Null,
+                Value::text("yy")
+            ]
+        );
+        let d = c.as_dict().unwrap();
+        assert_eq!(
+            (d.codes(), d.get(1), d.span(0)),
+            (&[1, 0, 0, 1][..], "x", (1, 3))
+        );
+        // Codes of another table do not join a column holding a code.
+        let other = Arc::new(DictTable::new(["x", "yy"]));
+        assert!(c.codes_tail(&other).is_none());
+        assert!(c.text_tail().is_none());
+        // A column of only NULLs takes the other table.
+        c.clear();
+        c.push_null();
+        c.codes_tail(&other).unwrap().push(0);
+        assert_eq!(c.value(1), Value::text("x"));
+        // Spilled, every cell is its entry in an arena, a NULL empty.
+        c.spill_dict();
+        assert_eq!(c.as_text().unwrap().arena(), "x");
+        assert_eq!((c.value(0), c.value(1)), (Value::Null, Value::text("x")));
+        c.spill_dict();
+        assert!(c.as_text().is_some(), "spilling an arena keeps it");
     }
 
     #[test]

@@ -98,18 +98,18 @@ impl Dictionary {
         self.entries.iter().map(|(t, w)| (t, *w))
     }
 
-    /// Draw an entry uniformly.
+    /// The index of an entry drawn uniformly: one draw.
     #[inline]
-    pub fn sample_uniform(&self, rng: &mut dyn FnMut() -> u64) -> &Arc<str> {
+    pub fn sample_uniform_index(&self, rng: &mut dyn FnMut() -> u64) -> usize {
         let n = self.entries.len() as u64;
-        let i = ((u128::from(rng()) * u128::from(n)) >> 64) as usize;
-        &self.entries[i].0
+        ((u128::from(rng()) * u128::from(n)) >> 64) as usize
     }
 
-    /// Draw an entry proportionally to its weight (alias method, O(1)).
+    /// The index of an entry drawn proportionally to its weight (alias
+    /// method, O(1)).
     #[inline]
-    pub fn sample_weighted(&self, rng: &mut dyn FnMut() -> u64) -> &Arc<str> {
-        &self.entries[self.alias.sample_index(rng)].0
+    pub fn sample_weighted_index(&self, rng: &mut dyn FnMut() -> u64) -> usize {
+        self.alias.sample_index(rng)
     }
 
     /// Serialize to the `weight\ttext` line format.
@@ -174,7 +174,7 @@ mod tests {
         let mut rng = rng_fn(1);
         let n = 50_000;
         let common = (0..n)
-            .filter(|_| d.sample_weighted(&mut rng).as_ref() == "common")
+            .filter(|_| d.entry(d.sample_weighted_index(&mut rng)).as_ref() == "common")
             .count();
         let frac = common as f64 / f64::from(n);
         assert!((0.88..0.92).contains(&frac), "frac {frac}");
@@ -186,7 +186,7 @@ mod tests {
         let mut rng = rng_fn(2);
         let n = 20_000;
         let xs = (0..n)
-            .filter(|_| d.sample_uniform(&mut rng).as_ref() == "x")
+            .filter(|_| d.entry(d.sample_uniform_index(&mut rng)).as_ref() == "x")
             .count();
         let frac = xs as f64 / f64::from(n);
         assert!((0.47..0.53).contains(&frac), "frac {frac}");
@@ -230,7 +230,10 @@ mod tests {
         let mut r1 = rng_fn(42);
         let mut r2 = rng_fn(42);
         for _ in 0..100 {
-            assert_eq!(d.sample_weighted(&mut r1), d2.sample_weighted(&mut r2));
+            assert_eq!(
+                d.sample_weighted_index(&mut r1),
+                d2.sample_weighted_index(&mut r2)
+            );
         }
     }
 }

@@ -28,6 +28,29 @@ proptest! {
         }
     }
 
+    /// The batched cycle walk is `permute` element by element, on domains
+    /// up to 2^26 (either side of the round table's 2^24 cap), for a
+    /// window of inputs starting anywhere and wrapping at the domain.
+    #[test]
+    fn permute_batch_is_permute(
+        bits in 0u32..=26,
+        raw in any::<u64>(),
+        seed in any::<u64>(),
+        start in 0u64..u64::MAX - 700,
+        len in 0u64..700,
+    ) {
+        let n = 1 + raw % (1u64 << bits);
+        let p = FeistelPermutation::new(n, seed);
+        let window = start..start + len;
+        let want: Vec<u64> = window.clone().map(|x| p.permute(x % n)).collect();
+        let mut xs: Vec<u64> = window.clone().map(|x| x % n).collect();
+        let mut pending = Vec::new();
+        p.permute_batch(&mut xs, &mut pending);
+        prop_assert_eq!(&xs, &want, "n {} seed {}", n, seed);
+        p.permute_window(window, &mut xs, &mut pending);
+        prop_assert_eq!(xs, want, "n {} seed {}", n, seed);
+    }
+
     /// Cached and uncached seed derivation always agree.
     #[test]
     fn seed_tree_cache_is_transparent(
@@ -417,7 +440,7 @@ proptest! {
             Arc::new(MarkovChainGenerator::new(Arc::clone(model), min_words, max_words));
         let cut = TruncateGenerator::new(Arc::clone(&uncapped), limit);
         let runtime = SchemaRuntime::empty_for_tests();
-        let ctx = ColumnCtx { runtime: &runtime, update_seed: seed, width_hint: None };
+        let ctx = ColumnCtx { runtime: &runtime, update_seed: seed, width_hint: None, first_draw: 0 };
         let rows = first_row..first_row + 24;
         let (mut got, mut want) = (ColumnVec::default(), ColumnVec::default());
         capped.fill_column(&ctx, rows.clone(), &mut got, &mut GenScratch::default());
