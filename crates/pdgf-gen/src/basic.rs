@@ -65,8 +65,9 @@ impl Kernel for IdGenerator {
 }
 
 impl Generator for IdGenerator {
-    /// Sequential keys are the kernel's; permuted keys take one batched
-    /// walk ([`FeistelPermutation::permute_batch`]).
+    /// Permuted keys of rows inside the table take one batched walk
+    /// ([`FeistelPermutation::permute_batch`]); sequential keys, and rows
+    /// past the table's end, are the kernel's.
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
@@ -74,13 +75,15 @@ impl Generator for IdGenerator {
         out: &mut pdgf_schema::ColumnVec,
         scratch: &mut GenScratch,
     ) {
-        let Some(p) = &self.permutation else {
-            return Kernel::emit(self, Fill { ctx, rows, out });
-        };
-        let GenScratch { keys, pending, .. } = scratch;
-        p.permute_window(rows, keys, pending);
-        let longs = out.longs_mut();
-        longs.extend(keys.iter().map(|&key| key as i64 + 1));
+        match &self.permutation {
+            Some(p) if rows.end <= p.domain() => {
+                let GenScratch { keys, pending, .. } = scratch;
+                keys.clear();
+                keys.extend(rows);
+                self.keys_into(keys, pending, out.longs_mut());
+            }
+            _ => Kernel::emit(self, Fill { ctx, rows, out }),
+        }
     }
 
     #[inline]

@@ -201,13 +201,6 @@ impl ProbabilityGenerator {
         }
     }
 
-    /// Cut every static text branch to `max_chars` chars, when every
-    /// branch is one; any other generator is unchanged.
-    pub fn capped(self, max_chars: usize) -> Self {
-        let texts = self.texts.map(|t| crate::text::cut_table(&t, max_chars));
-        Self { texts, ..self }
-    }
-
     /// The branch a selector draw lands in: the first whose cumulative
     /// bound exceeds the draw, with the last catching the residual mass
     /// floating-point rounding leaves below 1. Every bound is compared, from
@@ -497,10 +490,8 @@ impl Generator for TruncateGenerator {
     /// Runs the inner kernel, then shortens overflowing text cells in
     /// place. Arena columns rebuild through the scratch buffer only when
     /// something actually truncates, and a dictionary column whose codes
-    /// name an entry wider than the column becomes an arena first (the
-    /// runtime cuts a column's own dictionary at build, so only a
-    /// dictionary inside another generator gets here); non-text columns
-    /// pass through.
+    /// name an entry wider than the column becomes an arena first;
+    /// non-text columns pass through.
     fn fill_column(
         &self,
         ctx: &ColumnCtx<'_>,
@@ -664,45 +655,34 @@ mod tests {
         ProbabilityGenerator::new(WIDE.iter().map(|e| (0.25, static_text(e))).collect())
     }
 
-    /// Each dictionary kind cut at build fills a dictionary column equal,
-    /// on both paths, to the uncut generator under `TruncateGenerator`,
-    /// which spills the uncut dictionary to an arena to cut it.
+    /// `TruncateGenerator` over each dictionary kind, weighted and
+    /// uniform, cuts every cell with `keep_len`, on both paths: a column
+    /// with a cell wider than the width leaves its codes for an arena, and
+    /// one without keeps them.
     #[test]
-    fn capped_dictionaries_cut_like_truncate() {
+    fn truncate_cuts_wide_dictionaries() {
         use crate::text::{DictByRowGenerator, DictListGenerator};
-        for width in [1, 4, 7, 9, 12, 40] {
-            let cases: [(Arc<dyn Generator>, Arc<dyn Generator>); 4] = [
-                (
-                    Arc::new(DictListGenerator::new(wide_dict(), false).capped(width)),
-                    Arc::new(DictListGenerator::new(wide_dict(), false)),
-                ),
-                (
-                    Arc::new(DictListGenerator::new(wide_dict(), true).capped(width)),
-                    Arc::new(DictListGenerator::new(wide_dict(), true)),
-                ),
-                (
-                    Arc::new(DictByRowGenerator::new(wide_dict()).capped(width)),
-                    Arc::new(DictByRowGenerator::new(wide_dict())),
-                ),
-                (
-                    Arc::new(wide_choice().capped(width)),
-                    Arc::new(wide_choice()),
-                ),
+        for width in [1, 4, 7, 9, 12, 17, 40] {
+            let kinds: [Arc<dyn Generator>; 4] = [
+                Arc::new(DictListGenerator::new(wide_dict(), false)),
+                Arc::new(DictListGenerator::new(wide_dict(), true)),
+                Arc::new(DictByRowGenerator::new(wide_dict())),
+                Arc::new(wide_choice()),
             ];
-            for (capped, uncut) in cases {
-                let got = batch_matches_point(capped.as_ref());
-                let cut = TruncateGenerator::new(uncut, width);
-                let want = batch_matches_point(&cut);
+            for uncut in kinds {
+                let name = uncut.name();
+                let whole = batch_matches_point(uncut.as_ref());
+                let got = batch_matches_point(&TruncateGenerator::new(uncut, width));
                 for i in 0..got.len() {
+                    let s = whole.value(i).as_text().unwrap().to_string();
+                    let keep = keep_len(&s, width).unwrap_or(s.len());
                     assert_eq!(
                         got.value(i),
-                        want.value(i),
-                        "{} width {width}",
-                        capped.name()
+                        Value::text(&s[..keep]),
+                        "{name} width {width}"
                     );
                 }
-                assert!(got.as_dict().is_some(), "{} left its codes", capped.name());
-                assert_eq!(want.as_dict().is_some(), width >= 17, "{}", capped.name());
+                assert_eq!(got.as_dict().is_some(), width >= 17, "{name} width {width}");
             }
         }
     }

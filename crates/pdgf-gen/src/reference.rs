@@ -71,14 +71,59 @@ impl ReferenceGenerator {
             .generator
             .as_ref()
     }
+}
 
-    /// The parent's cell at `parent_row` recomputed through the parent's
-    /// own entry point, from the parent column's cell RNG: a pure function
-    /// of coordinates, with no reads of generated data and no cross-thread
-    /// coordination. References always target the parent's initial load
-    /// (update 0), so each cell is bit-identical to
+impl Generator for ReferenceGenerator {
+    /// Foreign keys into an Id column — the TPC-H shape — need no parent
+    /// RNG at all: the parent's pure row→key map recomputes the key, and
+    /// the column stays a typed Long vector end to end; a permutation
+    /// reference walks the whole package in one batch
+    /// ([`FeistelPermutation::permute_window`]). Any other parent is
+    /// recomputed cell by cell through [`emit_cell`](Self::emit_cell).
+    fn fill_column(
+        &self,
+        ctx: &ColumnCtx<'_>,
+        rows: Range<u64>,
+        out: &mut ColumnVec,
+        scratch: &mut GenScratch,
+    ) {
+        let id = self.parent(ctx.runtime).as_id();
+        if let (RefStrategy::Permutation(p), Some(id)) = (&self.strategy, id) {
+            let GenScratch { keys, pending, .. } = scratch;
+            p.permute_window(rows, keys, pending);
+            let longs = out.longs_mut();
+            longs.reserve(keys.len());
+            return id.keys_into(keys, pending, longs);
+        }
+        if let Some(id) = id {
+            let fill = Fill { ctx, rows, out };
+            return fill.typed(Longs, |rng, row| id.key_for(self.parent_row(rng, row)));
+        }
+        out.clear();
+        for row in rows {
+            self.emit_cell(Cell {
+                rng: &mut ctx.cell_rng(row),
+                row,
+                runtime: ctx.runtime,
+                out: CellOut::Column(&mut *out),
+            });
+        }
+    }
+
+    /// The parent cell recomputed through the parent's own entry point,
+    /// from the parent column's cell RNG: a pure function of coordinates,
+    /// with no reads of generated data and no cross-thread coordination.
+    /// References always target the parent's initial load (update 0), so
+    /// each cell is bit-identical to
     /// `runtime.value(target_table, target_column, 0, parent_row)`.
-    fn parent_cell(&self, parent_row: u64, runtime: &SchemaRuntime, out: CellOut<'_>) {
+    fn emit_cell(&self, cell: Cell<'_, '_>) {
+        let Cell {
+            rng,
+            row,
+            runtime,
+            out,
+        } = cell;
+        let parent_row = self.parent_row(rng, row);
         let tree = runtime.seed_tree();
         // audit:allow(seed-discipline) declared reference closure: the
         // parent column's own seed, pinned by tests/fingerprints.rs
@@ -95,55 +140,6 @@ impl ReferenceGenerator {
             runtime,
             out,
         });
-    }
-}
-
-impl Generator for ReferenceGenerator {
-    /// Permutation parents take one batched walk for the whole package
-    /// ([`FeistelPermutation::permute_window`]). Foreign keys into an Id
-    /// column — the TPC-H shape — need no parent RNG at all: the parent's
-    /// pure row→key map makes the keys, and the column stays a typed Long
-    /// vector end to end. Any other parent is recomputed cell by cell.
-    fn fill_column(
-        &self,
-        ctx: &ColumnCtx<'_>,
-        rows: Range<u64>,
-        out: &mut ColumnVec,
-        scratch: &mut GenScratch,
-    ) {
-        let id = self.parent(ctx.runtime).as_id();
-        if let RefStrategy::Permutation(p) = &self.strategy {
-            let GenScratch { keys, pending, .. } = scratch;
-            p.permute_window(rows, keys, pending);
-            if let Some(id) = id {
-                let longs = out.longs_mut();
-                longs.reserve(keys.len());
-                return id.keys_into(keys, pending, longs);
-            }
-            out.clear();
-            for &parent_row in keys.iter() {
-                self.parent_cell(parent_row, ctx.runtime, CellOut::Column(&mut *out));
-            }
-        } else if let Some(id) = id {
-            let fill = Fill { ctx, rows, out };
-            fill.typed(Longs, |rng, row| id.key_for(self.parent_row(rng, row)));
-        } else {
-            out.clear();
-            for row in rows {
-                self.emit_cell(Cell {
-                    rng: &mut ctx.cell_rng(row),
-                    row,
-                    runtime: ctx.runtime,
-                    out: CellOut::Column(&mut *out),
-                });
-            }
-        }
-    }
-
-    /// The parent cell of the row drawn from the child cell's stream.
-    fn emit_cell(&self, cell: Cell<'_, '_>) {
-        let parent_row = self.parent_row(cell.rng, cell.row);
-        self.parent_cell(parent_row, cell.runtime, cell.out);
     }
 
     fn name(&self) -> &'static str {

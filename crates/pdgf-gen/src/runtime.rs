@@ -420,10 +420,9 @@ impl GeneratorBuilder<'_> {
     }
 
     /// `spec` built for a column cut to `limit` chars: a Markov leaf
-    /// reached through `Null` wrappers only cuts as it writes, and a
-    /// dictionary, row dictionary or choice of static texts there has its
-    /// entries cut once, here (the interpreter's `cuts_as_built` mirrors
-    /// this); any other generator is built as it stands.
+    /// reached through `Null` wrappers only cuts as it writes (the
+    /// interpreter's `fold_field` mirrors this); any other generator is
+    /// built as it stands.
     fn build_field(
         &self,
         spec: &GeneratorSpec,
@@ -445,16 +444,6 @@ impl GeneratorBuilder<'_> {
                 self.markov(source, *min_words, *max_words)?
                     .capped(max_chars),
             ),
-            (GeneratorSpec::Dict { source, weighted }, Some(max_chars)) => Arc::new(
-                DictListGenerator::new(self.dictionary(source)?, *weighted).capped(max_chars),
-            ),
-            (GeneratorSpec::DictByRow { source }, Some(max_chars)) => {
-                Arc::new(DictByRowGenerator::new(self.dictionary(source)?).capped(max_chars))
-            }
-            (GeneratorSpec::Probability { branches }, Some(max_chars)) => Arc::new(
-                self.probability(branches, table, column, table_size, aux)?
-                    .capped(max_chars),
-            ),
             (GeneratorSpec::Null { probability, inner }, Some(_)) => {
                 let inner = self.build_field(inner, limit, table, column, table_size, aux)?;
                 Arc::new(NullGenerator::new(*probability, inner))
@@ -473,21 +462,6 @@ impl GeneratorBuilder<'_> {
                 .dictionary(path)
                 .map_err(|e| BuildError(e.to_string())),
         }
-    }
-
-    fn probability(
-        &self,
-        branches: &[(f64, GeneratorSpec)],
-        table: u32,
-        column: u32,
-        table_size: u64,
-        aux: &mut Vec<Option<(u32, u32)>>,
-    ) -> Result<ProbabilityGenerator, BuildError> {
-        let branches = branches
-            .iter()
-            .map(|(p, g)| Ok((*p, self.build_spec(g, table, column, table_size, aux)?)))
-            .collect::<Result<Vec<_>, BuildError>>()?;
-        Ok(ProbabilityGenerator::new(branches))
     }
 
     fn markov(
@@ -612,7 +586,11 @@ impl GeneratorBuilder<'_> {
                 Arc::new(SequentialGenerator::new(parts, separator.clone()))
             }
             GeneratorSpec::Probability { branches } => {
-                Arc::new(self.probability(branches, table, column, table_size, aux)?)
+                let branches = branches
+                    .iter()
+                    .map(|(p, g)| Ok((*p, self.build_spec(g, table, column, table_size, aux)?)))
+                    .collect::<Result<Vec<_>, BuildError>>()?;
+                Arc::new(ProbabilityGenerator::new(branches))
             }
             GeneratorSpec::Formula { expr, as_long } => {
                 Arc::new(FormulaGenerator::new(expr, self.props, *as_long))
@@ -866,76 +844,10 @@ mod tests {
         });
     }
 
-    /// A narrow column of a dictionary, a row dictionary (also under a
-    /// NULL wrapper) or a choice of static texts has its entries cut at
-    /// build, so no truncating wrapper is built; a choice with another
-    /// branch keeps the wrapper. Batches equal point reads either way.
-    #[test]
-    fn narrow_dictionary_columns_are_cut_at_build() {
-        let entries = || DictSource::Inline {
-            entries: ["DELIVER IN PERSON", "COLLECT COD", "NONE"]
-                .map(|e| (e.to_string(), 1.0))
-                .to_vec(),
-        };
-        let text = |s: &str| GeneratorSpec::Static {
-            value: Value::text(s),
-        };
-        let fields = [
-            GeneratorSpec::Dict {
-                source: entries(),
-                weighted: true,
-            },
-            GeneratorSpec::Null {
-                probability: 0.2,
-                inner: Box::new(GeneratorSpec::DictByRow { source: entries() }),
-            },
-            GeneratorSpec::Probability {
-                branches: vec![(0.5, text("TAKE BACK RETURN")), (0.5, text("AIR"))],
-            },
-            GeneratorSpec::Probability {
-                branches: vec![
-                    (0.5, text("TAKE BACK RETURN")),
-                    (0.5, GeneratorSpec::DictByRow { source: entries() }),
-                ],
-            },
-        ];
-        let table = fields
-            .into_iter()
-            .enumerate()
-            .fold(Table::new("t", "64"), |t, (i, g)| {
-                t.field(Field::new(&format!("f{i}"), SqlType::Char(8), g))
-            });
-        let rt =
-            SchemaRuntime::build(&Schema::new("cut", 5).table(table), &MapResolver::new()).unwrap();
-        let names: Vec<&str> = rt.tables()[0]
-            .columns
-            .iter()
-            .map(|c| c.generator.name())
-            .collect();
-        assert_eq!(
-            names,
-            [
-                "DictListGenerator",
-                "NullGenerator",
-                "ProbabilityGenerator",
-                "TruncateGenerator"
-            ]
-        );
-        let mut batch = ColumnBatch::new();
-        rt.fill_batch(0, 0, 0..64, &mut batch, &mut GenScratch::default());
-        for (c, column) in batch.columns().iter().enumerate() {
-            assert_eq!(column.as_dict().is_some(), c < 3, "column {c}");
-            for row in 0..64 {
-                let v = rt.value(0, c as u32, 0, row);
-                assert_eq!(column.value(row as usize), v, "column {c} row {row}");
-                assert!(v.as_text().is_none_or(|s| s.len() <= 8), "{v}");
-            }
-        }
-    }
-
-    /// Permuted keys and permutation references fill, through the batched
-    /// walk, exactly what point reads return, into an Id parent and into
-    /// any other parent.
+    /// Permuted keys and permutation references fill exactly what point
+    /// reads return: through the batched walk for rows inside the table
+    /// and references into an Id parent, through the kernel for rows past
+    /// the table's end and references into any other parent.
     #[test]
     fn batched_permutation_walks_equal_point_reads() {
         let reference = |field: &str| GeneratorSpec::Reference {
@@ -968,7 +880,12 @@ mod tests {
         let rt = SchemaRuntime::build(&s, &MapResolver::new()).unwrap();
         let mut batch = ColumnBatch::new();
         let mut scratch = GenScratch::default();
-        for (table, rows) in [(0u32, 0..1000u64), (1, 0..3000), (1, 1777..2100)] {
+        for (table, rows) in [
+            (0u32, 0..1000u64),
+            (0, 900..1100),
+            (1, 0..3000),
+            (1, 1777..2100),
+        ] {
             rt.fill_batch(table, 0, rows.clone(), &mut batch, &mut scratch);
             for (c, column) in batch.columns().iter().enumerate() {
                 for (i, row) in rows.clone().enumerate() {

@@ -3,21 +3,10 @@
 
 use pdgf_schema::DictTable;
 use std::sync::Arc;
-use textsynth::{keep_len, Dictionary, MarkovModel};
+use textsynth::{Dictionary, MarkovModel};
 
 use crate::generator::{kernel_paths, Codes, Emit, Generator, Kernel};
 use pdgf_prng::PdgfRng;
-
-/// `table`'s entries, each cut to `max_chars` chars with [`keep_len`], as
-/// a [`TruncateGenerator`](crate::meta::TruncateGenerator) cuts a cell.
-pub(crate) fn cut_table(table: &DictTable, max_chars: usize) -> Arc<DictTable> {
-    assert!(max_chars > 0, "zero-width text column");
-    let entries = (0..table.len() as u32).map(|code| {
-        let entry = table.get(code);
-        &entry[..keep_len(entry, max_chars).unwrap_or(entry.len())]
-    });
-    Arc::new(DictTable::new(entries))
-}
 
 /// `dict`'s entries as a cell table, entry `i` code `i`.
 fn dict_table(dict: &Dictionary) -> Arc<DictTable> {
@@ -26,8 +15,7 @@ fn dict_table(dict: &Dictionary) -> Arc<DictTable> {
 
 /// Draws entries from a dictionary ("DictList" in the paper's figures),
 /// uniformly or proportionally to extracted frequencies. A cell is the
-/// code of its entry in a [`DictTable`]; [`capped`](Self::capped) cuts
-/// the table's entries to a column's width once, at build.
+/// code of its entry in a [`DictTable`].
 pub struct DictListGenerator {
     dict: Arc<Dictionary>,
     table: Arc<DictTable>,
@@ -43,12 +31,6 @@ impl DictListGenerator {
             dict,
             weighted,
         }
-    }
-
-    /// Cut every entry to `max_chars` chars.
-    pub fn capped(self, max_chars: usize) -> Self {
-        let table = cut_table(&self.table, max_chars);
-        Self { table, ..self }
     }
 }
 
@@ -87,13 +69,6 @@ impl DictByRowGenerator {
     pub fn new(dict: Arc<Dictionary>) -> Self {
         Self {
             table: dict_table(&dict),
-        }
-    }
-
-    /// Cut every entry to `max_chars` chars.
-    pub fn capped(self, max_chars: usize) -> Self {
-        Self {
-            table: cut_table(&self.table, max_chars),
         }
     }
 }

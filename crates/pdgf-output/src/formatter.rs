@@ -171,7 +171,9 @@ impl<'a> Lane<'a> {
         match data {
             ColumnData::Long(v) => Self::Long(v),
             ColumnData::Text(t) if is_clean(t.arena().as_bytes(), &dirty) => Self::Text(t),
-            ColumnData::Dict(d) if !d.table().holds_any(&dirty) => Self::Dict(d),
+            ColumnData::Dict(d) if !d.table().holds_any(&dirty) || cells_clean(d, &dirty) => {
+                Self::Dict(d)
+            }
             ColumnData::Text(_) | ColumnData::Dict(_) | ColumnData::Cells(_) => Self::Generic(col),
             ColumnData::Double(v) => Self::Double(v),
             ColumnData::Decimal { unscaled, scale } => Self::Decimal(unscaled, *scale),
@@ -214,6 +216,15 @@ fn is_clean(arena: &[u8], dirty: impl Fn(u8) -> bool) -> bool {
     arena
         .chunks(256)
         .all(|block| !block.iter().fold(false, |hit, &b| hit | dirty(b)))
+}
+
+/// Whether no cell of `d` holds a byte `dirty` marks: the entries the
+/// package drew, for a table whose other entries may hold one.
+fn cells_clean(d: &DictColumn, dirty: impl Fn(u8) -> bool) -> bool {
+    let table = d.table();
+    d.codes()
+        .iter()
+        .all(|&code| is_clean(table.get(code).as_bytes(), &dirty))
 }
 
 /// A package's lane views: the first [`Lane::MAX`] columns resolved once,
@@ -1426,26 +1437,31 @@ mod tests {
     /// Dictionary columns, 40 rows each, and the view each format gives
     /// them: a clean table; the test zoo's dirty entry; an entry holding
     /// SQL's quote; a NULL-masked dictionary; a dictionary whose cells
-    /// meet a Long and are promoted to cells; and entries past one copy
-    /// window, the last of them ending the table.
+    /// meet a Long and are promoted to cells; entries past one copy
+    /// window, the last of them ending the table; and a table whose one
+    /// entry every format escapes is never drawn.
     fn dict_batch() -> (pdgf_schema::ColumnBatch, TableMeta) {
         use std::sync::Arc;
         const ROWS: usize = 40;
         let long = "a".repeat(fmtfast::WINDOW) + " past the window";
-        let tables: [Vec<&str>; 6] = [
+        let tables: [Vec<&str>; 7] = [
             vec!["R", "A", "N"],
             vec!["alpha", "gamma, \"quoted\" & <tagged>"],
             vec!["O'K", "plain"],
             vec!["MAIL", "SHIP"],
             vec!["TRUCK", "RAIL"],
             vec!["FOB", &long, "DELIVER IN PERSON", &long],
+            vec!["air", "sea", "it's \"x\", & <y>\n"],
         ];
         let mut batch = pdgf_schema::ColumnBatch::new();
         batch.begin(tables.len(), ROWS);
         for (c, (col, entries)) in batch.columns_mut().iter_mut().zip(&tables).enumerate() {
             let table = Arc::new(DictTable::new(entries.iter().copied()));
             for r in 0..ROWS {
-                let code = ((r * 7 + c) % entries.len()) as u32;
+                let code = match c {
+                    6 => (r % 2) as u32,
+                    _ => ((r * 7 + c) % entries.len()) as u32,
+                };
                 match c {
                     3 if r % 3 == 0 => col.push_null(),
                     4 if r % 5 == 2 => match col.longs_tail() {
@@ -1459,13 +1475,19 @@ mod tests {
                 }
             }
         }
-        let meta = TableMeta::new("t", &["clean", "zoo", "quote", "masked", "mixed", "wide"]);
+        let meta = TableMeta::new(
+            "t",
+            &[
+                "clean", "zoo", "quote", "masked", "mixed", "wide", "undrawn",
+            ],
+        );
         (batch, meta)
     }
 
     /// A dictionary column writes what the row path writes, in every
     /// format, through a dictionary view where its table is clean for the
-    /// format and cell by cell where it is not.
+    /// format or the package draws only clean entries, and cell by cell
+    /// where it is not.
     #[test]
     fn dict_lanes_match_row_path() {
         let (batch, m) = dict_batch();
@@ -1491,11 +1513,15 @@ mod tests {
                 .map(|c| lane_kind(resolve(c)))
                 .collect()
         };
-        let markup = ["dict", "generic", "dict", "generic", "generic", "dict"];
+        let markup = [
+            "dict", "generic", "dict", "generic", "generic", "dict", "dict",
+        ];
         assert_eq!(kinds(&|c| CsvFormatter.lane(c)), markup, "CSV");
         assert_eq!(kinds(&|c| JsonFormatter.lane(c)), markup, "JSON");
         assert_eq!(kinds(&|c| XmlFormatter.lane(c)), markup, "XML");
-        let sql = ["dict", "dict", "generic", "generic", "generic", "dict"];
+        let sql = [
+            "dict", "dict", "generic", "generic", "generic", "dict", "dict",
+        ];
         assert_eq!(kinds(&|c| SqlFormatter.lane(c)), sql, "SQL");
         assert!(
             batch.columns()[4].as_dict().is_none(),

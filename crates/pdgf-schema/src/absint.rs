@@ -1265,29 +1265,6 @@ fn markov_cut(profile: StaticProfile, max_chars: u32) -> StaticProfile {
     out
 }
 
-/// Does the runtime build `spec`, the generator of a text field with a
-/// declared size, already cut to that size? A Markov leaf cuts as it
-/// writes, and a dictionary, row dictionary or choice of static texts has
-/// its entries cut at build, when only `Null` wrappers stand between the
-/// field and it. Such a field needs no truncating wrapper.
-fn cuts_as_built(spec: &GeneratorSpec) -> bool {
-    match spec {
-        GeneratorSpec::Markov { .. }
-        | GeneratorSpec::Dict { .. }
-        | GeneratorSpec::DictByRow { .. } => true,
-        GeneratorSpec::Probability { branches } => branches.iter().all(|(_, g)| {
-            matches!(
-                g,
-                GeneratorSpec::Static {
-                    value: Value::Text(_)
-                }
-            )
-        }),
-        GeneratorSpec::Null { inner, .. } => cuts_as_built(inner),
-        _ => false,
-    }
-}
-
 /// The `(table, field)` columns the generator tree of column `(ti, fi)`
 /// reads through the reference closure, under any evaluation condition
 /// (an always-NULL wrapper still builds its inner reference).
@@ -1467,7 +1444,7 @@ impl Pass<'_> {
             let limit = (field.sql_type.is_text() && field.size > 0).then_some(field.size);
             let mut profile = self.fold_field(&field.generator, limit);
             if let Some(limit) = limit {
-                if !fits(&profile, limit) && !cuts_as_built(&field.generator) {
+                if !fits(&profile, limit) {
                     self.truncates.insert((ti, fi));
                 }
                 profile = truncate(profile, limit);
