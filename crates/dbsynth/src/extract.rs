@@ -14,7 +14,7 @@
 //! 0.8–200 s on TPC-H SF 1).
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use minidb::{Database, DbError, SampleStrategy, TableStats};
 use pdgf_schema::model::{DateFormat, DictSource, GeneratorSpec, MarkovSource, RefDistribution};
@@ -157,13 +157,16 @@ impl<'db> Extractor<'db> {
     }
 
     /// Run the extraction.
+    #[allow(clippy::disallowed_types, reason = "times its phases for the report")]
     pub fn extract(&self, project_name: &str) -> Result<ExtractedModel, DbError> {
+        use std::time::Instant;
+
         let mut report = ExtractionReport::default();
         let mut schema = Schema::new(project_name, self.options.seed);
         schema
             .properties
             .define("SF", "1")
-            .expect("fresh property bag");
+            .map_err(|e| DbError::Sql(e.to_string()))?;
 
         // Phase 1: schema information.
         let t0 = Instant::now();
@@ -383,7 +386,7 @@ impl<'db> Extractor<'db> {
 
     /// Generator choice, in the paper's priority order: referential
     /// integrity first, then data type, then keyword rules / sampling.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the column and the run's state")]
     fn choose_generator(
         &self,
         def: &minidb::TableDef,
@@ -453,7 +456,7 @@ impl<'db> Extractor<'db> {
         }
 
         // 4. Typed generators, bounded by extracted statistics.
-        let spec = self.typed_generator(col, stats);
+        let spec = self.typed_generator(col, stats)?;
         Ok(self.wrap_null(spec, col, stats))
     }
 
@@ -494,32 +497,32 @@ impl<'db> Extractor<'db> {
         &self,
         col: &minidb::ColumnDef,
         stats: Option<&minidb::ColumnStats>,
-    ) -> GeneratorSpec {
+    ) -> Result<GeneratorSpec, DbError> {
         if let Some(spec) = self.histogram_generator(col, stats) {
-            return spec;
+            return Ok(spec);
         }
         let min_f = stats.and_then(|s| s.min.as_ref()).and_then(Value::as_f64);
         let max_f = stats.and_then(|s| s.max.as_ref()).and_then(Value::as_f64);
-        match col.sql_type {
+        Ok(match col.sql_type {
             SqlType::Boolean => {
                 // True fraction from the histogram when available.
                 GeneratorSpec::RandomBool { true_prob: 0.5 }
             }
             SqlType::SmallInt | SqlType::Integer | SqlType::BigInt => GeneratorSpec::Long {
-                min: num_expr(min_f.unwrap_or(0.0)),
-                max: num_expr(max_f.unwrap_or(1_000_000.0)),
+                min: num_expr(min_f.unwrap_or(0.0))?,
+                max: num_expr(max_f.unwrap_or(1_000_000.0))?,
             },
             SqlType::Decimal(_, s) => {
                 let factor = 10f64.powi(i32::from(s));
                 GeneratorSpec::Decimal {
-                    min: num_expr(min_f.map_or(0.0, |v| (v * factor).round())),
-                    max: num_expr(max_f.map_or(factor * 1_000_000.0, |v| (v * factor).round())),
+                    min: num_expr(min_f.map_or(0.0, |v| (v * factor).round()))?,
+                    max: num_expr(max_f.map_or(factor * 1_000_000.0, |v| (v * factor).round()))?,
                     scale: s,
                 }
             }
             SqlType::Real | SqlType::Double => GeneratorSpec::Double {
-                min: num_expr(min_f.unwrap_or(0.0)),
-                max: num_expr(max_f.unwrap_or(1.0)),
+                min: num_expr(min_f.unwrap_or(0.0))?,
+                max: num_expr(max_f.unwrap_or(1.0))?,
                 decimals: None,
             },
             SqlType::Date => {
@@ -546,11 +549,11 @@ impl<'db> Extractor<'db> {
             SqlType::Char(_) | SqlType::Varchar(_) => {
                 unreachable!("text handled by caller")
             }
-        }
+        })
     }
 
     /// Sample a text column and build a dictionary or Markov model.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the column and the run's state")]
     fn extract_text_model(
         &self,
         def: &minidb::TableDef,
@@ -564,7 +567,7 @@ impl<'db> Extractor<'db> {
         let table = self.db.table(table_name)?;
         let col_idx = def
             .column_index(&col.name)
-            .expect("column from this table's definition");
+            .ok_or_else(|| DbError::Sql(format!("no column {} in table {}", col.name, def.name)))?;
         let rows = sampling.strategy.select(table.row_count());
         *sampled_rows += rows.len() as u64;
         let samples: Vec<&str> = rows
@@ -634,13 +637,15 @@ impl<'db> Extractor<'db> {
     }
 }
 
-fn num_expr(v: f64) -> Expr {
+/// A statistics bound as a literal expression; a NaN or infinite bound
+/// has no literal and is an error.
+fn num_expr(v: f64) -> Result<Expr, DbError> {
     let text = if v.fract() == 0.0 && v.abs() < 9e15 {
         format!("{}", v as i64)
     } else {
         format!("{v}")
     };
-    Expr::parse(&text).expect("numeric literal")
+    Expr::parse(&text).map_err(|e| DbError::Sql(format!("bound {v}: {e}")))
 }
 
 /// Order table indices so FK-referenced tables (declared or inferred)
@@ -655,7 +660,7 @@ fn topo_order_with(defs: &[minidb::TableDef], inferred: &InferredKeys) -> Vec<us
     }
     let mut visited = vec![0u8; defs.len()];
     let mut order = Vec::with_capacity(defs.len());
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "a recursive walk's state")]
     fn dfs(
         i: usize,
         defs: &[minidb::TableDef],
@@ -685,39 +690,6 @@ fn topo_order_with(defs: &[minidb::TableDef], inferred: &InferredKeys) -> Vec<us
     }
     for i in 0..defs.len() {
         dfs(i, defs, &extra_parents, &index_of, &mut visited, &mut order);
-    }
-    order
-}
-
-/// Order table indices so FK-referenced tables precede their referrers.
-#[allow(dead_code)]
-fn topo_order(defs: &[minidb::TableDef]) -> Vec<usize> {
-    let index_of = |name: &str| defs.iter().position(|d| d.name.eq_ignore_ascii_case(name));
-    let mut visited = vec![0u8; defs.len()];
-    let mut order = Vec::with_capacity(defs.len());
-    fn dfs(
-        i: usize,
-        defs: &[minidb::TableDef],
-        index_of: &dyn Fn(&str) -> Option<usize>,
-        visited: &mut [u8],
-        order: &mut Vec<usize>,
-    ) {
-        if visited[i] != 0 {
-            return;
-        }
-        visited[i] = 1;
-        for fk in &defs[i].foreign_keys {
-            if let Some(j) = index_of(&fk.ref_table) {
-                if visited[j] == 0 {
-                    dfs(j, defs, index_of, visited, order);
-                }
-            }
-        }
-        visited[i] = 2;
-        order.push(i);
-    }
-    for i in 0..defs.len() {
-        dfs(i, defs, &index_of, &mut visited, &mut order);
     }
     order
 }

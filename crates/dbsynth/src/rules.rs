@@ -119,8 +119,8 @@ fn dict_of(words: &[&str]) -> GeneratorSpec {
     }
 }
 
-fn expr(n: i64) -> Expr {
-    Expr::parse(&n.to_string()).expect("numeric literal")
+fn expr(n: u32) -> Expr {
+    Expr::Num(f64::from(n))
 }
 
 /// The keyword rule engine.
@@ -277,10 +277,9 @@ pub fn builtin_comment_model_text() -> String {
     for s in samples {
         builder.feed(s);
     }
-    builder
-        .build()
-        .expect("built-in corpus is non-empty")
-        .to_text()
+    #[allow(clippy::expect_used, reason = "the corpus is a constant")]
+    let model = builder.build().expect("built-in corpus is non-empty");
+    model.to_text()
 }
 
 #[cfg(test)]

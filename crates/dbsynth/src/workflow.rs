@@ -8,7 +8,7 @@
 
 use std::io;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use minidb::{Database, DbError};
 use pdgf::{Pdgf, PdgfError};
@@ -107,12 +107,13 @@ pub fn load_generated(
 /// Generate the model's data at `scale` and load it into `target`:
 /// the full "schema translator → PDGF → JDBC → target database" path of
 /// Figure 3, using minidb's bulk-load interface.
+#[allow(clippy::disallowed_types, reason = "reports its own duration")]
 pub fn generate_into(
     target: &mut Database,
     model: &ExtractedModel,
     scale: f64,
 ) -> Result<SynthesisReport, DbError> {
-    let started = Instant::now();
+    let started = std::time::Instant::now();
     let project = pdgf_from_model(model)
         .set_property("SF", &format!("{scale}"))
         .build()

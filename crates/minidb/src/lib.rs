@@ -24,6 +24,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "unwrap: library code returns its error type instead of panicking"
+)]
 
 pub mod catalog;
 pub mod db;

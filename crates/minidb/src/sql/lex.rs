@@ -88,7 +88,9 @@ pub fn lex(input: &str) -> Result<Vec<Token>, String> {
                     }
                     Some(_) => {
                         // Advance over one UTF-8 scalar.
-                        let ch = input[i..].chars().next().expect("in bounds");
+                        let Some(ch) = input.get(i..).and_then(|s| s.chars().next()) else {
+                            return Err("malformed string literal".into());
+                        };
                         s.push(ch);
                         i += ch.len_utf8();
                     }
@@ -122,7 +124,9 @@ pub fn lex(input: &str) -> Result<Vec<Token>, String> {
                 _ => {
                     // Decode the full (possibly multibyte) character for
                     // the error message.
-                    let ch = input[i..].chars().next().expect("i is in bounds");
+                    let Some(ch) = input.get(i..).and_then(|s| s.chars().next()) else {
+                        return Err("malformed input".into());
+                    };
                     return Err(format!("unexpected character {ch:?}"));
                 }
             },
@@ -204,5 +208,19 @@ mod tests {
     fn unicode_in_strings() {
         let toks = lex("'héllo → wörld'").unwrap();
         assert_eq!(toks, vec![Token::Str("héllo → wörld".into())]);
+    }
+
+    #[test]
+    fn multibyte_and_stray_input_is_an_error_not_a_panic() {
+        // Every prefix cut at a character boundary runs through the
+        // string-literal branch and the unexpected-character branch.
+        for sql in ["SELECT 'é→😀' FROM t", "x = ü", "'a''→", "→'😀'", "é", "'"] {
+            for (cut, _) in sql.char_indices().chain([(sql.len(), ' ')]) {
+                let _ = lex(&sql[..cut]);
+            }
+        }
+        assert_eq!(lex("x = ü"), Err("unexpected character 'ü'".to_string()));
+        assert_eq!(lex("'é→"), Err("unterminated string literal".to_string()));
+        assert_eq!(lex("'é→'").unwrap(), vec![Token::Str("é→".into())]);
     }
 }

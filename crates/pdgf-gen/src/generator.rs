@@ -98,8 +98,10 @@ impl CellOut<'_> {
                     arena.seal();
                 }
                 None => {
-                    // audit:allow(columnar-cell-alloc) a column whose cells
-                    // changed kind holds boxed cells already
+                    #[allow(
+                        clippy::disallowed_methods,
+                        reason = "a column whose cells changed kind holds boxed cells already"
+                    )]
                     let mut text = String::new();
                     build(&mut text);
                     out.promote().push(Value::text(text));

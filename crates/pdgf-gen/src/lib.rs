@@ -22,6 +22,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rust_2018_idioms)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        clippy::disallowed_macros,
+        reason = "test code is exempt"
+    )
+)]
 
 pub mod basic;
 pub mod generator;

@@ -125,8 +125,11 @@ impl Generator for ReferenceGenerator {
         } = cell;
         let parent_row = self.parent_row(rng, row);
         let tree = runtime.seed_tree();
-        // audit:allow(seed-discipline) declared reference closure: the
-        // parent column's own seed, pinned by tests/fingerprints.rs
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "declared reference closure: the parent column's own seed, pinned by \
+                      tests/fingerprints.rs"
+        )]
         let update_seed = tree.update_seed(self.target_table, self.target_column, 0);
         let parent = ColumnCtx {
             runtime,

@@ -5,6 +5,8 @@
 //! those references through this trait so tests and demos can supply
 //! in-memory resources while production loads from disk.
 
+#![allow(clippy::disallowed_macros, reason = "resolved once per build")]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;

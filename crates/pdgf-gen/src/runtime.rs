@@ -6,6 +6,13 @@
 //! from `(table, column, update, row)` to a [`Value`]. Everything above
 //! (workers, work packages, nodes) is mere orchestration of this function.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_macros,
+    reason = "the runtime builder is the one seed-derivation point and runs once per \
+              build, outside the kernels"
+)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;

@@ -30,6 +30,8 @@
 //! Tiers 1–2 are two to three times faster than core on their values;
 //! full-precision uniform doubles land in tier 3.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_macros))]
+
 use pdgf_schema::Date;
 use std::io::Write as _;
 
@@ -337,9 +339,12 @@ pub fn write_f64_shortest(out: &mut Vec<u8>, v: f64) {
     }
     // Tier 3: core's own shortest-round-trip conversion, the reference
     // the tiers above copy. Writing into a `Vec<u8>` cannot fail.
-    // audit:allow(std-fmt) full-precision doubles only: core takes
-    // 105-175 ns each, a hand-rolled Dragon4 took 1.0-1.45 us (uniform
-    // doubles in [0, 1000), 2-core x86-64 VM); same bytes, no allocation
+    #[allow(
+        clippy::disallowed_macros,
+        reason = "full-precision doubles only: core takes 105-175 ns each, a hand-rolled \
+                  Dragon4 took 1.0-1.45 us (uniform doubles in [0, 1000), 2-core x86-64 VM); \
+                  same bytes, no allocation"
+    )]
     let _ = write!(out, "{v}");
 }
 

@@ -19,6 +19,8 @@
 //! and its per-kind cell writers, which its one-row [`Formatter::row`]
 //! path shares.
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_macros))]
+
 use crate::fmtfast;
 use pdgf_schema::absint::{KindSet, StaticProfile};
 use pdgf_schema::{
@@ -37,13 +39,18 @@ pub struct TableMeta {
 impl TableMeta {
     /// Convenience constructor.
     pub fn new(name: &str, columns: &[&str]) -> Self {
-        Self {
-            // audit:allow(std-fmt) schema-time construction, once per table;
-            // the per-row hot path below never allocates through std fmt
-            name: name.to_string(),
-            // audit:allow(std-fmt) schema-time construction, once per table
-            columns: columns.iter().map(|c| c.to_string()).collect(),
-        }
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "schema-time construction, once per table; the per-row hot path below \
+                      never allocates through std fmt"
+        )]
+        let name = name.to_string();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "schema-time construction, once per table"
+        )]
+        let columns = columns.iter().map(|c| c.to_string()).collect();
+        Self { name, columns }
     }
 }
 

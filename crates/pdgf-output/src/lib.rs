@@ -53,6 +53,18 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rust_2018_idioms)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "unwrap: worker-facing library code propagates an io::Error (or recovers) \
+              instead of panicking"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_macros,
+    reason = "std-fmt covers formatter.rs and fmtfast.rs only, which deny both"
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types, reason = "test code is exempt"))]
 
 pub mod factory;
 pub mod fmtfast;

@@ -7,7 +7,7 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// A destination for formatted output bytes.
 pub trait Sink: Send {
@@ -51,18 +51,31 @@ impl Sink for NullSink {
     }
 }
 
-/// Buffered file sink.
+/// Buffered file sink. It writes `<path>.partial` and
+/// [`finish`](Sink::finish) renames that to `path`, so a run that fails
+/// or is killed leaves no file under the final name.
 pub struct FileSink {
     writer: BufWriter<File>,
     bytes: u64,
+    /// `(partial, path)` until `finish` renames the one to the other.
+    pending: Option<(PathBuf, PathBuf)>,
 }
 
 impl FileSink {
-    /// Create (truncate) `path`.
+    /// Remove `path`, then create (truncate) `<path>.partial`.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
+        let path = path.as_ref().to_path_buf();
+        match std::fs::remove_file(&path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+        let mut partial = path.clone().into_os_string();
+        partial.push(".partial");
+        let partial = PathBuf::from(partial);
         Ok(Self {
-            writer: BufWriter::with_capacity(1 << 20, File::create(path)?),
+            writer: BufWriter::with_capacity(1 << 20, File::create(&partial)?),
             bytes: 0,
+            pending: Some((partial, path)),
         })
     }
 }
@@ -77,6 +90,9 @@ impl Sink for FileSink {
 
     fn finish(&mut self) -> io::Result<u64> {
         self.writer.flush()?;
+        if let Some((partial, path)) = self.pending.take() {
+            std::fs::rename(partial, path)?;
+        }
         Ok(self.bytes)
     }
 
@@ -104,9 +120,12 @@ impl MemorySink {
     }
 
     /// The collected bytes as UTF-8 (output formats are all UTF-8).
+    #[allow(
+        clippy::expect_used,
+        reason = "test-facing accessor; every built-in formatter emits valid UTF-8 by the \
+                  crate's byte-API contract"
+    )]
     pub fn as_str(&self) -> &str {
-        // audit:allow(unwrap) test-facing accessor; every built-in formatter
-        // emits valid UTF-8 by the crate's byte-API contract
         std::str::from_utf8(&self.data).expect("formatters emit UTF-8")
     }
 
@@ -167,5 +186,26 @@ mod tests {
         }
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "line1\nline2\n");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn file_sink_dropped_unfinished_leaves_no_final_file() {
+        let dir = std::env::temp_dir().join(format!("pdgf-sink-drop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        // A complete file from an earlier run is gone once a new run starts.
+        std::fs::write(&path, "stale\n").unwrap();
+        {
+            let mut s = FileSink::create(&path).unwrap();
+            s.write_chunk(b"line1\n").unwrap();
+        }
+        assert!(!path.exists(), "an unfinished sink left {}", path.display());
+        assert!(dir.join("t.csv.partial").exists());
+        let mut s = FileSink::create(&path).unwrap();
+        s.write_chunk(b"line1\n").unwrap();
+        s.finish().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "line1\n");
+        assert!(!dir.join("t.csv.partial").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

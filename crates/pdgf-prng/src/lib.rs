@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rust_2018_idioms)]
+#![cfg_attr(test, allow(clippy::disallowed_types, reason = "test code is exempt"))]
 
 pub mod dist;
 pub mod mix;

@@ -33,6 +33,13 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "unwrap: worker-facing library code propagates an io::Error (or recovers) \
+              instead of panicking"
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types, reason = "test code is exempt"))]
 
 pub mod driver;
 mod engine;

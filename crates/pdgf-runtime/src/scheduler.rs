@@ -154,7 +154,7 @@ pub fn table_meta(rt: &SchemaRuntime, table: u32) -> TableMeta {
 /// [`run_project`] for explicit control over framing.
 ///
 /// `telemetry` attaches the run's observer: `None` or `&telemetry`.
-#[allow(clippy::too_many_arguments)] // the full coordinate set is the API
+#[allow(clippy::too_many_arguments, reason = "the coordinate set is the API")]
 pub fn generate_table_range<'a>(
     rt: &SchemaRuntime,
     table: u32,

@@ -106,9 +106,15 @@ impl ServeConfig {
         Self::default()
     }
 
-    /// Set the worker thread count (clamped to ≥ 1).
+    /// Set the worker thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is 0 — a service answers every request from
+    /// its pool, so a pool without workers would never answer.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        assert!(workers > 0, "ServeConfig::workers must be at least 1");
+        self.workers = workers;
         self
     }
 
@@ -124,9 +130,15 @@ impl ServeConfig {
         self
     }
 
-    /// Set the per-request in-flight package window (clamped to ≥ 1).
+    /// Set the per-request in-flight package window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is 0 — a request with no package in flight
+    /// cannot make progress.
     pub fn window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
+        assert!(window > 0, "ServeConfig::window must be at least 1");
+        self.window = window;
         self
     }
 
@@ -796,6 +808,18 @@ mod tests {
         )
         .unwrap();
         sink.as_str().as_bytes().to_vec()
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::workers must be at least 1")]
+    fn config_builder_rejects_zero_workers() {
+        let _ = ServeConfig::new().workers(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig::window must be at least 1")]
+    fn config_builder_rejects_zero_window() {
+        let _ = ServeConfig::new().window(0);
     }
 
     fn drain(mut stream: ResponseStream) -> Vec<u8> {

@@ -39,7 +39,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pdgf_schema::sync::{Cond, Lock};
 
@@ -51,7 +51,9 @@ use crate::scheduler::TableRunStats;
 /// Every timestamp and duration this crate reports comes from this single
 /// clock so they are mutually comparable; the anchor is the first call
 /// site, making early values small and deltas exact.
+#[allow(clippy::disallowed_types, reason = "the telemetry clock")]
 pub(crate) fn now_ns() -> u64 {
+    use std::time::Instant;
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

@@ -191,7 +191,7 @@ impl UpdateBlackBox {
 
         // Deletes: distinct existing row numbers below the high-water mark.
         // (BTreeSet, not HashSet: only membership is queried, but the
-        // deterministic path stays hash-free by policy — see xtask audit.)
+        // deterministic path stays hash-free by policy — see clippy.toml.)
         let mut deleted = std::collections::BTreeSet::new();
         while (deleted.len() as u64) < n_deletes.min(high_water) {
             let row = rng.next_bounded(high_water);

@@ -7,6 +7,8 @@
 //! of allocations (buffer growth doublings, thread spawns), never a
 //! count proportional to the row or package count.
 
+#![allow(clippy::disallowed_types, reason = "a std lock serializes the tests")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};

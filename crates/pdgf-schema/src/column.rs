@@ -22,6 +22,8 @@
 //! between branches of different kinds). A column reaches it only through
 //! [`ColumnVec::promote`].
 
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_macros))]
+
 use std::sync::Arc;
 
 use crate::value::{Date, Value, ValueRef};
@@ -171,7 +173,7 @@ impl DictTable {
 
     /// The table of `entries`, in order: entry `i` is code `i`.
     pub fn new<'a>(entries: impl IntoIterator<Item = &'a str>) -> Self {
-        // audit:allow(columnar-cell-alloc) laid out once per generator
+        #[allow(clippy::disallowed_methods, reason = "laid out once per generator")]
         let mut bytes = String::new();
         let mut bounds = vec![0];
         for entry in entries {

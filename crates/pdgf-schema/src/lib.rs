@@ -31,11 +31,19 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rust_2018_idioms)]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_macros,
+    reason = "columnar-cell-alloc covers column.rs only, which denies both"
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types, reason = "test code is exempt"))]
 
 pub mod absint;
 pub mod analyze;
 pub mod column;
 pub mod config;
+#[cfg(test)]
+mod diag_registry;
 pub mod expr;
 pub mod model;
 pub mod props;

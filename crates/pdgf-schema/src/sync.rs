@@ -7,7 +7,7 @@
 //! holds at most one lock**. With no nesting there is no lock order to
 //! get wrong, no re-entrant self-deadlock, and no condvar wait while a
 //! second lock is held. Library code takes every lock through here; the
-//! `sync-facade` audit rule bans the std names everywhere else.
+//! `sync-facade` rule of `clippy.toml` bans the std names everywhere else.
 //!
 //! * [`Lock`] is a mutex whose [`lock`](Lock::lock) recovers from
 //!   poison: every value guarded in this workspace (a stack of empty
@@ -29,6 +29,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+#[allow(clippy::disallowed_types, reason = "the lock facade")]
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -40,8 +41,10 @@ use std::sync as imp;
 pub use imp::atomic::{AtomicBool, Ordering};
 
 /// A mutual-exclusion lock that is the only one its holder holds.
+#[allow(clippy::disallowed_types, reason = "the lock facade")]
 pub struct Lock<T>(imp::Mutex<T>);
 
+#[allow(clippy::disallowed_types, reason = "the lock facade")]
 impl<T> Lock<T> {
     /// A lock guarding `value`.
     pub fn new(value: T) -> Self {
@@ -77,6 +80,7 @@ impl<T> fmt::Debug for Lock<T> {
 }
 
 /// Access to a [`Lock`]'s value; releases the lock when dropped.
+#[allow(clippy::disallowed_types, reason = "the lock facade")]
 pub struct Guard<'a, T> {
     inner: imp::MutexGuard<'a, T>,
     // Declared after `inner`, so the lock is released before the thread's
@@ -100,9 +104,11 @@ impl<T> DerefMut for Guard<'_, T> {
 
 /// A condition variable whose waits end only on a predicate (or a
 /// timeout).
+#[allow(clippy::disallowed_types, reason = "the lock facade")]
 #[derive(Default)]
 pub struct Cond(imp::Condvar);
 
+#[allow(clippy::disallowed_types, reason = "the lock facade")]
 impl Cond {
     /// A condition variable nobody waits on yet.
     pub fn new() -> Self {

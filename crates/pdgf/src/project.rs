@@ -155,9 +155,14 @@ impl Pdgf {
         self
     }
 
-    /// Rows per work package (values below 1 are clamped to 1).
+    /// Rows per work package.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is 0, like
+    /// [`RunConfig::package_rows`](pdgf_runtime::RunConfig::package_rows).
     pub fn package_rows(mut self, rows: u64) -> Self {
-        self.config = self.config.package_rows(rows.max(1));
+        self.config = self.config.package_rows(rows);
         self
     }
 
@@ -522,6 +527,12 @@ mod tests {
                     },
                 )),
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "package_rows must be at least 1")]
+    fn zero_package_rows_panics() {
+        let _ = Pdgf::from_schema(schema()).package_rows(0);
     }
 
     #[test]

@@ -34,6 +34,13 @@
 //! makes the tiles compositional, so the token never carries state
 //! beyond the remainder coordinates.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "unwrap: a panic in a serve front end kills a connection thread instead of \
+              answering with an error frame or status"
+)]
+
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

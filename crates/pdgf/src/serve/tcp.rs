@@ -253,7 +253,7 @@ pub(super) fn answer(
 /// Serve `start..end` with clamped admission: data frames, then — when
 /// the range exceeded the per-request cap — a `C` frame carrying the
 /// remainder's token, then `Z`.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a range request's coordinates")]
 fn stream_range(
     shared: &ServerShared,
     writer: &mut impl Write,

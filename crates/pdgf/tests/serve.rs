@@ -4,6 +4,8 @@
 //! are byte-equal to batch generation, and the same request always
 //! returns the same bytes.
 
+#![allow(clippy::disallowed_types, reason = "test code times the cursor chain")]
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

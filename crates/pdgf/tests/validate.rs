@@ -85,8 +85,9 @@ fn bad_corpus_fails_with_stable_codes() {
 fn absint_corpus_matches_golden_reports() {
     // The interpreter fixtures each pin the full
     // machine-readable report byte for byte — codes, locations, and
-    // messages are all API. Regenerate with `cargo xtask bless` after an
-    // intentional message change.
+    // messages are all API. After an intentional message change, run
+    // `BLESS=1 cargo test -p pdgf --test validate` to rewrite them.
+    let bless = std::env::var_os("BLESS").is_some_and(|v| v == "1");
     for &(model, code, _) in CORPUS {
         let name = model.trim_start_matches("models/bad/");
         if !(name.starts_with("e04")
@@ -99,9 +100,14 @@ fn absint_corpus_matches_golden_reports() {
         let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
             .join(name.replace(".xml", ".json"));
+        let (_, json) = validate_json_rel(model);
+        if bless {
+            std::fs::write(&golden_path, &json)
+                .unwrap_or_else(|e| panic!("write {}: {e}", golden_path.display()));
+            continue;
+        }
         let golden = std::fs::read_to_string(&golden_path)
             .unwrap_or_else(|e| panic!("read {}: {e}", golden_path.display()));
-        let (_, json) = validate_json_rel(model);
         assert_eq!(
             json.trim_end(),
             golden.trim_end(),

@@ -7,11 +7,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== cargo xtask audit"
-cargo xtask audit
-
+# The determinism rules are clippy configuration (clippy.toml and the
+# crate roots); every allow must say why.
 echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::allow_attributes_without_reason
 
 echo "== cargo doc: no warnings (every intra-doc link resolves and is public)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

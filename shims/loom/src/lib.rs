@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![allow(clippy::disallowed_types, reason = "it delegates to the std locks")]
 
 use core::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
 

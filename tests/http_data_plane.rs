@@ -43,7 +43,7 @@ fn generated(project: &PdgfProject, table: &str, format: OutputFormat) -> Vec<u8
 
 /// Reference bytes per (model, table, format) from the batch path, plus
 /// the table sizes, computed from freshly built projects.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "a test fixture's tuple")]
 fn references() -> (
     Vec<(&'static str, &'static str, OutputFormat, Vec<u8>)>,
     ModelRegistry,

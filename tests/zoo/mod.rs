@@ -4,7 +4,7 @@
 //! Shared by the cross-path matrix (`columnar_identity.rs`) and the serve
 //! matrices (`serve_matrix.rs`, `http_data_plane.rs`).
 
-#![allow(dead_code, unused_imports)] // each test binary uses a subset of these helpers
+#![allow(dead_code, unused_imports, reason = "each test binary uses a subset")]
 
 mod oracle;
 
